@@ -115,24 +115,29 @@ mod tests {
 
     #[test]
     fn alloc_free_cycles_stay_local_after_warmup() {
+        // Observed through this thread's own cache (list length and block
+        // identity), not the process-wide `cache_fills` counter, which
+        // sibling tests bump concurrently.
         let class = class_of(64).unwrap();
+        let cached = || with_cache(|cache| cache.lists[class].len()).unwrap();
         // Warm the cache.
         let warm = alloc(class);
         unsafe { free(class, warm) };
-        let fills_before = crate::stats().cache_fills;
+        let resident = cached();
+        assert!(resident >= 1, "the warm block must be cached locally");
         for _ in 0..100 {
             let p = alloc(class);
-            assert!(!p.is_null());
+            assert_eq!(p, warm, "LIFO: the block just freed comes straight back");
             unsafe {
                 p.write_bytes(0xEE, class_size(class));
                 free(class, p);
             }
+            assert_eq!(
+                cached(),
+                resident,
+                "LIFO alloc/free cycles must not touch the depot"
+            );
         }
-        let fills_after = crate::stats().cache_fills;
-        assert_eq!(
-            fills_before, fills_after,
-            "LIFO alloc/free cycles must not touch the depot"
-        );
     }
 
     #[test]

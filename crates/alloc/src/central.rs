@@ -235,7 +235,9 @@ mod tests {
 
     #[test]
     fn flush_moves_exactly_n() {
-        let class = class_of(48).unwrap();
+        // A class no sibling test allocates from: the exact depot deltas
+        // below would race any concurrent fill or flush of the same class.
+        let class = class_of(192).unwrap();
         let mut local = FreeList::new();
         let got = fill(class, &mut local);
         assert!(got >= 2);

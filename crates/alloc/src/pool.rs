@@ -449,22 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn global_bytes_resident_tracks_all_pools() {
-        let a = PoolHandle::new("global-a");
-        let b = PoolHandle::new("global-b");
-        let before = pool_bytes_resident();
-        let pa: *mut u64 = a.alloc_node(1);
-        let pb: *mut u64 = b.alloc_node(2);
-        assert!(pool_bytes_resident() >= before + 2 * class_size(0));
-        // SAFETY: allocated above.
-        unsafe {
-            dealloc_node(pa);
-            dealloc_node(pb);
-        }
-        assert_eq!(pool_bytes_resident(), before);
-    }
-
-    #[test]
     fn pool_stats_lists_created_handles() {
         let h = PoolHandle::new("listed-handle");
         let p: *mut u64 = h.alloc_node(9);

@@ -16,7 +16,7 @@
 //! ```text
 //! cargo run -p ts-bench --release --bin fig4_oversub -- \
 //!     [--duration 2.0] [--repeats 2] [--threads ...] [--scale 1] \
-//!     [--ts-sort-threads N] [--json out] \
+//!     [--json out] \
 //!     [--telemetry] [--trace-out trace.json]
 //! ```
 //!
@@ -42,13 +42,12 @@ fn main() {
         "threads",
         &if quick { vec![2, 4] } else { oversub_ladder() },
     );
-    let sort_threads = args.get_usize("ts-sort-threads", 0);
     let telemetry = args.telemetry_requested();
 
     println!("# Figure 4: oversubscription ({})", machine_info());
     println!(
         "# duration={duration:?} repeats={repeats} scale=1/{scale} threads={threads:?} \
-         ts-sort-threads={sort_threads} (0 = collector default) telemetry={telemetry}"
+         telemetry={telemetry}"
     );
 
     let mut report = Report::new("fig4");
@@ -58,7 +57,6 @@ fn main() {
                 let params = WorkloadParams::fig3(structure, t)
                     .scaled_down(scale)
                     .with_duration(duration)
-                    .with_ts_sort_threads(sort_threads)
                     .with_telemetry(telemetry);
                 run_cell(&mut report, scheme, &params, repeats, None);
 
@@ -107,7 +105,7 @@ fn run_cell(
         // averaged ops/sec — a noisy final repeat must not skew the
         // reported tail. `collects` is summed alongside so it stays
         // equal to the histogram's total; the remaining extras
-        // (means, maxima, shard layout) still describe the last repeat.
+        // (means, maxima) still describe the last repeat.
         ts.collect_us_p50 = hist.percentile_ns(0.50) / 1e3;
         ts.collect_us_p95 = hist.percentile_ns(0.95) / 1e3;
         ts.collect_us_p99 = hist.percentile_ns(0.99) / 1e3;

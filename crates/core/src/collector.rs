@@ -7,11 +7,10 @@
 //! * the thread that fills its buffer becomes the **reclaimer**, serialized
 //!   by a lock ("we ensure that there is always at most a single active
 //!   reclaimer in the system via a lock");
-//! * the reclaimer aggregates every thread's buffer into a master buffer
-//!   (partitioned by address into [`CollectorConfig::shards`] independently
-//!   sorted shards, all under the reclaimer lock), has every thread scan
-//!   (via the [`Platform`]), then frees unmarked nodes and carries marked
-//!   survivors into the next phase;
+//! * the reclaimer aggregates every thread's buffer into one master buffer
+//!   and sorts it on its own thread (under the reclaimer lock), has every
+//!   thread scan (via the [`Platform`]), then frees unmarked nodes and
+//!   carries marked survivors into the next phase;
 //! * a thread that blocked on the reclaimer lock re-checks its buffer and
 //!   "will probably discover that its buffer has been drained ... and that
 //!   it can go back to work".
@@ -19,7 +18,7 @@
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -28,7 +27,6 @@ use crate::config::{CollectPolicy, CollectorConfig};
 use crate::errors::HeapBlockError;
 use crate::master::MasterBuffer;
 use crate::platform::Platform;
-use crate::pool::SortPool;
 use crate::retired::{DropFn, Retired};
 use crate::roots::ThreadRoots;
 use crate::selfscan::{capture_context, SelfScanContext};
@@ -58,17 +56,6 @@ pub struct Collector<P: Platform> {
     /// §7 distributed-free extension: reclaimable nodes awaiting a free by
     /// whichever thread next interacts with the collector.
     free_queue: Mutex<VecDeque<Retired>>,
-    /// Persistent workers for the reclaimer's parallel shard sorts,
-    /// spawned lazily by the first phase that can actually use them —
-    /// one targeting more than one shard. Never populated when
-    /// `config.sort_threads <= 1`, or while every phase stays
-    /// single-bucket: the sequential path must not touch (or create)
-    /// the pool, so single-threaded collectors keep exactly the old
-    /// behaviour with zero extra threads. The inner `Option` is `None`
-    /// when worker spawn failed: the collector then falls back to the
-    /// sequential sort permanently rather than panicking
-    /// mid-reclamation (or retrying a hopeless spawn every phase).
-    sort_pool: OnceLock<Option<SortPool>>,
     /// Registered thread count (mirror of `buffers.len()`), readable
     /// without the registry lock: sizes the adaptive policy's automatic
     /// pending watermark on the retire fast path.
@@ -99,31 +86,10 @@ impl<P: Platform> Collector<P> {
             buffers: Mutex::new(Vec::new()),
             orphans: Mutex::new(Vec::new()),
             free_queue: Mutex::new(VecDeque::new()),
-            sort_pool: OnceLock::new(),
             thread_count: AtomicUsize::new(0),
             adaptive_armed: AtomicBool::new(true),
             stats: CollectorStats::default(),
         })
-    }
-
-    /// The worker pool for parallel shard sorts, or `None` when a phase
-    /// of `phase_len` entries cannot profitably use one — sequential
-    /// configuration, too few entries to form more than one shard or to
-    /// amortize cross-thread dispatch
-    /// ([`MIN_PARALLEL_SORT_LEN`](crate::master::MIN_PARALLEL_SORT_LEN)),
-    /// or worker spawn failed (sequential fallback). Spawns the workers
-    /// on the first phase that actually wants them (under the reclaimer
-    /// lock, so exactly once).
-    fn sort_pool(&self, phase_len: usize) -> Option<&SortPool> {
-        if self.config.sort_threads <= 1
-            || phase_len < crate::master::MIN_PARALLEL_SORT_LEN
-            || crate::master::shard_target(phase_len, &self.config) <= 1
-        {
-            return None;
-        }
-        self.sort_pool
-            .get_or_init(|| SortPool::try_new(self.config.sort_threads).ok())
-            .as_ref()
     }
 
     /// Registers the calling thread. All threads that read or mutate the
@@ -156,12 +122,6 @@ impl<P: Platform> Collector<P> {
     /// A snapshot of lifetime statistics.
     pub fn stats(&self) -> StatsSnapshot {
         self.stats.snapshot()
-    }
-
-    /// Per-shard entry counts of the most recent reclamation phase
-    /// (empty before the first phase).
-    pub fn last_shard_sizes(&self) -> Vec<usize> {
-        self.stats.last_shard_sizes()
     }
 
     /// Nodes currently awaiting a later phase (marked survivors), orphaned
@@ -330,15 +290,11 @@ impl<P: Platform> Collector<P> {
             sink.event(PhaseKind::SortBegin, id, 0);
         }
 
-        let pool = self.sort_pool(entries.len());
-        let master = MasterBuffer::build(entries, &self.config, pool);
+        let master = MasterBuffer::new(entries, &self.config);
         self.stats.add(&self.stats.sort_ns_total, master.sort_ns());
         self.stats.raise(&self.stats.sort_ns_max, master.sort_ns());
-        self.stats
-            .add(&self.stats.sort_cpu_ns_total, master.sort_cpu_ns());
-        self.stats.record_shard_sizes(master.shard_sizes());
         if let Some((sink, id)) = telemetry {
-            sink.event(PhaseKind::SortEnd, id, master.shard_sizes().len() as u64);
+            sink.event(PhaseKind::SortEnd, id, entry_count as u64);
         }
         let mut session = master.session();
         session.set_telemetry(telemetry);
@@ -363,7 +319,6 @@ impl<P: Platform> Collector<P> {
         self.stats
             .add(&self.stats.words_scanned, session.words_scanned());
         self.stats.add(&self.stats.mark_hits, session.hits());
-        drop(session);
 
         let (reclaimable, survivors) = master.partition();
         let survivor_count = survivors.len();
@@ -856,87 +811,6 @@ mod tests {
         collector.collect_now(); // forced path drains the queue
         assert_eq!(collector.stats().outstanding(), 0);
         assert_eq!(collector.pending_estimate(), 0);
-        drop(handle);
-    }
-
-    #[test]
-    fn parallel_shard_sorts_reclaim_everything() {
-        // End-to-end through the collector: multi-shard phases sorted on
-        // the lazily spawned pool must free exactly what the sequential
-        // path frees.
-        let counter = Arc::new(AtomicUsize::new(0));
-        let collector = Collector::with_config(
-            NullPlatform,
-            CollectorConfig::default()
-                // Phases must clear MIN_PARALLEL_SORT_LEN or the
-                // collector (correctly) sorts them inline.
-                .with_buffer_capacity(crate::master::MIN_PARALLEL_SORT_LEN)
-                .with_shards(8)
-                .with_sort_threads(4),
-        );
-        assert!(collector.sort_pool.get().is_none(), "pool spawns lazily");
-        let handle = collector.register();
-        let total = 2 * crate::master::MIN_PARALLEL_SORT_LEN;
-        for _ in 0..total {
-            unsafe { handle.retire(node(&counter)) };
-        }
-        assert_eq!(counter.load(Ordering::SeqCst), total);
-        assert!(
-            collector.sort_pool.get().and_then(Option::as_ref).is_some(),
-            "phases used the pool"
-        );
-        let snap = collector.stats();
-        assert_eq!(snap.freed, total);
-        assert!(snap.sort_cpu_ns_total > 0, "pooled work must be counted");
-        assert!(snap.sort_ns_total > 0);
-        drop(handle);
-    }
-
-    #[test]
-    fn sequential_config_never_creates_the_pool() {
-        // `sort_threads = 1` must not touch the pool at all — that is
-        // what keeps `collect_now` safe from any signal-free context.
-        let counter = Arc::new(AtomicUsize::new(0));
-        let collector = Collector::with_config(
-            NullPlatform,
-            CollectorConfig::default()
-                .with_buffer_capacity(64)
-                .with_shards(8)
-                .with_sort_threads(1),
-        );
-        let handle = collector.register();
-        for _ in 0..256 {
-            unsafe { handle.retire(node(&counter)) };
-        }
-        collector.collect_now();
-        assert_eq!(counter.load(Ordering::SeqCst), 256);
-        assert!(collector.sort_pool.get().is_none(), "no pool, ever");
-        drop(handle);
-    }
-
-    #[test]
-    fn single_bucket_phases_never_create_the_pool() {
-        // A parallel-sort configuration whose phases are all too small
-        // to split into multiple shards must not spawn workers: the
-        // pool would only ever sit idle.
-        let counter = Arc::new(AtomicUsize::new(0));
-        let collector = Collector::with_config(
-            NullPlatform,
-            CollectorConfig::default()
-                .with_buffer_capacity(8) // phases far below MIN_SHARD_LEN * 2
-                .with_shards(8)
-                .with_sort_threads(4),
-        );
-        let handle = collector.register();
-        for _ in 0..64 {
-            unsafe { handle.retire(node(&counter)) };
-        }
-        collector.collect_now();
-        assert_eq!(counter.load(Ordering::SeqCst), 64);
-        assert!(
-            collector.sort_pool.get().is_none(),
-            "single-bucket phases must not spawn the pool"
-        );
         drop(handle);
     }
 

@@ -103,26 +103,6 @@ pub struct CollectorConfig {
     pub distributed_free_batch: usize,
     /// Maximum number of registered per-thread heap blocks (§4.3 extension).
     pub max_heap_blocks: usize,
-    /// Number of address-range shards the master buffer is partitioned
-    /// into per reclamation phase. Shards sort independently, so reclaimer
-    /// latency stops growing with one global sort, and scans binary-search
-    /// one shard after a fence lookup. `1` reproduces the paper's single
-    /// sorted delete buffer exactly; the default scales with available
-    /// parallelism. Small phases use fewer shards automatically.
-    pub shards: usize,
-    /// Number of threads the reclaimer uses to sort the master buffer's
-    /// address-range shards. `1` reproduces the sequential sort exactly
-    /// and never creates (or touches) the worker pool, so forced collects
-    /// from signal-free contexts stay deadlock-safe by construction. With
-    /// more than one, the collector lazily spawns a persistent
-    /// [`SortPool`](crate::pool::SortPool) of this many workers on the
-    /// first reclamation phase that can profitably use it — one
-    /// targeting more than one shard with at least a few thousand
-    /// entries (smaller phases sort inline: cross-thread dispatch would
-    /// cost more than the sort). Defaults to
-    /// `min(shards, available_parallelism)` — more sorters than shards
-    /// (or than cores) cannot shorten the critical path.
-    pub sort_threads: usize,
     /// When collects are initiated (see [`CollectPolicy`]). Default:
     /// [`CollectPolicy::Fixed`], the paper's full-buffer trigger.
     pub collect_policy: CollectPolicy,
@@ -149,35 +129,8 @@ pub struct CollectorConfig {
     pub telemetry: Option<TelemetrySink>,
 }
 
-/// Default shard count: the number of hardware threads, rounded up to a
-/// power of two and capped — the reclaimer aggregates one delete buffer
-/// per thread, so this keeps per-shard sort work roughly one buffer's
-/// worth at full load. On multi-socket machines the count is scaled by
-/// the NUMA node count (from [`crate::platform::topology`]): sorts are
-/// memory-bound, so finer shards give each node's pinned sorters
-/// node-sized chunks. Single-node machines — the common case — get
-/// exactly the old value.
-fn default_shards() -> usize {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let nodes = crate::platform::topology().node_count().max(1);
-    (threads * nodes).next_power_of_two().min(64)
-}
-
-/// Default sort-thread count: one sorter per shard, but never more than
-/// the hardware can run concurrently (extra sorters would only queue).
-fn default_sort_threads(shards: usize) -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(shards)
-        .max(1)
-}
-
 impl Default for CollectorConfig {
     fn default() -> Self {
-        let shards = default_shards();
         Self {
             buffer_capacity: 1024,
             match_mode: MatchMode::Range,
@@ -185,8 +138,6 @@ impl Default for CollectorConfig {
             distribute_frees: false,
             distributed_free_batch: 64,
             max_heap_blocks: 16,
-            shards,
-            sort_threads: default_sort_threads(shards),
             collect_policy: CollectPolicy::default(),
             pending_high_watermark: 0,
             pressure_high_watermark: 0,
@@ -229,34 +180,6 @@ impl CollectorConfig {
     /// Builder-style enabling of the distributed-free extension.
     pub fn with_distributed_frees(mut self, on: bool) -> Self {
         self.distribute_frees = on;
-        self
-    }
-
-    /// Builder-style override of the master-buffer shard count.
-    /// `1` restores the original single-sorted-array behavior.
-    ///
-    /// Also clamps `sort_threads` down to the new shard count (more
-    /// sorters than shards can only idle); call
-    /// [`Self::with_sort_threads`] *after* this to set an explicit
-    /// sort-thread count.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(
-            (1..=4096).contains(&shards),
-            "shard count must be in 1..=4096"
-        );
-        self.shards = shards;
-        self.sort_threads = self.sort_threads.min(shards);
-        self
-    }
-
-    /// Builder-style override of the reclaimer's sort-thread count.
-    /// `1` restores the sequential (pool-free) sort exactly.
-    pub fn with_sort_threads(mut self, sort_threads: usize) -> Self {
-        assert!(
-            (1..=256).contains(&sort_threads),
-            "sort_threads must be in 1..=256"
-        );
-        self.sort_threads = sort_threads;
         self
     }
 
@@ -318,58 +241,6 @@ mod tests {
         assert_eq!(cfg.pressure_high_watermark, 0);
         assert!(cfg.pressure_source.is_none());
         assert!(cfg.telemetry.is_none(), "telemetry must be opt-in");
-        assert!(cfg.shards >= 1, "default shards derive from parallelism");
-        assert!(cfg.shards <= 64);
-        assert!(cfg.sort_threads >= 1, "sort_threads defaults to >= 1");
-        assert!(
-            cfg.sort_threads <= cfg.shards,
-            "more sorters than shards cannot help"
-        );
-    }
-
-    #[test]
-    fn sort_threads_builder_round_trips() {
-        assert_eq!(
-            CollectorConfig::default().with_sort_threads(1).sort_threads,
-            1
-        );
-        assert_eq!(
-            CollectorConfig::default().with_sort_threads(8).sort_threads,
-            8
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "1..=256")]
-    fn zero_sort_threads_rejected() {
-        let _ = CollectorConfig::default().with_sort_threads(0);
-    }
-
-    #[test]
-    fn shard_builder_round_trips() {
-        assert_eq!(CollectorConfig::default().with_shards(1).shards, 1);
-        assert_eq!(CollectorConfig::default().with_shards(8).shards, 8);
-    }
-
-    #[test]
-    fn with_shards_clamps_sort_threads_down() {
-        // The sort_threads <= shards invariant must survive a shards
-        // override, not just the all-default construction.
-        let cfg = CollectorConfig::default()
-            .with_sort_threads(16)
-            .with_shards(2);
-        assert_eq!(cfg.sort_threads, 2);
-        // An explicit request *after* with_shards wins.
-        let cfg = CollectorConfig::default()
-            .with_shards(2)
-            .with_sort_threads(8);
-        assert_eq!(cfg.sort_threads, 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "1..=4096")]
-    fn zero_shards_rejected() {
-        let _ = CollectorConfig::default().with_shards(0);
     }
 
     #[test]

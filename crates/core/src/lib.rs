@@ -52,7 +52,6 @@ pub mod errors;
 pub mod hist;
 pub mod master;
 pub mod platform;
-pub mod pool;
 pub mod retired;
 pub mod roots;
 pub mod scan;
@@ -66,7 +65,6 @@ pub use config::{CollectPolicy, CollectorConfig, MatchMode, PressureSource};
 pub use errors::HeapBlockError;
 pub use hist::Hist;
 pub use platform::{NullPlatform, Platform, ScanOutcome};
-pub use pool::SortPool;
 pub use retired::{DropFn, Retired};
 pub use roots::ThreadRoots;
 pub use selfscan::{capture_context, SelfScanContext};

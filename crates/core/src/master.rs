@@ -5,40 +5,21 @@
 //! After all acknowledgments, unmarked entries are reclaimed and marked
 //! entries survive into the next reclamation phase.
 //!
-//! This implementation *shards* the master buffer: entries are partitioned
-//! by address into `CollectorConfig::shards` contiguous address ranges, and
-//! each shard is sorted independently (partition-then-sort-locally, the
-//! standard cure for single-array aggregation bottlenecks). A scan does a
-//! fence lookup (binary search over at most `S - 1` shard-boundary
-//! addresses) followed by a binary search inside one shard, so handler-side
-//! work is O(log S + log(n/S)) and stays async-signal-safe. With
-//! `shards = 1` the construction degenerates to the original single sorted
-//! array, bit for bit.
+//! One array, sorted once per phase on the reclaiming thread: the search
+//! keys, node ends and mark bytes are kept in separate parallel vectors so
+//! the binary search a signal handler runs touches only dense `usize`s.
 
 use core::sync::atomic::{AtomicU8, Ordering};
 
 use crate::config::{CollectorConfig, MatchMode};
-use crate::pool::SortPool;
 use crate::retired::Retired;
-use crate::session::{ScanSession, ShardView};
+use crate::session::ScanSession;
 
-/// Minimum entries per shard worth splitting for: below this, fence
-/// overhead outweighs the smaller per-shard searches, so the builder uses
-/// fewer shards than configured.
-const MIN_SHARD_LEN: usize = 16;
-
-/// Minimum phase size worth engaging the worker pool for: below this,
-/// per-bucket dispatch (boxed closure, queue mutex, channel round-trip —
-/// microseconds) rivals or exceeds the sort work itself (tens of
-/// nanoseconds per entry), and the pooled path would *inflate* the very
-/// collect latency it exists to cut. The collector sorts smaller phases
-/// inline regardless of `sort_threads`.
-pub(crate) const MIN_PARALLEL_SORT_LEN: usize = 4096;
-
-/// One address-contiguous shard: entries sorted ascending by address, with
-/// the search-key / end / mark arrays kept separate for cache-dense binary
-/// search from signal handlers.
-struct Shard {
+/// Sorted, markable aggregation of retired nodes for one reclamation
+/// phase. The index-based API (`mark`, `is_marked`, `partition`) operates
+/// on the sorted order.
+pub struct MasterBuffer {
+    /// Entries sorted ascending by address.
     entries: Vec<Retired>,
     /// Search keys, parallel to `entries`: the entry address, with the
     /// low-order bits already masked off in [`MatchMode::Exact`] (matching
@@ -48,48 +29,10 @@ struct Shard {
     ends: Vec<usize>,
     /// `marks[i] != 0` means entry `i` may still be referenced.
     marks: Vec<AtomicU8>,
-}
-
-impl Shard {
-    /// Builds one shard from entries pre-sorted by raw address.
-    fn from_sorted(entries: Vec<Retired>, key_mask: usize) -> Self {
-        let addrs: Vec<usize> = entries.iter().map(|e| e.addr() & key_mask).collect();
-        let ends: Vec<usize> = entries.iter().map(Retired::end).collect();
-        let marks = (0..entries.len()).map(|_| AtomicU8::new(0)).collect();
-        Self {
-            entries,
-            addrs,
-            ends,
-            marks,
-        }
-    }
-}
-
-/// Sharded, markable aggregation of retired nodes for one reclamation
-/// phase. Shards partition the address space contiguously, so the
-/// concatenation of the shards is globally sorted; the public index-based
-/// API (`mark`, `is_marked`, `partition`) operates on that global order.
-pub struct MasterBuffer {
-    /// Non-empty address-partitioned shards (exactly one — possibly empty —
-    /// shard when there is nothing to split).
-    shards: Vec<Shard>,
-    /// `fences[k]` is the first search key of shard `k + 1`; a scanned key
-    /// `w` belongs to shard `partition_point(fences, |f| f <= w)`.
-    fences: Vec<usize>,
-    /// `offsets[k]` is the global index of shard `k`'s first entry
-    /// (`offsets.len() == shards.len() + 1`).
-    offsets: Vec<usize>,
     mode: MatchMode,
     low_bit_mask: usize,
-    /// Wall time spent partitioning and sorting, in nanoseconds. With a
-    /// [`SortPool`] this is the *critical path* — the span from the first
-    /// bucket dispatched to the last shard received.
+    /// Wall time spent sorting and building the key arrays, in nanoseconds.
     sort_ns: usize,
-    /// Total CPU time spent inside per-shard sort-and-build work, summed
-    /// over all sorting threads, in nanoseconds. Equals roughly `sort_ns`
-    /// for a sequential build; the gap between `sort_cpu_ns` and
-    /// `sort_ns` is what parallel sorting bought.
-    sort_cpu_ns: usize,
 }
 
 /// Whether an (already non-decreasing) key sequence has no duplicates,
@@ -104,76 +47,26 @@ fn all_adjacent_distinct(mut keys: impl Iterator<Item = usize>) -> bool {
     })
 }
 
-/// Picks `shards - 1` pivot addresses from a sorted sample of the input so
-/// the address-range buckets come out roughly balanced even under skew.
-fn select_pivots(entries: &[Retired], shards: usize) -> Vec<usize> {
-    let step = (entries.len() / (shards * 8)).max(1);
-    let mut sample: Vec<usize> = entries.iter().step_by(step).map(Retired::addr).collect();
-    sample.sort_unstable();
-    (1..shards)
-        .map(|k| sample[k * sample.len() / shards])
-        .collect()
-}
-
-/// Number of shards [`MasterBuffer::build`] will target for a phase of
-/// `len` entries: the configured count, but never so many that shards
-/// drop below [`MIN_SHARD_LEN`] entries. The collector consults this
-/// before a phase to decide whether a [`SortPool`] is worth creating —
-/// a single-bucket phase cannot use one.
-pub(crate) fn shard_target(len: usize, config: &CollectorConfig) -> usize {
-    config.shards.max(1).min((len / MIN_SHARD_LEN).max(1))
-}
-
 /// Nanoseconds elapsed since `start`, clamped into a `usize`.
 pub(crate) fn elapsed_ns(start: std::time::Instant) -> usize {
     start.elapsed().as_nanos().min(usize::MAX as u128) as usize
 }
 
-/// Sorts one address-range bucket and builds its shard, returning the
-/// shard plus the CPU nanoseconds the work took. The unit both the
-/// sequential loop and the pooled tasks execute — parallelism changes
-/// scheduling, never the per-bucket computation.
-fn sort_bucket(mut bucket: Vec<Retired>, key_mask: usize) -> (Shard, usize) {
-    let start = std::time::Instant::now();
-    // Each bucket covers a disjoint address range, so the locally sorted
-    // shards concatenate globally sorted.
-    bucket.sort_unstable_by_key(Retired::addr);
-    let shard = Shard::from_sorted(bucket, key_mask);
-    let ns = elapsed_ns(start);
-    (shard, ns)
-}
-
 impl MasterBuffer {
-    /// Partitions `entries` by address into shards and sorts each shard
-    /// sequentially, on the calling thread. Equivalent to
-    /// [`Self::build`] with no pool.
+    /// Sorts `entries` by address on the calling thread and builds the
+    /// parallel key, end and mark arrays.
     ///
     /// Duplicate addresses indicate a double `retire` in application code;
     /// this is rejected in debug builds.
-    pub fn new(entries: Vec<Retired>, config: &CollectorConfig) -> Self {
-        Self::build(entries, config, None)
-    }
-
-    /// Partitions `entries` by address into shards and sorts each shard,
-    /// spreading the per-shard sorts over `pool`'s workers when one is
-    /// given.
-    ///
-    /// The pooled build is deterministic: buckets are reassembled in
-    /// address order regardless of which worker finished first, so the
-    /// result is bit-for-bit the sequential build's. With `pool` `None`
-    /// (or a single bucket) nothing outside the calling thread is
-    /// touched — that is the path a `sort_threads = 1` collector always
-    /// takes, keeping forced collects safe to run from any context.
-    pub fn build(entries: Vec<Retired>, config: &CollectorConfig, pool: Option<&SortPool>) -> Self {
+    pub fn new(mut entries: Vec<Retired>, config: &CollectorConfig) -> Self {
         let start = std::time::Instant::now();
         // In Exact mode both the buffer keys and the probe words are
         // masked, so a node retired at a tagged/unaligned address still
         // matches a stably held (tagged) reference to it.
         // Masking must preserve address order, or the pre-masked key
-        // arrays (and the fences derived from them) would not be sorted
-        // and both binary searches would silently miss present keys.
-        // Clearing bits preserves order exactly when the mask is a
-        // contiguous low-bit run (2^k - 1).
+        // array would not be sorted and the binary search would silently
+        // miss present keys. Clearing bits preserves order exactly when
+        // the mask is a contiguous low-bit run (2^k - 1).
         debug_assert!(
             config.match_mode != MatchMode::Exact
                 || config.low_bit_mask.wrapping_add(1).is_power_of_two(),
@@ -183,56 +76,13 @@ impl MasterBuffer {
             MatchMode::Range => usize::MAX,
             MatchMode::Exact => !config.low_bit_mask,
         };
-        let shard_target = shard_target(entries.len(), config);
-
-        let (shards, sort_cpu_ns): (Vec<Shard>, usize) = if shard_target <= 1 {
-            let (shard, ns) = sort_bucket(entries, key_mask);
-            (vec![shard], ns)
-        } else {
-            let pivots = select_pivots(&entries, shard_target);
-            let mut buckets: Vec<Vec<Retired>> = (0..shard_target).map(|_| Vec::new()).collect();
-            for e in entries {
-                buckets[pivots.partition_point(|&p| p <= e.addr())].push(e);
-            }
-            buckets.retain(|b| !b.is_empty());
-            match pool {
-                // One occupied bucket sorts as fast inline as on a worker.
-                Some(pool) if buckets.len() > 1 => {
-                    let tasks: Vec<Box<dyn FnOnce() -> (Shard, usize) + Send>> = buckets
-                        .into_iter()
-                        .map(|bucket| {
-                            Box::new(move || sort_bucket(bucket, key_mask))
-                                as Box<dyn FnOnce() -> (Shard, usize) + Send>
-                        })
-                        .collect();
-                    // `run` preserves task order, and the buckets were
-                    // produced in address order: the concatenation is
-                    // globally sorted exactly as in the sequential branch.
-                    let results = pool.run(tasks);
-                    let cpu = results.iter().map(|(_, ns)| ns).sum();
-                    (results.into_iter().map(|(s, _)| s).collect(), cpu)
-                }
-                _ => {
-                    let mut cpu = 0usize;
-                    let shards = buckets
-                        .into_iter()
-                        .map(|bucket| {
-                            let (shard, ns) = sort_bucket(bucket, key_mask);
-                            cpu += ns;
-                            shard
-                        })
-                        .collect();
-                    (shards, cpu)
-                }
-            }
-        };
+        entries.sort_unstable_by_key(Retired::addr);
+        let addrs: Vec<usize> = entries.iter().map(|e| e.addr() & key_mask).collect();
+        let ends: Vec<usize> = entries.iter().map(Retired::end).collect();
+        let marks = (0..entries.len()).map(|_| AtomicU8::new(0)).collect();
 
         debug_assert!(
-            all_adjacent_distinct(
-                shards
-                    .iter()
-                    .flat_map(|s| s.entries.iter().map(Retired::addr))
-            ),
+            all_adjacent_distinct(entries.iter().map(Retired::addr)),
             "double-retire detected: duplicate address in the delete buffer"
         );
         // In Exact mode, matching happens on masked keys: two nodes
@@ -242,63 +92,35 @@ impl MasterBuffer {
         // (README: retire addresses must be distinct after masking) here
         // rather than as a silent use-after-free.
         debug_assert!(
-            config.match_mode != MatchMode::Exact
-                || all_adjacent_distinct(shards.iter().flat_map(|s| s.addrs.iter().copied())),
+            config.match_mode != MatchMode::Exact || all_adjacent_distinct(addrs.iter().copied()),
             "Exact-mode aliasing: two retired nodes share a masked key \
              (addresses must be distinct after masking off low_bit_mask)"
         );
 
-        let mut offsets = Vec::with_capacity(shards.len() + 1);
-        let mut total = 0usize;
-        offsets.push(0);
-        for s in &shards {
-            total += s.entries.len();
-            offsets.push(total);
-        }
-        let fences: Vec<usize> = shards.iter().skip(1).map(|s| s.addrs[0]).collect();
-        let sort_ns = elapsed_ns(start);
-
         Self {
-            shards,
-            fences,
-            offsets,
+            entries,
+            addrs,
+            ends,
+            marks,
             mode: config.match_mode,
             low_bit_mask: config.low_bit_mask,
-            sort_ns,
-            sort_cpu_ns,
+            sort_ns: elapsed_ns(start),
         }
     }
 
     /// Number of retired nodes in this phase.
     pub fn len(&self) -> usize {
-        *self.offsets.last().unwrap_or(&0)
+        self.entries.len()
     }
 
     /// Whether this phase has nothing to reclaim.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.entries.is_empty()
     }
 
-    /// Number of (non-empty) shards the entries were partitioned into.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Entry count of each shard, shard order (per-phase load diagnostic).
-    pub fn shard_sizes(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.entries.len()).collect()
-    }
-
-    /// Nanoseconds spent partitioning and sorting in [`Self::build`] —
-    /// the reclaimer-observed critical path when a pool was used.
+    /// Nanoseconds spent sorting and building in [`Self::new`].
     pub fn sort_ns(&self) -> usize {
         self.sort_ns
-    }
-
-    /// Total CPU nanoseconds spent in per-shard sort-and-build work,
-    /// summed across all threads that participated.
-    pub fn sort_cpu_ns(&self) -> usize {
-        self.sort_cpu_ns
     }
 
     /// Creates the signal-handler-facing view of this buffer.
@@ -308,31 +130,24 @@ impl MasterBuffer {
     /// collect protocol guarantees handlers are done before the session is
     /// dropped (the last thing a handler does is acknowledge).
     pub fn session(&self) -> ScanSession<'_> {
-        let views: Vec<ShardView<'_>> = self
-            .shards
-            .iter()
-            .map(|s| ShardView::new(&s.addrs, &s.ends, &s.marks))
-            .collect();
-        ScanSession::new(views, &self.fences, self.mode, self.low_bit_mask)
+        ScanSession::new(
+            &self.addrs,
+            &self.ends,
+            &self.marks,
+            self.mode,
+            self.low_bit_mask,
+        )
     }
 
-    /// Maps a global entry index to its shard and in-shard index.
-    fn locate(&self, i: usize) -> (usize, usize) {
-        let shard = self.offsets.partition_point(|&o| o <= i) - 1;
-        (shard, i - self.offsets[shard])
-    }
-
-    /// Marks entry `i` (global sorted order) directly — used by the
-    /// reclaimer for roots it can see without a scan, and by tests.
+    /// Marks entry `i` (sorted order) directly — used by the reclaimer for
+    /// roots it can see without a scan, and by tests.
     pub fn mark(&self, i: usize) {
-        let (s, j) = self.locate(i);
-        self.shards[s].marks[j].store(1, Ordering::Release);
+        self.marks[i].store(1, Ordering::Release);
     }
 
-    /// Whether entry `i` (global sorted order) has been marked.
+    /// Whether entry `i` (sorted order) has been marked.
     pub fn is_marked(&self, i: usize) -> bool {
-        let (s, j) = self.locate(i);
-        self.shards[s].marks[j].load(Ordering::Acquire) != 0
+        self.marks[i].load(Ordering::Acquire) != 0
     }
 
     /// Consumes the phase: returns `(reclaimable, survivors)` —
@@ -340,21 +155,19 @@ impl MasterBuffer {
     pub fn partition(self) -> (Vec<Retired>, Vec<Retired>) {
         let mut reclaimable = Vec::new();
         let mut survivors = Vec::new();
-        for shard in self.shards {
-            for (entry, mark) in shard.entries.into_iter().zip(shard.marks.iter()) {
-                if mark.load(Ordering::Acquire) == 0 {
-                    reclaimable.push(entry);
-                } else {
-                    survivors.push(entry);
-                }
+        for (entry, mark) in self.entries.into_iter().zip(self.marks.iter()) {
+            if mark.load(Ordering::Acquire) == 0 {
+                reclaimable.push(entry);
+            } else {
+                survivors.push(entry);
             }
         }
         (reclaimable, survivors)
     }
 
-    /// The entries in global sorted order (diagnostics/tests).
-    pub fn entries(&self) -> Vec<&Retired> {
-        self.shards.iter().flat_map(|s| s.entries.iter()).collect()
+    /// The entries in sorted order (diagnostics/tests).
+    pub fn entries(&self) -> &[Retired] {
+        &self.entries
     }
 }
 
@@ -372,31 +185,11 @@ mod tests {
         CollectorConfig::default()
     }
 
-    fn cfg_sharded(shards: usize) -> CollectorConfig {
-        CollectorConfig::default().with_shards(shards)
-    }
-
     #[test]
     fn new_sorts_by_address() {
         let mb = MasterBuffer::new(vec![rec(0x300, 8), rec(0x100, 8), rec(0x200, 8)], &cfg());
         let addrs: Vec<usize> = mb.entries().iter().map(|e| e.addr()).collect();
         assert_eq!(addrs, vec![0x100, 0x200, 0x300]);
-    }
-
-    #[test]
-    fn sharded_concatenation_is_globally_sorted() {
-        let entries: Vec<Retired> = (0..256).rev().map(|i| rec(0x1000 + i * 64, 32)).collect();
-        let mb = MasterBuffer::new(entries, &cfg_sharded(4));
-        assert!(mb.shard_count() > 1, "256 entries must actually shard");
-        assert_eq!(mb.shard_sizes().iter().sum::<usize>(), 256);
-        let addrs: Vec<usize> = mb.entries().iter().map(|e| e.addr()).collect();
-        assert!(addrs.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn tiny_phases_collapse_to_one_shard() {
-        let mb = MasterBuffer::new(vec![rec(0x100, 8), rec(0x200, 8)], &cfg_sharded(8));
-        assert_eq!(mb.shard_count(), 1);
     }
 
     #[test]
@@ -411,26 +204,12 @@ mod tests {
     }
 
     #[test]
-    fn global_mark_indices_cross_shard_boundaries() {
-        let entries: Vec<Retired> = (0..128).map(|i| rec(0x1000 + i * 64, 32)).collect();
-        let mb = MasterBuffer::new(entries, &cfg_sharded(4));
-        assert!(mb.shard_count() > 1);
-        for i in (0..128).step_by(3) {
-            mb.mark(i);
-        }
-        for i in 0..128 {
-            assert_eq!(mb.is_marked(i), i % 3 == 0, "entry {i}");
-        }
-    }
-
-    #[test]
     fn session_scan_marks_via_range_match() {
         let mb = MasterBuffer::new(vec![rec(0x1000, 64), rec(0x2000, 64)], &cfg());
         let session = mb.session();
         // Interior pointer into the first node; nothing touching the second.
         session.scan_word(0x1020);
         session.scan_word(0x3000);
-        drop(session);
         assert!(mb.is_marked(0));
         assert!(!mb.is_marked(1));
     }
@@ -442,7 +221,6 @@ mod tests {
         let session = mb.session();
         session.scan_word(0x1020); // interior: not a match in exact mode
         session.scan_word(0x1001); // tagged base pointer: match
-        drop(session);
         assert!(mb.is_marked(0));
     }
 
@@ -455,7 +233,6 @@ mod tests {
         let mb = MasterBuffer::new(vec![rec(0x1001, 64)], &config);
         let session = mb.session();
         assert!(session.scan_word(0x1003), "masked keys must meet");
-        drop(session);
         assert!(mb.is_marked(0));
     }
 
@@ -478,25 +255,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_build_is_bit_for_bit_the_sequential_build() {
-        use crate::pool::SortPool;
-        let pool = SortPool::new(3);
-        // Scrambled addresses across a wide range so multiple buckets form.
-        let nodes: Vec<usize> = (0..512).map(|i| 0x4000 + (i * 7919 % 512) * 64).collect();
-        let mk = |addrs: &[usize]| -> Vec<Retired> { addrs.iter().map(|&a| rec(a, 32)).collect() };
-        let config = cfg_sharded(8);
-        let seq = MasterBuffer::new(mk(&nodes), &config);
-        let par = MasterBuffer::build(mk(&nodes), &config, Some(&pool));
-        assert!(seq.shard_count() > 1, "must exercise multiple buckets");
-        assert_eq!(seq.shard_sizes(), par.shard_sizes());
-        let addrs =
-            |mb: &MasterBuffer| -> Vec<usize> { mb.entries().iter().map(|e| e.addr()).collect() };
-        assert_eq!(addrs(&seq), addrs(&par));
-        assert!(par.sort_cpu_ns() > 0, "per-shard work must be accounted");
-        assert!(seq.sort_cpu_ns() > 0);
-    }
-
-    #[test]
     fn empty_master_buffer_partitions_to_nothing() {
         let mb = MasterBuffer::new(Vec::new(), &cfg());
         assert!(mb.is_empty());
@@ -507,18 +265,16 @@ mod tests {
 
     proptest! {
         /// Partition conserves the retired multiset: every entry comes out
-        /// exactly once, on the side its mark dictates — at every shard
-        /// count, against the global sorted order.
+        /// exactly once, on the side its mark dictates, in sorted order.
         #[test]
         fn partition_conserves_entries(
             addrs in proptest::collection::btree_set(1usize..1_000_000, 0..128),
             mark_bits in proptest::collection::vec(any::<bool>(), 128),
-            shards in 1usize..9,
         ) {
             let entries: Vec<Retired> =
                 addrs.iter().map(|&a| rec(a * 8, 8)).collect();
             let n = entries.len();
-            let mb = MasterBuffer::new(entries, &cfg_sharded(shards));
+            let mb = MasterBuffer::new(entries, &cfg());
             let mut expect_keep = Vec::new();
             let mut expect_free = Vec::new();
             for (i, &bit) in mark_bits.iter().enumerate().take(n) {

@@ -7,134 +7,11 @@
 //! implements it with shadow stacks and a deterministic virtual-signal
 //! handshake for model testing.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::roots::ThreadRoots;
 use crate::selfscan::SelfScanContext;
 use crate::session::ScanSession;
-
-/// One NUMA node: its sysfs id and the CPUs it owns.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TopologyNode {
-    /// The node's index (`/sys/devices/system/node/node<id>`).
-    pub id: usize,
-    /// CPU ids belonging to this node, ascending. Never empty.
-    pub cpus: Vec<usize>,
-}
-
-/// The machine's CPU/NUMA layout, as probed once per process by
-/// [`topology`]. The collector uses it to spread sort workers across
-/// memory domains and to size the sharded master buffer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Topology {
-    /// NUMA nodes with at least one CPU, ascending by id. Never empty.
-    pub nodes: Vec<TopologyNode>,
-}
-
-impl Topology {
-    /// Number of NUMA nodes (>= 1).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Total CPUs across all nodes (>= 1).
-    pub fn total_cpus(&self) -> usize {
-        self.nodes.iter().map(|n| n.cpus.len()).sum()
-    }
-
-    /// CPU assignments for `n` workers, round-robin **across nodes**
-    /// first and within each node second — worker `i` lands on node
-    /// `i % node_count`, so any prefix of the workers is spread as
-    /// evenly over the memory domains as possible.
-    pub fn round_robin_cpus(&self, n: usize) -> Vec<usize> {
-        let mut next = vec![0usize; self.nodes.len()];
-        (0..n)
-            .map(|i| {
-                let slot = i % self.nodes.len();
-                let node = &self.nodes[slot];
-                let cpu = node.cpus[next[slot] % node.cpus.len()];
-                next[slot] += 1;
-                cpu
-            })
-            .collect()
-    }
-
-    /// The portable fallback: one node owning CPUs
-    /// `0..available_parallelism`.
-    fn single_node() -> Self {
-        let cpus = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self {
-            nodes: vec![TopologyNode {
-                id: 0,
-                cpus: (0..cpus).collect(),
-            }],
-        }
-    }
-
-    /// Probes `/sys/devices/system/node/node*/cpulist`. `None` when the
-    /// tree is absent (non-Linux, sysfs unmounted) or yields no node
-    /// with a CPU.
-    fn from_sysfs() -> Option<Self> {
-        let mut nodes = Vec::new();
-        for entry in std::fs::read_dir("/sys/devices/system/node").ok()? {
-            let name = entry.ok()?.file_name();
-            let Some(id) = name
-                .to_str()
-                .and_then(|n| n.strip_prefix("node"))
-                .and_then(|n| n.parse::<usize>().ok())
-            else {
-                continue;
-            };
-            let path = format!("/sys/devices/system/node/node{id}/cpulist");
-            let Ok(raw) = std::fs::read_to_string(path) else {
-                continue;
-            };
-            let cpus = parse_cpulist(raw.trim())?;
-            if !cpus.is_empty() {
-                nodes.push(TopologyNode { id, cpus });
-            }
-        }
-        if nodes.is_empty() {
-            return None;
-        }
-        nodes.sort_by_key(|n| n.id);
-        Some(Self { nodes })
-    }
-}
-
-/// Parses the kernel's cpulist format — comma-separated single CPUs and
-/// inclusive ranges, e.g. `"0-3,8-11"` or `"0"`. `None` on malformed
-/// input (the probe then falls back rather than trusting a partial
-/// parse).
-fn parse_cpulist(s: &str) -> Option<Vec<usize>> {
-    let mut cpus = Vec::new();
-    for part in s.split(',').filter(|p| !p.is_empty()) {
-        match part.split_once('-') {
-            Some((lo, hi)) => {
-                let (lo, hi): (usize, usize) = (lo.trim().parse().ok()?, hi.trim().parse().ok()?);
-                if lo > hi {
-                    return None;
-                }
-                cpus.extend(lo..=hi);
-            }
-            None => cpus.push(part.trim().parse().ok()?),
-        }
-    }
-    Some(cpus)
-}
-
-/// The machine's topology, probed from sysfs on first use and cached for
-/// the process lifetime. Falls back to a single node holding
-/// `available_parallelism` CPUs when sysfs is unavailable — so callers
-/// can rely on at least one node with at least one CPU, but should treat
-/// the layout as a scheduling *hint* (cpusets/containers may mask CPUs
-/// the probe reports).
-pub fn topology() -> &'static Topology {
-    static TOPOLOGY: OnceLock<Topology> = OnceLock::new();
-    TOPOLOGY.get_or_init(|| Topology::from_sysfs().unwrap_or_else(Topology::single_node))
-}
 
 /// Outcome of one scan round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -218,60 +95,6 @@ mod tests {
     use crate::retired::{noop_drop, Retired};
 
     #[test]
-    fn cpulist_parses_kernel_formats() {
-        assert_eq!(parse_cpulist("0"), Some(vec![0]));
-        assert_eq!(parse_cpulist("0-3"), Some(vec![0, 1, 2, 3]));
-        assert_eq!(parse_cpulist("0-2,8-9,15"), Some(vec![0, 1, 2, 8, 9, 15]));
-        assert_eq!(parse_cpulist(""), Some(vec![]), "offline node");
-        assert_eq!(parse_cpulist("3-1"), None, "inverted range is malformed");
-        assert_eq!(parse_cpulist("x"), None);
-    }
-
-    #[test]
-    fn probed_topology_is_nonempty_and_cached() {
-        let topo = topology();
-        assert!(topo.node_count() >= 1);
-        assert!(topo.total_cpus() >= 1);
-        for node in &topo.nodes {
-            assert!(!node.cpus.is_empty());
-        }
-        assert!(std::ptr::eq(topo, topology()), "one probe per process");
-    }
-
-    #[test]
-    fn round_robin_interleaves_nodes_before_cpus() {
-        let topo = Topology {
-            nodes: vec![
-                TopologyNode {
-                    id: 0,
-                    cpus: vec![0, 1],
-                },
-                TopologyNode {
-                    id: 1,
-                    cpus: vec![4, 5],
-                },
-            ],
-        };
-        // Alternate nodes; wrap within a node once its CPUs are used.
-        assert_eq!(topo.round_robin_cpus(6), vec![0, 4, 1, 5, 0, 4]);
-        // A prefix of the assignment is as balanced as possible.
-        assert_eq!(topo.round_robin_cpus(3), vec![0, 4, 1]);
-        assert!(topo.round_robin_cpus(0).is_empty());
-    }
-
-    #[test]
-    fn single_node_fallback_covers_all_parallelism() {
-        let topo = Topology::single_node();
-        assert_eq!(topo.node_count(), 1);
-        assert_eq!(
-            topo.total_cpus(),
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        );
-    }
-
-    #[test]
     fn null_platform_acks_once_and_marks_nothing() {
         let mb = MasterBuffer::new(
             vec![unsafe { Retired::from_raw_parts(0x100, 8, noop_drop) }],
@@ -281,7 +104,6 @@ mod tests {
         let outcome = NullPlatform.scan_all(&session, &SelfScanContext::empty());
         assert_eq!(outcome.threads_scanned, 1);
         assert_eq!(session.acks_received(), 1);
-        drop(session);
         assert!(!mb.is_marked(0));
     }
 }

@@ -137,7 +137,6 @@ mod tests {
         let mb = master_with(target, 64);
         let s = mb.session();
         roots.scan(&s);
-        drop(s);
         assert!(mb.is_marked(0), "heap-block reference must be found");
 
         roots.remove_heap_block(block.as_ptr().cast()).unwrap();
@@ -146,7 +145,6 @@ mod tests {
         let mb2 = master_with(target, 64);
         let s2 = mb2.session();
         roots.scan(&s2);
-        drop(s2);
         assert!(!mb2.is_marked(0), "removed block must not be scanned");
     }
 

@@ -1,12 +1,11 @@
 //! The scan session: what a signal handler sees.
 //!
 //! A [`ScanSession`] is the read-mostly view of one reclamation phase's
-//! sharded master buffer, plus the acknowledgment counter. Everything
-//! reachable from it is async-signal-safe to use: plain loads, a fence
-//! lookup plus one binary search over two slices, atomic stores for marks,
-//! and one atomic increment for the ACK. No allocation, no locks, no
-//! unwinding on the scan path (the shard views are allocated once, by the
-//! reclaimer, when the session is created).
+//! sorted master buffer, plus the acknowledgment counter. Everything
+//! reachable from it is async-signal-safe to use: plain loads, one binary
+//! search over two borrowed slices, atomic stores for marks, and one atomic
+//! increment for the ACK. No allocation, no locks, no unwinding on the scan
+//! path (creating the session allocates nothing either).
 
 use core::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 
@@ -14,33 +13,18 @@ use crate::config::MatchMode;
 use crate::scan::{find_exact, find_range};
 use crate::telemetry::TelemetrySink;
 
-/// Read-only view of one master-buffer shard: sorted search keys, node
-/// ends, and the mark bytes, all parallel.
-pub(crate) struct ShardView<'a> {
-    addrs: &'a [usize],
-    ends: &'a [usize],
-    marks: &'a [AtomicU8],
-}
-
-impl<'a> ShardView<'a> {
-    pub(crate) fn new(addrs: &'a [usize], ends: &'a [usize], marks: &'a [AtomicU8]) -> Self {
-        debug_assert_eq!(addrs.len(), ends.len());
-        debug_assert_eq!(addrs.len(), marks.len());
-        Self { addrs, ends, marks }
-    }
-}
-
 /// Handler-facing view of the current reclamation phase.
 ///
 /// Borrowed from a [`crate::master::MasterBuffer`]; the collect protocol
 /// guarantees that every handler finishes (acknowledges) before the buffer
 /// is swept, so the borrow never dangles while a scan is in flight.
 pub struct ScanSession<'a> {
-    /// Address-partitioned shards, ascending; never empty.
-    shards: Box<[ShardView<'a>]>,
-    /// `fences[k]` is the first search key of shard `k + 1`
-    /// (`fences.len() == shards.len() - 1`).
-    fences: &'a [usize],
+    /// Sorted search keys (pre-masked in [`MatchMode::Exact`]).
+    addrs: &'a [usize],
+    /// Node ends, parallel to `addrs`.
+    ends: &'a [usize],
+    /// Mark bytes, parallel to `addrs`.
+    marks: &'a [AtomicU8],
     mode: MatchMode,
     low_bit_mask: usize,
     /// Counts *up*: each participating thread increments exactly once after
@@ -59,16 +43,18 @@ pub struct ScanSession<'a> {
 
 impl<'a> ScanSession<'a> {
     pub(crate) fn new(
-        shards: Vec<ShardView<'a>>,
-        fences: &'a [usize],
+        addrs: &'a [usize],
+        ends: &'a [usize],
+        marks: &'a [AtomicU8],
         mode: MatchMode,
         low_bit_mask: usize,
     ) -> Self {
-        debug_assert!(!shards.is_empty());
-        debug_assert_eq!(fences.len(), shards.len() - 1);
+        debug_assert_eq!(addrs.len(), ends.len());
+        debug_assert_eq!(addrs.len(), marks.len());
         Self {
-            shards: shards.into_boxed_slice(),
-            fences,
+            addrs,
+            ends,
+            marks,
             mode,
             low_bit_mask,
             acks: AtomicUsize::new(0),
@@ -97,7 +83,7 @@ impl<'a> ScanSession<'a> {
     /// Number of retired nodes being considered this phase.
     #[inline]
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.addrs.len()).sum()
+        self.addrs.len()
     }
 
     /// True when there is nothing to scan for.
@@ -106,30 +92,21 @@ impl<'a> ScanSession<'a> {
         self.len() == 0
     }
 
-    /// Matching kernel shared by all scan entry points: fence lookup to
-    /// the one shard whose address range covers the word, then a binary
-    /// search there, marking on a hit. Because every shard's first key is
-    /// a fence, this finds exactly what a single sorted array would. Does
-    /// *not* touch `words_scanned` — every public entry point accounts
-    /// for its own words exactly once (the batch paths with one batched
-    /// add, to keep a shared-counter RMW per word off the scan hot path).
+    /// Matching kernel shared by all scan entry points: one binary search
+    /// over the sorted keys, marking on a hit. Does *not* touch
+    /// `words_scanned` — every public entry point accounts for its own
+    /// words exactly once (the batch paths with one batched add, to keep a
+    /// shared-counter RMW per word off the scan hot path).
     #[inline]
     fn probe_word(&self, w: usize) -> bool {
-        // Fences live in search-key space: masked in Exact mode, raw in
-        // Range mode (where find_range keys on the raw base address).
-        let key = match self.mode {
-            MatchMode::Range => w,
-            MatchMode::Exact => w & !self.low_bit_mask,
-        };
-        let shard = &self.shards[self.fences.partition_point(|&f| f <= key)];
         let idx = match self.mode {
-            MatchMode::Range => find_range(shard.addrs, shard.ends, w),
-            MatchMode::Exact => find_exact(shard.addrs, w, self.low_bit_mask),
+            MatchMode::Range => find_range(self.addrs, self.ends, w),
+            MatchMode::Exact => find_exact(self.addrs, w, self.low_bit_mask),
         };
         if let Some(i) = idx {
             // A plain store is enough: marking is idempotent and only ever
             // sets the flag; `fetch_or` would cost an RMW per hit.
-            shard.marks[i].store(1, Ordering::Release);
+            self.marks[i].store(1, Ordering::Release);
             self.hits.fetch_add(1, Ordering::Relaxed);
             true
         } else {
@@ -213,15 +190,11 @@ mod tests {
     use crate::retired::{noop_drop, Retired};
 
     fn master(nodes: &[(usize, usize)]) -> MasterBuffer {
-        master_sharded(nodes, 1)
-    }
-
-    fn master_sharded(nodes: &[(usize, usize)], shards: usize) -> MasterBuffer {
         let entries = nodes
             .iter()
             .map(|&(a, s)| unsafe { Retired::from_raw_parts(a, s, noop_drop) })
             .collect();
-        MasterBuffer::new(entries, &CollectorConfig::default().with_shards(shards))
+        MasterBuffer::new(entries, &CollectorConfig::default())
     }
 
     #[test]
@@ -231,7 +204,6 @@ mod tests {
         s.scan_words(&[0x0, 0x1010, 0xffff, 0x2000]);
         assert_eq!(s.words_scanned(), 4);
         assert_eq!(s.hits(), 2);
-        drop(s);
         assert!(mb.is_marked(0) && mb.is_marked(1));
     }
 
@@ -250,23 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_session_routes_words_across_fences() {
-        let nodes: Vec<(usize, usize)> = (0..256).map(|i| (0x10_0000 + i * 128, 64)).collect();
-        let mb = master_sharded(&nodes, 8);
-        assert!(mb.shard_count() > 1, "must exercise the fence lookup");
-        let s = mb.session();
-        for (i, &(a, _)) in nodes.iter().enumerate() {
-            // Interior words and misses, spread over every shard.
-            assert!(s.scan_word(a + 32), "node {i}");
-            assert!(!s.scan_word(a + 100), "gap after node {i}");
-        }
-        drop(s);
-        for i in 0..nodes.len() {
-            assert!(mb.is_marked(i), "entry {i} must be marked");
-        }
-    }
-
-    #[test]
     fn scan_region_finds_reference_in_local_memory() {
         let mb = master(&[(0xabcd00, 64)]);
         let s = mb.session();
@@ -279,7 +234,6 @@ mod tests {
             );
         }
         assert_eq!(s.hits(), 1);
-        drop(s);
         assert!(mb.is_marked(0));
     }
 
@@ -319,7 +273,7 @@ mod tests {
     fn concurrent_scans_mark_consistently() {
         use std::sync::Arc;
         let nodes: Vec<(usize, usize)> = (0..512).map(|i| (0x10_0000 + i * 128, 128)).collect();
-        let mb = Arc::new(master_sharded(&nodes, 4));
+        let mb = Arc::new(master(&nodes));
         let session = mb.session();
         std::thread::scope(|scope| {
             let session = &session;
@@ -336,7 +290,6 @@ mod tests {
                 std::hint::spin_loop();
             }
         });
-        drop(session);
         for i in 0..512 {
             assert!(mb.is_marked(i), "entry {i} must be marked");
         }

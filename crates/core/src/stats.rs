@@ -7,8 +7,6 @@
 
 use core::sync::atomic::{AtomicUsize, Ordering};
 
-use parking_lot::Mutex;
-
 /// Monotonic counters describing a collector's lifetime activity.
 #[derive(Default)]
 pub struct CollectorStats {
@@ -42,21 +40,11 @@ pub struct CollectorStats {
     pub collect_ns_total: AtomicUsize,
     /// Longest single collect phase, in nanoseconds.
     pub collect_ns_max: AtomicUsize,
-    /// Nanoseconds spent partitioning and sorting the sharded master
-    /// buffer, summed over phases — the component of reclaimer latency
-    /// the sharded layout attacks directly. Measures the reclaimer's
-    /// *critical path*: with parallel shard sorts this is the span from
-    /// dispatch to the last shard's completion, not the work done.
+    /// Nanoseconds spent sorting and building the master buffer, summed
+    /// over phases — the sort's share of reclaimer latency.
     pub sort_ns_total: AtomicUsize,
-    /// Longest single partition-and-sort, in nanoseconds (critical path).
+    /// Longest single master-buffer sort, in nanoseconds.
     pub sort_ns_max: AtomicUsize,
-    /// CPU nanoseconds spent inside per-shard sort-and-build work, summed
-    /// over phases *and* over every thread that sorted. Compare with
-    /// [`Self::sort_ns_total`]: the ratio is the sort's effective
-    /// parallel speedup.
-    pub sort_cpu_ns_total: AtomicUsize,
-    /// Largest single master-buffer shard seen in any phase (entries).
-    pub max_shard_len: AtomicUsize,
     /// Log2-bucketed histogram of per-phase collect latency:
     /// `collect_ns_hist[i]` counts phases whose reclaimer-side latency
     /// was in `[2^i, 2^(i+1))` nanoseconds (the last bucket saturates).
@@ -64,9 +52,6 @@ pub struct CollectorStats {
     /// any hot path while still supporting p50/p95/p99 estimates
     /// ([`StatsSnapshot::collect_us_percentile`]).
     pub collect_ns_hist: [AtomicUsize; HIST_BUCKETS],
-    /// Per-shard entry counts of the most recent reclamation phase
-    /// (not part of the `Copy` snapshot; see [`Self::last_shard_sizes`]).
-    last_shard_sizes: Mutex<Vec<usize>>,
 }
 
 /// Number of log2 latency-histogram buckets (re-exported from the shared
@@ -92,8 +77,6 @@ pub struct StatsSnapshot {
     pub collect_ns_max: usize,
     pub sort_ns_total: usize,
     pub sort_ns_max: usize,
-    pub sort_cpu_ns_total: usize,
-    pub max_shard_len: usize,
     pub collect_ns_hist: [usize; HIST_BUCKETS],
 }
 
@@ -115,8 +98,6 @@ impl CollectorStats {
             collect_ns_max: self.collect_ns_max.load(Ordering::Relaxed),
             sort_ns_total: self.sort_ns_total.load(Ordering::Relaxed),
             sort_ns_max: self.sort_ns_max.load(Ordering::Relaxed),
-            sort_cpu_ns_total: self.sort_cpu_ns_total.load(Ordering::Relaxed),
-            max_shard_len: self.max_shard_len.load(Ordering::Relaxed),
             collect_ns_hist: core::array::from_fn(|i| {
                 self.collect_ns_hist[i].load(Ordering::Relaxed)
             }),
@@ -126,20 +107,6 @@ impl CollectorStats {
     /// Records one phase's reclaimer-side latency into the histogram.
     pub(crate) fn record_collect_ns(&self, ns: usize) {
         self.collect_ns_hist[crate::hist::bucket(ns as u64)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Per-shard entry counts of the most recent reclamation phase (empty
-    /// before the first phase).
-    pub fn last_shard_sizes(&self) -> Vec<usize> {
-        self.last_shard_sizes.lock().clone()
-    }
-
-    /// Records the shard layout of a completed phase.
-    pub(crate) fn record_shard_sizes(&self, sizes: Vec<usize>) {
-        if let Some(&largest) = sizes.iter().max() {
-            self.raise(&self.max_shard_len, largest);
-        }
-        *self.last_shard_sizes.lock() = sizes;
     }
 
     #[inline]
@@ -197,25 +164,13 @@ impl StatsSnapshot {
         self.collect_ns_max as f64 / 1e3
     }
 
-    /// Mean per-phase partition-and-sort time in microseconds — the share
-    /// of [`Self::mean_collect_us`] the sharded master buffer targets.
-    /// Critical-path time: see [`CollectorStats::sort_ns_total`].
+    /// Mean per-phase master-buffer sort time in microseconds — the
+    /// sort's share of [`Self::mean_collect_us`].
     pub fn mean_sort_us(&self) -> f64 {
         if self.collects == 0 {
             0.0
         } else {
             self.sort_ns_total as f64 / self.collects as f64 / 1e3
-        }
-    }
-
-    /// Mean per-phase sort *CPU* time in microseconds, summed across
-    /// sorting threads. `mean_sort_cpu_us / mean_sort_us` is the
-    /// effective speedup the parallel shard sorts achieved.
-    pub fn mean_sort_cpu_us(&self) -> f64 {
-        if self.collects == 0 {
-            0.0
-        } else {
-            self.sort_cpu_ns_total as f64 / self.collects as f64 / 1e3
         }
     }
 
@@ -285,33 +240,12 @@ mod tests {
     }
 
     #[test]
-    fn shard_sizes_record_last_phase_and_running_max() {
-        let stats = CollectorStats::default();
-        assert!(stats.last_shard_sizes().is_empty());
-        stats.record_shard_sizes(vec![3, 9, 4]);
-        stats.record_shard_sizes(vec![5, 5]);
-        assert_eq!(stats.last_shard_sizes(), vec![5, 5]);
-        assert_eq!(stats.snapshot().max_shard_len, 9);
-    }
-
-    #[test]
     fn mean_sort_us_amortizes_over_collects() {
         let stats = CollectorStats::default();
         stats.add(&stats.collects, 2);
         stats.add(&stats.sort_ns_total, 6_000);
         assert_eq!(stats.snapshot().mean_sort_us(), 3.0);
         assert_eq!(StatsSnapshot::default().mean_sort_us(), 0.0);
-    }
-
-    #[test]
-    fn sort_cpu_mean_amortizes_like_sort_mean() {
-        let stats = CollectorStats::default();
-        stats.add(&stats.collects, 2);
-        stats.add(&stats.sort_ns_total, 4_000);
-        stats.add(&stats.sort_cpu_ns_total, 12_000);
-        let snap = stats.snapshot();
-        assert_eq!(snap.mean_sort_us(), 2.0);
-        assert_eq!(snap.mean_sort_cpu_us(), 6.0);
     }
 
     #[test]

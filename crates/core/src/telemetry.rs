@@ -31,9 +31,9 @@ pub enum PhaseKind {
     /// Reclaimer entered `collect`: buffers drained, master build next.
     /// `arg` = number of retired entries aggregated this phase.
     CollectBegin = 1,
-    /// Master-buffer build (shard partition + sorts) started.
+    /// Master-buffer build (sort) started.
     SortBegin = 2,
-    /// Master-buffer build finished. `arg` = shard count.
+    /// Master-buffer build finished. `arg` = entry count.
     SortEnd = 3,
     /// Scan round opened; signals are about to be broadcast.
     /// `arg` = number of threads expected to acknowledge.

@@ -105,7 +105,6 @@ proptest! {
         let master = MasterBuffer::new(entries, &config);
         let session = master.session();
         session.scan_words(&all_words);
-        drop(session);
 
         // Oracle: sorted node arrays.
         let mut sorted = nodes.clone();

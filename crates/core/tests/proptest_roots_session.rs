@@ -110,7 +110,6 @@ proptest! {
         prop_assert_eq!(scanned, expect);
         prop_assert!(session.hits() >= 1, "planted reference must be found");
 
-        drop(session);
         let (freed, survivors) = master.partition();
         prop_assert_eq!(freed.len(), 0);
         prop_assert_eq!(survivors.len(), 1);
@@ -130,7 +129,6 @@ proptest! {
         session.scan_words(&[node_addr + offset]);
         let hit = offset < size;
         prop_assert_eq!(session.hits() == 1, hit);
-        drop(session);
         let (freed, survivors) = master.partition();
         prop_assert_eq!(survivors.len(), usize::from(hit));
         prop_assert_eq!(freed.len(), usize::from(!hit));

@@ -8,14 +8,12 @@
 //! 2. deduplicates by round id (a second same-round signal is a no-op);
 //! 3. scans the interrupted register file (from `ucontext_t`), the stack
 //!    from the interrupted frame upward, and all registered heap blocks —
-//!    each word routed through the session's sharded master buffer (fence
-//!    lookup, then one per-shard binary search);
+//!    each word binary-searched against the session's sorted master
+//!    buffer;
 //! 4. acknowledges.
 //!
 //! Everything on this path is async-signal-safe: const-initialized TLS
-//! reads, raw memory walks, and atomics. No allocation, locks, or panics
-//! (the per-shard views were allocated by the reclaimer when the session
-//! was published, never by a handler).
+//! reads, raw memory walks, and atomics. No allocation, locks, or panics.
 
 use std::cell::Cell;
 use std::ptr;

@@ -121,13 +121,11 @@ mod tests {
         let mb = master(0x1000, 64);
         let sess = mb.session();
         s.scan(&sess);
-        drop(sess);
         assert!(mb.is_marked(0));
 
         let mb2 = master(0x9000, 64);
         let sess2 = mb2.session();
         s.scan(&sess2);
-        drop(sess2);
         assert!(!mb2.is_marked(0));
     }
 

@@ -224,14 +224,6 @@ pub struct WorkloadParams {
     /// traversals hold node-base pointers exclusively (the Harris list:
     /// its `next` field is at offset 0).
     pub ts_exact_match: bool,
-    /// Master-buffer shard count for ThreadScan runs (`0` keeps the
-    /// collector's parallelism-derived default; `1` is the paper's single
-    /// sorted delete buffer).
-    pub ts_shards: usize,
-    /// Reclaimer sort-thread count for ThreadScan runs (`0` keeps the
-    /// collector's `min(shards, parallelism)` default; `1` forces the
-    /// sequential, pool-free sort).
-    pub ts_sort_threads: usize,
     /// Route structure nodes through a per-structure size-class node pool
     /// ([`ts_alloc::PoolHandle`]) instead of `Box` on the global
     /// allocator. Off by default (the registry passes
@@ -327,8 +319,6 @@ impl WorkloadParams {
             ts_buffer_capacity: 1024,
             ts_distribute_frees: false,
             ts_exact_match: false,
-            ts_shards: 0,
-            ts_sort_threads: 0,
             node_pool: false,
             ts_adaptive_collect: false,
             ts_pending_watermark: 0,
@@ -359,20 +349,6 @@ impl WorkloadParams {
     /// Builder: ThreadScan buffer capacity (Figure 4 tuning).
     pub fn with_ts_buffer(mut self, cap: usize) -> Self {
         self.ts_buffer_capacity = cap;
-        self
-    }
-
-    /// Builder: ThreadScan master-buffer shard count (shard-count
-    /// ablation); `0` keeps the collector default.
-    pub fn with_ts_shards(mut self, shards: usize) -> Self {
-        self.ts_shards = shards;
-        self
-    }
-
-    /// Builder: ThreadScan reclaimer sort-thread count (parallel
-    /// shard-sort ablation); `0` keeps the collector default.
-    pub fn with_ts_sort_threads(mut self, sort_threads: usize) -> Self {
-        self.ts_sort_threads = sort_threads;
         self
     }
 
@@ -465,8 +441,6 @@ impl WorkloadParams {
         cell.ts_buffer_capacity = self.ts_buffer_capacity;
         cell.ts_distribute_frees = self.ts_distribute_frees;
         cell.ts_exact_match = self.ts_exact_match;
-        cell.ts_shards = self.ts_shards;
-        cell.ts_sort_threads = self.ts_sort_threads;
         cell.node_pool = self.node_pool;
         cell.ts_adaptive_collect = self.ts_adaptive_collect;
         cell.ts_pending_watermark = self.ts_pending_watermark;

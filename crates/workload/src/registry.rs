@@ -85,12 +85,6 @@ impl SchemeKind {
                     } else {
                         threadscan::MatchMode::Range
                     });
-                if params.ts_shards > 0 {
-                    config = config.with_shards(params.ts_shards);
-                }
-                if params.ts_sort_threads > 0 {
-                    config = config.with_sort_threads(params.ts_sort_threads);
-                }
                 if params.telemetry {
                     // Observability is opt-in: the sink installs the
                     // phase-ring record path on the collector, and the

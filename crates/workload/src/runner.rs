@@ -45,12 +45,8 @@ pub struct ThreadScanExtras {
     pub mean_collect_us: f64,
     /// Worst-case reclaimer-side collect latency (µs).
     pub max_collect_us: f64,
-    /// Mean per-phase master-buffer partition-and-sort time (µs),
-    /// critical path — what the reclaimer actually waited.
+    /// Mean per-phase master-buffer sort time (µs).
     pub mean_sort_us: f64,
-    /// Mean per-phase sort CPU time (µs), summed over sorting threads;
-    /// divided by `mean_sort_us` this is the parallel sort's speedup.
-    pub mean_sort_cpu_us: f64,
     /// Reclaimer collect-latency percentiles (µs), from the collector's
     /// log2 latency histogram: median, tail, extreme tail.
     pub collect_us_p50: f64,
@@ -62,12 +58,6 @@ pub struct ThreadScanExtras {
     /// `[2^i, 2^(i+1))` ns), exported so multi-repeat harnesses can
     /// merge histograms across runs before computing percentiles.
     pub collect_ns_hist: Vec<usize>,
-    /// Largest master-buffer shard seen in any phase (entries).
-    pub max_shard_len: usize,
-    /// Per-shard entry counts of the last reclamation phase of the
-    /// measurement window, snapshotted before the end-of-run quiesce
-    /// (empty when no phase ran during the window).
-    pub shard_sizes: Vec<usize>,
 }
 
 /// One size class's allocator traffic during a run: only classes that
@@ -249,12 +239,9 @@ impl ThreadScanExtras {
             .num("mean_collect_us", self.mean_collect_us)
             .num("max_collect_us", self.max_collect_us)
             .num("mean_sort_us", self.mean_sort_us)
-            .num("mean_sort_cpu_us", self.mean_sort_cpu_us)
             .num("collect_us_p50", self.collect_us_p50)
             .num("collect_us_p95", self.collect_us_p95)
             .num("collect_us_p99", self.collect_us_p99)
-            .num("max_shard_len", self.max_shard_len as f64)
-            .arr_num("shard_sizes", self.shard_sizes.iter().map(|&s| s as f64))
             .arr_num(
                 "collect_ns_hist",
                 self.collect_ns_hist.iter().map(|&c| c as f64),
@@ -419,15 +406,13 @@ where
 
 /// ThreadScan-specific report fields, recovered from the erased scheme by
 /// downcast. Must run *before* the end-of-run quiesce: its small drain
-/// phases would dilute the per-phase latency/sort means and overwrite the
-/// last in-run shard sizes, and the extras should describe the measured
-/// window.
+/// phases would dilute the per-phase latency/sort means, and the extras
+/// should describe the measured window.
 pub(crate) fn threadscan_extras(scheme: &dyn DynSmr) -> Option<ThreadScanExtras> {
     let ts = scheme
         .as_any()
         .downcast_ref::<ThreadScanSmr<SignalPlatform>>()?;
     let st = ts.stats();
-    let shard_sizes = ts.collector().last_shard_sizes();
     Some(ThreadScanExtras {
         collects: st.collects,
         adaptive_collects: st.adaptive_collects,
@@ -438,13 +423,10 @@ pub(crate) fn threadscan_extras(scheme: &dyn DynSmr) -> Option<ThreadScanExtras>
         mean_collect_us: st.mean_collect_us(),
         max_collect_us: st.max_collect_us(),
         mean_sort_us: st.mean_sort_us(),
-        mean_sort_cpu_us: st.mean_sort_cpu_us(),
         collect_us_p50: st.collect_us_percentile(0.50),
         collect_us_p95: st.collect_us_percentile(0.95),
         collect_us_p99: st.collect_us_percentile(0.99),
         collect_ns_hist: st.collect_ns_hist.to_vec(),
-        max_shard_len: st.max_shard_len,
-        shard_sizes,
     })
 }
 

@@ -108,15 +108,21 @@ fn force_scan_keeps_reclaimer_live_despite_stalled_pollers() {
     );
     let drops = Arc::new(AtomicUsize::new(0));
     let stop = Arc::new(AtomicBool::new(false));
+    // The worker must not start retiring until the stalled thread is
+    // registered, or (on a loaded box) every phase can finish first and
+    // nothing is left to force-scan.
+    let registered = std::sync::Barrier::new(2);
 
     std::thread::scope(|s| {
         // A stalled registered thread (never polls).
         {
             let platform = platform.clone();
             let stop = Arc::clone(&stop);
+            let registered = &registered;
             s.spawn(move || {
                 use threadscan::Platform as _;
                 let _token = platform.register_current(Arc::new(threadscan::ThreadRoots::new(4)));
+                registered.wait();
                 while !stop.load(Ordering::Relaxed) {
                     std::hint::spin_loop();
                 }
@@ -126,8 +132,10 @@ fn force_scan_keeps_reclaimer_live_despite_stalled_pollers() {
         let collector2 = Arc::clone(&collector);
         let drops2 = Arc::clone(&drops);
         let stop2 = Arc::clone(&stop);
+        let registered = &registered;
         s.spawn(move || {
             let handle = collector2.register();
+            registered.wait();
             for _ in 0..500 {
                 let node = Box::into_raw(Box::new(Probe {
                     drops: Arc::clone(&drops2),
