@@ -4,6 +4,14 @@
 //! amortizes the signal round over more frees but sorts and scans a longer
 //! master buffer. Measures `retire × B` + one forced collect.
 
+// `free_phase` times the frees of separately allocated nodes: the boxes
+// are the workload.
+#![allow(clippy::vec_box)]
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, TrySendError};
+use std::time::{Duration, Instant};
+
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use threadscan::{Collector, CollectorConfig};
 use ts_sigscan::SignalPlatform;
@@ -18,8 +26,9 @@ fn bench_collect_phase(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(batch), &batch, |b, &batch| {
             let collector = Collector::with_config(
                 SignalPlatform::new().expect("signals"),
-                // Buffer bigger than the batch so WE trigger the collect.
-                CollectorConfig::default().with_buffer_capacity(batch * 2),
+                // Fresh half of the buffer bigger than the batch, so WE
+                // trigger the collect.
+                CollectorConfig::default().with_buffer_capacity(batch * 4),
             );
             let handle = collector.register();
             b.iter(|| {
@@ -55,5 +64,71 @@ fn bench_retire_fast_path(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_collect_phase, bench_retire_fast_path);
+/// The hash table's node size: above glibc's 128-byte fastbin limit, so a
+/// `free` that misses the 7-entry thread cache takes an arena lock.
+type Node176 = [u8; 176];
+
+fn free_all(nodes: &mut Vec<Box<Node176>>) -> Duration {
+    let start = Instant::now();
+    nodes.drain(..).for_each(drop);
+    start.elapsed()
+}
+
+/// What one `free()` costs the thread that runs a phase's sweep, by where
+/// the node came from. `own_176B` frees nodes the measuring thread just
+/// allocated (hot, its own arena) — all the other probes in this suite
+/// ever saw. `foreign_176B` frees nodes a peer allocated, while the peer
+/// keeps allocating out of the same arena: what a reclaimer sweeping a
+/// shared structure's nodes pays, and what freeing one node per retire on
+/// the retiring thread avoids.
+fn bench_free_phase(c: &mut Criterion) {
+    const BATCH: usize = 512;
+    let mut group = c.benchmark_group("free_phase");
+    group.throughput(Throughput::Elements(1));
+    group.bench_function("own_176B", |b| {
+        b.iter_custom(|iters| {
+            let mut nodes = (0..iters).map(|_| Box::new([0u8; 176])).collect();
+            free_all(&mut nodes)
+        });
+    });
+    group.bench_function("foreign_176B", |b| {
+        let (tx, rx) = sync_channel::<Vec<Box<Node176>>>(2);
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                // The peer never waits: a batch nobody has room for is
+                // freed again, so its arena stays busy either way.
+                while !stop.load(Ordering::Relaxed) {
+                    let batch = (0..BATCH).map(|_| Box::new([0u8; 176])).collect();
+                    match tx.try_send(batch) {
+                        Ok(()) => {}
+                        Err(TrySendError::Full(batch)) => drop(batch),
+                        Err(TrySendError::Disconnected(_)) => return,
+                    }
+                }
+            });
+            b.iter_custom(|iters| {
+                let mut left = iters as usize;
+                let mut timed = Duration::ZERO;
+                while left > 0 {
+                    let mut batch = rx.recv().expect("the peer outlives the measurement");
+                    let untimed = batch.split_off(left.min(batch.len()));
+                    left -= batch.len();
+                    timed += free_all(&mut batch);
+                    drop(untimed);
+                }
+                timed
+            });
+            stop.store(true, Ordering::Relaxed);
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_collect_phase,
+    bench_retire_fast_path,
+    bench_free_phase
+);
 criterion_main!(benches);

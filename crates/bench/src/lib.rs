@@ -8,7 +8,6 @@
 //!   {leaky, epoch, threadscan} (+ the tuned 4096-buffer hash line).
 //! * `ablation_buffer_size` — delete-buffer size sweep (§6 tuning note).
 //! * `ablation_update_ratio` — update-percentage sweep.
-//! * `ablation_distfree` — §7 distributed-free extension on/off.
 //!
 //! Criterion benches cover the micro costs: marking kernels, delete-buffer
 //! ops, signal round-trips, full collect phases, structure op latency.

@@ -6,6 +6,11 @@
 //! inexpensive". The owning thread is the single writer; the single reader
 //! at any moment is whichever thread currently holds the reclaimer lock and
 //! drains all buffers into the master buffer.
+//!
+//! A [`LocalBuffer`] is the first of a thread's two stages: its fresh
+//! retires, awaiting a scan. The second — the nodes a scan has proven
+//! reclaimable, which the thread frees one per retire — lives with the
+//! collector, which sizes each stage at half of `buffer_capacity`.
 
 use core::cell::UnsafeCell;
 use core::mem::MaybeUninit;
@@ -49,7 +54,7 @@ impl LocalBuffer {
     /// would silently scramble FIFO order (and the SPSC slot-disjointness
     /// argument) after ~2^64 pushes.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity >= 2, "buffer capacity must be at least 2");
+        assert!(capacity >= 1, "buffer capacity must be at least 1");
         let capacity = capacity.next_power_of_two();
         let slots = (0..capacity)
             .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
@@ -234,9 +239,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least 2")]
-    fn capacity_one_rejected() {
-        let _ = LocalBuffer::new(1);
+    #[should_panic(expected = "at least 1")]
+    fn capacity_zero_rejected() {
+        let _ = LocalBuffer::new(0);
+    }
+
+    #[test]
+    fn capacity_one_is_full_after_one_push() {
+        // Half of the smallest `buffer_capacity` (2): every retire fills
+        // the fresh stage.
+        let buf = LocalBuffer::new(1);
+        unsafe {
+            buf.push(rec(0x10)).unwrap();
+            assert!(buf.is_full());
+            assert_eq!(buf.push(rec(0x20)).unwrap_err().addr(), 0x20);
+            let mut out = Vec::new();
+            assert_eq!(buf.drain_into(&mut out), 1);
+            buf.push(rec(0x20)).unwrap();
+        }
     }
 
     #[test]

@@ -9,17 +9,23 @@
 //!   reclaimer in the system via a lock");
 //! * the reclaimer aggregates every thread's buffer into one master buffer
 //!   and sorts it on its own thread (under the reclaimer lock), has every
-//!   thread scan (via the [`Platform`]), then frees unmarked nodes and
-//!   carries marked survivors into the next phase;
+//!   thread scan (via the [`Platform`]), then carries marked survivors
+//!   into the next phase;
 //! * a thread that blocked on the reclaimer lock re-checks its buffer and
 //!   "will probably discover that its buffer has been drained ... and that
 //!   it can go back to work".
+//!
+//! Where the paper's reclaimer then calls `free` on every unmarked node,
+//! this one hands them back: the delete buffer has a second stage, a
+//! per-thread mailbox, and each thread frees one parked node per
+//! `retire`. Frees then happen at the rate the thread allocates, on the
+//! thread that allocates, instead of in one burst on the reclaimer.
 
-use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
 
 use crate::buffer::LocalBuffer;
@@ -36,6 +42,62 @@ use crate::stats::{CollectorStats, StatsSnapshot};
 struct ReclaimState {
     /// Marked nodes from the previous phase, re-examined next phase.
     survivors: Vec<Retired>,
+    /// `mailbox_frees` total already reported to the telemetry sink.
+    mailbox_frees_reported: usize,
+}
+
+/// One registered thread's two-stage delete buffer and its counters. The
+/// two stages split `buffer_capacity` in half, so the thread never holds
+/// more than `buffer_capacity` unfreed nodes.
+struct ThreadSlot {
+    /// Stage 1: retires no scan has examined yet. Filling it makes the
+    /// owner the reclaimer.
+    fresh: LocalBuffer,
+    /// Stage 2, the mailbox: nodes a scan proved unreferenced, awaiting
+    /// their free. The owner takes one per retire; the reclaimer-lock
+    /// holder adds a phase's share or, on the forced and teardown paths,
+    /// takes everything back. The lock covers the pop or the move only,
+    /// never a destructor.
+    mailbox: Mutex<Vec<Retired>>,
+    /// Written by the owner only (plain load + store), on a line nothing
+    /// else writes; summed by [`Collector::stats`].
+    counters: CachePadded<OwnerCounters>,
+}
+
+#[derive(Default)]
+struct OwnerCounters {
+    retired: AtomicUsize,
+    mailbox_frees: AtomicUsize,
+}
+
+impl OwnerCounters {
+    /// Single-writer increment: no read-modify-write needed.
+    #[inline]
+    fn bump(counter: &AtomicUsize) {
+        counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+    }
+}
+
+impl ThreadSlot {
+    fn new(buffer_capacity: usize) -> Self {
+        let half = buffer_capacity.next_power_of_two() / 2;
+        Self {
+            fresh: LocalBuffer::new(half),
+            mailbox: Mutex::new(Vec::with_capacity(half)),
+            counters: CachePadded::new(OwnerCounters::default()),
+        }
+    }
+}
+
+/// What started a reclamation phase.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Trigger {
+    /// A thread filled the fresh stage of its buffer.
+    BufferFull,
+    /// The adaptive controller crossed a watermark.
+    Adaptive,
+    /// `collect_now` / `flush` / `quiesce`: free everything that can be.
+    Forced,
 }
 
 /// A ThreadScan collector.
@@ -47,23 +109,26 @@ pub struct Collector<P: Platform> {
     platform: Arc<P>,
     config: CollectorConfig,
     reclaim: Mutex<ReclaimState>,
-    /// All live per-thread buffers (drained by the reclaimer under the
-    /// reclaimer lock, which serializes readers).
-    buffers: Mutex<Vec<Arc<LocalBuffer>>>,
+    /// All live per-thread buffers. The fresh stages are drained and the
+    /// mailboxes filled by the reclaimer under the reclaimer lock, which
+    /// serializes those accesses.
+    slots: Mutex<Vec<Arc<ThreadSlot>>>,
     /// Records left behind by unregistered threads; folded into the next
     /// phase.
     orphans: Mutex<Vec<Retired>>,
-    /// §7 distributed-free extension: reclaimable nodes awaiting a free by
-    /// whichever thread next interacts with the collector.
-    free_queue: Mutex<VecDeque<Retired>>,
-    /// Registered thread count (mirror of `buffers.len()`), readable
+    /// Registered thread count (mirror of `slots.len()`), readable
     /// without the registry lock: sizes the adaptive policy's automatic
     /// pending watermark on the retire fast path.
     thread_count: AtomicUsize,
+    /// Adaptive policy only: retired nodes no scan has yet proven
+    /// reclaimable (buffered, surviving, orphaned). The one shared word
+    /// on the retire path, and only [`CollectPolicy::Adaptive`] touches
+    /// it.
+    backlog: AtomicUsize,
     /// Adaptive-policy hysteresis latch: `true` while the controller may
     /// fire. Cleared when an adaptive collect fires; set again only once
-    /// pending falls below half the watermark, so a workload whose
-    /// pending level hovers at the watermark (e.g. pinned survivors that
+    /// the backlog falls below half the watermark, so a workload whose
+    /// backlog hovers at the watermark (e.g. pinned survivors that
     /// no phase can free) cannot collect-storm.
     adaptive_armed: AtomicBool,
     stats: CollectorStats,
@@ -82,11 +147,12 @@ impl<P: Platform> Collector<P> {
             config,
             reclaim: Mutex::new(ReclaimState {
                 survivors: Vec::new(),
+                mailbox_frees_reported: 0,
             }),
-            buffers: Mutex::new(Vec::new()),
+            slots: Mutex::new(Vec::new()),
             orphans: Mutex::new(Vec::new()),
-            free_queue: Mutex::new(VecDeque::new()),
             thread_count: AtomicUsize::new(0),
+            backlog: AtomicUsize::new(0),
             adaptive_armed: AtomicBool::new(true),
             stats: CollectorStats::default(),
         })
@@ -95,14 +161,14 @@ impl<P: Platform> Collector<P> {
     /// Registers the calling thread. All threads that read or mutate the
     /// protected data structure must hold a handle while doing so.
     pub fn register(self: &Arc<Self>) -> ThreadHandle<P> {
-        let buffer = Arc::new(LocalBuffer::new(self.config.buffer_capacity));
+        let slot = Arc::new(ThreadSlot::new(self.config.buffer_capacity));
         let roots = Arc::new(ThreadRoots::new(self.config.max_heap_blocks));
-        self.buffers.lock().push(Arc::clone(&buffer));
+        self.slots.lock().push(Arc::clone(&slot));
         self.thread_count.fetch_add(1, Ordering::Relaxed);
         let token = self.platform.register_current(Arc::clone(&roots));
         ThreadHandle {
             collector: Arc::clone(self),
-            buffer,
+            slot,
             roots,
             token: Some(token),
             _not_send: PhantomData,
@@ -119,46 +185,57 @@ impl<P: Platform> Collector<P> {
         &self.platform
     }
 
-    /// A snapshot of lifetime statistics.
+    /// A snapshot of lifetime statistics: the collector-level counters
+    /// plus every live thread's own `retired` and `mailbox_frees`.
     pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+        // The registry lock is held across both reads so that a thread
+        // unregistering (which folds its counters into the collector's
+        // under this lock) is counted exactly once.
+        let slots = self.slots.lock();
+        let mut snap = self.stats.snapshot();
+        for slot in slots.iter() {
+            let own_frees = slot.counters.mailbox_frees.load(Ordering::Relaxed);
+            snap.retired += slot.counters.retired.load(Ordering::Relaxed);
+            snap.mailbox_frees += own_frees;
+            snap.freed += own_frees;
+        }
+        snap
     }
 
     /// Nodes currently awaiting a later phase (marked survivors), orphaned
-    /// records, records still sitting in live per-thread delete buffers,
-    /// and queued distributed frees — everything retired but not yet
-    /// freed. A record occupies exactly one of those four places at any
-    /// time: a collect *moves* buffered records into the master buffer
-    /// and from there into either the survivor list or the free queue
-    /// (never copying), and unregistration moves a buffer's records to
-    /// the orphan list under the same reclaimer lock. The sum therefore
-    /// counts every pending node exactly once — pinned by
+    /// records, and records sitting in either stage of a live thread's
+    /// delete buffer — everything retired but not yet freed. A record
+    /// occupies exactly one of those places at any time: a collect
+    /// *moves* fresh records into the master buffer and from there into
+    /// either the survivor list or a mailbox (never copying), and
+    /// unregistration moves a thread's fresh records to the orphan list
+    /// under the same reclaimer lock. The sum therefore counts every
+    /// pending node exactly once — pinned by
     /// `pending_estimate_counts_each_source_exactly_once`. Diagnostic;
-    /// racy by nature (retires and drains race the four lock
+    /// racy by nature (retires, frees and drains race the lock
     /// acquisitions, so the value may be momentarily stale, but never
     /// double-counts).
     pub fn pending_estimate(&self) -> usize {
         self.reclaim.lock().survivors.len()
             + self.orphans.lock().len()
-            + self.free_queue.lock().len()
-            + self.buffers.lock().iter().map(|b| b.len()).sum::<usize>()
+            + self
+                .slots
+                .lock()
+                .iter()
+                .map(|s| s.fresh.len() + s.mailbox.lock().len())
+                .sum::<usize>()
     }
 
     /// Forces a full reclamation phase now, regardless of buffer fullness,
-    /// and drains the distributed-free queue. Useful at quiescent points
-    /// and in tests.
+    /// and frees every node it or an earlier phase proved reclaimable,
+    /// including those parked in other threads' mailboxes. Useful at
+    /// quiescent points and in tests.
     pub fn collect_now(&self) {
         // Boundary snapshot: the caller's frames (above this call) are
         // application memory; everything below is collector machinery.
         let ctx = capture_context();
         let mut state = self.reclaim.lock();
-        self.collect_locked(&mut state, &ctx, false);
-        drop(state);
-        // Forced path: block for the queue instead of `try_lock`, so a
-        // caller of `flush()` never returns with proven-reclaimable nodes
-        // still queued just because another thread's drain was in flight.
-        let batch: Vec<Retired> = self.free_queue.lock().drain(..).collect();
-        self.reclaim_free_batch(batch);
+        self.collect_locked(&mut state, &ctx, Trigger::Forced);
     }
 
     /// Triggered collect: called when `trigger`'s owner found it full.
@@ -171,38 +248,27 @@ impl<P: Platform> Collector<P> {
             self.stats.add(&self.stats.collects_skipped, 1);
             return;
         }
-        self.collect_locked(&mut state, ctx, false);
+        self.collect_locked(&mut state, ctx, Trigger::BufferFull);
     }
 
-    /// The adaptive policy's pending watermark: the configured value, or —
-    /// when configured `0` — half the aggregate buffer capacity of the
-    /// currently registered threads (i.e. collect once the backlog
+    /// The adaptive policy's backlog watermark: the configured value, or —
+    /// when configured `0` — a quarter of the aggregate buffer capacity of
+    /// the currently registered threads (i.e. collect once the backlog
     /// reaches what the Fixed policy would accumulate across half the
     /// fleet).
     fn adaptive_pending_watermark(&self) -> usize {
         match self.config.pending_high_watermark {
             0 => {
                 let threads = self.thread_count.load(Ordering::Relaxed).max(1);
-                (self.config.buffer_capacity * threads / 2).max(1)
+                (self.config.buffer_capacity * threads / 4).max(1)
             }
             hw => hw,
         }
     }
 
-    /// Cheap retire-path proxy for [`Self::pending_estimate`]: two
-    /// relaxed loads instead of four lock acquisitions. Counts the same
-    /// population — retired but not yet destructed, wherever the record
-    /// currently sits (buffered, surviving, orphaned, or queued).
-    fn outstanding_proxy(&self) -> usize {
-        self.stats
-            .retired
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.stats.freed.load(Ordering::Relaxed))
-    }
-
     /// Whether either adaptive signal is at or above its watermark.
     fn adaptive_over_watermark(&self) -> bool {
-        if self.outstanding_proxy() >= self.adaptive_pending_watermark() {
+        if self.backlog.load(Ordering::Relaxed) >= self.adaptive_pending_watermark() {
             return true;
         }
         match (
@@ -217,7 +283,7 @@ impl<P: Platform> Collector<P> {
     /// Whether every adaptive signal has fallen below half its watermark
     /// — the hysteresis re-arm threshold.
     fn adaptive_below_rearm(&self) -> bool {
-        if self.outstanding_proxy() >= self.adaptive_pending_watermark() / 2 {
+        if self.backlog.load(Ordering::Relaxed) >= self.adaptive_pending_watermark() / 2 {
             return false;
         }
         match (
@@ -257,22 +323,55 @@ impl<P: Platform> Collector<P> {
             return;
         }
         self.stats.add(&self.stats.adaptive_collects, 1);
-        self.collect_locked(&mut state, ctx, true);
+        self.collect_locked(&mut state, ctx, Trigger::Adaptive);
+    }
+
+    /// Runs the destructors of `records` and counts them as freed by the
+    /// reclaimer-lock holder.
+    ///
+    /// # Safety
+    ///
+    /// A completed scan phase proved every record unreferenced (Lemma 1),
+    /// or no registered thread is left to hold a reference.
+    unsafe fn reclaim_all(&self, records: impl IntoIterator<Item = Retired>) -> usize {
+        let mut n = 0;
+        for r in records {
+            // SAFETY: the caller's contract, record by record.
+            unsafe { r.reclaim() };
+            n += 1;
+        }
+        self.stats.add(&self.stats.freed, n);
+        n
     }
 
     /// One reclamation phase. Caller holds the reclaimer lock.
-    /// `adaptive` is true when the adaptive controller (not a full
-    /// buffer or a forced flush) initiated this phase — telemetry only.
-    fn collect_locked(&self, state: &mut ReclaimState, ctx: &SelfScanContext, adaptive: bool) {
+    fn collect_locked(&self, state: &mut ReclaimState, ctx: &SelfScanContext, trigger: Trigger) {
         use crate::telemetry::PhaseKind;
 
+        // Each live thread's slot, with the number of records it puts
+        // into this phase: its hand-off quota below.
+        let mut slots: Vec<(Arc<ThreadSlot>, usize)> = self
+            .slots
+            .lock()
+            .iter()
+            .map(|s| (Arc::clone(s), 0))
+            .collect();
+        let mut freed = 0;
+        if trigger == Trigger::Forced {
+            let mut parked = Vec::new();
+            for (slot, _) in &slots {
+                parked.append(&mut slot.mailbox.lock());
+            }
+            // SAFETY: a record enters a mailbox only after the phase that
+            // examined it found it unmarked (see the hand-off below).
+            freed = unsafe { self.reclaim_all(parked) };
+        }
         let mut entries = std::mem::take(&mut state.survivors);
         entries.append(&mut self.orphans.lock());
-        let buffers: Vec<Arc<LocalBuffer>> = self.buffers.lock().clone();
-        for buf in &buffers {
+        for (slot, contributed) in &mut slots {
             // SAFETY: the reclaimer lock makes this thread the single
             // reader of every registered buffer.
-            unsafe { buf.drain_into(&mut entries) };
+            *contributed = unsafe { slot.fresh.drain_into(&mut entries) };
         }
         if entries.is_empty() {
             return;
@@ -324,28 +423,43 @@ impl<P: Platform> Collector<P> {
         let survivor_count = survivors.len();
         self.stats.add(&self.stats.survivors, survivor_count);
         state.survivors = survivors;
+        if self.config.collect_policy == CollectPolicy::Adaptive {
+            self.backlog.fetch_sub(reclaimable.len(), Ordering::Relaxed);
+        }
 
         if let Some((sink, id)) = telemetry {
             sink.event(PhaseKind::FreeBegin, id, reclaimable.len() as u64);
         }
-        let freed = if self.config.distribute_frees {
-            self.free_queue.lock().extend(reclaimable);
-            0
-        } else {
-            let n = reclaimable.len();
-            for r in reclaimable {
-                // SAFETY: the scan protocol established that no registered
-                // thread holds a reference (Lemma 1).
-                unsafe { r.reclaim() };
+        let mut reclaimable = reclaimable.into_iter();
+        if trigger != Trigger::Forced {
+            // The hand-off. Every registered thread acknowledged this
+            // phase's scan and none of them marked these records, so no
+            // thread holds a reference to them and none can obtain one
+            // (Lemma 1; Assumption 1.1): running their destructors is
+            // sound now and stays sound however long it is put off. A
+            // mailbox is reachable only through its owner's handle and
+            // through the registry, which only the reclaimer-lock holder
+            // walks, and whoever takes a record out of it under its lock
+            // reclaims it: exactly once.
+            //
+            // Each thread gets back at most what it put in, so an owner
+            // that frees one node per retire is never handed more than
+            // its mailbox — half its buffer — holds.
+            for (slot, contributed) in &slots {
+                let mut mailbox = slot.mailbox.lock();
+                let room = slot.fresh.capacity() - mailbox.len();
+                mailbox.extend(reclaimable.by_ref().take((*contributed).min(room)));
             }
-            self.stats.add(&self.stats.freed, n);
-            n
-        };
+        }
+        // SAFETY: unmarked after a completed scan, as above.
+        freed += unsafe { self.reclaim_all(reclaimable) };
+        let overflow_frees = if trigger == Trigger::Forced { 0 } else { freed };
+        self.stats.add(&self.stats.overflow_frees, overflow_frees);
         if let Some((sink, id)) = telemetry {
             sink.event(PhaseKind::FreeEnd, id, freed as u64);
         }
 
-        // Reclaimer-side latency (sort + broadcast + ack wait + sweep):
+        // Reclaimer-side latency (sort + broadcast + ack wait + hand-off):
         // the §7 responsiveness number, measured where the paper's future
         // work proposes to attack it.
         let ns = crate::master::elapsed_ns(phase_start);
@@ -354,62 +468,45 @@ impl<P: Platform> Collector<P> {
         self.stats.record_collect_ns(ns);
         if let Some((sink, id)) = telemetry {
             sink.event(PhaseKind::CollectEnd, id, survivor_count as u64);
+            let snap = self.stats();
             (sink.collect_summary)(&crate::telemetry::CollectSummary {
                 collect_id: id,
                 ns: ns as u64,
                 entries: entry_count,
                 freed,
+                mailbox_frees: snap.mailbox_frees - state.mailbox_frees_reported,
+                overflow_frees,
                 survivors: survivor_count,
                 threads_scanned: outcome.threads_scanned,
-                adaptive,
-                pending: self.outstanding_proxy(),
+                adaptive: trigger == Trigger::Adaptive,
+                pending: snap.outstanding(),
                 armed: self.adaptive_armed.load(Ordering::Relaxed),
             });
+            state.mailbox_frees_reported = snap.mailbox_frees;
         }
     }
 
-    /// Frees up to `max` queued nodes from the distributed-free queue.
-    /// Returns how many were freed.
-    ///
-    /// Best-effort: `try_lock` keeps the `retire` fast path
-    /// contention-free, so under contention this may free nothing. The
-    /// forced path ([`Self::collect_now`] / `ThreadHandle::flush`) takes a
-    /// blocking lock instead and always drains.
-    pub fn drain_free_queue(&self, max: usize) -> usize {
-        let batch: Vec<Retired> = match self.free_queue.try_lock() {
-            Some(mut q) => {
-                let n = q.len().min(max);
-                q.drain(..n).collect()
-            }
-            None => return 0,
-        };
-        self.reclaim_free_batch(batch)
-    }
-
-    /// Reclaims a batch popped off the free queue, updating the counters.
-    fn reclaim_free_batch(&self, batch: Vec<Retired>) -> usize {
-        let n = batch.len();
-        for r in batch {
-            // SAFETY: nodes only enter the queue after a completed scan
-            // phase proved them unreferenced.
-            unsafe { r.reclaim() };
-        }
-        if n > 0 {
-            self.stats.add(&self.stats.freed, n);
-            self.stats.add(&self.stats.distributed_frees, n);
-        }
-        n
-    }
-
-    fn unregister_buffer(&self, buffer: &Arc<LocalBuffer>) {
+    fn unregister(&self, slot: &Arc<ThreadSlot>) {
         // Serialize with any in-flight collect so that draining our buffer
         // into `orphans` has a single reader.
         let _state = self.reclaim.lock();
-        let mut orphans = self.orphans.lock();
         // SAFETY: holding the reclaimer lock makes us the sole reader.
-        unsafe { buffer.drain_into(&mut orphans) };
-        drop(orphans);
-        self.buffers.lock().retain(|b| !Arc::ptr_eq(b, buffer));
+        unsafe { slot.fresh.drain_into(&mut self.orphans.lock()) };
+        let parked = std::mem::take(&mut *slot.mailbox.lock());
+        // SAFETY: mailbox records were found unmarked by a completed scan.
+        unsafe { self.reclaim_all(parked) };
+        // Leave the registry and hand the thread's counters over under one
+        // registry lock: `stats` sees them in exactly one place.
+        let mut slots = self.slots.lock();
+        slots.retain(|s| !Arc::ptr_eq(s, slot));
+        let own_frees = slot.counters.mailbox_frees.load(Ordering::Relaxed);
+        self.stats.add(
+            &self.stats.retired,
+            slot.counters.retired.load(Ordering::Relaxed),
+        );
+        self.stats.add(&self.stats.mailbox_frees, own_frees);
+        self.stats.add(&self.stats.freed, own_frees);
+        drop(slots);
         self.thread_count.fetch_sub(1, Ordering::Relaxed);
     }
 }
@@ -421,21 +518,17 @@ impl<P: Platform> Drop for Collector<P> {
         let state = self.reclaim.get_mut();
         let mut leftovers = std::mem::take(&mut state.survivors);
         leftovers.append(self.orphans.get_mut());
-        for buf in self.buffers.get_mut().drain(..) {
+        for slot in self.slots.get_mut().drain(..) {
             debug_assert!(
-                buf.is_empty(),
+                slot.fresh.is_empty() && slot.mailbox.lock().is_empty(),
                 "live buffer at collector drop: a ThreadHandle outlived its Collector Arc?"
             );
             // SAFETY: exclusive access via &mut self.
-            unsafe { buf.drain_into(&mut leftovers) };
+            unsafe { slot.fresh.drain_into(&mut leftovers) };
+            leftovers.append(&mut slot.mailbox.lock());
         }
-        leftovers.extend(self.free_queue.get_mut().drain(..));
-        let n = leftovers.len();
-        for r in leftovers {
-            // SAFETY: see above — no handle, hence no referencing thread.
-            unsafe { r.reclaim() };
-        }
-        self.stats.add(&self.stats.freed, n);
+        // SAFETY: see above — no handle, hence no referencing thread.
+        unsafe { self.reclaim_all(leftovers) };
     }
 }
 
@@ -444,7 +537,7 @@ impl<P: Platform> Drop for Collector<P> {
 /// scanned on this thread's behalf).
 pub struct ThreadHandle<P: Platform> {
     collector: Arc<Collector<P>>,
-    buffer: Arc<LocalBuffer>,
+    slot: Arc<ThreadSlot>,
     roots: Arc<ThreadRoots>,
     token: Option<P::ThreadToken>,
     _not_send: PhantomData<*mut ()>,
@@ -480,40 +573,41 @@ impl<P: Platform> ThreadHandle<P> {
     }
 
     fn retire_record(&self, record: Retired) {
-        self.collector.stats.add(&self.collector.stats.retired, 1);
-        if self.collector.config.distribute_frees {
-            self.collector
-                .drain_free_queue(self.collector.config.distributed_free_batch);
+        let adaptive = self.collector.config.collect_policy == CollectPolicy::Adaptive;
+        OwnerCounters::bump(&self.slot.counters.retired);
+        if adaptive {
+            self.collector.backlog.fetch_add(1, Ordering::Relaxed);
         }
-        let mut record = record;
-        loop {
-            // SAFETY: this handle's thread is the buffer's only producer.
-            match unsafe { self.buffer.push(record) } {
-                Ok(()) => {
-                    if self.buffer.is_full() {
-                        // We inserted the last node: we become the
-                        // reclaimer. Snapshot the application boundary
-                        // before entering the machinery.
-                        let ctx = capture_context();
-                        self.collector.collect_for(&self.buffer, &ctx);
-                    } else if self.collector.config.collect_policy == CollectPolicy::Adaptive
-                        && self.collector.adaptive_should_collect()
-                    {
-                        // Pending garbage (or allocator pressure) crossed
-                        // the watermark while every buffer is still below
-                        // capacity: collect early rather than letting the
-                        // backlog grow to the fixed trigger.
-                        let ctx = capture_context();
-                        self.collector.collect_adaptive(&ctx);
-                    }
-                    return;
-                }
-                Err(rejected) => {
-                    record = rejected;
-                    let ctx = capture_context();
-                    self.collector.collect_for(&self.buffer, &ctx);
-                }
-            }
+        if self.slot.fresh.is_full() {
+            // Our earlier retires filled the fresh half: we become the
+            // reclaimer. Snapshot the application boundary before
+            // entering the machinery.
+            let ctx = capture_context();
+            self.collector.collect_for(&self.slot.fresh, &ctx);
+        }
+        // Stage 2: free one node a phase handed back, so frees keep pace
+        // with this thread's retires. Freeing before buffering keeps this
+        // thread's fresh + parked count within half its capacity (a
+        // retire moves one node's worth from the parked side to the fresh
+        // side, a phase moves the fresh side back), so a phase finds room
+        // in the mailbox for everything this thread put in.
+        let parked = self.slot.mailbox.lock().pop();
+        if let Some(parked) = parked {
+            // SAFETY: the reclaimer parked it only after a completed scan
+            // found it unmarked (see the hand-off in `collect_locked`),
+            // and the pop above took it out of the mailbox for good.
+            unsafe { parked.reclaim() };
+            OwnerCounters::bump(&self.slot.counters.mailbox_frees);
+        }
+        // SAFETY: this handle's thread is the buffer's only producer.
+        unsafe { self.slot.fresh.push(record) }
+            .expect("a phase drains every registered thread's fresh buffer, this one's included");
+        if adaptive && self.collector.adaptive_should_collect() {
+            // Unexamined garbage (or allocator pressure) crossed the
+            // watermark while every buffer is still below its trigger:
+            // collect early rather than letting the backlog grow to it.
+            let ctx = capture_context();
+            self.collector.collect_adaptive(&ctx);
         }
     }
 
@@ -537,9 +631,17 @@ impl<P: Platform> ThreadHandle<P> {
         &self.collector
     }
 
-    /// Number of nodes currently waiting in this thread's delete buffer.
+    /// Number of nodes currently waiting for a scan in the fresh stage of
+    /// this thread's delete buffer.
     pub fn buffered(&self) -> usize {
-        self.buffer.len()
+        self.slot.fresh.len()
+    }
+
+    /// Number of nodes parked in this thread's mailbox: proven
+    /// reclaimable, freed one per `retire`. Together with
+    /// [`Self::buffered`] never more than `buffer_capacity`.
+    pub fn mailbox_len(&self) -> usize {
+        self.slot.mailbox.lock().len()
     }
 
     /// Forces a reclamation phase (including this thread's buffered nodes).
@@ -550,7 +652,7 @@ impl<P: Platform> ThreadHandle<P> {
 
 impl<P: Platform> Drop for ThreadHandle<P> {
     fn drop(&mut self) {
-        self.collector.unregister_buffer(&self.buffer);
+        self.collector.unregister(&self.slot);
         // Unregister from the platform only after the buffer is out of the
         // registry; the reclaimer lock acquired above has been released, but
         // any *new* collect will simply no longer signal us — and we no
@@ -612,15 +714,41 @@ mod tests {
             CollectorConfig::default().with_buffer_capacity(8),
         );
         let handle = collector.register();
-        for _ in 0..8 {
+        for _ in 0..4 {
             unsafe { handle.retire(node(&counter)) };
         }
-        // Inserting the 8th node made this thread the reclaimer.
-        assert_eq!(counter.load(Ordering::SeqCst), 8);
+        // The fresh half is full; nothing has run yet.
+        assert_eq!(collector.stats().collects, 0);
+        assert_eq!((handle.buffered(), handle.mailbox_len()), (4, 0));
+        // The next retire finds it full: this thread is the reclaimer, the
+        // phase hands its 4 nodes back to it, and the retire goes on to
+        // free one of them and buffer the new node.
+        unsafe { handle.retire(node(&counter)) };
+        assert_eq!(collector.stats().collects, 1);
+        assert_eq!(counter.load(Ordering::SeqCst), 1);
+        assert_eq!((handle.buffered(), handle.mailbox_len()), (1, 3));
+        // Each further retire frees exactly one more.
+        for freed in 2..=4 {
+            unsafe { handle.retire(node(&counter)) };
+            assert_eq!(counter.load(Ordering::SeqCst), freed);
+            assert_eq!(
+                (handle.buffered(), handle.mailbox_len()),
+                (freed, 4 - freed)
+            );
+        }
+        // The 9th retire finds the fresh half full again: a second phase.
+        unsafe { handle.retire(node(&counter)) };
+        assert_eq!((handle.buffered(), handle.mailbox_len()), (1, 3));
         let snap = collector.stats();
-        assert_eq!(snap.collects, 1);
-        assert_eq!(snap.retired, 8);
-        assert_eq!(snap.freed, 8);
+        assert_eq!(snap.collects, 2);
+        assert_eq!(snap.retired, 9);
+        assert_eq!(snap.freed, 5);
+        assert_eq!(snap.mailbox_frees, 5);
+        assert_eq!(snap.overflow_frees, 0);
+        // The forced path frees what is parked and what is fresh.
+        handle.flush();
+        assert_eq!(counter.load(Ordering::SeqCst), 9);
+        assert_eq!(collector.stats().freed, 9);
         drop(handle);
     }
 
@@ -638,7 +766,10 @@ mod tests {
         for _ in 0..3 {
             unsafe { handle.retire(node(&counter)) };
         }
-        // First phase: 3 freed, the pinned one survives.
+        // A triggered phase and a forced one: 3 freed, the pinned one
+        // survives both.
+        handle.flush();
+        assert_eq!(collector.stats().collects, 2);
         assert_eq!(counter.load(Ordering::SeqCst), 3);
         assert_eq!(collector.pending_estimate(), 1);
 
@@ -662,6 +793,7 @@ mod tests {
         let handle = collector.register();
         unsafe { handle.retire(pinned) };
         unsafe { handle.retire(node(&counter)) };
+        handle.flush();
         assert_eq!(counter.load(Ordering::SeqCst), 1, "interior ref must pin");
         drop(handle);
         drop(collector);
@@ -697,29 +829,29 @@ mod tests {
     }
 
     #[test]
-    fn distributed_frees_are_performed_by_retiring_threads() {
+    fn mailbox_teardown_runs_every_destructor_exactly_once() {
+        // Handle drop with a non-empty mailbox frees the parked nodes on
+        // the spot and orphans the fresh ones; collector drop frees the
+        // rest. `Node::drop` counts, so a double free or a leak shows.
         let counter = Arc::new(AtomicUsize::new(0));
         let collector = Collector::with_config(
             NullPlatform,
-            CollectorConfig::default()
-                .with_buffer_capacity(4)
-                .with_distributed_frees(true),
+            CollectorConfig::default().with_buffer_capacity(8),
         );
         let handle = collector.register();
-        for _ in 0..4 {
+        for _ in 0..6 {
             unsafe { handle.retire(node(&counter)) };
         }
-        // The collect published 4 nodes to the queue instead of freeing.
-        assert_eq!(counter.load(Ordering::SeqCst), 0);
-        assert_eq!(collector.pending_estimate(), 4);
-        // The next retire drains a batch.
-        unsafe { handle.retire(node(&counter)) };
-        assert_eq!(counter.load(Ordering::SeqCst), 4);
-        let snap = collector.stats();
-        assert_eq!(snap.distributed_frees, 4);
+        // One phase at the 5th retire; retires 5 and 6 freed one each.
+        assert_eq!(counter.load(Ordering::SeqCst), 2);
+        assert_eq!((handle.buffered(), handle.mailbox_len()), (2, 2));
         drop(handle);
+        assert_eq!(counter.load(Ordering::SeqCst), 4, "parked nodes freed");
+        let snap = collector.stats();
+        assert_eq!((snap.retired, snap.freed, snap.mailbox_frees), (6, 4, 2));
+        assert_eq!(collector.pending_estimate(), 2, "fresh nodes orphaned");
         drop(collector);
-        assert_eq!(counter.load(Ordering::SeqCst), 5);
+        assert_eq!(counter.load(Ordering::SeqCst), 6);
     }
 
     #[test]
@@ -748,70 +880,116 @@ mod tests {
     }
 
     #[test]
-    fn forced_flush_drains_free_queue_despite_contention() {
-        // Regression: `collect_now` used to drain the distributed-free
-        // queue with `try_lock`, so a forced flush racing any other drain
-        // returned with proven-reclaimable nodes still queued.
+    fn forced_flush_frees_nodes_parked_in_other_threads_mailboxes() {
+        // A forced flush must not return with proven-reclaimable nodes
+        // still parked just because their owner has not retired since.
         let counter = Arc::new(AtomicUsize::new(0));
         let collector = Collector::with_config(
             NullPlatform,
-            CollectorConfig::default()
-                .with_buffer_capacity(4)
-                .with_distributed_frees(true),
+            CollectorConfig::default().with_buffer_capacity(8),
+        );
+        // Two registrations on one thread (as the model checker does).
+        let (a, b) = (collector.register(), collector.register());
+        for handle in [&a, &b] {
+            for _ in 0..5 {
+                unsafe { handle.retire(node(&counter)) };
+            }
+        }
+        // Each one's 5th retire ran a phase and freed one node; `b`'s
+        // phase also moved `a`'s one fresh node into `a`'s mailbox.
+        assert_eq!(counter.load(Ordering::SeqCst), 2);
+        assert_eq!((a.mailbox_len(), b.mailbox_len()), (4, 3));
+        assert_eq!(collector.stats().outstanding(), 8);
+
+        a.flush();
+        assert_eq!(counter.load(Ordering::SeqCst), 10);
+        assert_eq!((a.mailbox_len(), b.mailbox_len()), (0, 0));
+        assert_eq!(collector.stats().outstanding(), 0);
+        assert_eq!(collector.pending_estimate(), 0);
+    }
+
+    #[test]
+    fn outstanding_counts_parked_mailbox_nodes_like_pending_estimate() {
+        // Pins `StatsSnapshot::outstanding` semantics: nodes parked in a
+        // mailbox are proven reclaimable but not yet freed, so both the
+        // snapshot arithmetic and `pending_estimate` must count them as
+        // outstanding.
+        let counter = Arc::new(AtomicUsize::new(0));
+        let collector = Collector::with_config(
+            NullPlatform,
+            CollectorConfig::default().with_buffer_capacity(8),
         );
         let handle = collector.register();
-        for _ in 0..4 {
+        for _ in 0..5 {
             unsafe { handle.retire(node(&counter)) };
         }
-        assert_eq!(counter.load(Ordering::SeqCst), 0, "queued, not yet freed");
-
-        // Hold the free-queue lock while another thread runs the forced
-        // path; with `try_lock` it would bail and leave the queue full.
-        let guard = collector.free_queue.lock();
-        let flusher = {
-            let collector = Arc::clone(&collector);
-            std::thread::spawn(move || collector.collect_now())
-        };
-        std::thread::sleep(std::time::Duration::from_millis(200));
-        drop(guard);
-        flusher.join().unwrap();
-
-        assert_eq!(
-            counter.load(Ordering::SeqCst),
-            4,
-            "forced flush must block for the queue and free everything"
-        );
+        // A phase ran; 3 of its 4 nodes still sit in the mailbox,
+        // destructors not yet executed.
+        assert_eq!(counter.load(Ordering::SeqCst), 1);
+        assert_eq!(handle.mailbox_len(), 3);
+        assert_eq!(collector.stats().outstanding(), 4);
+        assert_eq!(collector.pending_estimate(), 4);
+        collector.collect_now(); // forced path empties the mailbox
+        assert_eq!(collector.stats().outstanding(), 0);
         assert_eq!(collector.pending_estimate(), 0);
         drop(handle);
     }
 
     #[test]
-    fn outstanding_counts_queued_distributed_frees_like_pending_estimate() {
-        // Pins `StatsSnapshot::outstanding` semantics: nodes in the
-        // distributed-free queue are proven reclaimable but not yet
-        // freed, so both the snapshot arithmetic and `pending_estimate`
-        // must count them as outstanding.
+    fn idle_thread_parks_at_most_half_and_gets_no_more() {
+        // A thread that stops retiring keeps what one phase handed it —
+        // never more than half its capacity — and later phases hand it
+        // nothing, because it puts nothing in.
         let counter = Arc::new(AtomicUsize::new(0));
         let collector = Collector::with_config(
-            NullPlatform,
-            CollectorConfig::default()
-                .with_buffer_capacity(4)
-                .with_distributed_frees(true),
+            PinPlatform::default(),
+            CollectorConfig::default().with_buffer_capacity(8),
         );
-        let handle = collector.register();
-        for _ in 0..4 {
-            unsafe { handle.retire(node(&counter)) };
+        let (idle, busy) = (collector.register(), collector.register());
+        let pinned: Vec<*mut Node> = (0..3).map(|_| node(&counter)).collect();
+        collector
+            .platform()
+            .rooted
+            .lock()
+            .extend(pinned.iter().map(|&p| p as usize));
+        for &p in &pinned {
+            unsafe { idle.retire(p) };
         }
-        // A phase ran; all 4 nodes sit in the free queue, destructors
-        // not yet executed.
-        assert_eq!(counter.load(Ordering::SeqCst), 0);
-        assert_eq!(collector.free_queue.lock().len(), 4);
-        assert_eq!(collector.stats().outstanding(), 4);
-        assert_eq!(collector.pending_estimate(), 4);
-        collector.collect_now(); // forced path drains the queue
-        assert_eq!(collector.stats().outstanding(), 0);
-        assert_eq!(collector.pending_estimate(), 0);
-        drop(handle);
+        for _ in 0..3 {
+            unsafe { idle.retire(node(&counter)) };
+        }
+        // Phase 1 at the idle thread's 5th retire: its 3 pinned nodes
+        // survived, 1 came back and was freed on the spot; two more are
+        // fresh.
+        assert_eq!((idle.buffered(), idle.mailbox_len()), (2, 0));
+
+        // Phase 2, at the busy thread's 5th retire: the idle thread put
+        // in 2, the busy one 4; all 6 are reclaimable and fit (and the
+        // busy thread has already freed one of its own).
+        for _ in 0..5 {
+            unsafe { busy.retire(node(&counter)) };
+        }
+        assert_eq!((idle.mailbox_len(), busy.mailbox_len()), (2, 3));
+        assert_eq!(collector.stats().overflow_frees, 0);
+
+        // From here the idle thread does nothing. Unpin its survivors:
+        // phase 3 finds them reclaimable, but nobody put them into this
+        // phase, so no mailbox takes them — the reclaimer frees them
+        // itself, and says so.
+        collector.platform().rooted.lock().clear();
+        let before = counter.load(Ordering::SeqCst);
+        for _ in 0..4 {
+            unsafe { busy.retire(node(&counter)) };
+        }
+        let snap = collector.stats();
+        assert_eq!(snap.collects, 3);
+        assert_eq!(snap.overflow_frees, 3, "the ex-survivors");
+        // 4 frees out of the busy thread's mailbox + the 3 overflow frees.
+        assert_eq!(counter.load(Ordering::SeqCst) - before, 4 + 3);
+        assert_eq!(idle.mailbox_len(), 2, "still parked, not grown");
+        assert!(idle.buffered() + idle.mailbox_len() <= 8 / 2);
+        assert_eq!(collector.pending_estimate(), snap.outstanding());
+        drop((idle, busy));
     }
 
     #[test]
@@ -866,15 +1044,115 @@ mod tests {
     }
 
     #[test]
+    fn per_thread_counters_stay_exact_across_unregistration() {
+        // `retired`/`freed` live in per-thread counters while a thread is
+        // registered and are folded into the collector's when it leaves:
+        // the totals must be exact before, across and after.
+        const THREADS: usize = 8;
+        let counter = Arc::new(AtomicUsize::new(0));
+        let collector = Collector::with_config(
+            NullPlatform,
+            CollectorConfig::default().with_buffer_capacity(16),
+        );
+        let retired_total: usize = (0..THREADS).map(|t| 100 + 7 * t).sum();
+        let all_retired = std::sync::Barrier::new(THREADS + 1);
+        let checked = std::sync::Barrier::new(THREADS + 1);
+        // Sampled while every thread waits at a barrier, asserted after
+        // they are gone (a panic between barriers would hang them): once
+        // with all 8 registered, once after every other one has left.
+        let samples: Vec<_> = std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (collector, counter) = (Arc::clone(&collector), Arc::clone(&counter));
+                let (all_retired, checked) = (&all_retired, &checked);
+                s.spawn(move || {
+                    let handle = collector.register();
+                    for _ in 0..100 + 7 * t {
+                        unsafe { handle.retire(node(&counter)) };
+                    }
+                    let mut handle = Some(handle);
+                    for leave in [false, t.is_multiple_of(2)] {
+                        if leave {
+                            drop(handle.take());
+                        }
+                        all_retired.wait();
+                        checked.wait();
+                    }
+                });
+            }
+            (0..2)
+                .map(|_| {
+                    all_retired.wait();
+                    let snap = collector.stats();
+                    let sample = (
+                        snap.retired,
+                        snap.freed,
+                        counter.load(Ordering::SeqCst),
+                        snap.outstanding(),
+                        collector.pending_estimate(),
+                    );
+                    checked.wait();
+                    sample
+                })
+                .collect()
+        });
+        for (retired, freed, dropped, outstanding, pending) in samples {
+            assert_eq!(retired, retired_total);
+            assert_eq!(freed, dropped);
+            assert_eq!(outstanding, pending);
+        }
+        let snap = collector.stats();
+        assert_eq!(snap.retired, retired_total);
+        assert_eq!(snap.freed, counter.load(Ordering::SeqCst));
+        collector.collect_now();
+        let snap = collector.stats();
+        assert_eq!((snap.retired, snap.freed), (retired_total, retired_total));
+        assert_eq!(counter.load(Ordering::SeqCst), retired_total);
+    }
+
+    #[test]
+    fn forced_flush_racing_owner_frees_reclaims_each_node_once() {
+        // The mailbox's two consumers at once: an owner freeing one node
+        // per retire while another thread keeps forcing flushes that take
+        // whole mailboxes back. `Node::drop` counts, so a record handed to
+        // both would show as a surplus (or crash), one handed to neither
+        // as a deficit.
+        const RETIRES: usize = 50_000;
+        let counter = Arc::new(AtomicUsize::new(0));
+        let collector = Collector::with_config(
+            NullPlatform,
+            CollectorConfig::default().with_buffer_capacity(8),
+        );
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let handle = collector.register();
+                for _ in 0..RETIRES {
+                    unsafe { handle.retire(node(&counter)) };
+                }
+                drop(handle);
+                done.store(true, Ordering::Release);
+            });
+            while !done.load(Ordering::Acquire) {
+                collector.collect_now();
+            }
+        });
+        collector.collect_now();
+        assert_eq!(counter.load(Ordering::SeqCst), RETIRES);
+        let snap = collector.stats();
+        assert_eq!((snap.retired, snap.freed), (RETIRES, RETIRES));
+    }
+
+    #[test]
     fn stats_track_scan_volume() {
         let platform = PinPlatform::default();
         platform.rooted.lock().extend([1usize, 2, 3]);
         let collector =
-            Collector::with_config(platform, CollectorConfig::default().with_buffer_capacity(2));
+            Collector::with_config(platform, CollectorConfig::default().with_buffer_capacity(4));
         let handle = collector.register();
         let counter = Arc::new(AtomicUsize::new(0));
-        unsafe { handle.retire(node(&counter)) };
-        unsafe { handle.retire(node(&counter)) };
+        for _ in 0..3 {
+            unsafe { handle.retire(node(&counter)) };
+        }
         let snap = collector.stats();
         assert_eq!(snap.collects, 1);
         assert_eq!(snap.threads_scanned, 1);
@@ -886,8 +1164,8 @@ mod tests {
     fn adaptive_policy_collects_on_pending_watermark_below_capacity() {
         // The adaptive controller's whole point: a collect fires when the
         // pending backlog crosses the watermark even though every local
-        // buffer is far below capacity (the fixed trigger would wait for
-        // 64 retires here).
+        // buffer is far below its trigger (the fixed trigger would wait
+        // for 32 retires here).
         let counter = Arc::new(AtomicUsize::new(0));
         let collector = Collector::with_config(
             NullPlatform,
@@ -900,14 +1178,14 @@ mod tests {
         for _ in 0..7 {
             unsafe { handle.retire(node(&counter)) };
         }
-        assert_eq!(counter.load(Ordering::SeqCst), 0, "below watermark: idle");
-        assert_eq!(collector.stats().collects, 0);
+        assert_eq!(collector.stats().collects, 0, "below watermark: idle");
         unsafe { handle.retire(node(&counter)) };
-        assert_eq!(counter.load(Ordering::SeqCst), 8, "8th retire hit the mark");
         let snap = collector.stats();
-        assert_eq!(snap.collects, 1);
+        assert_eq!(snap.collects, 1, "8th retire hit the mark");
         assert_eq!(snap.adaptive_collects, 1);
-        assert!(handle.buffered() < 64, "buffer never filled");
+        assert_eq!((handle.buffered(), handle.mailbox_len()), (0, 8));
+        handle.flush();
+        assert_eq!(counter.load(Ordering::SeqCst), 8);
         drop(handle);
     }
 
@@ -934,26 +1212,24 @@ mod tests {
         for _ in 0..3 {
             unsafe { handle.retire(node(&counter)) };
         }
-        assert_eq!(counter.load(Ordering::SeqCst), 0, "no pressure: idle");
+        assert_eq!(collector.stats().collects, 0, "no pressure: idle");
         gauge.store(2 << 20, Ordering::Relaxed); // allocator reports 2 MiB
         unsafe { handle.retire(node(&counter)) };
-        assert_eq!(
-            counter.load(Ordering::SeqCst),
-            4,
-            "pressure alone must trigger the phase"
-        );
         let snap = collector.stats();
+        assert_eq!(snap.collects, 1, "pressure alone must trigger the phase");
         assert_eq!(snap.adaptive_collects, 1);
-        assert!(handle.buffered() < 64, "buffer stayed below capacity");
+        assert_eq!((handle.buffered(), handle.mailbox_len()), (0, 4));
         drop(handle);
     }
 
     #[test]
-    fn fixed_policy_matches_legacy_trigger_points_exactly() {
-        // Acceptance pin: `CollectPolicy::Fixed` must be observationally
-        // identical to the pre-policy collector — same trigger points,
-        // equal `collects` counts — even with adaptive knobs set, since
-        // the policy gate is checked before any watermark is consulted.
+    fn fixed_policy_triggers_once_per_half_capacity_exactly() {
+        // Acceptance pin: under `CollectPolicy::Fixed` a lone thread
+        // collects exactly when a retire finds the fresh half of its
+        // buffer full, i.e. once per `capacity / 2` retires — same
+        // trigger points, equal `collects` counts — even with adaptive
+        // knobs set, since the policy gate is checked before any
+        // watermark is consulted.
         let run = |config: CollectorConfig| {
             let counter = Arc::new(AtomicUsize::new(0));
             let collector = Collector::with_config(NullPlatform, config);
@@ -961,28 +1237,32 @@ mod tests {
             let mut collect_points = Vec::new();
             for i in 1..=32usize {
                 unsafe { handle.retire(node(&counter)) };
-                if counter.load(Ordering::SeqCst) == i {
+                if collector.stats().collects > collect_points.len() {
                     collect_points.push(i);
                 }
             }
             drop(handle);
             (collect_points, collector.stats().collects)
         };
-        let legacy = CollectorConfig::default().with_buffer_capacity(8);
+        let plain = CollectorConfig::default().with_buffer_capacity(8);
         let fixed_with_knobs = CollectorConfig::default()
             .with_buffer_capacity(8)
             .with_pending_high_watermark(1); // ignored: policy stays Fixed
-        let (legacy_points, legacy_collects) = run(legacy);
+        let (plain_points, plain_collects) = run(plain);
         let (fixed_points, fixed_collects) = run(fixed_with_knobs);
-        assert_eq!(legacy_points, vec![8, 16, 24, 32], "full-buffer multiples");
-        assert_eq!(fixed_points, legacy_points);
-        assert_eq!(fixed_collects, legacy_collects);
-        assert_eq!(fixed_collects, 4);
+        assert_eq!(
+            plain_points,
+            vec![5, 9, 13, 17, 21, 25, 29],
+            "the retire after each half-capacity multiple"
+        );
+        assert_eq!(fixed_points, plain_points);
+        assert_eq!(fixed_collects, plain_collects);
+        assert_eq!(fixed_collects, 7);
     }
 
     #[test]
     fn adaptive_hysteresis_fires_once_per_excursion() {
-        // Survivors a phase cannot free keep the pending proxy above the
+        // Survivors a phase cannot free keep the backlog above the
         // watermark; without the armed latch every subsequent retire
         // would initiate another phase (a collect storm).
         let counter = Arc::new(AtomicUsize::new(0));
@@ -1008,8 +1288,8 @@ mod tests {
         assert_eq!(snap.adaptive_collects, 1);
         assert_eq!(snap.survivors, 4);
         assert_eq!(counter.load(Ordering::SeqCst), 0);
-        // Pending stays >= the watermark, but the controller is disarmed:
-        // further retires must NOT trigger more adaptive phases.
+        // The backlog stays >= the watermark, but the controller is
+        // disarmed: further retires must NOT trigger more adaptive phases.
         for _ in 0..8 {
             unsafe { handle.retire(node(&counter)) };
         }
@@ -1017,7 +1297,7 @@ mod tests {
         assert_eq!(snap.adaptive_collects, 1, "disarmed: no collect storm");
         assert_eq!(snap.collects, 1);
 
-        // Unpin, drain, and let pending fall below half the watermark:
+        // Unpin, drain, and let the backlog fall below half the watermark:
         // the controller re-arms and a fresh excursion fires again.
         collector.platform().rooted.lock().clear();
         collector.collect_now();
@@ -1030,49 +1310,69 @@ mod tests {
     }
 
     #[test]
+    fn adaptive_backlog_ignores_parked_mailbox_nodes() {
+        // Nodes parked in a mailbox are already proven reclaimable; no
+        // collect frees them sooner, so they must not hold the adaptive
+        // backlog up (which would keep the controller disarmed for good).
+        let counter = Arc::new(AtomicUsize::new(0));
+        let collector = Collector::with_config(
+            NullPlatform,
+            CollectorConfig::default()
+                .with_buffer_capacity(64)
+                .with_collect_policy(CollectPolicy::Adaptive)
+                .with_pending_high_watermark(8),
+        );
+        let (parker, worker) = (collector.register(), collector.register());
+        for _ in 0..8 {
+            unsafe { parker.retire(node(&counter)) };
+        }
+        assert_eq!(collector.stats().adaptive_collects, 1);
+        assert_eq!(parker.mailbox_len(), 8, "parked and left there");
+        // A second excursion fires although 8 nodes are still unfreed.
+        for _ in 0..8 {
+            unsafe { worker.retire(node(&counter)) };
+        }
+        assert_eq!(collector.stats().adaptive_collects, 2);
+        drop((parker, worker));
+    }
+
+    #[test]
     fn pending_estimate_counts_each_source_exactly_once() {
         // Regression pin for the estimate's no-double-counting contract:
-        // survivors, the distributed-free queue, live buffers, and
-        // orphans each hold a record exclusively, so the estimate equals
+        // survivors, the mailboxes, live fresh buffers, and orphans each
+        // hold a record exclusively, so the estimate equals
         // `retired - freed` at every step.
         let counter = Arc::new(AtomicUsize::new(0));
         let platform = PinPlatform::default();
         let pinned = node(&counter);
         platform.rooted.lock().push(pinned as usize);
-        let collector = Collector::with_config(
-            platform,
-            CollectorConfig {
-                // Batch 0: retires never drain the queue behind our back.
-                distributed_free_batch: 0,
-                ..CollectorConfig::default()
-            }
-            .with_buffer_capacity(4)
-            .with_distributed_frees(true),
-        );
+        let collector =
+            Collector::with_config(platform, CollectorConfig::default().with_buffer_capacity(8));
         let handle = collector.register();
         unsafe { handle.retire(pinned) };
-        for _ in 0..3 {
+        for _ in 0..4 {
             unsafe { handle.retire(node(&counter)) };
         }
-        // Phase ran: 1 survivor (pinned), 3 queued frees, empty buffer.
+        // Phase ran: 1 survivor (pinned), 3 handed back of which one is
+        // already freed, 1 fresh.
         assert_eq!(collector.reclaim.lock().survivors.len(), 1);
-        assert_eq!(collector.free_queue.lock().len(), 3);
+        assert_eq!((handle.buffered(), handle.mailbox_len()), (1, 2));
         assert_eq!(collector.pending_estimate(), 4);
         assert_eq!(collector.stats().outstanding(), 4);
 
-        // Two more sit in the live buffer: 1 + 3 + 2, no double counts.
-        for _ in 0..2 {
-            unsafe { handle.retire(node(&counter)) };
-        }
-        assert_eq!(handle.buffered(), 2);
-        assert_eq!(collector.pending_estimate(), 6);
-        assert_eq!(collector.stats().outstanding(), 6);
+        // One more retire: one more parked node freed, one more fresh one
+        // buffered — 1 + 1 + 2, no double counts.
+        unsafe { handle.retire(node(&counter)) };
+        assert_eq!((handle.buffered(), handle.mailbox_len()), (2, 1));
+        assert_eq!(collector.pending_estimate(), 4);
+        assert_eq!(collector.stats().outstanding(), 4);
 
-        // Unregistering moves the 2 buffered records to the orphan list —
-        // moved, not copied: the estimate must not change.
+        // Unregistering frees the parked record and moves the 2 buffered
+        // ones to the orphan list — moved, not copied.
         drop(handle);
         assert_eq!(collector.orphans.lock().len(), 2);
-        assert_eq!(collector.pending_estimate(), 6);
+        assert_eq!(collector.pending_estimate(), 3);
+        assert_eq!(collector.stats().outstanding(), 3);
 
         // A forced phase frees everything except the pinned survivor.
         collector.collect_now();

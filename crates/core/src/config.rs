@@ -10,15 +10,15 @@ use crate::telemetry::TelemetrySink;
 /// When the collector initiates reclamation phases.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum CollectPolicy {
-    /// The paper's trigger, bit for bit: a thread collects exactly when
-    /// its own delete buffer fills. No other signal is consulted, so the
-    /// trigger points — and the resulting `collects` count — are
-    /// identical to the pre-policy collector.
+    /// The paper's trigger: a thread collects exactly when a retire
+    /// finds the fresh stage of its own delete buffer full (half of
+    /// [`CollectorConfig::buffer_capacity`]). No other signal is
+    /// consulted, and the retire path touches no shared counter.
     #[default]
     Fixed,
     /// Fixed's full-buffer trigger **plus** a pending-garbage controller:
     /// a retire also initiates a collect when the process-wide count of
-    /// retired-but-unfreed nodes crosses
+    /// retired nodes no scan has yet proven reclaimable crosses
     /// [`CollectorConfig::pending_high_watermark`], or when the external
     /// pressure source (typically the node pools' bytes-resident gauge)
     /// crosses [`CollectorConfig::pressure_high_watermark`]. Hysteresis:
@@ -78,10 +78,16 @@ pub enum MatchMode {
 pub struct CollectorConfig {
     /// Capacity of each per-thread delete buffer, in retired nodes,
     /// rounded **up** to the next power of two at buffer creation (the
-    /// SPSC ring's index arithmetic requires it; see
+    /// rings' index arithmetic requires it; see
     /// [`LocalBuffer::new`](crate::buffer::LocalBuffer::new)). Paper
     /// default: 1024 ("configured to store up to 1024 pointers per
     /// thread"); Figure 4's tuned hash-table line uses 4096.
+    ///
+    /// The budget covers both stages of the buffer: a thread becomes
+    /// reclaimer when a retire finds its fresh retires at **half** of
+    /// it, and the other half is its mailbox of nodes proven
+    /// reclaimable, which it frees one per retire. A thread therefore
+    /// never holds more than `buffer_capacity` unfreed nodes of its own.
     pub buffer_capacity: usize,
     /// Word-matching strategy for the conservative scan.
     pub match_mode: MatchMode,
@@ -93,27 +99,19 @@ pub struct CollectorConfig {
     /// mask preserves their order (checked in debug builds when a master
     /// buffer is built in Exact mode).
     pub low_bit_mask: usize,
-    /// §7 future-work extension: when `true`, the reclaimer does not free
-    /// unmarked nodes itself. Instead they are published to a shared free
-    /// queue, and every thread drains a bounded batch of that queue at its
-    /// next interaction with the collector (its next `retire` call), sharing
-    /// the reclamation overhead.
-    pub distribute_frees: bool,
-    /// Batch size for the distributed-free drain.
-    pub distributed_free_batch: usize,
     /// Maximum number of registered per-thread heap blocks (§4.3 extension).
     pub max_heap_blocks: usize,
     /// When collects are initiated (see [`CollectPolicy`]). Default:
     /// [`CollectPolicy::Fixed`], the paper's full-buffer trigger.
     pub collect_policy: CollectPolicy,
-    /// Adaptive only: pending retired-node count (the cheap
-    /// `retired − freed` proxy for
-    /// [`pending_estimate`](crate::Collector::pending_estimate)) above
+    /// Adaptive only: count of retired nodes no scan has yet proven
+    /// reclaimable (buffered, surviving or orphaned — nodes parked in
+    /// mailboxes are excluded, since no collect frees them sooner) above
     /// which a retire initiates a collect even though every local buffer
-    /// is still below capacity. `0` (default) auto-sizes to half the
-    /// aggregate buffer capacity of the currently registered threads —
-    /// i.e. collect when the backlog reaches what the Fixed policy would
-    /// accumulate across half the fleet.
+    /// is still below its trigger. `0` (default) auto-sizes to a quarter
+    /// of the aggregate buffer capacity of the currently registered
+    /// threads — i.e. collect when the backlog reaches what the Fixed
+    /// policy would accumulate across half the fleet.
     pub pending_high_watermark: usize,
     /// Adaptive only: allocator bytes-resident level (read from
     /// [`Self::pressure_source`]) above which a retire initiates a
@@ -135,8 +133,6 @@ impl Default for CollectorConfig {
             buffer_capacity: 1024,
             match_mode: MatchMode::Range,
             low_bit_mask: 0b111,
-            distribute_frees: false,
-            distributed_free_batch: 64,
             max_heap_blocks: 16,
             collect_policy: CollectPolicy::default(),
             pending_high_watermark: 0,
@@ -174,12 +170,6 @@ impl CollectorConfig {
     /// Builder-style override of the match mode.
     pub fn with_match_mode(mut self, mode: MatchMode) -> Self {
         self.match_mode = mode;
-        self
-    }
-
-    /// Builder-style enabling of the distributed-free extension.
-    pub fn with_distributed_frees(mut self, on: bool) -> Self {
-        self.distribute_frees = on;
         self
     }
 
@@ -231,7 +221,6 @@ mod tests {
         let cfg = CollectorConfig::default();
         assert_eq!(cfg.buffer_capacity, 1024);
         assert_eq!(cfg.match_mode, MatchMode::Range);
-        assert!(!cfg.distribute_frees);
         assert_eq!(
             cfg.collect_policy,
             CollectPolicy::Fixed,
@@ -255,11 +244,9 @@ mod tests {
     fn builder_overrides_compose() {
         let cfg = CollectorConfig::default()
             .with_buffer_capacity(256)
-            .with_match_mode(MatchMode::Exact)
-            .with_distributed_frees(true);
+            .with_match_mode(MatchMode::Exact);
         assert_eq!(cfg.buffer_capacity, 256);
         assert_eq!(cfg.match_mode, MatchMode::Exact);
-        assert!(cfg.distribute_frees);
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! Leiserson, Matveev, Shavit — SPAA 2015): concurrent memory reclamation
 //! that is *automatic* — no per-read hazard publication, no epoch
 //! discipline. Threads hand unlinked nodes to [`ThreadHandle::retire`];
-//! when a per-thread delete buffer fills, that thread becomes the reclaimer,
-//! aggregates all buffers, and asks every registered thread (via the
-//! [`Platform`], normally OS signals) to conservatively scan its own stack
-//! and registers for references. Unreferenced nodes are freed; referenced
-//! ones survive to the next phase.
+//! when the fresh half of a per-thread delete buffer fills, that thread
+//! becomes the reclaimer, aggregates all buffers, and asks every registered
+//! thread (via the [`Platform`], normally OS signals) to conservatively
+//! scan its own stack and registers for references. Unreferenced nodes go
+//! back to the threads that retired them, which free one per later retire;
+//! referenced ones survive to the next phase.
 //!
 //! This crate is the platform-neutral protocol core. Pair it with:
 //!

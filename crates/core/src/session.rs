@@ -27,6 +27,13 @@ pub struct ScanSession<'a> {
     marks: &'a [AtomicU8],
     mode: MatchMode,
     low_bit_mask: usize,
+    /// `!low_bit_mask` in [`MatchMode::Exact`], all ones otherwise: maps a
+    /// scanned word into the key space of `addrs`.
+    key_mask: usize,
+    /// `[lo, hi)` = `[addrs[0], ends[last])` spans every key that can
+    /// match; empty (`lo > hi`) for an empty buffer.
+    lo: usize,
+    hi: usize,
     /// Counts *up*: each participating thread increments exactly once after
     /// completing its scan. Counting up (rather than down from an expected
     /// total) means the counter needs no initialization handshake with the
@@ -57,6 +64,12 @@ impl<'a> ScanSession<'a> {
             marks,
             mode,
             low_bit_mask,
+            key_mask: match mode {
+                MatchMode::Range => usize::MAX,
+                MatchMode::Exact => !low_bit_mask,
+            },
+            lo: addrs.first().copied().unwrap_or(usize::MAX),
+            hi: ends.last().copied().unwrap_or(0),
             acks: AtomicUsize::new(0),
             words_scanned: AtomicUsize::new(0),
             hits: AtomicUsize::new(0),
@@ -92,13 +105,22 @@ impl<'a> ScanSession<'a> {
         self.len() == 0
     }
 
-    /// Matching kernel shared by all scan entry points: one binary search
-    /// over the sorted keys, marking on a hit. Does *not* touch
-    /// `words_scanned` — every public entry point accounts for its own
-    /// words exactly once (the batch paths with one batched add, to keep a
-    /// shared-counter RMW per word off the scan hot path).
+    /// Matching kernel shared by all scan entry points: a two-compare
+    /// range reject, then one binary search over the sorted keys, marking
+    /// on a hit. Does *not* touch `words_scanned` — every public entry
+    /// point accounts for its own words exactly once (the batch paths with
+    /// one batched add, to keep a shared-counter RMW per word off the scan
+    /// hot path).
     #[inline]
     fn probe_word(&self, w: usize) -> bool {
+        // Most stack words are not heap pointers at all. A key below
+        // `addrs[0]` has no predecessor entry, and one at or above
+        // `ends[last]` lies past the last entry's range (and past every
+        // key), so neither search could hit: skip it.
+        let key = w & self.key_mask;
+        if key < self.lo || key >= self.hi {
+            return false;
+        }
         let idx = match self.mode {
             MatchMode::Range => find_range(self.addrs, self.ends, w),
             MatchMode::Exact => find_exact(self.addrs, w, self.low_bit_mask),

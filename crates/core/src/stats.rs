@@ -8,6 +8,13 @@
 use core::sync::atomic::{AtomicUsize, Ordering};
 
 /// Monotonic counters describing a collector's lifetime activity.
+///
+/// `retired`, `freed` and `mailbox_frees` hold only the collector-level
+/// share here — what the reclaimer-lock holder counted, plus the totals of
+/// threads that have unregistered. Live threads count their own retires
+/// and mailbox frees in owner-written per-thread counters (so `retire`
+/// touches no line another thread writes), and
+/// [`Collector::stats`](crate::Collector::stats) adds those in.
 #[derive(Default)]
 pub struct CollectorStats {
     /// Completed reclamation phases (`TS-Collect` calls that scanned).
@@ -32,8 +39,16 @@ pub struct CollectorStats {
     pub words_scanned: AtomicUsize,
     /// Words that matched a retired node.
     pub mark_hits: AtomicUsize,
-    /// Nodes freed through the distributed-free queue by non-reclaimers.
-    pub distributed_frees: AtomicUsize,
+    /// Nodes freed by the thread that retired into the phase, one per
+    /// later `retire`, after the reclaimer parked them in its mailbox. A
+    /// subset of [`Self::freed`].
+    pub mailbox_frees: AtomicUsize,
+    /// Nodes a triggered phase's reclaimer freed itself because no mailbox
+    /// would take them: the contributing thread's mailbox was full (an
+    /// idle or slow owner), or nobody contributed them to this phase
+    /// (survivors of an earlier one, orphans). A subset of
+    /// [`Self::freed`]; forced and teardown frees are not counted here.
+    pub overflow_frees: AtomicUsize,
     /// Nanoseconds the reclaimer spent inside collect phases, summed.
     /// With `collects`, gives the mean reclaimer latency the paper's §7
     /// "Future Work" worries about.
@@ -72,7 +87,8 @@ pub struct StatsSnapshot {
     pub threads_scanned: usize,
     pub words_scanned: usize,
     pub mark_hits: usize,
-    pub distributed_frees: usize,
+    pub mailbox_frees: usize,
+    pub overflow_frees: usize,
     pub collect_ns_total: usize,
     pub collect_ns_max: usize,
     pub sort_ns_total: usize,
@@ -93,7 +109,8 @@ impl CollectorStats {
             threads_scanned: self.threads_scanned.load(Ordering::Relaxed),
             words_scanned: self.words_scanned.load(Ordering::Relaxed),
             mark_hits: self.mark_hits.load(Ordering::Relaxed),
-            distributed_frees: self.distributed_frees.load(Ordering::Relaxed),
+            mailbox_frees: self.mailbox_frees.load(Ordering::Relaxed),
+            overflow_frees: self.overflow_frees.load(Ordering::Relaxed),
             collect_ns_total: self.collect_ns_total.load(Ordering::Relaxed),
             collect_ns_max: self.collect_ns_max.load(Ordering::Relaxed),
             sort_ns_total: self.sort_ns_total.load(Ordering::Relaxed),
@@ -129,9 +146,9 @@ impl CollectorStats {
 
 impl StatsSnapshot {
     /// Nodes still tracked: retired but not yet freed. This *includes*
-    /// nodes sitting in the distributed-free queue (proven reclaimable
-    /// but whose destructor has not run) — `freed` only counts completed
-    /// destructors, so `retired - freed` counts the queue as
+    /// nodes parked in a thread's mailbox (proven reclaimable but whose
+    /// destructor has not run) — `freed` only counts completed
+    /// destructors, so `retired - freed` counts the mailboxes as
     /// outstanding, exactly like
     /// [`Collector::pending_estimate`](crate::Collector::pending_estimate)
     /// does.

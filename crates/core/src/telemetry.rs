@@ -50,10 +50,11 @@ pub enum PhaseKind {
     ScanEnd = 7,
     /// Every expected acknowledgment arrived. `arg` = acks counted.
     AllAcked = 8,
-    /// Sweep started: unmarked nodes are about to be freed (or queued
-    /// for distributed frees). `arg` = candidate node count.
+    /// Sweep started: unmarked nodes are about to be handed back to the
+    /// threads' mailboxes (or, on a forced collect, freed). `arg` =
+    /// candidate node count.
     FreeBegin = 9,
-    /// Sweep finished. `arg` = nodes actually freed by the reclaimer.
+    /// Sweep finished. `arg` = nodes the reclaimer freed itself.
     FreeEnd = 10,
     /// Reclaimer left `collect`. `arg` = survivor count.
     CollectEnd = 11,
@@ -148,8 +149,14 @@ pub struct CollectSummary {
     pub ns: u64,
     /// Retired entries aggregated into the master buffer.
     pub entries: usize,
-    /// Nodes freed by the reclaimer (excludes distributed-free handoffs).
+    /// Nodes freed by the reclaimer itself (excludes mailbox hand-offs).
     pub freed: usize,
+    /// Nodes freed by their owners out of their mailboxes since the
+    /// previous summary (`StatsSnapshot::mailbox_frees` delta).
+    pub mailbox_frees: usize,
+    /// The part of `freed` that no mailbox would take
+    /// (`StatsSnapshot::overflow_frees` delta); zero on a forced collect.
+    pub overflow_frees: usize,
     /// Marked nodes carried over to the next phase.
     pub survivors: usize,
     /// Threads that completed a scan this phase (including the reclaimer).
@@ -157,8 +164,8 @@ pub struct CollectSummary {
     /// True when the adaptive policy (not a full buffer) initiated this
     /// collect.
     pub adaptive: bool,
-    /// Retired-but-unfreed backlog after this collect (the adaptive
-    /// policy's cheap `retired − freed` proxy).
+    /// Retired-but-unfreed nodes after this collect
+    /// (`StatsSnapshot::outstanding`; includes nodes parked in mailboxes).
     pub pending: usize,
     /// Whether the adaptive controller's hysteresis latch is armed
     /// (able to fire) after this collect. Always `true` under

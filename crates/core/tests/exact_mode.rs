@@ -66,7 +66,8 @@ fn exact_mode_pins_tagged_base_pointers_only() {
     );
     let handle = collector.register();
     unsafe { handle.retire(a) };
-    unsafe { handle.retire(b) }; // triggers the phase
+    unsafe { handle.retire(b) };
+    handle.flush(); // frees what the phases found unreferenced
     assert_eq!(
         drops.load(Ordering::SeqCst),
         1,
@@ -134,7 +135,8 @@ fn exact_mode_pins_nodes_retired_at_tagged_addresses() {
     );
     let handle = collector.register();
     unsafe { handle.retire_raw(odd_addr, 64, counting_drop) };
-    unsafe { handle.retire_raw(0x7000_2000, 64, counting_drop) }; // filler, triggers the phase
+    unsafe { handle.retire_raw(0x7000_2000, 64, counting_drop) }; // filler
+    handle.flush(); // frees what the phases found unreferenced
     assert_eq!(
         FREED.load(Ordering::SeqCst),
         1,

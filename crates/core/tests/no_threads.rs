@@ -25,7 +25,8 @@ fn collecting_large_phases_spawns_no_threads() {
     let before = task_count();
     let collector = Collector::with_config(
         NullPlatform,
-        CollectorConfig::default().with_buffer_capacity(PHASE),
+        // A phase starts when the fresh half of the buffer fills.
+        CollectorConfig::default().with_buffer_capacity(2 * PHASE),
     );
     let handle = collector.register();
     for i in 0..PHASE * PHASES {
@@ -34,10 +35,17 @@ fn collecting_large_phases_spawns_no_threads() {
         // SAFETY: `noop_drop` never touches the address.
         unsafe { handle.retire_raw(addr, 64, noop_drop) };
     }
+    let snap = collector.stats();
+    assert_eq!(
+        snap.collects,
+        PHASES - 1,
+        "each full fresh half is one phase"
+    );
+    assert_eq!(snap.freed, PHASE * (PHASES - 1), "the last batch is fresh");
+    handle.flush();
     let during = task_count();
     let snap = collector.stats();
-    assert_eq!(snap.collects, PHASES, "each full buffer is one phase");
-    assert_eq!(snap.freed, PHASE * PHASES);
+    assert_eq!((snap.collects, snap.freed), (PHASES, PHASE * PHASES));
     drop(handle);
     drop(collector);
 

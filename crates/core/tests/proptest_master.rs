@@ -176,6 +176,41 @@ fn boundary_words_miss_in_both_modes() {
 }
 
 #[test]
+fn out_of_range_words_are_rejected_without_losing_hits() {
+    // The `[addrs[0], ends[last])` prefilter in `probe_word`: runs of
+    // below-range words, runs of above-range words, and the two kinds
+    // alternating (the mix the binary search predicted worst), with real
+    // hits in between — every verdict must equal the linear oracle's.
+    let nodes = build_nodes(&[(4, 64), (9, 176), (1, 24), (30, 64)]);
+    let (lo, hi) = (nodes[0].0, nodes[3].0 + nodes[3].1);
+    let below = [0usize, 8, lo - 8, lo - 1];
+    let above = [hi, hi + 1, hi + 8, usize::MAX - 7, usize::MAX];
+    let inside = [lo, lo | 0b111, nodes[1].0 + 80, nodes[3].0, hi - 1];
+    let mut words = Vec::new();
+    words.extend_from_slice(&below);
+    words.extend_from_slice(&above);
+    for i in 0..5 {
+        words.extend_from_slice(&[below[i % 4], above[i], inside[i]]);
+    }
+    for mode in MODES {
+        check_against_oracle(&nodes, &words, mode).unwrap();
+        let verdicts = probe_each(&nodes, &words, mode);
+        assert!(verdicts[..9].iter().all(|&hit| !hit), "{mode:?}");
+        for (i, triple) in verdicts[9..].chunks(3).enumerate() {
+            assert!(!triple[0] && !triple[1], "{mode:?}: miss pair {i}");
+        }
+        // The first and last entries' base words hit in either mode.
+        assert!(verdicts[9 + 2] && verdicts[9 + 3 * 3 + 2], "{mode:?}");
+    }
+    // Exact mode compares the masked word: a tagged base just above
+    // `addrs[0]` hits, a word whose masked key falls below it does not.
+    assert_eq!(
+        probe_each(&nodes, &[lo | 0b101, lo - 3], MatchMode::Exact),
+        [true, false]
+    );
+}
+
+#[test]
 fn empty_buffer_matches_nothing_in_both_modes() {
     for mode in MODES {
         let words = [0usize, 8, 0x1000, usize::MAX];

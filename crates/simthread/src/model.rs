@@ -9,9 +9,9 @@
 //!   is still reachable (Assumption 1.1: removed nodes cannot be newly
 //!   reached);
 //! * **Release** — a private reference is dropped;
-//! * **Retire** — the node is unlinked and handed to the collector;
-//! * **Collect** — a forced reclamation phase;
-//! * **Drain** — a bounded distributed-free drain (§7 extension).
+//! * **Retire** — the node is unlinked and handed to the collector (and
+//!   the retiring thread frees one node parked in its mailbox, if any);
+//! * **Collect** — a forced reclamation phase.
 //!
 //! The schedule is produced by a pluggable [`Chooser`]
 //! ([`mod@crate::explore`]): [`run_model`] drives a seeded
@@ -26,9 +26,8 @@
 //!   thread still publishes a reference to it. Checked *inside the node's
 //!   destructor* against an exact root census.
 //! * **Eventual reclamation (Lemma 4)** — once all references are released
-//!   and all nodes retired, a bounded number of phases frees everything.
-//!   The final drain is iteration-bounded: a liveness bug that strands
-//!   queue entries produces a diagnostic panic, never a hung test suite.
+//!   and all nodes retired, a bounded number of phases frees everything,
+//!   including what is parked in mailboxes.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -53,9 +52,6 @@ pub struct ModelConfig {
     pub steps: usize,
     /// RNG seed (same seed ⇒ same schedule ⇒ same outcome).
     pub seed: u64,
-    /// Enable the §7 distributed-free extension: freed nodes queue for
-    /// other handles to deallocate, and the schedule gains a Drain op.
-    pub distributed_frees: bool,
     /// Cells per simulated thread's registered heap block (§4.3
     /// extension); 0 disables heap blocks. When enabled, half of all
     /// Acquire ops publish into the heap block instead of the shadow
@@ -71,7 +67,6 @@ impl Default for ModelConfig {
             buffer_capacity: 8,
             steps: 2000,
             seed: 0,
-            distributed_frees: false,
             heap_block_cells: 0,
         }
     }
@@ -171,9 +166,7 @@ impl ModelMachine {
         let platform = SimPlatform::direct(config.shadow_slots);
         let collector = Collector::with_config(
             platform.clone(),
-            CollectorConfig::default()
-                .with_buffer_capacity(config.buffer_capacity)
-                .with_distributed_frees(config.distributed_frees),
+            CollectorConfig::default().with_buffer_capacity(config.buffer_capacity),
         );
         let census = Arc::new(Census {
             root_counts: Mutex::new(HashMap::new()),
@@ -343,22 +336,9 @@ impl ModelMachine {
         self.note_outstanding();
     }
 
-    /// **Drain**: frees up to `batch` nodes from the distributed-free
-    /// queue (§7); returns how many were freed.
-    pub fn drain(&mut self, batch: usize) -> usize {
-        let n = self.collector.drain_free_queue(batch);
-        self.note_outstanding();
-        n
-    }
-
     /// End of schedule: releases every root, retires everything still
     /// reachable, and collects until quiescent, then checks Lemma 4
     /// (every allocated node freed).
-    ///
-    /// The distributed-free drain is **iteration-bounded**: if the queue
-    /// still yields nodes after `allocated + 2` full drains, something is
-    /// re-queueing or duplicating entries and the model panics with a
-    /// diagnostic report instead of spinning forever.
     pub fn finish(mut self) -> ModelReport {
         for t in 0..self.handles.len() {
             while self.release(t, 0) {}
@@ -369,33 +349,11 @@ impl ModelMachine {
             }
         }
         // Lemma 4: with no roots left, one phase suffices; we allow two
-        // for the survivors carried out of the last in-schedule phase —
-        // plus a full queue drain when the distributed-free extension is
-        // on.
+        // for the survivors carried out of the last in-schedule phase.
+        // Forced phases also free whatever is parked in the mailboxes.
         self.collect();
         self.collect();
         let allocated = self.nodes.len();
-        // Each bounded drain empties the whole queue (or bails under
-        // contention, returning 0 and ending the loop), so a correct run
-        // takes one or two iterations; `allocated + 2` passes can move
-        // strictly more nodes than were ever allocated, which only a
-        // re-queueing/duplication liveness bug survives.
-        let drain_limit = allocated + 2;
-        let mut drains = 0usize;
-        while self.drain(usize::MAX) > 0 {
-            drains += 1;
-            if drains > drain_limit {
-                let freed = self.census.freed.load(Ordering::SeqCst);
-                panic!(
-                    "LIVENESS VIOLATION: distributed-free queue still yielding after \
-                     {drains} full drains (limit {drain_limit}): {freed}/{allocated} nodes \
-                     freed, {} retired, collector pending_estimate {}",
-                    self.retired,
-                    self.collector.pending_estimate(),
-                );
-            }
-        }
-
         let freed = self.census.freed.load(Ordering::SeqCst);
         assert_eq!(
             freed,
@@ -419,8 +377,8 @@ impl ModelMachine {
 /// Runs one schedule drawn from `chooser`; panics on any violation.
 ///
 /// This is the randomized driver's op mix (Alloc 30%, Acquire 25%,
-/// Release 20%, Retire 20%, Collect/Drain 5%), with every choice point —
-/// op kind, thread, node, slot, drain batch — routed through `chooser`,
+/// Release 20%, Retire 20%, Collect 5%), with every choice point —
+/// op kind, thread, node, slot — routed through `chooser`,
 /// so the same schedule logic runs random, replayed, or enumerated.
 pub fn run_model_with(config: &ModelConfig, chooser: &mut dyn Chooser) -> ModelReport {
     let mut machine = ModelMachine::new(config);
@@ -463,23 +421,8 @@ pub fn run_model_with(config: &ModelConfig, chooser: &mut dyn Chooser) -> ModelR
                 let node = reachable[chooser.choose("retire-node", reachable.len())];
                 machine.retire(t, node);
             }
-            // Forced collect / distributed drain (5%)
-            _ => {
-                if config.distributed_frees && chooser.choose("collect-kind", 2) == 1 {
-                    // The §7 extension's second half: a non-reclaimer hand
-                    // frees a batch from the shared queue. Batch sizes
-                    // sweep 1..=2*capacity plus a full drain, so the
-                    // `distributed_free_batch` boundary cases (batch equal
-                    // to and larger than the queue length) are exercised —
-                    // the old `1..16` range could never drain a batch ≥ 16.
-                    let spread = 2 * config.buffer_capacity.max(8);
-                    let pick = chooser.choose("drain-batch", spread + 1);
-                    let batch = if pick == spread { usize::MAX } else { pick + 1 };
-                    machine.drain(batch);
-                } else {
-                    machine.collect();
-                }
-            }
+            // Forced collect (5%)
+            _ => machine.collect(),
         }
     }
     machine.finish()
@@ -541,19 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn distributed_frees_model_run_is_clean() {
-        let report = run_model(&ModelConfig {
-            distributed_frees: true,
-            buffer_capacity: 4,
-            steps: 3000,
-            seed: 11,
-            ..Default::default()
-        });
-        assert_eq!(report.allocated, report.freed);
-        assert!(report.collects > 0);
-    }
-
-    #[test]
     fn heap_block_roots_pin_like_stack_roots() {
         let report = run_model(&ModelConfig {
             heap_block_cells: 6,
@@ -568,7 +498,6 @@ mod tests {
     #[test]
     fn all_extensions_together() {
         let report = run_model(&ModelConfig {
-            distributed_frees: true,
             heap_block_cells: 4,
             buffer_capacity: 3,
             steps: 4000,
@@ -579,68 +508,39 @@ mod tests {
     }
 
     #[test]
-    fn drain_batch_equal_to_queue_length_empties_the_queue() {
-        // Regression (distributed-free batch boundary): the randomized
-        // schedule's old `1..16` drain range could never exercise a batch
-        // that equals or exceeds the queue length. Pin both boundaries
-        // directly on the machine.
-        const CAP: usize = 4;
+    fn retiring_thread_frees_its_parked_nodes_one_per_retire() {
+        // The two-stage buffer on the machine: the retire that finds the
+        // fresh half full runs a phase that parks its nodes in the
+        // retiring thread's mailbox; that retire and each later one by
+        // the same thread frees one, and a forced collect frees whatever
+        // is still parked.
+        const CAP: usize = 8;
         let cfg = ModelConfig {
             sim_threads: 2,
             buffer_capacity: CAP,
-            distributed_frees: true,
             ..Default::default()
         };
         let mut machine = ModelMachine::new(&cfg);
-        // The CAP-th retire fills the delete buffer and becomes the
-        // reclaimer: the phase proves all CAP nodes reclaimable and
-        // (distribute_frees) queues them instead of freeing. Stopping
-        // exactly there matters — a further retire's pre-drain would
-        // empty the queue again.
-        for _ in 0..CAP {
+        for _ in 0..CAP / 2 {
             let id = machine.alloc();
             machine.retire(0, id);
         }
-        assert_eq!(machine.outstanding(), CAP, "queued, not freed");
-
-        // batch == queue length: frees exactly the queue.
-        assert_eq!(machine.drain(CAP), CAP);
-        assert_eq!(machine.outstanding(), 0);
-        assert_eq!(machine.drain(CAP), 0, "queue now empty");
-
-        // Refill the queue the same way, then drain with batch > queue
-        // length: frees what is there, no more, and does not spin.
-        for _ in 0..CAP {
+        assert_eq!(machine.outstanding(), CAP / 2, "fresh half full");
+        for _ in 0..3 {
             let id = machine.alloc();
-            machine.retire(1, id);
+            machine.retire(0, id);
+            // One parked node freed for the one fresh node buffered.
+            assert_eq!(machine.outstanding(), CAP / 2);
         }
-        assert_eq!(machine.drain(CAP + 100), CAP);
+        // Another thread's retire frees nothing of thread 0's.
+        let id = machine.alloc();
+        machine.retire(1, id);
+        assert_eq!(machine.outstanding(), CAP / 2 + 1);
+        machine.collect();
+        assert_eq!(machine.outstanding(), 0, "forced collect frees the rest");
         let report = machine.finish();
         assert_eq!(report.allocated, report.freed);
-        assert_eq!(report.allocated, 2 * CAP);
-    }
-
-    #[test]
-    fn random_schedules_reach_large_drain_batches() {
-        // The widened drain-batch choice must actually produce batches at
-        // and beyond the old `1..16` ceiling. Count what a seeded driver
-        // draws through the same choice logic the schedule uses.
-        let cfg = ModelConfig {
-            buffer_capacity: 16,
-            ..Default::default()
-        };
-        let mut chooser = RandomChooser::seeded(3);
-        let spread = 2 * cfg.buffer_capacity.max(8);
-        let mut saw_large = false;
-        let mut saw_full = false;
-        for _ in 0..512 {
-            let pick = chooser.choose("drain-batch", spread + 1);
-            let batch = if pick == spread { usize::MAX } else { pick + 1 };
-            saw_large |= batch >= 16 && batch != usize::MAX;
-            saw_full |= batch == usize::MAX;
-        }
-        assert!(saw_large, "widened range must cover batches >= 16");
-        assert!(saw_full, "widened range must cover full drains");
+        assert_eq!(report.allocated, CAP / 2 + 4);
     }
 
     #[test]
@@ -691,7 +591,7 @@ mod tests {
             prop_assert_eq!(report.allocated, report.freed);
         }
 
-        /// The §4.3 and §7 extensions preserve both lemmas across random
+        /// The §4.3 extension preserves both lemmas across random
         /// schedules and shapes.
         #[test]
         fn extended_schedules_uphold_lemma1_and_lemma4(
@@ -700,7 +600,6 @@ mod tests {
             shadow_slots in 1usize..8,
             buffer_capacity in 2usize..16,
             heap_block_cells in 0usize..8,
-            distributed_frees in any::<bool>(),
         ) {
             let report = run_model(&ModelConfig {
                 sim_threads,
@@ -708,7 +607,6 @@ mod tests {
                 buffer_capacity,
                 steps: 600,
                 seed,
-                distributed_frees,
                 heap_block_cells,
             });
             prop_assert_eq!(report.allocated, report.freed);

@@ -16,11 +16,11 @@
 //! Per-record round CAS guarantees exactly one scan + ack per record per
 //! round even when a poll races the force-scan.
 
-use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use threadscan::{Platform, ScanOutcome, ScanSession, SelfScanContext, ThreadRoots};
 
 use crate::shadow::ShadowStack;
@@ -76,12 +76,24 @@ impl SimRecord {
     }
 }
 
+/// What a poll needs to take part in a round.
+#[derive(Clone, Copy)]
+struct ActiveRound {
+    /// Address of the reclaimer's `ScanSession` (kept as an integer so
+    /// the lock stays `Sync`).
+    session: usize,
+    round: usize,
+}
+
 struct Inner {
     mode: SimMode,
     shadow_slots: usize,
     records: Mutex<Vec<Arc<SimRecord>>>,
-    /// Session of the in-flight handshake round (null otherwise).
-    active: AtomicPtr<()>,
+    /// The in-flight handshake round, if any. Polls hold the read lock
+    /// while they scan; the reclaimer takes the write lock to open and to
+    /// close a round, so a poll never pairs one round's session with
+    /// another round's number, nor outlives the session it scans.
+    active: RwLock<Option<ActiveRound>>,
     round: AtomicUsize,
     rounds_completed: AtomicUsize,
     force_scans: AtomicUsize,
@@ -110,7 +122,7 @@ impl SimPlatform {
                 mode,
                 shadow_slots,
                 records: Mutex::new(Vec::new()),
-                active: AtomicPtr::new(std::ptr::null_mut()),
+                active: RwLock::new(None),
                 round: AtomicUsize::new(0),
                 rounds_completed: AtomicUsize::new(0),
                 force_scans: AtomicUsize::new(0),
@@ -146,14 +158,15 @@ impl SimPlatform {
     /// Call it from simulated application code at its "safe points" — the
     /// analogue of the OS delivering a signal at an arbitrary instruction.
     pub fn poll(&self, record: &SimRecord) -> bool {
-        let p = self.inner.active.load(Ordering::Acquire);
-        if p.is_null() {
+        let active = self.inner.active.read();
+        let Some(ActiveRound { session, round }) = *active else {
             return false;
-        }
-        // SAFETY: the reclaimer keeps the session alive until every record
-        // acked; `try_scan`'s ack is the last access.
-        let session: &ScanSession<'_> = unsafe { &*(p as *const ScanSession<'_>) };
-        record.try_scan(session, self.inner.round.load(Ordering::Acquire))
+        };
+        // SAFETY: `active` (the read guard) lives until this function
+        // returns, and the reclaimer cannot close the round (after which
+        // its session dies) without the write lock.
+        let session: &ScanSession<'_> = unsafe { &*(session as *const ScanSession<'_>) };
+        record.try_scan(session, round)
     }
 }
 
@@ -225,10 +238,10 @@ unsafe impl Platform for SimPlatform {
                 }
             }
             SimMode::Handshake { grace } => {
-                self.inner.active.store(
-                    session as *const ScanSession<'_> as *mut (),
-                    Ordering::Release,
-                );
+                *self.inner.active.write() = Some(ActiveRound {
+                    session: session as *const ScanSession<'_> as usize,
+                    round,
+                });
                 // The reclaimer scans its own records up front — it is busy
                 // waiting below and could never reach a poll point (this is
                 // the analogue of the reclaimer executing TS-Scan itself,
@@ -250,9 +263,7 @@ unsafe impl Platform for SimPlatform {
                         std::thread::yield_now();
                     }
                 }
-                self.inner
-                    .active
-                    .store(std::ptr::null_mut(), Ordering::Release);
+                *self.inner.active.write() = None;
             }
         }
 
@@ -305,6 +316,7 @@ mod tests {
         for _ in 0..3 {
             unsafe { handle.retire(node(&drops)) };
         }
+        handle.flush(); // frees what the phases found unreferenced
         assert_eq!(drops.load(Ordering::SeqCst), 3, "pinned node survives");
 
         shadow.retract(slot);
@@ -349,7 +361,8 @@ mod tests {
 
             let handle = collector.register();
             unsafe { handle.retire(node(&drops)) };
-            unsafe { handle.retire(node(&drops)) }; // fills buffer → round
+            unsafe { handle.retire(node(&drops)) }; // each fills the fresh half → round
+            handle.flush(); // one more round; frees what they found unreferenced
             assert_eq!(drops.load(Ordering::SeqCst), 2);
 
             done.store(true, Ordering::SeqCst);
@@ -396,7 +409,8 @@ mod tests {
 
             let handle = collector.register();
             unsafe { handle.retire(pinned) };
-            unsafe { handle.retire(node(&drops)) }; // triggers the round
+            unsafe { handle.retire(node(&drops)) }; // each triggers a round
+            handle.flush(); // one more round; frees what they found unreferenced
             assert_eq!(
                 drops.load(Ordering::SeqCst),
                 1,

@@ -67,14 +67,13 @@ fn multinomial(lens: &[usize]) -> usize {
     result
 }
 
-fn small_model(sim_threads: usize, distributed_frees: bool) -> ModelConfig {
+fn small_model(sim_threads: usize) -> ModelConfig {
     ModelConfig {
         sim_threads,
         shadow_slots: 4,
         buffer_capacity: 4,
         steps: 0, // unused: programs drive the machine directly
         seed: 0,
-        distributed_frees,
         heap_block_cells: 0,
     }
 }
@@ -83,7 +82,7 @@ fn small_model(sim_threads: usize, distributed_frees: bool) -> ModelConfig {
 /// while a reclaimer retires them and forces phases. In every
 /// interleaving the census must show zero roots at each free.
 fn acquire_release_vs_retire(ch: &mut dyn Chooser) {
-    let mut m = ModelMachine::new(&small_model(2, false));
+    let mut m = ModelMachine::new(&small_model(2));
     let n0 = m.alloc();
     let n1 = m.alloc();
     const LENS: &[usize] = &[4, 4];
@@ -120,7 +119,7 @@ fn lemma1_acquire_release_vs_retire_2threads() {
 /// on: severing the scan edge frees a rooted node in the very first
 /// DFS schedule.
 fn scan_free_handshake(ch: &mut dyn Chooser) {
-    let mut m = ModelMachine::new(&small_model(3, false));
+    let mut m = ModelMachine::new(&small_model(3));
     let n0 = m.alloc();
     let n1 = m.alloc();
     let n2 = m.alloc();
@@ -175,19 +174,26 @@ fn mutation_scan_free_is_caught() {
     );
 }
 
-/// Lemma 4 under the §7 distributed-free extension: a queued node must
-/// be freed no matter where the drain lands relative to acquire/release,
-/// and the bounded final drain must terminate in every interleaving.
-fn distributed_drain(ch: &mut dyn Chooser) {
-    let mut m = ModelMachine::new(&small_model(2, true));
+/// Lemma 4 through the mailbox: with `buffer_capacity` 4 the retirer's
+/// second retire fills the fresh half, so its third runs a phase;
+/// whatever that phase finds unmarked is parked in the retirer's mailbox
+/// and one of them freed right there — its destructor checks the census
+/// — while the reader's acquire/release of the first node lands anywhere
+/// around it.
+/// A node the phase marked instead survives and must still be freed by
+/// the end, as must anything left parked.
+fn mailbox_handoff(ch: &mut dyn Chooser) {
+    let mut m = ModelMachine::new(&small_model(2));
     let n0 = m.alloc();
+    let n1 = m.alloc();
+    let n2 = m.alloc();
     const LENS: &[usize] = &[2, 3];
     interleave(ch, LENS, |t, pc| match (t, pc) {
         (0, 0) => drop(m.acquire(0, n0, 1, false)),
         (0, 1) => drop(m.release(0, 0)),
         (1, 0) => drop(m.retire(1, n0)),
-        (1, 1) => m.collect(),
-        (1, 2) => drop(m.drain(usize::MAX)),
+        (1, 1) => drop(m.retire(1, n1)), // fills the fresh half
+        (1, 2) => drop(m.retire(1, n2)), // a phase; frees one parked node
         _ => unreachable!(),
     });
     let report = m.finish();
@@ -195,11 +201,11 @@ fn distributed_drain(ch: &mut dyn Chooser) {
 }
 
 #[test]
-fn lemma4_distributed_drain_2threads() {
-    let report = check("lemma4_distributed_drain_2threads", distributed_drain);
+fn lemma4_mailbox_handoff_2threads() {
+    let report = check("lemma4_mailbox_handoff_2threads", mailbox_handoff);
     assert_eq!(report.schedules, multinomial(&[2, 3])); // C(5,2) = 10
     println!(
-        "lemma4_distributed_drain_2threads: {} schedules (max depth {}) — exhaustive",
+        "lemma4_mailbox_handoff_2threads: {} schedules (max depth {}) — exhaustive",
         report.schedules, report.max_depth
     );
 }

@@ -118,9 +118,16 @@ mod tests {
             let p = Box::into_raw(Box::new(Probe(Arc::clone(&drops))));
             unsafe { retire_box(&handle, p) };
         }
-        assert_eq!(drops.load(Ordering::SeqCst), 4, "buffer fill collected");
+        assert_eq!(scheme.stats().collects, 1, "the full fresh half collected");
+        assert_eq!(
+            drops.load(Ordering::SeqCst),
+            2,
+            "one parked node per retire"
+        );
+        assert_eq!(scheme.outstanding(), 2);
+        scheme.quiesce();
+        assert_eq!(drops.load(Ordering::SeqCst), 4);
         assert_eq!(scheme.outstanding(), 0);
-        assert_eq!(scheme.stats().collects, 1);
         assert_eq!(scheme.name(), "threadscan");
     }
 

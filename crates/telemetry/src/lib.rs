@@ -60,16 +60,21 @@ use threadscan::{CollectSummary, Hist, PhaseEvent, TelemetrySink};
 static COLLECTS: Counter = Counter::new();
 /// Phases initiated by the adaptive policy rather than a full buffer.
 static ADAPTIVE_COLLECTS: Counter = Counter::new();
-/// Nodes freed by reclaimers (distributed-free handoffs excluded).
+/// Nodes freed by reclaimers themselves (mailbox hand-offs excluded).
 static FREED: Counter = Counter::new();
+/// Nodes freed by their owners out of their mailboxes
+/// (`StatsSnapshot::mailbox_frees`, reported one collect late).
+static MAILBOX_FREES: Counter = Counter::new();
+/// Nodes reclaimers freed because no mailbox would take them
+/// (`StatsSnapshot::overflow_frees`).
+static OVERFLOW_FREES: Counter = Counter::new();
 /// Retired entries aggregated into master buffers.
 static ENTRIES: Counter = Counter::new();
 /// Threads that completed scans, summed over phases.
 static THREADS_SCANNED: Counter = Counter::new();
 /// Survivors carried out of the most recent phase.
 static SURVIVORS_LAST: Gauge = Gauge::new();
-/// Retired-but-unfreed backlog after the most recent phase (the adaptive
-/// policy's `retired − freed` proxy).
+/// Retired-but-unfreed nodes after the most recent phase.
 static PENDING_LAST: Gauge = Gauge::new();
 /// Whether the adaptive controller's hysteresis latch was armed after
 /// the most recent phase (1) or parked below the re-arm line (0).
@@ -99,9 +104,21 @@ pub fn enable() {
     );
     register_counter(
         "threadscan_freed_total",
-        "Nodes freed by reclaimers (distributed-free handoffs excluded).",
+        "Nodes freed by reclaimers themselves (mailbox hand-offs excluded).",
         &[],
         &FREED,
+    );
+    register_counter(
+        "threadscan_mailbox_frees_total",
+        "Nodes freed by their owners, one per retire, out of their mailboxes.",
+        &[],
+        &MAILBOX_FREES,
+    );
+    register_counter(
+        "threadscan_overflow_frees_total",
+        "Nodes reclaimers freed themselves because no mailbox would take them.",
+        &[],
+        &OVERFLOW_FREES,
     );
     register_counter(
         "threadscan_collect_entries_total",
@@ -166,6 +183,8 @@ fn summary_impl(s: &CollectSummary) {
         ADAPTIVE_COLLECTS.inc();
     }
     FREED.add(s.freed as u64);
+    MAILBOX_FREES.add(s.mailbox_frees as u64);
+    OVERFLOW_FREES.add(s.overflow_frees as u64);
     ENTRIES.add(s.entries as u64);
     THREADS_SCANNED.add(s.threads_scanned as u64);
     SURVIVORS_LAST.set(s.survivors as u64);
@@ -210,6 +229,8 @@ mod tests {
         let _lock = test_lock();
         let collects_before = COLLECTS.get();
         let freed_before = FREED.get();
+        let mailbox_before = MAILBOX_FREES.get();
+        let overflow_before = OVERFLOW_FREES.get();
         let collector = Collector::with_config(
             NullPlatform,
             CollectorConfig::default()
@@ -217,13 +238,19 @@ mod tests {
                 .with_telemetry(sink()),
         );
         let handle = collector.register();
-        for _ in 0..16 {
+        for _ in 0..18 {
             let p = Box::into_raw(Box::new([0u8; 64]));
             unsafe { handle.retire(p) };
         }
+        // Four phases (retires 5, 9, 13 and 17 found the fresh half
+        // full), then a forced one over the 2 fresh and 2 still-parked
+        // nodes.
+        handle.flush();
         drop(handle);
-        assert_eq!(COLLECTS.get() - collects_before, 2, "two full buffers");
-        assert_eq!(FREED.get() - freed_before, 16);
+        assert_eq!(COLLECTS.get() - collects_before, 5);
+        assert_eq!(MAILBOX_FREES.get() - mailbox_before, 14, "one per retire");
+        assert_eq!(FREED.get() - freed_before, 4, "the forced phase's share");
+        assert_eq!(OVERFLOW_FREES.get() - overflow_before, 0);
         let page = render_prometheus();
         assert!(page.contains("# TYPE threadscan_collects_total counter"));
         assert!(page.contains("threadscan_collect_duration_ns_count"));

@@ -217,8 +217,6 @@ pub struct WorkloadParams {
     /// ThreadScan per-thread delete-buffer capacity (1024 stock; 4096 for
     /// the tuned Figure 4 hash-table line).
     pub ts_buffer_capacity: usize,
-    /// Enable the §7 distributed-free extension for ThreadScan runs.
-    pub ts_distribute_frees: bool,
     /// Use the paper's §4.2 masked exact matching instead of range
     /// matching for ThreadScan runs. Only sound for structures whose
     /// traversals hold node-base pointers exclusively (the Harris list:
@@ -317,7 +315,6 @@ impl WorkloadParams {
             duration: Duration::from_secs(2),
             threads,
             ts_buffer_capacity: 1024,
-            ts_distribute_frees: false,
             ts_exact_match: false,
             node_pool: false,
             ts_adaptive_collect: false,
@@ -439,7 +436,6 @@ impl WorkloadParams {
         cell.update_pct = self.update_pct;
         cell.key_dist = self.key_dist;
         cell.ts_buffer_capacity = self.ts_buffer_capacity;
-        cell.ts_distribute_frees = self.ts_distribute_frees;
         cell.ts_exact_match = self.ts_exact_match;
         cell.node_pool = self.node_pool;
         cell.ts_adaptive_collect = self.ts_adaptive_collect;

@@ -79,7 +79,6 @@ impl SchemeKind {
                     SignalPlatform::new().expect("signal platform unavailable on this system");
                 let mut config = threadscan::CollectorConfig::default()
                     .with_buffer_capacity(params.ts_buffer_capacity)
-                    .with_distributed_frees(params.ts_distribute_frees)
                     .with_match_mode(if params.ts_exact_match {
                         threadscan::MatchMode::Exact
                     } else {

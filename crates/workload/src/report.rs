@@ -76,6 +76,17 @@ impl Report {
                 out.push('\n');
             }
         }
+        // Never silent: frees the reclaimer had to do itself are the
+        // paced-free path degrading, so a run that had any says so.
+        for r in &self.results {
+            if let Some(ts) = r.threadscan.as_ref().filter(|ts| ts.overflow_frees > 0) {
+                out.push_str(&format!(
+                    "note: {}/{} threads: reclaimers freed {} of {} nodes themselves \
+                     (no mailbox would take them); owners freed {}\n",
+                    r.structure, r.threads, ts.overflow_frees, ts.freed, ts.mailbox_frees
+                ));
+            }
+        }
         out
     }
 
@@ -132,6 +143,27 @@ mod tests {
         assert!(s.contains("leaky"));
         assert!(s.contains("threadscan"));
         assert!(s.contains("1.900"));
+    }
+
+    #[test]
+    fn overflow_frees_are_reported_only_when_nonzero() {
+        let mut rep = Report::new("fig3");
+        rep.push(result("list", "threadscan", 2, 1.8));
+        assert!(!rep.render_series().contains("note:"));
+        let mut degraded = result("hash", "threadscan", 4, 2.5);
+        degraded.threadscan = Some(crate::ThreadScanExtras {
+            freed: 1000,
+            mailbox_frees: 900,
+            overflow_frees: 70,
+            ..Default::default()
+        });
+        rep.push(degraded);
+        let s = rep.render_series();
+        assert!(
+            s.contains("note: hash/4 threads: reclaimers freed 70 of 1000 nodes themselves"),
+            "{s}"
+        );
+        assert!(s.contains("owners freed 900"), "{s}");
     }
 
     #[test]

@@ -37,6 +37,12 @@ pub struct ThreadScanExtras {
     pub words_scanned: usize,
     /// Nodes freed.
     pub freed: usize,
+    /// Of those, nodes freed by the thread that retired into the phase,
+    /// one per later retire, out of its mailbox.
+    pub mailbox_frees: usize,
+    /// Of those, nodes a reclaimer freed itself because no mailbox would
+    /// take them (an idle or slow owner; survivors freed a phase late).
+    pub overflow_frees: usize,
     /// Marked survivors (summed over phases).
     pub survivors: usize,
     /// Signals sent by reclaimers.
@@ -234,6 +240,8 @@ impl ThreadScanExtras {
             .num("adaptive_collects", self.adaptive_collects as f64)
             .num("words_scanned", self.words_scanned as f64)
             .num("freed", self.freed as f64)
+            .num("mailbox_frees", self.mailbox_frees as f64)
+            .num("overflow_frees", self.overflow_frees as f64)
             .num("survivors", self.survivors as f64)
             .num("threads_scanned", self.threads_scanned as f64)
             .num("mean_collect_us", self.mean_collect_us)
@@ -418,6 +426,8 @@ pub(crate) fn threadscan_extras(scheme: &dyn DynSmr) -> Option<ThreadScanExtras>
         adaptive_collects: st.adaptive_collects,
         words_scanned: st.words_scanned,
         freed: st.freed,
+        mailbox_frees: st.mailbox_frees,
+        overflow_frees: st.overflow_frees,
         survivors: st.survivors,
         threads_scanned: st.threads_scanned,
         mean_collect_us: st.mean_collect_us(),

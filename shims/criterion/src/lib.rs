@@ -2,9 +2,10 @@
 //!
 //! Implements the API subset the `ts-bench` suite uses — groups with
 //! `sample_size` / `measurement_time` / `warm_up_time` / `throughput`,
-//! `bench_function`, `bench_with_input`, `Bencher::iter`, `BenchmarkId`,
-//! `black_box`, and the `criterion_group!` / `criterion_main!` macros —
-//! as a simple wall-clock harness printing median ns/iter.
+//! `bench_function`, `bench_with_input`, `Bencher::iter` / `iter_custom`,
+//! `BenchmarkId`, `black_box`, and the `criterion_group!` /
+//! `criterion_main!` macros — as a simple wall-clock harness printing
+//! median ns/iter.
 //!
 //! **Deliberate deviations from real criterion:** no statistical analysis,
 //! outlier detection, plots, or baselines; measurement windows are capped
@@ -192,30 +193,36 @@ pub struct Bencher {
 impl Bencher {
     /// Times `f`, called repeatedly in growing batches.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
+        self.iter_custom(|iters| {
+            let t = Instant::now();
+            for _ in 0..iters {
+                black_box(f());
+            }
+            t.elapsed()
+        });
+    }
+
+    /// Like [`Self::iter`], with the caller holding the stopwatch:
+    /// `routine(iters)` runs `iters` iterations and returns how long they
+    /// took, so per-iteration setup can stay outside the measurement (as
+    /// in real criterion).
+    pub fn iter_custom<R: FnMut(u64) -> Duration>(&mut self, mut routine: R) {
         // Warm-up: let caches/branch predictors settle and estimate cost.
         let warm_start = Instant::now();
         let mut per_iter = Duration::from_nanos(100);
         while warm_start.elapsed() < self.warm {
-            let t = Instant::now();
-            black_box(f());
-            per_iter = t.elapsed().max(Duration::from_nanos(1));
+            per_iter = routine(1).max(Duration::from_nanos(1));
         }
         // Batch so each sample spans >= ~50 µs of work.
         let batch = (Duration::from_micros(50).as_nanos() / per_iter.as_nanos().max(1))
             .clamp(1, 1 << 20) as u64;
         let start = Instant::now();
         while start.elapsed() < self.measure {
-            let t = Instant::now();
-            for _ in 0..batch {
-                black_box(f());
-            }
             self.samples
-                .push(t.elapsed().as_nanos() as f64 / batch as f64);
+                .push(routine(batch).as_nanos() as f64 / batch as f64);
         }
         if self.samples.is_empty() {
-            let t = Instant::now();
-            black_box(f());
-            self.samples.push(t.elapsed().as_nanos() as f64);
+            self.samples.push(routine(1).as_nanos() as f64);
         }
     }
 }

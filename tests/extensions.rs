@@ -1,5 +1,6 @@
-//! Integration tests for the paper's two extensions under real signals:
-//! §4.3 heap blocks and §7 distributed frees.
+//! Integration tests under real signals for the paper's §4.3 heap-block
+//! extension and for sharing the frees among the retiring threads (the
+//! problem §7 leaves to future work).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -142,12 +143,10 @@ fn interior_heap_block_reference_pins_in_range_mode() {
 }
 
 #[test]
-fn distributed_frees_share_reclamation_work_across_threads() {
+fn mailbox_frees_share_reclamation_work_across_threads() {
     let collector = Collector::with_config(
         SignalPlatform::new().unwrap(),
-        CollectorConfig::default()
-            .with_buffer_capacity(64)
-            .with_distributed_frees(true),
+        CollectorConfig::default().with_buffer_capacity(64),
     );
     let drops = Arc::new(AtomicUsize::new(0));
     const PER_THREAD: usize = 1000;
@@ -179,8 +178,11 @@ fn distributed_frees_share_reclamation_work_across_threads() {
         "drop count and freed counter must agree"
     );
     assert!(
-        st.distributed_frees > 0,
-        "some frees must have been performed by retiring threads, not the reclaimer"
+        st.mailbox_frees > 4 * PER_THREAD / 2,
+        "most frees must have been performed by the retiring threads out of \
+         their mailboxes, not by a reclaimer (got {} of {})",
+        st.mailbox_frees,
+        st.freed
     );
     // Everything must be reclaimed by now (workers' stacks are gone).
     assert_eq!(st.freed, 4 * PER_THREAD, "no node may be stranded");
