@@ -1,0 +1,411 @@
+//! The three experiments that are not (structure × scheme × threads)
+//! sweeps, each with its own loop: directory growth watched at every
+//! doubling, outstanding garbage sampled over time, and single-threaded
+//! fast-path timings.
+
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use threadscan::buffer::LocalBuffer;
+use threadscan::retired::{noop_drop, Retired};
+use ts_sigscan::SignalPlatform;
+use ts_smr::{retire_box, EpochScheme, HazardPointers, Smr, SmrHandle, ThreadScanSmr};
+use ts_structures::{ConcurrentSet, HarrisList, SplitOrderedSet};
+use ts_workload::json::ObjectBuilder;
+
+use crate::cli::{machine_info, CliArgs};
+
+const START_BUCKETS: usize = 256; // 2^8
+const OLD_CAP: usize = 1 << 20;
+
+/// Directory-growth ablation: drive the split-ordered table from 2^8
+/// buckets to past the old 2^20 directory cap, and show that growth is
+/// incremental — no stop-the-world resize.
+///
+/// Worker threads insert distinct keys (with a slice of remove+reinsert
+/// traffic so the collector actually has retirements to process) while
+/// the main thread watches the bucket count. At every doubling it emits
+/// a checkpoint: buckets, resident keys, elapsed time, the collector's
+/// collect-latency percentiles so far, and the worst *single-op* latency
+/// any worker has seen — the number a stop-the-world resize would blow
+/// up and an incremental segment-tree grow keeps flat.
+///
+/// Flags: `--threads 4`, `--target-buckets 2097152`, `--load-factor 1`,
+/// `--timeout 120` (seconds), `--json out.jsonl`; `--quick` shrinks the
+/// target to 2^12 buckets.
+pub fn growth(args: &CliArgs) {
+    let quick = args.get_flag("quick");
+    let threads = args.get_usize("threads", 4);
+    let target_buckets = args.get_usize("target-buckets", if quick { 1 << 12 } else { 1 << 21 });
+    let load_factor = args.get_usize("load-factor", 1);
+    let timeout_s = args.get_usize("timeout", 120) as u64;
+
+    println!(
+        "# Directory growth: 2^8 -> {target_buckets} buckets ({})",
+        machine_info()
+    );
+    println!("# threads={threads} load_factor={load_factor} old_cap=2^20={OLD_CAP}");
+
+    let platform = SignalPlatform::new().expect("signal platform unavailable");
+    // Small delete buffers force collect phases during the sweep, so the
+    // latency histogram has data at every checkpoint.
+    let config = threadscan::CollectorConfig::default().with_buffer_capacity(256);
+    let scheme = Arc::new(ThreadScanSmr::with_config(platform, config));
+    let set: SplitOrderedSet<ThreadScanSmr<SignalPlatform>> =
+        SplitOrderedSet::with_buckets(START_BUCKETS).with_load_factor(load_factor);
+    let set = Arc::new(set);
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let inserted = Arc::new(AtomicUsize::new(0));
+    // Worst single-op wall time (ns) any worker observed, sampled on
+    // every op: a stop-the-world resize would spike this by orders of
+    // magnitude at each doubling.
+    let max_op_ns = Arc::new(AtomicU64::new(0));
+
+    let t0 = Instant::now();
+    let mut checkpoints: Vec<String> = Vec::new();
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            let scheme = Arc::clone(&scheme);
+            let set = Arc::clone(&set);
+            let stop = Arc::clone(&stop);
+            let inserted = Arc::clone(&inserted);
+            let max_op_ns = Arc::clone(&max_op_ns);
+            s.spawn(move || {
+                let handle = scheme.register();
+                let mut local_max = 0u64;
+                // Distinct keys per thread: k = i * threads + t.
+                let mut i = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    let key = i * threads as u64 + t as u64;
+                    let op_start = Instant::now();
+                    if set.insert(&handle, key) {
+                        inserted.fetch_add(1, Ordering::Relaxed);
+                    }
+                    // Every 8th key: churn an older key so nodes retire
+                    // and the collector has real work during growth.
+                    if i % 8 == 7 && i >= 8 {
+                        let victim = (i - 8) * threads as u64 + t as u64;
+                        if set.remove(&handle, victim) {
+                            set.insert(&handle, victim);
+                        }
+                    }
+                    let ns = op_start.elapsed().as_nanos() as u64;
+                    if ns > local_max {
+                        local_max = ns;
+                        max_op_ns.fetch_max(ns, Ordering::Relaxed);
+                    }
+                    i += 1;
+                }
+            });
+        }
+
+        // Watcher: checkpoint at every doubling until the target.
+        let mut next_mark = START_BUCKETS * 2;
+        loop {
+            std::thread::sleep(Duration::from_millis(2));
+            let buckets = set.bucket_count();
+            while buckets >= next_mark {
+                checkpoints.push(checkpoint_json(
+                    next_mark,
+                    inserted.load(Ordering::Relaxed),
+                    t0.elapsed().as_secs_f64(),
+                    max_op_ns.load(Ordering::Relaxed),
+                    &scheme.stats(),
+                ));
+                let line = checkpoints.last().unwrap();
+                println!("{line}");
+                next_mark *= 2;
+            }
+            if buckets >= target_buckets {
+                break;
+            }
+            assert!(
+                t0.elapsed().as_secs() < timeout_s,
+                "growth stalled: {buckets}/{target_buckets} buckets after {timeout_s}s"
+            );
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+
+    let buckets = set.bucket_count();
+    let resident = inserted.load(Ordering::Relaxed);
+    println!(
+        "# final: {buckets} buckets, {resident} resident keys, {:.2}s",
+        t0.elapsed().as_secs_f64()
+    );
+    if buckets > OLD_CAP {
+        println!("# crossed the old 2^20 directory cap");
+    }
+    assert!(buckets >= target_buckets);
+
+    if let Some(path) = args.get("json") {
+        std::fs::write(path, checkpoints.join("\n") + "\n").expect("write json");
+        println!("# json written to {path}");
+    }
+}
+
+/// One checkpoint as a JSON line: directory size, residency, elapsed,
+/// sampled worst op latency, and the collector's latency percentiles.
+fn checkpoint_json(
+    buckets: usize,
+    resident: usize,
+    elapsed_s: f64,
+    max_op_ns: u64,
+    st: &threadscan::StatsSnapshot,
+) -> String {
+    ObjectBuilder::new()
+        .num("buckets", buckets as f64)
+        .num("resident_keys", resident as f64)
+        .num("elapsed_s", elapsed_s)
+        .num("max_op_us", max_op_ns as f64 / 1e3)
+        .bool("past_old_cap", buckets > OLD_CAP)
+        .num("collects", st.collects as f64)
+        .num("collect_us_p50", st.collect_us_percentile(0.50))
+        .num("collect_us_p95", st.collect_us_percentile(0.95))
+        .num("collect_us_p99", st.collect_us_percentile(0.99))
+        .build()
+}
+
+/// One scheme's row of [`garbage`]: churn a list and sample `outstanding`.
+fn sample_run<S: Smr + 'static>(
+    label: &str,
+    scheme: Arc<S>,
+    threads: usize,
+    duration: Duration,
+    samples: usize,
+) {
+    let list = Arc::new(HarrisList::<S>::new());
+    {
+        let h = scheme.register();
+        for k in 0..512u64 {
+            list.insert(&h, k * 2);
+        }
+    }
+    let stop = Arc::new(AtomicBool::new(false));
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            let scheme = Arc::clone(&scheme);
+            let list = Arc::clone(&list);
+            let stop = Arc::clone(&stop);
+            s.spawn(move || {
+                let h = scheme.register();
+                let mut k = t as u64;
+                while !stop.load(Ordering::Relaxed) {
+                    let key = k % 1024;
+                    if list.remove(&h, key) {
+                        list.insert(&h, key);
+                    }
+                    k = k.wrapping_mul(6364136223846793005).wrapping_add(1);
+                }
+            });
+        }
+        let t0 = Instant::now();
+        let step = duration / samples as u32;
+        print!("{label:>12}:");
+        for _ in 0..samples {
+            std::thread::sleep(step);
+            print!(" {:>8}", scheme.outstanding());
+        }
+        println!("   ({:.2?} elapsed)", t0.elapsed());
+        stop.store(true, Ordering::Relaxed);
+    });
+}
+
+/// Ablation D: outstanding-garbage growth over time.
+///
+/// The paper's Slow Epoch discussion (§6): "a thread that wants to free
+/// its pointers cannot do so until the errant thread updates its epoch
+/// counter" — garbage grows without bound while throughput suffers.
+/// ThreadScan's signals cannot be stalled by application code, so its
+/// outstanding garbage stays bounded by the buffer sizing. This binary
+/// samples retired-but-unfreed counts over the run for
+/// {epoch, slow-epoch, threadscan}.
+///
+/// Flags: `--duration 3.0`, `--samples 8`, `--threads 4`, `--quick`.
+pub fn garbage(args: &CliArgs) {
+    let quick = args.get_flag("quick");
+    let duration = Duration::from_secs_f64(args.get_f64("duration", if quick { 0.5 } else { 3.0 }));
+    let samples = args.get_usize("samples", 8);
+    let threads = args.get_usize("threads", 4);
+
+    println!(
+        "# Ablation D: outstanding garbage over time ({})",
+        machine_info()
+    );
+    println!("# list workload, {threads} threads, {samples} samples over {duration:?}");
+    println!("# columns = retired-but-unfreed node counts at each sample instant");
+
+    sample_run(
+        "epoch",
+        Arc::new(EpochScheme::with_threshold(256)),
+        threads,
+        duration,
+        samples,
+    );
+    sample_run(
+        "slow-epoch",
+        Arc::new(EpochScheme::slow(256, Duration::from_millis(40), 2048)),
+        threads,
+        duration,
+        samples,
+    );
+    sample_run(
+        "threadscan",
+        Arc::new(ThreadScanSmr::with_config(
+            SignalPlatform::new().expect("signals"),
+            threadscan::CollectorConfig::default().with_buffer_capacity(256),
+        )),
+        threads,
+        duration,
+        samples,
+    );
+    println!(
+        "# expected shape: threadscan stays an order of magnitude below the \
+         epoch schemes (its buffers bound garbage directly); slow-epoch \
+         spikes while its errant thread stalls inside an operation"
+    );
+}
+
+/// Runs `iters` iterations of `op` `trials` times; returns the fastest
+/// trial in ns/op (min filters scheduler noise better than mean for
+/// single-threaded fixed-work loops).
+fn time_ns_per_op(trials: usize, iters: usize, mut op: impl FnMut(usize)) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..trials {
+        let t0 = Instant::now();
+        for i in 0..iters {
+            op(i);
+        }
+        let ns = t0.elapsed().as_nanos() as f64 / iters as f64;
+        best = best.min(ns);
+    }
+    best
+}
+
+/// Ablation: memory-ordering relaxations on the reclamation fast paths.
+///
+/// Times exactly the sites the ordering-relaxation pass touches — the
+/// epoch `begin_op`/`end_op` bracket, the epoch retire stamp path, the
+/// `LocalBuffer` push + occupancy probe, and the hazard-pointer
+/// protect/release cycle — so each relaxation lands with a measured
+/// before/after delta (run this binary at the parent commit and at the
+/// relaxation commit; the README ordering-policy table records the
+/// numbers). Single-threaded on purpose: these are uncontended fast-path
+/// costs, where an x86 `SeqCst` store (`xchg`/`mfence`) versus a plain
+/// store is the entire story.
+///
+/// Flags: `--iters 2000000`, `--trials 7`, `--quick`; `--json <path>`
+/// writes machine-readable results.
+pub fn ordering(args: &CliArgs) {
+    let quick = args.get_flag("quick");
+    let iters = args.get_usize("iters", if quick { 200_000 } else { 2_000_000 });
+    let trials = args.get_usize("trials", if quick { 3 } else { 7 });
+
+    println!(
+        "# Ablation: fast-path memory orderings ({})",
+        machine_info()
+    );
+    println!("# iters={iters} trials={trials} (fastest trial, ns/op)");
+
+    let mut results: Vec<(&str, f64)> = Vec::new();
+
+    // Epoch fast path: the begin_op announce (global load + state store)
+    // and the end_op clear — the "two writes per method" the paper charges
+    // the epoch scheme.
+    {
+        let scheme = EpochScheme::new();
+        let handle = scheme.register();
+        let ns = time_ns_per_op(trials, iters, |_| {
+            handle.begin_op();
+            handle.end_op();
+        });
+        results.push(("epoch_begin_end_pair", ns));
+    }
+
+    // Epoch retire path: stamp load + bag push (+ opportunistic expiry
+    // probe). Threshold high enough that no advance runs inside the
+    // timed region; nodes are pre-allocated so allocation cost stays out.
+    {
+        let scheme = EpochScheme::with_threshold(usize::MAX);
+        let retire_iters = iters.min(400_000); // bag grows linearly
+        let mut best = f64::INFINITY;
+        for _ in 0..trials {
+            let handle = scheme.register();
+            let nodes: Vec<*mut u64> = (0..retire_iters)
+                .map(|i| Box::into_raw(Box::new(i as u64)))
+                .collect();
+            let t0 = Instant::now();
+            for &p in &nodes {
+                // SAFETY: fresh Box, never shared, retired exactly once.
+                unsafe { retire_box(&handle, p) };
+            }
+            let ns = t0.elapsed().as_nanos() as f64 / retire_iters as f64;
+            best = best.min(ns);
+            drop(handle); // bequeaths the bag to the orphan list...
+            scheme.quiesce(); // ...which quiesce then frees
+        }
+        results.push(("epoch_retire", best));
+    }
+
+    // LocalBuffer fast path: the SPSC push plus the occupancy probe the
+    // retire path uses to decide whether to trigger a phase.
+    {
+        let buf = LocalBuffer::new(4096);
+        let mut out = Vec::new();
+        let ns = time_ns_per_op(trials, iters, |i| {
+            // SAFETY: single-threaded — sole producer and consumer.
+            unsafe {
+                if buf
+                    .push(Retired::from_raw_parts(
+                        0x1000 + (i % 4096) * 8,
+                        8,
+                        noop_drop,
+                    ))
+                    .is_err()
+                {
+                    buf.drain_into(&mut out);
+                    out.clear();
+                }
+            }
+            std::hint::black_box(buf.len());
+        });
+        results.push(("buffer_push_len", ns));
+    }
+
+    // Hazard fast path: publish + SeqCst fence + validate, then the
+    // end_op slot clear — the per-reference cost the paper charges hazard
+    // pointers.
+    {
+        let scheme = HazardPointers::new();
+        let handle = scheme.register();
+        let target = Box::into_raw(Box::new(0u64)).cast::<u8>();
+        let shared = AtomicPtr::new(target);
+        let ns = time_ns_per_op(trials, iters, |_| {
+            std::hint::black_box(handle.load_protected(0, &shared));
+            handle.end_op();
+        });
+        // SAFETY: never retired, no other reference.
+        unsafe { drop(Box::from_raw(target.cast::<u64>())) };
+        results.push(("hazard_protect_release", ns));
+    }
+
+    println!("{:>24} {:>12}", "site", "ns/op");
+    for (name, ns) in &results {
+        println!("{name:>24} {ns:>12.2}");
+    }
+
+    if let Some(path) = args.get("json") {
+        let entries: Vec<String> = results
+            .iter()
+            .map(|(name, ns)| format!("  {{\"bench\": \"{name}\", \"ns_per_op\": {ns:.3}}}"))
+            .collect();
+        let json = format!(
+            "{{\"ablation\": \"ordering\", \"iters\": {iters}, \"trials\": {trials}, \"results\": [\n{}\n]}}\n",
+            entries.join(",\n")
+        );
+        std::fs::write(path, json).expect("write json");
+        println!("# json written to {path}");
+    }
+}

@@ -1,6 +1,6 @@
-//! Tiny `--key value` argument parsing shared by the figure binaries
-//! (keeps the workspace free of CLI dependencies), plus the epilogue
-//! and list-parsing helpers every binary used to copy-paste.
+//! Tiny `--key value` argument parsing for the experiments (keeps the
+//! workspace free of CLI dependencies), plus the report epilogues and the
+//! default thread ladders.
 
 use std::collections::HashMap;
 
@@ -38,24 +38,24 @@ impl CliArgs {
         self.map.get(key).map(String::as_str)
     }
 
+    /// Numeric value with a default.
+    fn get_num<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
+        match self.get(key) {
+            Some(v) => v
+                .parse()
+                .unwrap_or_else(|_| panic!("--{key} expects a number, got {v:?}")),
+            None => default,
+        }
+    }
+
     /// `usize` value with a default.
     pub fn get_usize(&self, key: &str, default: usize) -> usize {
-        self.get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key} expects a number, got {v:?}"))
-            })
-            .unwrap_or(default)
+        self.get_num(key, default)
     }
 
     /// `f64` value with a default.
     pub fn get_f64(&self, key: &str, default: f64) -> f64 {
-        self.get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{key} expects a number, got {v:?}"))
-            })
-            .unwrap_or(default)
+        self.get_num(key, default)
     }
 
     /// Boolean flag.
@@ -63,81 +63,54 @@ impl CliArgs {
         matches!(self.get(key), Some("true") | Some("1") | Some("yes"))
     }
 
+    /// Comma-separated list with a default; `parse` rejects an item by
+    /// returning `None`, which panics naming the flag and `what` it takes.
+    fn get_list<T: Clone>(
+        &self,
+        key: &str,
+        default: &[T],
+        what: &str,
+        parse: impl Fn(&str) -> Option<T>,
+    ) -> Vec<T> {
+        let Some(list) = self.get(key) else {
+            return default.to_vec();
+        };
+        let items = list.split(',').map(|item| {
+            parse(item.trim()).unwrap_or_else(|| panic!("--{key} expects {what}, got {item:?}"))
+        });
+        items.collect()
+    }
+
     /// Comma-separated usize list with a default.
     pub fn get_usize_list(&self, key: &str, default: &[usize]) -> Vec<usize> {
-        match self.get(key) {
-            Some(v) => v
-                .split(',')
-                .map(|s| {
-                    s.trim()
-                        .parse()
-                        .unwrap_or_else(|_| panic!("--{key} expects numbers, got {s:?}"))
-                })
-                .collect(),
-            None => default.to_vec(),
-        }
+        self.get_list(key, default, "numbers", |s| s.parse().ok())
     }
 
     /// Comma-separated f64 list with a default (QPS ladders).
     pub fn get_f64_list(&self, key: &str, default: &[f64]) -> Vec<f64> {
-        match self.get(key) {
-            Some(v) => v
-                .split(',')
-                .map(|s| {
-                    s.trim()
-                        .parse()
-                        .unwrap_or_else(|_| panic!("--{key} expects numbers, got {s:?}"))
-                })
-                .collect(),
-            None => default.to_vec(),
-        }
+        self.get_list(key, default, "numbers", |s| s.parse().ok())
     }
 
-    /// Comma-separated scheme labels (see
-    /// [`SchemeKind::label`]) with a default, e.g.
-    /// `--schemes leaky,threadscan`.
+    /// Comma-separated scheme labels (see [`SchemeKind::label`]) with a
+    /// default, e.g. `--schemes leaky,threadscan`.
     pub fn get_schemes(&self, key: &str, default: &[SchemeKind]) -> Vec<SchemeKind> {
-        match self.get(key) {
-            Some(list) => list
-                .split(',')
-                .map(|s| {
-                    SchemeKind::parse(s.trim())
-                        .unwrap_or_else(|| panic!("--{key}: unknown scheme {s:?}"))
-                })
-                .collect(),
-            None => default.to_vec(),
-        }
+        self.get_list(key, default, "scheme labels", SchemeKind::parse)
     }
 
-    /// Comma-separated structure labels (see
-    /// [`StructureKind::label`]) with a default, e.g.
-    /// `--structures list,hash,skiplist`.
+    /// Comma-separated structure labels (see [`StructureKind::label`])
+    /// with a default, e.g. `--structures list,hash,skiplist`.
     pub fn get_structures(&self, key: &str, default: &[StructureKind]) -> Vec<StructureKind> {
-        match self.get(key) {
-            Some(list) => list
-                .split(',')
-                .map(|s| {
-                    StructureKind::parse(s.trim())
-                        .unwrap_or_else(|| panic!("--{key}: unknown structure {s:?}"))
-                })
-                .collect(),
-            None => default.to_vec(),
-        }
+        self.get_list(key, default, "structure labels", StructureKind::parse)
     }
 
-    /// The `--json <path>` epilogue every figure binary shares: writes
-    /// the report's JSON lines if the flag was given. Also notes the
-    /// chrome-trace destination when `--trace-out` is in effect, so a
-    /// report consumer knows a timeline exists for this run.
+    /// The `--json <path>` epilogue: writes the report's JSON lines if
+    /// the flag was given.
     pub fn write_json_report(&self, report: &Report) {
         if let Some(path) = self.get("json") {
             report
                 .write_json(std::path::Path::new(path))
                 .expect("write json");
             println!("# json written to {path}");
-            if let Some(trace) = self.trace_out() {
-                println!("# chrome trace for this run: {trace}");
-            }
         }
     }
 
@@ -153,10 +126,10 @@ impl CliArgs {
         self.get("trace-out")
     }
 
-    /// The `--trace-out` epilogue shared by the figure binaries: renders
-    /// everything the event rings captured as one chrome://tracing /
-    /// Perfetto document and writes it where `--trace-out` pointed.
-    /// No-op without the flag. Call once, after the measured runs.
+    /// The `--trace-out` epilogue: renders everything the event rings
+    /// captured as one chrome://tracing / Perfetto document and writes it
+    /// where `--trace-out` pointed. No-op without the flag. Call once,
+    /// after the measured runs.
     pub fn write_trace(&self) {
         let Some(path) = self.trace_out() else {
             return;
@@ -167,23 +140,18 @@ impl CliArgs {
     }
 }
 
+/// Hardware threads of this machine.
+pub fn hw_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Default thread ladder for throughput sweeps: powers of two through
 /// `2 × hardware threads` (the paper sweeps 1→80 on a 40-core × 2 SMT
 /// box; we scale to whatever this machine has).
 pub fn thread_ladder() -> Vec<usize> {
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut ladder = vec![1usize];
-    let mut t = 2;
-    while t <= hw * 2 {
-        ladder.push(t);
-        t *= 2;
-    }
-    if ladder.last() != Some(&(hw * 2)) {
-        ladder.push(hw * 2);
-    }
-    ladder.dedup();
+    let top = hw_threads() * 2;
+    let mut ladder: Vec<usize> = (0..).map(|i| 1 << i).take_while(|&t| t < top).collect();
+    ladder.push(top);
     ladder
 }
 
@@ -192,29 +160,17 @@ pub fn thread_ladder() -> Vec<usize> {
 /// heavy-traffic goal wants the deep-oversubscription regime too, where
 /// descheduled reclaimers dominate latency tails.
 pub fn oversub_ladder() -> Vec<usize> {
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let steps = [1.0f64, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0];
-    let mut out: Vec<usize> = steps
-        .iter()
-        .map(|s| ((hw as f64) * s).round().max(2.0) as usize)
-        .collect();
+    let scaled = steps.map(|s| ((hw_threads() as f64) * s).round().max(2.0) as usize);
+    let mut out = scaled.to_vec();
     out.dedup();
     out
 }
 
 /// Machine description for result metadata.
 pub fn machine_info() -> String {
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    format!(
-        "{} hardware threads, {} {}",
-        hw,
-        std::env::consts::ARCH,
-        std::env::consts::OS
-    )
+    let (arch, os) = (std::env::consts::ARCH, std::env::consts::OS);
+    format!("{} hardware threads, {arch} {os}", hw_threads())
 }
 
 #[cfg(test)]

@@ -1,0 +1,536 @@
+//! The experiment table: every figure and ablation `ts-bench` can run.
+//!
+//! A sweep experiment is a function from the command line to a [`Sweep`]
+//! plan — its cells and its extra columns — which the shared
+//! [`sweep`](crate::sweep::sweep) loop runs; the three experiments that
+//! are not (structure × scheme × threads) sweeps bring their own loop
+//! ([`crate::bespoke`]).
+
+use std::time::Duration;
+
+use ts_workload::SchemeKind::{Epoch, Hazard, Leaky, ThreadScan};
+use ts_workload::StructureKind::{Hash, List, Pq, Skip, SplitOrdered};
+use ts_workload::{
+    BacklogPolicy, KeyDist, LatencySummary, LoadModel, Report, RunResult, SchemeKind,
+    StructureKind, StructureMix,
+};
+
+use crate::bespoke;
+use crate::cli::{hw_threads, oversub_ladder, thread_ladder, CliArgs};
+use crate::sweep::{col, ts, Cell, Common, Sweep, COLLECT_TAIL};
+
+/// How an experiment runs.
+pub enum Run {
+    /// Plans cells for the shared sweep loop.
+    Sweep(fn(&CliArgs) -> Sweep),
+    /// Runs its own loop.
+    Bespoke(fn(&CliArgs)),
+}
+
+/// One row of the table.
+pub struct Experiment {
+    /// `ts-bench <name>`.
+    pub name: &'static str,
+    /// One line for `ts-bench list`.
+    pub about: &'static str,
+    /// The experiment.
+    pub run: Run,
+}
+
+/// Every experiment of the `ts-bench` binary. (`ablation_allocator` is a
+/// binary of its own — a global allocator is per process — and runs the
+/// [`allocator`] plan through the same loop.)
+pub const TABLE: &[Experiment] = &[
+    Experiment {
+        name: "fig3",
+        about: "Figure 3: throughput vs threads, list/hash/skiplist x the five schemes",
+        run: Run::Sweep(fig3),
+    },
+    Experiment {
+        name: "fig4",
+        about: "Figure 4: oversubscription (1x-8x hw threads), leaky/epoch/threadscan + tuned hash line",
+        run: Run::Sweep(fig4),
+    },
+    Experiment {
+        name: "service_tail",
+        about: "open-loop per-op latency (p50/p99/p999) vs offered QPS, zipfian keys",
+        run: Run::Sweep(service_tail),
+    },
+    Experiment {
+        name: "hetero",
+        about: "weighted mixes of structures sharing one collector (--mixes \"a:w,b:w;...\")",
+        run: Run::Sweep(hetero),
+    },
+    Experiment {
+        name: "buffer_size",
+        about: "ThreadScan delete-buffer capacity sweep on the hash table (§6 tuning note)",
+        run: Run::Sweep(buffer_size),
+    },
+    Experiment {
+        name: "update_ratio",
+        about: "update-percentage sweep, list and hash, leaky/epoch/threadscan",
+        run: Run::Sweep(update_ratio),
+    },
+    Experiment {
+        name: "zipf",
+        about: "key-skew sweep (uniform to zipf 0.99) with ThreadScan survivor counts",
+        run: Run::Sweep(zipf),
+    },
+    Experiment {
+        name: "match_mode",
+        about: "range vs the paper's masked-exact word matching, on the Harris list",
+        run: Run::Sweep(match_mode),
+    },
+    Experiment {
+        name: "stacktrack",
+        about: "the §6 StackTrack comparator beside the five schemes, on the skip list",
+        run: Run::Sweep(stacktrack),
+    },
+    Experiment {
+        name: "pq",
+        about: "priority queue at 50/50 insert/delete-min: half of all ops retire a node",
+        run: Run::Sweep(pq),
+    },
+    Experiment {
+        name: "nodepool",
+        about: "per-structure node pools x fixed/adaptive collect policy under ThreadScan",
+        run: Run::Sweep(nodepool),
+    },
+    Experiment {
+        name: "telemetry",
+        about: "what the telemetry sink costs: the same ThreadScan cell with it off and on",
+        run: Run::Sweep(telemetry),
+    },
+    Experiment {
+        name: "growth",
+        about: "split-ordered directory growth 2^8 -> past the old 2^20 cap, op-latency checkpoints",
+        run: Run::Bespoke(bespoke::growth),
+    },
+    Experiment {
+        name: "garbage",
+        about: "outstanding garbage over time: epoch vs slow-epoch vs threadscan",
+        run: Run::Bespoke(bespoke::garbage),
+    },
+    Experiment {
+        name: "ordering",
+        about: "single-thread ns/op of the fast paths the memory-ordering audit touched",
+        run: Run::Bespoke(bespoke::ordering),
+    },
+];
+
+const BASELINES: [SchemeKind; 3] = [Leaky, Epoch, ThreadScan];
+
+/// Twice the hardware threads: the single thread count of the knob
+/// sweeps, where reclamation pressure rather than scaling is the subject.
+fn busy() -> Vec<usize> {
+    vec![hw_threads() * 2]
+}
+
+fn fig3(args: &CliArgs) -> Sweep {
+    let mut s = Sweep::new("fig3", Common::parse(args, 2.0, 3));
+    let ladder = if s.common.quick {
+        vec![1, 2]
+    } else {
+        thread_ladder()
+    };
+    s.grid(
+        &args.get_structures("structures", &StructureKind::ALL),
+        &args.get_usize_list("threads", &ladder),
+        &args.get_schemes("schemes", &SchemeKind::ALL),
+        |p| p,
+    );
+    s.series = true;
+    s
+}
+
+/// "Slow Epoch and Hazard Pointers were not included in the
+/// oversubscription experiment" (§6); the hash table also gets the tuned
+/// line ("ThreadScan was tuned for the hash table"): 4096-entry buffers.
+fn fig4(args: &CliArgs) -> Sweep {
+    let mut s = Sweep::new("fig4", Common::parse(args, 2.0, 2));
+    let ladder = if s.common.quick {
+        vec![2, 4]
+    } else {
+        oversub_ladder()
+    };
+    for kind in StructureKind::ALL {
+        for &t in &args.get_usize_list("threads", &ladder) {
+            s.grid(&[kind], &[t], &SchemeKind::OVERSUB, |p| p);
+            if kind == Hash {
+                let tuned = s.common.cell(kind, t).with_ts_buffer(4096);
+                s.cells
+                    .push(Cell::new(ThreadScan, tuned).labelled("threadscan-4096"));
+            }
+        }
+    }
+    s.columns = vec![COLLECT_TAIL];
+    s.series = true;
+    s
+}
+
+/// Arrivals on a schedule, latency from intended arrival to completion:
+/// a collect phase (or an epoch stall) shows as a p99/p999 excursion, as
+/// a service would see it. Zipfian keys keep hot nodes on some thread's
+/// stack at scan time, exercising survivor carry-over while the tail is
+/// measured. `--burst-ms`/`--duty` duty-cycle the arrivals; `--drop-ms`
+/// sheds arrivals later than that instead of queueing them.
+fn service_tail(args: &CliArgs) -> Sweep {
+    let mut s = Sweep::new("service_tail", Common::parse(args, 3.0, 1));
+    let quick = s.common.quick;
+    s.common.scale = 1; // the table is sized by --keys, not a preset
+    let threads = args.get_usize_list("threads", &[if quick { 2 } else { 8 }]);
+    let keys = args.get_usize("keys", if quick { 262_144 } else { 4_000_000 });
+    let theta = args.get_f64("theta", 0.99);
+    let levels: &[f64] = if quick {
+        &[20_000.0, 60_000.0]
+    } else {
+        &[100_000.0, 300_000.0, 1_000_000.0]
+    };
+    let schemes: &[SchemeKind] = if quick {
+        &[Leaky, ThreadScan]
+    } else {
+        &BASELINES
+    };
+    let schemes = args.get_schemes("schemes", schemes);
+    let backlog = match args.get("drop-ms") {
+        Some(_) => {
+            BacklogPolicy::DropAfter(Duration::from_secs_f64(args.get_f64("drop-ms", 50.0) / 1e3))
+        }
+        None => BacklogPolicy::Queue,
+    };
+    let burst = args.get("burst-ms").map(|_| args.get_f64("burst-ms", 10.0));
+    let duty = args.get_f64("duty", 0.25);
+    for qps in args.get_f64_list("qps", levels) {
+        let model = match burst {
+            Some(ms) => LoadModel::OpenBursty {
+                qps,
+                burst: Duration::from_secs_f64(ms / 1e3),
+                duty,
+            },
+            None => LoadModel::OpenPoisson { qps },
+        };
+        s.grid(&[Hash], &threads, &schemes, |mut p| {
+            (p.key_range, p.initial_size) = (keys as u64, keys / 2);
+            p.with_key_dist(KeyDist::Zipf { theta })
+                .with_load_model(model)
+                .with_backlog(backlog)
+        });
+    }
+    fn us(r: &RunResult, pick: fn(&LatencySummary) -> f64) -> String {
+        let lat = r.latency.as_ref().expect("open-loop runs measure latency");
+        format!("{:.1}", pick(lat) / 1e3)
+    }
+    s.columns = vec![
+        col("qps", |c, _| {
+            format!("{:.0}", c.params.load_model.target_qps().unwrap_or(0.0))
+        }),
+        col("p50_us", |_, r| us(r, |l| l.p50_ns)),
+        col("p99_us", |_, r| us(r, |l| l.p99_ns)),
+        col("p999_us", |_, r| us(r, |l| l.p999_ns)),
+        col("max_us", |_, r| us(r, |l| l.max_ns as f64)),
+        col("drops", |_, r| {
+            r.open_loop.as_ref().map_or(0, |o| o.dropped).to_string()
+        }),
+        col("lag_max_us", |_, r| {
+            let lag = r.open_loop.as_ref().map_or(0, |o| o.sched_lag_max_ns);
+            format!("{:.1}", lag as f64 / 1e3)
+        }),
+    ];
+    s
+}
+
+/// The collector serves whatever structures sit on top: each cell drives
+/// a weighted mix (default hash + skiplist + priority queue) through one
+/// scheme instance; every member is sized by its own Figure 3 preset.
+fn hetero(args: &CliArgs) -> Sweep {
+    let mut s = Sweep::new("hetero", Common::parse(args, 2.0, 1));
+    let ladder = if s.common.quick {
+        vec![2]
+    } else {
+        thread_ladder()
+    };
+    let threads = args.get_usize_list("threads", &ladder);
+    let schemes = args.get_schemes("schemes", &SchemeKind::EXTENDED);
+    for spec in args
+        .get("mixes")
+        .unwrap_or("hash:50,skiplist:30,pq:20")
+        .split(';')
+    {
+        let mix = StructureMix::parse(spec).unwrap_or_else(|e| panic!("--mixes: {e}"));
+        s.grid(&[Hash], &threads, &schemes, |p| {
+            p.with_structures(mix.clone())
+        });
+    }
+    s.columns = vec![col("per-structure Mops/s", |_, r| {
+        let split = r.per_structure.iter();
+        let split = split.map(|s| format!("{} {:.3}", s.structure, s.ops_per_sec / 1e6));
+        split.collect::<Vec<_>>().join(", ")
+    })];
+    s.series = true;
+    s
+}
+
+/// "Increasing the size of the delete buffer … is a useful way of
+/// amortizing the cost of signals and of waiting. However, it also
+/// increases the size of the list of pointers" (§6).
+fn buffer_size(args: &CliArgs) -> Sweep {
+    let mut s = Sweep::new("buffer_size", Common::parse(args, 2.0, 1));
+    let sizes: &[usize] = if s.common.quick {
+        &[64, 256]
+    } else {
+        &[256, 512, 1024, 2048, 4096, 8192, 16384]
+    };
+    let threads = args.get_usize_list("threads", &busy());
+    for size in args.get_usize_list("sizes", sizes) {
+        s.grid(&[Hash], &threads, &[ThreadScan], |p| p.with_ts_buffer(size));
+    }
+    s.columns = vec![
+        col("buffer", |c, _| c.params.ts_buffer_capacity.to_string()),
+        col("collects", |_, r| ts(r).collects.to_string()),
+        col("freed", |_, r| ts(r).freed.to_string()),
+        col("words/collect", |_, r| {
+            format!("{:.0}", ts(r).words_per_collect())
+        }),
+    ];
+    s
+}
+
+/// ThreadScan's reclamation cost "is amortized … against reclaimed
+/// nodes" (§6): more removals mean more scans but more freed per scan.
+fn update_ratio(args: &CliArgs) -> Sweep {
+    let mut s = Sweep::new("update_ratio", Common::parse(args, 1.5, 1));
+    let threads = args.get_usize_list("threads", &busy());
+    for kind in [List, Hash] {
+        for pct in args.get_usize_list("ratios", &[0, 10, 20, 50, 100]) {
+            s.grid(&[kind], &threads, &BASELINES, |p| {
+                p.with_update_pct(pct as u32)
+            });
+        }
+    }
+    s.columns = vec![col("update%", |c, _| c.params.update_pct.to_string())];
+    s
+}
+
+/// Under skew, hot nodes are likely to sit in *some* thread's stack at
+/// scan time, so ThreadScan's conservative mark keeps resurrecting them
+/// as survivors; epoch schemes do not care which node was retired.
+fn zipf(args: &CliArgs) -> Sweep {
+    let mut s = Sweep::new("zipf", Common::parse(args, 1.5, 1));
+    let threads = args.get_usize_list("threads", &busy());
+    for kind in [Hash, List] {
+        let skews = [0.5, 0.9, 0.99].map(|theta| KeyDist::Zipf { theta });
+        for dist in [KeyDist::Uniform].into_iter().chain(skews) {
+            s.grid(&[kind], &threads, &BASELINES, |p| p.with_key_dist(dist));
+        }
+    }
+    s.columns = vec![
+        col("skew", |c, _| c.params.key_dist.label()),
+        col("survivors", |_, r| ts(r).survivors.to_string()),
+    ];
+    s
+}
+
+/// Range matching is this port's deviation from §4.2 (Rust traversals may
+/// hold interior pointers). The Harris list holds node-base pointers only
+/// (`next` is the first field), so the paper's exact kernel is sound
+/// there: the place to measure what the stronger conservatism costs.
+fn match_mode(args: &CliArgs) -> Sweep {
+    let mut s = Sweep::new("match_mode", Common::parse(args, 2.0, 1));
+    for t in args.get_usize_list("threads", &[2, 4]) {
+        for (exact, label) in [(false, "threadscan[range]"), (true, "threadscan[exact]")] {
+            let mut params = s.common.cell(List, t);
+            params.ts_exact_match = exact;
+            s.cells.push(Cell::new(ThreadScan, params).labelled(label));
+        }
+    }
+    s.columns = vec![
+        col("survivors", |_, r| ts(r).survivors.to_string()),
+        col("collect-µs mean", |_, r| {
+            format!("{:.1}", ts(r).mean_collect_us())
+        }),
+    ];
+    s
+}
+
+fn stacktrack(args: &CliArgs) -> Sweep {
+    let mut s = Sweep::new("stacktrack", Common::parse(args, 2.0, 1));
+    let hw = hw_threads();
+    let threads = args.get_usize_list("threads", &[1, hw.max(2), hw * 2]);
+    s.grid(&[Skip], &threads, &SchemeKind::EXTENDED, |p| p);
+    s.series = true;
+    s
+}
+
+/// `delete_min` retires a node on every successful call: roughly 5× the
+/// retire pressure of the 20%-update set workloads.
+fn pq(args: &CliArgs) -> Sweep {
+    let mut s = Sweep::new("pq", Common::parse(args, 1.5, 1));
+    let prefill = args.get_usize("prefill", if s.common.quick { 1_000 } else { 20_000 });
+    let threads = args.get_usize_list("threads", &[1, 2, 4, 8]);
+    let schemes = [Leaky, Hazard, Epoch, ThreadScan];
+    s.grid(&[Pq], &threads, &schemes, |mut p| {
+        p.initial_size = prefill;
+        p.with_update_pct(100)
+    });
+    s
+}
+
+/// Nodes boxed on the global allocator vs a per-structure
+/// `ts_alloc::PoolHandle`, against the paper's full-buffer collect
+/// trigger vs the adaptive one (outstanding-garbage watermark, plus the
+/// pools' bytes-resident gauge when both are on). `--watermark 0` keeps
+/// the collector's auto-sizing.
+fn nodepool(args: &CliArgs) -> Sweep {
+    let mut s = Sweep::new("nodepool", Common::parse(args, 1.5, 1));
+    let watermark = args.get_usize("watermark", 0);
+    for kind in [List, Hash, SplitOrdered] {
+        for t in args.get_usize_list("threads", &[2, 4]) {
+            for (pool, alloc) in [(false, "global"), (true, "pool")] {
+                for (adaptive, policy) in [(false, "fixed"), (true, "adaptive")] {
+                    let params = s
+                        .common
+                        .cell(kind, t)
+                        .with_node_pool(pool)
+                        .with_ts_adaptive_collect(adaptive)
+                        .with_ts_pending_watermark(watermark);
+                    let label = format!("threadscan[{alloc}/{policy}]");
+                    s.cells.push(Cell::new(ThreadScan, params).labelled(label));
+                }
+            }
+        }
+    }
+    s.columns = vec![
+        col("collects", |_, r| ts(r).collects.to_string()),
+        col("adaptive", |_, r| ts(r).adaptive_collects.to_string()),
+        COLLECT_TAIL,
+    ];
+    s.epilogue = |_| {
+        println!("# pool handles (process lifetime):");
+        for p in ts_alloc::pool_stats() {
+            println!(
+                "#   {:24} {:>10} allocs {:>10} frees {:>8} refills {:>10} B resident",
+                p.name, p.allocs, p.frees, p.magazine_refills, p.bytes_resident
+            );
+        }
+    };
+    s
+}
+
+/// The subsystem's contract: off is free (the sink is a plain `Option`
+/// field, zero extra atomics) and on is cheap (one ring cell per scan,
+/// counters flushed every 1024 ops, ~11 events per collect).
+fn telemetry(args: &CliArgs) -> Sweep {
+    let mut s = Sweep::new("telemetry", Common::parse(args, 1.5, 3));
+    for kind in args.get_structures("structure", &[List]) {
+        for t in args.get_usize_list("threads", &[2, 4]) {
+            for on in [false, true] {
+                let label = format!("threadscan[telemetry-{}]", if on { "on" } else { "off" });
+                let params = s.common.cell(kind, t).with_telemetry(on);
+                s.cells.push(Cell::new(ThreadScan, params).labelled(label));
+            }
+        }
+    }
+    s.epilogue = |report: &Report| {
+        for pair in report.results().chunks(2) {
+            let (off, on) = (pair[0].ops_per_sec, pair[1].ops_per_sec);
+            println!(
+                "# {} t={}: telemetry costs {:.2}% (positive = slower)",
+                pair[0].structure,
+                pair[0].threads,
+                (off - on) / off * 100.0
+            );
+        }
+        // What the enabled side actually recorded, for scale.
+        let page = ts_telemetry::render_prometheus();
+        let shown = [
+            "collects_total",
+            "worker_ops_total",
+            "telemetry_dropped_events",
+        ];
+        let shown = shown.map(|m| format!("threadscan_{m}"));
+        for line in page
+            .lines()
+            .filter(|l| shown.iter().any(|m| l.starts_with(m)))
+        {
+            println!("# {line}");
+        }
+    };
+    s
+}
+
+/// §6 setup: "we used the highly scalable TCMalloc allocator". The same
+/// list/hash cells as `fig3`, for the binary whose global allocator is
+/// `ts_alloc::SwitchableAlloc`; rows carry the `alloc` block (with its
+/// per-size-class deltas) when `--real-alloc` flipped it on.
+pub fn allocator(args: &CliArgs) -> Sweep {
+    let mut s = Sweep::new("allocator", Common::parse(args, 1.5, 1));
+    let threads = args.get_usize_list("threads", &[2, 4]);
+    s.grid(&[List, Hash], &threads, &BASELINES, |p| p);
+    s.columns = vec![col("allocs/depot-lock", |_, r| match &r.alloc {
+        Some(a) => format!("{:.1}", a.allocs_per_lock()),
+        None => "-".to_string(),
+    })];
+    s.epilogue = |_| {
+        let a = ts_alloc::stats();
+        println!("# allocator counters (process lifetime; all zero without --real-alloc):");
+        println!(
+            "#   {} small allocs, {} small frees, {} spans ({} MiB), {:.1} allocs per depot lock",
+            a.small_allocs,
+            a.small_frees,
+            a.spans,
+            a.span_bytes >> 20,
+            a.allocs_per_lock()
+        );
+    };
+    s
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn quick() -> CliArgs {
+        CliArgs::from_args(["--quick".to_string()])
+    }
+
+    #[test]
+    fn names_are_unique_and_usable_on_a_command_line() {
+        for (i, e) in TABLE.iter().enumerate() {
+            assert!(
+                !e.name.is_empty()
+                    && e.name
+                        .chars()
+                        .all(|c| c.is_ascii_lowercase() || c == '_' || c.is_ascii_digit()),
+                "{:?}",
+                e.name
+            );
+            assert_ne!(e.name, "list", "reserved for the listing");
+            assert!(!e.about.is_empty() && !e.about.contains('\n'), "{}", e.name);
+            assert!(
+                TABLE[..i].iter().all(|other| other.name != e.name),
+                "duplicate experiment {}",
+                e.name
+            );
+        }
+    }
+
+    /// Every sweep plans at least one runnable cell under `--quick`,
+    /// without running any: CI then runs each of them for real.
+    #[test]
+    fn every_sweep_plans_valid_cells_under_quick() {
+        let plans = TABLE.iter().filter_map(|e| match e.run {
+            Run::Sweep(plan) => Some(plan),
+            Run::Bespoke(_) => None,
+        });
+        for plan in plans.chain([allocator as fn(&CliArgs) -> Sweep]) {
+            let s = plan(&quick());
+            assert!(!s.cells.is_empty(), "{} planned nothing", s.name);
+            assert!(s.common.repeats >= 1 && s.common.quick, "{}", s.name);
+            for cell in &s.cells {
+                cell.params.load_model.validate(); // panics on a bad model
+                assert!(cell.params.threads >= 1, "{}", s.name);
+                assert!(!cell.label.is_empty(), "{}", s.name);
+            }
+        }
+    }
+}

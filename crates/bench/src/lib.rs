@@ -1,13 +1,11 @@
-//! # ts-bench — figure regeneration binaries and micro-benchmarks
+//! # ts-bench — the figures and ablations, and the micro-benchmarks
 //!
-//! Binaries (run with `--release`):
-//!
-//! * `fig3_throughput` — Figure 3: throughput vs threads, 3 structures ×
-//!   5 schemes.
-//! * `fig4_oversub` — Figure 4: oversubscription, 3 structures ×
-//!   {leaky, epoch, threadscan} (+ the tuned 4096-buffer hash line).
-//! * `ablation_buffer_size` — delete-buffer size sweep (§6 tuning note).
-//! * `ablation_update_ratio` — update-percentage sweep.
+//! One binary, `ts-bench <experiment> [flags]` (run with `--release`;
+//! `ts-bench list` prints the table in [`experiments`]): Figure 3
+//! throughput, Figure 4 oversubscription, the open-loop service tail, the
+//! heterogeneous mixes and the ablations. Each is a list of cells for the
+//! one [`sweep`] loop, which is also all the `ablation_allocator` binary
+//! runs (a global allocator is per process, so it cannot be a row).
 //!
 //! Criterion benches cover the micro costs: marking kernels, delete-buffer
 //! ops, signal round-trips, full collect phases, structure op latency.
@@ -15,4 +13,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod bespoke;
 pub mod cli;
+pub mod experiments;
+pub mod sweep;

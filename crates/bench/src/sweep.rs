@@ -1,0 +1,233 @@
+//! The one sweep loop: every figure and ablation is a list of cells plus
+//! a few extra columns, run, tabulated and reported here.
+
+use std::time::Duration;
+
+use threadscan::{Hist, StatsSnapshot};
+use ts_workload::{run_combo, Report, RunResult, SchemeKind, StructureKind, WorkloadParams};
+
+use crate::cli::{machine_info, CliArgs};
+
+/// The flags every sweep takes: `--quick` (a fast sanity shape),
+/// `--duration <s>` and `--repeats <n>` per cell, `--scale <n>` dividing
+/// the paper's structure sizes, `--telemetry` / `--trace-out <file>`.
+pub struct Common {
+    /// `--quick` was given.
+    pub quick: bool,
+    /// Measurement window per run.
+    pub duration: Duration,
+    /// Runs per cell (at least one); the row reports their mean throughput.
+    pub repeats: usize,
+    /// Structure sizes are divided by this.
+    pub scale: usize,
+    /// Install the telemetry sink on every cell's collector.
+    pub telemetry: bool,
+}
+
+impl Common {
+    /// Parses the shared flags; `full_secs` / `full_repeats` are the
+    /// experiment's defaults for a real (non-`--quick`) sweep.
+    pub fn parse(args: &CliArgs, full_secs: f64, full_repeats: usize) -> Self {
+        let quick = args.get_flag("quick");
+        let secs = args.get_f64("duration", if quick { 0.25 } else { full_secs });
+        let repeats = args.get_usize("repeats", if quick { 1 } else { full_repeats });
+        Self {
+            quick,
+            duration: Duration::from_secs_f64(secs),
+            repeats: repeats.max(1),
+            scale: args.get_usize("scale", if quick { 64 } else { 1 }),
+            telemetry: args.telemetry_requested(),
+        }
+    }
+
+    /// The Figure 3 preset for `kind` at this sweep's scale and window.
+    pub fn cell(&self, kind: StructureKind, threads: usize) -> WorkloadParams {
+        WorkloadParams::fig3(kind, threads)
+            .scaled_down(self.scale)
+            .with_duration(self.duration)
+            .with_telemetry(self.telemetry)
+    }
+}
+
+/// One measured point: a scheme, the cell it runs, and the name the row
+/// carries in the table and the JSON `scheme` field.
+pub struct Cell {
+    /// Reclamation scheme.
+    pub scheme: SchemeKind,
+    /// Row label; the scheme's own unless the experiment varies a knob
+    /// within one scheme.
+    pub label: String,
+    /// The workload.
+    pub params: WorkloadParams,
+}
+
+impl Cell {
+    /// A cell labelled with its scheme.
+    pub fn new(scheme: SchemeKind, params: WorkloadParams) -> Self {
+        Self {
+            scheme,
+            label: scheme.label().to_string(),
+            params,
+        }
+    }
+
+    /// Relabels the row (e.g. `threadscan[exact]`).
+    pub fn labelled(mut self, label: impl Into<String>) -> Self {
+        self.label = label.into();
+        self
+    }
+}
+
+/// An experiment-specific table column.
+pub struct Column {
+    /// Header.
+    pub head: &'static str,
+    /// Cell text for one finished row.
+    pub value: fn(&Cell, &RunResult) -> String,
+}
+
+/// A column.
+pub const fn col(head: &'static str, value: fn(&Cell, &RunResult) -> String) -> Column {
+    Column { head, value }
+}
+
+/// The collector's counters for a row (zeros under other schemes).
+pub fn ts(r: &RunResult) -> StatsSnapshot {
+    r.threadscan.unwrap_or_default()
+}
+
+/// Reclaimer collect-latency p50/p95/p99 in µs, from the row's histogram
+/// (merged over the cell's repeats).
+pub const COLLECT_TAIL: Column = col("collect-µs p50/95/99", |_, r| {
+    let st = ts(r);
+    let [a, b, c] = [0.50, 0.95, 0.99].map(|q| st.collect_us_percentile(q));
+    format!("{a:.0}/{b:.0}/{c:.0}")
+});
+
+/// A planned experiment: what to run and what to show.
+pub struct Sweep {
+    /// Report name (`fig3`, `buffer_size`, …).
+    pub name: &'static str,
+    /// The shared flags this plan was built from.
+    pub common: Common,
+    /// Cells, in run order.
+    pub cells: Vec<Cell>,
+    /// Columns after `structure scheme threads Mops/s`.
+    pub columns: Vec<Column>,
+    /// Also print the paper-style series grids (threads × schemes per
+    /// structure); only meaningful when cells differ in nothing else.
+    pub series: bool,
+    /// Printed after the table (cross-row summaries, process counters).
+    pub epilogue: fn(&Report),
+}
+
+impl Sweep {
+    /// An empty plan.
+    pub fn new(name: &'static str, common: Common) -> Self {
+        Self {
+            name,
+            common,
+            cells: Vec::new(),
+            columns: Vec::new(),
+            series: false,
+            epilogue: |_| {},
+        }
+    }
+
+    /// Adds `kinds × threads × schemes` cells (that nesting), each the
+    /// Figure 3 preset passed through `shape`.
+    pub fn grid(
+        &mut self,
+        kinds: &[StructureKind],
+        threads: &[usize],
+        schemes: &[SchemeKind],
+        shape: impl Fn(WorkloadParams) -> WorkloadParams,
+    ) {
+        for &kind in kinds {
+            for &t in threads {
+                for &scheme in schemes {
+                    let params = shape(self.common.cell(kind, t));
+                    self.cells.push(Cell::new(scheme, params));
+                }
+            }
+        }
+    }
+}
+
+/// Runs one cell `repeats` times. The row is the last run's, with the
+/// mean throughput of all runs and — so a noisy final repeat cannot skew
+/// the reported tail — the collect-latency histogram of all of them (the
+/// other counters still describe the last run).
+fn run_cell(cell: &Cell, repeats: usize) -> RunResult {
+    let mut ops_per_sec = 0.0;
+    let mut hist = Hist::new();
+    let mut last = None;
+    for _ in 0..repeats {
+        let r = run_combo(cell.scheme, &cell.params);
+        ops_per_sec += r.ops_per_sec;
+        if let Some(st) = &r.threadscan {
+            hist.add_counts(&st.collect_ns_hist);
+        }
+        last = Some(r);
+    }
+    let mut r = last.expect("at least one repeat ran");
+    r.ops_per_sec = ops_per_sec / repeats as f64;
+    r.total_ops = (r.ops_per_sec * r.duration_s) as u64;
+    if let Some(st) = &mut r.threadscan {
+        st.collect_ns_hist = hist.counts().map(|c| c as usize);
+    }
+    r.scheme = cell.label.clone();
+    r
+}
+
+/// Runs a plan: progress on stderr, one table row per cell on stdout, the
+/// plan's epilogue, then the `--trace-out` and `--json` outputs.
+pub fn sweep(args: &CliArgs, plan: Sweep) {
+    let c = &plan.common;
+    println!("# {} ({})", plan.name, machine_info());
+    println!(
+        "# duration={:?} repeats={} scale=1/{} telemetry={}",
+        c.duration, c.repeats, c.scale, c.telemetry
+    );
+    let mut header = format!(
+        "{:<13} {:<26} {:>7} {:>10}",
+        "structure", "scheme", "threads", "Mops/s"
+    );
+    let widths = plan.columns.iter().map(|c| c.head.chars().count().max(12));
+    let widths: Vec<usize> = widths.collect();
+    for (col, w) in plan.columns.iter().zip(&widths) {
+        header.push_str(&format!(" {:>w$}", col.head));
+    }
+    println!("{header}");
+
+    let mut report = Report::new(plan.name);
+    for (i, cell) in plan.cells.iter().enumerate() {
+        eprintln!(
+            "[{}/{}] {} {} t={}",
+            i + 1,
+            plan.cells.len(),
+            cell.params.structures.row_label(),
+            cell.label,
+            cell.params.threads
+        );
+        let r = run_cell(cell, c.repeats);
+        let mut row = format!(
+            "{:<13} {:<26} {:>7} {:>10.3}",
+            r.structure,
+            r.scheme,
+            r.threads,
+            r.ops_per_sec / 1e6
+        );
+        for (col, w) in plan.columns.iter().zip(&widths) {
+            row.push_str(&format!(" {:>w$}", (col.value)(cell, &r)));
+        }
+        println!("{row}");
+        report.push(r);
+    }
+    if plan.series {
+        println!("{}", report.render_series());
+    }
+    (plan.epilogue)(&report);
+    args.write_trace();
+    args.write_json_report(&report);
+}

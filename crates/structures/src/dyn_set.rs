@@ -1,71 +1,21 @@
-//! Object-safe, type-erased view of [`ConcurrentSet`].
+//! Several structure types, one collector: the set-shaped adapter.
 //!
-//! The generic `ConcurrentSet<S>` is what benchmarks monomorphize against,
-//! but a *heterogeneous* run — several different structures sharing one
-//! collector — needs to hold them as one type. This module mirrors how
-//! `ts_smr::dynamic` erases schemes:
-//!
-//! * [`DynSet`] — an object-safe mirror of [`ConcurrentSet`] whose ops are
-//!   driven through [`ErasedSmr`]'s handle ([`ErasedHandle`]). Every
-//!   `T: ConcurrentSet<ErasedSmr>` implements it via a blanket impl, so
-//!   `Arc<dyn DynSet>` can name a hash table, a skiplist, and a priority
-//!   queue at once while all of them retire through the *same*
-//!   `Arc<dyn DynSmr>` scheme instance.
-//! * [`PqAsSet`] — adapts the Shavit–Lotan [`PriorityQueue`] to the
-//!   set-shaped interface so it can join mixed workloads: `insert` maps to
-//!   a queue insert, `remove` to `delete_min` (the key argument picks no
-//!   particular element), `contains` to `peek_min` (non-emptiness).
-//!
-//! Method names deliberately match [`ConcurrentSet`]'s (the
-//! `DynHandle`/`SmrHandle` precedent); call through a `&dyn DynSet` or use
-//! UFCS where both traits are in scope.
+//! [`ConcurrentSet<S>`] is object-safe, so a *heterogeneous* run — several
+//! different structures sharing one collector — holds them all as
+//! `Arc<dyn ConcurrentSet<ErasedSmr>>` while every one of them retires
+//! through the *same* `Arc<dyn DynSmr>` scheme instance behind
+//! [`ErasedSmr`](ts_smr::ErasedSmr). The one evaluation structure that is
+//! not a set joins through [`PqAsSet`], which adapts the Shavit–Lotan
+//! [`PriorityQueue`]: `insert` maps to a queue insert, `remove` to
+//! `delete_min` (the key argument picks no particular element),
+//! `contains` to `peek_min` (non-emptiness).
 
 use core::sync::atomic::{AtomicUsize, Ordering};
 
-use ts_smr::{ErasedHandle, ErasedSmr, Smr};
+use ts_smr::Smr;
 
 use crate::priority_queue::PriorityQueue;
 use crate::set_trait::ConcurrentSet;
-
-/// An object-safe concurrent set running under a runtime-chosen scheme.
-///
-/// The handle argument is [`ErasedSmr`]'s concrete handle type rather than
-/// a generic `S::Handle`, which is what makes the trait object-safe; the
-/// scheme indirection lives inside [`ErasedHandle`].
-pub trait DynSet: Send + Sync {
-    /// See [`ConcurrentSet::contains`].
-    fn contains(&self, handle: &ErasedHandle, key: u64) -> bool;
-
-    /// See [`ConcurrentSet::insert`].
-    fn insert(&self, handle: &ErasedHandle, key: u64) -> bool;
-
-    /// See [`ConcurrentSet::remove`].
-    fn remove(&self, handle: &ErasedHandle, key: u64) -> bool;
-
-    /// See [`ConcurrentSet::kind`].
-    fn kind(&self) -> &'static str;
-
-    /// See [`ConcurrentSet::bucket_count`].
-    fn bucket_count(&self) -> Option<usize>;
-}
-
-impl<T: ConcurrentSet<ErasedSmr>> DynSet for T {
-    fn contains(&self, handle: &ErasedHandle, key: u64) -> bool {
-        ConcurrentSet::contains(self, handle, key)
-    }
-    fn insert(&self, handle: &ErasedHandle, key: u64) -> bool {
-        ConcurrentSet::insert(self, handle, key)
-    }
-    fn remove(&self, handle: &ErasedHandle, key: u64) -> bool {
-        ConcurrentSet::remove(self, handle, key)
-    }
-    fn kind(&self) -> &'static str {
-        ConcurrentSet::kind(self)
-    }
-    fn bucket_count(&self) -> Option<usize> {
-        ConcurrentSet::bucket_count(self)
-    }
-}
 
 /// The Shavit–Lotan priority queue behind the set-shaped interface.
 ///
@@ -140,7 +90,7 @@ mod tests {
     use super::*;
     use crate::{HarrisList, SplitOrderedSet};
     use std::sync::Arc;
-    use ts_smr::{DynSmr, Leaky};
+    use ts_smr::{DynSmr, ErasedSmr, Leaky};
 
     fn erased_leaky() -> ErasedSmr {
         let scheme: Arc<dyn DynSmr> = Arc::new(Leaky::new());
@@ -151,7 +101,7 @@ mod tests {
     fn heterogeneous_structures_share_one_scheme() {
         let erased = erased_leaky();
         let h = Smr::register(&erased);
-        let sets: Vec<Arc<dyn DynSet>> = vec![
+        let sets: Vec<Arc<dyn ConcurrentSet<ErasedSmr>>> = vec![
             Arc::new(HarrisList::<ErasedSmr>::new()),
             Arc::new(SplitOrderedSet::<ErasedSmr>::new()),
             Arc::new(PqAsSet::<ErasedSmr>::new()),
@@ -175,12 +125,12 @@ mod tests {
         let erased = erased_leaky();
         let h = Smr::register(&erased);
         let set = SplitOrderedSet::<ErasedSmr>::new();
-        assert!(ConcurrentSet::insert(&set, &h, 1));
-        let dyn_set: &dyn DynSet = &set;
+        assert!(set.insert(&h, 1));
+        let dyn_set: &dyn ConcurrentSet<ErasedSmr> = &set;
         assert!(!dyn_set.insert(&h, 1), "duplicate visible through erasure");
         assert!(dyn_set.contains(&h, 1));
         assert!(dyn_set.remove(&h, 1));
-        assert!(!ConcurrentSet::contains(&set, &h, 1));
+        assert!(!set.contains(&h, 1));
     }
 
     #[test]
@@ -188,18 +138,18 @@ mod tests {
         let scheme = Leaky::new();
         let h = scheme.register();
         let pq = PqAsSet::<Leaky>::new();
-        assert!(!ConcurrentSet::contains(&pq, &h, 0), "empty queue");
-        assert!(!ConcurrentSet::remove(&pq, &h, 0), "pop on empty");
+        assert!(!pq.contains(&h, 0), "empty queue");
+        assert!(!pq.remove(&h, 0), "pop on empty");
         assert_eq!(pq.empty_pops(), 1);
-        assert!(ConcurrentSet::insert(&pq, &h, 9));
-        assert!(ConcurrentSet::insert(&pq, &h, 3));
-        assert!(!ConcurrentSet::insert(&pq, &h, 3), "duplicate priority");
+        assert!(pq.insert(&h, 9));
+        assert!(pq.insert(&h, 3));
+        assert!(!pq.insert(&h, 3), "duplicate priority");
         // `contains`/`remove` ignore the key: they see the minimum.
-        assert!(ConcurrentSet::contains(&pq, &h, 999));
-        assert!(ConcurrentSet::remove(&pq, &h, 999));
+        assert!(pq.contains(&h, 999));
+        assert!(pq.remove(&h, 999));
         assert_eq!(pq.inner().peek_min(&h), Some(9), "3 popped first");
-        assert!(ConcurrentSet::remove(&pq, &h, 0));
-        assert!(!ConcurrentSet::contains(&pq, &h, 0));
+        assert!(pq.remove(&h, 0));
+        assert!(!pq.contains(&h, 0));
         assert_eq!(pq.empty_pops(), 1, "successful pops not counted");
     }
 }

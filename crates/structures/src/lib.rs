@@ -27,8 +27,8 @@
 //!   [`GrowableDirectory`] (cite \[42\]).
 //!
 //! For heterogeneous runs — several structure types sharing one collector
-//! — [`DynSet`] erases `ConcurrentSet` behind a trait object, and
-//! [`PqAsSet`] adapts the priority queue to the set-shaped interface.
+//! — the structures are held as `dyn ConcurrentSet<ErasedSmr>` objects,
+//! and [`PqAsSet`] adapts the priority queue to the set-shaped interface.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -45,7 +45,7 @@ pub mod skiplist;
 pub mod split_ordered;
 pub mod tagged;
 
-pub use dyn_set::{DynSet, PqAsSet};
+pub use dyn_set::PqAsSet;
 pub use growable_dir::GrowableDirectory;
 pub use harris_list::HarrisList;
 pub use hash_table::LockFreeHashTable;

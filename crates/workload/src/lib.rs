@@ -12,37 +12,33 @@
 //!   closed loop, or open-loop Poisson / bursty arrival schedules with
 //!   coordinated-omission-correct per-op latency;
 //! * [`registry`] — the scheme and structure factories
-//!   ([`SchemeKind::build`], [`StructureKind::build_set`],
-//!   [`StructureKind::build_dyn`]): one line per variant, the only
-//!   harness code that names concrete types;
-//! * [`runner`] — the measurement loop, driving registry-built
-//!   `Arc<dyn DynSmr>` / `Arc<dyn ConcurrentSet<_>>` objects;
-//! * [`hetero`] — the heterogeneous measurement loop: a weighted
-//!   [`StructureMix`] of structures sharing one scheme instance;
+//!   ([`SchemeKind::build`], [`StructureKind::build_set`]): one line per
+//!   variant, the only harness code that names concrete types;
+//! * [`runner`] — the one measurement loop ([`run_combo`]): registry-built
+//!   `Arc<dyn DynSmr>` / `Arc<dyn ConcurrentSet<_>>` objects, one
+//!   structure per cell or a weighted [`StructureMix`] of several sharing
+//!   one scheme instance (the priority queue joins as
+//!   [`StructureKind::Pq`]);
 //! * [`report`] — figure-style series tables + JSON lines.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod dist;
-pub mod hetero;
 pub mod json;
 pub mod load;
 pub mod mix;
 pub mod params;
-pub mod pq;
 pub mod registry;
 pub mod report;
 pub mod runner;
 
 pub use dist::{KeyDist, WeightedPick, ZipfSampler};
-pub use hetero::run_hetero_combo;
 pub use load::{
     register_worker_metrics, ArrivalSchedule, BacklogPolicy, LatencySummary, LoadModel,
     OpenLoopExtras,
 };
 pub use mix::{prefill_keys, Op, OpMix};
 pub use params::{SchemeKind, StructureKind, StructureMix, WorkloadParams};
-pub use pq::{run_pq_combo, PqParams};
 pub use report::Report;
-pub use runner::{run_combo, AllocExtras, ClassDelta, RunResult, StructureOps, ThreadScanExtras};
+pub use runner::{run_combo, stats_json, AllocExtras, ClassDelta, RunResult, StructureOps};

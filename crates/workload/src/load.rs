@@ -213,8 +213,7 @@ impl ArrivalSchedule {
 /// [`Aggregate::from_reports`].
 #[derive(Debug)]
 pub(crate) struct WorkerReport {
-    /// Completed operations per class (class = structure index for the
-    /// heterogeneous runner, always 0 otherwise).
+    /// Completed operations per class (class = structure index).
     pub class_ops: Vec<u64>,
     /// Per-class intended-arrival-to-completion latency (open models
     /// only; empty under `Closed`).
@@ -243,9 +242,8 @@ const SLEEP_SLACK_NS: u64 = 200_000;
 const SLEEP_CAP_NS: u64 = 1_000_000;
 const YIELD_FLOOR_NS: u64 = 5_000;
 
-/// The load-generation knobs a runner hands each worker, bundled
-/// ([`crate::params::WorkloadParams::load_spec`] /
-/// [`crate::pq::PqParams::load_spec`]).
+/// The load-generation knobs the runner hands each worker, bundled
+/// ([`crate::params::WorkloadParams::load_spec`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LoadSpec<'a> {
     /// How operations arrive.
@@ -323,9 +321,8 @@ impl WorkerCounters {
     }
 }
 
-/// Drives one worker for the measured window: the single implementation
-/// of the load-generation layer that the set, priority-queue, and
-/// heterogeneous runners all share.
+/// Drives one worker for the measured window: the load-generation layer
+/// under the runner's measurement loop.
 ///
 /// `do_op` executes one operation and returns its class index (always
 /// `< classes`). Under [`LoadModel::Closed`] this is exactly the

@@ -21,7 +21,8 @@ pub enum StructureKind {
     /// ablations only, not part of the figures).
     SplitOrdered,
     /// Shavit–Lotan priority queue behind the set-shaped adapter
-    /// (`PqAsSet`); heterogeneous-mix runs only, not part of the figures.
+    /// (`PqAsSet`); the priority-queue ablation and heterogeneous mixes,
+    /// not part of the figures.
     Pq,
 }
 
@@ -65,9 +66,10 @@ impl StructureKind {
     }
 }
 
-/// A weighted multi-structure mix for heterogeneous runs: each worker
-/// draws the structure for every operation from this distribution while
-/// all structures share one scheme instance.
+/// The structures one run drives, each with a weight: a single entry for
+/// the figures' one-structure cells, several for heterogeneous runs, where
+/// each worker draws the structure for every operation from this
+/// distribution while all structures share one scheme instance.
 ///
 /// Spec syntax: comma-separated `label:weight` pairs, e.g.
 /// `hash:50,skiplist:30,pq:20` (labels from [`StructureKind::label`],
@@ -78,6 +80,21 @@ pub struct StructureMix {
 }
 
 impl StructureMix {
+    /// The one-structure mix of a figure cell.
+    pub fn single(kind: StructureKind) -> Self {
+        Self {
+            entries: vec![(kind, 1)],
+        }
+    }
+
+    /// The structure, when the mix holds exactly one.
+    pub fn as_single(&self) -> Option<StructureKind> {
+        match self.entries[..] {
+            [(kind, _)] => Some(kind),
+            _ => None,
+        }
+    }
+
     /// Parses a `label:weight,label:weight,…` spec.
     pub fn parse(spec: &str) -> Result<Self, String> {
         let mut entries = Vec::new();
@@ -114,6 +131,15 @@ impl StructureMix {
     /// The weights alone, in spec order (feed to `dist::WeightedPick`).
     pub fn weights(&self) -> Vec<u32> {
         self.entries.iter().map(|&(_, w)| w).collect()
+    }
+
+    /// The `structure` field of a result row: the kind's label for a lone
+    /// structure, `hetero(<mix>)` for several.
+    pub fn row_label(&self) -> String {
+        match self.as_single() {
+            Some(kind) => kind.label().to_string(),
+            None => format!("hetero({})", self.label()),
+        }
     }
 
     /// Canonical `label:weight,…` rendering.
@@ -197,8 +223,10 @@ impl SchemeKind {
 /// One experiment cell: structure × scheme × thread count × workload shape.
 #[derive(Debug, Clone)]
 pub struct WorkloadParams {
-    /// Data structure under test.
-    pub structure: StructureKind,
+    /// The structure(s) under test. With several entries each structure
+    /// is sized by its own preset ([`Self::hetero_cell`]) and
+    /// `initial_size` / `key_range` below are not consulted.
+    pub structures: StructureMix,
     /// Resident keys after prefill.
     pub initial_size: usize,
     /// Keys are drawn uniformly from `[0, key_range)`.
@@ -255,10 +283,6 @@ pub struct WorkloadParams {
     /// the process-wide registry. Off by default: a run without it
     /// executes zero additional atomics on any hot path.
     pub telemetry: bool,
-    /// Weighted multi-structure mix for heterogeneous runs
-    /// ([`crate::hetero::run_hetero_combo`]); `None` for single-structure
-    /// cells.
-    pub structure_mix: Option<StructureMix>,
     /// Accumulated [`Self::scaled_down`] factor, so derived cells
     /// ([`Self::hetero_cell`]) can re-apply the same shrink to their own
     /// presets.
@@ -266,48 +290,32 @@ pub struct WorkloadParams {
 }
 
 impl WorkloadParams {
-    /// Paper list workload: "Linked lists were 1024 nodes long, and the
-    /// range of values was 2048."
-    pub fn fig3_list(threads: usize) -> Self {
-        Self::base(StructureKind::List, 1024, 2048, threads)
-    }
-
-    /// Paper hash workload: "Hash tables contained 131,072 nodes with a
-    /// range of 262,144."
-    pub fn fig3_hash(threads: usize) -> Self {
-        Self::base(StructureKind::Hash, 131_072, 262_144, threads)
-    }
-
-    /// Paper skip-list workload: "Skip lists contained 128,000 nodes with
-    /// a range of values of 256,000."
-    pub fn fig3_skip(threads: usize) -> Self {
-        Self::base(StructureKind::Skip, 128_000, 256_000, threads)
-    }
-
-    /// The Figure 3 preset for a given structure. The lazy list (not in
-    /// the figures) borrows the linked-list sizing, as §1 describes the
-    /// same list shape.
+    /// The paper's §6 sizing for `structure`, driven alone by `threads`
+    /// workers at the methodology's 20% updates over uniform keys.
     pub fn fig3(structure: StructureKind, threads: usize) -> Self {
-        match structure {
-            StructureKind::List => Self::fig3_list(threads),
-            StructureKind::Hash => Self::fig3_hash(threads),
-            StructureKind::Skip => Self::fig3_skip(threads),
-            StructureKind::Lazy => Self::base(StructureKind::Lazy, 1024, 2048, threads),
-            // The resizable table borrows the fixed table's sizing so the
-            // two are directly comparable in ablations.
-            StructureKind::SplitOrdered => {
-                Self::base(StructureKind::SplitOrdered, 131_072, 262_144, threads)
-            }
+        use StructureKind::*;
+        let (initial_size, key_range) = match structure {
+            // "Linked lists were 1024 nodes long, and the range of values
+            // was 2048." The lazy list (not in the figures) borrows it, as
+            // §1 describes the same list shape.
+            List | Lazy => (1024, 2048),
+            // "Hash tables contained 131,072 nodes with a range of
+            // 262,144." The resizable table borrows it so the two are
+            // directly comparable in ablations.
+            Hash | SplitOrdered => (131_072, 262_144),
+            // "Skip lists contained 128,000 nodes with a range of values
+            // of 256,000."
+            Skip => (128_000, 256_000),
             // The priority queue draws fresh random priorities rather than
-            // revisiting a key range; a modest resident size keeps
-            // delete-min from draining it between inserts.
-            StructureKind::Pq => Self::base(StructureKind::Pq, 10_000, 20_000, threads),
-        }
-    }
-
-    fn base(structure: StructureKind, initial_size: usize, key_range: u64, threads: usize) -> Self {
+            // revisiting a key range (a range small enough to revisit
+            // rejects inserts as duplicates and lets delete-min drain the
+            // queue); a modest resident size keeps delete-min from
+            // emptying it between inserts. Uniform keys only: the zipf
+            // sampler's setup is linear in the range.
+            Pq => (10_000, 1 << 62),
+        };
         Self {
-            structure,
+            structures: StructureMix::single(structure),
             initial_size,
             key_range,
             update_pct: 20,
@@ -325,7 +333,6 @@ impl WorkloadParams {
             arrival_seed: 0xA441_7A1E,
             backlog: BacklogPolicy::Queue,
             telemetry: false,
-            structure_mix: None,
             scale: 1,
         }
     }
@@ -421,32 +428,23 @@ impl WorkloadParams {
     }
 
     /// Builder: the weighted structure mix for a heterogeneous run.
-    pub fn with_structure_mix(mut self, mix: StructureMix) -> Self {
-        self.structure_mix = Some(mix);
+    pub fn with_structures(mut self, mix: StructureMix) -> Self {
+        self.structures = mix;
         self
     }
 
     /// Derives the single-structure cell for one member of a
     /// heterogeneous run: `kind`'s own Figure 3 sizing at this cell's
-    /// scale, with this cell's workload shape (duration, update mix, key
-    /// distribution, scheme tuning) carried over.
+    /// scale, with everything else (duration, update mix, key
+    /// distribution, load model, scheme tuning) carried over.
     pub fn hetero_cell(&self, kind: StructureKind) -> WorkloadParams {
-        let mut cell = Self::fig3(kind, self.threads).scaled_down(self.scale);
-        cell.duration = self.duration;
-        cell.update_pct = self.update_pct;
-        cell.key_dist = self.key_dist;
-        cell.ts_buffer_capacity = self.ts_buffer_capacity;
-        cell.ts_exact_match = self.ts_exact_match;
-        cell.node_pool = self.node_pool;
-        cell.ts_adaptive_collect = self.ts_adaptive_collect;
-        cell.ts_pending_watermark = self.ts_pending_watermark;
-        cell.slow_epoch_delay = self.slow_epoch_delay;
-        cell.slow_epoch_period_ops = self.slow_epoch_period_ops;
-        cell.load_model = self.load_model;
-        cell.arrival_seed = self.arrival_seed;
-        cell.backlog = self.backlog;
-        cell.telemetry = self.telemetry;
-        cell
+        let preset = Self::fig3(kind, self.threads).scaled_down(self.scale);
+        WorkloadParams {
+            structures: preset.structures,
+            initial_size: preset.initial_size,
+            key_range: preset.key_range,
+            ..self.clone()
+        }
     }
 }
 
@@ -456,14 +454,14 @@ mod tests {
 
     #[test]
     fn paper_presets_match_methodology() {
-        let l = WorkloadParams::fig3_list(8);
+        let l = WorkloadParams::fig3(StructureKind::List, 8);
         assert_eq!(
             (l.initial_size, l.key_range, l.update_pct),
             (1024, 2048, 20)
         );
-        let h = WorkloadParams::fig3_hash(8);
+        let h = WorkloadParams::fig3(StructureKind::Hash, 8);
         assert_eq!((h.initial_size, h.key_range), (131_072, 262_144));
-        let s = WorkloadParams::fig3_skip(8);
+        let s = WorkloadParams::fig3(StructureKind::Skip, 8);
         assert_eq!((s.initial_size, s.key_range), (128_000, 256_000));
         assert_eq!(l.ts_buffer_capacity, 1024);
         assert_eq!(l.slow_epoch_delay, Duration::from_millis(40));
@@ -479,7 +477,7 @@ mod tests {
 
     #[test]
     fn scaled_down_keeps_ratio_reasonable() {
-        let p = WorkloadParams::fig3_hash(4).scaled_down(64);
+        let p = WorkloadParams::fig3(StructureKind::Hash, 4).scaled_down(64);
         assert_eq!(p.initial_size, 2048);
         assert_eq!(p.key_range, 4096);
         assert_eq!(p.scale, 64);
@@ -500,7 +498,7 @@ mod tests {
             .with_load_model(model)
             .with_arrival_seed(77)
             .with_backlog(BacklogPolicy::DropAfter(Duration::from_millis(5)))
-            .with_structure_mix(StructureMix::parse("hash:1,list:1").unwrap());
+            .with_structures(StructureMix::parse("hash:1,list:1").unwrap());
         let cell = p.hetero_cell(StructureKind::List);
         assert_eq!(cell.load_model, model);
         assert_eq!(cell.arrival_seed, 77);
@@ -553,10 +551,10 @@ mod tests {
             .with_node_pool(true)
             .with_ts_adaptive_collect(true)
             .with_ts_pending_watermark(512)
-            .with_structure_mix(StructureMix::parse("hash:50,skiplist:30,pq:20").unwrap());
+            .with_structures(StructureMix::parse("hash:50,skiplist:30,pq:20").unwrap());
         p.duration = Duration::from_millis(250);
         let skip = p.hetero_cell(StructureKind::Skip);
-        assert_eq!(skip.structure, StructureKind::Skip);
+        assert_eq!(skip.structures.as_single(), Some(StructureKind::Skip));
         assert_eq!(skip.initial_size, 128_000 / 64);
         assert_eq!(skip.threads, 6);
         assert_eq!(skip.update_pct, 40);

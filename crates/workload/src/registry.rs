@@ -13,10 +13,10 @@
 use std::sync::Arc;
 
 use ts_sigscan::SignalPlatform;
-use ts_smr::dynamic::{DynSmr, ErasedSmr};
+use ts_smr::dynamic::DynSmr;
 use ts_smr::{EpochScheme, HazardPointers, Leaky, Smr, StackTrackSim, ThreadScanSmr};
 use ts_structures::{
-    ConcurrentSet, DynSet, HarrisList, LazyList, LockFreeHashTable, NodeAlloc, PqAsSet, SkipList,
+    ConcurrentSet, HarrisList, LazyList, LockFreeHashTable, NodeAlloc, PqAsSet, SkipList,
     SplitOrderedSet, PQ_REQUIRED_SLOTS, REQUIRED_SLOTS,
 };
 
@@ -44,7 +44,7 @@ impl SchemeKind {
     /// place in the harness that names concrete scheme types. Callers
     /// hold the result as `Arc<dyn DynSmr>` and, to drive generic
     /// structures with it, wrap it in
-    /// [`ErasedSmr`].
+    /// [`ErasedSmr`](ts_smr::dynamic::ErasedSmr).
     ///
     /// ```
     /// use ts_smr::DynSmr;
@@ -132,8 +132,9 @@ impl StructureKind {
     /// through [`Self::node_alloc`].
     ///
     /// This is the structure registry: one arm per variant. The runner
-    /// instantiates it at `S =` [`ErasedSmr`]
-    /// (one monomorphization per structure, any scheme at runtime);
+    /// instantiates it at `S =` [`ErasedSmr`](ts_smr::dynamic::ErasedSmr)
+    /// (one monomorphization per structure, any scheme at runtime, and
+    /// one object type for every structure of a heterogeneous run);
     /// library users and the equivalence tests can instantiate it with a
     /// concrete scheme for the zero-virtual-call fast path.
     pub fn build_set<S: Smr>(self, params: &WorkloadParams) -> Arc<dyn ConcurrentSet<S>> {
@@ -154,35 +155,6 @@ impl StructureKind {
                 alloc,
             )),
             StructureKind::Pq => Arc::new(PqAsSet::<S>::with_alloc(alloc)),
-        }
-    }
-
-    /// Builds this structure behind the object-safe [`DynSet`] interface,
-    /// pinned to [`ErasedSmr`] so every structure in a heterogeneous run
-    /// can share one runtime-chosen scheme.
-    ///
-    /// Same sizing as [`Self::build_set`]; the arms name concrete types
-    /// (rather than delegating) because `Arc<dyn ConcurrentSet<_>>`
-    /// cannot be unsized again to `Arc<dyn DynSet>`.
-    pub fn build_dyn(self, params: &WorkloadParams) -> Arc<dyn DynSet> {
-        let alloc = self.node_alloc(params);
-        match self {
-            StructureKind::List => Arc::new(HarrisList::<ErasedSmr>::with_alloc(alloc)),
-            StructureKind::Hash => Arc::new(
-                LockFreeHashTable::<ErasedSmr>::for_expected_nodes_with_alloc(
-                    params.initial_size,
-                    alloc,
-                ),
-            ),
-            StructureKind::Skip => Arc::new(SkipList::<ErasedSmr>::with_alloc(alloc)),
-            StructureKind::Lazy => Arc::new(LazyList::<ErasedSmr>::with_alloc(alloc)),
-            StructureKind::SplitOrdered => {
-                Arc::new(SplitOrderedSet::<ErasedSmr>::with_buckets_and_alloc(
-                    (params.initial_size / 4).max(2),
-                    alloc,
-                ))
-            }
-            StructureKind::Pq => Arc::new(PqAsSet::<ErasedSmr>::with_alloc(alloc)),
         }
     }
 }
@@ -221,33 +193,21 @@ mod tests {
     #[test]
     fn every_structure_kind_builds_dyn_including_the_pq() {
         let params = WorkloadParams::fig3(StructureKind::List, 2).scaled_down(64);
-        let scheme = SchemeKind::Epoch.build(&params);
-        let erased = ErasedSmr::new(scheme);
+        let erased = ErasedSmr::new(SchemeKind::Epoch.build(&params));
         let handle = erased.register();
-        let kinds = [
-            StructureKind::List,
-            StructureKind::Hash,
-            StructureKind::Skip,
-            StructureKind::Lazy,
-            StructureKind::SplitOrdered,
-            StructureKind::Pq,
-        ];
-        for kind in kinds {
-            let set = kind.build_dyn(&params);
-            assert!(set.insert(&handle, 7), "{kind:?}");
-            assert!(set.contains(&handle, 7), "{kind:?}");
-            assert!(set.remove(&handle, 7), "{kind:?}");
-        }
+        // The queue adapter pops the minimum whatever key is asked for.
+        let pq = StructureKind::Pq.build_set::<ErasedSmr>(&params);
+        assert!(pq.insert(&handle, 7));
+        assert!(pq.contains(&handle, 0));
+        assert!(pq.remove(&handle, 0));
+        assert!(!pq.contains(&handle, 7));
+        assert_eq!(pq.kind(), "priority-queue");
+        assert_eq!(pq.bucket_count(), None);
         // Only the split-ordered table reports a directory size.
         assert!(StructureKind::SplitOrdered
-            .build_dyn(&params)
+            .build_set::<ErasedSmr>(&params)
             .bucket_count()
             .is_some());
-        assert_eq!(StructureKind::Pq.build_dyn(&params).bucket_count(), None);
-        assert_eq!(
-            StructureKind::Pq.build_dyn(&params).kind(),
-            "priority-queue"
-        );
     }
 
     #[test]

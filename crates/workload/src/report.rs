@@ -151,7 +151,7 @@ mod tests {
         rep.push(result("list", "threadscan", 2, 1.8));
         assert!(!rep.render_series().contains("note:"));
         let mut degraded = result("hash", "threadscan", 4, 2.5);
-        degraded.threadscan = Some(crate::ThreadScanExtras {
+        degraded.threadscan = Some(threadscan::StatsSnapshot {
             freed: 1000,
             mailbox_frees: 900,
             overflow_frees: 70,

@@ -1,70 +1,39 @@
-//! The throughput runner: the paper's measurement loop.
+//! The measurement loop — the one path every cell of every experiment
+//! goes through.
 //!
 //! "Each data point in the graphs represents the average number of
-//! operations over five executions of 10 seconds" (§6). The runner
-//! executes one (structure × scheme × threads) cell: prefill, start all
+//! operations over five executions of 10 seconds" (§6). [`run_combo`]
+//! executes one (structures × scheme × threads) cell: prefill, start all
 //! worker threads behind a barrier, run the op mix for the measurement
-//! window, stop, and report completed operations.
+//! window, stop, and report completed operations. A cell drives one
+//! structure (the figures) or a weighted mix of several sharing one
+//! scheme instance — ThreadScan's pitch is *process-wide* reclamation,
+//! and the collector does not care what sits on top.
 //!
 //! Dispatch is registry-based (see [`crate::registry`]): the scheme is
-//! built as `Arc<dyn DynSmr>`, wrapped in [`ErasedSmr`], and the
+//! built as `Arc<dyn DynSmr>`, wrapped in [`ErasedSmr`], and every
 //! structure as `Arc<dyn ConcurrentSet<ErasedSmr>>` — the runner never
 //! names a concrete (scheme × structure) pair. Scheme-specific report
 //! fields (Leaky's leak counter, ThreadScan's collector statistics) are
-//! recovered by downcasting through [`DynSmr::as_any`].
+//! recovered by downcasting through
+//! [`DynSmr::as_any`](ts_smr::dynamic::DynSmr::as_any).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
+use std::time::Instant;
 
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+use threadscan::StatsSnapshot;
 use ts_sigscan::SignalPlatform;
-use ts_smr::dynamic::{DynSmr, ErasedSmr};
+use ts_smr::dynamic::ErasedSmr;
 use ts_smr::{Leaky, Smr, SmrHandle, ThreadScanSmr};
 use ts_structures::ConcurrentSet;
 
+use crate::dist::WeightedPick;
 use crate::load::{self, Aggregate, LatencySummary, OpenLoopExtras};
 use crate::mix::{prefill_keys, Op, OpMix};
 use crate::params::{SchemeKind, WorkloadParams};
-
-/// ThreadScan-specific counters attached to a run.
-#[derive(Debug, Clone, Default)]
-pub struct ThreadScanExtras {
-    /// Reclamation phases during the run.
-    pub collects: usize,
-    /// Phases triggered by the adaptive policy's watermark rather than a
-    /// full local buffer (always zero under `CollectPolicy::Fixed`).
-    pub adaptive_collects: usize,
-    /// Words scanned across all signal handlers.
-    pub words_scanned: usize,
-    /// Nodes freed.
-    pub freed: usize,
-    /// Of those, nodes freed by the thread that retired into the phase,
-    /// one per later retire, out of its mailbox.
-    pub mailbox_frees: usize,
-    /// Of those, nodes a reclaimer freed itself because no mailbox would
-    /// take them (an idle or slow owner; survivors freed a phase late).
-    pub overflow_frees: usize,
-    /// Marked survivors (summed over phases).
-    pub survivors: usize,
-    /// Signals sent by reclaimers.
-    pub threads_scanned: usize,
-    /// Mean reclaimer-side collect latency (µs).
-    pub mean_collect_us: f64,
-    /// Worst-case reclaimer-side collect latency (µs).
-    pub max_collect_us: f64,
-    /// Mean per-phase master-buffer sort time (µs).
-    pub mean_sort_us: f64,
-    /// Reclaimer collect-latency percentiles (µs), from the collector's
-    /// log2 latency histogram: median, tail, extreme tail.
-    pub collect_us_p50: f64,
-    /// 95th percentile collect latency (µs).
-    pub collect_us_p95: f64,
-    /// 99th percentile collect latency (µs).
-    pub collect_us_p99: f64,
-    /// Raw log2 collect-latency histogram (`[i]` counts phases in
-    /// `[2^i, 2^(i+1))` ns), exported so multi-repeat harnesses can
-    /// merge histograms across runs before computing percentiles.
-    pub collect_ns_hist: Vec<usize>,
-}
 
 /// One size class's allocator traffic during a run: only classes that
 /// actually moved are reported, so idle runs stay an empty list (and the
@@ -174,15 +143,11 @@ pub struct StructureOps {
 impl StructureOps {
     /// Renders as one JSON object (see [`crate::json`]).
     pub fn to_json(&self) -> String {
-        let latency = match &self.latency {
-            Some(l) => l.to_json(),
-            None => "null".to_string(),
-        };
         crate::json::ObjectBuilder::new()
             .str("structure", &self.structure)
             .num("ops", self.ops as f64)
             .num("ops_per_sec", self.ops_per_sec)
-            .raw("latency", &latency)
+            .raw("latency", &opt_json(&self.latency, LatencySummary::to_json))
             .build()
     }
 }
@@ -210,14 +175,14 @@ pub struct RunResult {
     /// The scheme's per-handle protection-slot budget; `None` for schemes
     /// with no per-reference state (epoch, ThreadScan, leaky).
     pub protection_slots: Option<usize>,
-    /// ThreadScan internals (ThreadScan only).
-    pub threadscan: Option<ThreadScanExtras>,
+    /// The collector's counters over the measured window (ThreadScan
+    /// only), rendered by [`stats_json`].
+    pub threadscan: Option<StatsSnapshot>,
     /// Allocator-counter deltas (`ts-alloc-nodes` builds whose binary
     /// routed allocation through `ts_alloc`; `None` otherwise).
     pub alloc: Option<AllocExtras>,
-    /// Per-structure op counts/throughput for heterogeneous runs
-    /// ([`crate::hetero::run_hetero_combo`]); empty for single-structure
-    /// cells (rendered as JSON `null`).
+    /// Per-structure op counts/throughput for heterogeneous runs; empty
+    /// for single-structure cells (rendered as JSON `null`).
     pub per_structure: Vec<StructureOps>,
     /// Final bucket count, for structures with a bucket directory (the
     /// split-ordered table); `None` otherwise.
@@ -232,62 +197,45 @@ pub struct RunResult {
     pub open_loop: Option<OpenLoopExtras>,
 }
 
-impl ThreadScanExtras {
-    /// Renders as one JSON object (see [`crate::json`]).
-    pub fn to_json(&self) -> String {
-        crate::json::ObjectBuilder::new()
-            .num("collects", self.collects as f64)
-            .num("adaptive_collects", self.adaptive_collects as f64)
-            .num("words_scanned", self.words_scanned as f64)
-            .num("freed", self.freed as f64)
-            .num("mailbox_frees", self.mailbox_frees as f64)
-            .num("overflow_frees", self.overflow_frees as f64)
-            .num("survivors", self.survivors as f64)
-            .num("threads_scanned", self.threads_scanned as f64)
-            .num("mean_collect_us", self.mean_collect_us)
-            .num("max_collect_us", self.max_collect_us)
-            .num("mean_sort_us", self.mean_sort_us)
-            .num("collect_us_p50", self.collect_us_p50)
-            .num("collect_us_p95", self.collect_us_p95)
-            .num("collect_us_p99", self.collect_us_p99)
-            .arr_num(
-                "collect_ns_hist",
-                self.collect_ns_hist.iter().map(|&c| c as f64),
-            )
-            .build()
-    }
+/// Renders a collector snapshot as the `threadscan` block of a result
+/// row: the raw counters plus the latency figures derived from them (see
+/// [`crate::json`]).
+pub fn stats_json(st: &StatsSnapshot) -> String {
+    crate::json::ObjectBuilder::new()
+        .num("collects", st.collects as f64)
+        .num("adaptive_collects", st.adaptive_collects as f64)
+        .num("words_scanned", st.words_scanned as f64)
+        .num("freed", st.freed as f64)
+        .num("mailbox_frees", st.mailbox_frees as f64)
+        .num("overflow_frees", st.overflow_frees as f64)
+        .num("survivors", st.survivors as f64)
+        .num("threads_scanned", st.threads_scanned as f64)
+        .num("mean_collect_us", st.mean_collect_us())
+        .num("max_collect_us", st.max_collect_us())
+        .num("mean_sort_us", st.mean_sort_us())
+        .num("collect_us_p50", st.collect_us_percentile(0.50))
+        .num("collect_us_p95", st.collect_us_percentile(0.95))
+        .num("collect_us_p99", st.collect_us_percentile(0.99))
+        .arr_num(
+            "collect_ns_hist",
+            st.collect_ns_hist.iter().map(|&c| c as f64),
+        )
+        .build()
+}
+
+/// `null` for an absent block.
+fn opt_json<T>(block: &Option<T>, render: impl Fn(&T) -> String) -> String {
+    block.as_ref().map_or_else(|| "null".to_string(), render)
 }
 
 impl RunResult {
     /// Renders as one JSON object line (see [`crate::json`]).
     pub fn to_json(&self) -> String {
-        let ts = match &self.threadscan {
-            Some(extras) => extras.to_json(),
-            None => "null".to_string(),
-        };
-        let alloc = match &self.alloc {
-            Some(extras) => extras.to_json(),
-            None => "null".to_string(),
-        };
+        let split = self.per_structure.iter().map(StructureOps::to_json);
         let per_structure = if self.per_structure.is_empty() {
             "null".to_string()
         } else {
-            format!(
-                "[{}]",
-                self.per_structure
-                    .iter()
-                    .map(StructureOps::to_json)
-                    .collect::<Vec<_>>()
-                    .join(",")
-            )
-        };
-        let latency = match &self.latency {
-            Some(l) => l.to_json(),
-            None => "null".to_string(),
-        };
-        let open_loop = match &self.open_loop {
-            Some(o) => o.to_json(),
-            None => "null".to_string(),
+            format!("[{}]", split.collect::<Vec<_>>().join(","))
         };
         crate::json::ObjectBuilder::new()
             .str("scheme", &self.scheme)
@@ -303,168 +251,118 @@ impl RunResult {
             .opt_num("leaked", self.leaked.map(|v| v as f64))
             .opt_num("protection_slots", self.protection_slots.map(|v| v as f64))
             .opt_num("bucket_count", self.bucket_count.map(|v| v as f64))
-            .raw("latency", &latency)
-            .raw("open_loop", &open_loop)
+            .raw("latency", &opt_json(&self.latency, LatencySummary::to_json))
+            .raw(
+                "open_loop",
+                &opt_json(&self.open_loop, OpenLoopExtras::to_json),
+            )
             .raw("per_structure", &per_structure)
-            .raw("threadscan", &ts)
-            .raw("alloc", &alloc)
+            .raw("threadscan", &opt_json(&self.threadscan, stats_json))
+            .raw("alloc", &opt_json(&self.alloc, AllocExtras::to_json))
             .build()
     }
 }
 
-/// What one measured window produced, before scheme-specific accounting.
-pub(crate) struct DriveOutcome {
-    /// Completed operations across all threads.
-    pub ops: u64,
-    /// Measured wall time, seconds.
-    pub secs: f64,
-    /// Per-op latency (open-loop models only).
-    pub latency: Option<LatencySummary>,
-    /// Offered-vs-served accounting (open-loop models only).
-    pub open_loop: Option<OpenLoopExtras>,
-}
+/// One structure of a run: the set, and the single-structure cell that
+/// sizes it and shapes its op stream.
+type Target = (Arc<dyn ConcurrentSet<ErasedSmr>>, WorkloadParams);
 
-/// Drives `set` under `scheme` per `params`. The generic measurement
-/// core: the harness instantiates it once at `S = ErasedSmr` (any scheme
-/// at runtime); library users may instantiate it with concrete types for
-/// a zero-virtual-call measurement loop.
+/// The measurement loop: prefills every target, then drives them for
+/// `params.duration` from `params.threads` workers and returns the merged
+/// worker reports (class = target index) with the measured window in
+/// seconds.
 ///
-/// The worker loop itself lives in the load-generation layer
-/// ([`crate::load::drive_worker`]): under [`LoadModel::Closed`] it is the
-/// pre-refactor tight loop (per-op relaxed stop check, no clocks — see
-/// the regression note there about post-stop ops); under an open model
-/// each worker follows its arrival schedule and measures latency from
-/// intended arrival to completion.
-///
-/// [`LoadModel::Closed`]: crate::load::LoadModel::Closed
-fn drive<S, T>(scheme: &Arc<S>, set: &Arc<T>, params: &WorkloadParams) -> DriveOutcome
-where
-    S: Smr,
-    T: ConcurrentSet<S> + ?Sized + 'static,
-{
-    // Prefill from a temporary handle (deterministic half-density).
+/// Each worker keeps one deterministic op stream per target (each has its
+/// own key range, so one shared stream would mis-range) and, with several
+/// targets, draws the target of every op from the mix weights; a lone
+/// target is driven without that draw, so a figure cell pays for nothing
+/// but its own ops. The worker loop itself lives in the load-generation
+/// layer ([`crate::load::drive_worker`]): under the closed model a per-op
+/// relaxed stop check and no clocks, under an open model an arrival
+/// schedule with latency from intended arrival to completion.
+fn drive(scheme: &Arc<ErasedSmr>, targets: &[Target], params: &WorkloadParams) -> (Aggregate, f64) {
     {
         let handle = scheme.register();
-        for key in prefill_keys(params.initial_size, params.key_range) {
-            set.insert(&handle, key);
+        for (set, cell) in targets {
+            for key in prefill_keys(cell.initial_size, cell.key_range) {
+                set.insert(&handle, key);
+            }
         }
     }
 
-    let stop = Arc::new(AtomicBool::new(false));
-    let start_barrier = Arc::new(Barrier::new(params.threads + 1));
+    let stop = AtomicBool::new(false);
+    let start_barrier = Barrier::new(params.threads + 1);
     let reports = Mutex::new(Vec::with_capacity(params.threads));
-    let reports_ref = &reports;
-    let elapsed_holder = AtomicU64::new(0);
-    let elapsed_holder = &elapsed_holder;
+    let weights = params.structures.weights();
 
-    std::thread::scope(|s| {
+    let secs = std::thread::scope(|s| {
+        let (stop, start_barrier, reports, weights) = (&stop, &start_barrier, &reports, &weights);
         for t in 0..params.threads {
-            let scheme = Arc::clone(scheme);
-            let set = Arc::clone(set);
-            let stop = Arc::clone(&stop);
-            let start_barrier = Arc::clone(&start_barrier);
-            let params = params.clone();
             s.spawn(move || {
                 let handle = scheme.register();
-                let mut mix = OpMix::with_dist(
-                    0x51ED_1E55 ^ (t as u64) << 1,
-                    params.key_range,
-                    params.update_pct,
-                    params.key_dist,
-                );
+                let mut pick = (targets.len() > 1).then(|| {
+                    let rng = SmallRng::seed_from_u64(0x4E7E_0517 ^ t as u64);
+                    (WeightedPick::new(weights), rng)
+                });
+                let mut mixes: Vec<OpMix> = targets
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (_, cell))| {
+                        OpMix::with_dist(
+                            0x51ED_1E55 ^ ((t as u64) << 8) ^ i as u64,
+                            cell.key_range,
+                            cell.update_pct,
+                            cell.key_dist,
+                        )
+                    })
+                    .collect();
+                let (spec, workers, classes) = (params.load_spec(), params.threads, targets.len());
                 start_barrier.wait();
-                let report =
-                    load::drive_worker(params.load_spec(), t, params.threads, 1, &stop, || {
-                        match mix.next_op() {
-                            Op::Contains(k) => {
-                                set.contains(&handle, k);
-                            }
-                            Op::Insert(k) => {
-                                set.insert(&handle, k);
-                            }
-                            Op::Remove(k) => {
-                                set.remove(&handle, k);
-                            }
-                        }
-                        0
-                    });
-                reports_ref.lock().unwrap().push(report);
+                let report = load::drive_worker(spec, t, workers, classes, stop, || {
+                    let i = match &mut pick {
+                        Some((pick, rng)) => pick.sample(rng),
+                        None => 0,
+                    };
+                    let set = &targets[i].0;
+                    match mixes[i].next_op() {
+                        Op::Contains(k) => set.contains(&handle, k),
+                        Op::Insert(k) => set.insert(&handle, k),
+                        Op::Remove(k) => set.remove(&handle, k),
+                    };
+                    i
+                });
+                reports.lock().expect("a worker panicked").push(report);
                 // handle drops here: the thread unregisters before exit,
                 // as the signal platform requires.
             });
         }
 
         start_barrier.wait();
-        let t0 = std::time::Instant::now();
+        let t0 = Instant::now();
         std::thread::sleep(params.duration);
         stop.store(true, Ordering::Relaxed);
-        elapsed_holder.store(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
-        // scope joins all workers here
+        // Taken the moment the flag flips: ops still in flight finish
+        // outside the window and the per-op stop check keeps them few.
+        t0.elapsed().as_secs_f64()
     });
 
-    let agg = Aggregate::from_reports(reports.into_inner().unwrap(), 1);
-    let open_loop = agg.open_extras(&params.load_model);
-    DriveOutcome {
-        ops: agg.total_ops,
-        secs: elapsed_holder.load(Ordering::Relaxed) as f64 / 1e6,
-        latency: agg.latency,
-        open_loop,
-    }
-}
-
-/// ThreadScan-specific report fields, recovered from the erased scheme by
-/// downcast. Must run *before* the end-of-run quiesce: its small drain
-/// phases would dilute the per-phase latency/sort means, and the extras
-/// should describe the measured window.
-pub(crate) fn threadscan_extras(scheme: &dyn DynSmr) -> Option<ThreadScanExtras> {
-    let ts = scheme
-        .as_any()
-        .downcast_ref::<ThreadScanSmr<SignalPlatform>>()?;
-    let st = ts.stats();
-    Some(ThreadScanExtras {
-        collects: st.collects,
-        adaptive_collects: st.adaptive_collects,
-        words_scanned: st.words_scanned,
-        freed: st.freed,
-        mailbox_frees: st.mailbox_frees,
-        overflow_frees: st.overflow_frees,
-        survivors: st.survivors,
-        threads_scanned: st.threads_scanned,
-        mean_collect_us: st.mean_collect_us(),
-        max_collect_us: st.max_collect_us(),
-        mean_sort_us: st.mean_sort_us(),
-        collect_us_p50: st.collect_us_percentile(0.50),
-        collect_us_p95: st.collect_us_percentile(0.95),
-        collect_us_p99: st.collect_us_percentile(0.99),
-        collect_ns_hist: st.collect_ns_hist.to_vec(),
-    })
-}
-
-/// Scheme-specific accounting shared by the set and priority-queue
-/// runners: quiesces, then splits the post-quiesce count into
-/// `outstanding_after` (reclaiming schemes) vs `leaked` (Leaky, whose
-/// "outstanding" is intentional leakage and must not read as a deficit).
-pub(crate) fn quiesce_and_account(scheme: &dyn DynSmr) -> (Option<usize>, Option<usize>) {
-    scheme.quiesce();
-    match scheme.as_any().downcast_ref::<Leaky>() {
-        Some(leaky) => (None, Some(leaky.leaked())),
-        None => (Some(scheme.outstanding()), None),
-    }
+    let reports = reports.into_inner().expect("a worker panicked");
+    (Aggregate::from_reports(reports, targets.len()), secs)
 }
 
 /// Allocator-counter snapshot bracket for the `ts-alloc-nodes` feature:
 /// returns `None` when the counters did not move (the binary did not
 /// route allocation through `ts_alloc`), so reports stay honest.
 #[cfg(feature = "ts-alloc-nodes")]
-pub(crate) struct AllocBracket(ts_alloc::AllocStats);
+struct AllocBracket(ts_alloc::AllocStats);
 
 #[cfg(feature = "ts-alloc-nodes")]
 impl AllocBracket {
-    pub(crate) fn open() -> Self {
+    fn open() -> Self {
         Self(ts_alloc::stats())
     }
 
-    pub(crate) fn close(self) -> Option<AllocExtras> {
+    fn close(self) -> Option<AllocExtras> {
         let b = self.0;
         let a = ts_alloc::stats();
         // Only classes with traffic, so an idle run's delta still equals
@@ -498,15 +396,15 @@ impl AllocBracket {
 
 /// No-op stand-in when the feature is off: `close` always yields `None`.
 #[cfg(not(feature = "ts-alloc-nodes"))]
-pub(crate) struct AllocBracket;
+struct AllocBracket;
 
 #[cfg(not(feature = "ts-alloc-nodes"))]
 impl AllocBracket {
-    pub(crate) fn open() -> Self {
+    fn open() -> Self {
         Self
     }
 
-    pub(crate) fn close(self) -> Option<AllocExtras> {
+    fn close(self) -> Option<AllocExtras> {
         None
     }
 }
@@ -515,52 +413,117 @@ impl AllocBracket {
 ///
 /// No (scheme × structure) dispatch happens here: [`SchemeKind::build`]
 /// yields the scheme as `Arc<dyn DynSmr>`, [`StructureKind::build_set`]
-/// the structure as `Arc<dyn ConcurrentSet<ErasedSmr>>`, and the generic
-/// measurement loop drives the pair through the erased adapter.
+/// each structure of `params.structures` as
+/// `Arc<dyn ConcurrentSet<ErasedSmr>>`, and the measurement loop drives
+/// them through the erased adapter. A single structure is sized by
+/// `params` itself and reported under its own label; the members of a mix
+/// are each sized by their own Figure 3 preset at the cell's scale
+/// ([`WorkloadParams::hetero_cell`]), the label is `hetero(<mix>)`
+/// ([`StructureMix::row_label`](crate::params::StructureMix::row_label))
+/// and `per_structure` carries the split.
 ///
 /// [`StructureKind::build_set`]: crate::params::StructureKind::build_set
 pub fn run_combo(scheme: SchemeKind, params: &WorkloadParams) -> RunResult {
     let dyn_scheme = scheme.build(params);
     let erased = Arc::new(ErasedSmr::new(Arc::clone(&dyn_scheme)));
-    let set = params.structure.build_set::<ErasedSmr>(params);
+    let single = params.structures.as_single();
+    let targets: Vec<Target> = params
+        .structures
+        .entries()
+        .iter()
+        .map(|&(kind, _)| {
+            let cell = match single {
+                Some(_) => params.clone(),
+                None => params.hetero_cell(kind),
+            };
+            (kind.build_set::<ErasedSmr>(&cell), cell)
+        })
+        .collect();
 
     let alloc_bracket = AllocBracket::open();
-    let outcome = drive(&erased, &set, params);
+    let (agg, secs) = drive(&erased, &targets, params);
+    let secs = secs.max(1e-9);
 
-    let ts = threadscan_extras(&*dyn_scheme); // before quiesce (see docs)
-    let (outstanding_after, leaked) = quiesce_and_account(&*dyn_scheme);
+    // Scheme-specific fields, recovered from the erased scheme by
+    // downcast. The collector's counters are read *before* the quiesce:
+    // its small drain phases would dilute the per-phase latency/sort
+    // means, and the snapshot should describe the measured window. After
+    // it, Leaky's count is intentional leakage and must not read as a
+    // deficit, so it is reported as `leaked`, not `outstanding_after`.
+    let scheme_any = dyn_scheme.as_any();
+    let threadscan = scheme_any
+        .downcast_ref::<ThreadScanSmr<SignalPlatform>>()
+        .map(|ts| ts.stats());
+    dyn_scheme.quiesce();
+    let leaked = scheme_any.downcast_ref::<Leaky>().map(Leaky::leaked);
+    let outstanding_after = leaked.is_none().then(|| dyn_scheme.outstanding());
     let alloc = alloc_bracket.close();
-    let protection_slots = erased.register().protection_slots();
 
+    let split = params.structures.entries().iter().enumerate();
+    let split = split.map(|(i, &(kind, _))| StructureOps {
+        structure: kind.label().to_string(),
+        ops: agg.class_ops[i],
+        ops_per_sec: agg.class_ops[i] as f64 / secs,
+        latency: agg.class_latency[i].clone(),
+    });
+    let per_structure = match single {
+        Some(_) => Vec::new(), // a lone structure's split is the row itself
+        None => split.collect(),
+    };
     RunResult {
         scheme: scheme.label().to_string(),
-        structure: params.structure.label().to_string(),
+        structure: params.structures.row_label(),
         threads: params.threads,
-        duration_s: outcome.secs,
-        total_ops: outcome.ops,
-        ops_per_sec: outcome.ops as f64 / outcome.secs.max(1e-9),
+        duration_s: secs,
+        total_ops: agg.total_ops,
+        ops_per_sec: agg.total_ops as f64 / secs,
         outstanding_after,
         leaked,
-        protection_slots,
-        threadscan: ts,
+        protection_slots: erased.register().protection_slots(),
+        threadscan,
         alloc,
-        per_structure: Vec::new(),
-        bucket_count: set.bucket_count(),
-        latency: outcome.latency,
-        open_loop: outcome.open_loop,
+        per_structure,
+        bucket_count: targets.iter().find_map(|(set, _)| set.bucket_count()),
+        open_loop: agg.open_extras(&params.load_model),
+        latency: agg.latency,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::StructureKind;
+    use crate::params::{StructureKind, StructureMix};
+    use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
+    use ts_smr::ErasedHandle;
+    use ts_structures::PqAsSet;
 
     fn quick(structure: StructureKind, threads: usize) -> WorkloadParams {
         WorkloadParams::fig3(structure, threads)
             .scaled_down(64)
             .with_duration(Duration::from_millis(120))
+    }
+
+    fn quick_hetero(threads: usize, spec: &str) -> WorkloadParams {
+        quick(StructureKind::Hash, threads)
+            .with_duration(Duration::from_millis(150))
+            .with_structures(StructureMix::parse(spec).unwrap())
+    }
+
+    /// The 50/50 insert/delete-min priority-queue ablation cell.
+    fn quick_pq() -> WorkloadParams {
+        let mut p = quick(StructureKind::Pq, 2).with_update_pct(100);
+        p.initial_size = 256;
+        p
+    }
+
+    /// Drives one injected set through the measurement loop under Leaky.
+    fn drive_injected(
+        set: Arc<dyn ConcurrentSet<ErasedSmr>>,
+        params: &WorkloadParams,
+    ) -> (Aggregate, f64) {
+        let scheme = Arc::new(ErasedSmr::new(Arc::new(Leaky::new())));
+        drive(&scheme, &[(set, params.clone())], params)
     }
 
     /// A set whose every operation takes ~`OP_MS` ms: long enough that a
@@ -569,16 +532,16 @@ mod tests {
 
     const OP_MS: u64 = 5;
 
-    impl ConcurrentSet<Leaky> for StallingSet {
-        fn contains(&self, _h: &<Leaky as Smr>::Handle, _k: u64) -> bool {
+    impl ConcurrentSet<ErasedSmr> for StallingSet {
+        fn contains(&self, _h: &ErasedHandle, _k: u64) -> bool {
             std::thread::sleep(Duration::from_millis(OP_MS));
             false
         }
-        fn insert(&self, _h: &<Leaky as Smr>::Handle, _k: u64) -> bool {
+        fn insert(&self, _h: &ErasedHandle, _k: u64) -> bool {
             std::thread::sleep(Duration::from_millis(OP_MS));
             true
         }
-        fn remove(&self, _h: &<Leaky as Smr>::Handle, _k: u64) -> bool {
+        fn remove(&self, _h: &ErasedHandle, _k: u64) -> bool {
             std::thread::sleep(Duration::from_millis(OP_MS));
             false
         }
@@ -598,13 +561,11 @@ mod tests {
     #[test]
     fn ops_finished_after_stop_are_not_counted() {
         const THREADS: usize = 2;
-        let scheme = Arc::new(Leaky::new());
-        let set = Arc::new(StallingSet);
         let mut params = quick(StructureKind::List, THREADS);
         params.initial_size = 0; // no prefill through the stalling set
         params.duration = Duration::from_millis(60);
-        let outcome = drive(&scheme, &set, &params);
-        let (ops, secs) = (outcome.ops, outcome.secs);
+        let (agg, secs) = drive_injected(Arc::new(StallingSet), &params);
+        let ops = agg.total_ops;
         // Bound against the *measured* window, not the nominal 60 ms —
         // on a loaded machine the driver's sleep can overshoot, in which
         // case more ops legitimately fit. `+ 1` covers the op in flight
@@ -632,14 +593,11 @@ mod tests {
         p.duration = Duration::from_millis(250);
         let r = run_combo(SchemeKind::ThreadScan, &p);
         assert!(r.total_ops > 0);
-        let ts = r.threadscan.expect("threadscan extras present");
+        let ts = r.threadscan.expect("threadscan stats present");
         assert!(ts.collects > 0, "phases must run under oversubscription");
-        assert!(
-            ts.collect_us_p50 > 0.0,
-            "histogram must populate percentiles"
-        );
-        assert!(ts.collect_us_p50 <= ts.collect_us_p95);
-        assert!(ts.collect_us_p95 <= ts.collect_us_p99);
+        let [p50, p95, p99] = [0.50, 0.95, 0.99].map(|q| ts.collect_us_percentile(q));
+        assert!(p50 > 0.0, "histogram must populate percentiles");
+        assert!(p50 <= p95 && p95 <= p99);
     }
 
     #[test]
@@ -657,11 +615,10 @@ mod tests {
         for structure in StructureKind::ALL {
             let r = run_combo(SchemeKind::ThreadScan, &quick(structure, 3));
             assert!(r.total_ops > 0, "{:?} produced no ops", structure);
-            let ts = r.threadscan.expect("threadscan extras present");
+            let ts = r.threadscan.expect("threadscan stats present");
             // With 20% updates and a scaled-down buffer the run may or may
-            // not trigger a phase; freed+outstanding bookkeeping must be
-            // consistent regardless.
-            assert!(ts.freed <= ts.freed + ts.survivors);
+            // not trigger a phase; the books must balance regardless.
+            assert!(ts.freed <= ts.retired);
         }
     }
 
@@ -695,16 +652,16 @@ mod tests {
     /// order — the probe for the closed-model pinning test.
     struct RecordingSet(Mutex<Vec<Op>>);
 
-    impl ConcurrentSet<Leaky> for RecordingSet {
-        fn contains(&self, _h: &<Leaky as Smr>::Handle, k: u64) -> bool {
+    impl ConcurrentSet<ErasedSmr> for RecordingSet {
+        fn contains(&self, _h: &ErasedHandle, k: u64) -> bool {
             self.0.lock().unwrap().push(Op::Contains(k));
             false
         }
-        fn insert(&self, _h: &<Leaky as Smr>::Handle, k: u64) -> bool {
+        fn insert(&self, _h: &ErasedHandle, k: u64) -> bool {
             self.0.lock().unwrap().push(Op::Insert(k));
             true
         }
-        fn remove(&self, _h: &<Leaky as Smr>::Handle, k: u64) -> bool {
+        fn remove(&self, _h: &ErasedHandle, k: u64) -> bool {
             self.0.lock().unwrap().push(Op::Remove(k));
             false
         }
@@ -713,33 +670,37 @@ mod tests {
         }
     }
 
-    /// Pins [`LoadModel::Closed`](crate::load::LoadModel::Closed) to the
-    /// pre-refactor runner observationally: a single worker must issue
-    /// *exactly* the op stream of `OpMix::with_dist(0x51ED_1E55 ^ 0, ...)`
-    /// (the documented per-worker seed), count every issued op, and take
-    /// no per-op clocks (no latency, no open-loop extras).
+    /// Pins [`LoadModel::Closed`](crate::load::LoadModel::Closed) on a
+    /// single-structure cell to the pre-refactor runner observationally:
+    /// a single worker must issue *exactly* the op stream of
+    /// `OpMix::with_dist(0x51ED_1E55, ...)` (the documented per-worker
+    /// seed — so no draw from a structure-pick stream perturbs it), count
+    /// every issued op, and take no per-op clocks (no latency, no
+    /// open-loop extras).
     #[test]
     fn closed_model_is_observationally_the_pre_refactor_loop() {
-        let scheme = Arc::new(Leaky::new());
         let set = Arc::new(RecordingSet(Mutex::new(Vec::new())));
         let mut params = quick(StructureKind::List, 1);
         params.initial_size = 0; // keep prefill out of the recording
         params.duration = Duration::from_millis(40);
         assert_eq!(params.load_model, crate::load::LoadModel::Closed);
-        let outcome = drive(&scheme, &set, &params);
+        let (agg, _) = drive_injected(set.clone(), &params);
 
         let recorded = set.0.lock().unwrap();
         assert_eq!(
-            outcome.ops as usize,
+            agg.total_ops as usize,
             recorded.len(),
             "every issued op is counted, none invented"
         );
-        assert!(outcome.ops > 0, "the worker must make progress");
-        assert!(outcome.latency.is_none(), "closed loop takes no clocks");
-        assert!(outcome.open_loop.is_none(), "closed loop has no extras");
+        assert!(agg.total_ops > 0, "the worker must make progress");
+        assert!(agg.latency.is_none(), "closed loop takes no clocks");
+        assert!(
+            agg.open_extras(&params.load_model).is_none(),
+            "closed loop has no extras"
+        );
 
-        // Replay the documented stream: worker 0 seeds OpMix with
-        // 0x51ED_1E55 ^ (0 << 1).
+        // Replay the documented stream: worker 0, structure 0 seeds OpMix
+        // with 0x51ED_1E55 ^ (0 << 8) ^ 0.
         let mut expect = OpMix::with_dist(
             0x51ED_1E55,
             params.key_range,
@@ -803,8 +764,6 @@ mod tests {
     fn drop_policy_surfaces_in_run_results() {
         // Offered load far beyond one thread's capacity on a stalling
         // structure, with a tight drop deadline: drops must be reported.
-        let scheme = Arc::new(Leaky::new());
-        let set = Arc::new(StallingSet);
         let mut params = quick(StructureKind::List, 1);
         params.initial_size = 0;
         params.duration = Duration::from_millis(80);
@@ -813,8 +772,10 @@ mod tests {
             .with_backlog(crate::load::BacklogPolicy::DropAfter(
                 Duration::from_millis(10),
             ));
-        let outcome = drive(&scheme, &set, &params);
-        let ol = outcome.open_loop.expect("open model reports extras");
+        let (agg, _) = drive_injected(Arc::new(StallingSet), &params);
+        let ol = agg
+            .open_extras(&params.load_model)
+            .expect("open model reports extras");
         assert!(ol.dropped > 0, "overload with a deadline must shed");
         assert!(
             ol.sched_lag_max_ns > 10_000_000,
@@ -823,8 +784,237 @@ mod tests {
         );
         assert_eq!(
             ol.offered,
-            outcome.ops + ol.dropped,
+            agg.total_ops + ol.dropped,
             "offered splits exactly into served + dropped"
         );
+    }
+
+    /// Pins the row format: a single-structure ThreadScan row carries
+    /// exactly the keys it always has, `per_structure` is `null` and
+    /// `structure` is the kind's label — downstream plotting reads these.
+    #[test]
+    fn single_structure_row_keeps_its_json_keys() {
+        #[track_caller]
+        fn assert_keys<const N: usize>(v: &crate::json::Value, mut want: [&str; N]) {
+            let crate::json::Value::Object(fields) = v else {
+                panic!("not an object: {v:?}");
+            };
+            want.sort_unstable(); // parsed objects iterate in key order
+            assert_eq!(fields.keys().map(String::as_str).collect::<Vec<_>>(), want);
+        }
+        let p = quick(StructureKind::Hash, 2)
+            .with_load_model(crate::load::LoadModel::OpenPoisson { qps: 20_000.0 });
+        let json = run_combo(SchemeKind::ThreadScan, &p).to_json();
+        let v = crate::json::parse(&json).expect("valid JSON");
+        assert_keys(
+            &v,
+            [
+                "scheme",
+                "structure",
+                "threads",
+                "duration_s",
+                "total_ops",
+                "ops_per_sec",
+                "outstanding_after",
+                "leaked",
+                "protection_slots",
+                "bucket_count",
+                "latency",
+                "open_loop",
+                "per_structure",
+                "threadscan",
+                "alloc",
+            ],
+        );
+        assert_eq!(v.get("structure").as_str(), Some("hash"));
+        assert!(v.get("per_structure").is_null());
+        assert_keys(
+            v.get("threadscan"),
+            [
+                "collects",
+                "adaptive_collects",
+                "words_scanned",
+                "freed",
+                "mailbox_frees",
+                "overflow_frees",
+                "survivors",
+                "threads_scanned",
+                "mean_collect_us",
+                "max_collect_us",
+                "mean_sort_us",
+                "collect_us_p50",
+                "collect_us_p95",
+                "collect_us_p99",
+                "collect_ns_hist",
+            ],
+        );
+        assert_keys(
+            v.get("latency"),
+            ["count", "p50_ns", "p99_ns", "p999_ns", "max_ns", "hist"],
+        );
+        assert_keys(
+            v.get("open_loop"),
+            [
+                "model",
+                "target_qps",
+                "offered",
+                "dropped",
+                "sched_lag_max_ns",
+                "sched_lag_mean_ns",
+            ],
+        );
+    }
+
+    #[test]
+    fn three_structures_share_a_run_and_split_its_ops() {
+        let p = quick_hetero(3, "hash:50,skiplist:30,pq:20");
+        let r = run_combo(SchemeKind::Epoch, &p);
+        assert_eq!(r.structure, "hetero(hash:50,skiplist:30,pq:20)");
+        assert_eq!(r.per_structure.len(), 3);
+        assert_eq!(
+            r.per_structure.iter().map(|s| s.ops).sum::<u64>(),
+            r.total_ops
+        );
+        assert!(r.total_ops > 0);
+        // The 50%-weighted structure must dominate the 20% one over a
+        // measurement window's worth of draws.
+        assert!(
+            r.per_structure[0].ops > r.per_structure[2].ops,
+            "hash {} vs pq {}",
+            r.per_structure[0].ops,
+            r.per_structure[2].ops
+        );
+        assert!(r.bucket_count.is_none(), "no bucketed structure in mix");
+    }
+
+    #[test]
+    fn split_ordered_in_the_mix_reports_its_directory() {
+        let p = quick_hetero(2, "split-ordered:1,list:1");
+        let r = run_combo(SchemeKind::Leaky, &p);
+        let buckets = r.bucket_count.expect("split-ordered exports buckets");
+        assert!(buckets >= 2);
+        assert!(r.leaked.is_some(), "leaky accounting preserved");
+    }
+
+    #[test]
+    fn hetero_run_under_threadscan_shares_one_collector() {
+        let mut p = quick_hetero(3, "hash:40,skiplist:40,pq:20");
+        p.ts_buffer_capacity = 64; // force phases within the window
+        p.duration = Duration::from_millis(250);
+        let r = run_combo(SchemeKind::ThreadScan, &p);
+        assert!(r.total_ops > 0);
+        let ts = r.threadscan.expect("threadscan stats present");
+        // Retirements from *all three* structures funnel into the one
+        // collector the run built.
+        assert!(ts.collects > 0, "no reclamation phases ran");
+    }
+
+    #[test]
+    fn open_loop_hetero_reports_per_structure_latency() {
+        let mut p = quick_hetero(2, "hash:60,list:40");
+        p.duration = Duration::from_millis(250);
+        p = p.with_load_model(crate::load::LoadModel::OpenPoisson { qps: 20_000.0 });
+        let r = run_combo(SchemeKind::Epoch, &p);
+        assert!(r.total_ops > 0);
+        let total = r.latency.as_ref().expect("open model measures latency");
+        assert_eq!(total.count, r.total_ops);
+        let mut class_count = 0;
+        for s in &r.per_structure {
+            let lat = s
+                .latency
+                .as_ref()
+                .unwrap_or_else(|| panic!("{} saw ops but no latency", s.structure));
+            assert_eq!(lat.count, s.ops, "{}", s.structure);
+            assert!(lat.p50_ns <= lat.p999_ns, "{}", s.structure);
+            class_count += lat.count;
+        }
+        assert_eq!(class_count, total.count, "class histograms sum to total");
+        let ol = r.open_loop.as_ref().expect("open extras present");
+        assert!(ol.offered >= r.total_ops);
+    }
+
+    #[test]
+    fn json_carries_the_per_structure_split() {
+        let p = quick_hetero(2, "list:1,pq:1");
+        let r = run_combo(SchemeKind::Leaky, &p);
+        let json = r.to_json();
+        let v = crate::json::parse(&json).expect("valid JSON");
+        let arr = match v.get("per_structure") {
+            crate::json::Value::Array(a) => a,
+            other => panic!("per_structure not an array: {other:?}"),
+        };
+        assert_eq!(arr.len(), 2);
+        assert_eq!(arr[0].get("structure").as_str(), Some("list"));
+        assert_eq!(arr[1].get("structure").as_str(), Some("pq"));
+        assert!(v.get("bucket_count").is_null(), "no bucketed structure");
+    }
+
+    #[test]
+    fn every_scheme_completes_on_the_priority_queue() {
+        for scheme in SchemeKind::ALL {
+            let r = run_combo(scheme, &quick_pq());
+            assert!(r.total_ops > 0, "{:?} produced no ops", scheme);
+            assert_eq!(r.structure, "pq");
+        }
+    }
+
+    #[test]
+    fn delete_heavy_mix_reclaims_under_threadscan() {
+        // Half of all ops are delete-mins and each retires a node: five
+        // times the retire rate of the 20%-update set cells.
+        let mut p = quick_pq();
+        p.ts_buffer_capacity = 64;
+        p.initial_size = 2_000;
+        let r = run_combo(SchemeKind::ThreadScan, &p);
+        assert!(r.threadscan.unwrap().collects > 0);
+        let outstanding = r.outstanding_after.unwrap();
+        assert!(
+            outstanding < 5_000,
+            "outstanding {outstanding} after quiesce"
+        );
+    }
+
+    #[test]
+    fn leaky_leaks_every_delete_min() {
+        let r = run_combo(SchemeKind::Leaky, &quick_pq());
+        assert!(r.leaked.unwrap() > 0, "delete_min must leak under Leaky");
+    }
+
+    /// The queue adapter, counting the inserts it turns away.
+    struct CountingPq(PqAsSet<ErasedSmr>, AtomicUsize);
+
+    impl ConcurrentSet<ErasedSmr> for CountingPq {
+        fn contains(&self, h: &ErasedHandle, k: u64) -> bool {
+            self.0.contains(h, k)
+        }
+        fn insert(&self, h: &ErasedHandle, k: u64) -> bool {
+            let fresh = self.0.insert(h, k);
+            self.1.fetch_add(usize::from(!fresh), Ordering::Relaxed);
+            fresh
+        }
+        fn remove(&self, h: &ErasedHandle, k: u64) -> bool {
+            self.0.remove(h, k)
+        }
+        fn kind(&self) -> &'static str {
+            self.0.kind()
+        }
+    }
+
+    /// The `Pq` preset draws fresh priorities: started from its own
+    /// prefill at the ablation's 50/50 insert/delete-min mix, no insert
+    /// is rejected as a duplicate, so the queue random-walks around its
+    /// resident size and no pop finds it empty. (A key range small enough
+    /// to revisit rejects half the inserts from the first op on, and
+    /// delete-min then drains the queue.)
+    #[test]
+    fn pq_preset_draws_fresh_priorities_and_never_pops_empty() {
+        let params = WorkloadParams::fig3(StructureKind::Pq, 2)
+            .with_update_pct(100)
+            .with_duration(Duration::from_millis(200));
+        let pq = Arc::new(CountingPq(PqAsSet::new(), AtomicUsize::new(0)));
+        let (agg, _) = drive_injected(pq.clone(), &params);
+        assert!(agg.total_ops > 1_000);
+        assert_eq!(pq.1.load(Ordering::Relaxed), 0, "duplicate priorities");
+        assert_eq!(pq.0.empty_pops(), 0, "after {} ops", agg.total_ops);
     }
 }

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use ts_sigscan::SignalPlatform;
 use ts_smr::dynamic::{DynSmr, ErasedSmr};
 use ts_smr::{EpochScheme, HazardPointers, Leaky, Smr, StackTrackSim, ThreadScanSmr};
-use ts_structures::{ConcurrentSet, DynSet};
+use ts_structures::ConcurrentSet;
 use ts_workload::registry::HARNESS_HAZARD_SLOTS;
 use ts_workload::{SchemeKind, StructureKind, WorkloadParams};
 
@@ -28,31 +28,6 @@ struct Observation {
 /// for every scheme and both dispatch paths.
 fn churn<S: Smr>(scheme: &S, set: &dyn ConcurrentSet<S>) -> Observation {
     let h = scheme.register();
-    let mut op_results = Vec::new();
-    let mut x = 0x2545_F491_4F6C_DD1Du64;
-    for i in 0..4_000u64 {
-        x = x
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let k = (x >> 33) % KEY_RANGE;
-        op_results.push(match i % 3 {
-            0 => set.insert(&h, k),
-            1 => set.remove(&h, k),
-            _ => set.contains(&h, k),
-        });
-    }
-    let members = (0..KEY_RANGE).filter(|&k| set.contains(&h, k)).collect();
-    Observation {
-        op_results,
-        members,
-    }
-}
-
-/// The same deterministic workload through the object-safe [`DynSet`]
-/// layer — double erasure: scheme behind `ErasedSmr`, structure behind
-/// `dyn DynSet`.
-fn churn_dyn(erased: &ErasedSmr, set: &dyn DynSet) -> Observation {
-    let h = erased.register();
     let mut op_results = Vec::new();
     let mut x = 0x2545_F491_4F6C_DD1Du64;
     for i in 0..4_000u64 {
@@ -117,7 +92,9 @@ fn run_mono(
 }
 
 /// Erased run: the scheme comes from the registry as `Arc<dyn DynSmr>`
-/// and drives the structure through `ErasedSmr` — the harness path.
+/// and drives the structure, a `dyn ConcurrentSet<ErasedSmr>` object,
+/// through `ErasedSmr` — the harness path, and the one type every
+/// structure of a heterogeneous run is held as.
 fn run_dyn(
     kind: SchemeKind,
     structure: StructureKind,
@@ -195,72 +172,34 @@ fn erased_layer_is_equivalent_on_the_resizable_table() {
     }
 }
 
-/// `build_dyn` run: scheme *and* structure erased — the heterogeneous
-/// runner's path.
-fn run_dyn_set(
-    kind: SchemeKind,
-    structure: StructureKind,
-    params: &WorkloadParams,
-) -> (Observation, usize) {
-    let dyn_scheme: Arc<dyn DynSmr> = kind.build(params);
-    let erased = ErasedSmr::new(Arc::clone(&dyn_scheme));
-    let set = structure.build_dyn(params);
-    let obs = churn_dyn(&erased, &*set);
-    dyn_scheme.quiesce();
-    (obs, dyn_scheme.outstanding())
-}
-
-fn assert_dyn_set_equivalent(kind: SchemeKind, structure: StructureKind) {
-    let mut params = WorkloadParams::fig3(structure, 1).scaled_down(64);
-    params.ts_buffer_capacity = 256; // force in-run ThreadScan phases
-    let (mono, mono_outstanding) = run_mono(kind, structure, &params);
-    let (dynamic, dyn_outstanding) = run_dyn_set(kind, structure, &params);
-
-    assert_eq!(
-        mono,
-        dynamic,
-        "{}/{}: DynSet path diverged from monomorphized path",
-        kind.label(),
-        structure.label()
-    );
-    match kind {
-        SchemeKind::Leaky => assert_eq!(mono_outstanding, dyn_outstanding),
-        SchemeKind::ThreadScan => assert!(mono_outstanding < 64 && dyn_outstanding < 64),
-        _ => {
-            assert_eq!(mono_outstanding, 0);
-            assert_eq!(dyn_outstanding, 0);
-        }
-    }
-}
-
-#[test]
-fn every_scheme_is_equivalent_through_the_dyn_set_layer_on_the_hash() {
-    for kind in SchemeKind::EXTENDED {
-        assert_dyn_set_equivalent(kind, StructureKind::Hash);
-    }
-}
-
 #[test]
 fn every_scheme_is_equivalent_through_the_dyn_set_layer_on_the_skiplist() {
     for kind in SchemeKind::EXTENDED {
-        assert_dyn_set_equivalent(kind, StructureKind::Skip);
+        assert_equivalent(kind, StructureKind::Skip);
     }
 }
 
+/// The resizable table again, under the four schemes the test above
+/// leaves out.
 #[test]
 fn dyn_set_layer_is_equivalent_on_the_growable_table() {
-    for kind in SchemeKind::EXTENDED {
-        assert_dyn_set_equivalent(kind, StructureKind::SplitOrdered);
+    for kind in [
+        SchemeKind::Leaky,
+        SchemeKind::Epoch,
+        SchemeKind::SlowEpoch,
+        SchemeKind::ThreadScan,
+    ] {
+        assert_equivalent(kind, StructureKind::SplitOrdered);
     }
 }
 
 /// The priority-queue adapter is deterministic single-threaded (tower
 /// heights don't affect op results), so the full observation — including
-/// the key-ignoring `contains`/`remove` mapping — must survive double
-/// erasure under every scheme.
+/// the key-ignoring `contains`/`remove` mapping — must survive erasure
+/// under every scheme.
 #[test]
 fn dyn_set_layer_is_equivalent_on_the_pq_adapter() {
     for kind in SchemeKind::EXTENDED {
-        assert_dyn_set_equivalent(kind, StructureKind::Pq);
+        assert_equivalent(kind, StructureKind::Pq);
     }
 }

@@ -68,18 +68,31 @@ fn leaky_leaks_proportionally_to_updates() {
 #[test]
 fn slow_epoch_throughput_collapses_vs_epoch() {
     // The paper's Slow Epoch point: one delayed thread wrecks the scheme.
-    // With a 40ms stall per 4096 ops per the errant thread, epoch should
-    // beat slow-epoch clearly on the same workload.
-    let mut p = quick(StructureKind::List, 2);
+    // With a single worker that worker is the errant thread, so its op
+    // count is bounded by the stalls alone: every `period` ops it spends
+    // `delay` stalled, and all but the last of those stalls (which may
+    // straddle the stop flag) lie inside the window. Contention from
+    // sibling tests can only lower the count; the same cell under plain
+    // Epoch clears the bound many times over.
+    // (The delay itself is pinned by `epoch.rs`; throughput *orderings*
+    // across schemes are `ts-bench fig3` output, not assertions.)
+    let mut p = quick(StructureKind::List, 1);
     p.duration = Duration::from_millis(400);
     p.slow_epoch_period_ops = 512; // stall often enough to be visible
-    let epoch = run_combo(SchemeKind::Epoch, &p);
     let slow = run_combo(SchemeKind::SlowEpoch, &p);
+    let stalls = slow.duration_s / p.slow_epoch_delay.as_secs_f64() + 2.0;
+    let bound = (p.slow_epoch_period_ops as f64 * stalls) as u64;
     assert!(
-        slow.ops_per_sec < epoch.ops_per_sec,
-        "slow-epoch ({:.0}) should underperform epoch ({:.0})",
-        slow.ops_per_sec,
-        epoch.ops_per_sec
+        slow.total_ops <= bound,
+        "slow-epoch ran {} ops in {:.3}s; its stalls allow at most {bound}",
+        slow.total_ops,
+        slow.duration_s
+    );
+    let epoch = run_combo(SchemeKind::Epoch, &p);
+    assert!(
+        epoch.total_ops > bound,
+        "epoch ({}) should clear the stalled bound ({bound})",
+        epoch.total_ops
     );
 }
 
@@ -115,12 +128,21 @@ fn tuned_buffer_reduces_collect_frequency() {
     let mut large = small.clone();
     large.ts_buffer_capacity = 1024;
 
-    let r_small = run_combo(SchemeKind::ThreadScan, &small);
-    let r_large = run_combo(SchemeKind::ThreadScan, &large);
-    let c_small = r_small.threadscan.unwrap().collects;
-    let c_large = r_large.threadscan.unwrap().collects;
+    // Mean batch per phase, not the phase count: a run starved of CPU by
+    // sibling tests retires less *and* collects less, but a phase still
+    // needs a half-full buffer of either size to start.
+    let batch = |p: &WorkloadParams| {
+        let ts = run_combo(SchemeKind::ThreadScan, p).threadscan.unwrap();
+        assert!(
+            ts.collects > 0,
+            "no phase ran at capacity {}",
+            p.ts_buffer_capacity
+        );
+        ts.retired as f64 / ts.collects as f64
+    };
+    let (b_small, b_large) = (batch(&small), batch(&large));
     assert!(
-        c_small > c_large,
-        "small buffers must collect more often ({c_small} vs {c_large})"
+        b_small < b_large,
+        "small buffers must collect in smaller batches ({b_small:.0} vs {b_large:.0})"
     );
 }
