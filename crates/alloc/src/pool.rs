@@ -70,8 +70,8 @@ pub struct PoolCounters {
     bytes_resident: AtomicUsize,
 }
 
-/// Bytes currently resident across *all* pool handles in the process —
-/// the allocator-pressure signal adaptive collect policies subscribe to.
+/// Bytes currently resident across *all* pool handles in the process;
+/// exported as the `threadscan_pool_bytes_resident` gauge.
 static POOL_BYTES_RESIDENT: AtomicUsize = AtomicUsize::new(0);
 
 /// Every handle's counters ever created, for [`pool_stats`].
@@ -116,8 +116,7 @@ pub fn pool_stats() -> Vec<PoolStats> {
 }
 
 /// Bytes currently resident across all pool handles (process-wide).
-/// Cheap (one relaxed load): safe to poll from hot paths such as an
-/// adaptive collect trigger.
+/// Cheap (one relaxed load): safe to poll from a hot path.
 pub fn pool_bytes_resident() -> usize {
     POOL_BYTES_RESIDENT.load(Ordering::Relaxed)
 }

@@ -44,7 +44,7 @@ static HANDLES: ts_telemetry::CallbackGauge = ts_telemetry::CallbackGauge::new(h
 pub fn register_pool_metrics() {
     ts_telemetry::register_callback_gauge(
         "threadscan_pool_bytes_resident",
-        "Bytes currently resident across all node-pool handles (the adaptive policy's pressure signal).",
+        "Bytes currently resident across all node-pool handles.",
         &[],
         &BYTES_RESIDENT,
     );

@@ -3,13 +3,12 @@
 //! The inner loop of `TS-Scan` is "binary-search(delete buffer, chunk)"
 //! per stack word (Algorithm 1 line 20). This bench measures the marking
 //! kernel at paper-relevant buffer sizes (1024 pointers/thread × thread
-//! count ⇒ master buffers of 1k–80k entries) and compares range matching
-//! (ours) against exact matching (the paper's §4.2).
+//! count ⇒ master buffers of 1k–80k entries).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use threadscan::master::MasterBuffer;
-use threadscan::scan::{find_exact, find_range};
-use threadscan::{CollectorConfig, MatchMode, Retired};
+use threadscan::scan::find_range;
+use threadscan::{CollectorConfig, Retired};
 
 fn synthetic_buffer(n: usize) -> (Vec<usize>, Vec<usize>) {
     // Disjoint 176-byte "nodes" (the paper's padded list node size).
@@ -51,17 +50,6 @@ fn bench_kernels(c: &mut Criterion) {
                 black_box(hits)
             })
         });
-        group.bench_with_input(BenchmarkId::new("exact", n), &n, |b, _| {
-            b.iter(|| {
-                let mut hits = 0usize;
-                for &w in &stack {
-                    if find_exact(black_box(&addrs), w, 0b111).is_some() {
-                        hits += 1;
-                    }
-                }
-                black_box(hits)
-            })
-        });
     }
     group.finish();
 }
@@ -77,18 +65,15 @@ fn bench_session_scan(c: &mut Criterion) {
                 Retired::from_raw_parts(0x10_0000 + i * 256, 176, threadscan::retired::noop_drop)
             })
             .collect();
-        for mode in [MatchMode::Range, MatchMode::Exact] {
-            let config = CollectorConfig::default().with_match_mode(mode);
-            let master = MasterBuffer::new(entries.clone(), &config);
-            let stack = synthetic_stack(16384, &[0x10_0000]);
-            group.bench_with_input(BenchmarkId::new(format!("{mode:?}"), n), &n, |b, _| {
-                b.iter(|| {
-                    let session = master.session();
-                    session.scan_words(black_box(&stack));
-                    black_box(session.hits())
-                })
-            });
-        }
+        let master = MasterBuffer::new(entries, &CollectorConfig::default());
+        let stack = synthetic_stack(16384, &[0x10_0000]);
+        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
+            b.iter(|| {
+                let session = master.session();
+                session.scan_words(black_box(&stack));
+                black_box(session.hits())
+            })
+        });
     }
     group.finish();
 }

@@ -77,11 +77,6 @@ pub const TABLE: &[Experiment] = &[
         run: Run::Sweep(zipf),
     },
     Experiment {
-        name: "match_mode",
-        about: "range vs the paper's masked-exact word matching, on the Harris list",
-        run: Run::Sweep(match_mode),
-    },
-    Experiment {
         name: "stacktrack",
         about: "the §6 StackTrack comparator beside the five schemes, on the skip list",
         run: Run::Sweep(stacktrack),
@@ -93,7 +88,7 @@ pub const TABLE: &[Experiment] = &[
     },
     Experiment {
         name: "nodepool",
-        about: "per-structure node pools x fixed/adaptive collect policy under ThreadScan",
+        about: "nodes boxed on the global allocator vs per-structure node pools, under ThreadScan",
         run: Run::Sweep(nodepool),
     },
     Experiment {
@@ -330,28 +325,6 @@ fn zipf(args: &CliArgs) -> Sweep {
     s
 }
 
-/// Range matching is this port's deviation from §4.2 (Rust traversals may
-/// hold interior pointers). The Harris list holds node-base pointers only
-/// (`next` is the first field), so the paper's exact kernel is sound
-/// there: the place to measure what the stronger conservatism costs.
-fn match_mode(args: &CliArgs) -> Sweep {
-    let mut s = Sweep::new("match_mode", Common::parse(args, 2.0, 1));
-    for t in args.get_usize_list("threads", &[2, 4]) {
-        for (exact, label) in [(false, "threadscan[range]"), (true, "threadscan[exact]")] {
-            let mut params = s.common.cell(List, t);
-            params.ts_exact_match = exact;
-            s.cells.push(Cell::new(ThreadScan, params).labelled(label));
-        }
-    }
-    s.columns = vec![
-        col("survivors", |_, r| ts(r).survivors.to_string()),
-        col("collect-µs mean", |_, r| {
-            format!("{:.1}", ts(r).mean_collect_us())
-        }),
-    ];
-    s
-}
-
 fn stacktrack(args: &CliArgs) -> Sweep {
     let mut s = Sweep::new("stacktrack", Common::parse(args, 2.0, 1));
     let hw = hw_threads();
@@ -376,32 +349,20 @@ fn pq(args: &CliArgs) -> Sweep {
 }
 
 /// Nodes boxed on the global allocator vs a per-structure
-/// `ts_alloc::PoolHandle`, against the paper's full-buffer collect
-/// trigger vs the adaptive one (outstanding-garbage watermark, plus the
-/// pools' bytes-resident gauge when both are on). `--watermark 0` keeps
-/// the collector's auto-sizing.
+/// `ts_alloc::PoolHandle` (ROADMAP item 5e decides between them).
 fn nodepool(args: &CliArgs) -> Sweep {
     let mut s = Sweep::new("nodepool", Common::parse(args, 1.5, 1));
-    let watermark = args.get_usize("watermark", 0);
     for kind in [List, Hash, SplitOrdered] {
         for t in args.get_usize_list("threads", &[2, 4]) {
             for (pool, alloc) in [(false, "global"), (true, "pool")] {
-                for (adaptive, policy) in [(false, "fixed"), (true, "adaptive")] {
-                    let params = s
-                        .common
-                        .cell(kind, t)
-                        .with_node_pool(pool)
-                        .with_ts_adaptive_collect(adaptive)
-                        .with_ts_pending_watermark(watermark);
-                    let label = format!("threadscan[{alloc}/{policy}]");
-                    s.cells.push(Cell::new(ThreadScan, params).labelled(label));
-                }
+                let params = s.common.cell(kind, t).with_node_pool(pool);
+                let label = format!("threadscan[{alloc}]");
+                s.cells.push(Cell::new(ThreadScan, params).labelled(label));
             }
         }
     }
     s.columns = vec![
         col("collects", |_, r| ts(r).collects.to_string()),
-        col("adaptive", |_, r| ts(r).adaptive_collects.to_string()),
         COLLECT_TAIL,
     ];
     s.epilogue = |_| {

@@ -22,19 +22,19 @@
 //! thread that allocates, instead of in one burst on the reclaimer.
 
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
 
 use crate::buffer::LocalBuffer;
-use crate::config::{CollectPolicy, CollectorConfig};
+use crate::config::{check_buffer_capacity, CollectorConfig};
 use crate::errors::HeapBlockError;
 use crate::master::MasterBuffer;
 use crate::platform::Platform;
 use crate::retired::{DropFn, Retired};
-use crate::roots::ThreadRoots;
+use crate::roots::{ThreadRoots, MAX_HEAP_BLOCKS};
 use crate::selfscan::{capture_context, SelfScanContext};
 use crate::stats::{CollectorStats, StatsSnapshot};
 
@@ -94,8 +94,6 @@ impl ThreadSlot {
 enum Trigger {
     /// A thread filled the fresh stage of its buffer.
     BufferFull,
-    /// The adaptive controller crossed a watermark.
-    Adaptive,
     /// `collect_now` / `flush` / `quiesce`: free everything that can be.
     Forced,
 }
@@ -116,21 +114,6 @@ pub struct Collector<P: Platform> {
     /// Records left behind by unregistered threads; folded into the next
     /// phase.
     orphans: Mutex<Vec<Retired>>,
-    /// Registered thread count (mirror of `slots.len()`), readable
-    /// without the registry lock: sizes the adaptive policy's automatic
-    /// pending watermark on the retire fast path.
-    thread_count: AtomicUsize,
-    /// Adaptive policy only: retired nodes no scan has yet proven
-    /// reclaimable (buffered, surviving, orphaned). The one shared word
-    /// on the retire path, and only [`CollectPolicy::Adaptive`] touches
-    /// it.
-    backlog: AtomicUsize,
-    /// Adaptive-policy hysteresis latch: `true` while the controller may
-    /// fire. Cleared when an adaptive collect fires; set again only once
-    /// the backlog falls below half the watermark, so a workload whose
-    /// backlog hovers at the watermark (e.g. pinned survivors that
-    /// no phase can free) cannot collect-storm.
-    adaptive_armed: AtomicBool,
     stats: CollectorStats,
 }
 
@@ -141,7 +124,13 @@ impl<P: Platform> Collector<P> {
     }
 
     /// Creates a collector with an explicit configuration.
+    ///
+    /// # Panics
+    ///
+    /// If `config.buffer_capacity < 2`: each thread's buffer is split into
+    /// a fresh half and a mailbox half.
     pub fn with_config(platform: P, config: CollectorConfig) -> Arc<Self> {
+        check_buffer_capacity(config.buffer_capacity);
         Arc::new(Self {
             platform: Arc::new(platform),
             config,
@@ -151,9 +140,6 @@ impl<P: Platform> Collector<P> {
             }),
             slots: Mutex::new(Vec::new()),
             orphans: Mutex::new(Vec::new()),
-            thread_count: AtomicUsize::new(0),
-            backlog: AtomicUsize::new(0),
-            adaptive_armed: AtomicBool::new(true),
             stats: CollectorStats::default(),
         })
     }
@@ -162,9 +148,8 @@ impl<P: Platform> Collector<P> {
     /// protected data structure must hold a handle while doing so.
     pub fn register(self: &Arc<Self>) -> ThreadHandle<P> {
         let slot = Arc::new(ThreadSlot::new(self.config.buffer_capacity));
-        let roots = Arc::new(ThreadRoots::new(self.config.max_heap_blocks));
+        let roots = Arc::new(ThreadRoots::new(MAX_HEAP_BLOCKS));
         self.slots.lock().push(Arc::clone(&slot));
-        self.thread_count.fetch_add(1, Ordering::Relaxed);
         let token = self.platform.register_current(Arc::clone(&roots));
         ThreadHandle {
             collector: Arc::clone(self),
@@ -249,81 +234,6 @@ impl<P: Platform> Collector<P> {
             return;
         }
         self.collect_locked(&mut state, ctx, Trigger::BufferFull);
-    }
-
-    /// The adaptive policy's backlog watermark: the configured value, or —
-    /// when configured `0` — a quarter of the aggregate buffer capacity of
-    /// the currently registered threads (i.e. collect once the backlog
-    /// reaches what the Fixed policy would accumulate across half the
-    /// fleet).
-    fn adaptive_pending_watermark(&self) -> usize {
-        match self.config.pending_high_watermark {
-            0 => {
-                let threads = self.thread_count.load(Ordering::Relaxed).max(1);
-                (self.config.buffer_capacity * threads / 4).max(1)
-            }
-            hw => hw,
-        }
-    }
-
-    /// Whether either adaptive signal is at or above its watermark.
-    fn adaptive_over_watermark(&self) -> bool {
-        if self.backlog.load(Ordering::Relaxed) >= self.adaptive_pending_watermark() {
-            return true;
-        }
-        match (
-            &self.config.pressure_source,
-            self.config.pressure_high_watermark,
-        ) {
-            (Some(src), hw) if hw > 0 => src.bytes() >= hw,
-            _ => false,
-        }
-    }
-
-    /// Whether every adaptive signal has fallen below half its watermark
-    /// — the hysteresis re-arm threshold.
-    fn adaptive_below_rearm(&self) -> bool {
-        if self.backlog.load(Ordering::Relaxed) >= self.adaptive_pending_watermark() / 2 {
-            return false;
-        }
-        match (
-            &self.config.pressure_source,
-            self.config.pressure_high_watermark,
-        ) {
-            (Some(src), hw) if hw > 0 => src.bytes() < hw / 2,
-            _ => true,
-        }
-    }
-
-    /// Retire-path check for [`CollectPolicy::Adaptive`]: `true` at most
-    /// once per excursion above a watermark. Relaxed atomics only; the
-    /// Fixed policy never reaches this.
-    fn adaptive_should_collect(&self) -> bool {
-        if self.adaptive_over_watermark() {
-            // `swap` makes exactly one of the racing retirers the
-            // initiator; everyone else keeps working.
-            self.adaptive_armed.swap(false, Ordering::Relaxed)
-        } else {
-            if !self.adaptive_armed.load(Ordering::Relaxed) && self.adaptive_below_rearm() {
-                self.adaptive_armed.store(true, Ordering::Relaxed);
-            }
-            false
-        }
-    }
-
-    /// Adaptive-policy collect: like [`Self::collect_for`], but the
-    /// under-lock re-check is the watermark predicate rather than buffer
-    /// fullness — if a reclaimer ran while we waited for the lock it has
-    /// already relieved the pressure, so go back to work (the §4.2 move,
-    /// applied to the controller).
-    fn collect_adaptive(&self, ctx: &SelfScanContext) {
-        let mut state = self.reclaim.lock();
-        if !self.adaptive_over_watermark() {
-            self.stats.add(&self.stats.collects_skipped, 1);
-            return;
-        }
-        self.stats.add(&self.stats.adaptive_collects, 1);
-        self.collect_locked(&mut state, ctx, Trigger::Adaptive);
     }
 
     /// Runs the destructors of `records` and counts them as freed by the
@@ -423,9 +333,6 @@ impl<P: Platform> Collector<P> {
         let survivor_count = survivors.len();
         self.stats.add(&self.stats.survivors, survivor_count);
         state.survivors = survivors;
-        if self.config.collect_policy == CollectPolicy::Adaptive {
-            self.backlog.fetch_sub(reclaimable.len(), Ordering::Relaxed);
-        }
 
         if let Some((sink, id)) = telemetry {
             sink.event(PhaseKind::FreeBegin, id, reclaimable.len() as u64);
@@ -478,9 +385,7 @@ impl<P: Platform> Collector<P> {
                 overflow_frees,
                 survivors: survivor_count,
                 threads_scanned: outcome.threads_scanned,
-                adaptive: trigger == Trigger::Adaptive,
                 pending: snap.outstanding(),
-                armed: self.adaptive_armed.load(Ordering::Relaxed),
             });
             state.mailbox_frees_reported = snap.mailbox_frees;
         }
@@ -506,8 +411,6 @@ impl<P: Platform> Collector<P> {
         );
         self.stats.add(&self.stats.mailbox_frees, own_frees);
         self.stats.add(&self.stats.freed, own_frees);
-        drop(slots);
-        self.thread_count.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -573,11 +476,7 @@ impl<P: Platform> ThreadHandle<P> {
     }
 
     fn retire_record(&self, record: Retired) {
-        let adaptive = self.collector.config.collect_policy == CollectPolicy::Adaptive;
         OwnerCounters::bump(&self.slot.counters.retired);
-        if adaptive {
-            self.collector.backlog.fetch_add(1, Ordering::Relaxed);
-        }
         if self.slot.fresh.is_full() {
             // Our earlier retires filled the fresh half: we become the
             // reclaimer. Snapshot the application boundary before
@@ -602,13 +501,6 @@ impl<P: Platform> ThreadHandle<P> {
         // SAFETY: this handle's thread is the buffer's only producer.
         unsafe { self.slot.fresh.push(record) }
             .expect("a phase drains every registered thread's fresh buffer, this one's included");
-        if adaptive && self.collector.adaptive_should_collect() {
-            // Unexamined garbage (or allocator pressure) crossed the
-            // watermark while every buffer is still below its trigger:
-            // collect early rather than letting the backlog grow to it.
-            let ctx = capture_context();
-            self.collector.collect_adaptive(&ctx);
-        }
     }
 
     /// Registers a heap block holding private references
@@ -667,7 +559,7 @@ mod tests {
     use super::*;
     use crate::platform::{NullPlatform, ScanOutcome};
     use crate::session::ScanSession;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     /// Counts drops so tests can observe reclamation.
     struct Node {
@@ -1161,179 +1053,43 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_policy_collects_on_pending_watermark_below_capacity() {
-        // The adaptive controller's whole point: a collect fires when the
-        // pending backlog crosses the watermark even though every local
-        // buffer is far below its trigger (the fixed trigger would wait
-        // for 32 retires here).
+    fn trigger_fires_once_per_half_capacity_exactly() {
+        // The one collect trigger: a lone thread collects exactly when a
+        // retire finds the fresh half of its buffer full, i.e. once per
+        // `capacity / 2` retires, and at no other point.
         let counter = Arc::new(AtomicUsize::new(0));
         let collector = Collector::with_config(
             NullPlatform,
-            CollectorConfig::default()
-                .with_buffer_capacity(64)
-                .with_collect_policy(CollectPolicy::Adaptive)
-                .with_pending_high_watermark(8),
+            CollectorConfig::default().with_buffer_capacity(8),
         );
         let handle = collector.register();
-        for _ in 0..7 {
+        let mut collect_points = Vec::new();
+        for i in 1..=32usize {
             unsafe { handle.retire(node(&counter)) };
-        }
-        assert_eq!(collector.stats().collects, 0, "below watermark: idle");
-        unsafe { handle.retire(node(&counter)) };
-        let snap = collector.stats();
-        assert_eq!(snap.collects, 1, "8th retire hit the mark");
-        assert_eq!(snap.adaptive_collects, 1);
-        assert_eq!((handle.buffered(), handle.mailbox_len()), (0, 8));
-        handle.flush();
-        assert_eq!(counter.load(Ordering::SeqCst), 8);
-        drop(handle);
-    }
-
-    #[test]
-    fn adaptive_heap_pressure_fires_with_buffers_below_capacity() {
-        // Satellite regression: the heap-pressure leg alone must initiate
-        // a collect while every local buffer is below capacity and the
-        // pending count is nowhere near its watermark.
-        let gauge = Arc::new(AtomicUsize::new(0));
-        let source = {
-            let gauge = Arc::clone(&gauge);
-            crate::config::PressureSource::new(move || gauge.load(Ordering::Relaxed))
-        };
-        let counter = Arc::new(AtomicUsize::new(0));
-        let collector = Collector::with_config(
-            NullPlatform,
-            CollectorConfig::default()
-                .with_buffer_capacity(64)
-                .with_collect_policy(CollectPolicy::Adaptive)
-                .with_pending_high_watermark(1_000_000)
-                .with_pressure_source(source, 1 << 20),
-        );
-        let handle = collector.register();
-        for _ in 0..3 {
-            unsafe { handle.retire(node(&counter)) };
-        }
-        assert_eq!(collector.stats().collects, 0, "no pressure: idle");
-        gauge.store(2 << 20, Ordering::Relaxed); // allocator reports 2 MiB
-        unsafe { handle.retire(node(&counter)) };
-        let snap = collector.stats();
-        assert_eq!(snap.collects, 1, "pressure alone must trigger the phase");
-        assert_eq!(snap.adaptive_collects, 1);
-        assert_eq!((handle.buffered(), handle.mailbox_len()), (0, 4));
-        drop(handle);
-    }
-
-    #[test]
-    fn fixed_policy_triggers_once_per_half_capacity_exactly() {
-        // Acceptance pin: under `CollectPolicy::Fixed` a lone thread
-        // collects exactly when a retire finds the fresh half of its
-        // buffer full, i.e. once per `capacity / 2` retires — same
-        // trigger points, equal `collects` counts — even with adaptive
-        // knobs set, since the policy gate is checked before any
-        // watermark is consulted.
-        let run = |config: CollectorConfig| {
-            let counter = Arc::new(AtomicUsize::new(0));
-            let collector = Collector::with_config(NullPlatform, config);
-            let handle = collector.register();
-            let mut collect_points = Vec::new();
-            for i in 1..=32usize {
-                unsafe { handle.retire(node(&counter)) };
-                if collector.stats().collects > collect_points.len() {
-                    collect_points.push(i);
-                }
+            if collector.stats().collects > collect_points.len() {
+                collect_points.push(i);
             }
-            drop(handle);
-            (collect_points, collector.stats().collects)
-        };
-        let plain = CollectorConfig::default().with_buffer_capacity(8);
-        let fixed_with_knobs = CollectorConfig::default()
-            .with_buffer_capacity(8)
-            .with_pending_high_watermark(1); // ignored: policy stays Fixed
-        let (plain_points, plain_collects) = run(plain);
-        let (fixed_points, fixed_collects) = run(fixed_with_knobs);
+        }
+        drop(handle);
         assert_eq!(
-            plain_points,
+            collect_points,
             vec![5, 9, 13, 17, 21, 25, 29],
             "the retire after each half-capacity multiple"
         );
-        assert_eq!(fixed_points, plain_points);
-        assert_eq!(fixed_collects, plain_collects);
-        assert_eq!(fixed_collects, 7);
+        assert_eq!(collector.stats().collects, 7);
     }
 
     #[test]
-    fn adaptive_hysteresis_fires_once_per_excursion() {
-        // Survivors a phase cannot free keep the backlog above the
-        // watermark; without the armed latch every subsequent retire
-        // would initiate another phase (a collect storm).
-        let counter = Arc::new(AtomicUsize::new(0));
-        let platform = PinPlatform::default();
-        let pinned: Vec<*mut Node> = (0..4).map(|_| node(&counter)).collect();
-        platform
-            .rooted
-            .lock()
-            .extend(pinned.iter().map(|&p| p as usize));
-        let collector = Collector::with_config(
-            platform,
-            CollectorConfig::default()
-                .with_buffer_capacity(64)
-                .with_collect_policy(CollectPolicy::Adaptive)
-                .with_pending_high_watermark(4),
-        );
-        let handle = collector.register();
-        for &p in &pinned {
-            unsafe { handle.retire(p) };
-        }
-        // The 4th retire fired; every node was marked, so all survive.
-        let snap = collector.stats();
-        assert_eq!(snap.adaptive_collects, 1);
-        assert_eq!(snap.survivors, 4);
-        assert_eq!(counter.load(Ordering::SeqCst), 0);
-        // The backlog stays >= the watermark, but the controller is
-        // disarmed: further retires must NOT trigger more adaptive phases.
-        for _ in 0..8 {
-            unsafe { handle.retire(node(&counter)) };
-        }
-        let snap = collector.stats();
-        assert_eq!(snap.adaptive_collects, 1, "disarmed: no collect storm");
-        assert_eq!(snap.collects, 1);
-
-        // Unpin, drain, and let the backlog fall below half the watermark:
-        // the controller re-arms and a fresh excursion fires again.
-        collector.platform().rooted.lock().clear();
-        collector.collect_now();
-        assert_eq!(counter.load(Ordering::SeqCst), 12, "everything freed");
-        for _ in 0..4 {
-            unsafe { handle.retire(node(&counter)) };
-        }
-        assert_eq!(collector.stats().adaptive_collects, 2, "re-armed and fired");
-        drop(handle);
-    }
-
-    #[test]
-    fn adaptive_backlog_ignores_parked_mailbox_nodes() {
-        // Nodes parked in a mailbox are already proven reclaimable; no
-        // collect frees them sooner, so they must not hold the adaptive
-        // backlog up (which would keep the controller disarmed for good).
-        let counter = Arc::new(AtomicUsize::new(0));
-        let collector = Collector::with_config(
-            NullPlatform,
-            CollectorConfig::default()
-                .with_buffer_capacity(64)
-                .with_collect_policy(CollectPolicy::Adaptive)
-                .with_pending_high_watermark(8),
-        );
-        let (parker, worker) = (collector.register(), collector.register());
-        for _ in 0..8 {
-            unsafe { parker.retire(node(&counter)) };
-        }
-        assert_eq!(collector.stats().adaptive_collects, 1);
-        assert_eq!(parker.mailbox_len(), 8, "parked and left there");
-        // A second excursion fires although 8 nodes are still unfreed.
-        for _ in 0..8 {
-            unsafe { worker.retire(node(&counter)) };
-        }
-        assert_eq!(collector.stats().adaptive_collects, 2);
-        drop((parker, worker));
+    #[should_panic(expected = "at least 2")]
+    fn struct_literal_config_is_validated_at_construction() {
+        // `buffer_capacity` is a `pub` field: a literal bypasses the
+        // builder's assert, and used to panic only at the first
+        // `register()`, inside `LocalBuffer::new(0)`.
+        let config = CollectorConfig {
+            buffer_capacity: 1,
+            ..Default::default()
+        };
+        let _ = Collector::with_config(NullPlatform, config);
     }
 
     #[test]

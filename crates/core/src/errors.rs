@@ -11,8 +11,9 @@ pub enum HeapBlockError {
     AlreadyRegistered,
     /// The block was never registered (or already removed).
     NotRegistered,
-    /// All heap-block slots (the contained capacity) are in use; raise
-    /// `CollectorConfig::max_heap_blocks`.
+    /// All heap-block slots (the contained capacity,
+    /// [`MAX_HEAP_BLOCKS`](crate::roots::MAX_HEAP_BLOCKS) for a registered
+    /// thread) are in use.
     TooManyBlocks(usize),
 }
 
@@ -23,10 +24,7 @@ impl fmt::Display for HeapBlockError {
             Self::AlreadyRegistered => write!(f, "heap block already registered"),
             Self::NotRegistered => write!(f, "heap block was not registered"),
             Self::TooManyBlocks(cap) => {
-                write!(
-                    f,
-                    "all {cap} heap-block slots in use (see CollectorConfig::max_heap_blocks)"
-                )
+                write!(f, "all {cap} heap-block slots in use")
             }
         }
     }

@@ -62,12 +62,12 @@ pub mod stats;
 pub mod telemetry;
 
 pub use collector::{Collector, ThreadHandle};
-pub use config::{CollectPolicy, CollectorConfig, MatchMode, PressureSource};
+pub use config::CollectorConfig;
 pub use errors::HeapBlockError;
 pub use hist::Hist;
 pub use platform::{NullPlatform, Platform, ScanOutcome};
 pub use retired::{DropFn, Retired};
-pub use roots::ThreadRoots;
+pub use roots::{ThreadRoots, MAX_HEAP_BLOCKS};
 pub use selfscan::{capture_context, SelfScanContext};
 pub use session::ScanSession;
 pub use stats::{CollectorStats, StatsSnapshot};

@@ -11,7 +11,7 @@
 
 use core::sync::atomic::{AtomicU8, Ordering};
 
-use crate::config::{CollectorConfig, MatchMode};
+use crate::config::CollectorConfig;
 use crate::retired::Retired;
 use crate::session::ScanSession;
 
@@ -21,30 +21,14 @@ use crate::session::ScanSession;
 pub struct MasterBuffer {
     /// Entries sorted ascending by address.
     entries: Vec<Retired>,
-    /// Search keys, parallel to `entries`: the entry address, with the
-    /// low-order bits already masked off in [`MatchMode::Exact`] (matching
-    /// happens in masked-key space on *both* sides — see `find_exact`).
+    /// Search keys, parallel to `entries`: `entries[i].addr()`.
     addrs: Vec<usize>,
     /// `entries[i].end()`, parallel to `addrs`.
     ends: Vec<usize>,
     /// `marks[i] != 0` means entry `i` may still be referenced.
     marks: Vec<AtomicU8>,
-    mode: MatchMode,
-    low_bit_mask: usize,
     /// Wall time spent sorting and building the key arrays, in nanoseconds.
     sort_ns: usize,
-}
-
-/// Whether an (already non-decreasing) key sequence has no duplicates,
-/// i.e. no adjacent equal elements. Backs the build-time `debug_assert!`s
-/// (whose conditions still type-check in release, so no `cfg` gate here).
-fn all_adjacent_distinct(mut keys: impl Iterator<Item = usize>) -> bool {
-    let mut prev: Option<usize> = None;
-    keys.all(|k| {
-        let ok = prev != Some(k);
-        prev = Some(k);
-        ok
-    })
 }
 
 /// Nanoseconds elapsed since `start`, clamped into a `usize`.
@@ -58,43 +42,20 @@ impl MasterBuffer {
     ///
     /// Duplicate addresses indicate a double `retire` in application code;
     /// this is rejected in debug builds.
-    pub fn new(mut entries: Vec<Retired>, config: &CollectorConfig) -> Self {
+    ///
+    /// `_config` is unread — nothing about the buffer is configurable —
+    /// and stays only because the frozen `benchmark/` calls this
+    /// signature (ROADMAP carry-over: drop it at the next re-cut).
+    pub fn new(mut entries: Vec<Retired>, _config: &CollectorConfig) -> Self {
         let start = std::time::Instant::now();
-        // In Exact mode both the buffer keys and the probe words are
-        // masked, so a node retired at a tagged/unaligned address still
-        // matches a stably held (tagged) reference to it.
-        // Masking must preserve address order, or the pre-masked key
-        // array would not be sorted and the binary search would silently
-        // miss present keys. Clearing bits preserves order exactly when
-        // the mask is a contiguous low-bit run (2^k - 1).
-        debug_assert!(
-            config.match_mode != MatchMode::Exact
-                || config.low_bit_mask.wrapping_add(1).is_power_of_two(),
-            "low_bit_mask must be a contiguous low-bit mask (2^k - 1)"
-        );
-        let key_mask = match config.match_mode {
-            MatchMode::Range => usize::MAX,
-            MatchMode::Exact => !config.low_bit_mask,
-        };
         entries.sort_unstable_by_key(Retired::addr);
-        let addrs: Vec<usize> = entries.iter().map(|e| e.addr() & key_mask).collect();
+        let addrs: Vec<usize> = entries.iter().map(Retired::addr).collect();
         let ends: Vec<usize> = entries.iter().map(Retired::end).collect();
         let marks = (0..entries.len()).map(|_| AtomicU8::new(0)).collect();
 
         debug_assert!(
-            all_adjacent_distinct(entries.iter().map(Retired::addr)),
+            addrs.windows(2).all(|w| w[0] != w[1]),
             "double-retire detected: duplicate address in the delete buffer"
-        );
-        // In Exact mode, matching happens on masked keys: two nodes
-        // retired within one low_bit_mask-aligned granule would alias, a
-        // probe would mark only one of them, and the other would be freed
-        // while possibly still referenced. Catch the contract violation
-        // (README: retire addresses must be distinct after masking) here
-        // rather than as a silent use-after-free.
-        debug_assert!(
-            config.match_mode != MatchMode::Exact || all_adjacent_distinct(addrs.iter().copied()),
-            "Exact-mode aliasing: two retired nodes share a masked key \
-             (addresses must be distinct after masking off low_bit_mask)"
         );
 
         Self {
@@ -102,8 +63,6 @@ impl MasterBuffer {
             addrs,
             ends,
             marks,
-            mode: config.match_mode,
-            low_bit_mask: config.low_bit_mask,
             sort_ns: elapsed_ns(start),
         }
     }
@@ -130,13 +89,7 @@ impl MasterBuffer {
     /// collect protocol guarantees handlers are done before the session is
     /// dropped (the last thing a handler does is acknowledge).
     pub fn session(&self) -> ScanSession<'_> {
-        ScanSession::new(
-            &self.addrs,
-            &self.ends,
-            &self.marks,
-            self.mode,
-            self.low_bit_mask,
-        )
+        ScanSession::new(&self.addrs, &self.ends, &self.marks)
     }
 
     /// Marks entry `i` (sorted order) directly — used by the reclaimer for
@@ -212,46 +165,6 @@ mod tests {
         session.scan_word(0x3000);
         assert!(mb.is_marked(0));
         assert!(!mb.is_marked(1));
-    }
-
-    #[test]
-    fn session_scan_exact_mode_ignores_interior() {
-        let config = CollectorConfig::default().with_match_mode(MatchMode::Exact);
-        let mb = MasterBuffer::new(vec![rec(0x1000, 64)], &config);
-        let session = mb.session();
-        session.scan_word(0x1020); // interior: not a match in exact mode
-        session.scan_word(0x1001); // tagged base pointer: match
-        assert!(mb.is_marked(0));
-    }
-
-    #[test]
-    fn exact_mode_masks_buffer_addresses_too() {
-        // Regression (Exact-mode mask asymmetry): a node retired at an
-        // address carrying tag bits used to be unmatchable, because only
-        // the probe word was masked. Both sides are masked now.
-        let config = CollectorConfig::default().with_match_mode(MatchMode::Exact);
-        let mb = MasterBuffer::new(vec![rec(0x1001, 64)], &config);
-        let session = mb.session();
-        assert!(session.scan_word(0x1003), "masked keys must meet");
-        assert!(mb.is_marked(0));
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "contiguous low-bit mask")]
-    fn non_contiguous_mask_rejected_in_debug() {
-        let mut config = CollectorConfig::default().with_match_mode(MatchMode::Exact);
-        config.low_bit_mask = 0b100; // would reorder masked keys
-        let _ = MasterBuffer::new(vec![rec(0x1003, 2)], &config);
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "Exact-mode aliasing")]
-    fn exact_mode_masked_alias_rejected_in_debug() {
-        let config = CollectorConfig::default().with_match_mode(MatchMode::Exact);
-        // 0x1001 and 0x1004 share masked key 0x1000 under the 0b111 mask.
-        let _ = MasterBuffer::new(vec![rec(0x1001, 2), rec(0x1004, 2)], &config);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! ThreadScan's delete buffers hold *type-erased* descriptions of retired
 //! nodes: the address (used for sorting and conservative matching), the
-//! allocation size (used for interior-pointer range matching, see
-//! [`crate::config::MatchMode`]), and a drop function that reconstructs the
-//! original `Box<T>` and runs its destructor.
+//! allocation size (used for range matching, see [`crate::scan`]), and a
+//! drop function that reconstructs the original `Box<T>` and runs its
+//! destructor.
 
 use core::fmt;
 

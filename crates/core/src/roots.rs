@@ -19,6 +19,11 @@ struct HeapBlock {
     len: AtomicUsize,
 }
 
+/// Heap-block slots per registered thread (§4.3 extension): what
+/// [`Collector::register`](crate::Collector::register) sizes each
+/// thread's [`ThreadRoots`] with.
+pub const MAX_HEAP_BLOCKS: usize = 16;
+
 /// The set of extra scan roots for one thread: registered heap blocks.
 ///
 /// Owned by the thread's collector handle and shared with the platform so
@@ -30,9 +35,9 @@ pub struct ThreadRoots {
 }
 
 impl ThreadRoots {
-    /// Creates a root set with capacity for `max_heap_blocks` blocks.
-    pub fn new(max_heap_blocks: usize) -> Self {
-        let blocks = (0..max_heap_blocks)
+    /// Creates a root set with capacity for `capacity` blocks.
+    pub fn new(capacity: usize) -> Self {
+        let blocks = (0..capacity)
             .map(|_| HeapBlock {
                 start: AtomicUsize::new(0),
                 len: AtomicUsize::new(0),

@@ -1,15 +1,22 @@
-//! Conservative matching kernels.
+//! The conservative matching kernel.
 //!
-//! These are the innermost loops of `TS-Scan` (Algorithm 1, lines 19-24):
+//! This is the innermost loop of `TS-Scan` (Algorithm 1, lines 19-24):
 //! for each word of a thread's private memory, decide whether it (possibly)
 //! refers to a node in the sorted delete buffer. Everything here is
 //! panic-free and allocation-free: it runs inside POSIX signal handlers.
+//!
+//! The paper (§4.2) compares each word, low-order bits masked off, for
+//! equality with a node address. This port's one deviation is to match the
+//! node's whole extent instead. A tagged pointer `base | tag` lies inside
+//! `[base, base + size)` whenever `tag < size` — and a node that can be
+//! linked at all holds at least a pointer, so low-bit tags on it always
+//! are — which means tags need no mask and retire addresses no alignment
+//! contract; and the interior pointers Rust code holds routinely
+//! (`&node.next`, a skip-list tower level) pin their node too. It never
+//! frees anything the paper's match would retain.
 
 /// Index of the buffer entry whose range `[addrs[i], ends[i])` contains `w`,
 /// if any. `addrs` must be sorted ascending; `ends` is parallel to it.
-///
-/// Range matching catches interior pointers (`w` pointing *into* a node),
-/// which exact matching misses; see `DESIGN.md` §4.
 #[inline]
 pub fn find_range(addrs: &[usize], ends: &[usize], w: usize) -> Option<usize> {
     debug_assert_eq!(addrs.len(), ends.len());
@@ -26,22 +33,6 @@ pub fn find_range(addrs: &[usize], ends: &[usize], w: usize) -> Option<usize> {
     }
 }
 
-/// Index of the buffer entry equal to `w` with its low-order bits masked
-/// off, if any. This is the paper's §4.2 behaviour: "The scanning process
-/// masks off the low-order bits of memory it reads on a stack chunk".
-/// Tolerates tag bits (e.g. Harris-list deletion marks) up to `mask`.
-///
-/// `addrs` must hold *pre-masked* keys (`addr & !mask`), sorted ascending —
-/// the master buffer masks entry addresses when it is built. Masking both
-/// sides is what makes a node retired at a tagged address matchable; with
-/// raw buffer addresses, a probe masked to the aligned base could never
-/// equal the tagged entry and a stably held reference would be missed.
-#[inline]
-pub fn find_exact(addrs: &[usize], w: usize, mask: usize) -> Option<usize> {
-    let target = w & !mask;
-    addrs.binary_search(&target).ok()
-}
-
 /// Linear-scan oracle for [`find_range`], used by tests and kept here so the
 /// property tests in several crates can share it.
 pub fn find_range_linear(addrs: &[usize], ends: &[usize], w: usize) -> Option<usize> {
@@ -49,14 +40,6 @@ pub fn find_range_linear(addrs: &[usize], ends: &[usize], w: usize) -> Option<us
         .iter()
         .zip(ends.iter())
         .position(|(&a, &e)| a <= w && w < e)
-}
-
-/// Linear-scan oracle for [`find_exact`]. Unlike the binary-search kernel,
-/// this accepts raw (unmasked) entry addresses: both sides are masked here,
-/// which is the semantics the master buffer implements by pre-masking.
-pub fn find_exact_linear(addrs: &[usize], w: usize, mask: usize) -> Option<usize> {
-    let target = w & !mask;
-    addrs.iter().position(|&a| a & !mask == target)
 }
 
 #[cfg(test)]
@@ -88,16 +71,6 @@ mod tests {
         assert_eq!(find_range(&[], &[], usize::MAX), None);
     }
 
-    #[test]
-    fn exact_matches_only_masked_base() {
-        let addrs = vec![0x1000, 0x2000, 0x3000];
-        assert_eq!(find_exact(&addrs, 0x2000, 0b111), Some(1));
-        assert_eq!(find_exact(&addrs, 0x2001, 0b111), Some(1), "tag bit");
-        assert_eq!(find_exact(&addrs, 0x2007, 0b111), Some(1), "all tags");
-        assert_eq!(find_exact(&addrs, 0x2008, 0b111), None, "interior word");
-        assert_eq!(find_exact(&addrs, 0x1fff, 0b111), None);
-    }
-
     proptest! {
         /// Binary-search range matching agrees with the linear oracle on
         /// arbitrary disjoint sorted node sets and probe words.
@@ -125,27 +98,6 @@ mod tests {
                 prop_assert_eq!(
                     find_range(&addrs, &ends, w),
                     find_range_linear(&addrs, &ends, w),
-                    "probe {}", w
-                );
-            }
-        }
-
-        #[test]
-        fn exact_matches_linear_oracle(
-            mut addrs in proptest::collection::vec(any::<usize>().prop_map(|a| a & !0b111), 0..64),
-            probes in proptest::collection::vec(any::<usize>(), 0..64),
-            mask in prop_oneof![Just(0usize), Just(0b1), Just(0b111)],
-        ) {
-            addrs.sort_unstable();
-            addrs.dedup();
-            let mut all_probes = probes;
-            for &a in &addrs {
-                all_probes.extend_from_slice(&[a, a | 1, a | mask, a.wrapping_add(8)]);
-            }
-            for w in all_probes {
-                prop_assert_eq!(
-                    find_exact(&addrs, w, mask),
-                    find_exact_linear(&addrs, w, mask),
                     "probe {}", w
                 );
             }

@@ -9,8 +9,7 @@
 
 use core::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 
-use crate::config::MatchMode;
-use crate::scan::{find_exact, find_range};
+use crate::scan::find_range;
 use crate::telemetry::TelemetrySink;
 
 /// Handler-facing view of the current reclamation phase.
@@ -19,18 +18,13 @@ use crate::telemetry::TelemetrySink;
 /// guarantees that every handler finishes (acknowledges) before the buffer
 /// is swept, so the borrow never dangles while a scan is in flight.
 pub struct ScanSession<'a> {
-    /// Sorted search keys (pre-masked in [`MatchMode::Exact`]).
+    /// Sorted node base addresses.
     addrs: &'a [usize],
     /// Node ends, parallel to `addrs`.
     ends: &'a [usize],
     /// Mark bytes, parallel to `addrs`.
     marks: &'a [AtomicU8],
-    mode: MatchMode,
-    low_bit_mask: usize,
-    /// `!low_bit_mask` in [`MatchMode::Exact`], all ones otherwise: maps a
-    /// scanned word into the key space of `addrs`.
-    key_mask: usize,
-    /// `[lo, hi)` = `[addrs[0], ends[last])` spans every key that can
+    /// `[lo, hi)` = `[addrs[0], ends[last])` spans every word that can
     /// match; empty (`lo > hi`) for an empty buffer.
     lo: usize,
     hi: usize,
@@ -49,25 +43,13 @@ pub struct ScanSession<'a> {
 }
 
 impl<'a> ScanSession<'a> {
-    pub(crate) fn new(
-        addrs: &'a [usize],
-        ends: &'a [usize],
-        marks: &'a [AtomicU8],
-        mode: MatchMode,
-        low_bit_mask: usize,
-    ) -> Self {
+    pub(crate) fn new(addrs: &'a [usize], ends: &'a [usize], marks: &'a [AtomicU8]) -> Self {
         debug_assert_eq!(addrs.len(), ends.len());
         debug_assert_eq!(addrs.len(), marks.len());
         Self {
             addrs,
             ends,
             marks,
-            mode,
-            low_bit_mask,
-            key_mask: match mode {
-                MatchMode::Range => usize::MAX,
-                MatchMode::Exact => !low_bit_mask,
-            },
             lo: addrs.first().copied().unwrap_or(usize::MAX),
             hi: ends.last().copied().unwrap_or(0),
             acks: AtomicUsize::new(0),
@@ -106,26 +88,24 @@ impl<'a> ScanSession<'a> {
     }
 
     /// Matching kernel shared by all scan entry points: a two-compare
-    /// range reject, then one binary search over the sorted keys, marking
-    /// on a hit. Does *not* touch `words_scanned` — every public entry
-    /// point accounts for its own words exactly once (the batch paths with
-    /// one batched add, to keep a shared-counter RMW per word off the scan
+    /// range reject, then one binary search ([`find_range`]: base, tagged
+    /// and interior pointers all match, see [`crate::scan`]) over the
+    /// sorted keys, marking on a hit.
+    ///
+    /// Does *not* touch `words_scanned` — every public entry point
+    /// accounts for its own words exactly once (the batch paths with one
+    /// batched add, to keep a shared-counter RMW per word off the scan
     /// hot path).
     #[inline]
     fn probe_word(&self, w: usize) -> bool {
-        // Most stack words are not heap pointers at all. A key below
+        // Most stack words are not heap pointers at all. A word below
         // `addrs[0]` has no predecessor entry, and one at or above
-        // `ends[last]` lies past the last entry's range (and past every
-        // key), so neither search could hit: skip it.
-        let key = w & self.key_mask;
-        if key < self.lo || key >= self.hi {
+        // `ends[last]` lies past the last entry's range, so the search
+        // could not hit: skip it.
+        if w < self.lo || w >= self.hi {
             return false;
         }
-        let idx = match self.mode {
-            MatchMode::Range => find_range(self.addrs, self.ends, w),
-            MatchMode::Exact => find_exact(self.addrs, w, self.low_bit_mask),
-        };
-        if let Some(i) = idx {
+        if let Some(i) = find_range(self.addrs, self.ends, w) {
             // A plain store is enough: marking is idempotent and only ever
             // sets the flag; `fetch_or` would cost an RMW per hit.
             self.marks[i].store(1, Ordering::Release);

@@ -22,11 +22,6 @@ pub struct CollectorStats {
     /// Collect attempts that found an already-drained buffer and returned
     /// to work without scanning (§4.2: "it can go back to work").
     pub collects_skipped: AtomicUsize,
-    /// Completed phases initiated by the adaptive controller (pending
-    /// watermark or heap pressure) rather than by a full buffer. A subset
-    /// of [`Self::collects`]; always zero under
-    /// [`CollectPolicy::Fixed`](crate::CollectPolicy::Fixed).
-    pub adaptive_collects: AtomicUsize,
     /// Nodes handed to `retire`.
     pub retired: AtomicUsize,
     /// Nodes whose destructor ran.
@@ -80,7 +75,6 @@ pub const HIST_BUCKETS: usize = crate::hist::BUCKETS;
 pub struct StatsSnapshot {
     pub collects: usize,
     pub collects_skipped: usize,
-    pub adaptive_collects: usize,
     pub retired: usize,
     pub freed: usize,
     pub survivors: usize,
@@ -102,7 +96,6 @@ impl CollectorStats {
         StatsSnapshot {
             collects: self.collects.load(Ordering::Relaxed),
             collects_skipped: self.collects_skipped.load(Ordering::Relaxed),
-            adaptive_collects: self.adaptive_collects.load(Ordering::Relaxed),
             retired: self.retired.load(Ordering::Relaxed),
             freed: self.freed.load(Ordering::Relaxed),
             survivors: self.survivors.load(Ordering::Relaxed),

@@ -161,16 +161,9 @@ pub struct CollectSummary {
     pub survivors: usize,
     /// Threads that completed a scan this phase (including the reclaimer).
     pub threads_scanned: usize,
-    /// True when the adaptive policy (not a full buffer) initiated this
-    /// collect.
-    pub adaptive: bool,
     /// Retired-but-unfreed nodes after this collect
     /// (`StatsSnapshot::outstanding`; includes nodes parked in mailboxes).
     pub pending: usize,
-    /// Whether the adaptive controller's hysteresis latch is armed
-    /// (able to fire) after this collect. Always `true` under
-    /// [`CollectPolicy::Fixed`](crate::CollectPolicy::Fixed).
-    pub armed: bool,
 }
 
 /// Telemetry callbacks, as installed via

@@ -8,8 +8,8 @@ use proptest::prelude::*;
 use threadscan::buffer::LocalBuffer;
 use threadscan::master::MasterBuffer;
 use threadscan::retired::{noop_drop, Retired};
-use threadscan::scan::{find_exact_linear, find_range_linear};
-use threadscan::{CollectorConfig, MatchMode};
+use threadscan::scan::find_range_linear;
+use threadscan::CollectorConfig;
 
 #[derive(Debug, Clone)]
 enum BufOp {
@@ -71,13 +71,12 @@ proptest! {
     }
 
     /// End-to-end marking: for arbitrary node sets and scanned words, a
-    /// session + master buffer must free exactly the nodes no word hits
-    /// (range mode) — checked against the linear-scan oracle.
+    /// session + master buffer must free exactly the nodes no word hits —
+    /// checked against the linear-scan oracle.
     #[test]
     fn session_marks_agree_with_linear_oracle(
         gaps in proptest::collection::vec((1usize..512, 8usize..256), 1..48),
         words in proptest::collection::vec(any::<usize>(), 0..64),
-        mode in prop_oneof![Just(MatchMode::Range), Just(MatchMode::Exact)],
     ) {
         // Build disjoint nodes.
         let mut cursor = 0x1000usize;
@@ -97,12 +96,11 @@ proptest! {
             }
         }
 
-        let config = CollectorConfig::default().with_match_mode(mode);
         let entries: Vec<Retired> = nodes
             .iter()
             .map(|&(a, s)| unsafe { Retired::from_raw_parts(a, s, noop_drop) })
             .collect();
-        let master = MasterBuffer::new(entries, &config);
+        let master = MasterBuffer::new(entries, &CollectorConfig::default());
         let session = master.session();
         session.scan_words(&all_words);
 
@@ -113,11 +111,7 @@ proptest! {
         let ends: Vec<usize> = sorted.iter().map(|&(a, s)| a + s).collect();
         let mut expect_marked = vec![false; sorted.len()];
         for &w in &all_words {
-            let hit = match mode {
-                MatchMode::Range => find_range_linear(&addrs, &ends, w),
-                MatchMode::Exact => find_exact_linear(&addrs, w, config.low_bit_mask),
-            };
-            if let Some(i) = hit {
+            if let Some(i) = find_range_linear(&addrs, &ends, w) {
                 expect_marked[i] = true;
             }
         }

@@ -1,23 +1,19 @@
-//! The master buffer against the linear-scan oracles.
+//! The master buffer against the linear-scan oracle.
 //!
 //! One full phase (build, scan, partition) must agree with the reference
-//! kernels from `threadscan::scan` (`find_range_linear` /
-//! `find_exact_linear`) for every entry set, probe word and match mode:
-//! same hit/miss per word, same `(reclaimable, survivors)` partition —
-//! from the empty buffer up to phases of several thousand entries.
+//! kernel from `threadscan::scan` (`find_range_linear`) for every entry
+//! set and probe word: same hit/miss per word, same
+//! `(reclaimable, survivors)` partition — from the empty buffer up to
+//! phases of several thousand entries.
 
 use proptest::prelude::*;
 use threadscan::master::MasterBuffer;
 use threadscan::retired::{noop_drop, Retired};
-use threadscan::scan::{find_exact_linear, find_range_linear};
-use threadscan::{CollectorConfig, MatchMode};
+use threadscan::scan::find_range_linear;
+use threadscan::CollectorConfig;
 
-const MODES: [MatchMode; 2] = [MatchMode::Range, MatchMode::Exact];
-
-/// Builds disjoint nodes from (gap, size) pairs. Addresses are multiples
-/// of 8 so Exact-mode masked keys stay distinct (masked collisions would
-/// make "which duplicate gets marked" ambiguous — a non-goal here; the
-/// unit tests cover tagged/unaligned retire addresses).
+/// Builds disjoint nodes from (gap, size) pairs, at 8-aligned addresses
+/// like real allocations.
 fn build_nodes(gaps: &[(usize, usize)]) -> Vec<(usize, usize)> {
     let mut cursor = 0x1000usize;
     let mut nodes = Vec::new();
@@ -41,13 +37,8 @@ fn entries_of(nodes: &[(usize, usize)]) -> Vec<Retired> {
 
 /// Runs one full phase (build, scan all words, partition) and returns the
 /// freed and surviving address lists plus each word's hit/miss.
-fn run_phase(
-    nodes: &[(usize, usize)],
-    words: &[usize],
-    mode: MatchMode,
-) -> (Vec<usize>, Vec<usize>, Vec<bool>) {
-    let config = CollectorConfig::default().with_match_mode(mode);
-    let master = MasterBuffer::new(entries_of(nodes), &config);
+fn run_phase(nodes: &[(usize, usize)], words: &[usize]) -> (Vec<usize>, Vec<usize>, Vec<bool>) {
+    let master = MasterBuffer::new(entries_of(nodes), &CollectorConfig::default());
     let session = master.session();
     let hits = words.iter().map(|&w| session.scan_word(w)).collect();
     let (freed, kept) = master.partition();
@@ -61,23 +52,15 @@ fn run_phase(
 /// Oracle cross-check (the find_range_linear pattern): a word hits iff
 /// the linear kernel finds it, and a node survives iff some word hit it.
 /// `nodes` must be in ascending address order.
-fn check_against_oracle(
-    nodes: &[(usize, usize)],
-    words: &[usize],
-    mode: MatchMode,
-) -> TestCaseResult {
-    let (freed, kept, hits) = run_phase(nodes, words, mode);
+fn check_against_oracle(nodes: &[(usize, usize)], words: &[usize]) -> TestCaseResult {
+    let (freed, kept, hits) = run_phase(nodes, words);
 
     let addrs: Vec<usize> = nodes.iter().map(|&(a, _)| a).collect();
     let ends: Vec<usize> = nodes.iter().map(|&(a, s)| a + s).collect();
-    let mask = CollectorConfig::default().low_bit_mask;
     let mut marked = vec![false; nodes.len()];
     let mut expect_hits = Vec::with_capacity(words.len());
     for &w in words {
-        let hit = match mode {
-            MatchMode::Range => find_range_linear(&addrs, &ends, w),
-            MatchMode::Exact => find_exact_linear(&addrs, w, mask),
-        };
+        let hit = find_range_linear(&addrs, &ends, w);
         if let Some(i) = hit {
             marked[i] = true;
         }
@@ -109,15 +92,14 @@ fn words_for(nodes: &[(usize, usize)], mut probes: Vec<usize>) -> Vec<usize> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Small phases (including the empty one), both match modes.
+    /// Small phases (including the empty one).
     #[test]
     fn scan_agrees_with_linear_oracle(
         gaps in proptest::collection::vec((1usize..200, 1usize..256), 0..96),
         probes in proptest::collection::vec(any::<usize>(), 0..48),
-        mode in prop_oneof![Just(MatchMode::Range), Just(MatchMode::Exact)],
     ) {
         let nodes = build_nodes(&gaps);
-        check_against_oracle(&nodes, &words_for(&nodes, probes), mode)?;
+        check_against_oracle(&nodes, &words_for(&nodes, probes))?;
     }
 }
 
@@ -131,21 +113,20 @@ proptest! {
     fn large_phase_scan_agrees_with_linear_oracle(
         gaps in proptest::collection::vec((1usize..200, 1usize..256), 4096..4608),
         probes in proptest::collection::vec(any::<usize>(), 0..48),
-        mode in prop_oneof![Just(MatchMode::Range), Just(MatchMode::Exact)],
     ) {
         let nodes = build_nodes(&gaps);
         prop_assert!(nodes.len() >= 4096);
-        check_against_oracle(&nodes, &words_for(&nodes, probes), mode)?;
+        check_against_oracle(&nodes, &words_for(&nodes, probes))?;
     }
 }
 
 /// Each word's hit/miss against a fresh buffer of `nodes`.
-fn probe_each(nodes: &[(usize, usize)], words: &[usize], mode: MatchMode) -> Vec<bool> {
-    run_phase(nodes, words, mode).2
+fn probe_each(nodes: &[(usize, usize)], words: &[usize]) -> Vec<bool> {
+    run_phase(nodes, words).2
 }
 
 #[test]
-fn boundary_words_miss_in_both_modes() {
+fn boundary_words_miss() {
     // Two adjacent 64-byte nodes with a 64-byte gap between them.
     let nodes = [(0x1000, 64), (0x1080, 64)];
     let words = [
@@ -155,24 +136,15 @@ fn boundary_words_miss_in_both_modes() {
         0x1078, // last word of the gap
         0x1000, // base of the first entry
         0x1080, // base of the last entry
+        0x1020, // interior of the first entry
+        0x10bf, // last byte of the last entry
+        0x1085, // tagged base of the last entry
     ];
-    for mode in MODES {
-        assert_eq!(
-            probe_each(&nodes, &words, mode),
-            [false, false, false, false, true, true],
-            "{mode:?}"
-        );
-        check_against_oracle(&nodes, &words, mode).unwrap();
-    }
-    // The modes differ only inside a node and on tag bits.
     assert_eq!(
-        probe_each(&nodes, &[0x1020, 0x10bf], MatchMode::Range),
-        [true, true]
+        probe_each(&nodes, &words),
+        [false, false, false, false, true, true, true, true, true]
     );
-    assert_eq!(
-        probe_each(&nodes, &[0x1020, 0x10bf, 0x1085], MatchMode::Exact),
-        [false, false, true]
-    );
+    check_against_oracle(&nodes, &words).unwrap();
 }
 
 #[test]
@@ -192,47 +164,29 @@ fn out_of_range_words_are_rejected_without_losing_hits() {
     for i in 0..5 {
         words.extend_from_slice(&[below[i % 4], above[i], inside[i]]);
     }
-    for mode in MODES {
-        check_against_oracle(&nodes, &words, mode).unwrap();
-        let verdicts = probe_each(&nodes, &words, mode);
-        assert!(verdicts[..9].iter().all(|&hit| !hit), "{mode:?}");
-        for (i, triple) in verdicts[9..].chunks(3).enumerate() {
-            assert!(!triple[0] && !triple[1], "{mode:?}: miss pair {i}");
-        }
-        // The first and last entries' base words hit in either mode.
-        assert!(verdicts[9 + 2] && verdicts[9 + 3 * 3 + 2], "{mode:?}");
-    }
-    // Exact mode compares the masked word: a tagged base just above
-    // `addrs[0]` hits, a word whose masked key falls below it does not.
-    assert_eq!(
-        probe_each(&nodes, &[lo | 0b101, lo - 3], MatchMode::Exact),
-        [true, false]
-    );
-}
-
-#[test]
-fn empty_buffer_matches_nothing_in_both_modes() {
-    for mode in MODES {
-        let words = [0usize, 8, 0x1000, usize::MAX];
-        let (freed, kept, hits) = run_phase(&[], &words, mode);
-        assert!(freed.is_empty() && kept.is_empty());
-        assert_eq!(hits, [false; 4], "{mode:?}");
+    check_against_oracle(&nodes, &words).unwrap();
+    let verdicts = probe_each(&nodes, &words);
+    assert!(verdicts[..9].iter().all(|&hit| !hit));
+    for (i, triple) in verdicts[9..].chunks(3).enumerate() {
+        assert_eq!(triple, [false, false, true], "triple {i}");
     }
 }
 
 #[test]
-fn single_entry_buffer_in_both_modes() {
+fn empty_buffer_matches_nothing() {
+    let words = [0usize, 8, 0x1000, usize::MAX];
+    let (freed, kept, hits) = run_phase(&[], &words);
+    assert!(freed.is_empty() && kept.is_empty());
+    assert_eq!(hits, [false; 4]);
+}
+
+#[test]
+fn single_entry_buffer() {
     let nodes = [(0x2000, 24)];
     // below, base, one-past-end, far above
     let words = [0x1ff8, 0x2000, 0x2018, usize::MAX];
-    for mode in MODES {
-        assert_eq!(
-            probe_each(&nodes, &words, mode),
-            [false, true, false, false],
-            "{mode:?}"
-        );
-        check_against_oracle(&nodes, &words, mode).unwrap();
-        let (freed, kept, _) = run_phase(&nodes, &[0x1ff8, 0x2018], mode);
-        assert_eq!((freed, kept), (vec![0x2000], vec![]), "{mode:?}");
-    }
+    assert_eq!(probe_each(&nodes, &words), [false, true, false, false]);
+    check_against_oracle(&nodes, &words).unwrap();
+    let (freed, kept, _) = run_phase(&nodes, &[0x1ff8, 0x2018]);
+    assert_eq!((freed, kept), (vec![0x2000], vec![]));
 }

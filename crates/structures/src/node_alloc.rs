@@ -6,10 +6,9 @@
 //! is exactly the historical `Box::into_raw(Box::new(..))` path — zero
 //! cost, no behavior change. [`NodeAlloc::Pool`] routes nodes through a
 //! size-class pool handle instead: thread-local magazines, batched depot
-//! refills, and per-structure alloc/free/bytes-resident counters, which
-//! is both the fast path (`malloc`/`free` never contend in the common
-//! case, and freed nodes recycle LIFO-warm) and the pressure signal the
-//! adaptive collect policy consumes.
+//! refills, and per-structure alloc/free/bytes-resident counters:
+//! `malloc`/`free` never contend in the common case, freed nodes recycle
+//! LIFO-warm, and the footprint of each structure is a gauge.
 //!
 //! Deferred frees are the subtlety: SMR drop functions are stateless
 //! `unsafe fn(*mut u8)`, chosen when the node is *retired* and run long

@@ -58,8 +58,6 @@ use threadscan::{CollectSummary, Hist, PhaseEvent, TelemetrySink};
 /// [`sink`]); mirrors `CollectorStats::collects` summed over all
 /// telemetry-enabled collectors.
 static COLLECTS: Counter = Counter::new();
-/// Phases initiated by the adaptive policy rather than a full buffer.
-static ADAPTIVE_COLLECTS: Counter = Counter::new();
 /// Nodes freed by reclaimers themselves (mailbox hand-offs excluded).
 static FREED: Counter = Counter::new();
 /// Nodes freed by their owners out of their mailboxes
@@ -76,9 +74,6 @@ static THREADS_SCANNED: Counter = Counter::new();
 static SURVIVORS_LAST: Gauge = Gauge::new();
 /// Retired-but-unfreed nodes after the most recent phase.
 static PENDING_LAST: Gauge = Gauge::new();
-/// Whether the adaptive controller's hysteresis latch was armed after
-/// the most recent phase (1) or parked below the re-arm line (0).
-static ADAPTIVE_ARMED: Gauge = Gauge::new();
 /// Whole-collect latency, identical bucket math to
 /// `CollectorStats::collect_ns_hist`.
 static COLLECT_DURATION: AtomicHist = AtomicHist::new();
@@ -95,12 +90,6 @@ pub fn enable() {
         "Reclamation phases completed by telemetry-enabled collectors.",
         &[],
         &COLLECTS,
-    );
-    register_counter(
-        "threadscan_adaptive_collects_total",
-        "Phases initiated by the adaptive policy rather than a full buffer.",
-        &[],
-        &ADAPTIVE_COLLECTS,
     );
     register_counter(
         "threadscan_freed_total",
@@ -144,12 +133,6 @@ pub fn enable() {
         &[],
         &PENDING_LAST,
     );
-    register_gauge(
-        "threadscan_adaptive_armed",
-        "Adaptive-policy hysteresis latch: 1 armed, 0 parked.",
-        &[],
-        &ADAPTIVE_ARMED,
-    );
     register_hist(
         "threadscan_collect_duration_ns",
         "Whole-collect latency (same log2 buckets as CollectorStats).",
@@ -179,9 +162,6 @@ fn record_impl(ev: PhaseEvent) {
 /// only, but free to be several of them).
 fn summary_impl(s: &CollectSummary) {
     COLLECTS.inc();
-    if s.adaptive {
-        ADAPTIVE_COLLECTS.inc();
-    }
     FREED.add(s.freed as u64);
     MAILBOX_FREES.add(s.mailbox_frees as u64);
     OVERFLOW_FREES.add(s.overflow_frees as u64);
@@ -189,7 +169,6 @@ fn summary_impl(s: &CollectSummary) {
     THREADS_SCANNED.add(s.threads_scanned as u64);
     SURVIVORS_LAST.set(s.survivors as u64);
     PENDING_LAST.set(s.pending as u64);
-    ADAPTIVE_ARMED.set(u64::from(s.armed));
     COLLECT_DURATION.record(s.ns);
 }
 

@@ -245,25 +245,11 @@ pub struct WorkloadParams {
     /// ThreadScan per-thread delete-buffer capacity (1024 stock; 4096 for
     /// the tuned Figure 4 hash-table line).
     pub ts_buffer_capacity: usize,
-    /// Use the paper's §4.2 masked exact matching instead of range
-    /// matching for ThreadScan runs. Only sound for structures whose
-    /// traversals hold node-base pointers exclusively (the Harris list:
-    /// its `next` field is at offset 0).
-    pub ts_exact_match: bool,
     /// Route structure nodes through a per-structure size-class node pool
     /// ([`ts_alloc::PoolHandle`]) instead of `Box` on the global
     /// allocator. Off by default (the registry passes
     /// `NodeAlloc::Global`, today's exact behavior).
     pub node_pool: bool,
-    /// ThreadScan runs only: use the adaptive collect policy
-    /// ([`threadscan::CollectPolicy::Adaptive`]) instead of the paper's
-    /// fixed full-buffer trigger. When combined with [`Self::node_pool`]
-    /// the collector also watches the pools' bytes-resident gauge.
-    pub ts_adaptive_collect: bool,
-    /// Adaptive runs only: pending retired-node watermark handed to
-    /// [`threadscan::CollectorConfig::with_pending_high_watermark`]
-    /// (`0` keeps the collector's auto-sizing).
-    pub ts_pending_watermark: usize,
     /// Slow-epoch injected delay.
     pub slow_epoch_delay: Duration,
     /// Slow-epoch delay cadence in operations.
@@ -323,10 +309,7 @@ impl WorkloadParams {
             duration: Duration::from_secs(2),
             threads,
             ts_buffer_capacity: 1024,
-            ts_exact_match: false,
             node_pool: false,
-            ts_adaptive_collect: false,
-            ts_pending_watermark: 0,
             slow_epoch_delay: Duration::from_millis(40),
             slow_epoch_period_ops: 4096,
             load_model: LoadModel::Closed,
@@ -365,19 +348,6 @@ impl WorkloadParams {
     /// Builder: per-structure node pools on/off (node-pool ablation).
     pub fn with_node_pool(mut self, on: bool) -> Self {
         self.node_pool = on;
-        self
-    }
-
-    /// Builder: ThreadScan adaptive collect policy on/off.
-    pub fn with_ts_adaptive_collect(mut self, on: bool) -> Self {
-        self.ts_adaptive_collect = on;
-        self
-    }
-
-    /// Builder: ThreadScan adaptive pending watermark (`0` = collector
-    /// auto-sizing).
-    pub fn with_ts_pending_watermark(mut self, watermark: usize) -> Self {
-        self.ts_pending_watermark = watermark;
         self
     }
 
@@ -549,8 +519,6 @@ mod tests {
             .with_update_pct(40)
             .with_ts_buffer(4096)
             .with_node_pool(true)
-            .with_ts_adaptive_collect(true)
-            .with_ts_pending_watermark(512)
             .with_structures(StructureMix::parse("hash:50,skiplist:30,pq:20").unwrap());
         p.duration = Duration::from_millis(250);
         let skip = p.hetero_cell(StructureKind::Skip);
@@ -561,8 +529,6 @@ mod tests {
         assert_eq!(skip.ts_buffer_capacity, 4096);
         assert_eq!(skip.duration, Duration::from_millis(250));
         assert!(skip.node_pool, "pool toggle must carry into hetero cells");
-        assert!(skip.ts_adaptive_collect);
-        assert_eq!(skip.ts_pending_watermark, 512);
         assert!(
             p.clone()
                 .with_telemetry(true)

@@ -22,12 +22,6 @@ use ts_structures::{
 
 use crate::params::{SchemeKind, StructureKind, WorkloadParams};
 
-/// Pool bytes-resident level at which the adaptive policy initiates a
-/// collect in pooled runs. Sized well above any Figure 3 working set so
-/// the pending watermark is the usual trigger; the pressure leg is a
-/// backstop against unbounded garbage in oversubscribed cells.
-const POOL_PRESSURE_HIGH_BYTES: usize = 256 << 20;
-
 /// Hazard-pointer slots the harness provisions: enough for every
 /// registered structure (the skip list and the priority queue need the
 /// most — a slot pair per level plus two roving slots).
@@ -78,12 +72,7 @@ impl SchemeKind {
                 let platform =
                     SignalPlatform::new().expect("signal platform unavailable on this system");
                 let mut config = threadscan::CollectorConfig::default()
-                    .with_buffer_capacity(params.ts_buffer_capacity)
-                    .with_match_mode(if params.ts_exact_match {
-                        threadscan::MatchMode::Exact
-                    } else {
-                        threadscan::MatchMode::Range
-                    });
+                    .with_buffer_capacity(params.ts_buffer_capacity);
                 if params.telemetry {
                     // Observability is opt-in: the sink installs the
                     // phase-ring record path on the collector, and the
@@ -92,21 +81,6 @@ impl SchemeKind {
                     config = config.with_telemetry(ts_telemetry::sink());
                     ts_alloc::register_pool_metrics();
                     crate::load::register_worker_metrics();
-                }
-                if params.ts_adaptive_collect {
-                    config = config.with_collect_policy(threadscan::CollectPolicy::Adaptive);
-                    if params.ts_pending_watermark > 0 {
-                        config = config.with_pending_high_watermark(params.ts_pending_watermark);
-                    }
-                    if params.node_pool {
-                        // Pooled nodes make heap pressure observable:
-                        // let the controller watch the global
-                        // bytes-resident gauge too.
-                        config = config.with_pressure_source(
-                            threadscan::PressureSource::new(ts_alloc::pool_bytes_resident),
-                            POOL_PRESSURE_HIGH_BYTES,
-                        );
-                    }
                 }
                 Arc::new(ThreadScanSmr::with_config(platform, config))
             }
@@ -228,43 +202,10 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_params_reach_the_collector_config() {
-        let params = WorkloadParams::fig3(StructureKind::List, 2)
-            .scaled_down(64)
-            .with_node_pool(true)
-            .with_ts_adaptive_collect(true)
-            .with_ts_pending_watermark(128);
-        let scheme = SchemeKind::ThreadScan.build(&params);
-        let ts = scheme
-            .as_any()
-            .downcast_ref::<ThreadScanSmr<ts_sigscan::SignalPlatform>>()
-            .expect("threadscan scheme");
-        let cfg = ts.collector().config();
-        assert_eq!(cfg.collect_policy, threadscan::CollectPolicy::Adaptive);
-        assert_eq!(cfg.pending_high_watermark, 128);
-        assert!(
-            cfg.pressure_source.is_some(),
-            "pooled adaptive runs watch the bytes-resident gauge"
-        );
-
-        // Default params must keep the paper's fixed trigger, bit for bit.
-        let fixed = SchemeKind::ThreadScan
-            .build(&WorkloadParams::fig3(StructureKind::List, 2).scaled_down(64));
-        let fixed = fixed
-            .as_any()
-            .downcast_ref::<ThreadScanSmr<ts_sigscan::SignalPlatform>>()
-            .unwrap();
-        assert_eq!(
-            fixed.collector().config().collect_policy,
-            threadscan::CollectPolicy::Fixed
-        );
-        assert!(fixed.collector().config().pressure_source.is_none());
-    }
-
-    #[test]
     fn telemetry_param_installs_the_sink_and_default_stays_clean() {
         let params = WorkloadParams::fig3(StructureKind::List, 2)
             .scaled_down(64)
+            .with_ts_buffer(4096)
             .with_telemetry(true);
         let scheme = SchemeKind::ThreadScan.build(&params);
         let ts = scheme
@@ -272,6 +213,7 @@ mod tests {
             .downcast_ref::<ThreadScanSmr<ts_sigscan::SignalPlatform>>()
             .expect("threadscan scheme");
         assert!(ts.collector().config().telemetry.is_some());
+        assert_eq!(ts.collector().config().buffer_capacity, 4096);
         // The same build also registered the pool and worker metrics.
         let page = ts_telemetry::render_prometheus();
         assert!(page.contains("threadscan_pool_bytes_resident"));

@@ -203,7 +203,6 @@ pub struct RunResult {
 pub fn stats_json(st: &StatsSnapshot) -> String {
     crate::json::ObjectBuilder::new()
         .num("collects", st.collects as f64)
-        .num("adaptive_collects", st.adaptive_collects as f64)
         .num("words_scanned", st.words_scanned as f64)
         .num("freed", st.freed as f64)
         .num("mailbox_frees", st.mailbox_frees as f64)
@@ -832,7 +831,6 @@ mod tests {
             v.get("threadscan"),
             [
                 "collects",
-                "adaptive_collects",
                 "words_scanned",
                 "freed",
                 "mailbox_frees",
