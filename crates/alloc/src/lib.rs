@@ -37,8 +37,8 @@
 //! ```
 //!
 //! The `ablation_allocator` bench binary runs the paper's list workload
-//! with this allocator installed, for comparison against the
-//! system-allocator numbers in EXPERIMENTS.md.
+//! with this allocator installed (`--real-alloc`) or, without the flag,
+//! on the system allocator, for comparison.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -51,11 +51,9 @@ pub mod size_classes;
 pub mod spin;
 pub mod stats;
 pub mod switchable;
-pub mod telemetry;
 
 pub use global::TsAlloc;
 pub use pool::{dealloc_node, pool_bytes_resident, pool_stats, PoolHandle, PoolStats};
 pub use size_classes::{class_size, NUM_CLASSES};
 pub use stats::{stats, AllocStats};
 pub use switchable::{enable_ts_alloc, ts_alloc_enabled, SwitchableAlloc};
-pub use telemetry::register_pool_metrics;

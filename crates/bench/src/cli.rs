@@ -128,15 +128,30 @@ impl CliArgs {
 
     /// The `--trace-out` epilogue: renders everything the event rings
     /// captured as one chrome://tracing / Perfetto document and writes it
-    /// where `--trace-out` pointed. No-op without the flag. Call once,
-    /// after the measured runs.
+    /// where `--trace-out` pointed, then reports how many events the
+    /// rings lost. No-op without the flag. Call once, after the measured
+    /// runs.
     pub fn write_trace(&self) {
         let Some(path) = self.trace_out() else {
             return;
         };
         let json = ts_telemetry::render_chrome_trace();
         std::fs::write(path, json).expect("write chrome trace");
-        println!("# chrome trace written to {path} (load in chrome://tracing or ui.perfetto.dev)");
+        // Read after the drain above: only drains count overwrites.
+        let dropped = ts_telemetry::dropped_events();
+        println!(
+            "# chrome trace written to {path} (load in chrome://tracing or ui.perfetto.dev); \
+             dropped events: {dropped}"
+        );
+        if dropped > 0 {
+            println!(
+                "# WARNING: the trace is incomplete: {dropped} events were overwritten in a \
+                 full ring ({} per thread) or recorded by a thread past the first {} to \
+                 record in this process",
+                ts_telemetry::ring::ring_capacity(),
+                ts_telemetry::ring::MAX_RINGS
+            );
+        }
     }
 }
 

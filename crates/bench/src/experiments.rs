@@ -378,8 +378,8 @@ fn nodepool(args: &CliArgs) -> Sweep {
 }
 
 /// The subsystem's contract: off is free (the sink is a plain `Option`
-/// field, zero extra atomics) and on is cheap (one ring cell per scan,
-/// counters flushed every 1024 ops, ~11 events per collect).
+/// field, zero extra atomics) and on is cheap (one ring cell per event:
+/// eight per collect, one per signal sent, two per scanned thread).
 fn telemetry(args: &CliArgs) -> Sweep {
     let mut s = Sweep::new("telemetry", Common::parse(args, 1.5, 3));
     for kind in args.get_structures("structure", &[List]) {
@@ -401,18 +401,16 @@ fn telemetry(args: &CliArgs) -> Sweep {
                 (off - on) / off * 100.0
             );
         }
-        // What the enabled side actually recorded, for scale.
-        let page = ts_telemetry::render_prometheus();
-        let shown = [
-            "collects_total",
-            "worker_ops_total",
-            "telemetry_dropped_events",
-        ];
-        let shown = shown.map(|m| format!("threadscan_{m}"));
-        for line in page
-            .lines()
-            .filter(|l| shown.iter().any(|m| l.starts_with(m)))
-        {
+        // What the last sink-on cell recorded, for scale.
+        let Some(on) = report.results().last() else {
+            return;
+        };
+        println!(
+            "# {} t={} telemetry-on: total_ops {} (counters, _sum and _count are the \
+             last repeat's; _bucket lines cover every repeat)",
+            on.structure, on.threads, on.total_ops
+        );
+        for line in ts_telemetry::render_prometheus(&ts(on)).lines() {
             println!("# {line}");
         }
     };

@@ -42,8 +42,6 @@ use crate::stats::{CollectorStats, StatsSnapshot};
 struct ReclaimState {
     /// Marked nodes from the previous phase, re-examined next phase.
     survivors: Vec<Retired>,
-    /// `mailbox_frees` total already reported to the telemetry sink.
-    mailbox_frees_reported: usize,
 }
 
 /// One registered thread's two-stage delete buffer and its counters. The
@@ -136,7 +134,6 @@ impl<P: Platform> Collector<P> {
             config,
             reclaim: Mutex::new(ReclaimState {
                 survivors: Vec::new(),
-                mailbox_frees_reported: 0,
             }),
             slots: Mutex::new(Vec::new()),
             orphans: Mutex::new(Vec::new()),
@@ -375,19 +372,6 @@ impl<P: Platform> Collector<P> {
         self.stats.record_collect_ns(ns);
         if let Some((sink, id)) = telemetry {
             sink.event(PhaseKind::CollectEnd, id, survivor_count as u64);
-            let snap = self.stats();
-            (sink.collect_summary)(&crate::telemetry::CollectSummary {
-                collect_id: id,
-                ns: ns as u64,
-                entries: entry_count,
-                freed,
-                mailbox_frees: snap.mailbox_frees - state.mailbox_frees_reported,
-                overflow_frees,
-                survivors: survivor_count,
-                threads_scanned: outcome.threads_scanned,
-                pending: snap.outstanding(),
-            });
-            state.mailbox_frees_reported = snap.mailbox_frees;
         }
     }
 

@@ -48,8 +48,8 @@ impl CollectorConfig {
         self
     }
 
-    /// Builder-style telemetry hookup: phase events and collect
-    /// summaries flow into `sink` (typically `ts_telemetry::sink()`).
+    /// Builder-style telemetry hookup: phase events flow into `sink`
+    /// (typically `ts_telemetry::sink()`).
     /// See [`crate::telemetry`] for the sink's safety contract.
     pub fn with_telemetry(mut self, sink: TelemetrySink) -> Self {
         self.telemetry = Some(sink);
@@ -71,11 +71,7 @@ mod tests {
 
     fn sink() -> TelemetrySink {
         fn rec(_: crate::telemetry::PhaseEvent) {}
-        fn sum(_: &crate::telemetry::CollectSummary) {}
-        TelemetrySink {
-            record: rec,
-            collect_summary: sum,
-        }
+        TelemetrySink { record: rec }
     }
 
     #[test]
@@ -89,6 +85,18 @@ mod tests {
         } = CollectorConfig::default();
         assert_eq!(buffer_capacity, 1024);
         assert!(telemetry.is_none(), "telemetry must be opt-in");
+    }
+
+    #[test]
+    fn sink_is_the_one_signal_safe_channel() {
+        // No `..`, as above: a second callback on the sink is a second
+        // accumulator for something `Collector::stats()` already counts.
+        let TelemetrySink { record } = sink();
+        record(crate::telemetry::PhaseEvent {
+            kind: crate::telemetry::PhaseKind::Announce,
+            collect_id: 1,
+            arg: 0,
+        });
     }
 
     #[test]

@@ -71,4 +71,4 @@ pub use roots::{ThreadRoots, MAX_HEAP_BLOCKS};
 pub use selfscan::{capture_context, SelfScanContext};
 pub use session::ScanSession;
 pub use stats::{CollectorStats, StatsSnapshot};
-pub use telemetry::{CollectSummary, PhaseEvent, PhaseKind, TelemetrySink};
+pub use telemetry::{PhaseEvent, PhaseKind, TelemetrySink};

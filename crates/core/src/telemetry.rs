@@ -1,10 +1,13 @@
 //! Telemetry hook points: how a collector publishes phase events.
 //!
 //! The protocol core stays dependency-free, so this module defines only
-//! the *shape* of telemetry — a [`TelemetrySink`] of plain function
-//! pointers — and leaves the implementation (per-thread ring buffers, a
-//! metrics registry, exporters) to the `ts-telemetry` crate, which hands
-//! a sink to [`CollectorConfig::with_telemetry`](crate::CollectorConfig::with_telemetry).
+//! the *shape* of telemetry — a [`TelemetrySink`] holding one plain
+//! function pointer — and leaves the implementation (per-thread ring
+//! buffers, the chrome-trace exporter) to the `ts-telemetry` crate, which
+//! hands a sink to [`CollectorConfig::with_telemetry`](crate::CollectorConfig::with_telemetry).
+//! Counters are not telemetry: every per-collect total lives in
+//! [`CollectorStats`](crate::CollectorStats) and is read with
+//! `Collector::stats()`, sink or no sink.
 //!
 //! Two contracts matter:
 //!
@@ -136,51 +139,18 @@ pub struct PhaseEvent {
     pub arg: u64,
 }
 
-/// End-of-collect roll-up, handed to [`TelemetrySink::collect_summary`]
-/// from the reclaimer (a normal thread context — summaries, unlike
-/// [`PhaseEvent`]s, may take locks or allocate in the sink).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CollectSummary {
-    /// The collect these totals describe.
-    pub collect_id: u64,
-    /// Wall-clock duration of the whole collect, in nanoseconds. Covers
-    /// exactly what `CollectorStats::record_collect_ns` records, so a
-    /// registry histogram fed from here stays equal to the snapshot's.
-    pub ns: u64,
-    /// Retired entries aggregated into the master buffer.
-    pub entries: usize,
-    /// Nodes freed by the reclaimer itself (excludes mailbox hand-offs).
-    pub freed: usize,
-    /// Nodes freed by their owners out of their mailboxes since the
-    /// previous summary (`StatsSnapshot::mailbox_frees` delta).
-    pub mailbox_frees: usize,
-    /// The part of `freed` that no mailbox would take
-    /// (`StatsSnapshot::overflow_frees` delta); zero on a forced collect.
-    pub overflow_frees: usize,
-    /// Marked nodes carried over to the next phase.
-    pub survivors: usize,
-    /// Threads that completed a scan this phase (including the reclaimer).
-    pub threads_scanned: usize,
-    /// Retired-but-unfreed nodes after this collect
-    /// (`StatsSnapshot::outstanding`; includes nodes parked in mailboxes).
-    pub pending: usize,
-}
-
 /// Telemetry callbacks, as installed via
 /// [`CollectorConfig::with_telemetry`](crate::CollectorConfig::with_telemetry).
 ///
-/// A sink is a `Copy` bundle of plain `fn` pointers — no allocation, no
-/// vtable indirection through fat pointers on the signal path, and a
-/// cheap plain-field `Option` check when disabled.
+/// A sink is a `Copy` plain `fn` pointer — no allocation, no vtable
+/// indirection through fat pointers on the signal path, and a cheap
+/// plain-field `Option` check when disabled.
 #[derive(Clone, Copy)]
 pub struct TelemetrySink {
     /// Records one phase event. **Must be async-signal-safe**: called
     /// from the sigscan signal handler for scan events. No allocation,
     /// no locks, no panics.
     pub record: fn(PhaseEvent),
-    /// Records an end-of-collect roll-up. Called from the reclaimer
-    /// thread only; may allocate or lock.
-    pub collect_summary: fn(&CollectSummary),
 }
 
 impl TelemetrySink {
@@ -238,11 +208,7 @@ mod tests {
         fn rec(ev: PhaseEvent) {
             HITS.fetch_add(ev.arg, Ordering::Relaxed);
         }
-        fn sum(_: &CollectSummary) {}
-        let sink = TelemetrySink {
-            record: rec,
-            collect_summary: sum,
-        };
+        let sink = TelemetrySink { record: rec };
         let copy = sink; // Copy
         copy.event(PhaseKind::Announce, 7, 5);
         assert_eq!(HITS.load(Ordering::Relaxed), 5);

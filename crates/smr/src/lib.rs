@@ -13,7 +13,7 @@
 //! | [`StackTrackSim`] | release store into a window ring (no fence) | none | list push; asymmetric-fence scan at threshold |
 //!
 //! [`StackTrackSim`] is the §6-mentioned StackTrack comparator, emulated
-//! without HTM (see its module docs and DESIGN.md §6).
+//! without HTM (see its module docs).
 //!
 //! Data structures in `ts-structures` are written once against the trait
 //! and get all five schemes for free — which is how the paper's Figure 3

@@ -7,7 +7,7 @@
 //! *reclaimer* pays for synchronization, readers stay cheap. HTM is not
 //! available here (neither on this hardware nor in stable Rust), so this
 //! emulation preserves the property with a different mechanism
-//! (substitution documented in DESIGN.md):
+//! (the substitution, in full):
 //!
 //! * each thread records every traversed node in a fixed **window ring**
 //!   with plain release stores — no fences, no validation loop re-fencing;

@@ -102,7 +102,7 @@ thread_local! {
 
 /// Monotonic clock anchor. `OnceLock::get` is one atomic load;
 /// `Instant::elapsed` is a vDSO `clock_gettime` — both fine in signal
-/// context. Initialized by [`init_clock`] (from `enable`/`sink`), so the
+/// context. Initialized by [`init_clock`] (from `sink`), so the
 /// anchor is set before any sink can be installed.
 static ANCHOR: OnceLock<Instant> = OnceLock::new();
 
@@ -262,11 +262,6 @@ pub fn dropped_events() -> u64 {
         .map(|r| r.dropped.load(Ordering::Relaxed))
         .sum::<u64>()
         + SLOT_EXHAUSTED.load(Ordering::Relaxed)
-}
-
-/// Ring slots claimed so far (diagnostic; feeds a registry gauge).
-pub fn rings_claimed() -> u64 {
-    NEXT_RING.load(Ordering::Relaxed).min(MAX_RINGS) as u64
 }
 
 /// Testing hook: empties every ring and zeroes cursors and drop

@@ -34,10 +34,7 @@ pub mod report;
 pub mod runner;
 
 pub use dist::{KeyDist, WeightedPick, ZipfSampler};
-pub use load::{
-    register_worker_metrics, ArrivalSchedule, BacklogPolicy, LatencySummary, LoadModel,
-    OpenLoopExtras,
-};
+pub use load::{ArrivalSchedule, BacklogPolicy, LatencySummary, LoadModel, OpenLoopExtras};
 pub use mix::{prefill_keys, Op, OpMix};
 pub use params::{SchemeKind, StructureKind, StructureMix, WorkloadParams};
 pub use report::Report;

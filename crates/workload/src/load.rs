@@ -252,73 +252,6 @@ pub(crate) struct LoadSpec<'a> {
     pub backlog: BacklogPolicy,
     /// Arrival-schedule seed.
     pub arrival_seed: u64,
-    /// Publish worker counters into the `ts-telemetry` registry
-    /// (batched — see [`FLUSH_EVERY_OPS`]). When `false` the loops run
-    /// with zero additional atomics, bit-for-bit the pre-telemetry code.
-    pub telemetry: bool,
-}
-
-/// Completed operations across all telemetry-enabled workers.
-static WORKER_OPS: ts_telemetry::Counter = ts_telemetry::Counter::new();
-/// Open-loop arrivals observed inside measured windows.
-static WORKER_OFFERED: ts_telemetry::Counter = ts_telemetry::Counter::new();
-/// Open-loop arrivals shed by the backlog policy.
-static WORKER_DROPPED: ts_telemetry::Counter = ts_telemetry::Counter::new();
-/// Worst scheduling lag any worker has observed, ns (high-water mark).
-static WORKER_LAG_MAX: ts_telemetry::Gauge = ts_telemetry::Gauge::new();
-
-/// Telemetry-enabled workers buffer counter deltas locally and flush
-/// this often, so the registry costs a handful of atomics per thousand
-/// ops rather than per op.
-const FLUSH_EVERY_OPS: u64 = 1024;
-
-/// Registers the worker-loop counters with the process-wide registry.
-/// Idempotent; the scheme registry calls this when a run is built with
-/// telemetry enabled.
-pub fn register_worker_metrics() {
-    ts_telemetry::register_counter(
-        "threadscan_worker_ops_total",
-        "Operations completed by telemetry-enabled workload workers.",
-        &[],
-        &WORKER_OPS,
-    );
-    ts_telemetry::register_counter(
-        "threadscan_worker_offered_total",
-        "Open-loop arrivals observed inside measured windows.",
-        &[],
-        &WORKER_OFFERED,
-    );
-    ts_telemetry::register_counter(
-        "threadscan_worker_dropped_total",
-        "Open-loop arrivals shed by the backlog policy.",
-        &[],
-        &WORKER_DROPPED,
-    );
-    ts_telemetry::register_gauge(
-        "threadscan_worker_sched_lag_max_ns",
-        "Worst scheduling lag any worker has observed, in nanoseconds.",
-        &[],
-        &WORKER_LAG_MAX,
-    );
-}
-
-/// A worker's local, flush-on-threshold view of the registry counters.
-#[derive(Default)]
-struct WorkerCounters {
-    ops: u64,
-    offered: u64,
-    dropped: u64,
-    lag_max_ns: u64,
-}
-
-impl WorkerCounters {
-    fn flush(&mut self) {
-        WORKER_OPS.add(self.ops);
-        WORKER_OFFERED.add(self.offered);
-        WORKER_DROPPED.add(self.dropped);
-        WORKER_LAG_MAX.raise(self.lag_max_ns);
-        *self = Self::default();
-    }
 }
 
 /// Drives one worker for the measured window: the load-generation layer
@@ -353,28 +286,13 @@ pub(crate) fn drive_worker(
     let Some(mut schedule) =
         ArrivalSchedule::for_worker(spec.model, spec.arrival_seed, worker, workers)
     else {
-        if spec.telemetry {
-            // Telemetry-enabled closed loop: same shape, plus a local op
-            // count flushed to the registry every FLUSH_EVERY_OPS.
-            let mut counters = WorkerCounters::default();
-            while !stop.load(Ordering::Relaxed) {
-                let class = do_op();
-                report.class_ops[class] += 1;
-                counters.ops += 1;
-                if counters.ops >= FLUSH_EVERY_OPS {
-                    counters.flush();
-                }
-            }
-            counters.flush();
-        } else {
-            // Closed loop: the pre-refactor measurement loop, preserved
-            // observationally — per-op stop check (see the runner's
-            // post-stop regression note), no timing instrumentation, no
-            // atomics beyond the stop flag.
-            while !stop.load(Ordering::Relaxed) {
-                let class = do_op();
-                report.class_ops[class] += 1;
-            }
+        // Closed loop: the pre-refactor measurement loop, preserved
+        // observationally — per-op stop check (see the runner's
+        // post-stop regression note), no timing instrumentation, no
+        // atomics beyond the stop flag.
+        while !stop.load(Ordering::Relaxed) {
+            let class = do_op();
+            report.class_ops[class] += 1;
         }
         return report;
     };
@@ -389,7 +307,6 @@ pub(crate) fn drive_worker(
     // compared on the same clock, and cross-worker skew (microseconds
     // of barrier wake-up spread) never enters any latency.
     let epoch = Instant::now();
-    let mut counters = WorkerCounters::default();
     'window: while !stop.load(Ordering::Relaxed) {
         let intended = schedule.next_ns();
         // Wait for the intended arrival (if we are not already late).
@@ -417,18 +334,8 @@ pub(crate) fn drive_worker(
         report.lag_max_ns = report.lag_max_ns.max(lag);
         report.lag_sum_ns = report.lag_sum_ns.saturating_add(lag);
         report.lag_samples += 1;
-        if spec.telemetry {
-            counters.offered += 1;
-            counters.lag_max_ns = counters.lag_max_ns.max(lag);
-            if counters.offered >= FLUSH_EVERY_OPS {
-                counters.flush();
-            }
-        }
         if lag > max_lag_ns {
             report.dropped += 1;
-            if spec.telemetry {
-                counters.dropped += 1;
-            }
             continue;
         }
         let class = do_op();
@@ -436,12 +343,6 @@ pub(crate) fn drive_worker(
         report.class_hist[class].record(latency);
         report.max_ns = report.max_ns.max(latency);
         report.class_ops[class] += 1;
-        if spec.telemetry {
-            counters.ops += 1;
-        }
-    }
-    if spec.telemetry {
-        counters.flush();
     }
     report
 }
@@ -754,7 +655,6 @@ mod tests {
                 model: &LoadModel::Closed,
                 backlog: BacklogPolicy::Queue,
                 arrival_seed: 0,
-                telemetry: false,
             },
             0,
             1,
@@ -785,7 +685,6 @@ mod tests {
                 model: &LoadModel::OpenPoisson { qps: 100_000.0 },
                 backlog: BacklogPolicy::Queue,
                 arrival_seed: 9,
-                telemetry: false,
             },
             0,
             1,
@@ -819,7 +718,6 @@ mod tests {
                 model: &LoadModel::OpenPoisson { qps: 1_000_000.0 },
                 backlog: BacklogPolicy::DropAfter(Duration::from_millis(2)),
                 arrival_seed: 1,
-                telemetry: false,
             },
             0,
             1,
@@ -898,81 +796,5 @@ mod tests {
     #[test]
     fn empty_latency_summary_is_none() {
         assert!(LatencySummary::from_hist(Hist::new(), 0).is_none());
-    }
-
-    /// Serializes the tests that read deltas of the process-global
-    /// worker counters.
-    fn counter_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    #[test]
-    fn telemetry_workers_flush_every_op_to_the_registry() {
-        let _lock = counter_lock();
-        register_worker_metrics();
-        let before = WORKER_OPS.get();
-        let stop = AtomicBool::new(false);
-        let mut n = 0u64;
-        // 2500 ops crosses the 1024-op flush threshold twice and leaves a
-        // remainder only the final flush can publish.
-        let report = drive_worker(
-            LoadSpec {
-                model: &LoadModel::Closed,
-                backlog: BacklogPolicy::Queue,
-                arrival_seed: 0,
-                telemetry: true,
-            },
-            0,
-            1,
-            1,
-            &stop,
-            || {
-                n += 1;
-                if n >= 2500 {
-                    stop.store(true, Ordering::Relaxed);
-                }
-                0
-            },
-        );
-        assert_eq!(report.class_ops, vec![2500]);
-        assert_eq!(
-            WORKER_OPS.get() - before,
-            2500,
-            "batched flushes must not lose the sub-batch remainder"
-        );
-    }
-
-    #[test]
-    fn telemetry_open_loop_publishes_offered_and_lag() {
-        let _lock = counter_lock();
-        register_worker_metrics();
-        let offered_before = WORKER_OFFERED.get();
-        let ops_before = WORKER_OPS.get();
-        let stop = AtomicBool::new(false);
-        let mut n = 0u64;
-        let report = drive_worker(
-            LoadSpec {
-                model: &LoadModel::OpenPoisson { qps: 100_000.0 },
-                backlog: BacklogPolicy::Queue,
-                arrival_seed: 5,
-                telemetry: true,
-            },
-            0,
-            1,
-            1,
-            &stop,
-            || {
-                n += 1;
-                if n >= 100 {
-                    stop.store(true, Ordering::Relaxed);
-                }
-                0
-            },
-        );
-        assert_eq!(report.offered, 100);
-        assert_eq!(WORKER_OFFERED.get() - offered_before, 100);
-        assert_eq!(WORKER_OPS.get() - ops_before, 100);
-        assert!(WORKER_LAG_MAX.get() >= report.lag_max_ns.min(WORKER_LAG_MAX.get()));
     }
 }

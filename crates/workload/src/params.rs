@@ -264,10 +264,11 @@ pub struct WorkloadParams {
     /// What workers do with arrivals they observe behind schedule
     /// (open-loop models only).
     pub backlog: BacklogPolicy,
-    /// Install the `ts-telemetry` observability sink on the scheme's
-    /// collector (ThreadScan runs) and publish worker/pool metrics into
-    /// the process-wide registry. Off by default: a run without it
-    /// executes zero additional atomics on any hot path.
+    /// Install the `ts-telemetry` sink on the scheme's collector
+    /// (ThreadScan runs), so phase events are recorded into the event
+    /// rings; nothing else changes — the worker loops never see it. Off by
+    /// default: a run without it executes zero additional atomics on any
+    /// hot path.
     pub telemetry: bool,
     /// Accumulated [`Self::scaled_down`] factor, so derived cells
     /// ([`Self::hetero_cell`]) can re-apply the same shrink to their own
@@ -387,11 +388,10 @@ impl WorkloadParams {
             model: &self.load_model,
             backlog: self.backlog,
             arrival_seed: self.arrival_seed,
-            telemetry: self.telemetry,
         }
     }
 
-    /// Builder: telemetry (phase rings + metrics registry) on/off.
+    /// Builder: telemetry (phase-event rings) on/off.
     pub fn with_telemetry(mut self, on: bool) -> Self {
         self.telemetry = on;
         self
@@ -476,6 +476,24 @@ mod tests {
             cell.backlog,
             BacklogPolicy::DropAfter(Duration::from_millis(5))
         );
+    }
+
+    #[test]
+    fn load_spec_is_exactly_the_three_load_knobs() {
+        // No `..`: the worker loop is one loop per load model; a flag
+        // added here is a fork of it. Telemetry in particular stops at
+        // the collector's sink.
+        let p = WorkloadParams::fig3(StructureKind::Hash, 4)
+            .with_arrival_seed(77)
+            .with_telemetry(true);
+        let crate::load::LoadSpec {
+            model,
+            backlog,
+            arrival_seed,
+        } = p.load_spec();
+        assert_eq!(*model, LoadModel::Closed);
+        assert_eq!(backlog, BacklogPolicy::Queue);
+        assert_eq!(arrival_seed, 77);
     }
 
     #[test]

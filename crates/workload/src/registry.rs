@@ -74,13 +74,7 @@ impl SchemeKind {
                 let mut config = threadscan::CollectorConfig::default()
                     .with_buffer_capacity(params.ts_buffer_capacity);
                 if params.telemetry {
-                    // Observability is opt-in: the sink installs the
-                    // phase-ring record path on the collector, and the
-                    // pool gauges join the same registry so a single
-                    // `/metrics` scrape covers both.
                     config = config.with_telemetry(ts_telemetry::sink());
-                    ts_alloc::register_pool_metrics();
-                    crate::load::register_worker_metrics();
                 }
                 Arc::new(ThreadScanSmr::with_config(platform, config))
             }
@@ -214,10 +208,6 @@ mod tests {
             .expect("threadscan scheme");
         assert!(ts.collector().config().telemetry.is_some());
         assert_eq!(ts.collector().config().buffer_capacity, 4096);
-        // The same build also registered the pool and worker metrics.
-        let page = ts_telemetry::render_prometheus();
-        assert!(page.contains("threadscan_pool_bytes_resident"));
-        assert!(page.contains("threadscan_worker_ops_total"));
 
         // Default params stay telemetry-free: no sink, no extra atomics.
         let plain = SchemeKind::ThreadScan
