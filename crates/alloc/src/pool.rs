@@ -1,27 +1,22 @@
-//! Per-structure node pools: explicit allocation handles over the
-//! size-class machinery.
+//! Node pools: explicit allocation handles over the size-class
+//! machinery.
 //!
-//! The global-hook path ([`crate::TsAlloc`]) routes *every* allocation in
-//! the process through the size classes. A [`PoolHandle`] is the opposite
-//! end of the design space: an explicit, per-data-structure handle whose
-//! `alloc_node::<T>()`/[`dealloc_node`] entry points go straight to the
-//! thread-local magazines and the central depot — no `GlobalAlloc`
-//! dispatch, no layout round-trip, and per-handle accounting (allocs,
-//! frees, magazine refills, bytes resident) that the benchmark harness
-//! reads per structure instead of per process.
+//! A [`PoolHandle`]'s `alloc_node::<T>()`/[`dealloc_node`] entry points
+//! go straight to the thread-local magazines and the central depot, with
+//! per-handle accounting (allocs, frees, magazine refills, bytes
+//! resident).
 //!
 //! Layout: every pooled node is preceded by a 16-byte `Header` recording
-//! its size class and the owning handle's counters. Deferred frees
-//! (SMR `retire` drop functions are plain `unsafe fn(*mut u8)` with no
-//! captured state) recover everything they need from the header, so a
-//! node allocated through any handle can be freed from any thread at any
-//! later time with just its pointer.
+//! its size class and the owning handle's counters. A free recovers
+//! everything it needs from the header, so a node allocated through any
+//! handle can be freed from any thread at any later time with just its
+//! pointer.
 //!
 //! Thread-local **magazines** (one intrusive free list per size class,
 //! shared by all handles on that thread — blocks of one class are fungible)
-//! refill from and flush to [`central`] in batches, mirroring the global
-//! hook's thread-cache amortization. During TLS teardown the magazines are
-//! unavailable and the depot's direct path is used instead.
+//! refill from and flush to [`central`] in batches, so the depot lock is
+//! taken once per [`BATCH`] operations. During TLS teardown the magazines
+//! are unavailable and the depot's direct path is used instead.
 //!
 //! Handle counters are leaked (`&'static`): a few words per handle ever
 //! created, in exchange for deferred frees never racing a handle drop.
@@ -30,7 +25,6 @@ use core::cell::UnsafeCell;
 use core::marker::PhantomData;
 use core::sync::atomic::{AtomicUsize, Ordering};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::Mutex;
 
 use crate::central::{self, FreeList, BATCH};
 use crate::size_classes::{class_of, class_size, CLASS_ALIGN, NUM_CLASSES};
@@ -44,8 +38,7 @@ pub const HEADER_BYTES: usize = 16;
 /// system allocator, but still headered and counted).
 const LARGE_CLASS: u32 = u32::MAX;
 
-/// Flush a magazine past this many blocks (same hysteresis band as the
-/// global hook's thread cache).
+/// Flush a magazine past this many blocks.
 const FLUSH_WATERMARK: usize = BATCH * 2;
 
 /// Bookkeeping stored immediately before each pooled node.
@@ -60,7 +53,7 @@ struct Header {
     size: u32,
 }
 
-/// Per-handle counters (relaxed; diagnostics and benches only). Leaked on
+/// Per-handle counters (relaxed; diagnostics only). Leaked on
 /// handle creation so deferred frees can update them forever.
 pub struct PoolCounters {
     name: &'static str,
@@ -70,12 +63,10 @@ pub struct PoolCounters {
     bytes_resident: AtomicUsize,
 }
 
-/// Bytes currently resident across *all* pool handles in the process;
-/// exported as the `threadscan_pool_bytes_resident` gauge.
+/// Bytes currently resident across *all* pool handles in the process.
+/// Write-only: its updates are part of the alloc/free path the frozen
+/// benchmark probe times.
 static POOL_BYTES_RESIDENT: AtomicUsize = AtomicUsize::new(0);
-
-/// Every handle's counters ever created, for [`pool_stats`].
-static REGISTRY: Mutex<Vec<&'static PoolCounters>> = Mutex::new(Vec::new());
 
 /// A point-in-time copy of one handle's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,23 +96,7 @@ impl PoolCounters {
     }
 }
 
-/// Snapshots of every pool handle ever created, in creation order.
-pub fn pool_stats() -> Vec<PoolStats> {
-    REGISTRY
-        .lock()
-        .expect("pool registry poisoned")
-        .iter()
-        .map(|c| c.snapshot())
-        .collect()
-}
-
-/// Bytes currently resident across all pool handles (process-wide).
-/// Cheap (one relaxed load): safe to poll from a hot path.
-pub fn pool_bytes_resident() -> usize {
-    POOL_BYTES_RESIDENT.load(Ordering::Relaxed)
-}
-
-/// An explicit allocation handle, typically one per data structure.
+/// An explicit allocation handle.
 ///
 /// Cloning is free (the handle is one pointer to leaked counters); clones
 /// share the same accounting. Deallocation does not need the handle at
@@ -164,9 +139,9 @@ impl<T> AlignCheck<T> {
 }
 
 impl PoolHandle {
-    /// Creates a handle labeled `name` (shown in [`pool_stats`]). The
-    /// label and counters are leaked — a few words per handle ever
-    /// created — so deferred frees can outlive the handle.
+    /// Creates a handle labeled `name`. The label and counters are
+    /// leaked — a few words per handle ever created — so deferred frees
+    /// can outlive the handle.
     pub fn new(name: impl Into<String>) -> Self {
         let counters: &'static PoolCounters = Box::leak(Box::new(PoolCounters {
             name: String::leak(name.into()),
@@ -175,16 +150,7 @@ impl PoolHandle {
             magazine_refills: AtomicUsize::new(0),
             bytes_resident: AtomicUsize::new(0),
         }));
-        REGISTRY
-            .lock()
-            .expect("pool registry poisoned")
-            .push(counters);
         Self { counters }
-    }
-
-    /// The handle's label.
-    pub fn name(&self) -> &'static str {
-        self.counters.name
     }
 
     /// A snapshot of this handle's counters.
@@ -258,8 +224,7 @@ impl PoolHandle {
 /// Drops a pooled node in place and returns its block to the pool.
 ///
 /// Needs no handle: the header in front of the node records its class and
-/// owning counters, which is what lets SMR drop functions (stateless
-/// `unsafe fn(*mut u8)`) free pooled nodes long after the allocating
+/// owning counters, so a node can be freed long after the allocating
 /// scope ended.
 ///
 /// # Safety
@@ -445,21 +410,6 @@ mod tests {
         // SAFETY: allocated above.
         unsafe { dealloc_node(p) };
         assert_eq!(DROPS.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn pool_stats_lists_created_handles() {
-        let h = PoolHandle::new("listed-handle");
-        let p: *mut u64 = h.alloc_node(9);
-        // SAFETY: allocated above.
-        unsafe { dealloc_node(p) };
-        let all = pool_stats();
-        let mine = all
-            .iter()
-            .find(|s| s.name == "listed-handle")
-            .expect("handle must appear in pool_stats");
-        assert_eq!(mine.allocs, 1);
-        assert_eq!(mine.frees, 1);
     }
 
     #[test]

@@ -40,6 +40,7 @@ pub fn growth(args: &CliArgs) {
     let target_buckets = args.get_usize("target-buckets", if quick { 1 << 12 } else { 1 << 21 });
     let load_factor = args.get_usize("load-factor", 1);
     let timeout_s = args.get_usize("timeout", 120) as u64;
+    args.reject_unread(&["json"]);
 
     println!(
         "# Directory growth: 2^8 -> {target_buckets} buckets ({})",
@@ -229,6 +230,7 @@ pub fn garbage(args: &CliArgs) {
     let duration = Duration::from_secs_f64(args.get_f64("duration", if quick { 0.5 } else { 3.0 }));
     let samples = args.get_usize("samples", 8);
     let threads = args.get_usize("threads", 4);
+    args.reject_unread(&[]);
 
     println!(
         "# Ablation D: outstanding garbage over time ({})",
@@ -302,6 +304,7 @@ pub fn ordering(args: &CliArgs) {
     let quick = args.get_flag("quick");
     let iters = args.get_usize("iters", if quick { 200_000 } else { 2_000_000 });
     let trials = args.get_usize("trials", if quick { 3 } else { 7 });
+    args.reject_unread(&["json"]);
 
     println!(
         "# Ablation: fast-path memory orderings ({})",

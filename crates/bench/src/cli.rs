@@ -2,13 +2,16 @@
 //! workspace free of CLI dependencies), plus the report epilogues and the
 //! default thread ladders.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 
 use ts_workload::{Report, SchemeKind, StructureKind};
 
 /// Parsed `--key value` arguments.
 pub struct CliArgs {
-    map: HashMap<String, String>,
+    /// Key → value, and whether a getter has looked the key up yet: what
+    /// stays `false` is a flag nothing reads ([`Self::unread`]).
+    map: HashMap<String, (String, Cell<bool>)>,
 }
 
 impl CliArgs {
@@ -27,7 +30,7 @@ impl CliArgs {
                     Some(next) if !next.starts_with("--") => iter.next().unwrap(),
                     _ => "true".to_string(),
                 };
-                map.insert(key.to_string(), value);
+                map.insert(key.to_string(), (value, Cell::new(false)));
             }
         }
         Self { map }
@@ -35,7 +38,39 @@ impl CliArgs {
 
     /// String value for `key`.
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.map.get(key).map(String::as_str)
+        self.map.get(key).map(|(value, read)| {
+            read.set(true);
+            value.as_str()
+        })
+    }
+
+    /// The given flags no getter has asked for so far and `later` does
+    /// not name, sorted: a misspelt `--thread 4` would otherwise run the
+    /// default ladder and report it as the measurement asked for.
+    pub fn unread(&self, later: &[&str]) -> Vec<&str> {
+        let unread = self.map.iter().filter(|(_, (_, read))| !read.get());
+        let mut unread: Vec<&str> = unread
+            .map(|(key, _)| key.as_str())
+            .filter(|key| !later.contains(key))
+            .collect();
+        unread.sort_unstable();
+        unread
+    }
+
+    /// Exits with status 2, naming them, if any flag is [`Self::unread`].
+    /// An experiment calls this once it has read its flags and before it
+    /// measures anything; `later` names the flags it reads afterwards
+    /// (the `--json` / `--trace-out` epilogues).
+    pub fn reject_unread(&self, later: &[&str]) {
+        let unread = self.unread(later);
+        if !unread.is_empty() {
+            let flags: Vec<String> = unread.iter().map(|k| format!("--{k}")).collect();
+            eprintln!(
+                "ts-bench: no such flag for this experiment: {}",
+                flags.join(", ")
+            );
+            std::process::exit(2);
+        }
     }
 
     /// Numeric value with a default.
@@ -213,6 +248,17 @@ mod tests {
         assert!(a.get_flag("quick"));
         assert_eq!(a.get_usize_list("threads", &[9]), vec![1, 2, 4]);
         assert_eq!(a.get_usize("missing", 7), 7);
+    }
+
+    #[test]
+    fn a_flag_no_getter_asked_for_is_unread() {
+        let a = args(&["--thread", "4", "--quick", "--json", "out.jsonl"]);
+        assert!(a.get_flag("quick"));
+        assert_eq!(a.get_usize_list("threads", &[9]), vec![9]);
+        assert_eq!(a.unread(&[]), ["json", "thread"]);
+        assert_eq!(a.unread(&["json"]), ["thread"]);
+        assert_eq!(a.get("json"), Some("out.jsonl"));
+        assert_eq!(a.unread(&[]), ["thread"]);
     }
 
     #[test]

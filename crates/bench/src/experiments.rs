@@ -9,7 +9,7 @@
 use std::time::Duration;
 
 use ts_workload::SchemeKind::{Epoch, Hazard, Leaky, ThreadScan};
-use ts_workload::StructureKind::{Hash, List, Pq, Skip, SplitOrdered};
+use ts_workload::StructureKind::{Hash, List, Pq, Skip};
 use ts_workload::{
     BacklogPolicy, KeyDist, LatencySummary, LoadModel, Report, RunResult, SchemeKind,
     StructureKind, StructureMix,
@@ -37,9 +37,7 @@ pub struct Experiment {
     pub run: Run,
 }
 
-/// Every experiment of the `ts-bench` binary. (`ablation_allocator` is a
-/// binary of its own — a global allocator is per process — and runs the
-/// [`allocator`] plan through the same loop.)
+/// Every experiment of the `ts-bench` binary.
 pub const TABLE: &[Experiment] = &[
     Experiment {
         name: "fig3",
@@ -85,11 +83,6 @@ pub const TABLE: &[Experiment] = &[
         name: "pq",
         about: "priority queue at 50/50 insert/delete-min: half of all ops retire a node",
         run: Run::Sweep(pq),
-    },
-    Experiment {
-        name: "nodepool",
-        about: "nodes boxed on the global allocator vs per-structure node pools, under ThreadScan",
-        run: Run::Sweep(nodepool),
     },
     Experiment {
         name: "telemetry",
@@ -348,35 +341,6 @@ fn pq(args: &CliArgs) -> Sweep {
     s
 }
 
-/// Nodes boxed on the global allocator vs a per-structure
-/// `ts_alloc::PoolHandle` (ROADMAP item 5e decides between them).
-fn nodepool(args: &CliArgs) -> Sweep {
-    let mut s = Sweep::new("nodepool", Common::parse(args, 1.5, 1));
-    for kind in [List, Hash, SplitOrdered] {
-        for t in args.get_usize_list("threads", &[2, 4]) {
-            for (pool, alloc) in [(false, "global"), (true, "pool")] {
-                let params = s.common.cell(kind, t).with_node_pool(pool);
-                let label = format!("threadscan[{alloc}]");
-                s.cells.push(Cell::new(ThreadScan, params).labelled(label));
-            }
-        }
-    }
-    s.columns = vec![
-        col("collects", |_, r| ts(r).collects.to_string()),
-        COLLECT_TAIL,
-    ];
-    s.epilogue = |_| {
-        println!("# pool handles (process lifetime):");
-        for p in ts_alloc::pool_stats() {
-            println!(
-                "#   {:24} {:>10} allocs {:>10} frees {:>8} refills {:>10} B resident",
-                p.name, p.allocs, p.frees, p.magazine_refills, p.bytes_resident
-            );
-        }
-    };
-    s
-}
-
 /// The subsystem's contract: off is free (the sink is a plain `Option`
 /// field, zero extra atomics) and on is cheap (one ring cell per event:
 /// eight per collect, one per signal sent, two per scanned thread).
@@ -417,33 +381,6 @@ fn telemetry(args: &CliArgs) -> Sweep {
     s
 }
 
-/// §6 setup: "we used the highly scalable TCMalloc allocator". The same
-/// list/hash cells as `fig3`, for the binary whose global allocator is
-/// `ts_alloc::SwitchableAlloc`; rows carry the `alloc` block (with its
-/// per-size-class deltas) when `--real-alloc` flipped it on.
-pub fn allocator(args: &CliArgs) -> Sweep {
-    let mut s = Sweep::new("allocator", Common::parse(args, 1.5, 1));
-    let threads = args.get_usize_list("threads", &[2, 4]);
-    s.grid(&[List, Hash], &threads, &BASELINES, |p| p);
-    s.columns = vec![col("allocs/depot-lock", |_, r| match &r.alloc {
-        Some(a) => format!("{:.1}", a.allocs_per_lock()),
-        None => "-".to_string(),
-    })];
-    s.epilogue = |_| {
-        let a = ts_alloc::stats();
-        println!("# allocator counters (process lifetime; all zero without --real-alloc):");
-        println!(
-            "#   {} small allocs, {} small frees, {} spans ({} MiB), {:.1} allocs per depot lock",
-            a.small_allocs,
-            a.small_frees,
-            a.spans,
-            a.span_bytes >> 20,
-            a.allocs_per_lock()
-        );
-    };
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -473,6 +410,35 @@ mod tests {
         }
     }
 
+    /// The flags the README documents — the shared ones for every sweep,
+    /// plus each experiment's own — are all read by the plan, so
+    /// [`CliArgs::reject_unread`] turns away typos and nothing else.
+    #[test]
+    fn every_documented_flag_is_read_by_its_plan() {
+        const SHARED: &str = "--quick --duration 0.1 --repeats 1 --scale 64 --threads 2 \
+                              --json out.jsonl --telemetry --trace-out trace.json";
+        for e in TABLE {
+            let Run::Sweep(plan) = e.run else { continue };
+            let own = match e.name {
+                "fig3" => "--structures list --schemes leaky",
+                "service_tail" => {
+                    "--qps 1000 --schemes leaky --keys 1024 --theta 0.9 \
+                     --burst-ms 10 --duty 0.25 --drop-ms 50"
+                }
+                "hetero" => "--mixes hash:1,list:1 --schemes leaky",
+                "buffer_size" => "--sizes 64",
+                "update_ratio" => "--ratios 20",
+                "pq" => "--prefill 100",
+                "telemetry" => "--structure list",
+                _ => "",
+            };
+            let words = SHARED.split_whitespace().chain(own.split_whitespace());
+            let args = CliArgs::from_args(words.map(str::to_string));
+            plan(&args);
+            assert_eq!(args.unread(&["json", "trace-out"]), [""; 0], "{}", e.name);
+        }
+    }
+
     /// Every sweep plans at least one runnable cell under `--quick`,
     /// without running any: CI then runs each of them for real.
     #[test]
@@ -481,7 +447,7 @@ mod tests {
             Run::Sweep(plan) => Some(plan),
             Run::Bespoke(_) => None,
         });
-        for plan in plans.chain([allocator as fn(&CliArgs) -> Sweep]) {
+        for plan in plans {
             let s = plan(&quick());
             assert!(!s.cells.is_empty(), "{} planned nothing", s.name);
             assert!(s.common.repeats >= 1 && s.common.quick, "{}", s.name);

@@ -4,8 +4,7 @@
 //! `ts-bench list` prints the table in [`experiments`]): Figure 3
 //! throughput, Figure 4 oversubscription, the open-loop service tail, the
 //! heterogeneous mixes and the ablations. Each is a list of cells for the
-//! one [`sweep`] loop, which is also all the `ablation_allocator` binary
-//! runs (a global allocator is per process, so it cannot be a row).
+//! one [`sweep`] loop.
 //!
 //! Criterion benches cover the micro costs: marking kernels, delete-buffer
 //! ops, signal round-trips, full collect phases, structure op latency.

@@ -181,8 +181,13 @@ fn run_cell(cell: &Cell, repeats: usize) -> RunResult {
 }
 
 /// Runs a plan: progress on stderr, one table row per cell on stdout, the
-/// plan's epilogue, then the `--trace-out` and `--json` outputs.
+/// plan's epilogue, then the `--trace-out` and `--json` outputs. A flag
+/// the plan did not read ends the process (status 2) before the first
+/// cell.
 pub fn sweep(args: &CliArgs, plan: Sweep) {
+    // The plan has read its flags; the two epilogues below read theirs
+    // after the cells ran, too late to call a typo a typo.
+    args.reject_unread(&["json", "trace-out"]);
     let c = &plan.common;
     println!("# {} ({})", plan.name, machine_info());
     println!(

@@ -18,6 +18,29 @@ use crate::stackbounds::current_stack_bounds;
 /// panicking with a diagnostic instead of hanging the process forever.
 const ACK_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// What a `pthread_kill` return code means for the round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Delivery {
+    /// The signal is queued: the target will scan and acknowledge.
+    Sent,
+    /// `ESRCH`: the thread is gone (it exited without unregistering) and
+    /// its references with it; the round may skip it.
+    Gone,
+    /// Anything else — `EAGAIN` when `RLIMIT_SIGPENDING` is exhausted
+    /// under a real-time signal, `EINVAL` — leaves a *live* thread
+    /// unscanned. Lemma 1 needs every live thread's scan, so the round
+    /// cannot go on, in any build profile.
+    Fatal,
+}
+
+fn classify_kill(rc: libc::c_int) -> Delivery {
+    match rc {
+        0 => Delivery::Sent,
+        libc::ESRCH => Delivery::Gone,
+        _ => Delivery::Fatal,
+    }
+}
+
 /// The real ThreadScan platform: POSIX signals + conservative stack and
 /// register scanning.
 ///
@@ -165,19 +188,21 @@ unsafe impl Platform for SignalPlatform {
                 continue;
             }
             let rc = unsafe { libc::pthread_kill(t, self.inner.signo) };
-            if rc == 0 {
-                if let Some((sink, id)) = telemetry {
-                    sink.event(threadscan::PhaseKind::SignalSent, id, expected as u64);
+            match classify_kill(rc) {
+                Delivery::Sent => {
+                    if let Some((sink, id)) = telemetry {
+                        sink.event(threadscan::PhaseKind::SignalSent, id, expected as u64);
+                    }
+                    expected += 1;
                 }
-                expected += 1;
-            } else {
-                // ESRCH: the thread is gone but never unregistered. Its
-                // references are gone with it; skip it but flag the bug.
-                debug_assert_eq!(
-                    rc,
-                    libc::ESRCH,
-                    "pthread_kill failed with unexpected error {rc}"
-                );
+                Delivery::Gone => {}
+                Delivery::Fatal => {
+                    handler::end_round();
+                    panic!(
+                        "ThreadScan: pthread_kill failed with error {rc}; a live thread \
+                         would go unscanned"
+                    );
+                }
             }
         }
         self.inner
@@ -230,6 +255,14 @@ unsafe impl Platform for SignalPlatform {
 mod tests {
     use super::*;
     use threadscan::{Collector, CollectorConfig};
+
+    #[test]
+    fn only_esrch_lets_a_round_skip_a_thread() {
+        assert_eq!(classify_kill(0), Delivery::Sent);
+        assert_eq!(classify_kill(libc::ESRCH), Delivery::Gone);
+        assert_eq!(classify_kill(libc::EAGAIN), Delivery::Fatal);
+        assert_eq!(classify_kill(libc::EINVAL), Delivery::Fatal);
+    }
 
     #[test]
     fn register_and_unregister_maintain_registry() {

@@ -33,15 +33,10 @@ pub struct PqAsSet<S: Smr> {
 }
 
 impl<S: Smr> PqAsSet<S> {
-    /// An empty queue allocating nodes from the global heap.
+    /// An empty queue.
     pub fn new() -> Self {
-        Self::with_alloc(crate::node_alloc::NodeAlloc::Global)
-    }
-
-    /// An empty queue allocating nodes through `alloc`.
-    pub fn with_alloc(alloc: crate::node_alloc::NodeAlloc) -> Self {
         Self {
-            inner: PriorityQueue::with_alloc(alloc),
+            inner: PriorityQueue::new(),
             empty_pops: AtomicUsize::new(0),
         }
     }

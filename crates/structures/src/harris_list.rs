@@ -19,9 +19,8 @@
 use core::marker::PhantomData;
 use core::sync::atomic::{AtomicPtr, Ordering};
 
-use ts_smr::{DropFn, Guard, Smr, SmrHandle};
+use ts_smr::{Guard, Smr, SmrHandle};
 
-use crate::node_alloc::NodeAlloc;
 use crate::set_trait::ConcurrentSet;
 use crate::tagged::{is_marked, marked, untagged};
 
@@ -57,10 +56,6 @@ impl Node {
 pub struct HarrisList<S: Smr> {
     /// Acts as the predecessor field for the first node.
     head: AtomicPtr<u8>,
-    /// Where nodes come from (global heap by default, or a node pool).
-    alloc: NodeAlloc,
-    /// The matching stateless deallocator, passed to every retire.
-    drop_node: DropFn,
     _scheme: PhantomData<fn(&S)>,
 }
 
@@ -69,17 +64,10 @@ unsafe impl<S: Smr> Send for HarrisList<S> {}
 unsafe impl<S: Smr> Sync for HarrisList<S> {}
 
 impl<S: Smr> HarrisList<S> {
-    /// An empty list allocating nodes from the global heap.
+    /// An empty list.
     pub fn new() -> Self {
-        Self::with_alloc(NodeAlloc::Global)
-    }
-
-    /// An empty list allocating nodes through `alloc`.
-    pub fn with_alloc(alloc: NodeAlloc) -> Self {
         Self {
             head: AtomicPtr::new(std::ptr::null_mut()),
-            drop_node: alloc.drop_fn::<Node>(),
-            alloc,
             _scheme: PhantomData,
         }
     }
@@ -121,13 +109,7 @@ impl<S: Smr> HarrisList<S> {
                             // We unlinked it: we retire it.
                             // SAFETY: the node is now unreachable from the
                             // list and this is the only unlink (the CAS).
-                            unsafe {
-                                g.retire(
-                                    curr_node_ptr as usize,
-                                    core::mem::size_of::<Node>(),
-                                    self.drop_node,
-                                )
-                            };
+                            unsafe { g.retire_box(curr_node_ptr) };
                             curr = untagged(next);
                             curr_slot = next_slot;
                             continue;
@@ -216,12 +198,12 @@ impl<S: Smr> ConcurrentSet<S> for HarrisList<S> {
 
     fn insert(&self, h: &S::Handle, key: u64) -> bool {
         let g = h.pin();
-        let node = self.alloc.alloc(Node::new(key, std::ptr::null_mut()));
+        let node = Box::into_raw(Box::new(Node::new(key, std::ptr::null_mut())));
         loop {
             let (prev, curr) = self.search(&g, key);
             if !curr.is_null() && unsafe { (*curr).key } == key {
                 // SAFETY: `node` was never published.
-                unsafe { (self.drop_node)(node as *mut u8) };
+                drop(unsafe { Box::from_raw(node) });
                 break false;
             }
             // SAFETY: node is ours until the CAS publishes it.
@@ -270,9 +252,7 @@ impl<S: Smr> ConcurrentSet<S> for HarrisList<S> {
                     .is_ok()
                 {
                     // SAFETY: we performed the unlink; single retire.
-                    unsafe {
-                        g.retire(curr as usize, core::mem::size_of::<Node>(), self.drop_node)
-                    };
+                    unsafe { g.retire_box(curr) };
                 } else {
                     let _ = self.search(&g, key); // helper unlinks + retires
                 }
@@ -295,9 +275,8 @@ impl<S: Smr> Drop for HarrisList<S> {
             // SAFETY: &mut self means no concurrent access; each node is
             // freed exactly once along the chain (next read before free).
             unsafe {
-                let next = untagged((*cur.cast::<Node>()).next.load(Ordering::Relaxed));
-                (self.drop_node)(cur);
-                cur = next;
+                let node = Box::from_raw(cur.cast::<Node>());
+                cur = untagged(node.next.load(Ordering::Relaxed));
             }
         }
     }

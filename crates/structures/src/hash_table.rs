@@ -9,7 +9,6 @@
 use ts_smr::Smr;
 
 use crate::harris_list::HarrisList;
-use crate::node_alloc::NodeAlloc;
 use crate::set_trait::ConcurrentSet;
 
 /// Fixed-capacity lock-free hash set: `buckets` Harris lists.
@@ -21,15 +20,9 @@ pub struct LockFreeHashTable<S: Smr> {
 impl<S: Smr> LockFreeHashTable<S> {
     /// A table with `buckets` buckets (rounded up to a power of two).
     pub fn new(buckets: usize) -> Self {
-        Self::with_alloc(buckets, NodeAlloc::Global)
-    }
-
-    /// [`Self::new`], with every bucket list allocating its nodes through
-    /// `alloc` (one shared pool for the whole table, not one per bucket).
-    pub fn with_alloc(buckets: usize, alloc: NodeAlloc) -> Self {
         let n = buckets.next_power_of_two().max(1);
         Self {
-            buckets: (0..n).map(|_| HarrisList::with_alloc(alloc)).collect(),
+            buckets: (0..n).map(|_| HarrisList::new()).collect(),
             mask: (n - 1) as u64,
         }
     }
@@ -38,11 +31,6 @@ impl<S: Smr> LockFreeHashTable<S> {
     /// of `expected_nodes` resident keys.
     pub fn for_expected_nodes(expected_nodes: usize) -> Self {
         Self::new((expected_nodes / 32).max(1))
-    }
-
-    /// [`Self::for_expected_nodes`] with a node allocator.
-    pub fn for_expected_nodes_with_alloc(expected_nodes: usize, alloc: NodeAlloc) -> Self {
-        Self::with_alloc((expected_nodes / 32).max(1), alloc)
     }
 
     /// Number of buckets.

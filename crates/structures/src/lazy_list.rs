@@ -15,9 +15,8 @@
 use core::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 use std::marker::PhantomData;
 
-use ts_smr::{DropFn, Guard, Smr, SmrHandle};
+use ts_smr::{Guard, Smr, SmrHandle};
 
-use crate::node_alloc::NodeAlloc;
 use crate::set_trait::ConcurrentSet;
 
 /// Padding to the paper's 172-byte node size, matching the Harris list so
@@ -72,10 +71,6 @@ pub struct LazyList<S: Smr> {
     /// Lock guarding head-position updates (plays the role of the head
     /// sentinel's node lock).
     head_lock: AtomicBool,
-    /// Where nodes come from (global heap by default, or a node pool).
-    alloc: NodeAlloc,
-    /// The matching stateless deallocator, passed to every retire.
-    drop_node: DropFn,
     _scheme: PhantomData<fn(&S)>,
 }
 
@@ -84,18 +79,11 @@ unsafe impl<S: Smr> Send for LazyList<S> {}
 unsafe impl<S: Smr> Sync for LazyList<S> {}
 
 impl<S: Smr> LazyList<S> {
-    /// An empty lazy list allocating nodes from the global heap.
+    /// An empty lazy list.
     pub fn new() -> Self {
-        Self::with_alloc(NodeAlloc::Global)
-    }
-
-    /// An empty lazy list allocating nodes through `alloc`.
-    pub fn with_alloc(alloc: NodeAlloc) -> Self {
         Self {
             head: AtomicPtr::new(std::ptr::null_mut()),
             head_lock: AtomicBool::new(false),
-            drop_node: alloc.drop_fn::<LazyNode>(),
-            alloc,
             _scheme: PhantomData,
         }
     }
@@ -235,7 +223,7 @@ impl<S: Smr> ConcurrentSet<S> for LazyList<S> {
             }
             self.lock_pred(pred);
             if self.validate(pred, curr) {
-                let node = self.alloc.alloc(LazyNode::new(key, curr as *mut u8));
+                let node = Box::into_raw(Box::new(LazyNode::new(key, curr as *mut u8)));
                 self.pred_field(pred)
                     .store(node as *mut u8, Ordering::Release);
                 self.unlock_pred(pred);
@@ -269,13 +257,7 @@ impl<S: Smr> ConcurrentSet<S> for LazyList<S> {
                 curr_node.unlock();
                 self.unlock_pred(pred);
                 // SAFETY: we unlinked it under both locks: unique retire.
-                unsafe {
-                    g.retire(
-                        curr as usize,
-                        core::mem::size_of::<LazyNode>(),
-                        self.drop_node,
-                    )
-                };
+                unsafe { g.retire_box(curr) };
                 break true;
             }
             curr_node.unlock();
@@ -295,9 +277,8 @@ impl<S: Smr> Drop for LazyList<S> {
             // SAFETY: &mut self; chain links each node once (next read
             // before the node is freed).
             unsafe {
-                let next = (*cur.cast::<LazyNode>()).next.load(Ordering::Relaxed);
-                (self.drop_node)(cur);
-                cur = next;
+                let node = Box::from_raw(cur.cast::<LazyNode>());
+                cur = node.next.load(Ordering::Relaxed);
             }
         }
     }

@@ -38,7 +38,6 @@ pub mod growable_dir;
 pub mod harris_list;
 pub mod hash_table;
 pub mod lazy_list;
-pub mod node_alloc;
 pub mod priority_queue;
 pub mod set_trait;
 pub mod skiplist;
@@ -50,7 +49,6 @@ pub use growable_dir::GrowableDirectory;
 pub use harris_list::HarrisList;
 pub use hash_table::LockFreeHashTable;
 pub use lazy_list::LazyList;
-pub use node_alloc::NodeAlloc;
 pub use priority_queue::{PriorityQueue, PQ_MAX_HEIGHT, PQ_REQUIRED_SLOTS};
 pub use set_trait::ConcurrentSet;
 pub use skiplist::{SkipList, MAX_HEIGHT, REQUIRED_SLOTS};

@@ -37,9 +37,7 @@ use core::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 use std::cell::Cell;
 use std::marker::PhantomData;
 
-use ts_smr::{DropFn, Guard, Smr, SmrHandle};
-
-use crate::node_alloc::NodeAlloc;
+use ts_smr::{Guard, Smr, SmrHandle};
 
 /// Maximum tower height; same fan-out rationale as the set skip list.
 pub const PQ_MAX_HEIGHT: usize = 12;
@@ -113,13 +111,9 @@ fn watchdog(counter: &mut u64, what: &str) {
 /// lock-free logical deletion, lazy physical removal, reclamation via `S`.
 pub struct PriorityQueue<S: Smr> {
     /// Sentinel head (see module docs): locked like any node, never
-    /// marked/claimed/removed; its key is never compared. Always
-    /// `Box`-allocated (it frees with the queue, never through a retire).
+    /// marked/claimed/removed; its key is never compared. It frees
+    /// with the queue, never through a retire.
     head: Box<PqNode>,
-    /// Where tower nodes come from (global heap by default, or a pool).
-    alloc: NodeAlloc,
-    /// The matching stateless deallocator, passed to every retire.
-    drop_node: DropFn,
     _scheme: PhantomData<fn(&S)>,
 }
 
@@ -146,17 +140,10 @@ fn random_top_level() -> usize {
 }
 
 impl<S: Smr> PriorityQueue<S> {
-    /// An empty queue allocating nodes from the global heap.
+    /// An empty queue.
     pub fn new() -> Self {
-        Self::with_alloc(NodeAlloc::Global)
-    }
-
-    /// An empty queue allocating tower nodes through `alloc`.
-    pub fn with_alloc(alloc: NodeAlloc) -> Self {
         Self {
             head: Box::new(PqNode::new(0, PQ_MAX_HEIGHT - 1)),
-            drop_node: alloc.drop_fn::<PqNode>(),
-            alloc,
             _scheme: PhantomData,
         }
     }
@@ -311,7 +298,7 @@ impl<S: Smr> PriorityQueue<S> {
                 Self::unlock_preds(&preds, locked);
                 continue 'retry;
             }
-            let node = self.alloc.alloc(PqNode::new(key, top));
+            let node = Box::into_raw(Box::new(PqNode::new(key, top)));
             // SAFETY: node is private until linked below.
             let node_ref = unsafe { &*node };
             for (level, &succ) in succs.iter().enumerate().take(top + 1) {
@@ -464,13 +451,7 @@ impl<S: Smr> PriorityQueue<S> {
             Self::unlock_preds(&preds, locked);
             // SAFETY: unlinked from every level; claim ownership makes
             // this the unique retire.
-            unsafe {
-                g.retire(
-                    victim as usize,
-                    core::mem::size_of::<PqNode>(),
-                    self.drop_node,
-                )
-            };
+            unsafe { g.retire_box(victim) };
             return;
         }
     }
@@ -510,9 +491,8 @@ impl<S: Smr> Drop for PriorityQueue<S> {
         while !cur.is_null() {
             // SAFETY: &mut self; next read before the node is freed.
             unsafe {
-                let next = (*cur.cast::<PqNode>()).next[0].load(Ordering::Relaxed);
-                (self.drop_node)(cur);
-                cur = next;
+                let node = Box::from_raw(cur.cast::<PqNode>());
+                cur = node.next[0].load(Ordering::Relaxed);
             }
         }
     }

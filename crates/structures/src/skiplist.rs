@@ -26,9 +26,8 @@ use core::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 use std::cell::Cell;
 use std::marker::PhantomData;
 
-use ts_smr::{DropFn, Guard, Smr, SmrHandle};
+use ts_smr::{Guard, Smr, SmrHandle};
 
-use crate::node_alloc::NodeAlloc;
 use crate::set_trait::ConcurrentSet;
 
 /// Maximum tower height. 2^12 = 4096× fan-out covers the paper's 128,000
@@ -83,13 +82,9 @@ impl SkipNode {
 /// The lock-based skip list.
 pub struct SkipList<S: Smr> {
     /// Sentinel head node; its key is conceptually −∞ and never compared.
-    /// It locks like any node and is never marked or removed. Always
-    /// `Box`-allocated (it frees with the list, never through a retire).
+    /// It locks like any node and is never marked or removed. It frees
+    /// with the list, never through a retire.
     head: Box<SkipNode>,
-    /// Where tower nodes come from (global heap by default, or a pool).
-    alloc: NodeAlloc,
-    /// The matching stateless deallocator, passed to every retire.
-    drop_node: DropFn,
     _scheme: PhantomData<fn(&S)>,
 }
 
@@ -118,17 +113,10 @@ fn random_top_level() -> usize {
 }
 
 impl<S: Smr> SkipList<S> {
-    /// An empty skip list allocating nodes from the global heap.
+    /// An empty skip list.
     pub fn new() -> Self {
-        Self::with_alloc(NodeAlloc::Global)
-    }
-
-    /// An empty skip list allocating tower nodes through `alloc`.
-    pub fn with_alloc(alloc: NodeAlloc) -> Self {
         Self {
             head: Box::new(SkipNode::new(0, MAX_HEIGHT - 1)),
-            drop_node: alloc.drop_fn::<SkipNode>(),
-            alloc,
             _scheme: PhantomData,
         }
     }
@@ -358,7 +346,7 @@ impl<S: Smr> ConcurrentSet<S> for SkipList<S> {
                 Self::unlock_preds(&preds, locked);
                 continue 'retry;
             }
-            let node = self.alloc.alloc(SkipNode::new(key, top));
+            let node = Box::into_raw(Box::new(SkipNode::new(key, top)));
             // SAFETY: node is private until linked below.
             let node_ref = unsafe { &*node };
             for (level, &succ) in succs.iter().enumerate().take(top + 1) {
@@ -428,13 +416,7 @@ impl<S: Smr> ConcurrentSet<S> for SkipList<S> {
             Self::unlock_preds(&preds, locked);
             // SAFETY: unlinked from every level; the mark ownership makes
             // this the unique retire.
-            unsafe {
-                g.retire(
-                    victim as usize,
-                    core::mem::size_of::<SkipNode>(),
-                    self.drop_node,
-                )
-            };
+            unsafe { g.retire_box(victim) };
             break 'retry true;
         }
     }
@@ -474,9 +456,8 @@ impl<S: Smr> Drop for SkipList<S> {
             // SAFETY: &mut self; bottom level links every node once (next
             // read before the node is freed).
             unsafe {
-                let next = (*cur.cast::<SkipNode>()).next[0].load(Ordering::Relaxed);
-                (self.drop_node)(cur);
-                cur = next;
+                let node = Box::from_raw(cur.cast::<SkipNode>());
+                cur = node.next[0].load(Ordering::Relaxed);
             }
         }
     }

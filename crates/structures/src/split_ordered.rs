@@ -29,10 +29,9 @@
 use core::marker::PhantomData;
 use core::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 
-use ts_smr::{DropFn, Guard, Smr, SmrHandle};
+use ts_smr::{Guard, Smr, SmrHandle};
 
 use crate::growable_dir::{GrowableDirectory, MAX_CAPACITY};
-use crate::node_alloc::NodeAlloc;
 use crate::set_trait::ConcurrentSet;
 use crate::tagged::{is_marked, marked, untagged};
 
@@ -118,12 +117,6 @@ pub struct SplitOrderedSet<S: Smr> {
     load_factor: usize,
     /// Bucket 0's dummy, which is also the head of the whole list.
     head: *mut SoNode,
-    /// Where nodes — dummies *and* regulars — come from. The teardown
-    /// walk frees the single chain uniformly, so both kinds must share
-    /// one allocator.
-    alloc: NodeAlloc,
-    /// The matching stateless deallocator, passed to every retire.
-    drop_node: DropFn,
     _scheme: PhantomData<fn(&S)>,
 }
 
@@ -141,21 +134,18 @@ impl<S: Smr> SplitOrderedSet<S> {
     /// An empty set starting at `initial_buckets` (rounded up to a power
     /// of two, clamped to what the directory can ever address).
     pub fn with_buckets(initial_buckets: usize) -> Self {
-        Self::with_buckets_and_alloc(initial_buckets, NodeAlloc::Global)
-    }
-
-    /// [`Self::with_buckets`], allocating every node through `alloc`.
-    pub fn with_buckets_and_alloc(initial_buckets: usize, alloc: NodeAlloc) -> Self {
         let size = initial_buckets.next_power_of_two().clamp(2, MAX_CAPACITY);
-        let head = alloc.alloc(SoNode::new(so_dummy_key(0), 0, std::ptr::null_mut()));
+        let head = Box::into_raw(Box::new(SoNode::new(
+            so_dummy_key(0),
+            0,
+            std::ptr::null_mut(),
+        )));
         let set = Self {
             directory: GrowableDirectory::new(),
             size: AtomicUsize::new(size),
             count: AtomicUsize::new(0),
             load_factor: DEFAULT_LOAD_FACTOR,
             head,
-            drop_node: alloc.drop_fn::<SoNode>(),
-            alloc,
             _scheme: PhantomData,
         };
         set.bucket_entry(0)
@@ -212,7 +202,7 @@ impl<S: Smr> SplitOrderedSet<S> {
         let parent = self.bucket_dummy(g, Self::parent(bucket));
         let skey = so_dummy_key(bucket);
         // Insert-if-absent of the dummy starting at the parent's chain.
-        let node = self.alloc.alloc(SoNode::new(skey, 0, std::ptr::null_mut()));
+        let node = Box::into_raw(Box::new(SoNode::new(skey, 0, std::ptr::null_mut())));
         let dummy = loop {
             // SAFETY: parent dummies are immortal.
             let start = unsafe { &(*parent).next };
@@ -223,7 +213,7 @@ impl<S: Smr> SplitOrderedSet<S> {
                 if c.skey == skey {
                     // Another thread threaded it first.
                     // SAFETY: `node` never escaped.
-                    unsafe { (self.drop_node)(node as *mut u8) };
+                    drop(unsafe { Box::from_raw(node) });
                     break curr;
                 }
             }
@@ -293,13 +283,7 @@ impl<S: Smr> SplitOrderedSet<S> {
                         Ok(_) => {
                             debug_assert!(!curr_node.is_dummy(), "dummies are never marked");
                             // SAFETY: the winning unlink owns the retire.
-                            unsafe {
-                                g.retire(
-                                    curr_node_ptr as usize,
-                                    core::mem::size_of::<SoNode>(),
-                                    self.drop_node,
-                                )
-                            };
+                            unsafe { g.retire_box(curr_node_ptr) };
                             curr = untagged(next);
                             curr_slot = next_slot;
                             continue;
@@ -399,9 +383,7 @@ impl<S: Smr> ConcurrentSet<S> for SplitOrderedSet<S> {
         let skey = so_regular_key(hash);
         let size = self.size.load(Ordering::Acquire);
         let dummy = self.bucket_dummy(&g, (hash as usize) & (size - 1));
-        let node = self
-            .alloc
-            .alloc(SoNode::new(skey, key, std::ptr::null_mut()));
+        let node = Box::into_raw(Box::new(SoNode::new(skey, key, std::ptr::null_mut())));
         loop {
             // SAFETY: dummies are immortal.
             let start = unsafe { &(*dummy).next };
@@ -411,7 +393,7 @@ impl<S: Smr> ConcurrentSet<S> for SplitOrderedSet<S> {
                 let c = unsafe { &*curr };
                 if c.skey == skey && c.key == key {
                     // SAFETY: `node` never escaped.
-                    unsafe { (self.drop_node)(node as *mut u8) };
+                    drop(unsafe { Box::from_raw(node) });
                     break false;
                 }
             }
@@ -474,13 +456,7 @@ impl<S: Smr> ConcurrentSet<S> for SplitOrderedSet<S> {
                     .is_ok()
                 {
                     // SAFETY: we performed the unlink; single retire.
-                    unsafe {
-                        g.retire(
-                            curr as usize,
-                            core::mem::size_of::<SoNode>(),
-                            self.drop_node,
-                        )
-                    };
+                    unsafe { g.retire_box(curr) };
                 } else {
                     let _ = self.search_from(&g, start, skey, key); // helper unlinks
                 }
@@ -509,10 +485,8 @@ impl<S: Smr> Drop for SplitOrderedSet<S> {
             // SAFETY: &mut self; each node freed exactly once (next read
             // before the node is freed).
             unsafe {
-                let node = untagged(cur).cast::<SoNode>();
-                let next = (*node).next.load(Ordering::Relaxed);
-                (self.drop_node)(node.cast());
-                cur = next;
+                let node = Box::from_raw(untagged(cur).cast::<SoNode>());
+                cur = node.next.load(Ordering::Relaxed);
             }
         }
     }

@@ -38,4 +38,4 @@ pub use load::{ArrivalSchedule, BacklogPolicy, LatencySummary, LoadModel, OpenLo
 pub use mix::{prefill_keys, Op, OpMix};
 pub use params::{SchemeKind, StructureKind, StructureMix, WorkloadParams};
 pub use report::Report;
-pub use runner::{run_combo, stats_json, AllocExtras, ClassDelta, RunResult, StructureOps};
+pub use runner::{run_combo, stats_json, RunResult, StructureOps};

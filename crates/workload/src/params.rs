@@ -245,11 +245,6 @@ pub struct WorkloadParams {
     /// ThreadScan per-thread delete-buffer capacity (1024 stock; 4096 for
     /// the tuned Figure 4 hash-table line).
     pub ts_buffer_capacity: usize,
-    /// Route structure nodes through a per-structure size-class node pool
-    /// ([`ts_alloc::PoolHandle`]) instead of `Box` on the global
-    /// allocator. Off by default (the registry passes
-    /// `NodeAlloc::Global`, today's exact behavior).
-    pub node_pool: bool,
     /// Slow-epoch injected delay.
     pub slow_epoch_delay: Duration,
     /// Slow-epoch delay cadence in operations.
@@ -310,7 +305,6 @@ impl WorkloadParams {
             duration: Duration::from_secs(2),
             threads,
             ts_buffer_capacity: 1024,
-            node_pool: false,
             slow_epoch_delay: Duration::from_millis(40),
             slow_epoch_period_ops: 4096,
             load_model: LoadModel::Closed,
@@ -343,12 +337,6 @@ impl WorkloadParams {
     /// Builder: key distribution (skew ablations).
     pub fn with_key_dist(mut self, dist: KeyDist) -> Self {
         self.key_dist = dist;
-        self
-    }
-
-    /// Builder: per-structure node pools on/off (node-pool ablation).
-    pub fn with_node_pool(mut self, on: bool) -> Self {
-        self.node_pool = on;
         self
     }
 
@@ -424,17 +412,42 @@ mod tests {
 
     #[test]
     fn paper_presets_match_methodology() {
-        let l = WorkloadParams::fig3(StructureKind::List, 8);
+        // No `..`: every field is a knob some experiment turns; a new one
+        // fails to compile here first.
+        let WorkloadParams {
+            structures,
+            initial_size,
+            key_range,
+            update_pct,
+            key_dist,
+            duration,
+            threads,
+            ts_buffer_capacity,
+            slow_epoch_delay,
+            slow_epoch_period_ops,
+            load_model,
+            arrival_seed: _,
+            backlog,
+            telemetry,
+            scale,
+        } = WorkloadParams::fig3(StructureKind::List, 8);
+        assert_eq!(structures.as_single(), Some(StructureKind::List));
+        assert_eq!((initial_size, key_range, update_pct), (1024, 2048, 20));
+        assert_eq!(key_dist, KeyDist::Uniform);
+        assert_eq!((duration, threads), (Duration::from_secs(2), 8));
+        assert_eq!(ts_buffer_capacity, 1024);
+        assert_eq!(slow_epoch_delay, Duration::from_millis(40));
+        assert_eq!(slow_epoch_period_ops, 4096);
         assert_eq!(
-            (l.initial_size, l.key_range, l.update_pct),
-            (1024, 2048, 20)
+            (load_model, backlog),
+            (LoadModel::Closed, BacklogPolicy::Queue)
         );
+        assert!(!telemetry);
+        assert_eq!(scale, 1);
         let h = WorkloadParams::fig3(StructureKind::Hash, 8);
         assert_eq!((h.initial_size, h.key_range), (131_072, 262_144));
         let s = WorkloadParams::fig3(StructureKind::Skip, 8);
         assert_eq!((s.initial_size, s.key_range), (128_000, 256_000));
-        assert_eq!(l.ts_buffer_capacity, 1024);
-        assert_eq!(l.slow_epoch_delay, Duration::from_millis(40));
     }
 
     #[test]
@@ -536,7 +549,6 @@ mod tests {
             .scaled_down(64)
             .with_update_pct(40)
             .with_ts_buffer(4096)
-            .with_node_pool(true)
             .with_structures(StructureMix::parse("hash:50,skiplist:30,pq:20").unwrap());
         p.duration = Duration::from_millis(250);
         let skip = p.hetero_cell(StructureKind::Skip);
@@ -546,7 +558,6 @@ mod tests {
         assert_eq!(skip.update_pct, 40);
         assert_eq!(skip.ts_buffer_capacity, 4096);
         assert_eq!(skip.duration, Duration::from_millis(250));
-        assert!(skip.node_pool, "pool toggle must carry into hetero cells");
         assert!(
             p.clone()
                 .with_telemetry(true)

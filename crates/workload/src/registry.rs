@@ -16,8 +16,8 @@ use ts_sigscan::SignalPlatform;
 use ts_smr::dynamic::DynSmr;
 use ts_smr::{EpochScheme, HazardPointers, Leaky, Smr, StackTrackSim, ThreadScanSmr};
 use ts_structures::{
-    ConcurrentSet, HarrisList, LazyList, LockFreeHashTable, NodeAlloc, PqAsSet, SkipList,
-    SplitOrderedSet, PQ_REQUIRED_SLOTS, REQUIRED_SLOTS,
+    ConcurrentSet, HarrisList, LazyList, LockFreeHashTable, PqAsSet, SkipList, SplitOrderedSet,
+    PQ_REQUIRED_SLOTS, REQUIRED_SLOTS,
 };
 
 use crate::params::{SchemeKind, StructureKind, WorkloadParams};
@@ -83,21 +83,8 @@ impl SchemeKind {
 }
 
 impl StructureKind {
-    /// The node allocator for one instance of this structure:
-    /// [`NodeAlloc::Global`] (today's `Box` path, zero-cost) unless
-    /// `params.node_pool` asks for a fresh per-structure
-    /// [`ts_alloc::PoolHandle`] whose counters the ablations read back.
-    pub fn node_alloc(self, params: &WorkloadParams) -> NodeAlloc {
-        if params.node_pool {
-            NodeAlloc::Pool(ts_alloc::PoolHandle::new(self.label()))
-        } else {
-            NodeAlloc::Global
-        }
-    }
-
     /// Builds this structure for scheme `S`, type-erased behind the
-    /// [`ConcurrentSet`] trait, sized from `params` and allocating
-    /// through [`Self::node_alloc`].
+    /// [`ConcurrentSet`] trait, sized from `params`.
     ///
     /// This is the structure registry: one arm per variant. The runner
     /// instantiates it at `S =` [`ErasedSmr`](ts_smr::dynamic::ErasedSmr)
@@ -106,23 +93,20 @@ impl StructureKind {
     /// library users and the equivalence tests can instantiate it with a
     /// concrete scheme for the zero-virtual-call fast path.
     pub fn build_set<S: Smr>(self, params: &WorkloadParams) -> Arc<dyn ConcurrentSet<S>> {
-        let alloc = self.node_alloc(params);
         match self {
-            StructureKind::List => Arc::new(HarrisList::<S>::with_alloc(alloc)),
-            StructureKind::Hash => Arc::new(LockFreeHashTable::<S>::for_expected_nodes_with_alloc(
+            StructureKind::List => Arc::new(HarrisList::<S>::new()),
+            StructureKind::Hash => Arc::new(LockFreeHashTable::<S>::for_expected_nodes(
                 params.initial_size,
-                alloc,
             )),
-            StructureKind::Skip => Arc::new(SkipList::<S>::with_alloc(alloc)),
-            StructureKind::Lazy => Arc::new(LazyList::<S>::with_alloc(alloc)),
+            StructureKind::Skip => Arc::new(SkipList::<S>::new()),
+            StructureKind::Lazy => Arc::new(LazyList::<S>::new()),
             // Start at a quarter of the resident size: the table splits its
             // way to a sensible load factor during prefill, which is the
             // behaviour this structure exists to exercise.
-            StructureKind::SplitOrdered => Arc::new(SplitOrderedSet::<S>::with_buckets_and_alloc(
+            StructureKind::SplitOrdered => Arc::new(SplitOrderedSet::<S>::with_buckets(
                 (params.initial_size / 4).max(2),
-                alloc,
             )),
-            StructureKind::Pq => Arc::new(PqAsSet::<S>::with_alloc(alloc)),
+            StructureKind::Pq => Arc::new(PqAsSet::<S>::new()),
         }
     }
 }
@@ -176,23 +160,6 @@ mod tests {
             .build_set::<ErasedSmr>(&params)
             .bucket_count()
             .is_some());
-    }
-
-    #[test]
-    fn pooled_builds_route_nodes_through_per_structure_pools() {
-        let params = WorkloadParams::fig3(StructureKind::List, 2)
-            .scaled_down(64)
-            .with_node_pool(true);
-        let scheme = SchemeKind::Epoch.build(&params);
-        let erased = ErasedSmr::new(scheme);
-        let handle = erased.register();
-        for kind in StructureKind::EXTENDED {
-            let before: usize = ts_alloc::pool_stats().iter().map(|s| s.allocs).sum();
-            let set = kind.build_set::<ErasedSmr>(&params);
-            assert!(set.insert(&handle, 7), "{kind:?}");
-            let after: usize = ts_alloc::pool_stats().iter().map(|s| s.allocs).sum();
-            assert!(after > before, "{kind:?}: insert must allocate from a pool");
-        }
     }
 
     #[test]

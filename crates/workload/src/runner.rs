@@ -35,96 +35,6 @@ use crate::load::{self, Aggregate, LatencySummary, OpenLoopExtras};
 use crate::mix::{prefill_keys, Op, OpMix};
 use crate::params::{SchemeKind, WorkloadParams};
 
-/// One size class's allocator traffic during a run: only classes that
-/// actually moved are reported, so idle runs stay an empty list (and the
-/// whole `alloc` block stays `null`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ClassDelta {
-    /// Size-class index (see `ts_alloc::class_size`).
-    pub class: usize,
-    /// The class's block size in bytes.
-    pub size: usize,
-    /// Allocations served from this class during the run.
-    pub allocs: usize,
-    /// Blocks of this class freed during the run.
-    pub frees: usize,
-}
-
-impl ClassDelta {
-    /// Renders as one JSON object (see [`crate::json`]).
-    pub fn to_json(&self) -> String {
-        crate::json::ObjectBuilder::new()
-            .num("class", self.class as f64)
-            .num("size", self.size as f64)
-            .num("allocs", self.allocs as f64)
-            .num("frees", self.frees as f64)
-            .build()
-    }
-}
-
-/// Allocator-counter deltas over one run (the `ts-alloc-nodes` feature;
-/// meaningful only in binaries that install `ts_alloc` as the global
-/// allocator, e.g. `ablation_allocator --real-alloc`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AllocExtras {
-    /// Small (size-class) allocations served during the run.
-    pub small_allocs: usize,
-    /// Small blocks freed during the run.
-    pub small_frees: usize,
-    /// Large (passthrough) allocations.
-    pub large_allocs: usize,
-    /// Large frees.
-    pub large_frees: usize,
-    /// 64 KiB spans carved from the system allocator.
-    pub spans: usize,
-    /// Bytes reserved in new spans.
-    pub span_bytes: usize,
-    /// Thread-cache refills from the central depot (one lock each).
-    pub cache_fills: usize,
-    /// Thread-cache flushes to the central depot.
-    pub cache_flushes: usize,
-    /// Per-size-class alloc/free deltas, ascending by class; classes with
-    /// no traffic are omitted.
-    pub classes: Vec<ClassDelta>,
-}
-
-impl AllocExtras {
-    /// Small allocations per depot-lock acquisition during the run — the
-    /// amortization the thread-caching design exists to provide.
-    pub fn allocs_per_lock(&self) -> f64 {
-        let locks = self.cache_fills + self.cache_flushes;
-        if locks == 0 {
-            0.0
-        } else {
-            self.small_allocs as f64 / locks as f64
-        }
-    }
-
-    /// Renders as one JSON object (see [`crate::json`]).
-    pub fn to_json(&self) -> String {
-        let classes = format!(
-            "[{}]",
-            self.classes
-                .iter()
-                .map(ClassDelta::to_json)
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        crate::json::ObjectBuilder::new()
-            .num("small_allocs", self.small_allocs as f64)
-            .num("small_frees", self.small_frees as f64)
-            .num("large_allocs", self.large_allocs as f64)
-            .num("large_frees", self.large_frees as f64)
-            .num("spans", self.spans as f64)
-            .num("span_bytes", self.span_bytes as f64)
-            .num("cache_fills", self.cache_fills as f64)
-            .num("cache_flushes", self.cache_flushes as f64)
-            .num("allocs_per_lock", self.allocs_per_lock())
-            .raw("classes", &classes)
-            .build()
-    }
-}
-
 /// Per-structure share of a heterogeneous run.
 #[derive(Debug, Clone)]
 pub struct StructureOps {
@@ -178,9 +88,6 @@ pub struct RunResult {
     /// The collector's counters over the measured window (ThreadScan
     /// only), rendered by [`stats_json`].
     pub threadscan: Option<StatsSnapshot>,
-    /// Allocator-counter deltas (`ts-alloc-nodes` builds whose binary
-    /// routed allocation through `ts_alloc`; `None` otherwise).
-    pub alloc: Option<AllocExtras>,
     /// Per-structure op counts/throughput for heterogeneous runs; empty
     /// for single-structure cells (rendered as JSON `null`).
     pub per_structure: Vec<StructureOps>,
@@ -257,7 +164,6 @@ impl RunResult {
             )
             .raw("per_structure", &per_structure)
             .raw("threadscan", &opt_json(&self.threadscan, stats_json))
-            .raw("alloc", &opt_json(&self.alloc, AllocExtras::to_json))
             .build()
     }
 }
@@ -349,65 +255,6 @@ fn drive(scheme: &Arc<ErasedSmr>, targets: &[Target], params: &WorkloadParams) -
     (Aggregate::from_reports(reports, targets.len()), secs)
 }
 
-/// Allocator-counter snapshot bracket for the `ts-alloc-nodes` feature:
-/// returns `None` when the counters did not move (the binary did not
-/// route allocation through `ts_alloc`), so reports stay honest.
-#[cfg(feature = "ts-alloc-nodes")]
-struct AllocBracket(ts_alloc::AllocStats);
-
-#[cfg(feature = "ts-alloc-nodes")]
-impl AllocBracket {
-    fn open() -> Self {
-        Self(ts_alloc::stats())
-    }
-
-    fn close(self) -> Option<AllocExtras> {
-        let b = self.0;
-        let a = ts_alloc::stats();
-        // Only classes with traffic, so an idle run's delta still equals
-        // `default()` and the block stays `null`.
-        let classes = (0..ts_alloc::NUM_CLASSES)
-            .filter_map(|c| {
-                let allocs = a.class_allocs[c] - b.class_allocs[c];
-                let frees = a.class_frees[c] - b.class_frees[c];
-                (allocs != 0 || frees != 0).then(|| ClassDelta {
-                    class: c,
-                    size: ts_alloc::class_size(c),
-                    allocs,
-                    frees,
-                })
-            })
-            .collect();
-        let delta = AllocExtras {
-            small_allocs: a.small_allocs - b.small_allocs,
-            small_frees: a.small_frees - b.small_frees,
-            large_allocs: a.large_allocs - b.large_allocs,
-            large_frees: a.large_frees - b.large_frees,
-            spans: a.spans - b.spans,
-            span_bytes: a.span_bytes - b.span_bytes,
-            cache_fills: a.cache_fills - b.cache_fills,
-            cache_flushes: a.cache_flushes - b.cache_flushes,
-            classes,
-        };
-        (delta != AllocExtras::default()).then_some(delta)
-    }
-}
-
-/// No-op stand-in when the feature is off: `close` always yields `None`.
-#[cfg(not(feature = "ts-alloc-nodes"))]
-struct AllocBracket;
-
-#[cfg(not(feature = "ts-alloc-nodes"))]
-impl AllocBracket {
-    fn open() -> Self {
-        Self
-    }
-
-    fn close(self) -> Option<AllocExtras> {
-        None
-    }
-}
-
 /// Runs one experiment cell through the scheme and structure registries.
 ///
 /// No (scheme × structure) dispatch happens here: [`SchemeKind::build`]
@@ -439,7 +286,6 @@ pub fn run_combo(scheme: SchemeKind, params: &WorkloadParams) -> RunResult {
         })
         .collect();
 
-    let alloc_bracket = AllocBracket::open();
     let (agg, secs) = drive(&erased, &targets, params);
     let secs = secs.max(1e-9);
 
@@ -456,7 +302,6 @@ pub fn run_combo(scheme: SchemeKind, params: &WorkloadParams) -> RunResult {
     dyn_scheme.quiesce();
     let leaked = scheme_any.downcast_ref::<Leaky>().map(Leaky::leaked);
     let outstanding_after = leaked.is_none().then(|| dyn_scheme.outstanding());
-    let alloc = alloc_bracket.close();
 
     let split = params.structures.entries().iter().enumerate();
     let split = split.map(|(i, &(kind, _))| StructureOps {
@@ -480,7 +325,6 @@ pub fn run_combo(scheme: SchemeKind, params: &WorkloadParams) -> RunResult {
         leaked,
         protection_slots: erased.register().protection_slots(),
         threadscan,
-        alloc,
         per_structure,
         bucket_count: targets.iter().find_map(|(set, _)| set.bucket_count()),
         open_loop: agg.open_extras(&params.load_model),
@@ -822,7 +666,6 @@ mod tests {
                 "open_loop",
                 "per_structure",
                 "threadscan",
-                "alloc",
             ],
         );
         assert_eq!(v.get("structure").as_str(), Some("hash"));

@@ -34,6 +34,8 @@ pub type greg_t = i64;
 
 pub const ESRCH: c_int = 3;
 pub const EINTR: c_int = 4;
+pub const EAGAIN: c_int = 11;
+pub const EINVAL: c_int = 22;
 
 // ---------------------------------------------------------------------------
 // Signals.

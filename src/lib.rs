@@ -12,8 +12,7 @@
 //! * [`structures`] — Harris list, lock-free hash table, lazy skip list,
 //!   lazy list, Shavit–Lotan priority queue, split-ordered hash table;
 //! * [`workload`] — the §6 methodology harness (uniform/zipfian mixes,
-//!   set and priority-queue runners);
-//! * [`alloc`] — the TCMalloc-style thread-caching allocator substrate.
+//!   set and priority-queue runners).
 //!
 //! See `examples/` for runnable scenarios and `crates/bench` for the
 //! figure-regeneration binaries.
@@ -21,7 +20,6 @@
 #![warn(missing_docs)]
 
 pub use threadscan;
-pub use ts_alloc as alloc;
 pub use ts_sigscan as sigscan;
 pub use ts_simthread as simthread;
 pub use ts_smr as smr;
