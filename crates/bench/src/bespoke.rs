@@ -1,9 +1,10 @@
 //! The three experiments that are not (structure × scheme × threads)
 //! sweeps, each with its own loop: directory growth watched at every
-//! doubling, outstanding garbage sampled over time, and single-threaded
-//! fast-path timings.
+//! doubling, outstanding garbage sampled over time, and the
+//! single-threaded probes.
 
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -228,7 +229,7 @@ fn sample_run<S: Smr + 'static>(
 pub fn garbage(args: &CliArgs) {
     let quick = args.get_flag("quick");
     let duration = Duration::from_secs_f64(args.get_f64("duration", if quick { 0.5 } else { 3.0 }));
-    let samples = args.get_usize("samples", 8);
+    let samples = args.get_positive("samples", 8);
     let threads = args.get_usize("threads", 4);
     args.reject_unread(&[]);
 
@@ -270,49 +271,111 @@ pub fn garbage(args: &CliArgs) {
     );
 }
 
-/// Runs `iters` iterations of `op` `trials` times; returns the fastest
-/// trial in ns/op (min filters scheduler noise better than mean for
-/// single-threaded fixed-work loops).
-fn time_ns_per_op(trials: usize, iters: usize, mut op: impl FnMut(usize)) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..trials {
-        let t0 = Instant::now();
-        for i in 0..iters {
-            op(i);
-        }
-        let ns = t0.elapsed().as_nanos() as f64 / iters as f64;
-        best = best.min(ns);
-    }
-    best
+/// One row of [`probes`]: how the per-trial ns/op samples spread.
+struct Spread {
+    fastest: f64,
+    q1: f64,
+    median: f64,
+    q3: f64,
 }
 
-/// Ablation: memory-ordering relaxations on the reclamation fast paths.
+/// The timing kernel of [`probes`]: runs `trial` `trials` times — each
+/// returns what it timed and how many ops that covered, one ns/op sample
+/// — and summarises the samples. The fastest trial filters scheduler
+/// noise best for single-threaded fixed-work loops; the median and the
+/// quartiles say how far to trust it.
+fn sample(trials: usize, mut trial: impl FnMut() -> (Duration, usize)) -> Spread {
+    let per_op = (0..trials).map(|_| {
+        let (elapsed, ops) = trial();
+        elapsed.as_nanos() as f64 / ops as f64
+    });
+    let mut ns: Vec<f64> = per_op.collect();
+    ns.sort_by(f64::total_cmp);
+    // Linear interpolation between the two closest ranks.
+    let quantile = |q: f64| {
+        let pos = q * (ns.len() - 1) as f64;
+        let (lo, hi) = (ns[pos.floor() as usize], ns[pos.ceil() as usize]);
+        lo + (hi - lo) * pos.fract()
+    };
+    Spread {
+        fastest: ns[0],
+        q1: quantile(0.25),
+        median: quantile(0.5),
+        q3: quantile(0.75),
+    }
+}
+
+/// A trial that is `iters` back-to-back calls of `op`.
+fn repeat(iters: usize, mut op: impl FnMut(usize)) -> (Duration, usize) {
+    let t0 = Instant::now();
+    for i in 0..iters {
+        op(i);
+    }
+    (t0.elapsed(), iters)
+}
+
+/// The hash table's node size: above glibc's 128-byte fastbin limit, so a
+/// `free` that misses the 7-entry thread cache takes an arena lock.
+type Node176 = [u8; 176];
+
+/// A phase's worth of separately allocated nodes: the boxes are the
+/// workload of the `free_*` rows.
+#[allow(clippy::vec_box)]
+type NodeBatch = Vec<Box<Node176>>;
+
+fn node_batch() -> NodeBatch {
+    (0..512).map(|_| Box::new([0u8; 176])).collect()
+}
+
+/// A trial of the `free_*` rows: frees `nodes` nodes, one batch from
+/// `next_batch` after another; only the frees are timed.
+fn free_trial(nodes: usize, mut next_batch: impl FnMut() -> NodeBatch) -> (Duration, usize) {
+    let mut left = nodes;
+    let mut timed = Duration::ZERO;
+    while left > 0 {
+        let mut batch = next_batch();
+        let untimed = batch.split_off(left.min(batch.len()));
+        left -= batch.len();
+        let start = Instant::now();
+        batch.drain(..).for_each(drop);
+        timed += start.elapsed();
+        drop(untimed);
+    }
+    (timed, nodes)
+}
+
+/// Single-threaded ns/op of the layers no frozen benchmark probe covers.
 ///
-/// Times exactly the sites the ordering-relaxation pass touches — the
-/// epoch `begin_op`/`end_op` bracket, the epoch retire stamp path, the
-/// `LocalBuffer` push + occupancy probe, and the hazard-pointer
-/// protect/release cycle — so each relaxation lands with a measured
-/// before/after delta (run this binary at the parent commit and at the
+/// The first four rows time exactly the sites the ordering-relaxation
+/// pass touched — the epoch `begin_op`/`end_op` bracket, the epoch retire
+/// stamp path, the `LocalBuffer` push + occupancy probe, and the
+/// hazard-pointer protect/release cycle — so each relaxation lands with a
+/// measured before/after delta (run this at the parent commit and at the
 /// relaxation commit; the README ordering-policy table records the
-/// numbers). Single-threaded on purpose: these are uncontended fast-path
-/// costs, where an x86 `SeqCst` store (`xchg`/`mfence`) versus a plain
-/// store is the entire story.
+/// numbers). Uncontended on purpose: there an x86 `SeqCst` store
+/// (`xchg`/`mfence`) versus a plain store is the entire story.
+///
+/// The two `free_*` rows are what one `free()` costs the thread that runs
+/// a phase's sweep, by where the node came from. `free_own_176B` frees
+/// nodes the measuring thread just allocated (hot, its own arena) — all
+/// the benchmark's `core.free_ns_per_node` ever sees. `free_foreign_176B`
+/// frees nodes a peer allocated, while the peer keeps allocating out of
+/// the same arena: what a reclaimer sweeping a shared structure's nodes
+/// pays, and what freeing one node per retire on the retiring thread
+/// avoids.
 ///
 /// Flags: `--iters 2000000`, `--trials 7`, `--quick`; `--json <path>`
-/// writes machine-readable results.
-pub fn ordering(args: &CliArgs) {
+/// writes one JSON line per row.
+pub fn probes(args: &CliArgs) {
     let quick = args.get_flag("quick");
-    let iters = args.get_usize("iters", if quick { 200_000 } else { 2_000_000 });
-    let trials = args.get_usize("trials", if quick { 3 } else { 7 });
+    let iters = args.get_positive("iters", if quick { 200_000 } else { 2_000_000 });
+    let trials = args.get_positive("trials", if quick { 3 } else { 7 });
     args.reject_unread(&["json"]);
 
-    println!(
-        "# Ablation: fast-path memory orderings ({})",
-        machine_info()
-    );
-    println!("# iters={iters} trials={trials} (fastest trial, ns/op)");
+    println!("# Probes: single-thread fast paths ({})", machine_info());
+    println!("# iters={iters} trials={trials} (ns/op, one sample per trial)");
 
-    let mut results: Vec<(&str, f64)> = Vec::new();
+    let mut results: Vec<(&str, Spread)> = Vec::new();
 
     // Epoch fast path: the begin_op announce (global load + state store)
     // and the end_op clear — the "two writes per method" the paper charges
@@ -320,9 +383,11 @@ pub fn ordering(args: &CliArgs) {
     {
         let scheme = EpochScheme::new();
         let handle = scheme.register();
-        let ns = time_ns_per_op(trials, iters, |_| {
-            handle.begin_op();
-            handle.end_op();
+        let ns = sample(trials, || {
+            repeat(iters, |_| {
+                handle.begin_op();
+                handle.end_op();
+            })
         });
         results.push(("epoch_begin_end_pair", ns));
     }
@@ -333,8 +398,7 @@ pub fn ordering(args: &CliArgs) {
     {
         let scheme = EpochScheme::with_threshold(usize::MAX);
         let retire_iters = iters.min(400_000); // bag grows linearly
-        let mut best = f64::INFINITY;
-        for _ in 0..trials {
+        let ns = sample(trials, || {
             let handle = scheme.register();
             let nodes: Vec<*mut u64> = (0..retire_iters)
                 .map(|i| Box::into_raw(Box::new(i as u64)))
@@ -344,12 +408,12 @@ pub fn ordering(args: &CliArgs) {
                 // SAFETY: fresh Box, never shared, retired exactly once.
                 unsafe { retire_box(&handle, p) };
             }
-            let ns = t0.elapsed().as_nanos() as f64 / retire_iters as f64;
-            best = best.min(ns);
+            let elapsed = t0.elapsed();
             drop(handle); // bequeaths the bag to the orphan list...
             scheme.quiesce(); // ...which quiesce then frees
-        }
-        results.push(("epoch_retire", best));
+            (elapsed, retire_iters)
+        });
+        results.push(("epoch_retire", ns));
     }
 
     // LocalBuffer fast path: the SPSC push plus the occupancy probe the
@@ -357,22 +421,24 @@ pub fn ordering(args: &CliArgs) {
     {
         let buf = LocalBuffer::new(4096);
         let mut out = Vec::new();
-        let ns = time_ns_per_op(trials, iters, |i| {
-            // SAFETY: single-threaded — sole producer and consumer.
-            unsafe {
-                if buf
-                    .push(Retired::from_raw_parts(
-                        0x1000 + (i % 4096) * 8,
-                        8,
-                        noop_drop,
-                    ))
-                    .is_err()
-                {
-                    buf.drain_into(&mut out);
-                    out.clear();
+        let ns = sample(trials, || {
+            repeat(iters, |i| {
+                // SAFETY: single-threaded — sole producer and consumer.
+                unsafe {
+                    if buf
+                        .push(Retired::from_raw_parts(
+                            0x1000 + (i % 4096) * 8,
+                            8,
+                            noop_drop,
+                        ))
+                        .is_err()
+                    {
+                        buf.drain_into(&mut out);
+                        out.clear();
+                    }
                 }
-            }
-            std::hint::black_box(buf.len());
+                std::hint::black_box(buf.len());
+            })
         });
         results.push(("buffer_push_len", ns));
     }
@@ -385,30 +451,72 @@ pub fn ordering(args: &CliArgs) {
         let handle = scheme.register();
         let target = Box::into_raw(Box::new(0u64)).cast::<u8>();
         let shared = AtomicPtr::new(target);
-        let ns = time_ns_per_op(trials, iters, |_| {
-            std::hint::black_box(handle.load_protected(0, &shared));
-            handle.end_op();
+        let ns = sample(trials, || {
+            repeat(iters, |_| {
+                std::hint::black_box(handle.load_protected(0, &shared));
+                handle.end_op();
+            })
         });
         // SAFETY: never retired, no other reference.
         unsafe { drop(Box::from_raw(target.cast::<u64>())) };
         results.push(("hazard_protect_release", ns));
     }
 
-    println!("{:>24} {:>12}", "site", "ns/op");
+    results.push((
+        "free_own_176B",
+        sample(trials, || free_trial(iters, node_batch)),
+    ));
+    {
+        let (tx, rx) = sync_channel::<NodeBatch>(2);
+        let stop = AtomicBool::new(false);
+        let ns = std::thread::scope(|s| {
+            s.spawn(|| {
+                // The peer never waits: a batch nobody has room for is
+                // freed again, so its arena stays busy either way.
+                while !stop.load(Ordering::Relaxed) {
+                    match tx.try_send(node_batch()) {
+                        Ok(()) => {}
+                        Err(TrySendError::Full(batch)) => drop(batch),
+                        Err(TrySendError::Disconnected(_)) => return,
+                    }
+                }
+            });
+            let ns = sample(trials, || {
+                free_trial(iters, || {
+                    rx.recv().expect("the peer outlives the measurement")
+                })
+            });
+            stop.store(true, Ordering::Relaxed);
+            ns
+        });
+        results.push(("free_foreign_176B", ns));
+    }
+
+    println!(
+        "{:>24} {:>10} {:>10} {:>19}",
+        "site", "fastest", "median", "q1–q3"
+    );
     for (name, ns) in &results {
-        println!("{name:>24} {ns:>12.2}");
+        let iqr = format!("{:.2}–{:.2}", ns.q1, ns.q3);
+        println!(
+            "{name:>24} {:>10.2} {:>10.2} {iqr:>19}",
+            ns.fastest, ns.median
+        );
     }
 
     if let Some(path) = args.get("json") {
-        let entries: Vec<String> = results
-            .iter()
-            .map(|(name, ns)| format!("  {{\"bench\": \"{name}\", \"ns_per_op\": {ns:.3}}}"))
-            .collect();
-        let json = format!(
-            "{{\"ablation\": \"ordering\", \"iters\": {iters}, \"trials\": {trials}, \"results\": [\n{}\n]}}\n",
-            entries.join(",\n")
-        );
-        std::fs::write(path, json).expect("write json");
+        let rows = results.iter().map(|(name, ns)| {
+            ObjectBuilder::new()
+                .str("probe", name)
+                .num("trials", trials as f64)
+                .num("fastest_ns", ns.fastest)
+                .num("q1_ns", ns.q1)
+                .num("median_ns", ns.median)
+                .num("q3_ns", ns.q3)
+                .build()
+        });
+        let rows: Vec<String> = rows.collect();
+        std::fs::write(path, rows.join("\n") + "\n").expect("write json");
         println!("# json written to {path}");
     }
 }

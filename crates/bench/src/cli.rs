@@ -12,6 +12,8 @@ pub struct CliArgs {
     /// Key → value, and whether a getter has looked the key up yet: what
     /// stays `false` is a flag nothing reads ([`Self::unread`]).
     map: HashMap<String, (String, Cell<bool>)>,
+    /// Arguments that are neither a `--key` nor the value after one.
+    stray: Vec<String>,
 }
 
 impl CliArgs {
@@ -23,6 +25,7 @@ impl CliArgs {
     /// Parses an explicit argument list (tests).
     pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
         let mut map = HashMap::new();
+        let mut stray = Vec::new();
         let mut iter = args.into_iter().peekable();
         while let Some(arg) = iter.next() {
             if let Some(key) = arg.strip_prefix("--") {
@@ -31,9 +34,11 @@ impl CliArgs {
                     _ => "true".to_string(),
                 };
                 map.insert(key.to_string(), (value, Cell::new(false)));
+            } else {
+                stray.push(arg);
             }
         }
-        Self { map }
+        Self { map, stray }
     }
 
     /// String value for `key`.
@@ -57,18 +62,28 @@ impl CliArgs {
         unread
     }
 
-    /// Exits with status 2, naming them, if any flag is [`Self::unread`].
+    /// Exits with status 2, naming them, if any flag is [`Self::unread`]
+    /// or any argument was no flag at all (`fig3 --threads 1 2` would
+    /// otherwise measure `--threads 1`, `fig3 quick` the full sweep).
     /// An experiment calls this once it has read its flags and before it
     /// measures anything; `later` names the flags it reads afterwards
     /// (the `--json` / `--trace-out` epilogues).
     pub fn reject_unread(&self, later: &[&str]) {
         let unread = self.unread(later);
+        if !self.stray.is_empty() {
+            eprintln!(
+                "ts-bench: neither a --flag nor a flag's value: {}",
+                self.stray.join(", ")
+            );
+        }
         if !unread.is_empty() {
             let flags: Vec<String> = unread.iter().map(|k| format!("--{k}")).collect();
             eprintln!(
                 "ts-bench: no such flag for this experiment: {}",
                 flags.join(", ")
             );
+        }
+        if !(self.stray.is_empty() && unread.is_empty()) {
             std::process::exit(2);
         }
     }
@@ -86,6 +101,17 @@ impl CliArgs {
     /// `usize` value with a default.
     pub fn get_usize(&self, key: &str, default: usize) -> usize {
         self.get_num(key, default)
+    }
+
+    /// A count that divides or indexes what is measured: exits with
+    /// status 2, naming the flag, on a zero.
+    pub(crate) fn get_positive(&self, key: &str, default: usize) -> usize {
+        let n = self.get_usize(key, default);
+        if n == 0 {
+            eprintln!("ts-bench: --{key} must be at least 1");
+            std::process::exit(2);
+        }
+        n
     }
 
     /// `f64` value with a default.

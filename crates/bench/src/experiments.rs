@@ -9,7 +9,7 @@
 use std::time::Duration;
 
 use ts_workload::SchemeKind::{Epoch, Hazard, Leaky, ThreadScan};
-use ts_workload::StructureKind::{Hash, List, Pq, Skip};
+use ts_workload::StructureKind::{Hash, List, Pq};
 use ts_workload::{
     BacklogPolicy, KeyDist, LatencySummary, LoadModel, Report, RunResult, SchemeKind,
     StructureKind, StructureMix,
@@ -75,11 +75,6 @@ pub const TABLE: &[Experiment] = &[
         run: Run::Sweep(zipf),
     },
     Experiment {
-        name: "stacktrack",
-        about: "the §6 StackTrack comparator beside the five schemes, on the skip list",
-        run: Run::Sweep(stacktrack),
-    },
-    Experiment {
         name: "pq",
         about: "priority queue at 50/50 insert/delete-min: half of all ops retire a node",
         run: Run::Sweep(pq),
@@ -100,9 +95,9 @@ pub const TABLE: &[Experiment] = &[
         run: Run::Bespoke(bespoke::garbage),
     },
     Experiment {
-        name: "ordering",
-        about: "single-thread ns/op of the fast paths the memory-ordering audit touched",
-        run: Run::Bespoke(bespoke::ordering),
+        name: "probes",
+        about: "single-thread ns/op (fastest, median, IQR): ordering-audit fast paths, own/foreign free",
+        run: Run::Bespoke(bespoke::probes),
     },
 ];
 
@@ -238,7 +233,7 @@ fn hetero(args: &CliArgs) -> Sweep {
         thread_ladder()
     };
     let threads = args.get_usize_list("threads", &ladder);
-    let schemes = args.get_schemes("schemes", &SchemeKind::EXTENDED);
+    let schemes = args.get_schemes("schemes", &SchemeKind::ALL);
     for spec in args
         .get("mixes")
         .unwrap_or("hash:50,skiplist:30,pq:20")
@@ -315,15 +310,6 @@ fn zipf(args: &CliArgs) -> Sweep {
         col("skew", |c, _| c.params.key_dist.label()),
         col("survivors", |_, r| ts(r).survivors.to_string()),
     ];
-    s
-}
-
-fn stacktrack(args: &CliArgs) -> Sweep {
-    let mut s = Sweep::new("stacktrack", Common::parse(args, 2.0, 1));
-    let hw = hw_threads();
-    let threads = args.get_usize_list("threads", &[1, hw.max(2), hw * 2]);
-    s.grid(&[Skip], &threads, &SchemeKind::EXTENDED, |p| p);
-    s.series = true;
     s
 }
 

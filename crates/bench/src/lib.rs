@@ -1,13 +1,11 @@
-//! # ts-bench — the figures and ablations, and the micro-benchmarks
+//! # ts-bench — the figures, the ablations and the probes
 //!
 //! One binary, `ts-bench <experiment> [flags]` (run with `--release`;
 //! `ts-bench list` prints the table in [`experiments`]): Figure 3
 //! throughput, Figure 4 oversubscription, the open-loop service tail, the
 //! heterogeneous mixes and the ablations. Each is a list of cells for the
-//! one [`sweep`] loop.
-//!
-//! Criterion benches cover the micro costs: marking kernels, delete-buffer
-//! ops, signal round-trips, full collect phases, structure op latency.
+//! one [`sweep`] loop; [`bespoke::probes`] times the single-thread fast
+//! paths the frozen `benchmark/` package has no probe for.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

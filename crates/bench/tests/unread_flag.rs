@@ -1,6 +1,7 @@
 //! A typo is not a measurement: `ts-bench` exits with status 2, naming
-//! the flag, before it measures anything — sweeps and bespoke experiments
-//! alike — while the correctly spelt flag runs.
+//! the flag, the stray word or the zero count, before it measures
+//! anything — sweeps and bespoke experiments alike — while the correctly
+//! spelt flag runs.
 
 use std::process::{Command, Output};
 
@@ -16,8 +17,15 @@ fn a_misspelt_flag_fails_before_the_first_cell() {
     for (args, flag) in [
         (&["fig3", "--quick", "--thread", "1"][..], "--thread"),
         (&["fig3", "--quick", "--watermark", "8"][..], "--watermark"),
-        (&["ordering", "--quick", "--trial", "1"][..], "--trial"),
+        (&["probes", "--quick", "--trial", "1"][..], "--trial"),
         (&["garbage", "--quick", "--json", "g.jsonl"][..], "--json"),
+        // A word that is no flag and no flag's value.
+        (&["fig3", "--quick", "--threads", "1", "2"][..], ": 2"),
+        (&["fig3", "quick"][..], ": quick"),
+        // A count of zero divides by it or indexes an empty sample set.
+        (&["garbage", "--quick", "--samples", "0"][..], "--samples"),
+        (&["probes", "--quick", "--trials", "0"][..], "--trials"),
+        (&["probes", "--quick", "--iters", "0"][..], "--iters"),
     ] {
         let out = ts_bench(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");

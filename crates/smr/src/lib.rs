@@ -10,10 +10,6 @@
 //! | [`EpochScheme`] | none | two counter writes | bag push; advance at threshold |
 //! | `EpochScheme::slow` | none | two writes (+40 ms stall for one errant thread) | as epoch |
 //! | [`ThreadScanSmr`] | none | none | buffer push; signal round when full |
-//! | [`StackTrackSim`] | release store into a window ring (no fence) | none | list push; asymmetric-fence scan at threshold |
-//!
-//! [`StackTrackSim`] is the §6-mentioned StackTrack comparator, emulated
-//! without HTM (see its module docs).
 //!
 //! Data structures in `ts-structures` are written once against the trait
 //! and get all five schemes for free — which is how the paper's Figure 3
@@ -33,7 +29,6 @@ pub mod epoch;
 pub mod guard;
 pub mod hazard;
 pub mod leaky;
-pub mod stacktrack;
 pub mod threadscan_smr;
 
 pub use api::{retire_box, DropFn, Smr, SmrHandle};
@@ -42,5 +37,4 @@ pub use epoch::{EpochHandle, EpochScheme};
 pub use guard::Guard;
 pub use hazard::{HazardPointers, HpHandle};
 pub use leaky::{Leaky, LeakyHandle};
-pub use stacktrack::{StHandle, StackTrackSim};
 pub use threadscan_smr::{ThreadScanHandle, ThreadScanSmr};

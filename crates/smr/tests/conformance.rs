@@ -4,8 +4,8 @@
 //! The properties are the two directions the paper proves for ThreadScan
 //! (Lemma 1: never free a reachable-from-a-thread node; Lemma 4: free
 //! everything unreferenced), restated at the [`Smr`] trait level so the
-//! hazard, epoch, slow-epoch and StackTrack baselines are held to the
-//! same standard as the headline scheme:
+//! hazard, epoch and slow-epoch baselines are held to the same standard
+//! as the headline scheme:
 //!
 //! 1. retire eventually runs the destructor, exactly once (after quiesce);
 //! 2. a reference obtained via `load_protected` inside an open operation
@@ -18,7 +18,7 @@
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
-use ts_smr::{retire_box, EpochScheme, ErasedSmr, HazardPointers, Smr, SmrHandle, StackTrackSim};
+use ts_smr::{retire_box, EpochScheme, ErasedSmr, HazardPointers, Smr, SmrHandle};
 
 /// A drop-counting node with enough body that use-after-free corrupts
 /// observable state under sanitizers.
@@ -193,7 +193,6 @@ conformance!(
     EpochScheme::slow(32, std::time::Duration::from_millis(1), 512)
 );
 conformance!(hazard, HazardPointers::with_params(4, 16));
-conformance!(stacktrack, StackTrackSim::with_params(64, 16));
 
 // The type-erased adapter must satisfy the exact same contract: the whole
 // battery again through `ErasedSmr` (every hook crossing a vtable).
@@ -204,8 +203,4 @@ conformance!(
 conformance!(
     erased_hazard,
     ErasedSmr::new(Arc::new(HazardPointers::with_params(4, 16)))
-);
-conformance!(
-    erased_stacktrack,
-    ErasedSmr::new(Arc::new(StackTrackSim::with_params(64, 16)))
 );

@@ -1,11 +1,10 @@
 //! Cross-scheme structure tests: the same workloads must behave
-//! identically under every reclamation scheme, including the StackTrack
-//! emulation (precise windowed tracking) — schemes differ only in *when*
-//! memory returns, never in set semantics.
+//! identically under every reclamation scheme — schemes differ only in
+//! *when* memory returns, never in set semantics.
 
 use std::sync::Arc;
 
-use ts_smr::{EpochScheme, HazardPointers, Leaky, Smr, StackTrackSim};
+use ts_smr::{EpochScheme, HazardPointers, Leaky, Smr};
 use ts_structures::{
     ConcurrentSet, HarrisList, LazyList, LockFreeHashTable, PriorityQueue, SkipList,
     SplitOrderedSet, PQ_REQUIRED_SLOTS, REQUIRED_SLOTS,
@@ -32,18 +31,6 @@ fn deterministic_churn<S: Smr, T: ConcurrentSet<S>>(scheme: &S, set: &T) {
 }
 
 #[test]
-fn all_structures_under_stacktrack() {
-    let s = StackTrackSim::with_params(64, 16);
-    deterministic_churn(&s, &HarrisList::<StackTrackSim>::new());
-    deterministic_churn(&s, &LockFreeHashTable::<StackTrackSim>::new(16));
-    deterministic_churn(&s, &SkipList::<StackTrackSim>::new());
-    deterministic_churn(&s, &LazyList::<StackTrackSim>::new());
-    deterministic_churn(&s, &SplitOrderedSet::<StackTrackSim>::with_buckets(16));
-    s.quiesce();
-    assert_eq!(s.outstanding(), 0, "stacktrack must reclaim everything");
-}
-
-#[test]
 fn all_structures_under_every_scheme_agree() {
     // Same deterministic workload, every scheme/structure pair.
     macro_rules! run_all {
@@ -62,44 +49,6 @@ fn all_structures_under_every_scheme_agree() {
         HazardPointers::with_params(REQUIRED_SLOTS, 16),
         HazardPointers
     );
-    run_all!(StackTrackSim::with_params(64, 8), StackTrackSim);
-}
-
-#[test]
-fn stacktrack_concurrent_readers_and_removers() {
-    let scheme = Arc::new(StackTrackSim::with_params(128, 32));
-    let list = Arc::new(HarrisList::<StackTrackSim>::new());
-    {
-        let h = scheme.register();
-        for k in 0..256u64 {
-            list.insert(&h, k);
-        }
-    }
-    std::thread::scope(|s| {
-        for _ in 0..3 {
-            let scheme = Arc::clone(&scheme);
-            let list = Arc::clone(&list);
-            s.spawn(move || {
-                let h = scheme.register();
-                for _ in 0..40 {
-                    for k in 0..256u64 {
-                        std::hint::black_box(list.contains(&h, k));
-                    }
-                }
-            });
-        }
-        let scheme2 = Arc::clone(&scheme);
-        let list2 = Arc::clone(&list);
-        s.spawn(move || {
-            let h = scheme2.register();
-            for k in 0..256u64 {
-                assert!(list2.remove(&h, k));
-            }
-        });
-    });
-    assert_eq!(list.len_sequential(), 0);
-    scheme.quiesce();
-    assert_eq!(scheme.outstanding(), 0);
 }
 
 #[test]
@@ -166,10 +115,6 @@ fn priority_queue_agrees_under_every_scheme() {
     pq_churn(&Leaky::new());
     pq_churn(&EpochScheme::with_threshold(8));
     pq_churn(&HazardPointers::with_params(PQ_REQUIRED_SLOTS, 16));
-    let st = StackTrackSim::with_params(64, 8);
-    pq_churn(&st);
-    st.quiesce();
-    assert_eq!(st.outstanding(), 0);
 }
 
 #[test]

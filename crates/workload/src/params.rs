@@ -165,9 +165,6 @@ pub enum SchemeKind {
     SlowEpoch,
     /// ThreadScan over real POSIX signals.
     ThreadScan,
-    /// StackTrack-style precise tracking (HTM emulated via asymmetric
-    /// fences; §6 text comparator, not part of the figure legends).
-    StackTrack,
 }
 
 impl SchemeKind {
@@ -184,16 +181,6 @@ impl SchemeKind {
     /// Pointers were not included in the oversubscription experiment".
     pub const OVERSUB: [SchemeKind; 3] = [Self::Leaky, Self::Epoch, Self::ThreadScan];
 
-    /// The figure schemes plus the StackTrack comparator from §6's text.
-    pub const EXTENDED: [SchemeKind; 6] = [
-        Self::Leaky,
-        Self::Hazard,
-        Self::Epoch,
-        Self::SlowEpoch,
-        Self::ThreadScan,
-        Self::StackTrack,
-    ];
-
     /// Harness label.
     pub fn label(self) -> &'static str {
         match self {
@@ -202,7 +189,6 @@ impl SchemeKind {
             Self::Epoch => "epoch",
             Self::SlowEpoch => "slow-epoch",
             Self::ThreadScan => "threadscan",
-            Self::StackTrack => "stacktrack",
         }
     }
 
@@ -214,7 +200,6 @@ impl SchemeKind {
             "epoch" => Self::Epoch,
             "slow-epoch" => Self::SlowEpoch,
             "threadscan" => Self::ThreadScan,
-            "stacktrack" => Self::StackTrack,
             _ => return None,
         })
     }
@@ -468,7 +453,7 @@ mod tests {
 
     #[test]
     fn scheme_labels_round_trip_through_parse() {
-        for kind in SchemeKind::EXTENDED {
+        for kind in SchemeKind::ALL {
             assert_eq!(SchemeKind::parse(kind.label()), Some(kind));
         }
         assert_eq!(SchemeKind::parse("gc"), None);

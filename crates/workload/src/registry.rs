@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use ts_sigscan::SignalPlatform;
 use ts_smr::dynamic::DynSmr;
-use ts_smr::{EpochScheme, HazardPointers, Leaky, Smr, StackTrackSim, ThreadScanSmr};
+use ts_smr::{EpochScheme, HazardPointers, Leaky, Smr, ThreadScanSmr};
 use ts_structures::{
     ConcurrentSet, HarrisList, LazyList, LockFreeHashTable, PqAsSet, SkipList, SplitOrderedSet,
     PQ_REQUIRED_SLOTS, REQUIRED_SLOTS,
@@ -67,7 +67,6 @@ impl SchemeKind {
                 params.slow_epoch_delay,
                 params.slow_epoch_period_ops,
             )),
-            SchemeKind::StackTrack => Arc::new(StackTrackSim::new()),
             SchemeKind::ThreadScan => {
                 let platform =
                     SignalPlatform::new().expect("signal platform unavailable on this system");
@@ -119,7 +118,7 @@ mod tests {
     #[test]
     fn every_scheme_kind_builds_and_names_itself() {
         let params = WorkloadParams::fig3(StructureKind::List, 2).scaled_down(64);
-        for kind in SchemeKind::EXTENDED {
+        for kind in SchemeKind::ALL {
             let scheme = kind.build(&params);
             assert_eq!(scheme.name(), kind.label(), "{kind:?}");
             assert_eq!(scheme.outstanding(), 0);

@@ -2,8 +2,8 @@
 //!
 //! The build environment has no access to crates.io, so this workspace
 //! vendors the *exact* subset of `libc` it uses: C scalar types, the
-//! signal/pthread/syscall surface of `ts-sigscan` and `ts-smr`, and the
-//! glibc struct layouts they read. Definitions mirror `libc` 0.2.x for
+//! signal/pthread surface of `ts-sigscan`, and the glibc struct layouts
+//! it reads. Definitions mirror `libc` 0.2.x for
 //! `x86_64-unknown-linux-gnu` / `aarch64-unknown-linux-gnu` — layouts
 //! must match glibc exactly because kernel-written memory (`ucontext_t`,
 //! `siginfo_t`) is reinterpreted through them.
@@ -63,15 +63,6 @@ pub fn SIGRTMIN() -> c_int {
 pub fn SIGRTMAX() -> c_int {
     unsafe { __libc_current_sigrtmax() }
 }
-
-// ---------------------------------------------------------------------------
-// Syscall numbers.
-// ---------------------------------------------------------------------------
-
-#[cfg(target_arch = "x86_64")]
-pub const SYS_membarrier: c_long = 324;
-#[cfg(target_arch = "aarch64")]
-pub const SYS_membarrier: c_long = 283;
 
 // ---------------------------------------------------------------------------
 // Structs (glibc layouts).
@@ -218,8 +209,6 @@ extern "C" {
     pub fn read(fd: c_int, buf: *mut c_void, count: size_t) -> ssize_t;
     pub fn write(fd: c_int, buf: *const c_void, count: size_t) -> ssize_t;
     pub fn nanosleep(req: *const timespec, rem: *mut timespec) -> c_int;
-
-    pub fn syscall(num: c_long, ...) -> c_long;
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use ts_sigscan::SignalPlatform;
 use ts_smr::dynamic::{DynSmr, ErasedSmr};
-use ts_smr::{EpochScheme, HazardPointers, Leaky, Smr, StackTrackSim, ThreadScanSmr};
+use ts_smr::{EpochScheme, HazardPointers, Leaky, Smr, ThreadScanSmr};
 use ts_structures::ConcurrentSet;
 use ts_workload::registry::HARNESS_HAZARD_SLOTS;
 use ts_workload::{SchemeKind, StructureKind, WorkloadParams};
@@ -78,7 +78,6 @@ fn run_mono(
             structure,
             params,
         ),
-        SchemeKind::StackTrack => go(StackTrackSim::new(), structure, params),
         SchemeKind::ThreadScan => go(
             ThreadScanSmr::with_config(
                 SignalPlatform::new().expect("signal platform"),
@@ -151,14 +150,14 @@ fn assert_equivalent(kind: SchemeKind, structure: StructureKind) {
 
 #[test]
 fn every_scheme_is_equivalent_through_the_erased_layer_on_the_list() {
-    for kind in SchemeKind::EXTENDED {
+    for kind in SchemeKind::ALL {
         assert_equivalent(kind, StructureKind::List);
     }
 }
 
 #[test]
 fn every_scheme_is_equivalent_through_the_erased_layer_on_the_hash() {
-    for kind in SchemeKind::EXTENDED {
+    for kind in SchemeKind::ALL {
         assert_equivalent(kind, StructureKind::Hash);
     }
 }
@@ -166,30 +165,16 @@ fn every_scheme_is_equivalent_through_the_erased_layer_on_the_hash() {
 #[test]
 fn erased_layer_is_equivalent_on_the_resizable_table() {
     // The split-ordered table resizes during churn — the most stateful
-    // structure; run it under the two schemes with per-reference state.
-    for kind in [SchemeKind::Hazard, SchemeKind::StackTrack] {
+    // structure.
+    for kind in SchemeKind::ALL {
         assert_equivalent(kind, StructureKind::SplitOrdered);
     }
 }
 
 #[test]
 fn every_scheme_is_equivalent_through_the_dyn_set_layer_on_the_skiplist() {
-    for kind in SchemeKind::EXTENDED {
+    for kind in SchemeKind::ALL {
         assert_equivalent(kind, StructureKind::Skip);
-    }
-}
-
-/// The resizable table again, under the four schemes the test above
-/// leaves out.
-#[test]
-fn dyn_set_layer_is_equivalent_on_the_growable_table() {
-    for kind in [
-        SchemeKind::Leaky,
-        SchemeKind::Epoch,
-        SchemeKind::SlowEpoch,
-        SchemeKind::ThreadScan,
-    ] {
-        assert_equivalent(kind, StructureKind::SplitOrdered);
     }
 }
 
@@ -199,7 +184,7 @@ fn dyn_set_layer_is_equivalent_on_the_growable_table() {
 /// under every scheme.
 #[test]
 fn dyn_set_layer_is_equivalent_on_the_pq_adapter() {
-    for kind in SchemeKind::EXTENDED {
+    for kind in SchemeKind::ALL {
         assert_equivalent(kind, StructureKind::Pq);
     }
 }

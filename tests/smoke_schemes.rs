@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
 use ts_sigscan::SignalPlatform;
-use ts_smr::{EpochScheme, HazardPointers, Leaky, Smr, StackTrackSim, ThreadScanSmr};
+use ts_smr::{EpochScheme, HazardPointers, Leaky, Smr, ThreadScanSmr};
 use ts_structures::{ConcurrentSet, HarrisList};
 
 /// Two threads, disjoint key stripes plus a contended stripe; every
@@ -100,12 +100,6 @@ fn hazard_pointers_smoke() {
 fn epoch_smoke() {
     let scheme = Arc::new(EpochScheme::new());
     assert_eq!(scheme.name(), "epoch");
-    smoke(scheme);
-}
-
-#[test]
-fn stacktrack_smoke() {
-    let scheme = Arc::new(StackTrackSim::new());
     smoke(scheme);
 }
 
