@@ -37,7 +37,7 @@ const OLD_CAP: usize = 1 << 20;
 /// target to 2^12 buckets.
 pub fn growth(args: &CliArgs) {
     let quick = args.get_flag("quick");
-    let threads = args.get_usize("threads", 4);
+    let threads = args.get_positive("threads", 4);
     let target_buckets = args.get_usize("target-buckets", if quick { 1 << 12 } else { 1 << 21 });
     let load_factor = args.get_usize("load-factor", 1);
     let timeout_s = args.get_usize("timeout", 120) as u64;
@@ -230,7 +230,7 @@ pub fn garbage(args: &CliArgs) {
     let quick = args.get_flag("quick");
     let duration = Duration::from_secs_f64(args.get_f64("duration", if quick { 0.5 } else { 3.0 }));
     let samples = args.get_positive("samples", 8);
-    let threads = args.get_usize("threads", 4);
+    let threads = args.get_positive("threads", 4);
     args.reject_unread(&[]);
 
     println!(

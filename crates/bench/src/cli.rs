@@ -91,9 +91,9 @@ impl CliArgs {
     /// Numeric value with a default.
     fn get_num<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
         match self.get(key) {
-            Some(v) => v
-                .parse()
-                .unwrap_or_else(|_| panic!("--{key} expects a number, got {v:?}")),
+            Some(v) => v.parse().unwrap_or_else(|_| {
+                usage_error(format_args!("--{key} expects a number, got {v:?}"))
+            }),
             None => default,
         }
     }
@@ -106,12 +106,14 @@ impl CliArgs {
     /// A count that divides or indexes what is measured: exits with
     /// status 2, naming the flag, on a zero.
     pub(crate) fn get_positive(&self, key: &str, default: usize) -> usize {
-        let n = self.get_usize(key, default);
-        if n == 0 {
-            eprintln!("ts-bench: --{key} must be at least 1");
-            std::process::exit(2);
-        }
-        n
+        at_least_one(key, self.get_usize(key, default))
+    }
+
+    /// [`Self::get_positive`] for every entry of a list: a thread count
+    /// of zero measures nothing.
+    pub(crate) fn get_positive_list(&self, key: &str, default: &[usize]) -> Vec<usize> {
+        let list = self.get_usize_list(key, default).into_iter();
+        list.map(|n| at_least_one(key, n)).collect()
     }
 
     /// `f64` value with a default.
@@ -125,7 +127,8 @@ impl CliArgs {
     }
 
     /// Comma-separated list with a default; `parse` rejects an item by
-    /// returning `None`, which panics naming the flag and `what` it takes.
+    /// returning `None`, which is a [`usage_error`] naming the flag and
+    /// `what` it takes.
     fn get_list<T: Clone>(
         &self,
         key: &str,
@@ -137,7 +140,9 @@ impl CliArgs {
             return default.to_vec();
         };
         let items = list.split(',').map(|item| {
-            parse(item.trim()).unwrap_or_else(|| panic!("--{key} expects {what}, got {item:?}"))
+            parse(item.trim()).unwrap_or_else(|| {
+                usage_error(format_args!("--{key} expects {what}, got {item:?}"))
+            })
         });
         items.collect()
     }
@@ -214,6 +219,22 @@ impl CliArgs {
             );
         }
     }
+}
+
+/// Ends the process on a command line that cannot be measured as given:
+/// one `ts-bench: <why>` line on stderr and status 2, before any cell
+/// runs or anything reaches stdout.
+pub(crate) fn usage_error(why: std::fmt::Arguments<'_>) -> ! {
+    eprintln!("ts-bench: {why}");
+    std::process::exit(2);
+}
+
+/// `n`, unless it is zero: then a [`usage_error`] naming `--key`.
+fn at_least_one(key: &str, n: usize) -> usize {
+    if n == 0 {
+        usage_error(format_args!("--{key} must be at least 1"));
+    }
+    n
 }
 
 /// Hardware threads of this machine.
@@ -294,11 +315,5 @@ mod tests {
         assert!(l.windows(2).all(|w| w[0] < w[1]));
         let o = oversub_ladder();
         assert!(o.iter().all(|&t| t >= 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "expects a number")]
-    fn bad_number_panics() {
-        args(&["--n", "abc"]).get_usize("n", 0);
     }
 }

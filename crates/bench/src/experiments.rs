@@ -16,7 +16,7 @@ use ts_workload::{
 };
 
 use crate::bespoke;
-use crate::cli::{hw_threads, oversub_ladder, thread_ladder, CliArgs};
+use crate::cli::{hw_threads, oversub_ladder, thread_ladder, usage_error, CliArgs};
 use crate::sweep::{col, ts, Cell, Common, Sweep, COLLECT_TAIL};
 
 /// How an experiment runs.
@@ -118,7 +118,7 @@ fn fig3(args: &CliArgs) -> Sweep {
     };
     s.grid(
         &args.get_structures("structures", &StructureKind::ALL),
-        &args.get_usize_list("threads", &ladder),
+        &args.get_positive_list("threads", &ladder),
         &args.get_schemes("schemes", &SchemeKind::ALL),
         |p| p,
     );
@@ -137,7 +137,7 @@ fn fig4(args: &CliArgs) -> Sweep {
         oversub_ladder()
     };
     for kind in StructureKind::ALL {
-        for &t in &args.get_usize_list("threads", &ladder) {
+        for &t in &args.get_positive_list("threads", &ladder) {
             s.grid(&[kind], &[t], &SchemeKind::OVERSUB, |p| p);
             if kind == Hash {
                 let tuned = s.common.cell(kind, t).with_ts_buffer(4096);
@@ -161,7 +161,7 @@ fn service_tail(args: &CliArgs) -> Sweep {
     let mut s = Sweep::new("service_tail", Common::parse(args, 3.0, 1));
     let quick = s.common.quick;
     s.common.scale = 1; // the table is sized by --keys, not a preset
-    let threads = args.get_usize_list("threads", &[if quick { 2 } else { 8 }]);
+    let threads = args.get_positive_list("threads", &[if quick { 2 } else { 8 }]);
     let keys = args.get_usize("keys", if quick { 262_144 } else { 4_000_000 });
     let theta = args.get_f64("theta", 0.99);
     let levels: &[f64] = if quick {
@@ -232,14 +232,15 @@ fn hetero(args: &CliArgs) -> Sweep {
     } else {
         thread_ladder()
     };
-    let threads = args.get_usize_list("threads", &ladder);
+    let threads = args.get_positive_list("threads", &ladder);
     let schemes = args.get_schemes("schemes", &SchemeKind::ALL);
     for spec in args
         .get("mixes")
         .unwrap_or("hash:50,skiplist:30,pq:20")
         .split(';')
     {
-        let mix = StructureMix::parse(spec).unwrap_or_else(|e| panic!("--mixes: {e}"));
+        let mix =
+            StructureMix::parse(spec).unwrap_or_else(|e| usage_error(format_args!("--mixes: {e}")));
         s.grid(&[Hash], &threads, &schemes, |p| {
             p.with_structures(mix.clone())
         });
@@ -263,7 +264,7 @@ fn buffer_size(args: &CliArgs) -> Sweep {
     } else {
         &[256, 512, 1024, 2048, 4096, 8192, 16384]
     };
-    let threads = args.get_usize_list("threads", &busy());
+    let threads = args.get_positive_list("threads", &busy());
     for size in args.get_usize_list("sizes", sizes) {
         s.grid(&[Hash], &threads, &[ThreadScan], |p| p.with_ts_buffer(size));
     }
@@ -282,7 +283,7 @@ fn buffer_size(args: &CliArgs) -> Sweep {
 /// nodes" (§6): more removals mean more scans but more freed per scan.
 fn update_ratio(args: &CliArgs) -> Sweep {
     let mut s = Sweep::new("update_ratio", Common::parse(args, 1.5, 1));
-    let threads = args.get_usize_list("threads", &busy());
+    let threads = args.get_positive_list("threads", &busy());
     for kind in [List, Hash] {
         for pct in args.get_usize_list("ratios", &[0, 10, 20, 50, 100]) {
             s.grid(&[kind], &threads, &BASELINES, |p| {
@@ -299,7 +300,7 @@ fn update_ratio(args: &CliArgs) -> Sweep {
 /// as survivors; epoch schemes do not care which node was retired.
 fn zipf(args: &CliArgs) -> Sweep {
     let mut s = Sweep::new("zipf", Common::parse(args, 1.5, 1));
-    let threads = args.get_usize_list("threads", &busy());
+    let threads = args.get_positive_list("threads", &busy());
     for kind in [Hash, List] {
         let skews = [0.5, 0.9, 0.99].map(|theta| KeyDist::Zipf { theta });
         for dist in [KeyDist::Uniform].into_iter().chain(skews) {
@@ -318,7 +319,7 @@ fn zipf(args: &CliArgs) -> Sweep {
 fn pq(args: &CliArgs) -> Sweep {
     let mut s = Sweep::new("pq", Common::parse(args, 1.5, 1));
     let prefill = args.get_usize("prefill", if s.common.quick { 1_000 } else { 20_000 });
-    let threads = args.get_usize_list("threads", &[1, 2, 4, 8]);
+    let threads = args.get_positive_list("threads", &[1, 2, 4, 8]);
     let schemes = [Leaky, Hazard, Epoch, ThreadScan];
     s.grid(&[Pq], &threads, &schemes, |mut p| {
         p.initial_size = prefill;
@@ -333,7 +334,7 @@ fn pq(args: &CliArgs) -> Sweep {
 fn telemetry(args: &CliArgs) -> Sweep {
     let mut s = Sweep::new("telemetry", Common::parse(args, 1.5, 3));
     for kind in args.get_structures("structure", &[List]) {
-        for t in args.get_usize_list("threads", &[2, 4]) {
+        for t in args.get_positive_list("threads", &[2, 4]) {
             for on in [false, true] {
                 let label = format!("threadscan[telemetry-{}]", if on { "on" } else { "off" });
                 let params = s.common.cell(kind, t).with_telemetry(on);

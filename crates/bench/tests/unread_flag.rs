@@ -1,7 +1,7 @@
 //! A typo is not a measurement: `ts-bench` exits with status 2, naming
-//! the flag, the stray word or the zero count, before it measures
-//! anything — sweeps and bespoke experiments alike — while the correctly
-//! spelt flag runs.
+//! the flag, the stray word, the zero count or the malformed value, before
+//! it measures anything — sweeps and bespoke experiments alike — while the
+//! correctly spelt flag runs.
 
 use std::process::{Command, Output};
 
@@ -10,6 +10,15 @@ fn ts_bench(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("spawn ts-bench")
+}
+
+/// `ts-bench args` exits 2 with `needle` on stderr and nothing on stdout.
+fn assert_usage_error(args: &[&str], needle: &str) {
+    let out = ts_bench(args);
+    assert_eq!(out.status.code(), Some(2), "{args:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?} printed before failing");
 }
 
 #[test]
@@ -26,12 +35,42 @@ fn a_misspelt_flag_fails_before_the_first_cell() {
         (&["garbage", "--quick", "--samples", "0"][..], "--samples"),
         (&["probes", "--quick", "--trials", "0"][..], "--trials"),
         (&["probes", "--quick", "--iters", "0"][..], "--iters"),
+        // A thread count of zero, in a list or alone.
+        (
+            &["fig3", "--quick", "--threads", "0"][..],
+            "--threads must be at least 1",
+        ),
+        (
+            &["fig4", "--quick", "--threads", "2,0"][..],
+            "--threads must be at least 1",
+        ),
+        (
+            &["garbage", "--quick", "--threads", "0"][..],
+            "--threads must be at least 1",
+        ),
     ] {
-        let out = ts_bench(args);
-        assert_eq!(out.status.code(), Some(2), "{args:?}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(flag), "{args:?}: {stderr}");
-        assert!(out.stdout.is_empty(), "{args:?} printed before failing");
+        assert_usage_error(args, flag);
+    }
+}
+
+#[test]
+fn a_malformed_value_fails_before_the_first_cell() {
+    for (args, flag) in [
+        (
+            &["fig3", "--quick", "--schemes", "leaky,threadsan"][..],
+            "--schemes expects scheme labels",
+        ),
+        (
+            &["fig3", "--quick", "--threads", "x"][..],
+            "--threads expects numbers",
+        ),
+        (
+            &["fig3", "--quick", "--duration", "abc"][..],
+            "--duration expects a number",
+        ),
+        (&["hetero", "--quick", "--mixes", "hash:0"][..], "--mixes"),
+    ] {
+        assert_usage_error(args, flag);
     }
 }
 

@@ -26,10 +26,8 @@ pub type DropFn = unsafe fn(*mut u8);
 /// (or several, if desired).
 pub trait Smr: Send + Sync + 'static {
     /// Per-thread state. Created once per accessing thread, dropped when
-    /// the thread stops accessing the structure. (`'static` so handles
-    /// can be type-erased behind `Box<dyn DynHandle>`; every handle owns
-    /// its scheme state via `Arc` anyway.)
-    type Handle: SmrHandle + 'static;
+    /// the thread stops accessing the structure.
+    type Handle: SmrHandle;
 
     /// Registers the calling thread.
     fn register(&self) -> Self::Handle;

@@ -16,15 +16,12 @@
 //! and Figure 4 comparisons are produced.
 //!
 //! Operations are bracketed by the RAII [`Guard`] returned from
-//! [`SmrHandle::pin`] (see [`guard`]); harnesses that pick schemes at
-//! runtime hold them as `Arc<dyn DynSmr>` via the object-safe [`dynamic`]
-//! layer.
+//! [`SmrHandle::pin`] (see [`guard`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod api;
-pub mod dynamic;
 pub mod epoch;
 pub mod guard;
 pub mod hazard;
@@ -32,7 +29,6 @@ pub mod leaky;
 pub mod threadscan_smr;
 
 pub use api::{retire_box, DropFn, Smr, SmrHandle};
-pub use dynamic::{DynHandle, DynSmr, ErasedHandle, ErasedSmr};
 pub use epoch::{EpochHandle, EpochScheme};
 pub use guard::Guard;
 pub use hazard::{HazardPointers, HpHandle};

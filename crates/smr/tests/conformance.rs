@@ -18,7 +18,7 @@
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
-use ts_smr::{retire_box, EpochScheme, ErasedSmr, HazardPointers, Smr, SmrHandle};
+use ts_smr::{retire_box, EpochScheme, HazardPointers, Smr, SmrHandle};
 
 /// A drop-counting node with enough body that use-after-free corrupts
 /// observable state under sanitizers.
@@ -193,14 +193,3 @@ conformance!(
     EpochScheme::slow(32, std::time::Duration::from_millis(1), 512)
 );
 conformance!(hazard, HazardPointers::with_params(4, 16));
-
-// The type-erased adapter must satisfy the exact same contract: the whole
-// battery again through `ErasedSmr` (every hook crossing a vtable).
-conformance!(
-    erased_epoch,
-    ErasedSmr::new(Arc::new(EpochScheme::with_threshold(32)))
-);
-conformance!(
-    erased_hazard,
-    ErasedSmr::new(Arc::new(HazardPointers::with_params(4, 16)))
-);

@@ -2,9 +2,8 @@
 //!
 //! [`ConcurrentSet<S>`] is object-safe, so a *heterogeneous* run — several
 //! different structures sharing one collector — holds them all as
-//! `Arc<dyn ConcurrentSet<ErasedSmr>>` while every one of them retires
-//! through the *same* `Arc<dyn DynSmr>` scheme instance behind
-//! [`ErasedSmr`](ts_smr::ErasedSmr). The one evaluation structure that is
+//! `Arc<dyn ConcurrentSet<S>>` while every one of them retires through
+//! the *same* scheme instance `S`. The one evaluation structure that is
 //! not a set joins through [`PqAsSet`], which adapts the Shavit–Lotan
 //! [`PriorityQueue`]: `insert` maps to a queue insert, `remove` to
 //! `delete_min` (the key argument picks no particular element),
@@ -85,21 +84,16 @@ mod tests {
     use super::*;
     use crate::{HarrisList, SplitOrderedSet};
     use std::sync::Arc;
-    use ts_smr::{DynSmr, ErasedSmr, Leaky};
-
-    fn erased_leaky() -> ErasedSmr {
-        let scheme: Arc<dyn DynSmr> = Arc::new(Leaky::new());
-        ErasedSmr::new(scheme)
-    }
+    use ts_smr::Leaky;
 
     #[test]
     fn heterogeneous_structures_share_one_scheme() {
-        let erased = erased_leaky();
-        let h = Smr::register(&erased);
-        let sets: Vec<Arc<dyn ConcurrentSet<ErasedSmr>>> = vec![
-            Arc::new(HarrisList::<ErasedSmr>::new()),
-            Arc::new(SplitOrderedSet::<ErasedSmr>::new()),
-            Arc::new(PqAsSet::<ErasedSmr>::new()),
+        let scheme = Leaky::new();
+        let h = scheme.register();
+        let sets: Vec<Arc<dyn ConcurrentSet<Leaky>>> = vec![
+            Arc::new(HarrisList::<Leaky>::new()),
+            Arc::new(SplitOrderedSet::<Leaky>::new()),
+            Arc::new(PqAsSet::<Leaky>::new()),
         ];
         for set in &sets {
             assert!(set.insert(&h, 7));
@@ -117,11 +111,11 @@ mod tests {
 
     #[test]
     fn erased_ops_agree_with_the_generic_trait() {
-        let erased = erased_leaky();
-        let h = Smr::register(&erased);
-        let set = SplitOrderedSet::<ErasedSmr>::new();
+        let scheme = Leaky::new();
+        let h = scheme.register();
+        let set = SplitOrderedSet::<Leaky>::new();
         assert!(set.insert(&h, 1));
-        let dyn_set: &dyn ConcurrentSet<ErasedSmr> = &set;
+        let dyn_set: &dyn ConcurrentSet<Leaky> = &set;
         assert!(!dyn_set.insert(&h, 1), "duplicate visible through erasure");
         assert!(dyn_set.contains(&h, 1));
         assert!(dyn_set.remove(&h, 1));

@@ -27,8 +27,9 @@
 //!   [`GrowableDirectory`] (cite \[42\]).
 //!
 //! For heterogeneous runs — several structure types sharing one collector
-//! — the structures are held as `dyn ConcurrentSet<ErasedSmr>` objects,
-//! and [`PqAsSet`] adapts the priority queue to the set-shaped interface.
+//! — the structures are held as `dyn ConcurrentSet<S>` objects over one
+//! concrete scheme `S`, and [`PqAsSet`] adapts the priority queue to the
+//! set-shaped interface.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -12,13 +12,13 @@
 //!   closed loop, or open-loop Poisson / bursty arrival schedules with
 //!   coordinated-omission-correct per-op latency;
 //! * [`registry`] — the scheme and structure factories
-//!   ([`SchemeKind::build`], [`StructureKind::build_set`]): one line per
-//!   variant, the only harness code that names concrete types;
-//! * [`runner`] — the one measurement loop ([`run_combo`]): registry-built
-//!   `Arc<dyn DynSmr>` / `Arc<dyn ConcurrentSet<_>>` objects, one
-//!   structure per cell or a weighted [`StructureMix`] of several sharing
-//!   one scheme instance (the priority queue joins as
-//!   [`StructureKind::Pq`]);
+//!   ([`SchemeKind::with`], [`StructureKind::build_set`]): one match arm
+//!   per variant, the only harness code that names concrete types;
+//! * [`runner`] — the one measurement loop ([`run_combo`]): monomorphic
+//!   in the cell's scheme `S`, over registry-built
+//!   `Arc<dyn ConcurrentSet<S>>` objects, one structure per cell or a
+//!   weighted [`StructureMix`] of several sharing one scheme instance (the
+//!   priority queue joins as [`StructureKind::Pq`]);
 //! * [`report`] — figure-style series tables + JSON lines.
 
 #![warn(missing_docs)]

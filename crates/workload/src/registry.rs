@@ -1,19 +1,19 @@
-//! The scheme and structure registries — the two single-line-per-variant
-//! factories that replaced the runner's nested `SchemeKind ×
-//! StructureKind` dispatch match.
+//! The scheme and structure registries — the two one-match-per-kind
+//! factories every cell is built from.
 //!
-//! Adding a scheme is now: implement [`ts_smr::Smr`] in its own module,
-//! add a [`SchemeKind`] variant, and add one arm to [`SchemeKind::build`].
-//! Adding a structure is: implement [`ConcurrentSet`] in its own module,
-//! add a [`StructureKind`] variant, and add one arm to
-//! [`StructureKind::build_set`]. Nothing else in the harness changes —
-//! the runner drives `Arc<dyn DynSmr>` / `Arc<dyn ConcurrentSet<_>>`
-//! objects and never names a concrete combination.
+//! Adding a scheme is: implement [`ts_smr::Smr`] in its own module, give
+//! it a [`HarnessScheme`] impl, add a [`SchemeKind`] variant, and add one
+//! arm to [`SchemeKind::with`]. Adding a structure is: implement
+//! [`ConcurrentSet`] in its own module, add a [`StructureKind`] variant,
+//! and add one arm to [`StructureKind::build_set`]. Nothing else in the
+//! harness changes: the runner is one [`SchemeFn`], generic over the
+//! scheme, that drives `Arc<dyn ConcurrentSet<S>>` objects and never names
+//! a concrete combination.
 
 use std::sync::Arc;
 
+use threadscan::StatsSnapshot;
 use ts_sigscan::SignalPlatform;
-use ts_smr::dynamic::DynSmr;
 use ts_smr::{EpochScheme, HazardPointers, Leaky, Smr, ThreadScanSmr};
 use ts_structures::{
     ConcurrentSet, HarrisList, LazyList, LockFreeHashTable, PqAsSet, SkipList, SplitOrderedSet,
@@ -31,66 +31,115 @@ pub const HARNESS_HAZARD_SLOTS: usize = if REQUIRED_SLOTS > PQ_REQUIRED_SLOTS {
     PQ_REQUIRED_SLOTS
 };
 
+/// A scheme the harness runs, with the report fields only some schemes
+/// have. Both default to `None`.
+pub trait HarnessScheme: Smr {
+    /// The collector's counters (ThreadScan only).
+    fn collector_stats(&self) -> Option<StatsSnapshot> {
+        None
+    }
+
+    /// Nodes intentionally leaked (Leaky only).
+    fn leaked(&self) -> Option<usize> {
+        None
+    }
+}
+
+impl HarnessScheme for Leaky {
+    fn leaked(&self) -> Option<usize> {
+        Some(Leaky::leaked(self))
+    }
+}
+
+impl HarnessScheme for HazardPointers {}
+
+impl HarnessScheme for EpochScheme {}
+
+impl HarnessScheme for ThreadScanSmr<SignalPlatform> {
+    fn collector_stats(&self) -> Option<StatsSnapshot> {
+        Some(self.stats())
+    }
+}
+
+/// Code generic over the scheme of a cell: [`SchemeKind::with`] builds the
+/// concrete scheme and hands it to [`call`](Self::call), which is then
+/// monomorphized per scheme.
+pub trait SchemeFn {
+    /// What the code returns.
+    type Out;
+
+    /// Runs with the cell's scheme.
+    fn call<S: HarnessScheme>(self, scheme: S) -> Self::Out;
+}
+
+/// The ThreadScan arm of [`SchemeKind::with`]: the signal platform and a
+/// collector configured from `params`.
+fn threadscan(params: &WorkloadParams) -> ThreadScanSmr<SignalPlatform> {
+    let platform = SignalPlatform::new().expect("signal platform unavailable on this system");
+    let mut config =
+        threadscan::CollectorConfig::default().with_buffer_capacity(params.ts_buffer_capacity);
+    if params.telemetry {
+        config = config.with_telemetry(ts_telemetry::sink());
+    }
+    ThreadScanSmr::with_config(platform, config)
+}
+
 impl SchemeKind {
-    /// Builds this scheme, type-erased, configured from `params`.
+    /// Builds this scheme, configured from `params`, and runs `f` with it.
     ///
     /// This is the scheme registry: one arm per variant, and the only
-    /// place in the harness that names concrete scheme types. Callers
-    /// hold the result as `Arc<dyn DynSmr>` and, to drive generic
-    /// structures with it, wrap it in
-    /// [`ErasedSmr`](ts_smr::dynamic::ErasedSmr).
+    /// place in the harness that names concrete scheme types. Everything
+    /// `f` does is monomorphic in the scheme: no call it makes into the
+    /// scheme or a structure over it crosses a scheme vtable.
     ///
     /// ```
-    /// use ts_smr::DynSmr;
+    /// use ts_workload::registry::{HarnessScheme, SchemeFn};
     /// use ts_workload::{SchemeKind, StructureKind, WorkloadParams};
     ///
+    /// /// Inserts one key into a list, then reports the scheme's books.
+    /// struct InsertOne<'a>(&'a WorkloadParams);
+    ///
+    /// impl SchemeFn for InsertOne<'_> {
+    ///     type Out = (&'static str, usize);
+    ///     fn call<S: HarnessScheme>(self, scheme: S) -> Self::Out {
+    ///         let set = StructureKind::List.build_set::<S>(self.0);
+    ///         assert!(set.insert(&scheme.register(), 7));
+    ///         scheme.quiesce();
+    ///         (scheme.name(), scheme.outstanding())
+    ///     }
+    /// }
+    ///
     /// let params = WorkloadParams::fig3(StructureKind::List, 2);
-    /// let scheme = SchemeKind::Epoch.build(&params);
-    /// assert_eq!(scheme.name(), "epoch");
-    /// let handle = scheme.register_dyn();
-    /// handle.begin_op();
-    /// handle.end_op();
-    /// assert_eq!(scheme.outstanding(), 0);
+    /// assert_eq!(SchemeKind::Epoch.with(&params, InsertOne(&params)), ("epoch", 0));
     /// ```
     ///
     /// # Panics
     ///
     /// `SchemeKind::ThreadScan` panics when the process cannot install
     /// its signal platform (no spare POSIX real-time signal).
-    pub fn build(self, params: &WorkloadParams) -> Arc<dyn DynSmr> {
+    pub fn with<F: SchemeFn>(self, params: &WorkloadParams, f: F) -> F::Out {
         match self {
-            SchemeKind::Leaky => Arc::new(Leaky::new()),
-            SchemeKind::Hazard => Arc::new(HazardPointers::with_params(HARNESS_HAZARD_SLOTS, 64)),
-            SchemeKind::Epoch => Arc::new(EpochScheme::with_threshold(1024)),
-            SchemeKind::SlowEpoch => Arc::new(EpochScheme::slow(
+            SchemeKind::Leaky => f.call(Leaky::new()),
+            SchemeKind::Hazard => f.call(HazardPointers::with_params(HARNESS_HAZARD_SLOTS, 64)),
+            SchemeKind::Epoch => f.call(EpochScheme::with_threshold(1024)),
+            SchemeKind::SlowEpoch => f.call(EpochScheme::slow(
                 1024,
                 params.slow_epoch_delay,
                 params.slow_epoch_period_ops,
             )),
-            SchemeKind::ThreadScan => {
-                let platform =
-                    SignalPlatform::new().expect("signal platform unavailable on this system");
-                let mut config = threadscan::CollectorConfig::default()
-                    .with_buffer_capacity(params.ts_buffer_capacity);
-                if params.telemetry {
-                    config = config.with_telemetry(ts_telemetry::sink());
-                }
-                Arc::new(ThreadScanSmr::with_config(platform, config))
-            }
+            SchemeKind::ThreadScan => f.call(threadscan(params)),
         }
     }
 }
 
 impl StructureKind {
-    /// Builds this structure for scheme `S`, type-erased behind the
+    /// Builds this structure for scheme `S`, behind the object-safe
     /// [`ConcurrentSet`] trait, sized from `params`.
     ///
     /// This is the structure registry: one arm per variant. The runner
-    /// instantiates it at `S =` [`ErasedSmr`](ts_smr::dynamic::ErasedSmr)
-    /// (one monomorphization per structure, any scheme at runtime, and
-    /// one object type for every structure of a heterogeneous run);
-    /// library users and the equivalence tests can instantiate it with a
-    /// concrete scheme for the zero-virtual-call fast path.
+    /// instantiates it at the cell's concrete scheme, so a structure costs
+    /// one virtual call per operation and none per traversal step, and
+    /// every structure of a heterogeneous run has the same object type.
     pub fn build_set<S: Smr>(self, params: &WorkloadParams) -> Arc<dyn ConcurrentSet<S>> {
         match self {
             StructureKind::List => Arc::new(HarrisList::<S>::new()),
@@ -113,27 +162,37 @@ impl StructureKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ts_smr::dynamic::ErasedSmr;
+    use ts_smr::SmrHandle;
+
+    /// What a freshly built scheme says about itself.
+    struct Describe;
+
+    impl SchemeFn for Describe {
+        type Out = (&'static str, usize, Option<usize>);
+        fn call<S: HarnessScheme>(self, scheme: S) -> Self::Out {
+            scheme.quiesce(); // must be callable on a fresh scheme
+            let slots = scheme.register().protection_slots();
+            (scheme.name(), scheme.outstanding(), slots)
+        }
+    }
 
     #[test]
     fn every_scheme_kind_builds_and_names_itself() {
         let params = WorkloadParams::fig3(StructureKind::List, 2).scaled_down(64);
         for kind in SchemeKind::ALL {
-            let scheme = kind.build(&params);
-            assert_eq!(scheme.name(), kind.label(), "{kind:?}");
-            assert_eq!(scheme.outstanding(), 0);
-            scheme.quiesce(); // must be callable on a fresh scheme
+            let (name, outstanding, _) = kind.with(&params, Describe);
+            assert_eq!(name, kind.label(), "{kind:?}");
+            assert_eq!(outstanding, 0);
         }
     }
 
     #[test]
-    fn every_structure_kind_builds_for_an_erased_scheme() {
+    fn every_structure_kind_builds_for_a_concrete_scheme() {
         let params = WorkloadParams::fig3(StructureKind::List, 2).scaled_down(64);
-        let scheme = SchemeKind::Epoch.build(&params);
-        let erased = ErasedSmr::new(scheme);
-        let handle = erased.register();
+        let scheme = EpochScheme::with_threshold(1024);
+        let handle = scheme.register();
         for kind in StructureKind::EXTENDED {
-            let set = kind.build_set::<ErasedSmr>(&params);
+            let set = kind.build_set::<EpochScheme>(&params);
             assert!(set.insert(&handle, 7), "{kind:?}");
             assert!(set.contains(&handle, 7));
             assert!(set.remove(&handle, 7));
@@ -144,10 +203,10 @@ mod tests {
     #[test]
     fn every_structure_kind_builds_dyn_including_the_pq() {
         let params = WorkloadParams::fig3(StructureKind::List, 2).scaled_down(64);
-        let erased = ErasedSmr::new(SchemeKind::Epoch.build(&params));
-        let handle = erased.register();
+        let scheme = EpochScheme::with_threshold(1024);
+        let handle = scheme.register();
         // The queue adapter pops the minimum whatever key is asked for.
-        let pq = StructureKind::Pq.build_set::<ErasedSmr>(&params);
+        let pq = StructureKind::Pq.build_set::<EpochScheme>(&params);
         assert!(pq.insert(&handle, 7));
         assert!(pq.contains(&handle, 0));
         assert!(pq.remove(&handle, 0));
@@ -156,7 +215,7 @@ mod tests {
         assert_eq!(pq.bucket_count(), None);
         // Only the split-ordered table reports a directory size.
         assert!(StructureKind::SplitOrdered
-            .build_set::<ErasedSmr>(&params)
+            .build_set::<EpochScheme>(&params)
             .bucket_count()
             .is_some());
     }
@@ -167,21 +226,12 @@ mod tests {
             .scaled_down(64)
             .with_ts_buffer(4096)
             .with_telemetry(true);
-        let scheme = SchemeKind::ThreadScan.build(&params);
-        let ts = scheme
-            .as_any()
-            .downcast_ref::<ThreadScanSmr<ts_sigscan::SignalPlatform>>()
-            .expect("threadscan scheme");
+        let ts = threadscan(&params);
         assert!(ts.collector().config().telemetry.is_some());
         assert_eq!(ts.collector().config().buffer_capacity, 4096);
 
         // Default params stay telemetry-free: no sink, no extra atomics.
-        let plain = SchemeKind::ThreadScan
-            .build(&WorkloadParams::fig3(StructureKind::List, 2).scaled_down(64));
-        let plain = plain
-            .as_any()
-            .downcast_ref::<ThreadScanSmr<ts_sigscan::SignalPlatform>>()
-            .unwrap();
+        let plain = threadscan(&WorkloadParams::fig3(StructureKind::List, 2).scaled_down(64));
         assert!(plain.collector().config().telemetry.is_none());
     }
 
@@ -192,10 +242,7 @@ mod tests {
             assert!(HARNESS_HAZARD_SLOTS >= PQ_REQUIRED_SLOTS);
         }
         let params = WorkloadParams::fig3(StructureKind::Skip, 1).scaled_down(64);
-        let scheme = SchemeKind::Hazard.build(&params);
-        assert_eq!(
-            scheme.register_dyn().protection_slots(),
-            Some(HARNESS_HAZARD_SLOTS)
-        );
+        let (_, _, slots) = SchemeKind::Hazard.with(&params, Describe);
+        assert_eq!(slots, Some(HARNESS_HAZARD_SLOTS));
     }
 }

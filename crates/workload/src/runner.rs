@@ -10,13 +10,13 @@
 //! scheme instance — ThreadScan's pitch is *process-wide* reclamation,
 //! and the collector does not care what sits on top.
 //!
-//! Dispatch is registry-based (see [`crate::registry`]): the scheme is
-//! built as `Arc<dyn DynSmr>`, wrapped in [`ErasedSmr`], and every
-//! structure as `Arc<dyn ConcurrentSet<ErasedSmr>>` — the runner never
-//! names a concrete (scheme × structure) pair. Scheme-specific report
-//! fields (Leaky's leak counter, ThreadScan's collector statistics) are
-//! recovered by downcasting through
-//! [`DynSmr::as_any`](ts_smr::dynamic::DynSmr::as_any).
+//! Dispatch is registry-based (see [`crate::registry`]):
+//! [`SchemeKind::with`] picks the concrete scheme `S` once per cell, and
+//! the loop drives every structure as an `Arc<dyn ConcurrentSet<S>>` —
+//! one virtual call per operation, none per traversal step, and the
+//! runner never names a concrete (scheme × structure) pair.
+//! Scheme-specific report fields (Leaky's leak counter, ThreadScan's
+//! collector statistics) come from [`HarnessScheme`].
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
@@ -25,15 +25,14 @@ use std::time::Instant;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use threadscan::StatsSnapshot;
-use ts_sigscan::SignalPlatform;
-use ts_smr::dynamic::ErasedSmr;
-use ts_smr::{Leaky, Smr, SmrHandle, ThreadScanSmr};
+use ts_smr::{Smr, SmrHandle};
 use ts_structures::ConcurrentSet;
 
 use crate::dist::WeightedPick;
 use crate::load::{self, Aggregate, LatencySummary, OpenLoopExtras};
 use crate::mix::{prefill_keys, Op, OpMix};
 use crate::params::{SchemeKind, WorkloadParams};
+use crate::registry::{HarnessScheme, SchemeFn};
 
 /// Per-structure share of a heterogeneous run.
 #[derive(Debug, Clone)]
@@ -170,7 +169,7 @@ impl RunResult {
 
 /// One structure of a run: the set, and the single-structure cell that
 /// sizes it and shapes its op stream.
-type Target = (Arc<dyn ConcurrentSet<ErasedSmr>>, WorkloadParams);
+type Target<S> = (Arc<dyn ConcurrentSet<S>>, WorkloadParams);
 
 /// The measurement loop: prefills every target, then drives them for
 /// `params.duration` from `params.threads` workers and returns the merged
@@ -185,7 +184,7 @@ type Target = (Arc<dyn ConcurrentSet<ErasedSmr>>, WorkloadParams);
 /// layer ([`crate::load::drive_worker`]): under the closed model a per-op
 /// relaxed stop check and no clocks, under an open model an arrival
 /// schedule with latency from intended arrival to completion.
-fn drive(scheme: &Arc<ErasedSmr>, targets: &[Target], params: &WorkloadParams) -> (Aggregate, f64) {
+fn drive<S: Smr>(scheme: &S, targets: &[Target<S>], params: &WorkloadParams) -> (Aggregate, f64) {
     {
         let handle = scheme.register();
         for (set, cell) in targets {
@@ -257,78 +256,92 @@ fn drive(scheme: &Arc<ErasedSmr>, targets: &[Target], params: &WorkloadParams) -
 
 /// Runs one experiment cell through the scheme and structure registries.
 ///
-/// No (scheme × structure) dispatch happens here: [`SchemeKind::build`]
-/// yields the scheme as `Arc<dyn DynSmr>`, [`StructureKind::build_set`]
-/// each structure of `params.structures` as
-/// `Arc<dyn ConcurrentSet<ErasedSmr>>`, and the measurement loop drives
-/// them through the erased adapter. A single structure is sized by
-/// `params` itself and reported under its own label; the members of a mix
-/// are each sized by their own Figure 3 preset at the cell's scale
-/// ([`WorkloadParams::hetero_cell`]), the label is `hetero(<mix>)`
+/// No (scheme × structure) dispatch happens here: [`SchemeKind::with`]
+/// builds the concrete scheme `S` and runs the cell generic over it, with
+/// each structure of `params.structures` built by
+/// [`StructureKind::build_set`] as an `Arc<dyn ConcurrentSet<S>>`. A
+/// single structure is sized by `params` itself and reported under its
+/// own label; the members of a mix are each sized by their own Figure 3
+/// preset at the cell's scale ([`WorkloadParams::hetero_cell`]), the label
+/// is `hetero(<mix>)`
 /// ([`StructureMix::row_label`](crate::params::StructureMix::row_label))
 /// and `per_structure` carries the split.
 ///
 /// [`StructureKind::build_set`]: crate::params::StructureKind::build_set
 pub fn run_combo(scheme: SchemeKind, params: &WorkloadParams) -> RunResult {
-    let dyn_scheme = scheme.build(params);
-    let erased = Arc::new(ErasedSmr::new(Arc::clone(&dyn_scheme)));
-    let single = params.structures.as_single();
-    let targets: Vec<Target> = params
-        .structures
-        .entries()
-        .iter()
-        .map(|&(kind, _)| {
-            let cell = match single {
-                Some(_) => params.clone(),
-                None => params.hetero_cell(kind),
-            };
-            (kind.build_set::<ErasedSmr>(&cell), cell)
-        })
-        .collect();
+    scheme.with(params, Combo { scheme, params })
+}
 
-    let (agg, secs) = drive(&erased, &targets, params);
-    let secs = secs.max(1e-9);
+/// The body of [`run_combo`], generic over the scheme
+/// [`SchemeKind::with`] built.
+struct Combo<'a> {
+    scheme: SchemeKind,
+    params: &'a WorkloadParams,
+}
 
-    // Scheme-specific fields, recovered from the erased scheme by
-    // downcast. The collector's counters are read *before* the quiesce:
-    // its small drain phases would dilute the per-phase latency/sort
-    // means, and the snapshot should describe the measured window. After
-    // it, Leaky's count is intentional leakage and must not read as a
-    // deficit, so it is reported as `leaked`, not `outstanding_after`.
-    let scheme_any = dyn_scheme.as_any();
-    let threadscan = scheme_any
-        .downcast_ref::<ThreadScanSmr<SignalPlatform>>()
-        .map(|ts| ts.stats());
-    dyn_scheme.quiesce();
-    let leaked = scheme_any.downcast_ref::<Leaky>().map(Leaky::leaked);
-    let outstanding_after = leaked.is_none().then(|| dyn_scheme.outstanding());
+impl SchemeFn for Combo<'_> {
+    type Out = RunResult;
 
-    let split = params.structures.entries().iter().enumerate();
-    let split = split.map(|(i, &(kind, _))| StructureOps {
-        structure: kind.label().to_string(),
-        ops: agg.class_ops[i],
-        ops_per_sec: agg.class_ops[i] as f64 / secs,
-        latency: agg.class_latency[i].clone(),
-    });
-    let per_structure = match single {
-        Some(_) => Vec::new(), // a lone structure's split is the row itself
-        None => split.collect(),
-    };
-    RunResult {
-        scheme: scheme.label().to_string(),
-        structure: params.structures.row_label(),
-        threads: params.threads,
-        duration_s: secs,
-        total_ops: agg.total_ops,
-        ops_per_sec: agg.total_ops as f64 / secs,
-        outstanding_after,
-        leaked,
-        protection_slots: erased.register().protection_slots(),
-        threadscan,
-        per_structure,
-        bucket_count: targets.iter().find_map(|(set, _)| set.bucket_count()),
-        open_loop: agg.open_extras(&params.load_model),
-        latency: agg.latency,
+    fn call<S: HarnessScheme>(self, scheme: S) -> RunResult {
+        let Combo {
+            scheme: kind,
+            params,
+        } = self;
+        let single = params.structures.as_single();
+        let targets: Vec<Target<S>> = params
+            .structures
+            .entries()
+            .iter()
+            .map(|&(kind, _)| {
+                let cell = match single {
+                    Some(_) => params.clone(),
+                    None => params.hetero_cell(kind),
+                };
+                (kind.build_set::<S>(&cell), cell)
+            })
+            .collect();
+
+        let (agg, secs) = drive(&scheme, &targets, params);
+        let secs = secs.max(1e-9);
+
+        // The collector's counters are read *before* the quiesce: its
+        // small drain phases would dilute the per-phase latency/sort
+        // means, and the snapshot should describe the measured window.
+        // After it, Leaky's count is intentional leakage and must not read
+        // as a deficit, so it is reported as `leaked`, not
+        // `outstanding_after`.
+        let threadscan = scheme.collector_stats();
+        scheme.quiesce();
+        let leaked = scheme.leaked();
+        let outstanding_after = leaked.is_none().then(|| scheme.outstanding());
+
+        let split = params.structures.entries().iter().enumerate();
+        let split = split.map(|(i, &(kind, _))| StructureOps {
+            structure: kind.label().to_string(),
+            ops: agg.class_ops[i],
+            ops_per_sec: agg.class_ops[i] as f64 / secs,
+            latency: agg.class_latency[i].clone(),
+        });
+        let per_structure = match single {
+            Some(_) => Vec::new(), // a lone structure's split is the row itself
+            None => split.collect(),
+        };
+        RunResult {
+            scheme: kind.label().to_string(),
+            structure: params.structures.row_label(),
+            threads: params.threads,
+            duration_s: secs,
+            total_ops: agg.total_ops,
+            ops_per_sec: agg.total_ops as f64 / secs,
+            outstanding_after,
+            leaked,
+            protection_slots: scheme.register().protection_slots(),
+            threadscan,
+            per_structure,
+            bucket_count: targets.iter().find_map(|(set, _)| set.bucket_count()),
+            open_loop: agg.open_extras(&params.load_model),
+            latency: agg.latency,
+        }
     }
 }
 
@@ -336,9 +349,10 @@ pub fn run_combo(scheme: SchemeKind, params: &WorkloadParams) -> RunResult {
 mod tests {
     use super::*;
     use crate::params::{StructureKind, StructureMix};
+    use crate::registry::HARNESS_HAZARD_SLOTS;
     use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
-    use ts_smr::ErasedHandle;
+    use ts_smr::{Leaky, LeakyHandle};
     use ts_structures::PqAsSet;
 
     fn quick(structure: StructureKind, threads: usize) -> WorkloadParams {
@@ -362,11 +376,10 @@ mod tests {
 
     /// Drives one injected set through the measurement loop under Leaky.
     fn drive_injected(
-        set: Arc<dyn ConcurrentSet<ErasedSmr>>,
+        set: Arc<dyn ConcurrentSet<Leaky>>,
         params: &WorkloadParams,
     ) -> (Aggregate, f64) {
-        let scheme = Arc::new(ErasedSmr::new(Arc::new(Leaky::new())));
-        drive(&scheme, &[(set, params.clone())], params)
+        drive(&Leaky::new(), &[(set, params.clone())], params)
     }
 
     /// A set whose every operation takes ~`OP_MS` ms: long enough that a
@@ -375,16 +388,16 @@ mod tests {
 
     const OP_MS: u64 = 5;
 
-    impl ConcurrentSet<ErasedSmr> for StallingSet {
-        fn contains(&self, _h: &ErasedHandle, _k: u64) -> bool {
+    impl ConcurrentSet<Leaky> for StallingSet {
+        fn contains(&self, _h: &LeakyHandle, _k: u64) -> bool {
             std::thread::sleep(Duration::from_millis(OP_MS));
             false
         }
-        fn insert(&self, _h: &ErasedHandle, _k: u64) -> bool {
+        fn insert(&self, _h: &LeakyHandle, _k: u64) -> bool {
             std::thread::sleep(Duration::from_millis(OP_MS));
             true
         }
-        fn remove(&self, _h: &ErasedHandle, _k: u64) -> bool {
+        fn remove(&self, _h: &LeakyHandle, _k: u64) -> bool {
             std::thread::sleep(Duration::from_millis(OP_MS));
             false
         }
@@ -443,6 +456,9 @@ mod tests {
         assert!(p50 <= p95 && p95 <= p99);
     }
 
+    /// Also pins which scheme fills which report field: each comes from
+    /// the scheme's own [`HarnessScheme`] impl, so exactly one scheme
+    /// reports collector counters, one a leak count and one a slot budget.
     #[test]
     fn every_scheme_completes_on_the_list() {
         for scheme in SchemeKind::ALL {
@@ -450,6 +466,13 @@ mod tests {
             assert!(r.total_ops > 0, "{:?} produced no ops", scheme);
             assert_eq!(r.structure, "list");
             assert_eq!(r.threads, 3);
+            let (leaky, hazard) = (scheme == SchemeKind::Leaky, scheme == SchemeKind::Hazard);
+            let threadscan = scheme == SchemeKind::ThreadScan;
+            assert_eq!(r.threadscan.is_some(), threadscan, "{scheme:?}");
+            assert_eq!(r.leaked.is_some(), leaky, "{scheme:?}");
+            assert_eq!(r.outstanding_after.is_none(), leaky, "{scheme:?}");
+            let slots = hazard.then_some(HARNESS_HAZARD_SLOTS);
+            assert_eq!(r.protection_slots, slots, "{scheme:?}");
         }
     }
 
@@ -495,16 +518,16 @@ mod tests {
     /// order — the probe for the closed-model pinning test.
     struct RecordingSet(Mutex<Vec<Op>>);
 
-    impl ConcurrentSet<ErasedSmr> for RecordingSet {
-        fn contains(&self, _h: &ErasedHandle, k: u64) -> bool {
+    impl ConcurrentSet<Leaky> for RecordingSet {
+        fn contains(&self, _h: &LeakyHandle, k: u64) -> bool {
             self.0.lock().unwrap().push(Op::Contains(k));
             false
         }
-        fn insert(&self, _h: &ErasedHandle, k: u64) -> bool {
+        fn insert(&self, _h: &LeakyHandle, k: u64) -> bool {
             self.0.lock().unwrap().push(Op::Insert(k));
             true
         }
-        fn remove(&self, _h: &ErasedHandle, k: u64) -> bool {
+        fn remove(&self, _h: &LeakyHandle, k: u64) -> bool {
             self.0.lock().unwrap().push(Op::Remove(k));
             false
         }
@@ -822,18 +845,18 @@ mod tests {
     }
 
     /// The queue adapter, counting the inserts it turns away.
-    struct CountingPq(PqAsSet<ErasedSmr>, AtomicUsize);
+    struct CountingPq(PqAsSet<Leaky>, AtomicUsize);
 
-    impl ConcurrentSet<ErasedSmr> for CountingPq {
-        fn contains(&self, h: &ErasedHandle, k: u64) -> bool {
+    impl ConcurrentSet<Leaky> for CountingPq {
+        fn contains(&self, h: &LeakyHandle, k: u64) -> bool {
             self.0.contains(h, k)
         }
-        fn insert(&self, h: &ErasedHandle, k: u64) -> bool {
+        fn insert(&self, h: &LeakyHandle, k: u64) -> bool {
             let fresh = self.0.insert(h, k);
             self.1.fetch_add(usize::from(!fresh), Ordering::Relaxed);
             fresh
         }
-        fn remove(&self, h: &ErasedHandle, k: u64) -> bool {
+        fn remove(&self, h: &LeakyHandle, k: u64) -> bool {
             self.0.remove(h, k)
         }
         fn kind(&self) -> &'static str {
