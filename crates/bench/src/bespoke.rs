@@ -228,7 +228,7 @@ fn sample_run<S: Smr + 'static>(
 /// Flags: `--duration 3.0`, `--samples 8`, `--threads 4`, `--quick`.
 pub fn garbage(args: &CliArgs) {
     let quick = args.get_flag("quick");
-    let duration = Duration::from_secs_f64(args.get_f64("duration", if quick { 0.5 } else { 3.0 }));
+    let duration = args.get_span("duration", if quick { 0.5 } else { 3.0 }, 1.0);
     let samples = args.get_positive("samples", 8);
     let threads = args.get_positive("threads", 4);
     args.reject_unread(&[]);

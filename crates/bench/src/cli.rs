@@ -4,6 +4,7 @@
 
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::time::Duration;
 
 use ts_workload::{Report, SchemeKind, StructureKind};
 
@@ -121,6 +122,35 @@ impl CliArgs {
         self.get_num(key, default)
     }
 
+    /// [`Self::get_f64`], which `ok` must accept: otherwise a
+    /// [`usage_error`] saying the flag must be `what`.
+    pub(crate) fn get_f64_in(
+        &self,
+        key: &str,
+        default: f64,
+        what: &str,
+        ok: impl Fn(f64) -> bool,
+    ) -> f64 {
+        let v = self.get_f64(key, default);
+        if !ok(v) {
+            usage_error(format_args!("--{key} must be {what}, got {v}"));
+        }
+        v
+    }
+
+    /// A non-zero time span given in units of `unit_s` seconds (1.0 for
+    /// seconds, 1e-3 for milliseconds): a negative, zero, NaN or
+    /// overflowing value is a [`usage_error`] naming the flag.
+    pub(crate) fn get_span(&self, key: &str, default: f64, unit_s: f64) -> Duration {
+        let v = self.get_f64(key, default);
+        match Duration::try_from_secs_f64(v * unit_s) {
+            Ok(span) if !span.is_zero() => span,
+            _ => usage_error(format_args!(
+                "--{key} must be a positive time span, got {v}"
+            )),
+        }
+    }
+
     /// Boolean flag.
     pub fn get_flag(&self, key: &str) -> bool {
         matches!(self.get(key), Some("true") | Some("1") | Some("yes"))
@@ -129,7 +159,7 @@ impl CliArgs {
     /// Comma-separated list with a default; `parse` rejects an item by
     /// returning `None`, which is a [`usage_error`] naming the flag and
     /// `what` it takes.
-    fn get_list<T: Clone>(
+    pub(crate) fn get_list<T: Clone>(
         &self,
         key: &str,
         default: &[T],
@@ -152,9 +182,13 @@ impl CliArgs {
         self.get_list(key, default, "numbers", |s| s.parse().ok())
     }
 
-    /// Comma-separated f64 list with a default (QPS ladders).
-    pub fn get_f64_list(&self, key: &str, default: &[f64]) -> Vec<f64> {
-        self.get_list(key, default, "numbers", |s| s.parse().ok())
+    /// Comma-separated list of positive, finite f64s with a default (QPS
+    /// ladders).
+    pub(crate) fn get_positive_f64_list(&self, key: &str, default: &[f64]) -> Vec<f64> {
+        let positive = |v: &f64| *v > 0.0 && v.is_finite();
+        self.get_list(key, default, "positive numbers", |s| {
+            s.parse().ok().filter(positive)
+        })
     }
 
     /// Comma-separated scheme labels (see [`SchemeKind::label`]) with a

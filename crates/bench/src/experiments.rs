@@ -6,17 +6,14 @@
 //! are not (structure × scheme × threads) sweeps bring their own loop
 //! ([`crate::bespoke`]).
 
-use std::time::Duration;
-
 use ts_workload::SchemeKind::{Epoch, Hazard, Leaky, ThreadScan};
 use ts_workload::StructureKind::{Hash, List, Pq};
 use ts_workload::{
-    BacklogPolicy, KeyDist, LatencySummary, LoadModel, Report, RunResult, SchemeKind,
-    StructureKind, StructureMix,
+    BacklogPolicy, KeyDist, LatencySummary, LoadModel, Report, RunResult, SchemeKind, StructureKind,
 };
 
 use crate::bespoke;
-use crate::cli::{hw_threads, oversub_ladder, thread_ladder, usage_error, CliArgs};
+use crate::cli::{hw_threads, oversub_ladder, thread_ladder, CliArgs};
 use crate::sweep::{col, ts, Cell, Common, Sweep, COLLECT_TAIL};
 
 /// How an experiment runs.
@@ -53,11 +50,6 @@ pub const TABLE: &[Experiment] = &[
         name: "service_tail",
         about: "open-loop per-op latency (p50/p99/p999) vs offered QPS, zipfian keys",
         run: Run::Sweep(service_tail),
-    },
-    Experiment {
-        name: "hetero",
-        about: "weighted mixes of structures sharing one collector (--mixes \"a:w,b:w;...\")",
-        run: Run::Sweep(hetero),
     },
     Experiment {
         name: "buffer_size",
@@ -156,14 +148,14 @@ fn fig4(args: &CliArgs) -> Sweep {
 /// a service would see it. Zipfian keys keep hot nodes on some thread's
 /// stack at scan time, exercising survivor carry-over while the tail is
 /// measured. `--burst-ms`/`--duty` duty-cycle the arrivals; `--drop-ms`
-/// sheds arrivals later than that instead of queueing them.
+/// sheds arrivals later than that instead of queueing them. The table is
+/// sized by `--keys`, not by a scaled preset, so `--scale` is no flag here.
 fn service_tail(args: &CliArgs) -> Sweep {
-    let mut s = Sweep::new("service_tail", Common::parse(args, 3.0, 1));
+    let mut s = Sweep::new("service_tail", Common::unscaled(args, 3.0, 1));
     let quick = s.common.quick;
-    s.common.scale = 1; // the table is sized by --keys, not a preset
     let threads = args.get_positive_list("threads", &[if quick { 2 } else { 8 }]);
-    let keys = args.get_usize("keys", if quick { 262_144 } else { 4_000_000 });
-    let theta = args.get_f64("theta", 0.99);
+    let keys = args.get_positive("keys", if quick { 262_144 } else { 4_000_000 });
+    let theta = args.get_f64_in("theta", 0.99, "in (0, 1)", |t| t > 0.0 && t < 1.0);
     let levels: &[f64] = if quick {
         &[20_000.0, 60_000.0]
     } else {
@@ -176,20 +168,16 @@ fn service_tail(args: &CliArgs) -> Sweep {
     };
     let schemes = args.get_schemes("schemes", schemes);
     let backlog = match args.get("drop-ms") {
-        Some(_) => {
-            BacklogPolicy::DropAfter(Duration::from_secs_f64(args.get_f64("drop-ms", 50.0) / 1e3))
-        }
+        Some(_) => BacklogPolicy::DropAfter(args.get_span("drop-ms", 50.0, 1e-3)),
         None => BacklogPolicy::Queue,
     };
-    let burst = args.get("burst-ms").map(|_| args.get_f64("burst-ms", 10.0));
-    let duty = args.get_f64("duty", 0.25);
-    for qps in args.get_f64_list("qps", levels) {
+    let burst = args
+        .get("burst-ms")
+        .map(|_| args.get_span("burst-ms", 10.0, 1e-3));
+    let duty = args.get_f64_in("duty", 0.25, "in (0, 1]", |d| d > 0.0 && d <= 1.0);
+    for qps in args.get_positive_f64_list("qps", levels) {
         let model = match burst {
-            Some(ms) => LoadModel::OpenBursty {
-                qps,
-                burst: Duration::from_secs_f64(ms / 1e3),
-                duty,
-            },
+            Some(burst) => LoadModel::OpenBursty { qps, burst, duty },
             None => LoadModel::OpenPoisson { qps },
         };
         s.grid(&[Hash], &threads, &schemes, |mut p| {
@@ -222,38 +210,6 @@ fn service_tail(args: &CliArgs) -> Sweep {
     s
 }
 
-/// The collector serves whatever structures sit on top: each cell drives
-/// a weighted mix (default hash + skiplist + priority queue) through one
-/// scheme instance; every member is sized by its own Figure 3 preset.
-fn hetero(args: &CliArgs) -> Sweep {
-    let mut s = Sweep::new("hetero", Common::parse(args, 2.0, 1));
-    let ladder = if s.common.quick {
-        vec![2]
-    } else {
-        thread_ladder()
-    };
-    let threads = args.get_positive_list("threads", &ladder);
-    let schemes = args.get_schemes("schemes", &SchemeKind::ALL);
-    for spec in args
-        .get("mixes")
-        .unwrap_or("hash:50,skiplist:30,pq:20")
-        .split(';')
-    {
-        let mix =
-            StructureMix::parse(spec).unwrap_or_else(|e| usage_error(format_args!("--mixes: {e}")));
-        s.grid(&[Hash], &threads, &schemes, |p| {
-            p.with_structures(mix.clone())
-        });
-    }
-    s.columns = vec![col("per-structure Mops/s", |_, r| {
-        let split = r.per_structure.iter();
-        let split = split.map(|s| format!("{} {:.3}", s.structure, s.ops_per_sec / 1e6));
-        split.collect::<Vec<_>>().join(", ")
-    })];
-    s.series = true;
-    s
-}
-
 /// "Increasing the size of the delete buffer … is a useful way of
 /// amortizing the cost of signals and of waiting. However, it also
 /// increases the size of the list of pointers" (§6).
@@ -265,7 +221,9 @@ fn buffer_size(args: &CliArgs) -> Sweep {
         &[256, 512, 1024, 2048, 4096, 8192, 16384]
     };
     let threads = args.get_positive_list("threads", &busy());
-    for size in args.get_usize_list("sizes", sizes) {
+    // The collector's buffers hold at least two entries.
+    let capacity = |s: &str| s.parse().ok().filter(|&n: &usize| n >= 2);
+    for size in args.get_list("sizes", sizes, "capacities of at least 2", capacity) {
         s.grid(&[Hash], &threads, &[ThreadScan], |p| p.with_ts_buffer(size));
     }
     s.columns = vec![
@@ -284,11 +242,16 @@ fn buffer_size(args: &CliArgs) -> Sweep {
 fn update_ratio(args: &CliArgs) -> Sweep {
     let mut s = Sweep::new("update_ratio", Common::parse(args, 1.5, 1));
     let threads = args.get_positive_list("threads", &busy());
+    let percent = |s: &str| s.parse().ok().filter(|&pct: &u32| pct <= 100);
+    let ratios = args.get_list(
+        "ratios",
+        &[0, 10, 20, 50, 100],
+        "percentages 0-100",
+        percent,
+    );
     for kind in [List, Hash] {
-        for pct in args.get_usize_list("ratios", &[0, 10, 20, 50, 100]) {
-            s.grid(&[kind], &threads, &BASELINES, |p| {
-                p.with_update_pct(pct as u32)
-            });
+        for &pct in &ratios {
+            s.grid(&[kind], &threads, &BASELINES, |p| p.with_update_pct(pct));
         }
     }
     s.columns = vec![col("update%", |c, _| c.params.update_pct.to_string())];
@@ -402,24 +365,31 @@ mod tests {
     /// [`CliArgs::reject_unread`] turns away typos and nothing else.
     #[test]
     fn every_documented_flag_is_read_by_its_plan() {
-        const SHARED: &str = "--quick --duration 0.1 --repeats 1 --scale 64 --threads 2 \
+        const SHARED: &str = "--quick --duration 0.1 --repeats 1 --threads 2 \
                               --json out.jsonl --telemetry --trace-out trace.json";
         for e in TABLE {
             let Run::Sweep(plan) = e.run else { continue };
+            // service_tail's table is sized by --keys.
+            let scale = if e.name == "service_tail" {
+                ""
+            } else {
+                "--scale 64"
+            };
             let own = match e.name {
                 "fig3" => "--structures list --schemes leaky",
                 "service_tail" => {
                     "--qps 1000 --schemes leaky --keys 1024 --theta 0.9 \
                      --burst-ms 10 --duty 0.25 --drop-ms 50"
                 }
-                "hetero" => "--mixes hash:1,list:1 --schemes leaky",
                 "buffer_size" => "--sizes 64",
                 "update_ratio" => "--ratios 20",
                 "pq" => "--prefill 100",
                 "telemetry" => "--structure list",
                 _ => "",
             };
-            let words = SHARED.split_whitespace().chain(own.split_whitespace());
+            let words = [SHARED, scale, own]
+                .into_iter()
+                .flat_map(str::split_whitespace);
             let args = CliArgs::from_args(words.map(str::to_string));
             plan(&args);
             assert_eq!(args.unread(&["json", "trace-out"]), [""; 0], "{}", e.name);

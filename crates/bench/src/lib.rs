@@ -2,8 +2,8 @@
 //!
 //! One binary, `ts-bench <experiment> [flags]` (run with `--release`;
 //! `ts-bench list` prints the table in [`experiments`]): Figure 3
-//! throughput, Figure 4 oversubscription, the open-loop service tail, the
-//! heterogeneous mixes and the ablations. Each is a list of cells for the
+//! throughput, Figure 4 oversubscription, the open-loop service tail and
+//! the ablations. Each is a list of cells for the
 //! one [`sweep`] loop; [`bespoke::probes`] times the single-thread fast
 //! paths the frozen `benchmark/` package has no probe for.
 

@@ -9,8 +9,9 @@ use ts_workload::{run_combo, Report, RunResult, SchemeKind, StructureKind, Workl
 use crate::cli::{machine_info, CliArgs};
 
 /// The flags every sweep takes: `--quick` (a fast sanity shape),
-/// `--duration <s>` and `--repeats <n>` per cell, `--scale <n>` dividing
-/// the paper's structure sizes, `--telemetry` / `--trace-out <file>`.
+/// `--duration <s>` and `--repeats <n>` per cell, `--telemetry` /
+/// `--trace-out <file>`, and — unless the sweep sizes its structure from
+/// flags of its own — `--scale <n>` dividing the paper's structure sizes.
 pub struct Common {
     /// `--quick` was given.
     pub quick: bool,
@@ -28,14 +29,20 @@ impl Common {
     /// Parses the shared flags; `full_secs` / `full_repeats` are the
     /// experiment's defaults for a real (non-`--quick`) sweep.
     pub fn parse(args: &CliArgs, full_secs: f64, full_repeats: usize) -> Self {
+        let mut common = Self::unscaled(args, full_secs, full_repeats);
+        common.scale = args.get_positive("scale", if common.quick { 64 } else { 1 });
+        common
+    }
+
+    /// [`Self::parse`] for a sweep that sizes its structure from flags of
+    /// its own: `--scale` stays 1 and unread, so giving it is an error.
+    pub(crate) fn unscaled(args: &CliArgs, full_secs: f64, full_repeats: usize) -> Self {
         let quick = args.get_flag("quick");
-        let secs = args.get_f64("duration", if quick { 0.25 } else { full_secs });
-        let repeats = args.get_usize("repeats", if quick { 1 } else { full_repeats });
         Self {
             quick,
-            duration: Duration::from_secs_f64(secs),
-            repeats: repeats.max(1),
-            scale: args.get_usize("scale", if quick { 64 } else { 1 }),
+            duration: args.get_span("duration", if quick { 0.25 } else { full_secs }, 1.0),
+            repeats: args.get_positive("repeats", if quick { 1 } else { full_repeats }),
+            scale: 1,
             telemetry: args.telemetry_requested(),
         }
     }
@@ -211,7 +218,7 @@ pub fn sweep(args: &CliArgs, plan: Sweep) {
             "[{}/{}] {} {} t={}",
             i + 1,
             plan.cells.len(),
-            cell.params.structures.row_label(),
+            cell.params.structure.label(),
             cell.label,
             cell.params.threads
         );

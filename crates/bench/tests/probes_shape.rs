@@ -53,15 +53,17 @@ fn probes_reports_six_rows_with_their_spread() {
 }
 
 #[test]
-fn the_table_has_twelve_rows_and_the_removed_two_are_gone() {
+fn the_table_has_eleven_rows_and_the_removed_three_are_gone() {
     let listing = ts_bench(&["list"]);
     let names: Vec<&str> = listing
         .lines()
         .filter_map(|l| l.split_whitespace().next())
         .collect();
-    assert_eq!(names.len(), 12, "{listing}");
+    assert_eq!(names.len(), 11, "{listing}");
     assert!(names.contains(&"probes"), "{listing}");
-    assert!(!names.contains(&"stacktrack") && !names.contains(&"ordering"));
+    for gone in ["stacktrack", "ordering", "hetero"] {
+        assert!(!names.contains(&gone), "{gone}: {listing}");
+    }
 }
 
 #[test]

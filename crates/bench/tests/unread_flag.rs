@@ -1,7 +1,8 @@
 //! A typo is not a measurement: `ts-bench` exits with status 2, naming
-//! the flag, the stray word, the zero count or the malformed value, before
-//! it measures anything — sweeps and bespoke experiments alike — while the
-//! correctly spelt flag runs.
+//! the flag, the stray word, the zero count or the malformed or
+//! out-of-range value, before it measures anything — sweeps and bespoke
+//! experiments alike — while the correctly spelt flag runs. No input
+//! reaches a panic.
 
 use std::process::{Command, Output};
 
@@ -12,12 +13,15 @@ fn ts_bench(args: &[&str]) -> Output {
         .expect("spawn ts-bench")
 }
 
-/// `ts-bench args` exits 2 with `needle` on stderr and nothing on stdout.
+/// `ts-bench args` exits 2 with one `ts-bench: …` line containing
+/// `needle` on stderr and nothing on stdout.
 fn assert_usage_error(args: &[&str], needle: &str) {
     let out = ts_bench(args);
-    assert_eq!(out.status.code(), Some(2), "{args:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
     assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+    assert!(stderr.starts_with("ts-bench: "), "{args:?}: {stderr}");
     assert!(out.stdout.is_empty(), "{args:?} printed before failing");
 }
 
@@ -35,6 +39,11 @@ fn a_misspelt_flag_fails_before_the_first_cell() {
         (&["garbage", "--quick", "--samples", "0"][..], "--samples"),
         (&["probes", "--quick", "--trials", "0"][..], "--trials"),
         (&["probes", "--quick", "--iters", "0"][..], "--iters"),
+        (&["fig3", "--quick", "--repeats", "0"][..], "--repeats"),
+        (&["fig3", "--quick", "--scale", "0"][..], "--scale"),
+        (&["service_tail", "--quick", "--keys", "0"][..], "--keys"),
+        // service_tail's table is sized by --keys: --scale would do nothing.
+        (&["service_tail", "--quick", "--scale", "8"][..], "--scale"),
         // A thread count of zero, in a list or alone.
         (
             &["fig3", "--quick", "--threads", "0"][..],
@@ -68,7 +77,45 @@ fn a_malformed_value_fails_before_the_first_cell() {
             &["fig3", "--quick", "--duration", "abc"][..],
             "--duration expects a number",
         ),
-        (&["hetero", "--quick", "--mixes", "hash:0"][..], "--mixes"),
+    ] {
+        assert_usage_error(args, flag);
+    }
+}
+
+/// Each of these once reached a panic (exit 101) or, for `--theta`, a
+/// worker panic that left the driver waiting at its start barrier.
+#[test]
+fn an_out_of_range_value_fails_before_the_first_cell() {
+    for (args, flag) in [
+        (&["fig3", "--quick", "--duration", "-1"][..], "--duration"),
+        (&["fig3", "--quick", "--duration", "nan"][..], "--duration"),
+        (
+            &["garbage", "--quick", "--duration", "-1"][..],
+            "--duration",
+        ),
+        (&["service_tail", "--quick", "--qps", "0"][..], "--qps"),
+        (
+            &["service_tail", "--quick", "--burst-ms", "10", "--duty", "0"][..],
+            "--duty",
+        ),
+        (
+            &["service_tail", "--quick", "--burst-ms", "0"][..],
+            "--burst-ms",
+        ),
+        (
+            &["service_tail", "--quick", "--drop-ms", "-1"][..],
+            "--drop-ms",
+        ),
+        (
+            &["service_tail", "--quick", "--theta", "-1", "--threads", "1"][..],
+            "--theta",
+        ),
+        (&["service_tail", "--quick", "--theta", "1"][..], "--theta"),
+        (
+            &["update_ratio", "--quick", "--ratios", "150"][..],
+            "--ratios",
+        ),
+        (&["buffer_size", "--quick", "--sizes", "1"][..], "--sizes"),
     ] {
         assert_usage_error(args, flag);
     }

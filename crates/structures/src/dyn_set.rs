@@ -1,13 +1,10 @@
-//! Several structure types, one collector: the set-shaped adapter.
+//! The priority queue behind the set-shaped interface.
 //!
-//! [`ConcurrentSet<S>`] is object-safe, so a *heterogeneous* run — several
-//! different structures sharing one collector — holds them all as
-//! `Arc<dyn ConcurrentSet<S>>` while every one of them retires through
-//! the *same* scheme instance `S`. The one evaluation structure that is
-//! not a set joins through [`PqAsSet`], which adapts the Shavit–Lotan
-//! [`PriorityQueue`]: `insert` maps to a queue insert, `remove` to
-//! `delete_min` (the key argument picks no particular element),
-//! `contains` to `peek_min` (non-emptiness).
+//! The one evaluation structure that is not a set joins the harness's
+//! object-safe [`ConcurrentSet<S>`] through [`PqAsSet`], which adapts the
+//! Shavit–Lotan [`PriorityQueue`]: `insert` maps to a queue insert,
+//! `remove` to `delete_min` (the key argument picks no particular
+//! element), `contains` to `peek_min` (non-emptiness).
 
 use core::sync::atomic::{AtomicUsize, Ordering};
 
@@ -82,32 +79,8 @@ impl<S: Smr> ConcurrentSet<S> for PqAsSet<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HarrisList, SplitOrderedSet};
-    use std::sync::Arc;
+    use crate::SplitOrderedSet;
     use ts_smr::Leaky;
-
-    #[test]
-    fn heterogeneous_structures_share_one_scheme() {
-        let scheme = Leaky::new();
-        let h = scheme.register();
-        let sets: Vec<Arc<dyn ConcurrentSet<Leaky>>> = vec![
-            Arc::new(HarrisList::<Leaky>::new()),
-            Arc::new(SplitOrderedSet::<Leaky>::new()),
-            Arc::new(PqAsSet::<Leaky>::new()),
-        ];
-        for set in &sets {
-            assert!(set.insert(&h, 7));
-            assert!(set.contains(&h, 7));
-        }
-        assert_eq!(
-            sets.iter().map(|s| s.kind()).collect::<Vec<_>>(),
-            ["harris-list", "split-ordered", "priority-queue"]
-        );
-        // Only the bucketed table reports a bucket count.
-        assert_eq!(sets[0].bucket_count(), None);
-        assert!(sets[1].bucket_count().is_some());
-        assert_eq!(sets[2].bucket_count(), None);
-    }
 
     #[test]
     fn erased_ops_agree_with_the_generic_trait() {

@@ -26,10 +26,9 @@
 //!   with lock-free dynamic resizing over an unbounded
 //!   [`GrowableDirectory`] (cite \[42\]).
 //!
-//! For heterogeneous runs — several structure types sharing one collector
-//! — the structures are held as `dyn ConcurrentSet<S>` objects over one
-//! concrete scheme `S`, and [`PqAsSet`] adapts the priority queue to the
-//! set-shaped interface.
+//! The harness drives every structure as a `dyn ConcurrentSet<S>` object
+//! over one concrete scheme `S`; [`PqAsSet`] adapts the priority queue to
+//! that set-shaped interface.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -94,52 +94,6 @@ impl ZipfSampler {
     }
 }
 
-/// Weighted index sampler: picks `i` with probability
-/// `weights[i] / Σweights`. The heterogeneous runner draws each op's
-/// *structure* from one of these (weights from the mix spec); weight
-/// lists are tiny, so a linear cumulative scan beats a binary search.
-#[derive(Debug, Clone)]
-pub struct WeightedPick {
-    cumulative: Vec<u64>,
-    total: u64,
-}
-
-impl WeightedPick {
-    /// Builds a sampler over `weights` (non-empty, each weight > 0).
-    pub fn new(weights: &[u32]) -> Self {
-        assert!(!weights.is_empty(), "weighted pick needs entries");
-        assert!(
-            weights.iter().all(|&w| w > 0),
-            "weighted pick needs positive weights"
-        );
-        let mut cumulative = Vec::with_capacity(weights.len());
-        let mut total = 0u64;
-        for &w in weights {
-            total += u64::from(w);
-            cumulative.push(total);
-        }
-        Self { cumulative, total }
-    }
-
-    /// Samples an index in `0..weights.len()`.
-    #[inline]
-    pub fn sample(&self, rng: &mut SmallRng) -> usize {
-        let x = rng.gen_range(0..self.total);
-        self.cumulative.iter().position(|&c| x < c).unwrap()
-    }
-
-    /// The number of weighted entries.
-    pub fn len(&self) -> usize {
-        self.cumulative.len()
-    }
-
-    /// Always `false` (construction rejects empty weight lists); present
-    /// to satisfy the `len`-without-`is_empty` lint pair.
-    pub fn is_empty(&self) -> bool {
-        self.cumulative.is_empty()
-    }
-}
-
 /// Fixed scramble of a zipf rank over the key space, so the hot set is
 /// spread across the range rather than clustered at low keys (which would
 /// otherwise put every hot node at the front of a sorted list).
@@ -317,40 +271,5 @@ mod tests {
     fn labels_are_stable() {
         assert_eq!(KeyDist::Uniform.label(), "uniform");
         assert_eq!(KeyDist::Zipf { theta: 0.99 }.label(), "zipf(0.99)");
-    }
-
-    #[test]
-    fn weighted_pick_tracks_the_weights() {
-        let pick = WeightedPick::new(&[50, 30, 20]);
-        assert_eq!(pick.len(), 3);
-        assert!(!pick.is_empty());
-        let mut rng = SmallRng::seed_from_u64(11);
-        let mut counts = [0usize; 3];
-        const N: usize = 100_000;
-        for _ in 0..N {
-            counts[pick.sample(&mut rng)] += 1;
-        }
-        for (i, want_pct) in [50.0, 30.0, 20.0].into_iter().enumerate() {
-            let got_pct = counts[i] as f64 * 100.0 / N as f64;
-            assert!(
-                (got_pct - want_pct).abs() < 2.0,
-                "index {i}: {got_pct:.1}% vs {want_pct}%"
-            );
-        }
-    }
-
-    #[test]
-    fn single_entry_pick_always_yields_zero() {
-        let pick = WeightedPick::new(&[7]);
-        let mut rng = SmallRng::seed_from_u64(2);
-        for _ in 0..64 {
-            assert_eq!(pick.sample(&mut rng), 0);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "positive weights")]
-    fn zero_weights_are_rejected() {
-        WeightedPick::new(&[1, 0]);
     }
 }

@@ -14,11 +14,10 @@
 //! * [`registry`] — the scheme and structure factories
 //!   ([`SchemeKind::with`], [`StructureKind::build_set`]): one match arm
 //!   per variant, the only harness code that names concrete types;
-//! * [`runner`] — the one measurement loop ([`run_combo`]): monomorphic
-//!   in the cell's scheme `S`, over registry-built
-//!   `Arc<dyn ConcurrentSet<S>>` objects, one structure per cell or a
-//!   weighted [`StructureMix`] of several sharing one scheme instance (the
-//!   priority queue joins as [`StructureKind::Pq`]);
+//! * [`runner`] — the one measurement loop ([`run_combo`]): one structure
+//!   per cell, monomorphic in the cell's scheme `S`, over a
+//!   registry-built `Arc<dyn ConcurrentSet<S>>` (the priority queue joins
+//!   as [`StructureKind::Pq`]);
 //! * [`report`] — figure-style series tables + JSON lines.
 
 #![warn(missing_docs)]
@@ -33,9 +32,9 @@ pub mod registry;
 pub mod report;
 pub mod runner;
 
-pub use dist::{KeyDist, WeightedPick, ZipfSampler};
+pub use dist::{KeyDist, ZipfSampler};
 pub use load::{ArrivalSchedule, BacklogPolicy, LatencySummary, LoadModel, OpenLoopExtras};
 pub use mix::{prefill_keys, Op, OpMix};
-pub use params::{SchemeKind, StructureKind, StructureMix, WorkloadParams};
+pub use params::{SchemeKind, StructureKind, WorkloadParams};
 pub use report::Report;
-pub use runner::{run_combo, stats_json, RunResult, StructureOps};
+pub use runner::{run_combo, stats_json, RunResult};

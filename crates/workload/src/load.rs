@@ -213,11 +213,11 @@ impl ArrivalSchedule {
 /// [`Aggregate::from_reports`].
 #[derive(Debug)]
 pub(crate) struct WorkerReport {
-    /// Completed operations per class (class = structure index).
-    pub class_ops: Vec<u64>,
-    /// Per-class intended-arrival-to-completion latency (open models
-    /// only; empty under `Closed`).
-    pub class_hist: Vec<Hist>,
+    /// Completed operations.
+    pub ops: u64,
+    /// Intended-arrival-to-completion latency (open models only; empty
+    /// under `Closed`).
+    pub hist: Hist,
     /// Worst single-op latency, ns (open models only).
     pub max_ns: u64,
     /// Arrivals whose intended time fell inside the window (served or
@@ -257,10 +257,9 @@ pub(crate) struct LoadSpec<'a> {
 /// Drives one worker for the measured window: the load-generation layer
 /// under the runner's measurement loop.
 ///
-/// `do_op` executes one operation and returns its class index (always
-/// `< classes`). Under [`LoadModel::Closed`] this is exactly the
-/// pre-refactor tight loop — a per-op relaxed stop check around
-/// `do_op`, no clocks, no schedule. Under an open model each op waits
+/// `do_op` executes one operation. Under [`LoadModel::Closed`] this is
+/// exactly the pre-refactor tight loop — a per-op relaxed stop check
+/// around `do_op`, no clocks, no schedule. Under an open model each op waits
 /// for its intended arrival from the worker's [`ArrivalSchedule`],
 /// latency is recorded from that intended arrival to completion, and
 /// the backlog policy decides whether late arrivals are served or shed.
@@ -268,13 +267,12 @@ pub(crate) fn drive_worker(
     spec: LoadSpec<'_>,
     worker: usize,
     workers: usize,
-    classes: usize,
     stop: &AtomicBool,
-    mut do_op: impl FnMut() -> usize,
+    mut do_op: impl FnMut(),
 ) -> WorkerReport {
     let mut report = WorkerReport {
-        class_ops: vec![0; classes],
-        class_hist: Vec::new(),
+        ops: 0,
+        hist: Hist::new(),
         max_ns: 0,
         offered: 0,
         dropped: 0,
@@ -291,13 +289,12 @@ pub(crate) fn drive_worker(
         // post-stop regression note), no timing instrumentation, no
         // atomics beyond the stop flag.
         while !stop.load(Ordering::Relaxed) {
-            let class = do_op();
-            report.class_ops[class] += 1;
+            do_op();
+            report.ops += 1;
         }
         return report;
     };
 
-    report.class_hist = vec![Hist::new(); classes];
     let max_lag_ns = match spec.backlog {
         BacklogPolicy::Queue => u64::MAX,
         BacklogPolicy::DropAfter(d) => d.as_nanos().min(u64::MAX as u128) as u64,
@@ -338,11 +335,11 @@ pub(crate) fn drive_worker(
             report.dropped += 1;
             continue;
         }
-        let class = do_op();
+        do_op();
         let latency = (epoch.elapsed().as_nanos() as u64).saturating_sub(intended);
-        report.class_hist[class].record(latency);
+        report.hist.record(latency);
         report.max_ns = report.max_ns.max(latency);
-        report.class_ops[class] += 1;
+        report.ops += 1;
     }
     report
 }
@@ -364,7 +361,7 @@ pub struct LatencySummary {
     pub p999_ns: f64,
     /// Worst single operation, ns (exact, not bucketed).
     pub max_ns: u64,
-    /// The raw log2 histogram, mergeable across runs and structures.
+    /// The raw log2 histogram, mergeable across runs.
     pub hist: Hist,
 }
 
@@ -433,14 +430,9 @@ impl OpenLoopExtras {
 /// All workers' reports folded together.
 #[derive(Debug)]
 pub(crate) struct Aggregate {
-    /// Completed ops per class.
-    pub class_ops: Vec<u64>,
-    /// Completed ops across classes.
+    /// Completed ops.
     pub total_ops: u64,
-    /// Per-class latency (open models; `None` entries when a class saw
-    /// no completed ops).
-    pub class_latency: Vec<Option<LatencySummary>>,
-    /// All-class latency.
+    /// Per-op latency (open models; `None` when no op completed).
     pub latency: Option<LatencySummary>,
     offered: u64,
     dropped: u64,
@@ -450,49 +442,29 @@ pub(crate) struct Aggregate {
 }
 
 impl Aggregate {
-    /// Merges per-worker reports (all sized for `classes`).
-    pub fn from_reports(reports: Vec<WorkerReport>, classes: usize) -> Self {
-        let mut class_ops = vec![0u64; classes];
-        let mut class_hist = vec![Hist::new(); classes];
-        let mut class_max = vec![0u64; classes];
+    /// Merges per-worker reports.
+    pub fn from_reports(reports: Vec<WorkerReport>) -> Self {
+        let mut total_ops = 0u64;
+        let mut hist = Hist::new();
+        let mut max_ns = 0u64;
         let mut offered = 0u64;
         let mut dropped = 0u64;
         let mut lag_max_ns = 0u64;
         let mut lag_sum_ns = 0u64;
         let mut lag_samples = 0u64;
-        let mut max_ns = 0u64;
         for r in &reports {
-            for (acc, &ops) in class_ops.iter_mut().zip(&r.class_ops) {
-                *acc += ops;
-            }
-            for ((acc, h), m) in class_hist.iter_mut().zip(&r.class_hist).zip(&mut class_max) {
-                acc.merge(h);
-                // The per-class max is approximated by the worker max
-                // when a worker only served one class; exact per-class
-                // maxima would need per-class tracking in the hot loop.
-                *m = (*m).max(r.max_ns);
-            }
+            total_ops += r.ops;
+            hist.merge(&r.hist);
+            max_ns = max_ns.max(r.max_ns);
             offered += r.offered;
             dropped += r.dropped;
             lag_max_ns = lag_max_ns.max(r.lag_max_ns);
             lag_sum_ns = lag_sum_ns.saturating_add(r.lag_sum_ns);
             lag_samples += r.lag_samples;
-            max_ns = max_ns.max(r.max_ns);
         }
-        let mut total_hist = Hist::new();
-        for h in &class_hist {
-            total_hist.merge(h);
-        }
-        let class_latency = class_hist
-            .into_iter()
-            .zip(class_max)
-            .map(|(h, m)| LatencySummary::from_hist(h, m))
-            .collect();
         Self {
-            total_ops: class_ops.iter().sum(),
-            class_ops,
-            class_latency,
-            latency: LatencySummary::from_hist(total_hist, max_ns),
+            total_ops,
+            latency: LatencySummary::from_hist(hist, max_ns),
             offered,
             dropped,
             lag_max_ns,
@@ -658,18 +630,16 @@ mod tests {
             },
             0,
             1,
-            1,
             &stop,
             || {
                 n += 1;
                 if n >= 1000 {
                     stop.store(true, Ordering::Relaxed);
                 }
-                0
             },
         );
-        assert_eq!(report.class_ops, vec![1000]);
-        assert!(report.class_hist.is_empty(), "closed loop takes no clocks");
+        assert_eq!(report.ops, 1000);
+        assert!(report.hist.is_empty(), "closed loop takes no clocks");
         assert_eq!(report.offered, 0);
         assert_eq!(report.dropped, 0);
     }
@@ -688,19 +658,16 @@ mod tests {
             },
             0,
             1,
-            1,
             &stop,
             || {
                 n += 1;
                 if n >= 200 {
                     stop.store(true, Ordering::Relaxed);
                 }
-                0
             },
         );
-        assert_eq!(report.class_ops, vec![200]);
-        assert_eq!(report.class_hist.len(), 1);
-        assert_eq!(report.class_hist[0].count(), 200);
+        assert_eq!(report.ops, 200);
+        assert_eq!(report.hist.count(), 200);
         assert!(report.max_ns > 0, "completions take nonzero time");
         assert_eq!(report.offered, 200);
         assert_eq!(report.lag_samples, 200);
@@ -721,7 +688,6 @@ mod tests {
             },
             0,
             1,
-            1,
             &stop,
             || {
                 std::thread::sleep(Duration::from_millis(1));
@@ -729,15 +695,14 @@ mod tests {
                 if n >= 20 {
                     stop.store(true, Ordering::Relaxed);
                 }
-                0
             },
         );
-        assert_eq!(report.class_ops, vec![20]);
+        assert_eq!(report.ops, 20);
         assert!(
-            report.dropped > report.class_ops[0],
+            report.dropped > report.ops,
             "overload must shed more than it serves: dropped {} vs served {}",
             report.dropped,
-            report.class_ops[0]
+            report.ops
         );
         assert!(
             report.lag_max_ns > 2_000_000,
@@ -755,8 +720,8 @@ mod tests {
         h1.record(1_000_000);
         let reports = vec![
             WorkerReport {
-                class_ops: vec![2, 0],
-                class_hist: vec![h0, Hist::new()],
+                ops: 2,
+                hist: h0,
                 max_ns: 2_000,
                 offered: 2,
                 dropped: 0,
@@ -765,8 +730,8 @@ mod tests {
                 lag_samples: 2,
             },
             WorkerReport {
-                class_ops: vec![0, 1],
-                class_hist: vec![Hist::new(), h1],
+                ops: 1,
+                hist: h1,
                 max_ns: 1_000_000,
                 offered: 2,
                 dropped: 1,
@@ -775,14 +740,12 @@ mod tests {
                 lag_samples: 2,
             },
         ];
-        let agg = Aggregate::from_reports(reports, 2);
-        assert_eq!(agg.class_ops, vec![2, 1]);
+        let agg = Aggregate::from_reports(reports);
         assert_eq!(agg.total_ops, 3);
         let lat = agg.latency.as_ref().expect("latency recorded");
         assert_eq!(lat.count, 3);
         assert_eq!(lat.max_ns, 1_000_000);
         assert!(lat.p50_ns <= lat.p99_ns && lat.p99_ns <= lat.p999_ns);
-        assert!(agg.class_latency[0].is_some() && agg.class_latency[1].is_some());
         let extras = agg
             .open_extras(&LoadModel::OpenPoisson { qps: 123.0 })
             .expect("open model has extras");

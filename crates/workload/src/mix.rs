@@ -50,6 +50,17 @@ impl OpMix {
         }
     }
 
+    /// The same stream shape under another seed: `with_dist(seed, …)` with
+    /// this stream's arguments, sharing its zipf sampler's setup rather
+    /// than redoing it.
+    pub(crate) fn reseeded(&self, seed: u64) -> Self {
+        Self {
+            rng: SmallRng::seed_from_u64(seed),
+            zipf: self.zipf.clone(),
+            ..*self
+        }
+    }
+
     /// Next operation.
     #[inline]
     pub fn next_op(&mut self) -> Op {
@@ -133,6 +144,17 @@ mod tests {
         let mut b = OpMix::new(42, 1000, 20);
         for _ in 0..100 {
             assert_eq!(a.next_op(), b.next_op());
+        }
+    }
+
+    #[test]
+    fn reseeded_stream_is_the_fresh_stream_of_that_seed() {
+        for dist in [KeyDist::Uniform, KeyDist::Zipf { theta: 0.9 }] {
+            let mut a = OpMix::with_dist(1, 500, 30, dist).reseeded(42);
+            let mut b = OpMix::with_dist(42, 500, 30, dist);
+            for _ in 0..1000 {
+                assert_eq!(a.next_op(), b.next_op(), "{dist:?}");
+            }
         }
     }
 

@@ -21,8 +21,7 @@ pub enum StructureKind {
     /// ablations only, not part of the figures).
     SplitOrdered,
     /// Shavit–Lotan priority queue behind the set-shaped adapter
-    /// (`PqAsSet`); the priority-queue ablation and heterogeneous mixes,
-    /// not part of the figures.
+    /// (`PqAsSet`); the priority-queue ablation, not part of the figures.
     Pq,
 }
 
@@ -51,8 +50,8 @@ impl StructureKind {
         }
     }
 
-    /// Parses a harness label back to its kind (mix-spec and
-    /// `--structures` CLI syntax; `skip` is accepted for `skiplist`).
+    /// Parses a harness label back to its kind (`--structures` CLI
+    /// syntax; `skip` is accepted for `skiplist`).
     pub fn parse(label: &str) -> Option<Self> {
         Some(match label {
             "list" => Self::List,
@@ -63,92 +62,6 @@ impl StructureKind {
             "pq" => Self::Pq,
             _ => return None,
         })
-    }
-}
-
-/// The structures one run drives, each with a weight: a single entry for
-/// the figures' one-structure cells, several for heterogeneous runs, where
-/// each worker draws the structure for every operation from this
-/// distribution while all structures share one scheme instance.
-///
-/// Spec syntax: comma-separated `label:weight` pairs, e.g.
-/// `hash:50,skiplist:30,pq:20` (labels from [`StructureKind::label`],
-/// weights positive integers).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StructureMix {
-    entries: Vec<(StructureKind, u32)>,
-}
-
-impl StructureMix {
-    /// The one-structure mix of a figure cell.
-    pub fn single(kind: StructureKind) -> Self {
-        Self {
-            entries: vec![(kind, 1)],
-        }
-    }
-
-    /// The structure, when the mix holds exactly one.
-    pub fn as_single(&self) -> Option<StructureKind> {
-        match self.entries[..] {
-            [(kind, _)] => Some(kind),
-            _ => None,
-        }
-    }
-
-    /// Parses a `label:weight,label:weight,…` spec.
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        let mut entries = Vec::new();
-        for part in spec.split(',') {
-            let part = part.trim();
-            let (label, weight) = part
-                .split_once(':')
-                .ok_or_else(|| format!("mix entry `{part}` is not `label:weight`"))?;
-            let kind = StructureKind::parse(label.trim())
-                .ok_or_else(|| format!("unknown structure `{label}` in mix `{spec}`"))?;
-            let weight: u32 = weight
-                .trim()
-                .parse()
-                .map_err(|_| format!("bad weight in mix entry `{part}`"))?;
-            if weight == 0 {
-                return Err(format!("zero weight in mix entry `{part}`"));
-            }
-            if entries.iter().any(|&(k, _)| k == kind) {
-                return Err(format!("duplicate structure `{label}` in mix `{spec}`"));
-            }
-            entries.push((kind, weight));
-        }
-        if entries.is_empty() {
-            return Err(format!("empty mix spec `{spec}`"));
-        }
-        Ok(Self { entries })
-    }
-
-    /// The `(structure, weight)` pairs, in spec order.
-    pub fn entries(&self) -> &[(StructureKind, u32)] {
-        &self.entries
-    }
-
-    /// The weights alone, in spec order (feed to `dist::WeightedPick`).
-    pub fn weights(&self) -> Vec<u32> {
-        self.entries.iter().map(|&(_, w)| w).collect()
-    }
-
-    /// The `structure` field of a result row: the kind's label for a lone
-    /// structure, `hetero(<mix>)` for several.
-    pub fn row_label(&self) -> String {
-        match self.as_single() {
-            Some(kind) => kind.label().to_string(),
-            None => format!("hetero({})", self.label()),
-        }
-    }
-
-    /// Canonical `label:weight,…` rendering.
-    pub fn label(&self) -> String {
-        self.entries
-            .iter()
-            .map(|(k, w)| format!("{}:{w}", k.label()))
-            .collect::<Vec<_>>()
-            .join(",")
     }
 }
 
@@ -208,10 +121,8 @@ impl SchemeKind {
 /// One experiment cell: structure × scheme × thread count × workload shape.
 #[derive(Debug, Clone)]
 pub struct WorkloadParams {
-    /// The structure(s) under test. With several entries each structure
-    /// is sized by its own preset ([`Self::hetero_cell`]) and
-    /// `initial_size` / `key_range` below are not consulted.
-    pub structures: StructureMix,
+    /// The structure under test.
+    pub structure: StructureKind,
     /// Resident keys after prefill.
     pub initial_size: usize,
     /// Keys are drawn uniformly from `[0, key_range)`.
@@ -250,10 +161,6 @@ pub struct WorkloadParams {
     /// default: a run without it executes zero additional atomics on any
     /// hot path.
     pub telemetry: bool,
-    /// Accumulated [`Self::scaled_down`] factor, so derived cells
-    /// ([`Self::hetero_cell`]) can re-apply the same shrink to their own
-    /// presets.
-    pub scale: usize,
 }
 
 impl WorkloadParams {
@@ -282,7 +189,7 @@ impl WorkloadParams {
             Pq => (10_000, 1 << 62),
         };
         Self {
-            structures: StructureMix::single(structure),
+            structure,
             initial_size,
             key_range,
             update_pct: 20,
@@ -296,7 +203,6 @@ impl WorkloadParams {
             arrival_seed: 0xA441_7A1E,
             backlog: BacklogPolicy::Queue,
             telemetry: false,
-            scale: 1,
         }
     }
 
@@ -331,7 +237,6 @@ impl WorkloadParams {
         assert!(factor >= 1);
         self.initial_size = (self.initial_size / factor).max(16);
         self.key_range = (self.key_range / factor as u64).max(32);
-        self.scale = self.scale.saturating_mul(factor);
         self
     }
 
@@ -369,26 +274,6 @@ impl WorkloadParams {
         self.telemetry = on;
         self
     }
-
-    /// Builder: the weighted structure mix for a heterogeneous run.
-    pub fn with_structures(mut self, mix: StructureMix) -> Self {
-        self.structures = mix;
-        self
-    }
-
-    /// Derives the single-structure cell for one member of a
-    /// heterogeneous run: `kind`'s own Figure 3 sizing at this cell's
-    /// scale, with everything else (duration, update mix, key
-    /// distribution, load model, scheme tuning) carried over.
-    pub fn hetero_cell(&self, kind: StructureKind) -> WorkloadParams {
-        let preset = Self::fig3(kind, self.threads).scaled_down(self.scale);
-        WorkloadParams {
-            structures: preset.structures,
-            initial_size: preset.initial_size,
-            key_range: preset.key_range,
-            ..self.clone()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -400,7 +285,7 @@ mod tests {
         // No `..`: every field is a knob some experiment turns; a new one
         // fails to compile here first.
         let WorkloadParams {
-            structures,
+            structure,
             initial_size,
             key_range,
             update_pct,
@@ -414,9 +299,8 @@ mod tests {
             arrival_seed: _,
             backlog,
             telemetry,
-            scale,
         } = WorkloadParams::fig3(StructureKind::List, 8);
-        assert_eq!(structures.as_single(), Some(StructureKind::List));
+        assert_eq!(structure, StructureKind::List);
         assert_eq!((initial_size, key_range, update_pct), (1024, 2048, 20));
         assert_eq!(key_dist, KeyDist::Uniform);
         assert_eq!((duration, threads), (Duration::from_secs(2), 8));
@@ -428,7 +312,6 @@ mod tests {
             (LoadModel::Closed, BacklogPolicy::Queue)
         );
         assert!(!telemetry);
-        assert_eq!(scale, 1);
         let h = WorkloadParams::fig3(StructureKind::Hash, 8);
         assert_eq!((h.initial_size, h.key_range), (131_072, 262_144));
         let s = WorkloadParams::fig3(StructureKind::Skip, 8);
@@ -448,7 +331,6 @@ mod tests {
         let p = WorkloadParams::fig3(StructureKind::Hash, 4).scaled_down(64);
         assert_eq!(p.initial_size, 2048);
         assert_eq!(p.key_range, 4096);
-        assert_eq!(p.scale, 64);
     }
 
     #[test]
@@ -457,23 +339,6 @@ mod tests {
             assert_eq!(SchemeKind::parse(kind.label()), Some(kind));
         }
         assert_eq!(SchemeKind::parse("gc"), None);
-    }
-
-    #[test]
-    fn load_model_knobs_carry_into_hetero_cells() {
-        let model = LoadModel::OpenPoisson { qps: 5_000.0 };
-        let p = WorkloadParams::fig3(StructureKind::Hash, 4)
-            .with_load_model(model)
-            .with_arrival_seed(77)
-            .with_backlog(BacklogPolicy::DropAfter(Duration::from_millis(5)))
-            .with_structures(StructureMix::parse("hash:1,list:1").unwrap());
-        let cell = p.hetero_cell(StructureKind::List);
-        assert_eq!(cell.load_model, model);
-        assert_eq!(cell.arrival_seed, 77);
-        assert_eq!(
-            cell.backlog,
-            BacklogPolicy::DropAfter(Duration::from_millis(5))
-        );
     }
 
     #[test]
@@ -501,56 +366,5 @@ mod tests {
         }
         assert_eq!(StructureKind::parse("pq"), Some(StructureKind::Pq));
         assert_eq!(StructureKind::parse("btree"), None);
-    }
-
-    #[test]
-    fn mix_spec_parses_and_renders_canonically() {
-        let mix = StructureMix::parse("hash:50, skiplist:30 ,pq:20").unwrap();
-        assert_eq!(
-            mix.entries(),
-            [
-                (StructureKind::Hash, 50),
-                (StructureKind::Skip, 30),
-                (StructureKind::Pq, 20),
-            ]
-        );
-        assert_eq!(mix.weights(), [50, 30, 20]);
-        assert_eq!(mix.label(), "hash:50,skiplist:30,pq:20");
-    }
-
-    #[test]
-    fn bad_mix_specs_are_rejected() {
-        assert!(StructureMix::parse("").is_err());
-        assert!(StructureMix::parse("hash").is_err(), "missing weight");
-        assert!(StructureMix::parse("btree:10").is_err(), "unknown label");
-        assert!(StructureMix::parse("hash:0").is_err(), "zero weight");
-        assert!(StructureMix::parse("hash:1,hash:2").is_err(), "duplicate");
-        assert!(StructureMix::parse("hash:x").is_err(), "non-numeric");
-    }
-
-    #[test]
-    fn hetero_cell_sizes_per_structure_but_keeps_the_run_shape() {
-        let mut p = WorkloadParams::fig3(StructureKind::Hash, 6)
-            .scaled_down(64)
-            .with_update_pct(40)
-            .with_ts_buffer(4096)
-            .with_structures(StructureMix::parse("hash:50,skiplist:30,pq:20").unwrap());
-        p.duration = Duration::from_millis(250);
-        let skip = p.hetero_cell(StructureKind::Skip);
-        assert_eq!(skip.structures.as_single(), Some(StructureKind::Skip));
-        assert_eq!(skip.initial_size, 128_000 / 64);
-        assert_eq!(skip.threads, 6);
-        assert_eq!(skip.update_pct, 40);
-        assert_eq!(skip.ts_buffer_capacity, 4096);
-        assert_eq!(skip.duration, Duration::from_millis(250));
-        assert!(
-            p.clone()
-                .with_telemetry(true)
-                .hetero_cell(StructureKind::Skip)
-                .telemetry,
-            "telemetry toggle must carry into hetero cells"
-        );
-        let pq = p.hetero_cell(StructureKind::Pq);
-        assert_eq!(pq.initial_size, 10_000 / 64);
     }
 }

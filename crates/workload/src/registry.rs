@@ -7,8 +7,8 @@
 //! [`ConcurrentSet`] in its own module, add a [`StructureKind`] variant,
 //! and add one arm to [`StructureKind::build_set`]. Nothing else in the
 //! harness changes: the runner is one [`SchemeFn`], generic over the
-//! scheme, that drives `Arc<dyn ConcurrentSet<S>>` objects and never names
-//! a concrete combination.
+//! scheme, that drives an `Arc<dyn ConcurrentSet<S>>` and never names a
+//! concrete combination.
 
 use std::sync::Arc;
 
@@ -138,8 +138,7 @@ impl StructureKind {
     ///
     /// This is the structure registry: one arm per variant. The runner
     /// instantiates it at the cell's concrete scheme, so a structure costs
-    /// one virtual call per operation and none per traversal step, and
-    /// every structure of a heterogeneous run has the same object type.
+    /// one virtual call per operation and none per traversal step.
     pub fn build_set<S: Smr>(self, params: &WorkloadParams) -> Arc<dyn ConcurrentSet<S>> {
         match self {
             StructureKind::List => Arc::new(HarrisList::<S>::new()),

@@ -123,7 +123,6 @@ mod tests {
             leaked: None,
             protection_slots: None,
             threadscan: None,
-            per_structure: Vec::new(),
             bucket_count: None,
             latency: None,
             open_loop: None,

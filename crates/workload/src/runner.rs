@@ -3,63 +3,31 @@
 //!
 //! "Each data point in the graphs represents the average number of
 //! operations over five executions of 10 seconds" (§6). [`run_combo`]
-//! executes one (structures × scheme × threads) cell: prefill, start all
+//! executes one (structure × scheme × threads) cell: prefill, start all
 //! worker threads behind a barrier, run the op mix for the measurement
-//! window, stop, and report completed operations. A cell drives one
-//! structure (the figures) or a weighted mix of several sharing one
-//! scheme instance — ThreadScan's pitch is *process-wide* reclamation,
-//! and the collector does not care what sits on top.
+//! window, stop, and report completed operations. Like every data point
+//! of the paper's figures, a cell is one structure under one scheme.
 //!
 //! Dispatch is registry-based (see [`crate::registry`]):
 //! [`SchemeKind::with`] picks the concrete scheme `S` once per cell, and
-//! the loop drives every structure as an `Arc<dyn ConcurrentSet<S>>` —
-//! one virtual call per operation, none per traversal step, and the
-//! runner never names a concrete (scheme × structure) pair.
+//! the loop drives the structure as an `Arc<dyn ConcurrentSet<S>>` — one
+//! virtual call per operation, none per traversal step, and the runner
+//! never names a concrete (scheme × structure) pair.
 //! Scheme-specific report fields (Leaky's leak counter, ThreadScan's
 //! collector statistics) come from [`HarnessScheme`].
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Barrier, Mutex};
 use std::time::Instant;
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use threadscan::StatsSnapshot;
 use ts_smr::{Smr, SmrHandle};
 use ts_structures::ConcurrentSet;
 
-use crate::dist::WeightedPick;
 use crate::load::{self, Aggregate, LatencySummary, OpenLoopExtras};
 use crate::mix::{prefill_keys, Op, OpMix};
 use crate::params::{SchemeKind, WorkloadParams};
 use crate::registry::{HarnessScheme, SchemeFn};
-
-/// Per-structure share of a heterogeneous run.
-#[derive(Debug, Clone)]
-pub struct StructureOps {
-    /// Structure label ([`crate::params::StructureKind::label`]).
-    pub structure: String,
-    /// Completed operations routed to this structure.
-    pub ops: u64,
-    /// This structure's share of throughput (ops/second over the shared
-    /// measurement window).
-    pub ops_per_sec: f64,
-    /// This structure's per-op latency (open-loop runs only; `None`
-    /// under the closed loop or when no op completed).
-    pub latency: Option<LatencySummary>,
-}
-
-impl StructureOps {
-    /// Renders as one JSON object (see [`crate::json`]).
-    pub fn to_json(&self) -> String {
-        crate::json::ObjectBuilder::new()
-            .str("structure", &self.structure)
-            .num("ops", self.ops as f64)
-            .num("ops_per_sec", self.ops_per_sec)
-            .raw("latency", &opt_json(&self.latency, LatencySummary::to_json))
-            .build()
-    }
-}
 
 /// One measured cell.
 #[derive(Debug, Clone)]
@@ -87,9 +55,6 @@ pub struct RunResult {
     /// The collector's counters over the measured window (ThreadScan
     /// only), rendered by [`stats_json`].
     pub threadscan: Option<StatsSnapshot>,
-    /// Per-structure op counts/throughput for heterogeneous runs; empty
-    /// for single-structure cells (rendered as JSON `null`).
-    pub per_structure: Vec<StructureOps>,
     /// Final bucket count, for structures with a bucket directory (the
     /// split-ordered table); `None` otherwise.
     pub bucket_count: Option<usize>,
@@ -136,12 +101,6 @@ fn opt_json<T>(block: &Option<T>, render: impl Fn(&T) -> String) -> String {
 impl RunResult {
     /// Renders as one JSON object line (see [`crate::json`]).
     pub fn to_json(&self) -> String {
-        let split = self.per_structure.iter().map(StructureOps::to_json);
-        let per_structure = if self.per_structure.is_empty() {
-            "null".to_string()
-        } else {
-            format!("[{}]", split.collect::<Vec<_>>().join(","))
-        };
         crate::json::ObjectBuilder::new()
             .str("scheme", &self.scheme)
             .str("structure", &self.structure)
@@ -161,79 +120,62 @@ impl RunResult {
                 "open_loop",
                 &opt_json(&self.open_loop, OpenLoopExtras::to_json),
             )
-            .raw("per_structure", &per_structure)
             .raw("threadscan", &opt_json(&self.threadscan, stats_json))
             .build()
     }
 }
 
-/// One structure of a run: the set, and the single-structure cell that
-/// sizes it and shapes its op stream.
-type Target<S> = (Arc<dyn ConcurrentSet<S>>, WorkloadParams);
-
-/// The measurement loop: prefills every target, then drives them for
+/// The measurement loop: prefills `set`, then drives it for
 /// `params.duration` from `params.threads` workers and returns the merged
-/// worker reports (class = target index) with the measured window in
-/// seconds.
+/// worker reports with the measured window in seconds.
 ///
-/// Each worker keeps one deterministic op stream per target (each has its
-/// own key range, so one shared stream would mis-range) and, with several
-/// targets, draws the target of every op from the mix weights; a lone
-/// target is driven without that draw, so a figure cell pays for nothing
-/// but its own ops. The worker loop itself lives in the load-generation
-/// layer ([`crate::load::drive_worker`]): under the closed model a per-op
-/// relaxed stop check and no clocks, under an open model an arrival
-/// schedule with latency from intended arrival to completion.
-fn drive<S: Smr>(scheme: &S, targets: &[Target<S>], params: &WorkloadParams) -> (Aggregate, f64) {
+/// Every worker's deterministic op stream is built here, on the calling
+/// thread, before the first spawn: a cell whose stream cannot be built
+/// (a zipf `theta` outside (0, 1), an empty key range) panics here
+/// instead of in a worker the start barrier would then wait for forever.
+/// The streams share one zipf sampler's setup. The worker loop itself
+/// lives in the load-generation layer ([`crate::load::drive_worker`]):
+/// under the closed model a per-op relaxed stop check and no clocks,
+/// under an open model an arrival schedule with latency from intended
+/// arrival to completion.
+fn drive<S: Smr>(
+    scheme: &S,
+    set: &dyn ConcurrentSet<S>,
+    params: &WorkloadParams,
+) -> (Aggregate, f64) {
+    let stream = OpMix::with_dist(
+        0x51ED_1E55,
+        params.key_range,
+        params.update_pct,
+        params.key_dist,
+    );
+    let streams = (0..params.threads).map(|t| stream.reseeded(0x51ED_1E55 ^ ((t as u64) << 8)));
+    let streams: Vec<OpMix> = streams.collect();
+
     {
         let handle = scheme.register();
-        for (set, cell) in targets {
-            for key in prefill_keys(cell.initial_size, cell.key_range) {
-                set.insert(&handle, key);
-            }
+        for key in prefill_keys(params.initial_size, params.key_range) {
+            set.insert(&handle, key);
         }
     }
 
     let stop = AtomicBool::new(false);
     let start_barrier = Barrier::new(params.threads + 1);
     let reports = Mutex::new(Vec::with_capacity(params.threads));
-    let weights = params.structures.weights();
 
     let secs = std::thread::scope(|s| {
-        let (stop, start_barrier, reports, weights) = (&stop, &start_barrier, &reports, &weights);
-        for t in 0..params.threads {
+        let (stop, start_barrier, reports) = (&stop, &start_barrier, &reports);
+        for (t, mut ops) in streams.into_iter().enumerate() {
             s.spawn(move || {
                 let handle = scheme.register();
-                let mut pick = (targets.len() > 1).then(|| {
-                    let rng = SmallRng::seed_from_u64(0x4E7E_0517 ^ t as u64);
-                    (WeightedPick::new(weights), rng)
-                });
-                let mut mixes: Vec<OpMix> = targets
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (_, cell))| {
-                        OpMix::with_dist(
-                            0x51ED_1E55 ^ ((t as u64) << 8) ^ i as u64,
-                            cell.key_range,
-                            cell.update_pct,
-                            cell.key_dist,
-                        )
-                    })
-                    .collect();
-                let (spec, workers, classes) = (params.load_spec(), params.threads, targets.len());
+                let (spec, workers) = (params.load_spec(), params.threads);
                 start_barrier.wait();
-                let report = load::drive_worker(spec, t, workers, classes, stop, || {
-                    let i = match &mut pick {
-                        Some((pick, rng)) => pick.sample(rng),
-                        None => 0,
-                    };
-                    let set = &targets[i].0;
-                    match mixes[i].next_op() {
+                let report = load::drive_worker(spec, t, workers, stop, || {
+                    match ops.next_op() {
                         Op::Contains(k) => set.contains(&handle, k),
                         Op::Insert(k) => set.insert(&handle, k),
                         Op::Remove(k) => set.remove(&handle, k),
                     };
-                    i
                 });
                 reports.lock().expect("a worker panicked").push(report);
                 // handle drops here: the thread unregisters before exit,
@@ -251,21 +193,15 @@ fn drive<S: Smr>(scheme: &S, targets: &[Target<S>], params: &WorkloadParams) -> 
     });
 
     let reports = reports.into_inner().expect("a worker panicked");
-    (Aggregate::from_reports(reports, targets.len()), secs)
+    (Aggregate::from_reports(reports), secs)
 }
 
 /// Runs one experiment cell through the scheme and structure registries.
 ///
 /// No (scheme × structure) dispatch happens here: [`SchemeKind::with`]
 /// builds the concrete scheme `S` and runs the cell generic over it, with
-/// each structure of `params.structures` built by
-/// [`StructureKind::build_set`] as an `Arc<dyn ConcurrentSet<S>>`. A
-/// single structure is sized by `params` itself and reported under its
-/// own label; the members of a mix are each sized by their own Figure 3
-/// preset at the cell's scale ([`WorkloadParams::hetero_cell`]), the label
-/// is `hetero(<mix>)`
-/// ([`StructureMix::row_label`](crate::params::StructureMix::row_label))
-/// and `per_structure` carries the split.
+/// `params.structure` built by [`StructureKind::build_set`] as an
+/// `Arc<dyn ConcurrentSet<S>>`.
 ///
 /// [`StructureKind::build_set`]: crate::params::StructureKind::build_set
 pub fn run_combo(scheme: SchemeKind, params: &WorkloadParams) -> RunResult {
@@ -287,21 +223,8 @@ impl SchemeFn for Combo<'_> {
             scheme: kind,
             params,
         } = self;
-        let single = params.structures.as_single();
-        let targets: Vec<Target<S>> = params
-            .structures
-            .entries()
-            .iter()
-            .map(|&(kind, _)| {
-                let cell = match single {
-                    Some(_) => params.clone(),
-                    None => params.hetero_cell(kind),
-                };
-                (kind.build_set::<S>(&cell), cell)
-            })
-            .collect();
-
-        let (agg, secs) = drive(&scheme, &targets, params);
+        let set = params.structure.build_set::<S>(params);
+        let (agg, secs) = drive(&scheme, &*set, params);
         let secs = secs.max(1e-9);
 
         // The collector's counters are read *before* the quiesce: its
@@ -315,20 +238,9 @@ impl SchemeFn for Combo<'_> {
         let leaked = scheme.leaked();
         let outstanding_after = leaked.is_none().then(|| scheme.outstanding());
 
-        let split = params.structures.entries().iter().enumerate();
-        let split = split.map(|(i, &(kind, _))| StructureOps {
-            structure: kind.label().to_string(),
-            ops: agg.class_ops[i],
-            ops_per_sec: agg.class_ops[i] as f64 / secs,
-            latency: agg.class_latency[i].clone(),
-        });
-        let per_structure = match single {
-            Some(_) => Vec::new(), // a lone structure's split is the row itself
-            None => split.collect(),
-        };
         RunResult {
             scheme: kind.label().to_string(),
-            structure: params.structures.row_label(),
+            structure: params.structure.label().to_string(),
             threads: params.threads,
             duration_s: secs,
             total_ops: agg.total_ops,
@@ -337,8 +249,7 @@ impl SchemeFn for Combo<'_> {
             leaked,
             protection_slots: scheme.register().protection_slots(),
             threadscan,
-            per_structure,
-            bucket_count: targets.iter().find_map(|(set, _)| set.bucket_count()),
+            bucket_count: set.bucket_count(),
             open_loop: agg.open_extras(&params.load_model),
             latency: agg.latency,
         }
@@ -348,7 +259,7 @@ impl SchemeFn for Combo<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::{StructureKind, StructureMix};
+    use crate::params::StructureKind;
     use crate::registry::HARNESS_HAZARD_SLOTS;
     use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
@@ -361,12 +272,6 @@ mod tests {
             .with_duration(Duration::from_millis(120))
     }
 
-    fn quick_hetero(threads: usize, spec: &str) -> WorkloadParams {
-        quick(StructureKind::Hash, threads)
-            .with_duration(Duration::from_millis(150))
-            .with_structures(StructureMix::parse(spec).unwrap())
-    }
-
     /// The 50/50 insert/delete-min priority-queue ablation cell.
     fn quick_pq() -> WorkloadParams {
         let mut p = quick(StructureKind::Pq, 2).with_update_pct(100);
@@ -375,11 +280,8 @@ mod tests {
     }
 
     /// Drives one injected set through the measurement loop under Leaky.
-    fn drive_injected(
-        set: Arc<dyn ConcurrentSet<Leaky>>,
-        params: &WorkloadParams,
-    ) -> (Aggregate, f64) {
-        drive(&Leaky::new(), &[(set, params.clone())], params)
+    fn drive_injected(set: &dyn ConcurrentSet<Leaky>, params: &WorkloadParams) -> (Aggregate, f64) {
+        drive(&Leaky::new(), set, params)
     }
 
     /// A set whose every operation takes ~`OP_MS` ms: long enough that a
@@ -420,7 +322,7 @@ mod tests {
         let mut params = quick(StructureKind::List, THREADS);
         params.initial_size = 0; // no prefill through the stalling set
         params.duration = Duration::from_millis(60);
-        let (agg, secs) = drive_injected(Arc::new(StallingSet), &params);
+        let (agg, secs) = drive_injected(&StallingSet, &params);
         let ops = agg.total_ops;
         // Bound against the *measured* window, not the nominal 60 ms —
         // on a loaded machine the driver's sleep can overshoot, in which
@@ -536,21 +438,19 @@ mod tests {
         }
     }
 
-    /// Pins [`LoadModel::Closed`](crate::load::LoadModel::Closed) on a
-    /// single-structure cell to the pre-refactor runner observationally:
-    /// a single worker must issue *exactly* the op stream of
-    /// `OpMix::with_dist(0x51ED_1E55, ...)` (the documented per-worker
-    /// seed — so no draw from a structure-pick stream perturbs it), count
-    /// every issued op, and take no per-op clocks (no latency, no
-    /// open-loop extras).
+    /// Pins [`LoadModel::Closed`](crate::load::LoadModel::Closed) to the
+    /// pre-refactor runner observationally: a single worker must issue
+    /// *exactly* the op stream of `OpMix::with_dist(0x51ED_1E55, ...)` (the
+    /// documented per-worker seed), count every issued op, and take no
+    /// per-op clocks (no latency, no open-loop extras).
     #[test]
     fn closed_model_is_observationally_the_pre_refactor_loop() {
-        let set = Arc::new(RecordingSet(Mutex::new(Vec::new())));
+        let set = RecordingSet(Mutex::new(Vec::new()));
         let mut params = quick(StructureKind::List, 1);
         params.initial_size = 0; // keep prefill out of the recording
         params.duration = Duration::from_millis(40);
         assert_eq!(params.load_model, crate::load::LoadModel::Closed);
-        let (agg, _) = drive_injected(set.clone(), &params);
+        let (agg, _) = drive_injected(&set, &params);
 
         let recorded = set.0.lock().unwrap();
         assert_eq!(
@@ -565,8 +465,8 @@ mod tests {
             "closed loop has no extras"
         );
 
-        // Replay the documented stream: worker 0, structure 0 seeds OpMix
-        // with 0x51ED_1E55 ^ (0 << 8) ^ 0.
+        // Replay the documented stream: worker t seeds OpMix with
+        // 0x51ED_1E55 ^ (t << 8), so worker 0 with 0x51ED_1E55 itself.
         let mut expect = OpMix::with_dist(
             0x51ED_1E55,
             params.key_range,
@@ -638,7 +538,7 @@ mod tests {
             .with_backlog(crate::load::BacklogPolicy::DropAfter(
                 Duration::from_millis(10),
             ));
-        let (agg, _) = drive_injected(Arc::new(StallingSet), &params);
+        let (agg, _) = drive_injected(&StallingSet, &params);
         let ol = agg
             .open_extras(&params.load_model)
             .expect("open model reports extras");
@@ -655,11 +555,11 @@ mod tests {
         );
     }
 
-    /// Pins the row format: a single-structure ThreadScan row carries
-    /// exactly the keys it always has, `per_structure` is `null` and
-    /// `structure` is the kind's label — downstream plotting reads these.
+    /// Pins the row format: a ThreadScan row carries exactly the keys it
+    /// always has and `structure` is the kind's label — downstream
+    /// plotting reads these.
     #[test]
-    fn single_structure_row_keeps_its_json_keys() {
+    fn result_row_keeps_its_json_keys() {
         #[track_caller]
         fn assert_keys<const N: usize>(v: &crate::json::Value, mut want: [&str; N]) {
             let crate::json::Value::Object(fields) = v else {
@@ -687,12 +587,10 @@ mod tests {
                 "bucket_count",
                 "latency",
                 "open_loop",
-                "per_structure",
                 "threadscan",
             ],
         );
         assert_eq!(v.get("structure").as_str(), Some("hash"));
-        assert!(v.get("per_structure").is_null());
         assert_keys(
             v.get("threadscan"),
             [
@@ -730,87 +628,25 @@ mod tests {
     }
 
     #[test]
-    fn three_structures_share_a_run_and_split_its_ops() {
-        let p = quick_hetero(3, "hash:50,skiplist:30,pq:20");
-        let r = run_combo(SchemeKind::Epoch, &p);
-        assert_eq!(r.structure, "hetero(hash:50,skiplist:30,pq:20)");
-        assert_eq!(r.per_structure.len(), 3);
-        assert_eq!(
-            r.per_structure.iter().map(|s| s.ops).sum::<u64>(),
-            r.total_ops
-        );
-        assert!(r.total_ops > 0);
-        // The 50%-weighted structure must dominate the 20% one over a
-        // measurement window's worth of draws.
-        assert!(
-            r.per_structure[0].ops > r.per_structure[2].ops,
-            "hash {} vs pq {}",
-            r.per_structure[0].ops,
-            r.per_structure[2].ops
-        );
-        assert!(r.bucket_count.is_none(), "no bucketed structure in mix");
-    }
-
-    #[test]
-    fn split_ordered_in_the_mix_reports_its_directory() {
-        let p = quick_hetero(2, "split-ordered:1,list:1");
-        let r = run_combo(SchemeKind::Leaky, &p);
+    fn split_ordered_cell_reports_its_directory() {
+        let r = run_combo(SchemeKind::Leaky, &quick(StructureKind::SplitOrdered, 2));
         let buckets = r.bucket_count.expect("split-ordered exports buckets");
         assert!(buckets >= 2);
-        assert!(r.leaked.is_some(), "leaky accounting preserved");
+        let v = crate::json::parse(&r.to_json()).expect("valid JSON");
+        assert_eq!(v.get("bucket_count").as_f64(), Some(buckets as f64));
+        let hash = run_combo(SchemeKind::Leaky, &quick(StructureKind::Hash, 2));
+        assert!(hash.bucket_count.is_none(), "only the split-ordered table");
     }
 
+    /// A cell whose op stream cannot be built panics on the calling
+    /// thread, before any worker exists: were the stream built inside a
+    /// worker, the start barrier would wait for it forever.
     #[test]
-    fn hetero_run_under_threadscan_shares_one_collector() {
-        let mut p = quick_hetero(3, "hash:40,skiplist:40,pq:20");
-        p.ts_buffer_capacity = 64; // force phases within the window
-        p.duration = Duration::from_millis(250);
-        let r = run_combo(SchemeKind::ThreadScan, &p);
-        assert!(r.total_ops > 0);
-        let ts = r.threadscan.expect("threadscan stats present");
-        // Retirements from *all three* structures funnel into the one
-        // collector the run built.
-        assert!(ts.collects > 0, "no reclamation phases ran");
-    }
-
-    #[test]
-    fn open_loop_hetero_reports_per_structure_latency() {
-        let mut p = quick_hetero(2, "hash:60,list:40");
-        p.duration = Duration::from_millis(250);
-        p = p.with_load_model(crate::load::LoadModel::OpenPoisson { qps: 20_000.0 });
-        let r = run_combo(SchemeKind::Epoch, &p);
-        assert!(r.total_ops > 0);
-        let total = r.latency.as_ref().expect("open model measures latency");
-        assert_eq!(total.count, r.total_ops);
-        let mut class_count = 0;
-        for s in &r.per_structure {
-            let lat = s
-                .latency
-                .as_ref()
-                .unwrap_or_else(|| panic!("{} saw ops but no latency", s.structure));
-            assert_eq!(lat.count, s.ops, "{}", s.structure);
-            assert!(lat.p50_ns <= lat.p999_ns, "{}", s.structure);
-            class_count += lat.count;
-        }
-        assert_eq!(class_count, total.count, "class histograms sum to total");
-        let ol = r.open_loop.as_ref().expect("open extras present");
-        assert!(ol.offered >= r.total_ops);
-    }
-
-    #[test]
-    fn json_carries_the_per_structure_split() {
-        let p = quick_hetero(2, "list:1,pq:1");
-        let r = run_combo(SchemeKind::Leaky, &p);
-        let json = r.to_json();
-        let v = crate::json::parse(&json).expect("valid JSON");
-        let arr = match v.get("per_structure") {
-            crate::json::Value::Array(a) => a,
-            other => panic!("per_structure not an array: {other:?}"),
-        };
-        assert_eq!(arr.len(), 2);
-        assert_eq!(arr[0].get("structure").as_str(), Some("list"));
-        assert_eq!(arr[1].get("structure").as_str(), Some("pq"));
-        assert!(v.get("bucket_count").is_null(), "no bucketed structure");
+    #[should_panic(expected = "theta must be in (0, 1)")]
+    fn an_unbuildable_op_stream_panics_before_the_workers_start() {
+        let p =
+            quick(StructureKind::List, 2).with_key_dist(crate::dist::KeyDist::Zipf { theta: 1.5 });
+        run_combo(SchemeKind::Leaky, &p);
     }
 
     #[test]
@@ -875,8 +711,8 @@ mod tests {
         let params = WorkloadParams::fig3(StructureKind::Pq, 2)
             .with_update_pct(100)
             .with_duration(Duration::from_millis(200));
-        let pq = Arc::new(CountingPq(PqAsSet::new(), AtomicUsize::new(0)));
-        let (agg, _) = drive_injected(pq.clone(), &params);
+        let pq = CountingPq(PqAsSet::new(), AtomicUsize::new(0));
+        let (agg, _) = drive_injected(&pq, &params);
         assert!(agg.total_ops > 1_000);
         assert_eq!(pq.1.load(Ordering::Relaxed), 0, "duplicate priorities");
         assert_eq!(pq.0.empty_pops(), 0, "after {} ops", agg.total_ops);
