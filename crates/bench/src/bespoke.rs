@@ -15,10 +15,20 @@ use ts_smr::{retire_box, EpochScheme, HazardPointers, Smr, SmrHandle, ThreadScan
 use ts_structures::{ConcurrentSet, HarrisList, SplitOrderedSet};
 use ts_workload::json::ObjectBuilder;
 
-use crate::cli::{machine_info, CliArgs};
+use crate::cli::{machine_info, usage_error, CliArgs};
 
 const START_BUCKETS: usize = 256; // 2^8
 const OLD_CAP: usize = 1 << 20;
+
+/// Raises its flag when dropped, so a scope's workers stop however the
+/// thread holding it leaves the scope — a panic included — and no join hangs.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
 
 /// Directory-growth ablation: drive the split-ordered table from 2^8
 /// buckets to past the old 2^20 directory cap, and show that growth is
@@ -34,13 +44,15 @@ const OLD_CAP: usize = 1 << 20;
 ///
 /// Flags: `--threads 4`, `--target-buckets 2097152`, `--load-factor 1`,
 /// `--timeout 120` (seconds), `--json out.jsonl`; `--quick` shrinks the
-/// target to 2^12 buckets.
+/// target to 2^12 buckets. A directory that has not reached the target
+/// by the timeout ends the run with one `ts-bench: growth stalled …`
+/// line and status 1.
 pub fn growth(args: &CliArgs) {
     let quick = args.get_flag("quick");
     let threads = args.get_positive("threads", 4);
     let target_buckets = args.get_usize("target-buckets", if quick { 1 << 12 } else { 1 << 21 });
     let load_factor = args.get_usize("load-factor", 1);
-    let timeout_s = args.get_usize("timeout", 120) as u64;
+    let timeout_s = args.get_positive("timeout", 120) as u64;
     args.reject_unread(&["json"]);
 
     println!(
@@ -67,7 +79,8 @@ pub fn growth(args: &CliArgs) {
 
     let t0 = Instant::now();
     let mut checkpoints: Vec<String> = Vec::new();
-    std::thread::scope(|s| {
+    let reached = std::thread::scope(|s| {
+        let _stop = StopOnDrop(&stop);
         for t in 0..threads {
             let scheme = Arc::clone(&scheme);
             let set = Arc::clone(&set);
@@ -121,15 +134,20 @@ pub fn growth(args: &CliArgs) {
                 next_mark *= 2;
             }
             if buckets >= target_buckets {
-                break;
+                return true;
             }
-            assert!(
-                t0.elapsed().as_secs() < timeout_s,
-                "growth stalled: {buckets}/{target_buckets} buckets after {timeout_s}s"
-            );
+            if t0.elapsed().as_secs() >= timeout_s {
+                return false;
+            }
         }
-        stop.store(true, Ordering::Relaxed);
     });
+    if !reached {
+        eprintln!(
+            "ts-bench: growth stalled: {}/{target_buckets} buckets after {timeout_s}s",
+            set.bucket_count()
+        );
+        std::process::exit(1);
+    }
 
     let buckets = set.bucket_count();
     let resident = inserted.load(Ordering::Relaxed);
@@ -140,7 +158,6 @@ pub fn growth(args: &CliArgs) {
     if buckets > OLD_CAP {
         println!("# crossed the old 2^20 directory cap");
     }
-    assert!(buckets >= target_buckets);
 
     if let Some(path) = args.get("json") {
         std::fs::write(path, checkpoints.join("\n") + "\n").expect("write json");
@@ -176,7 +193,7 @@ fn sample_run<S: Smr + 'static>(
     scheme: Arc<S>,
     threads: usize,
     duration: Duration,
-    samples: usize,
+    samples: u32,
 ) {
     let list = Arc::new(HarrisList::<S>::new());
     {
@@ -187,6 +204,7 @@ fn sample_run<S: Smr + 'static>(
     }
     let stop = Arc::new(AtomicBool::new(false));
     std::thread::scope(|s| {
+        let _stop = StopOnDrop(&stop);
         for t in 0..threads {
             let scheme = Arc::clone(&scheme);
             let list = Arc::clone(&list);
@@ -204,14 +222,13 @@ fn sample_run<S: Smr + 'static>(
             });
         }
         let t0 = Instant::now();
-        let step = duration / samples as u32;
+        let step = duration / samples;
         print!("{label:>12}:");
         for _ in 0..samples {
             std::thread::sleep(step);
             print!(" {:>8}", scheme.outstanding());
         }
         println!("   ({:.2?} elapsed)", t0.elapsed());
-        stop.store(true, Ordering::Relaxed);
     });
 }
 
@@ -230,6 +247,9 @@ pub fn garbage(args: &CliArgs) {
     let quick = args.get_flag("quick");
     let duration = args.get_span("duration", if quick { 0.5 } else { 3.0 }, 1.0);
     let samples = args.get_positive("samples", 8);
+    let samples = u32::try_from(samples).unwrap_or_else(|_| {
+        usage_error(format_args!("--samples must be below 2^32, got {samples}"))
+    });
     let threads = args.get_positive("threads", 4);
     args.reject_unread(&[]);
 
@@ -470,6 +490,7 @@ pub fn probes(args: &CliArgs) {
         let (tx, rx) = sync_channel::<NodeBatch>(2);
         let stop = AtomicBool::new(false);
         let ns = std::thread::scope(|s| {
+            let _stop = StopOnDrop(&stop);
             s.spawn(|| {
                 // The peer never waits: a batch nobody has room for is
                 // freed again, so its arena stays busy either way.
@@ -481,13 +502,11 @@ pub fn probes(args: &CliArgs) {
                     }
                 }
             });
-            let ns = sample(trials, || {
+            sample(trials, || {
                 free_trial(iters, || {
                     rx.recv().expect("the peer outlives the measurement")
                 })
-            });
-            stop.store(true, Ordering::Relaxed);
-            ns
+            })
         });
         results.push(("free_foreign_176B", ns));
     }

@@ -6,14 +6,15 @@
 //! are not (structure × scheme × threads) sweeps bring their own loop
 //! ([`crate::bespoke`]).
 
-use ts_workload::SchemeKind::{Epoch, Hazard, Leaky, ThreadScan};
+use ts_workload::SchemeKind::{Leaky, ThreadScan};
 use ts_workload::StructureKind::{Hash, List, Pq};
 use ts_workload::{
-    BacklogPolicy, KeyDist, LatencySummary, LoadModel, Report, RunResult, SchemeKind, StructureKind,
+    BacklogPolicy, KeyDist, LatencySummary, LoadModel, Report, RunResult, SchemeKind,
+    StructureKind, WorkloadParams,
 };
 
 use crate::bespoke;
-use crate::cli::{hw_threads, oversub_ladder, thread_ladder, CliArgs};
+use crate::cli::{oversub_ladder, thread_ladder, usage_error, CliArgs};
 use crate::sweep::{col, ts, Cell, Common, Sweep, COLLECT_TAIL};
 
 /// How an experiment runs.
@@ -38,7 +39,7 @@ pub struct Experiment {
 pub const TABLE: &[Experiment] = &[
     Experiment {
         name: "fig3",
-        about: "Figure 3: throughput vs threads, list/hash/skiplist x the five schemes",
+        about: "Figure 3: throughput vs threads x the five schemes, with update/skew/buffer axes",
         run: Run::Sweep(fig3),
     },
     Experiment {
@@ -50,26 +51,6 @@ pub const TABLE: &[Experiment] = &[
         name: "service_tail",
         about: "open-loop per-op latency (p50/p99/p999) vs offered QPS, zipfian keys",
         run: Run::Sweep(service_tail),
-    },
-    Experiment {
-        name: "buffer_size",
-        about: "ThreadScan delete-buffer capacity sweep on the hash table (§6 tuning note)",
-        run: Run::Sweep(buffer_size),
-    },
-    Experiment {
-        name: "update_ratio",
-        about: "update-percentage sweep, list and hash, leaky/epoch/threadscan",
-        run: Run::Sweep(update_ratio),
-    },
-    Experiment {
-        name: "zipf",
-        about: "key-skew sweep (uniform to zipf 0.99) with ThreadScan survivor counts",
-        run: Run::Sweep(zipf),
-    },
-    Experiment {
-        name: "pq",
-        about: "priority queue at 50/50 insert/delete-min: half of all ops retire a node",
-        run: Run::Sweep(pq),
     },
     Experiment {
         name: "telemetry",
@@ -93,14 +74,25 @@ pub const TABLE: &[Experiment] = &[
     },
 ];
 
-const BASELINES: [SchemeKind; 3] = [Leaky, Epoch, ThreadScan];
+/// The `buffers` of a grid that does not sweep them: the paper's capacity.
+const PAPER_BUFFERS: &[usize] = &[WorkloadParams::PAPER_BUFFER];
 
-/// Twice the hardware threads: the single thread count of the knob
-/// sweeps, where reclamation pressure rather than scaling is the subject.
-fn busy() -> Vec<usize> {
-    vec![hw_threads() * 2]
-}
-
+/// The closed-loop sweep: structures × update percentages × key skews ×
+/// threads × schemes, every cell a Figure 3 preset. The defaults are the
+/// paper's cell — 20 % updates over uniform keys, 1024-entry buffers —
+/// and the three axes vary it:
+///
+/// * `--updates`: ThreadScan's cost "is amortized … against reclaimed
+///   nodes" (§6), so more removals mean more scans but more freed per
+///   scan. `--structures pq --updates 100` is the priority queue at 50/50
+///   insert/delete-min, where every delete-min retires a node.
+/// * `--skews`: hot nodes are likely to sit in *some* thread's stack at
+///   scan time, so the conservative mark keeps them as survivors; epoch
+///   schemes do not care which node was retired.
+/// * `--buffers` (ThreadScan cells only, labelled `threadscan-<cap>`):
+///   "increasing the size of the delete buffer … is a useful way of
+///   amortizing the cost of signals and of waiting. However, it also
+///   increases the size of the list of pointers" (§6).
 fn fig3(args: &CliArgs) -> Sweep {
     let mut s = Sweep::new("fig3", Common::parse(args, 2.0, 3));
     let ladder = if s.common.quick {
@@ -108,12 +100,51 @@ fn fig3(args: &CliArgs) -> Sweep {
     } else {
         thread_ladder()
     };
-    s.grid(
-        &args.get_structures("structures", &StructureKind::ALL),
-        &args.get_positive_list("threads", &ladder),
-        &args.get_schemes("schemes", &SchemeKind::ALL),
-        |p| p,
+    let structures = args.get_structures("structures", &StructureKind::ALL);
+    let percent = |s: &str| s.parse().ok().filter(|&pct: &u32| pct <= 100);
+    let updates = args.get_list("updates", &[20], "percentages 0-100", percent);
+    let skews = args.get_list(
+        "skews",
+        &[KeyDist::Uniform],
+        "uniform or a theta in (0, 1)",
+        KeyDist::parse,
     );
+    // The collector's buffers hold at least two entries.
+    let capacity = |s: &str| s.parse().ok().filter(|&n: &usize| n >= 2);
+    let buffers = args.get_list(
+        "buffers",
+        PAPER_BUFFERS,
+        "capacities of at least 2",
+        capacity,
+    );
+    let threads = args.get_positive_list("threads", &ladder);
+    let schemes = args.get_schemes("schemes", &SchemeKind::ALL);
+    // The zipf sampler's setup is linear in the key range, and the
+    // queue's range is the whole space of fresh priorities.
+    if structures.contains(&Pq) && skews.iter().any(|&d| d != KeyDist::Uniform) {
+        usage_error(format_args!(
+            "--skews must be uniform for pq: it draws fresh uniform priorities"
+        ));
+    }
+    for &kind in &structures {
+        for &pct in &updates {
+            for &dist in &skews {
+                s.grid(&[kind], &threads, &schemes, &buffers, |p| {
+                    p.with_update_pct(pct).with_key_dist(dist)
+                });
+            }
+        }
+    }
+    s.columns = vec![
+        col("update%", |c, _| c.params.update_pct.to_string()),
+        col("keys", |c, _| c.params.key_dist.label()),
+        col("collects", |_, r| ts(r).collects.to_string()),
+        col("freed", |_, r| ts(r).freed.to_string()),
+        col("survivors", |_, r| ts(r).survivors.to_string()),
+        col("words/collect", |_, r| {
+            format!("{:.0}", ts(r).words_per_collect())
+        }),
+    ];
     s.series = true;
     s
 }
@@ -128,15 +159,11 @@ fn fig4(args: &CliArgs) -> Sweep {
     } else {
         oversub_ladder()
     };
+    let threads = args.get_positive_list("threads", &ladder);
+    let tuned: &[usize] = &[WorkloadParams::PAPER_BUFFER, 4096];
     for kind in StructureKind::ALL {
-        for &t in &args.get_positive_list("threads", &ladder) {
-            s.grid(&[kind], &[t], &SchemeKind::OVERSUB, |p| p);
-            if kind == Hash {
-                let tuned = s.common.cell(kind, t).with_ts_buffer(4096);
-                s.cells
-                    .push(Cell::new(ThreadScan, tuned).labelled("threadscan-4096"));
-            }
-        }
+        let buffers = if kind == Hash { tuned } else { PAPER_BUFFERS };
+        s.grid(&[kind], &threads, &SchemeKind::OVERSUB, buffers, |p| p);
     }
     s.columns = vec![COLLECT_TAIL];
     s.series = true;
@@ -164,7 +191,7 @@ fn service_tail(args: &CliArgs) -> Sweep {
     let schemes: &[SchemeKind] = if quick {
         &[Leaky, ThreadScan]
     } else {
-        &BASELINES
+        &SchemeKind::OVERSUB
     };
     let schemes = args.get_schemes("schemes", schemes);
     let backlog = match args.get("drop-ms") {
@@ -180,7 +207,7 @@ fn service_tail(args: &CliArgs) -> Sweep {
             Some(burst) => LoadModel::OpenBursty { qps, burst, duty },
             None => LoadModel::OpenPoisson { qps },
         };
-        s.grid(&[Hash], &threads, &schemes, |mut p| {
+        s.grid(&[Hash], &threads, &schemes, PAPER_BUFFERS, |mut p| {
             (p.key_range, p.initial_size) = (keys as u64, keys / 2);
             p.with_key_dist(KeyDist::Zipf { theta })
                 .with_load_model(model)
@@ -207,87 +234,6 @@ fn service_tail(args: &CliArgs) -> Sweep {
             format!("{:.1}", lag as f64 / 1e3)
         }),
     ];
-    s
-}
-
-/// "Increasing the size of the delete buffer … is a useful way of
-/// amortizing the cost of signals and of waiting. However, it also
-/// increases the size of the list of pointers" (§6).
-fn buffer_size(args: &CliArgs) -> Sweep {
-    let mut s = Sweep::new("buffer_size", Common::parse(args, 2.0, 1));
-    let sizes: &[usize] = if s.common.quick {
-        &[64, 256]
-    } else {
-        &[256, 512, 1024, 2048, 4096, 8192, 16384]
-    };
-    let threads = args.get_positive_list("threads", &busy());
-    // The collector's buffers hold at least two entries.
-    let capacity = |s: &str| s.parse().ok().filter(|&n: &usize| n >= 2);
-    for size in args.get_list("sizes", sizes, "capacities of at least 2", capacity) {
-        s.grid(&[Hash], &threads, &[ThreadScan], |p| p.with_ts_buffer(size));
-    }
-    s.columns = vec![
-        col("buffer", |c, _| c.params.ts_buffer_capacity.to_string()),
-        col("collects", |_, r| ts(r).collects.to_string()),
-        col("freed", |_, r| ts(r).freed.to_string()),
-        col("words/collect", |_, r| {
-            format!("{:.0}", ts(r).words_per_collect())
-        }),
-    ];
-    s
-}
-
-/// ThreadScan's reclamation cost "is amortized … against reclaimed
-/// nodes" (§6): more removals mean more scans but more freed per scan.
-fn update_ratio(args: &CliArgs) -> Sweep {
-    let mut s = Sweep::new("update_ratio", Common::parse(args, 1.5, 1));
-    let threads = args.get_positive_list("threads", &busy());
-    let percent = |s: &str| s.parse().ok().filter(|&pct: &u32| pct <= 100);
-    let ratios = args.get_list(
-        "ratios",
-        &[0, 10, 20, 50, 100],
-        "percentages 0-100",
-        percent,
-    );
-    for kind in [List, Hash] {
-        for &pct in &ratios {
-            s.grid(&[kind], &threads, &BASELINES, |p| p.with_update_pct(pct));
-        }
-    }
-    s.columns = vec![col("update%", |c, _| c.params.update_pct.to_string())];
-    s
-}
-
-/// Under skew, hot nodes are likely to sit in *some* thread's stack at
-/// scan time, so ThreadScan's conservative mark keeps resurrecting them
-/// as survivors; epoch schemes do not care which node was retired.
-fn zipf(args: &CliArgs) -> Sweep {
-    let mut s = Sweep::new("zipf", Common::parse(args, 1.5, 1));
-    let threads = args.get_positive_list("threads", &busy());
-    for kind in [Hash, List] {
-        let skews = [0.5, 0.9, 0.99].map(|theta| KeyDist::Zipf { theta });
-        for dist in [KeyDist::Uniform].into_iter().chain(skews) {
-            s.grid(&[kind], &threads, &BASELINES, |p| p.with_key_dist(dist));
-        }
-    }
-    s.columns = vec![
-        col("skew", |c, _| c.params.key_dist.label()),
-        col("survivors", |_, r| ts(r).survivors.to_string()),
-    ];
-    s
-}
-
-/// `delete_min` retires a node on every successful call: roughly 5× the
-/// retire pressure of the 20%-update set workloads.
-fn pq(args: &CliArgs) -> Sweep {
-    let mut s = Sweep::new("pq", Common::parse(args, 1.5, 1));
-    let prefill = args.get_usize("prefill", if s.common.quick { 1_000 } else { 20_000 });
-    let threads = args.get_positive_list("threads", &[1, 2, 4, 8]);
-    let schemes = [Leaky, Hazard, Epoch, ThreadScan];
-    s.grid(&[Pq], &threads, &schemes, |mut p| {
-        p.initial_size = prefill;
-        p.with_update_pct(100)
-    });
     s
 }
 
@@ -335,8 +281,208 @@ fn telemetry(args: &CliArgs) -> Sweep {
 mod tests {
     use super::*;
 
+    use std::time::Duration;
+
+    use ts_workload::SchemeKind::{Epoch, Hazard};
+
+    use crate::cli::hw_threads;
+
     fn quick() -> CliArgs {
         CliArgs::from_args(["--quick".to_string()])
+    }
+
+    /// The `TABLE` row `name`'s plan for the command line `words`.
+    fn plan(name: &str, words: &str) -> Sweep {
+        let e = TABLE.iter().find(|e| e.name == name).expect("a row");
+        let Run::Sweep(plan) = e.run else {
+            panic!("{name} is not a sweep")
+        };
+        plan(&CliArgs::from_args(
+            words.split_whitespace().map(str::to_string),
+        ))
+    }
+
+    /// What decides a cell's measurement, one string per cell, sorted.
+    fn planned(s: &Sweep) -> Vec<String> {
+        let cells = s.cells.iter().map(|c| {
+            let p = &c.params;
+            let knobs = (p.update_pct, p.key_dist, p.ts_buffer_capacity);
+            let what = (
+                p.structure,
+                p.threads,
+                c.scheme,
+                knobs,
+                p.key_range,
+                p.duration,
+            );
+            format!("{what:?}")
+        });
+        let mut cells: Vec<String> = cells.collect();
+        cells.sort();
+        cells
+    }
+
+    /// The cells a row deleted from the table planned under `--quick`,
+    /// in [`planned`]'s form: every combination of its axes at the quick
+    /// scale (1/64) and window (0.25 s), with the preset's 1024-entry
+    /// buffers wherever the row did not sweep them.
+    fn deleted_row(
+        kinds: &[StructureKind],
+        threads: &[usize],
+        schemes: &[SchemeKind],
+        updates: &[u32],
+        skews: &[KeyDist],
+        buffers: &[usize],
+    ) -> Vec<String> {
+        let mut cells = Vec::new();
+        for &kind in kinds {
+            let key_range = WorkloadParams::fig3(kind, 1).scaled_down(64).key_range;
+            for &t in threads {
+                for &scheme in schemes {
+                    for &pct in updates {
+                        for &dist in skews {
+                            for &cap in buffers {
+                                let knobs = (pct, dist, cap);
+                                let window = Duration::from_millis(250);
+                                let what = (kind, t, scheme, knobs, key_range, window);
+                                cells.push(format!("{what:?}"));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        cells.sort();
+        cells
+    }
+
+    /// `update_ratio`, `zipf` and `buffer_size` ran at twice the
+    /// hardware threads; each is now a `fig3` command with the same cells.
+    #[test]
+    fn the_folded_knob_rows_are_fig3_commands_with_the_same_cells() {
+        let busy = hw_threads() * 2;
+        let update_ratio = plan(
+            "fig3",
+            &format!(
+                "--quick --structures list,hash --schemes leaky,epoch,threadscan \
+                 --updates 0,10,20,50,100 --threads {busy}"
+            ),
+        );
+        let want = deleted_row(
+            &[List, Hash],
+            &[busy],
+            &SchemeKind::OVERSUB,
+            &[0, 10, 20, 50, 100],
+            &[KeyDist::Uniform],
+            &[1024],
+        );
+        assert_eq!(planned(&update_ratio), want);
+
+        let zipf = plan(
+            "fig3",
+            &format!(
+                "--quick --structures hash,list --schemes leaky,epoch,threadscan \
+                 --skews uniform,0.5,0.9,0.99 --threads {busy}"
+            ),
+        );
+        let skewed = |theta| KeyDist::Zipf { theta };
+        let skews = [KeyDist::Uniform, skewed(0.5), skewed(0.9), skewed(0.99)];
+        let want = deleted_row(
+            &[Hash, List],
+            &[busy],
+            &SchemeKind::OVERSUB,
+            &[20],
+            &skews,
+            &[1024],
+        );
+        assert_eq!(planned(&zipf), want);
+
+        let buffer_size = plan(
+            "fig3",
+            &format!(
+                "--quick --structures hash --schemes threadscan --buffers 64,256 --threads {busy}"
+            ),
+        );
+        let uniform = [KeyDist::Uniform];
+        let want = deleted_row(&[Hash], &[busy], &[ThreadScan], &[20], &uniform, &[64, 256]);
+        assert_eq!(planned(&buffer_size), want);
+        let labels: Vec<&str> = buffer_size.cells.iter().map(|c| c.label.as_str()).collect();
+        assert_eq!(labels, ["threadscan-64", "threadscan-256"]);
+    }
+
+    /// `pq` is `fig3` on the queue at 100 % updates. Its one intended
+    /// difference: the queue holds the preset's 10 000 / `--scale`
+    /// priorities, not a `--prefill` of its own.
+    #[test]
+    fn the_pq_row_is_a_fig3_command_with_the_same_cells() {
+        let pq = plan(
+            "fig3",
+            "--quick --structures pq --updates 100 --schemes leaky,hazard,epoch,threadscan \
+             --threads 1,2,4,8",
+        );
+        let schemes = [Leaky, Hazard, Epoch, ThreadScan];
+        let uniform = [KeyDist::Uniform];
+        let want = deleted_row(&[Pq], &[1, 2, 4, 8], &schemes, &[100], &uniform, &[1024]);
+        assert_eq!(planned(&pq), want);
+        let resident = WorkloadParams::fig3(Pq, 1).scaled_down(64).initial_size;
+        assert_eq!(resident, 10_000 / 64);
+        assert!(pq.cells.iter().all(|c| c.params.initial_size == resident));
+    }
+
+    /// Without an axis flag the figures plan the cells and labels they
+    /// always have: fig3's 3 structures × 2 threads × 5 schemes, and
+    /// fig4's three schemes plus the tuned `threadscan-4096` on the hash
+    /// table alone.
+    #[test]
+    fn without_axis_flags_the_figures_plan_their_paper_cells() {
+        let fig3 = plan("fig3", "--quick");
+        let mut want = Vec::new();
+        for kind in StructureKind::ALL {
+            for t in [1, 2] {
+                for scheme in SchemeKind::ALL {
+                    want.push(format!("{} {t} {}", kind.label(), scheme.label()));
+                }
+            }
+        }
+        let row = |c: &Cell| {
+            format!(
+                "{} {} {}",
+                c.params.structure.label(),
+                c.params.threads,
+                c.label
+            )
+        };
+        assert_eq!(fig3.cells.iter().map(row).collect::<Vec<_>>(), want);
+        assert_eq!(fig3.cells.len(), 30);
+        let uniform = [KeyDist::Uniform];
+        let all = deleted_row(
+            &StructureKind::ALL,
+            &[1, 2],
+            &SchemeKind::ALL,
+            &[20],
+            &uniform,
+            &[1024],
+        );
+        assert_eq!(planned(&fig3), all);
+
+        let fig4 = plan("fig4", "--quick");
+        let mut want = Vec::new();
+        for kind in StructureKind::ALL {
+            for t in [2, 4] {
+                for scheme in SchemeKind::OVERSUB {
+                    want.push(format!("{} {t} {}", kind.label(), scheme.label()));
+                }
+                if kind == Hash {
+                    want.push(format!("hash {t} threadscan-4096"));
+                }
+            }
+        }
+        assert_eq!(fig4.cells.iter().map(row).collect::<Vec<_>>(), want);
+        for c in &fig4.cells {
+            let tuned = c.label == "threadscan-4096";
+            let cap = if tuned { 4096 } else { 1024 };
+            assert_eq!(c.params.ts_buffer_capacity, cap, "{}", row(c));
+        }
     }
 
     #[test]
@@ -376,14 +522,14 @@ mod tests {
                 "--scale 64"
             };
             let own = match e.name {
-                "fig3" => "--structures list --schemes leaky",
+                "fig3" => {
+                    "--structures list --schemes leaky --updates 20 --skews uniform \
+                     --buffers 1024"
+                }
                 "service_tail" => {
                     "--qps 1000 --schemes leaky --keys 1024 --theta 0.9 \
                      --burst-ms 10 --duty 0.25 --drop-ms 50"
                 }
-                "buffer_size" => "--sizes 64",
-                "update_ratio" => "--ratios 20",
-                "pq" => "--prefill 100",
                 "telemetry" => "--structure list",
                 _ => "",
             };

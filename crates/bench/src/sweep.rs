@@ -4,6 +4,7 @@
 use std::time::Duration;
 
 use threadscan::{Hist, StatsSnapshot};
+use ts_workload::SchemeKind::ThreadScan;
 use ts_workload::{run_combo, Report, RunResult, SchemeKind, StructureKind, WorkloadParams};
 
 use crate::cli::{machine_info, CliArgs};
@@ -69,16 +70,23 @@ pub struct Cell {
 }
 
 impl Cell {
-    /// A cell labelled with its scheme.
+    /// A cell labelled with its scheme, and a ThreadScan cell whose
+    /// buffers are not [`WorkloadParams::PAPER_BUFFER`] with its capacity
+    /// too (`threadscan-4096`).
     pub fn new(scheme: SchemeKind, params: WorkloadParams) -> Self {
+        let cap = params.ts_buffer_capacity;
+        let label = match scheme {
+            ThreadScan if cap != WorkloadParams::PAPER_BUFFER => format!("threadscan-{cap}"),
+            _ => scheme.label().to_string(),
+        };
         Self {
             scheme,
-            label: scheme.label().to_string(),
+            label,
             params,
         }
     }
 
-    /// Relabels the row (e.g. `threadscan[exact]`).
+    /// Relabels the row (e.g. `threadscan[telemetry-on]`).
     pub fn labelled(mut self, label: impl Into<String>) -> Self {
         self.label = label.into();
         self
@@ -113,7 +121,7 @@ pub const COLLECT_TAIL: Column = col("collect-µs p50/95/99", |_, r| {
 
 /// A planned experiment: what to run and what to show.
 pub struct Sweep {
-    /// Report name (`fig3`, `buffer_size`, …).
+    /// Report name (`fig3`, `service_tail`, …).
     pub name: &'static str,
     /// The shared flags this plan was built from.
     pub common: Common,
@@ -122,7 +130,8 @@ pub struct Sweep {
     /// Columns after `structure scheme threads Mops/s`.
     pub columns: Vec<Column>,
     /// Also print the paper-style series grids (threads × schemes per
-    /// structure); only meaningful when cells differ in nothing else.
+    /// structure, update % and key distribution); only meaningful when
+    /// cells differ in nothing else.
     pub series: bool,
     /// Printed after the table (cross-row summaries, process counters).
     pub epilogue: fn(&Report),
@@ -142,19 +151,28 @@ impl Sweep {
     }
 
     /// Adds `kinds × threads × schemes` cells (that nesting), each the
-    /// Figure 3 preset passed through `shape`.
+    /// Figure 3 preset passed through `shape`; a ThreadScan cell becomes
+    /// one cell per capacity in `buffers`, the one knob only it reads.
     pub fn grid(
         &mut self,
         kinds: &[StructureKind],
         threads: &[usize],
         schemes: &[SchemeKind],
+        buffers: &[usize],
         shape: impl Fn(WorkloadParams) -> WorkloadParams,
     ) {
         for &kind in kinds {
             for &t in threads {
                 for &scheme in schemes {
                     let params = shape(self.common.cell(kind, t));
-                    self.cells.push(Cell::new(scheme, params));
+                    if scheme != ThreadScan {
+                        self.cells.push(Cell::new(scheme, params));
+                        continue;
+                    }
+                    for &cap in buffers {
+                        let params = params.clone().with_ts_buffer(cap);
+                        self.cells.push(Cell::new(scheme, params));
+                    }
                 }
             }
         }

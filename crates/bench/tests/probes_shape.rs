@@ -52,18 +52,28 @@ fn probes_reports_six_rows_with_their_spread() {
     }
 }
 
+/// The closed-loop knob rows (`buffer_size`, `update_ratio`, `zipf`,
+/// `pq`) are `fig3` axes; `stacktrack`, `ordering` and `hetero` are gone.
 #[test]
-fn the_table_has_eleven_rows_and_the_removed_three_are_gone() {
+fn the_table_is_exactly_the_seven_rows() {
     let listing = ts_bench(&["list"]);
     let names: Vec<&str> = listing
         .lines()
         .filter_map(|l| l.split_whitespace().next())
         .collect();
-    assert_eq!(names.len(), 11, "{listing}");
-    assert!(names.contains(&"probes"), "{listing}");
-    for gone in ["stacktrack", "ordering", "hetero"] {
-        assert!(!names.contains(&gone), "{gone}: {listing}");
-    }
+    assert_eq!(
+        names,
+        [
+            "fig3",
+            "fig4",
+            "service_tail",
+            "telemetry",
+            "growth",
+            "garbage",
+            "probes"
+        ],
+        "{listing}"
+    );
 }
 
 #[test]

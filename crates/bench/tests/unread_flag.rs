@@ -4,7 +4,9 @@
 //! experiments alike — while the correctly spelt flag runs. No input
 //! reaches a panic.
 
-use std::process::{Command, Output};
+use std::io::Read;
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn ts_bench(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_ts-bench"))
@@ -39,6 +41,12 @@ fn a_misspelt_flag_fails_before_the_first_cell() {
         (&["garbage", "--quick", "--samples", "0"][..], "--samples"),
         (&["probes", "--quick", "--trials", "0"][..], "--trials"),
         (&["probes", "--quick", "--iters", "0"][..], "--iters"),
+        // Once a stall assertion that panicked with the workers still
+        // spinning: the run hung instead of exiting.
+        (
+            &["growth", "--timeout", "0", "--threads", "1"][..],
+            "--timeout",
+        ),
         (&["fig3", "--quick", "--repeats", "0"][..], "--repeats"),
         (&["fig3", "--quick", "--scale", "0"][..], "--scale"),
         (&["service_tail", "--quick", "--keys", "0"][..], "--keys"),
@@ -83,7 +91,8 @@ fn a_malformed_value_fails_before_the_first_cell() {
 }
 
 /// Each of these once reached a panic (exit 101) or, for `--theta`, a
-/// worker panic that left the driver waiting at its start barrier.
+/// worker panic that left the main thread waiting at its start barrier; the
+/// `fig3` axes are range-checked the same way.
 #[test]
 fn an_out_of_range_value_fails_before_the_first_cell() {
     for (args, flag) in [
@@ -111,11 +120,20 @@ fn an_out_of_range_value_fails_before_the_first_cell() {
             "--theta",
         ),
         (&["service_tail", "--quick", "--theta", "1"][..], "--theta"),
+        (&["fig3", "--quick", "--updates", "150"][..], "--updates"),
+        (&["fig3", "--quick", "--buffers", "1"][..], "--buffers"),
+        (&["fig3", "--quick", "--skews", "1"][..], "--skews"),
+        (&["fig3", "--quick", "--skews", "zipf"][..], "--skews"),
+        // The zipf sampler's setup is linear in the queue's 2^56 range.
         (
-            &["update_ratio", "--quick", "--ratios", "150"][..],
-            "--ratios",
+            &["fig3", "--quick", "--structures", "pq", "--skews", "0.5"][..],
+            "--skews",
         ),
-        (&["buffer_size", "--quick", "--sizes", "1"][..], "--sizes"),
+        // Truncated to zero samples, it divided by zero and then hung.
+        (
+            &["garbage", "--quick", "--samples", "4294967296"][..],
+            "--samples",
+        ),
     ] {
         assert_usage_error(args, flag);
     }
@@ -139,4 +157,35 @@ fn the_correctly_spelt_flag_runs() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     let rows = stdout.lines().filter(|l| l.starts_with("list "));
     assert_eq!(rows.count(), 1, "{stdout}");
+}
+
+/// A directory that cannot reach its target in time is a failed run, not
+/// a panic and not a hang: one `ts-bench: growth stalled …` line and
+/// status 1, with every worker stopped.
+#[test]
+fn a_stalled_growth_exits_1_within_its_timeout() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ts-bench"))
+        .args(["growth", "--quick", "--threads", "1"])
+        .args(["--target-buckets", "1099511627776", "--timeout", "1"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn ts-bench");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll ts-bench") {
+            break status;
+        }
+        if Instant::now() > deadline {
+            child.kill().expect("kill ts-bench");
+            panic!("growth still running 30 s after a 1 s timeout");
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    let mut stderr = String::new();
+    let mut pipe = child.stderr.take().expect("piped stderr");
+    pipe.read_to_string(&mut stderr).expect("read stderr");
+    assert_eq!(status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.starts_with("ts-bench: growth stalled"), "{stderr}");
 }

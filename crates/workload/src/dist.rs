@@ -32,6 +32,16 @@ impl KeyDist {
             Self::Zipf { theta } => format!("zipf({theta})"),
         }
     }
+
+    /// Parses `--skews` CLI syntax: `uniform`, or a zipf `theta` in
+    /// `(0, 1)` given as a bare number (`0.99`).
+    pub fn parse(s: &str) -> Option<Self> {
+        if s == "uniform" {
+            return Some(Self::Uniform);
+        }
+        let theta: f64 = s.parse().ok()?;
+        (theta > 0.0 && theta < 1.0).then_some(Self::Zipf { theta })
+    }
 }
 
 /// Zipfian rank sampler over `0..n` with `P(rank = i) ∝ 1/(i+1)^theta`,
@@ -271,5 +281,14 @@ mod tests {
     fn labels_are_stable() {
         assert_eq!(KeyDist::Uniform.label(), "uniform");
         assert_eq!(KeyDist::Zipf { theta: 0.99 }.label(), "zipf(0.99)");
+    }
+
+    #[test]
+    fn parse_takes_uniform_or_a_theta_in_the_open_unit_interval() {
+        assert_eq!(KeyDist::parse("uniform"), Some(KeyDist::Uniform));
+        assert_eq!(KeyDist::parse("0.5"), Some(KeyDist::Zipf { theta: 0.5 }));
+        for bad in ["0", "1", "1.5", "-0.5", "nan", "zipf", "zipf(0.99)", ""] {
+            assert_eq!(KeyDist::parse(bad), None, "{bad:?}");
+        }
     }
 }

@@ -458,12 +458,12 @@ mod tests {
     #[test]
     fn builder_emits_numeric_arrays() {
         let line = ObjectBuilder::new()
-            .arr_num("sizes", [3.0, 1.0, 2.0])
+            .arr_num("counts", [3.0, 1.0, 2.0])
             .arr_num("empty", [])
             .build();
         let v = parse(&line).unwrap();
         assert_eq!(
-            v["sizes"],
+            v["counts"],
             Value::Array(vec![
                 Value::Number(3.0),
                 Value::Number(1.0),

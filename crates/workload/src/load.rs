@@ -242,6 +242,10 @@ const SLEEP_SLACK_NS: u64 = 200_000;
 const SLEEP_CAP_NS: u64 = 1_000_000;
 const YIELD_FLOOR_NS: u64 = 5_000;
 
+/// The seed every worker's [`ArrivalSchedule`] derives from: one fixed
+/// seed, so a load model offers the same trace on every run.
+const ARRIVAL_SEED: u64 = 0xA441_7A1E;
+
 /// The load-generation knobs the runner hands each worker, bundled
 /// ([`crate::params::WorkloadParams::load_spec`]).
 #[derive(Debug, Clone, Copy)]
@@ -250,8 +254,6 @@ pub(crate) struct LoadSpec<'a> {
     pub model: &'a LoadModel,
     /// What to do with late arrivals.
     pub backlog: BacklogPolicy,
-    /// Arrival-schedule seed.
-    pub arrival_seed: u64,
 }
 
 /// Drives one worker for the measured window: the load-generation layer
@@ -281,8 +283,7 @@ pub(crate) fn drive_worker(
         lag_samples: 0,
     };
 
-    let Some(mut schedule) =
-        ArrivalSchedule::for_worker(spec.model, spec.arrival_seed, worker, workers)
+    let Some(mut schedule) = ArrivalSchedule::for_worker(spec.model, ARRIVAL_SEED, worker, workers)
     else {
         // Closed loop: the pre-refactor measurement loop, preserved
         // observationally — per-op stop check (see the runner's
@@ -626,7 +627,6 @@ mod tests {
             LoadSpec {
                 model: &LoadModel::Closed,
                 backlog: BacklogPolicy::Queue,
-                arrival_seed: 0,
             },
             0,
             1,
@@ -654,7 +654,6 @@ mod tests {
             LoadSpec {
                 model: &LoadModel::OpenPoisson { qps: 100_000.0 },
                 backlog: BacklogPolicy::Queue,
-                arrival_seed: 9,
             },
             0,
             1,
@@ -684,7 +683,6 @@ mod tests {
             LoadSpec {
                 model: &LoadModel::OpenPoisson { qps: 1_000_000.0 },
                 backlog: BacklogPolicy::DropAfter(Duration::from_millis(2)),
-                arrival_seed: 1,
             },
             0,
             1,

@@ -21,7 +21,8 @@ pub enum StructureKind {
     /// ablations only, not part of the figures).
     SplitOrdered,
     /// Shavit–Lotan priority queue behind the set-shaped adapter
-    /// (`PqAsSet`); the priority-queue ablation, not part of the figures.
+    /// (`PqAsSet`); not part of the figures (`fig3 --structures pq
+    /// --updates 100` is its 50/50 insert/delete-min cell).
     Pq,
 }
 
@@ -149,9 +150,6 @@ pub struct WorkloadParams {
     /// closed loop by default, or an open-loop arrival schedule for
     /// coordinated-omission-correct per-op latency.
     pub load_model: LoadModel,
-    /// Seed for the open-loop arrival schedules (each worker derives its
-    /// own stream from this; same seed ⇒ same offered-load trace).
-    pub arrival_seed: u64,
     /// What workers do with arrivals they observe behind schedule
     /// (open-loop models only).
     pub backlog: BacklogPolicy,
@@ -164,6 +162,10 @@ pub struct WorkloadParams {
 }
 
 impl WorkloadParams {
+    /// The paper's delete-buffer capacity, every preset's
+    /// `ts_buffer_capacity`: "configured to store up to 1024 pointers" (§6).
+    pub const PAPER_BUFFER: usize = 1024;
+
     /// The paper's §6 sizing for `structure`, driven alone by `threads`
     /// workers at the methodology's 20% updates over uniform keys.
     pub fn fig3(structure: StructureKind, threads: usize) -> Self {
@@ -196,11 +198,10 @@ impl WorkloadParams {
             key_dist: KeyDist::Uniform,
             duration: Duration::from_secs(2),
             threads,
-            ts_buffer_capacity: 1024,
+            ts_buffer_capacity: Self::PAPER_BUFFER,
             slow_epoch_delay: Duration::from_millis(40),
             slow_epoch_period_ops: 4096,
             load_model: LoadModel::Closed,
-            arrival_seed: 0xA441_7A1E,
             backlog: BacklogPolicy::Queue,
             telemetry: false,
         }
@@ -248,12 +249,6 @@ impl WorkloadParams {
         self
     }
 
-    /// Builder: arrival-schedule seed for open-loop runs.
-    pub fn with_arrival_seed(mut self, seed: u64) -> Self {
-        self.arrival_seed = seed;
-        self
-    }
-
     /// Builder: backlog policy for open-loop runs.
     pub fn with_backlog(mut self, policy: BacklogPolicy) -> Self {
         self.backlog = policy;
@@ -265,7 +260,6 @@ impl WorkloadParams {
         crate::load::LoadSpec {
             model: &self.load_model,
             backlog: self.backlog,
-            arrival_seed: self.arrival_seed,
         }
     }
 
@@ -296,7 +290,6 @@ mod tests {
             slow_epoch_delay,
             slow_epoch_period_ops,
             load_model,
-            arrival_seed: _,
             backlog,
             telemetry,
         } = WorkloadParams::fig3(StructureKind::List, 8);
@@ -342,21 +335,17 @@ mod tests {
     }
 
     #[test]
-    fn load_spec_is_exactly_the_three_load_knobs() {
+    fn load_spec_is_exactly_the_two_load_knobs() {
         // No `..`: the worker loop is one loop per load model; a flag
         // added here is a fork of it. Telemetry in particular stops at
         // the collector's sink.
+        let drop_after = BacklogPolicy::DropAfter(Duration::from_millis(5));
         let p = WorkloadParams::fig3(StructureKind::Hash, 4)
-            .with_arrival_seed(77)
+            .with_backlog(drop_after)
             .with_telemetry(true);
-        let crate::load::LoadSpec {
-            model,
-            backlog,
-            arrival_seed,
-        } = p.load_spec();
+        let crate::load::LoadSpec { model, backlog } = p.load_spec();
         assert_eq!(*model, LoadModel::Closed);
-        assert_eq!(backlog, BacklogPolicy::Queue);
-        assert_eq!(arrival_seed, 77);
+        assert_eq!(backlog, drop_after);
     }
 
     #[test]

@@ -33,20 +33,18 @@ impl Report {
     }
 
     /// Renders the figure as the paper presents it: one block per
-    /// structure, thread counts as rows, schemes as columns, throughput
-    /// (Mops/s) as cells.
+    /// workload — structure, update percentage and key distribution —
+    /// thread counts as rows, schemes as columns, throughput (Mops/s) as
+    /// cells.
     pub fn render_series(&self) -> String {
         let mut out = String::new();
-        let mut structures: Vec<String> =
-            self.results.iter().map(|r| r.structure.clone()).collect();
-        structures.sort();
-        structures.dedup();
-        for structure in &structures {
-            let rows: Vec<&RunResult> = self
-                .results
-                .iter()
-                .filter(|r| &r.structure == structure)
-                .collect();
+        let block = |r: &RunResult| (r.structure.clone(), r.update_pct, r.key_dist.clone());
+        let mut blocks: Vec<(String, u32, String)> = self.results.iter().map(block).collect();
+        blocks.sort();
+        blocks.dedup();
+        for key in &blocks {
+            let rows: Vec<&RunResult> = self.results.iter().filter(|r| block(r) == *key).collect();
+            let (structure, pct, dist) = key;
             let mut schemes: Vec<String> = rows.iter().map(|r| r.scheme.clone()).collect();
             schemes.sort();
             schemes.dedup();
@@ -55,7 +53,7 @@ impl Report {
             threads.dedup();
 
             out.push_str(&format!(
-                "\n== {} : {structure} (throughput, Mops/s) ==\n",
+                "\n== {} : {structure}, {pct}% updates, {dist} keys (throughput, Mops/s) ==\n",
                 self.experiment
             ));
             out.push_str(&format!("{:>8}", "threads"));
@@ -116,6 +114,9 @@ mod tests {
             scheme: scheme.into(),
             structure: structure.into(),
             threads,
+            update_pct: 20,
+            key_dist: "uniform".into(),
+            ts_buffer_capacity: 1024,
             duration_s: 1.0,
             total_ops: (mops * 1e6) as u64,
             ops_per_sec: mops * 1e6,
@@ -162,6 +163,28 @@ mod tests {
             "{s}"
         );
         assert!(s.contains("owners freed 900"), "{s}");
+    }
+
+    /// A swept axis splits the grid: the same (threads, scheme) at two
+    /// update ratios is two blocks, not one cell that shows whichever
+    /// row came first.
+    #[test]
+    fn rows_that_differ_only_in_update_pct_render_as_two_blocks() {
+        let mut rep = Report::new("fig3");
+        rep.push(result("hash", "leaky", 2, 1.25));
+        let mut all_updates = result("hash", "leaky", 2, 0.75);
+        all_updates.update_pct = 100;
+        rep.push(all_updates);
+        let s = rep.render_series();
+        assert!(
+            s.contains("== fig3 : hash, 20% updates, uniform keys"),
+            "{s}"
+        );
+        assert!(
+            s.contains("== fig3 : hash, 100% updates, uniform keys"),
+            "{s}"
+        );
+        assert!(s.contains("1.250") && s.contains("0.750"), "{s}");
     }
 
     #[test]

@@ -38,6 +38,12 @@ pub struct RunResult {
     pub structure: String,
     /// Worker threads.
     pub threads: usize,
+    /// Percentage of operations that were updates.
+    pub update_pct: u32,
+    /// Key distribution label ([`KeyDist::label`](crate::KeyDist::label)).
+    pub key_dist: String,
+    /// The cell's ThreadScan delete-buffer capacity (no other scheme reads it).
+    pub ts_buffer_capacity: usize,
     /// Measured wall time in seconds.
     pub duration_s: f64,
     /// Completed operations across all threads.
@@ -105,6 +111,9 @@ impl RunResult {
             .str("scheme", &self.scheme)
             .str("structure", &self.structure)
             .num("threads", self.threads as f64)
+            .num("update_pct", self.update_pct.into())
+            .str("key_dist", &self.key_dist)
+            .num("ts_buffer_capacity", self.ts_buffer_capacity as f64)
             .num("duration_s", self.duration_s)
             .num("total_ops", self.total_ops as f64)
             .num("ops_per_sec", self.ops_per_sec)
@@ -242,6 +251,9 @@ impl SchemeFn for Combo<'_> {
             scheme: kind.label().to_string(),
             structure: params.structure.label().to_string(),
             threads: params.threads,
+            update_pct: params.update_pct,
+            key_dist: params.key_dist.label(),
+            ts_buffer_capacity: params.ts_buffer_capacity,
             duration_s: secs,
             total_ops: agg.total_ops,
             ops_per_sec: agg.total_ops as f64 / secs,
@@ -578,6 +590,9 @@ mod tests {
                 "scheme",
                 "structure",
                 "threads",
+                "update_pct",
+                "key_dist",
+                "ts_buffer_capacity",
                 "duration_s",
                 "total_ops",
                 "ops_per_sec",
@@ -591,6 +606,9 @@ mod tests {
             ],
         );
         assert_eq!(v.get("structure").as_str(), Some("hash"));
+        assert_eq!(v.get("update_pct").as_f64(), Some(20.0));
+        assert_eq!(v.get("key_dist").as_str(), Some("uniform"));
+        assert_eq!(v.get("ts_buffer_capacity").as_f64(), Some(1024.0));
         assert_keys(
             v.get("threadscan"),
             [
