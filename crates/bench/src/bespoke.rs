@@ -245,7 +245,7 @@ fn sample_run<S: Smr + 'static>(
 /// Flags: `--duration 3.0`, `--samples 8`, `--threads 4`, `--quick`.
 pub fn garbage(args: &CliArgs) {
     let quick = args.get_flag("quick");
-    let duration = args.get_span("duration", if quick { 0.5 } else { 3.0 }, 1.0);
+    let duration = args.get_span("duration", if quick { 0.5 } else { 3.0 });
     let samples = args.get_positive("samples", 8);
     let samples = u32::try_from(samples).unwrap_or_else(|_| {
         usage_error(format_args!("--samples must be below 2^32, got {samples}"))

@@ -138,12 +138,11 @@ impl CliArgs {
         v
     }
 
-    /// A non-zero time span given in units of `unit_s` seconds (1.0 for
-    /// seconds, 1e-3 for milliseconds): a negative, zero, NaN or
+    /// A non-zero time span given in seconds: a negative, zero, NaN or
     /// overflowing value is a [`usage_error`] naming the flag.
-    pub(crate) fn get_span(&self, key: &str, default: f64, unit_s: f64) -> Duration {
-        let v = self.get_f64(key, default);
-        match Duration::try_from_secs_f64(v * unit_s) {
+    pub(crate) fn get_span(&self, key: &str, default_s: f64) -> Duration {
+        let v = self.get_f64(key, default_s);
+        match Duration::try_from_secs_f64(v) {
             Ok(span) if !span.is_zero() => span,
             _ => usage_error(format_args!(
                 "--{key} must be a positive time span, got {v}"
@@ -151,9 +150,16 @@ impl CliArgs {
         }
     }
 
-    /// Boolean flag.
+    /// Boolean flag: given bare, it is on. A word after it is no value
+    /// of its (`fig3 --quick x` would otherwise run the full sweep), so
+    /// anything but the parser's implicit `true` ends the process with
+    /// status 2, naming the flag.
     pub fn get_flag(&self, key: &str) -> bool {
-        matches!(self.get(key), Some("true") | Some("1") | Some("yes"))
+        match self.get(key) {
+            None => false,
+            Some("true") => true,
+            Some(v) => usage_error(format_args!("--{key} takes no value, got {v:?}")),
+        }
     }
 
     /// Comma-separated list with a default; `parse` rejects an item by

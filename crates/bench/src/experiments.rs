@@ -7,15 +7,14 @@
 //! ([`crate::bespoke`]).
 
 use ts_workload::SchemeKind::{Leaky, ThreadScan};
-use ts_workload::StructureKind::{Hash, List, Pq};
+use ts_workload::StructureKind::{Hash, Pq};
 use ts_workload::{
-    BacklogPolicy, KeyDist, LatencySummary, LoadModel, Report, RunResult, SchemeKind,
-    StructureKind, WorkloadParams,
+    KeyDist, LatencySummary, LoadModel, RunResult, SchemeKind, StructureKind, WorkloadParams,
 };
 
 use crate::bespoke;
 use crate::cli::{oversub_ladder, thread_ladder, usage_error, CliArgs};
-use crate::sweep::{col, ts, Cell, Common, Sweep, COLLECT_TAIL};
+use crate::sweep::{col, ts, Common, Sweep, COLLECT_TAIL};
 
 /// How an experiment runs.
 pub enum Run {
@@ -51,11 +50,6 @@ pub const TABLE: &[Experiment] = &[
         name: "service_tail",
         about: "open-loop per-op latency (p50/p99/p999) vs offered QPS, zipfian keys",
         run: Run::Sweep(service_tail),
-    },
-    Experiment {
-        name: "telemetry",
-        about: "what the telemetry sink costs: the same ThreadScan cell with it off and on",
-        run: Run::Sweep(telemetry),
     },
     Experiment {
         name: "growth",
@@ -174,9 +168,8 @@ fn fig4(args: &CliArgs) -> Sweep {
 /// a collect phase (or an epoch stall) shows as a p99/p999 excursion, as
 /// a service would see it. Zipfian keys keep hot nodes on some thread's
 /// stack at scan time, exercising survivor carry-over while the tail is
-/// measured. `--burst-ms`/`--duty` duty-cycle the arrivals; `--drop-ms`
-/// sheds arrivals later than that instead of queueing them. The table is
-/// sized by `--keys`, not by a scaled preset, so `--scale` is no flag here.
+/// measured. The table is sized by `--keys`, not by a scaled preset, so
+/// `--scale` is no flag here.
 fn service_tail(args: &CliArgs) -> Sweep {
     let mut s = Sweep::new("service_tail", Common::unscaled(args, 3.0, 1));
     let quick = s.common.quick;
@@ -194,29 +187,19 @@ fn service_tail(args: &CliArgs) -> Sweep {
         &SchemeKind::OVERSUB
     };
     let schemes = args.get_schemes("schemes", schemes);
-    let backlog = match args.get("drop-ms") {
-        Some(_) => BacklogPolicy::DropAfter(args.get_span("drop-ms", 50.0, 1e-3)),
-        None => BacklogPolicy::Queue,
-    };
-    let burst = args
-        .get("burst-ms")
-        .map(|_| args.get_span("burst-ms", 10.0, 1e-3));
-    let duty = args.get_f64_in("duty", 0.25, "in (0, 1]", |d| d > 0.0 && d <= 1.0);
     for qps in args.get_positive_f64_list("qps", levels) {
-        let model = match burst {
-            Some(burst) => LoadModel::OpenBursty { qps, burst, duty },
-            None => LoadModel::OpenPoisson { qps },
-        };
         s.grid(&[Hash], &threads, &schemes, PAPER_BUFFERS, |mut p| {
             (p.key_range, p.initial_size) = (keys as u64, keys / 2);
             p.with_key_dist(KeyDist::Zipf { theta })
-                .with_load_model(model)
-                .with_backlog(backlog)
+                .with_load_model(LoadModel::OpenPoisson { qps })
         });
     }
+    /// `-` for a cell no arrival fell in: a low `--qps` over a short
+    /// window can schedule its first arrival past the window's end.
     fn us(r: &RunResult, pick: fn(&LatencySummary) -> f64) -> String {
-        let lat = r.latency.as_ref().expect("open-loop runs measure latency");
-        format!("{:.1}", pick(lat) / 1e3)
+        r.latency
+            .as_ref()
+            .map_or("-".to_string(), |l| format!("{:.1}", pick(l) / 1e3))
     }
     s.columns = vec![
         col("qps", |c, _| {
@@ -226,54 +209,11 @@ fn service_tail(args: &CliArgs) -> Sweep {
         col("p99_us", |_, r| us(r, |l| l.p99_ns)),
         col("p999_us", |_, r| us(r, |l| l.p999_ns)),
         col("max_us", |_, r| us(r, |l| l.max_ns as f64)),
-        col("drops", |_, r| {
-            r.open_loop.as_ref().map_or(0, |o| o.dropped).to_string()
-        }),
         col("lag_max_us", |_, r| {
             let lag = r.open_loop.as_ref().map_or(0, |o| o.sched_lag_max_ns);
             format!("{:.1}", lag as f64 / 1e3)
         }),
     ];
-    s
-}
-
-/// The subsystem's contract: off is free (the sink is a plain `Option`
-/// field, zero extra atomics) and on is cheap (one ring cell per event:
-/// eight per collect, one per signal sent, two per scanned thread).
-fn telemetry(args: &CliArgs) -> Sweep {
-    let mut s = Sweep::new("telemetry", Common::parse(args, 1.5, 3));
-    for kind in args.get_structures("structure", &[List]) {
-        for t in args.get_positive_list("threads", &[2, 4]) {
-            for on in [false, true] {
-                let label = format!("threadscan[telemetry-{}]", if on { "on" } else { "off" });
-                let params = s.common.cell(kind, t).with_telemetry(on);
-                s.cells.push(Cell::new(ThreadScan, params).labelled(label));
-            }
-        }
-    }
-    s.epilogue = |report: &Report| {
-        for pair in report.results().chunks(2) {
-            let (off, on) = (pair[0].ops_per_sec, pair[1].ops_per_sec);
-            println!(
-                "# {} t={}: telemetry costs {:.2}% (positive = slower)",
-                pair[0].structure,
-                pair[0].threads,
-                (off - on) / off * 100.0
-            );
-        }
-        // What the last sink-on cell recorded, for scale.
-        let Some(on) = report.results().last() else {
-            return;
-        };
-        println!(
-            "# {} t={} telemetry-on: total_ops {} (counters, _sum and _count are the \
-             last repeat's; _bucket lines cover every repeat)",
-            on.structure, on.threads, on.total_ops
-        );
-        for line in ts_telemetry::render_prometheus(&ts(on)).lines() {
-            println!("# {line}");
-        }
-    };
     s
 }
 
@@ -284,8 +224,10 @@ mod tests {
     use std::time::Duration;
 
     use ts_workload::SchemeKind::{Epoch, Hazard};
+    use ts_workload::StructureKind::List;
 
     use crate::cli::hw_threads;
+    use crate::sweep::Cell;
 
     fn quick() -> CliArgs {
         CliArgs::from_args(["--quick".to_string()])
@@ -526,11 +468,7 @@ mod tests {
                     "--structures list --schemes leaky --updates 20 --skews uniform \
                      --buffers 1024"
                 }
-                "service_tail" => {
-                    "--qps 1000 --schemes leaky --keys 1024 --theta 0.9 \
-                     --burst-ms 10 --duty 0.25 --drop-ms 50"
-                }
-                "telemetry" => "--structure list",
+                "service_tail" => "--qps 1000 --schemes leaky --keys 1024 --theta 0.9",
                 _ => "",
             };
             let words = [SHARED, scale, own]

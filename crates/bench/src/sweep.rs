@@ -5,7 +5,9 @@ use std::time::Duration;
 
 use threadscan::{Hist, StatsSnapshot};
 use ts_workload::SchemeKind::ThreadScan;
-use ts_workload::{run_combo, Report, RunResult, SchemeKind, StructureKind, WorkloadParams};
+use ts_workload::{
+    run_combo, LatencySummary, Report, RunResult, SchemeKind, StructureKind, WorkloadParams,
+};
 
 use crate::cli::{machine_info, CliArgs};
 
@@ -41,7 +43,7 @@ impl Common {
         let quick = args.get_flag("quick");
         Self {
             quick,
-            duration: args.get_span("duration", if quick { 0.25 } else { full_secs }, 1.0),
+            duration: args.get_span("duration", if quick { 0.25 } else { full_secs }),
             repeats: args.get_positive("repeats", if quick { 1 } else { full_repeats }),
             scale: 1,
             telemetry: args.telemetry_requested(),
@@ -62,8 +64,8 @@ impl Common {
 pub struct Cell {
     /// Reclamation scheme.
     pub scheme: SchemeKind,
-    /// Row label; the scheme's own unless the experiment varies a knob
-    /// within one scheme.
+    /// Row label: the scheme's own, with the buffer capacity for a
+    /// ThreadScan cell off the paper's.
     pub label: String,
     /// The workload.
     pub params: WorkloadParams,
@@ -84,12 +86,6 @@ impl Cell {
             label,
             params,
         }
-    }
-
-    /// Relabels the row (e.g. `threadscan[telemetry-on]`).
-    pub fn labelled(mut self, label: impl Into<String>) -> Self {
-        self.label = label.into();
-        self
     }
 }
 
@@ -133,8 +129,6 @@ pub struct Sweep {
     /// structure, update % and key distribution); only meaningful when
     /// cells differ in nothing else.
     pub series: bool,
-    /// Printed after the table (cross-row summaries, process counters).
-    pub epilogue: fn(&Report),
 }
 
 impl Sweep {
@@ -146,7 +140,6 @@ impl Sweep {
             cells: Vec::new(),
             columns: Vec::new(),
             series: false,
-            epilogue: |_| {},
         }
     }
 
@@ -179,36 +172,53 @@ impl Sweep {
     }
 }
 
-/// Runs one cell `repeats` times. The row is the last run's, with the
-/// mean throughput of all runs and — so a noisy final repeat cannot skew
-/// the reported tail — the collect-latency histogram of all of them (the
-/// other counters still describe the last run).
+/// Runs one cell `repeats` times and labels the row.
 fn run_cell(cell: &Cell, repeats: usize) -> RunResult {
-    let mut ops_per_sec = 0.0;
-    let mut hist = Hist::new();
-    let mut last = None;
-    for _ in 0..repeats {
-        let r = run_combo(cell.scheme, &cell.params);
-        ops_per_sec += r.ops_per_sec;
-        if let Some(st) = &r.threadscan {
-            hist.add_counts(&st.collect_ns_hist);
-        }
-        last = Some(r);
-    }
-    let mut r = last.expect("at least one repeat ran");
-    r.ops_per_sec = ops_per_sec / repeats as f64;
-    r.total_ops = (r.ops_per_sec * r.duration_s) as u64;
-    if let Some(st) = &mut r.threadscan {
-        st.collect_ns_hist = hist.counts().map(|c| c as usize);
-    }
+    let runs = (0..repeats).map(|_| run_combo(cell.scheme, &cell.params));
+    let mut r = merge_repeats(runs.collect());
     r.scheme = cell.label.clone();
     r
 }
 
-/// Runs a plan: progress on stderr, one table row per cell on stdout, the
-/// plan's epilogue, then the `--trace-out` and `--json` outputs. A flag
-/// the plan did not read ends the process (status 2) before the first
-/// cell.
+/// Folds a cell's repeats into one row: the last run's, with the mean
+/// throughput of all runs and — so a noisy final repeat cannot skew a
+/// reported tail — the collect-latency histogram, the op-latency
+/// histogram with its worst op, and the worst scheduling lag of all of
+/// them (the other counters still describe the last run).
+fn merge_repeats(runs: Vec<RunResult>) -> RunResult {
+    let repeats = runs.len();
+    let mut ops_per_sec = 0.0;
+    let (mut collect, mut latency) = (Hist::new(), Hist::new());
+    let (mut max_ns, mut lag_max_ns) = (0, 0);
+    for r in &runs {
+        ops_per_sec += r.ops_per_sec;
+        if let Some(st) = &r.threadscan {
+            collect.add_counts(&st.collect_ns_hist);
+        }
+        if let Some(lat) = &r.latency {
+            latency.merge(&lat.hist);
+            max_ns = max_ns.max(lat.max_ns);
+        }
+        if let Some(ol) = &r.open_loop {
+            lag_max_ns = lag_max_ns.max(ol.sched_lag_max_ns);
+        }
+    }
+    let mut r = runs.into_iter().last().expect("at least one repeat ran");
+    r.ops_per_sec = ops_per_sec / repeats as f64;
+    r.total_ops = (r.ops_per_sec * r.duration_s) as u64;
+    if let Some(st) = &mut r.threadscan {
+        st.collect_ns_hist = collect.counts().map(|c| c as usize);
+    }
+    r.latency = LatencySummary::from_hist(latency, max_ns);
+    if let Some(ol) = &mut r.open_loop {
+        ol.sched_lag_max_ns = lag_max_ns;
+    }
+    r
+}
+
+/// Runs a plan: progress on stderr, one table row per cell on stdout,
+/// then the `--trace-out` and `--json` outputs. A flag the plan did not
+/// read ends the process (status 2) before the first cell.
 pub fn sweep(args: &CliArgs, plan: Sweep) {
     // The plan has read its flags; the two epilogues below read theirs
     // after the cells ran, too late to call a typo a typo.
@@ -257,7 +267,63 @@ pub fn sweep(args: &CliArgs, plan: Sweep) {
     if plan.series {
         println!("{}", report.render_series());
     }
-    (plan.epilogue)(&report);
     args.write_trace();
     args.write_json_report(&report);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    use ts_workload::OpenLoopExtras;
+
+    /// An open-loop ThreadScan row whose ops took `latencies_ns`, with
+    /// `lag_max_ns` as its worst scheduling lag.
+    fn open_run(latencies_ns: &[u64], lag_max_ns: u64) -> RunResult {
+        let mut hist = Hist::new();
+        latencies_ns.iter().for_each(|&ns| hist.record(ns));
+        let max_ns = latencies_ns.iter().copied().max().unwrap_or(0);
+        let mut collect = StatsSnapshot::default();
+        collect.collect_ns_hist[3] = latencies_ns.len();
+        RunResult {
+            scheme: "threadscan".into(),
+            structure: "hash".into(),
+            threads: 2,
+            update_pct: 20,
+            key_dist: "zipf(0.99)".into(),
+            ts_buffer_capacity: WorkloadParams::PAPER_BUFFER,
+            duration_s: 1.0,
+            total_ops: latencies_ns.len() as u64,
+            ops_per_sec: latencies_ns.len() as f64,
+            outstanding_after: Some(0),
+            leaked: None,
+            protection_slots: None,
+            threadscan: Some(collect),
+            bucket_count: None,
+            latency: LatencySummary::from_hist(hist, max_ns),
+            open_loop: Some(OpenLoopExtras {
+                model: "poisson(3)".into(),
+                target_qps: 3.0,
+                sched_lag_max_ns: lag_max_ns,
+                sched_lag_mean_ns: 0.0,
+            }),
+        }
+    }
+
+    /// Every tail a row reports covers all repeats, whichever repeat was
+    /// last: the worst op and the worst lag here come from the first.
+    #[test]
+    fn a_rows_tails_merge_over_its_repeats() {
+        let first = open_run(&[1_000, 2_000, 9_000_000], 700);
+        let last = open_run(&[1_500], 50);
+        let r = merge_repeats(vec![first, last]);
+        let lat = r.latency.expect("both repeats measured latency");
+        assert_eq!(lat.count, 4);
+        assert_eq!(lat.hist.count(), 4);
+        assert_eq!(lat.max_ns, 9_000_000);
+        assert!(lat.p999_ns >= 4_000_000.0, "{lat:?}");
+        assert_eq!(r.open_loop.expect("open loop").sched_lag_max_ns, 700);
+        assert_eq!(r.threadscan.expect("threadscan").collect_ns_hist[3], 4);
+        assert_eq!(r.ops_per_sec, 2.0);
+    }
 }

@@ -53,9 +53,10 @@ fn probes_reports_six_rows_with_their_spread() {
 }
 
 /// The closed-loop knob rows (`buffer_size`, `update_ratio`, `zipf`,
-/// `pq`) are `fig3` axes; `stacktrack`, `ordering` and `hetero` are gone.
+/// `pq`) are `fig3` axes; `stacktrack`, `ordering`, `hetero` and
+/// `telemetry` are gone.
 #[test]
-fn the_table_is_exactly_the_seven_rows() {
+fn the_table_is_exactly_the_six_rows() {
     let listing = ts_bench(&["list"]);
     let names: Vec<&str> = listing
         .lines()
@@ -67,7 +68,6 @@ fn the_table_is_exactly_the_seven_rows() {
             "fig3",
             "fig4",
             "service_tail",
-            "telemetry",
             "growth",
             "garbage",
             "probes"

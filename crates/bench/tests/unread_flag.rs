@@ -37,6 +37,20 @@ fn a_misspelt_flag_fails_before_the_first_cell() {
         // A word that is no flag and no flag's value.
         (&["fig3", "--quick", "--threads", "1", "2"][..], ": 2"),
         (&["fig3", "quick"][..], ": quick"),
+        // A word after a boolean flag is no value of its.
+        (&["fig3", "--quick", "x"][..], "--quick"),
+        (&["fig3", "--quick", "--telemetry", "on"][..], "--telemetry"),
+        // Arrivals are Poisson and every one is served: no bursts, no
+        // shedding.
+        (
+            &["service_tail", "--quick", "--burst-ms", "10"][..],
+            "--burst-ms",
+        ),
+        (&["service_tail", "--quick", "--duty", "0.25"][..], "--duty"),
+        (
+            &["service_tail", "--quick", "--drop-ms", "50"][..],
+            "--drop-ms",
+        ),
         // A count of zero divides by it or indexes an empty sample set.
         (&["garbage", "--quick", "--samples", "0"][..], "--samples"),
         (&["probes", "--quick", "--trials", "0"][..], "--trials"),
@@ -104,18 +118,6 @@ fn an_out_of_range_value_fails_before_the_first_cell() {
         ),
         (&["service_tail", "--quick", "--qps", "0"][..], "--qps"),
         (
-            &["service_tail", "--quick", "--burst-ms", "10", "--duty", "0"][..],
-            "--duty",
-        ),
-        (
-            &["service_tail", "--quick", "--burst-ms", "0"][..],
-            "--burst-ms",
-        ),
-        (
-            &["service_tail", "--quick", "--drop-ms", "-1"][..],
-            "--drop-ms",
-        ),
-        (
             &["service_tail", "--quick", "--theta", "-1", "--threads", "1"][..],
             "--theta",
         ),
@@ -157,6 +159,34 @@ fn the_correctly_spelt_flag_runs() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     let rows = stdout.lines().filter(|l| l.starts_with("list "));
     assert_eq!(rows.count(), 1, "{stdout}");
+}
+
+/// At 1 QPS over a 0.1 s window no arrival falls in the window: the
+/// latency columns of such a cell read `-`, and the run succeeds.
+#[test]
+fn a_cell_no_arrival_fell_in_renders_a_dash() {
+    let out = ts_bench(&[
+        "service_tail",
+        "--quick",
+        "--qps",
+        "1",
+        "--threads",
+        "2",
+        "--schemes",
+        "leaky",
+        "--duration",
+        "0.1",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let row: Vec<&str> = stdout
+        .lines()
+        .find(|l| l.starts_with("hash "))
+        .expect("one row")
+        .split_whitespace()
+        .collect();
+    // structure scheme threads Mops/s qps p50 p99 p999 max lag_max
+    assert_eq!(row[5..9], ["-"; 4], "{stdout}");
 }
 
 /// A directory that cannot reach its target in time is a failed run, not

@@ -1,118 +1,12 @@
-//! Exporters: chrome://tracing JSON from the event rings
-//! ([`crate::ring`]) and Prometheus text exposition from a collector's
-//! [`StatsSnapshot`]. No external dependencies: the Prometheus format is
-//! plain text, and trace-event JSON is simple enough to emit by hand.
+//! The exporter: chrome://tracing JSON from the event rings
+//! ([`crate::ring`]). No external dependencies: trace-event JSON is
+//! simple enough to emit by hand.
 
 use std::fmt::Write as _;
 
-use threadscan::hist::bucket_bound_ns;
-use threadscan::{PhaseKind, StatsSnapshot};
+use threadscan::PhaseKind;
 
 use crate::ring::{drain_events, dropped_events, EventRecord};
-
-/// Renders one collector's statistics in Prometheus text exposition
-/// format (version 0.0.4): the snapshot's counters as
-/// `threadscan_*_total`, its collect-latency histogram as the cumulative
-/// `threadscan_collect_duration_ns_bucket{le=...}` series plus `_sum`
-/// and `_count`, and the rings' loss counter. Pure in `snap`, so it works
-/// with no sink installed and an all-zero snapshot renders an all-zero
-/// but valid page.
-pub fn render_prometheus(snap: &StatsSnapshot) -> String {
-    // No `..`: a new snapshot field is either rendered or named here.
-    let StatsSnapshot {
-        collects,
-        collects_skipped,
-        retired,
-        freed,
-        survivors,
-        threads_scanned,
-        words_scanned,
-        mark_hits,
-        mailbox_frees,
-        overflow_frees,
-        collect_ns_total,
-        collect_ns_max: _,
-        sort_ns_total,
-        sort_ns_max: _,
-        collect_ns_hist,
-    } = *snap;
-    let mut out = String::new();
-    let counters = [
-        ("collects", "Reclamation phases completed.", collects),
-        (
-            "collects_skipped",
-            "Collect attempts that found their buffer already drained.",
-            collects_skipped,
-        ),
-        ("retired", "Nodes handed to retire.", retired),
-        ("freed", "Nodes whose destructor ran.", freed),
-        (
-            "survivors",
-            "Marked nodes carried into a later phase, summed over phases.",
-            survivors,
-        ),
-        (
-            "threads_scanned",
-            "Threads that completed scans, summed over phases.",
-            threads_scanned,
-        ),
-        (
-            "words_scanned",
-            "Words examined by all scans.",
-            words_scanned,
-        ),
-        (
-            "mark_hits",
-            "Scanned words that matched a retired node.",
-            mark_hits,
-        ),
-        (
-            "mailbox_frees",
-            "Nodes freed by their owners, one per retire, out of their mailboxes.",
-            mailbox_frees,
-        ),
-        (
-            "overflow_frees",
-            "Nodes reclaimers freed themselves because no mailbox would take them.",
-            overflow_frees,
-        ),
-        (
-            "sort_ns",
-            "Nanoseconds spent building master buffers.",
-            sort_ns_total,
-        ),
-    ];
-    for (name, help, value) in counters {
-        let _ = writeln!(out, "# HELP threadscan_{name}_total {help}");
-        let _ = writeln!(out, "# TYPE threadscan_{name}_total counter");
-        let _ = writeln!(out, "threadscan_{name}_total {value}");
-    }
-
-    let hist = "threadscan_collect_duration_ns";
-    let _ = writeln!(out, "# HELP {hist} Reclaimer-side latency of one collect.");
-    let _ = writeln!(out, "# TYPE {hist} histogram");
-    let mut cumulative = 0;
-    for (i, count) in collect_ns_hist.iter().enumerate() {
-        cumulative += count;
-        let _ = writeln!(
-            out,
-            "{hist}_bucket{{le=\"{}\"}} {cumulative}",
-            bucket_bound_ns(i)
-        );
-    }
-    let _ = writeln!(out, "{hist}_bucket{{le=\"+Inf\"}} {cumulative}");
-    let _ = writeln!(out, "{hist}_sum {collect_ns_total}");
-    let _ = writeln!(out, "{hist}_count {collects}");
-
-    let dropped = "threadscan_telemetry_dropped_events";
-    let _ = writeln!(
-        out,
-        "# HELP {dropped} Phase events lost to ring overwrites, torn reads, or slot exhaustion."
-    );
-    let _ = writeln!(out, "# TYPE {dropped} gauge");
-    let _ = writeln!(out, "{dropped} {}", dropped_events());
-    out
-}
 
 /// Drains the event rings and renders a chrome://tracing /
 /// Perfetto-loadable trace (JSON object format, `"traceEvents"` array).
@@ -239,90 +133,6 @@ fn us(ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use threadscan::hist::BUCKETS;
-
-    /// Sample lines (no `#`) of `page` as `(series, value)`.
-    fn samples(page: &str) -> Vec<(&str, u64)> {
-        page.lines()
-            .filter(|l| !l.starts_with('#'))
-            .map(|l| {
-                let (series, value) = l.rsplit_once(' ').expect("`series value`");
-                (series, value.parse().expect("integer sample"))
-            })
-            .collect()
-    }
-
-    fn sample(page: &str, series: &str) -> u64 {
-        let found: Vec<u64> = samples(page)
-            .into_iter()
-            .filter(|(s, _)| *s == series)
-            .map(|(_, v)| v)
-            .collect();
-        assert_eq!(found.len(), 1, "exactly one `{series}` sample");
-        found[0]
-    }
-
-    #[test]
-    fn histogram_buckets_render_cumulative() {
-        let mut snap = StatsSnapshot {
-            collects: 3,
-            retired: 40,
-            freed: 30,
-            mailbox_frees: 20,
-            collect_ns_total: 7,
-            ..StatsSnapshot::default()
-        };
-        snap.collect_ns_hist[0] = 1; // le 2
-        snap.collect_ns_hist[1] = 2; // le 4
-        let page = render_prometheus(&snap);
-
-        assert_eq!(sample(&page, "threadscan_collects_total"), 3);
-        assert_eq!(sample(&page, "threadscan_retired_total"), 40);
-        assert_eq!(sample(&page, "threadscan_freed_total"), 30);
-        assert_eq!(sample(&page, "threadscan_mailbox_frees_total"), 20);
-        let h = "threadscan_collect_duration_ns";
-        assert_eq!(sample(&page, &format!("{h}_bucket{{le=\"2\"}}")), 1);
-        assert_eq!(sample(&page, &format!("{h}_bucket{{le=\"4\"}}")), 3);
-        assert_eq!(sample(&page, &format!("{h}_bucket{{le=\"+Inf\"}}")), 3);
-        assert_eq!(sample(&page, &format!("{h}_sum")), 7);
-        assert_eq!(sample(&page, &format!("{h}_count")), 3);
-
-        // Buckets never decrease, and every metric family has exactly one
-        // `# TYPE` header.
-        let buckets: Vec<u64> = samples(&page)
-            .into_iter()
-            .filter(|(s, _)| s.starts_with("threadscan_collect_duration_ns_bucket"))
-            .map(|(_, v)| v)
-            .collect();
-        assert_eq!(buckets.len(), BUCKETS + 1);
-        assert!(buckets.windows(2).all(|w| w[0] <= w[1]));
-        let mut typed: Vec<&str> = page
-            .lines()
-            .filter_map(|l| l.strip_prefix("# TYPE "))
-            .map(|l| l.split(' ').next().unwrap())
-            .collect();
-        assert_eq!(typed.len(), 13, "11 counters, the histogram, the gauge");
-        typed.sort_unstable();
-        typed.dedup();
-        assert_eq!(typed.len(), 13, "one TYPE header per metric");
-    }
-
-    #[test]
-    fn empty_histogram_renders_valid_prometheus_text() {
-        // A collector that never collected must render, not panic:
-        // all-zero buckets, `+Inf`, `_sum 0`, `_count 0`. Only the ring's
-        // process-wide loss gauge can be non-zero.
-        let page = render_prometheus(&StatsSnapshot::default());
-        assert!(page.contains("# TYPE threadscan_collects_total counter"));
-        assert!(page.contains("# TYPE threadscan_collect_duration_ns histogram"));
-        assert!(page.contains("# TYPE threadscan_telemetry_dropped_events gauge"));
-        for (series, value) in samples(&page) {
-            if series != "threadscan_telemetry_dropped_events" {
-                assert_eq!(value, 0, "{series}");
-            }
-        }
-        assert_eq!(samples(&page).len(), 11 + BUCKETS + 3 + 1);
-    }
 
     #[test]
     fn chrome_trace_pairs_spans_and_handles_empty() {

@@ -7,9 +7,8 @@
 //!   overwrite-oldest record path safe to call from the sigscan signal
 //!   handler — no locks, no allocation, loss accounted in
 //!   [`ring::dropped_events`];
-//! * **exporters** ([`export`]): chrome://tracing span trees with one
-//!   track per scanned thread, and a Prometheus text rendering of a
-//!   [`threadscan::StatsSnapshot`].
+//! * **the exporter** ([`export`]): chrome://tracing span trees with one
+//!   track per scanned thread.
 //!
 //! This crate keeps no counters of its own. What a collect did is
 //! counted once, in `CollectorStats`, and read with `Collector::stats()`
@@ -25,9 +24,9 @@
 //!
 //! let config = CollectorConfig::default().with_telemetry(ts_telemetry::sink());
 //! let collector = Collector::with_config(NullPlatform, config);
-//! let metrics_page = ts_telemetry::render_prometheus(&collector.stats());
+//! let counters = collector.stats();
 //! let trace_json = ts_telemetry::render_chrome_trace();
-//! # let _ = (metrics_page, trace_json);
+//! # let _ = (counters, trace_json);
 //! ```
 //!
 //! Telemetry is strictly opt-in: a collector without the sink executes
@@ -40,7 +39,7 @@
 pub mod export;
 pub mod ring;
 
-pub use export::{render_chrome_trace, render_chrome_trace_from, render_prometheus};
+pub use export::{render_chrome_trace, render_chrome_trace_from};
 pub use ring::{drain_events, dropped_events, monotonic_ns, set_ring_capacity, EventRecord};
 
 use threadscan::TelemetrySink;

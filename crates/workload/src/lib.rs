@@ -9,7 +9,7 @@
 //!   skew ablation);
 //! * [`mix`] — deterministic per-thread operation streams;
 //! * [`load`] — the load-generation layer ([`LoadModel`]): the classic
-//!   closed loop, or open-loop Poisson / bursty arrival schedules with
+//!   closed loop, or an open-loop Poisson arrival schedule with
 //!   coordinated-omission-correct per-op latency;
 //! * [`registry`] — the scheme and structure factories
 //!   ([`SchemeKind::with`], [`StructureKind::build_set`]): one match arm
@@ -33,7 +33,7 @@ pub mod report;
 pub mod runner;
 
 pub use dist::{KeyDist, ZipfSampler};
-pub use load::{ArrivalSchedule, BacklogPolicy, LatencySummary, LoadModel, OpenLoopExtras};
+pub use load::{ArrivalSchedule, LatencySummary, LoadModel, OpenLoopExtras};
 pub use mix::{prefill_keys, Op, OpMix};
 pub use params::{SchemeKind, StructureKind, WorkloadParams};
 pub use report::Report;

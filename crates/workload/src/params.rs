@@ -3,7 +3,7 @@
 use std::time::Duration;
 
 use crate::dist::KeyDist;
-use crate::load::{BacklogPolicy, LoadModel};
+use crate::load::LoadModel;
 
 /// Which evaluation data structure to drive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,9 +150,6 @@ pub struct WorkloadParams {
     /// closed loop by default, or an open-loop arrival schedule for
     /// coordinated-omission-correct per-op latency.
     pub load_model: LoadModel,
-    /// What workers do with arrivals they observe behind schedule
-    /// (open-loop models only).
-    pub backlog: BacklogPolicy,
     /// Install the `ts-telemetry` sink on the scheme's collector
     /// (ThreadScan runs), so phase events are recorded into the event
     /// rings; nothing else changes — the worker loops never see it. Off by
@@ -202,7 +199,6 @@ impl WorkloadParams {
             slow_epoch_delay: Duration::from_millis(40),
             slow_epoch_period_ops: 4096,
             load_model: LoadModel::Closed,
-            backlog: BacklogPolicy::Queue,
             telemetry: false,
         }
     }
@@ -241,26 +237,12 @@ impl WorkloadParams {
         self
     }
 
-    /// Builder: the load model (closed loop by default; open models turn
-    /// on per-op latency measurement).
+    /// Builder: the load model (closed loop by default; the open model
+    /// turns on per-op latency measurement).
     pub fn with_load_model(mut self, model: LoadModel) -> Self {
         model.validate();
         self.load_model = model;
         self
-    }
-
-    /// Builder: backlog policy for open-loop runs.
-    pub fn with_backlog(mut self, policy: BacklogPolicy) -> Self {
-        self.backlog = policy;
-        self
-    }
-
-    /// The bundled load-generation knobs for the worker loop.
-    pub(crate) fn load_spec(&self) -> crate::load::LoadSpec<'_> {
-        crate::load::LoadSpec {
-            model: &self.load_model,
-            backlog: self.backlog,
-        }
     }
 
     /// Builder: telemetry (phase-event rings) on/off.
@@ -290,7 +272,6 @@ mod tests {
             slow_epoch_delay,
             slow_epoch_period_ops,
             load_model,
-            backlog,
             telemetry,
         } = WorkloadParams::fig3(StructureKind::List, 8);
         assert_eq!(structure, StructureKind::List);
@@ -300,10 +281,7 @@ mod tests {
         assert_eq!(ts_buffer_capacity, 1024);
         assert_eq!(slow_epoch_delay, Duration::from_millis(40));
         assert_eq!(slow_epoch_period_ops, 4096);
-        assert_eq!(
-            (load_model, backlog),
-            (LoadModel::Closed, BacklogPolicy::Queue)
-        );
+        assert_eq!(load_model, LoadModel::Closed);
         assert!(!telemetry);
         let h = WorkloadParams::fig3(StructureKind::Hash, 8);
         assert_eq!((h.initial_size, h.key_range), (131_072, 262_144));
@@ -332,20 +310,6 @@ mod tests {
             assert_eq!(SchemeKind::parse(kind.label()), Some(kind));
         }
         assert_eq!(SchemeKind::parse("gc"), None);
-    }
-
-    #[test]
-    fn load_spec_is_exactly_the_two_load_knobs() {
-        // No `..`: the worker loop is one loop per load model; a flag
-        // added here is a fork of it. Telemetry in particular stops at
-        // the collector's sink.
-        let drop_after = BacklogPolicy::DropAfter(Duration::from_millis(5));
-        let p = WorkloadParams::fig3(StructureKind::Hash, 4)
-            .with_backlog(drop_after)
-            .with_telemetry(true);
-        let crate::load::LoadSpec { model, backlog } = p.load_spec();
-        assert_eq!(*model, LoadModel::Closed);
-        assert_eq!(backlog, drop_after);
     }
 
     #[test]

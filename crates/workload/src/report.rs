@@ -27,11 +27,6 @@ impl Report {
         self.results.push(result);
     }
 
-    /// All results so far.
-    pub fn results(&self) -> &[RunResult] {
-        &self.results
-    }
-
     /// Renders the figure as the paper presents it: one block per
     /// workload — structure, update percentage and key distribution —
     /// thread counts as rows, schemes as columns, throughput (Mops/s) as
