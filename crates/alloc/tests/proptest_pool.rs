@@ -6,9 +6,9 @@
 
 use std::collections::HashMap;
 
-use proptest::prelude::*;
 use ts_alloc::pool::{dealloc_node, PoolHandle, HEADER_BYTES};
 use ts_alloc::size_classes::{class_of, class_size};
+use ts_choose::check_inputs;
 
 /// One pooled node shape per interesting size region: three small
 /// classes, one mid class, and one past `MAX_SMALL` (system passthrough).
@@ -77,37 +77,12 @@ impl Shape {
     }
 }
 
-#[derive(Debug, Clone)]
-enum PoolOp {
-    Alloc(Shape),
-    /// Free the `idx % live`-th live node.
-    Free(usize),
-}
+const SHAPES: [Shape; 5] = [Shape::W2, Shape::W8, Shape::W24, Shape::W120, Shape::W700];
 
-fn shape_strategy() -> impl Strategy<Value = Shape> {
-    prop_oneof![
-        Just(Shape::W2),
-        Just(Shape::W8),
-        Just(Shape::W24),
-        Just(Shape::W120),
-        Just(Shape::W700),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn pool_interleavings_match_oracle(
-        ops in proptest::collection::vec(
-            prop_oneof![
-                shape_strategy().prop_map(PoolOp::Alloc),
-                (0usize..64).prop_map(PoolOp::Free),
-            ],
-            1..250,
-        )
-    ) {
-        let pool = PoolHandle::new("proptest-pool");
+#[test]
+fn pool_interleavings_match_oracle() {
+    check_inputs("pool_interleavings_match_oracle", 2048, 48, |ch| {
+        let pool = PoolHandle::new("pool-oracle");
         // Oracle: address -> (shape, tag). Insertion order kept separately
         // so Free picks deterministically.
         let mut oracle: HashMap<usize, (Shape, u64)> = HashMap::new();
@@ -116,34 +91,34 @@ proptest! {
         let mut expected_allocs = 0usize;
         let mut expected_frees = 0usize;
 
-        for op in ops {
-            match op {
-                PoolOp::Alloc(shape) => {
-                    let addr = shape.alloc(&pool, next_tag);
-                    prop_assert!(addr != 0);
-                    prop_assert_eq!(addr % 16, 0, "payload must be 16-aligned");
-                    // No aliasing with any live node, same class or not.
-                    prop_assert!(
-                        oracle.insert(addr, (shape, next_tag)).is_none(),
-                        "pool handed out a live address twice"
-                    );
-                    order.push(addr);
-                    next_tag += 1;
-                    expected_allocs += 1;
+        for _ in 0..1 + ch.choose("ops", 249) {
+            if ch.choose("op", 2) == 0 {
+                let shape = SHAPES[ch.choose("shape", SHAPES.len())];
+                let addr = shape.alloc(&pool, next_tag);
+                assert!(addr != 0);
+                assert_eq!(addr % 16, 0, "payload must be 16-aligned");
+                // No aliasing with any live node, same class or not.
+                assert!(
+                    oracle.insert(addr, (shape, next_tag)).is_none(),
+                    "pool handed out a live address twice"
+                );
+                order.push(addr);
+                next_tag += 1;
+                expected_allocs += 1;
+            } else {
+                // Free the `idx % live`-th live node.
+                let idx = ch.choose("free", 64);
+                if order.is_empty() {
+                    continue;
                 }
-                PoolOp::Free(idx) => {
-                    if order.is_empty() {
-                        continue;
-                    }
-                    let addr = order.swap_remove(idx % order.len());
-                    let (shape, tag) = oracle.remove(&addr).unwrap();
-                    // SAFETY: live node from this run, freed exactly once.
-                    prop_assert!(
-                        unsafe { shape.check_and_free(addr, tag) },
-                        "payload clobbered while live"
-                    );
-                    expected_frees += 1;
-                }
+                let addr = order.swap_remove(idx % order.len());
+                let (shape, tag) = oracle.remove(&addr).unwrap();
+                // SAFETY: live node from this run, freed exactly once.
+                assert!(
+                    unsafe { shape.check_and_free(addr, tag) },
+                    "payload clobbered while live"
+                );
+                expected_frees += 1;
             }
         }
 
@@ -151,44 +126,52 @@ proptest! {
         // of what is still live.
         let live_bytes: usize = oracle.values().map(|(s, _)| s.resident_bytes()).sum();
         let mid = pool.stats();
-        prop_assert_eq!(mid.allocs, expected_allocs);
-        prop_assert_eq!(mid.frees, expected_frees);
-        prop_assert_eq!(mid.bytes_resident, live_bytes);
+        assert_eq!(mid.allocs, expected_allocs);
+        assert_eq!(mid.frees, expected_frees);
+        assert_eq!(mid.bytes_resident, live_bytes);
 
         // Drain the survivors; counters must balance exactly.
         for addr in order {
             let (shape, tag) = oracle.remove(&addr).unwrap();
             // SAFETY: as above.
-            prop_assert!(unsafe { shape.check_and_free(addr, tag) });
+            assert!(unsafe { shape.check_and_free(addr, tag) });
         }
         let end = pool.stats();
-        prop_assert_eq!(end.allocs, end.frees, "counters must balance at drop");
-        prop_assert_eq!(end.bytes_resident, 0);
-    }
+        assert_eq!(end.allocs, end.frees, "counters must balance at drop");
+        assert_eq!(end.bytes_resident, 0);
+    });
+}
 
-    /// Magazine round-trips: blocks freed to the magazine come back out
-    /// on the next allocation of the same class with contents rewritten,
-    /// and pure LIFO cycling performs no depot refills after warmup.
-    #[test]
-    fn magazine_roundtrip_recycles_without_refills(cycles in 10usize..200) {
-        let pool = PoolHandle::new("proptest-magazine");
-        let warm: *mut [u64; 8] = {
-            let p = pool.alloc_node([0u64; 8]);
-            // SAFETY: allocated above.
-            unsafe { dealloc_node(p) };
-            p
-        };
-        let refills_after_warmup = pool.stats().magazine_refills;
-        for i in 0..cycles {
-            let p: *mut [u64; 8] = pool.alloc_node([i as u64; 8]);
-            // LIFO magazine: the warm block keeps coming back.
-            prop_assert_eq!(p, warm);
-            // SAFETY: allocated above.
-            unsafe {
-                prop_assert_eq!((*p)[7], i as u64);
-                dealloc_node(p);
+/// Magazine round-trips: blocks freed to the magazine come back out on
+/// the next allocation of the same class with contents rewritten, and
+/// pure LIFO cycling performs no depot refills after warmup.
+#[test]
+fn magazine_roundtrip_recycles_without_refills() {
+    check_inputs(
+        "magazine_roundtrip_recycles_without_refills",
+        64,
+        48,
+        |ch| {
+            let cycles = 10 + ch.choose("cycles", 190);
+            let pool = PoolHandle::new("magazine");
+            let warm: *mut [u64; 8] = {
+                let p = pool.alloc_node([0u64; 8]);
+                // SAFETY: allocated above.
+                unsafe { dealloc_node(p) };
+                p
+            };
+            let refills_after_warmup = pool.stats().magazine_refills;
+            for i in 0..cycles {
+                let p: *mut [u64; 8] = pool.alloc_node([i as u64; 8]);
+                // LIFO magazine: the warm block keeps coming back.
+                assert_eq!(p, warm);
+                // SAFETY: allocated above.
+                unsafe {
+                    assert_eq!((*p)[7], i as u64);
+                    dealloc_node(p);
+                }
             }
-        }
-        prop_assert_eq!(pool.stats().magazine_refills, refills_after_warmup);
-    }
+            assert_eq!(pool.stats().magazine_refills, refills_after_warmup);
+        },
+    );
 }

@@ -45,7 +45,7 @@ pub fn find_range_linear(addrs: &[usize], ends: &[usize], w: usize) -> Option<us
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use ts_choose::check_inputs;
 
     fn fixture() -> (Vec<usize>, Vec<usize>) {
         // Three nodes: [100,120), [200,264), [300,301).
@@ -71,36 +71,35 @@ mod tests {
         assert_eq!(find_range(&[], &[], usize::MAX), None);
     }
 
-    proptest! {
-        /// Binary-search range matching agrees with the linear oracle on
-        /// arbitrary disjoint sorted node sets and probe words.
-        #[test]
-        fn range_matches_linear_oracle(
+    /// Binary-search range matching agrees with the linear oracle on
+    /// arbitrary disjoint sorted node sets and probe words.
+    #[test]
+    fn range_matches_linear_oracle() {
+        check_inputs("range_matches_linear_oracle", 4096, 64, |ch| {
             // Build disjoint sorted ranges from positive gaps and sizes.
-            gaps in proptest::collection::vec((1usize..1000, 1usize..512), 0..64),
-            probes in proptest::collection::vec(any::<usize>(), 0..64),
-        ) {
             let mut addrs = Vec::new();
             let mut ends = Vec::new();
             let mut cursor = 0usize;
-            for (gap, size) in gaps {
-                cursor = cursor.saturating_add(gap);
+            for _ in 0..ch.choose("ranges", 64) {
+                cursor += 1 + ch.choose("gap", 999);
                 addrs.push(cursor);
-                cursor = cursor.saturating_add(size);
+                cursor += 1 + ch.choose("size", 511);
                 ends.push(cursor);
             }
             // Probe both arbitrary words and words near the ranges.
-            let mut all_probes = probes;
+            let mut probes: Vec<usize> = (0..ch.choose("probes", 64))
+                .map(|_| ch.choose("probe", usize::MAX))
+                .collect();
             for (&a, &e) in addrs.iter().zip(ends.iter()) {
-                all_probes.extend_from_slice(&[a, a.wrapping_sub(1), e - 1, e]);
+                probes.extend_from_slice(&[a, a - 1, e - 1, e]);
             }
-            for w in all_probes {
-                prop_assert_eq!(
+            for w in probes {
+                assert_eq!(
                     find_range(&addrs, &ends, w),
                     find_range_linear(&addrs, &ends, w),
-                    "probe {}", w
+                    "probe {w}"
                 );
             }
-        }
+        });
     }
 }

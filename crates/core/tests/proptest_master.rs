@@ -6,11 +6,11 @@
 //! `(reclaimable, survivors)` partition — from the empty buffer up to
 //! phases of several thousand entries.
 
-use proptest::prelude::*;
 use threadscan::master::MasterBuffer;
 use threadscan::retired::{noop_drop, Retired};
 use threadscan::scan::find_range_linear;
 use threadscan::CollectorConfig;
+use ts_choose::{check_inputs, Chooser};
 
 /// Builds disjoint nodes from (gap, size) pairs, at 8-aligned addresses
 /// like real allocations.
@@ -52,7 +52,7 @@ fn run_phase(nodes: &[(usize, usize)], words: &[usize]) -> (Vec<usize>, Vec<usiz
 /// Oracle cross-check (the find_range_linear pattern): a word hits iff
 /// the linear kernel finds it, and a node survives iff some word hit it.
 /// `nodes` must be in ascending address order.
-fn check_against_oracle(nodes: &[(usize, usize)], words: &[usize]) -> TestCaseResult {
+fn check_against_oracle(nodes: &[(usize, usize)], words: &[usize]) {
     let (freed, kept, hits) = run_phase(nodes, words);
 
     let addrs: Vec<usize> = nodes.iter().map(|&(a, _)| a).collect();
@@ -74,10 +74,9 @@ fn check_against_oracle(nodes: &[(usize, usize)], words: &[usize]) -> TestCaseRe
             .map(|(&a, _)| a)
             .collect()
     };
-    prop_assert_eq!(hits, expect_hits, "per-word hits must match the oracle");
-    prop_assert_eq!(kept, side(true), "survivors must match the oracle");
-    prop_assert_eq!(freed, side(false), "freed set must match the oracle");
-    Ok(())
+    assert_eq!(hits, expect_hits, "per-word hits must match the oracle");
+    assert_eq!(kept, side(true), "survivors must match the oracle");
+    assert_eq!(freed, side(false), "freed set must match the oracle");
 }
 
 /// Arbitrary probes plus words aimed at every node: base, tagged base,
@@ -89,35 +88,39 @@ fn words_for(nodes: &[(usize, usize)], mut probes: Vec<usize>) -> Vec<usize> {
     probes
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Small phases (including the empty one).
-    #[test]
-    fn scan_agrees_with_linear_oracle(
-        gaps in proptest::collection::vec((1usize..200, 1usize..256), 0..96),
-        probes in proptest::collection::vec(any::<usize>(), 0..48),
-    ) {
-        let nodes = build_nodes(&gaps);
-        check_against_oracle(&nodes, &words_for(&nodes, probes))?;
-    }
+/// `len` nodes from (gap, size) pairs of `1..200` words and `1..256`
+/// bytes, with up to 47 arbitrary probe words.
+fn phase_input(ch: &mut dyn Chooser, len: usize) -> (Vec<(usize, usize)>, Vec<usize>) {
+    let gaps: Vec<(usize, usize)> = (0..len)
+        .map(|_| (1 + ch.choose("gap", 199), 1 + ch.choose("size", 255)))
+        .collect();
+    let probes = (0..ch.choose("probes", 48))
+        .map(|_| ch.choose("probe", usize::MAX))
+        .collect();
+    (build_nodes(&gaps), probes)
 }
 
-proptest! {
-    // The oracle is O(words × entries): a handful of big phases is enough.
-    #![proptest_config(ProptestConfig::with_cases(4))]
+/// Small phases (including the empty one).
+#[test]
+fn scan_agrees_with_linear_oracle() {
+    check_inputs("scan_agrees_with_linear_oracle", 4096, 48, |ch| {
+        let len = ch.choose("nodes", 96);
+        let (nodes, probes) = phase_input(ch, len);
+        check_against_oracle(&nodes, &words_for(&nodes, probes));
+    });
+}
 
-    /// Phases of several thousand entries — the size where the deleted
-    /// parallel path used to take over.
-    #[test]
-    fn large_phase_scan_agrees_with_linear_oracle(
-        gaps in proptest::collection::vec((1usize..200, 1usize..256), 4096..4608),
-        probes in proptest::collection::vec(any::<usize>(), 0..48),
-    ) {
-        let nodes = build_nodes(&gaps);
-        prop_assert!(nodes.len() >= 4096);
-        check_against_oracle(&nodes, &words_for(&nodes, probes))?;
-    }
+/// Phases of several thousand entries — the size where the deleted
+/// parallel path used to take over. The oracle is O(words × entries) and
+/// the smallest input is already large, so this one is sampled only.
+#[test]
+fn large_phase_scan_agrees_with_linear_oracle() {
+    check_inputs("large_phase_scan_agrees_with_linear_oracle", 0, 4, |ch| {
+        let len = 4096 + ch.choose("nodes", 512);
+        let (nodes, probes) = phase_input(ch, len);
+        assert!(nodes.len() >= 4096);
+        check_against_oracle(&nodes, &words_for(&nodes, probes));
+    });
 }
 
 /// Each word's hit/miss against a fresh buffer of `nodes`.
@@ -144,7 +147,7 @@ fn boundary_words_miss() {
         probe_each(&nodes, &words),
         [false, false, false, false, true, true, true, true, true]
     );
-    check_against_oracle(&nodes, &words).unwrap();
+    check_against_oracle(&nodes, &words);
 }
 
 #[test]
@@ -164,7 +167,7 @@ fn out_of_range_words_are_rejected_without_losing_hits() {
     for i in 0..5 {
         words.extend_from_slice(&[below[i % 4], above[i], inside[i]]);
     }
-    check_against_oracle(&nodes, &words).unwrap();
+    check_against_oracle(&nodes, &words);
     let verdicts = probe_each(&nodes, &words);
     assert!(verdicts[..9].iter().all(|&hit| !hit));
     for (i, triple) in verdicts[9..].chunks(3).enumerate() {
@@ -186,7 +189,7 @@ fn single_entry_buffer() {
     // below, base, one-past-end, far above
     let words = [0x1ff8, 0x2000, 0x2018, usize::MAX];
     assert_eq!(probe_each(&nodes, &words), [false, true, false, false]);
-    check_against_oracle(&nodes, &words).unwrap();
+    check_against_oracle(&nodes, &words);
     let (freed, kept, _) = run_phase(&nodes, &[0x1ff8, 0x2018]);
     assert_eq!((freed, kept), (vec![0x2000], vec![]));
 }

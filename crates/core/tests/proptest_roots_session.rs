@@ -3,10 +3,10 @@
 
 use std::collections::HashSet;
 
-use proptest::prelude::*;
 use threadscan::master::MasterBuffer;
 use threadscan::retired::{noop_drop, Retired};
 use threadscan::{Collector, CollectorConfig, HeapBlockError, NullPlatform, ThreadRoots};
+use ts_choose::check_inputs;
 
 /// A master buffer over one synthetic node, for driving sessions.
 fn one_node_master(addr: usize, size: usize, config: &CollectorConfig) -> MasterBuffer {
@@ -15,77 +15,59 @@ fn one_node_master(addr: usize, size: usize, config: &CollectorConfig) -> Master
     MasterBuffer::new(entries, config)
 }
 
-#[derive(Debug, Clone)]
-enum RootOp {
-    Add { idx: usize, len: usize },
-    Remove { idx: usize },
-}
-
-proptest! {
-    // Cap the case count so `cargo test -q` stays fast; PROPTEST_CASES
-    // can raise it for soak runs.
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The root registry behaves like a capacity-bounded set keyed by
-    /// start address, with exactly the documented error cases.
-    #[test]
-    fn heap_block_registry_matches_set_model(
-        capacity in 0usize..8,
-        ops in proptest::collection::vec(
-            prop_oneof![
-                (0usize..12, 0usize..64).prop_map(|(idx, len)| RootOp::Add { idx, len }),
-                (0usize..12).prop_map(|idx| RootOp::Remove { idx }),
-            ],
-            0..64,
-        ),
-    ) {
+/// The root registry behaves like a capacity-bounded set keyed by start
+/// address, with exactly the documented error cases.
+#[test]
+fn heap_block_registry_matches_set_model() {
+    check_inputs("heap_block_registry_matches_set_model", 4096, 48, |ch| {
         // Twelve candidate block addresses (synthetic, never dereferenced
         // by the registry itself).
         let base = 0x10_000usize;
         let addr_of = |idx: usize| (base + idx * 0x1000) as *const u8;
 
+        let capacity = ch.choose("capacity", 8);
         let roots = ThreadRoots::new(capacity);
         let mut model: HashSet<usize> = HashSet::new();
 
-        for op in ops {
-            match op {
-                RootOp::Add { idx, len } => {
-                    let got = roots.add_heap_block(addr_of(idx), len);
-                    if len == 0 {
-                        prop_assert_eq!(got, Err(HeapBlockError::EmptyBlock));
-                    } else if model.contains(&idx) {
-                        prop_assert_eq!(got, Err(HeapBlockError::AlreadyRegistered));
-                    } else if model.len() == capacity {
-                        prop_assert_eq!(got, Err(HeapBlockError::TooManyBlocks(capacity)));
-                    } else {
-                        prop_assert_eq!(got, Ok(()));
-                        model.insert(idx);
-                    }
+        for _ in 0..ch.choose("ops", 64) {
+            let add = ch.choose("op", 2) == 0;
+            let idx = ch.choose("idx", 12);
+            if add {
+                let len = ch.choose("len", 64);
+                let got = roots.add_heap_block(addr_of(idx), len);
+                if len == 0 {
+                    assert_eq!(got, Err(HeapBlockError::EmptyBlock));
+                } else if model.contains(&idx) {
+                    assert_eq!(got, Err(HeapBlockError::AlreadyRegistered));
+                } else if model.len() == capacity {
+                    assert_eq!(got, Err(HeapBlockError::TooManyBlocks(capacity)));
+                } else {
+                    assert_eq!(got, Ok(()));
+                    model.insert(idx);
                 }
-                RootOp::Remove { idx } => {
-                    let got = roots.remove_heap_block(addr_of(idx));
-                    if model.remove(&idx) {
-                        prop_assert_eq!(got, Ok(()));
-                    } else {
-                        prop_assert_eq!(got, Err(HeapBlockError::NotRegistered));
-                    }
+            } else {
+                let got = roots.remove_heap_block(addr_of(idx));
+                if model.remove(&idx) {
+                    assert_eq!(got, Ok(()));
+                } else {
+                    assert_eq!(got, Err(HeapBlockError::NotRegistered));
                 }
             }
-            prop_assert_eq!(roots.block_count(), model.len());
+            assert_eq!(roots.block_count(), model.len());
         }
-    }
+    });
+}
 
-    /// `scan_region` visits exactly the word-aligned words in `[lo, hi)`,
-    /// for arbitrary (mis)alignment of both bounds, and finds a planted
-    /// reference wherever it lies.
-    #[test]
-    fn scan_region_alignment_and_coverage(
-        lo_misalign in 0usize..8,
-        hi_misalign in 0usize..8,
-        words in 1usize..64,
-        plant_at in 0usize..64,
-    ) {
-        let plant_at = plant_at % words;
+/// `scan_region` visits exactly the word-aligned words in `[lo, hi)`, for
+/// arbitrary (mis)alignment of both bounds, and finds a planted reference
+/// wherever it lies.
+#[test]
+fn scan_region_alignment_and_coverage() {
+    check_inputs("scan_region_alignment_and_coverage", 4096, 48, |ch| {
+        let lo_misalign = ch.choose("lo_misalign", 8);
+        let hi_misalign = ch.choose("hi_misalign", 8);
+        let words = 1 + ch.choose("words", 63);
+        let plant_at = ch.choose("plant_at", words);
         let node_addr = 0xDEAD_0000usize;
         let config = CollectorConfig::default();
         let master = one_node_master(node_addr, 64, &config);
@@ -95,8 +77,8 @@ proptest! {
         let mut region = vec![0usize; words + 2];
         region[1 + plant_at] = node_addr;
         let base = region.as_ptr() as usize + 8; // first candidate word
-        let lo = base - lo_misalign.min(7);      // may reach into region[0]
-        let hi = base + words * 8 + hi_misalign.min(7);
+        let lo = base - lo_misalign; // may reach into region[0]
+        let hi = base + words * 8 + hi_misalign;
 
         let before = session.words_scanned();
         // SAFETY: [lo, hi) stays within the `region` allocation.
@@ -107,63 +89,63 @@ proptest! {
         let first = (lo + 7) & !7;
         let last = hi & !7;
         let expect = (last.saturating_sub(first)) / 8;
-        prop_assert_eq!(scanned, expect);
-        prop_assert!(session.hits() >= 1, "planted reference must be found");
+        assert_eq!(scanned, expect);
+        assert!(session.hits() >= 1, "planted reference must be found");
 
         let (freed, survivors) = master.partition();
-        prop_assert_eq!(freed.len(), 0);
-        prop_assert_eq!(survivors.len(), 1);
-    }
+        assert_eq!(freed.len(), 0);
+        assert_eq!(survivors.len(), 1);
+    });
+}
 
-    /// Interior pointers pin under range matching for any offset within
-    /// the node, and never one byte past the end.
-    #[test]
-    fn range_matching_covers_exactly_the_node(
-        size in 8usize..512,
-        offset in 0usize..520,
-    ) {
+/// Interior pointers pin under range matching for any offset within the
+/// node, and never one byte past the end.
+#[test]
+fn range_matching_covers_exactly_the_node() {
+    check_inputs("range_matching_covers_exactly_the_node", 4096, 48, |ch| {
+        let size = 8 + ch.choose("size", 504);
+        let offset = ch.choose("offset", 520);
         let node_addr = 0xBEEF_0000usize;
         let config = CollectorConfig::default();
         let master = one_node_master(node_addr, size, &config);
         let session = master.session();
         session.scan_words(&[node_addr + offset]);
         let hit = offset < size;
-        prop_assert_eq!(session.hits() == 1, hit);
+        assert_eq!(session.hits() == 1, hit);
         let (freed, survivors) = master.partition();
-        prop_assert_eq!(survivors.len(), usize::from(hit));
-        prop_assert_eq!(freed.len(), usize::from(!hit));
-    }
+        assert_eq!(survivors.len(), usize::from(hit));
+        assert_eq!(freed.len(), usize::from(!hit));
+    });
+}
 
-    /// Collector stats stay internally consistent across arbitrary
-    /// retire/flush interleavings (NullPlatform: everything frees).
-    #[test]
-    fn stats_account_for_every_retired_node(
-        batches in proptest::collection::vec(1usize..40, 1..12),
-        buffer_capacity in 2usize..64,
-    ) {
+/// Collector stats stay internally consistent across arbitrary
+/// retire/flush interleavings (NullPlatform: everything frees).
+#[test]
+fn stats_account_for_every_retired_node() {
+    check_inputs("stats_account_for_every_retired_node", 4096, 48, |ch| {
         let collector = Collector::with_config(
             NullPlatform,
-            CollectorConfig::default().with_buffer_capacity(buffer_capacity),
+            CollectorConfig::default().with_buffer_capacity(2 + ch.choose("buffer_capacity", 62)),
         );
         let handle = collector.register();
         let mut retired_total = 0usize;
-        for batch in batches {
-            for _ in 0..batch {
+        for _ in 0..1 + ch.choose("batches", 11) {
+            for _ in 0..1 + ch.choose("batch", 39) {
                 let p = Box::into_raw(Box::new([0u64; 4]));
                 // SAFETY: fresh private allocation, retired once.
                 unsafe { handle.retire(p) };
                 retired_total += 1;
             }
             let s = collector.stats();
-            prop_assert!(s.freed <= s.retired);
-            prop_assert_eq!(s.retired, retired_total);
+            assert!(s.freed <= s.retired);
+            assert_eq!(s.retired, retired_total);
         }
         handle.flush();
         let s = collector.stats();
-        prop_assert_eq!(s.retired, retired_total);
-        prop_assert_eq!(s.freed, retired_total, "NullPlatform frees everything");
-        prop_assert_eq!(collector.pending_estimate(), 0);
-    }
+        assert_eq!(s.retired, retired_total);
+        assert_eq!(s.freed, retired_total, "NullPlatform frees everything");
+        assert_eq!(collector.pending_estimate(), 0);
+    });
 }
 
 /// Acks from many real threads sum exactly (the reclaimer's wait loop

@@ -18,25 +18,21 @@
 //! ever freed — asserted inside every node destructor) and Lemma 4 (all
 //! unrooted retired nodes are freed within bounded phases).
 //!
-//! [`mod@explore`] upgrades those checks from randomized to **exhaustive** at
-//! small bounds: a DFS scheduler enumerates *every* interleaving of a
-//! scenario's choice points, and any failing schedule is replayable from
-//! its printed decision string (see `tests/exhaustive.rs` for the named
-//! handshake scenarios backing the memory-ordering policy table in the
-//! README).
+//! Every choice point of the model goes through `ts_choose::Chooser`, so
+//! the explorer in `ts-choose` upgrades those checks from randomized to
+//! **exhaustive** at small bounds: a DFS scheduler enumerates *every*
+//! interleaving of a scenario's choice points, and any failing schedule is
+//! replayable from its printed decision string (see `tests/exhaustive.rs`
+//! for the named handshake scenarios backing the memory-ordering policy
+//! table in the README).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod explore;
 pub mod model;
 pub mod shadow;
 pub mod virtsig;
 
-pub use explore::{
-    check, explore, explore_with_config, replay, Chooser, ExploreConfig, ExploreReport,
-    RandomChooser, TraceChooser, Violation,
-};
 pub use model::{run_model, run_model_with, ModelConfig, ModelMachine, ModelReport};
 pub use shadow::ShadowStack;
 pub use virtsig::{SimMode, SimPlatform, SimRecord, SimToken};

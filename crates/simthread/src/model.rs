@@ -13,9 +13,8 @@
 //!   the retiring thread frees one node parked in its mailbox, if any);
 //! * **Collect** — a forced reclamation phase.
 //!
-//! The schedule is produced by a pluggable [`Chooser`]
-//! ([`mod@crate::explore`]): [`run_model`] drives a seeded
-//! [`RandomChooser`] (randomized suites,
+//! The schedule is produced by a pluggable [`Chooser`] (`ts-choose`):
+//! [`run_model`] drives a seeded [`RandomChooser`] (randomized suites,
 //! arbitrary shapes), while the exhaustive suites drive [`ModelMachine`]
 //! directly under the DFS enumerator, enumerating *every* interleaving at
 //! small bounds.
@@ -35,8 +34,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use threadscan::{Collector, CollectorConfig, ThreadHandle};
+use ts_choose::{Chooser, RandomChooser};
 
-use crate::explore::{Chooser, RandomChooser};
 use crate::virtsig::SimPlatform;
 
 /// Parameters for one model run.
@@ -437,7 +436,7 @@ pub fn run_model(config: &ModelConfig) -> ModelReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use ts_choose::check_inputs;
 
     #[test]
     fn default_model_run_is_clean() {
@@ -570,46 +569,43 @@ mod tests {
         assert_eq!(report.freed, 1);
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-        /// Safety and liveness hold across arbitrary seeds and shapes.
-        #[test]
-        fn random_schedules_uphold_lemma1_and_lemma4(
-            seed in any::<u64>(),
-            sim_threads in 1usize..6,
-            shadow_slots in 1usize..12,
-            buffer_capacity in 2usize..32,
-        ) {
-            let report = run_model(&ModelConfig {
-                sim_threads,
-                shadow_slots,
-                buffer_capacity,
+    /// Safety and liveness hold across arbitrary shapes and schedules,
+    /// both drawn from the one chooser.
+    #[test]
+    fn random_schedules_uphold_lemma1_and_lemma4() {
+        check_inputs("random_schedules_uphold_lemma1_and_lemma4", 64, 24, |ch| {
+            let config = ModelConfig {
+                sim_threads: 1 + ch.choose("sim_threads", 5),
+                shadow_slots: 1 + ch.choose("shadow_slots", 11),
+                buffer_capacity: 2 + ch.choose("buffer_capacity", 30),
                 steps: 800,
-                seed,
                 ..Default::default()
-            });
-            prop_assert_eq!(report.allocated, report.freed);
-        }
+            };
+            let report = run_model_with(&config, ch);
+            assert_eq!(report.allocated, report.freed);
+        });
+    }
 
-        /// The §4.3 extension preserves both lemmas across random
-        /// schedules and shapes.
-        #[test]
-        fn extended_schedules_uphold_lemma1_and_lemma4(
-            seed in any::<u64>(),
-            sim_threads in 1usize..5,
-            shadow_slots in 1usize..8,
-            buffer_capacity in 2usize..16,
-            heap_block_cells in 0usize..8,
-        ) {
-            let report = run_model(&ModelConfig {
-                sim_threads,
-                shadow_slots,
-                buffer_capacity,
-                steps: 600,
-                seed,
-                heap_block_cells,
-            });
-            prop_assert_eq!(report.allocated, report.freed);
-        }
+    /// The §4.3 extension preserves both lemmas across arbitrary shapes
+    /// and schedules.
+    #[test]
+    fn extended_schedules_uphold_lemma1_and_lemma4() {
+        check_inputs(
+            "extended_schedules_uphold_lemma1_and_lemma4",
+            64,
+            24,
+            |ch| {
+                let config = ModelConfig {
+                    sim_threads: 1 + ch.choose("sim_threads", 4),
+                    shadow_slots: 1 + ch.choose("shadow_slots", 7),
+                    buffer_capacity: 2 + ch.choose("buffer_capacity", 14),
+                    heap_block_cells: ch.choose("heap_block_cells", 8),
+                    steps: 600,
+                    ..Default::default()
+                };
+                let report = run_model_with(&config, ch);
+                assert_eq!(report.allocated, report.freed);
+            },
+        );
     }
 }

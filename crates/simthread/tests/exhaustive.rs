@@ -1,7 +1,7 @@
 //! Exhaustive interleaving scenarios for the paper's handshake arguments.
 //!
 //! Each test fixes small per-thread programs (2–3 simulated threads,
-//! ≤ 8 operations) and lets the DFS enumerator in [`ts_simthread::explore`]
+//! ≤ 8 operations) and lets the DFS enumerator in [`ts_choose::explore`]
 //! run **every** interleaving, asserting the exact schedule count so a
 //! silently-shrunk exploration cannot pass. Scenario names are referenced
 //! by the memory-ordering policy table in the README: a relaxed atomic in
@@ -9,7 +9,7 @@
 //! named next to it.
 //!
 //! A failing schedule prints a replayable decision string; reproduce it
-//! with `ts_simthread::replay(trace, scenario)` (see README "Replaying a
+//! with `ts_choose::replay(trace, scenario)` (see README "Replaying a
 //! failing trace").
 //!
 //! Under `RUSTFLAGS="--cfg ts_mutate_ordering"` the collector's scan→free
@@ -21,7 +21,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use ts_simthread::{check, Chooser, ModelConfig, ModelMachine};
+use ts_choose::{check, Chooser};
+use ts_simthread::{ModelConfig, ModelMachine};
 
 /// Interleaves fixed per-thread programs: `lens[t]` is thread `t`'s op
 /// count, `step(t, pc)` executes thread `t`'s `pc`-th op. The chooser
@@ -155,7 +156,7 @@ fn lemma1_scan_free_handshake_3threads() {
 #[cfg(ts_mutate_ordering)]
 #[test]
 fn mutation_scan_free_is_caught() {
-    let v = ts_simthread::explore("lemma1_scan_free_handshake_3threads", scan_free_handshake)
+    let v = ts_choose::explore("lemma1_scan_free_handshake_3threads", scan_free_handshake)
         .expect_err("severed scan→free edge must violate Lemma 1");
     assert!(
         v.message.contains("SAFETY VIOLATION"),
@@ -165,7 +166,7 @@ fn mutation_scan_free_is_caught() {
     // The printed decision string reproduces the violating schedule.
     let trace = v.trace.clone();
     let replayed = std::panic::catch_unwind(move || {
-        ts_simthread::replay(&trace, scan_free_handshake);
+        ts_choose::replay(&trace, scan_free_handshake);
     });
     assert!(replayed.is_err(), "replay must reproduce the violation");
     println!(

@@ -11,7 +11,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::Ordering;
 
-use proptest::prelude::*;
+use ts_choose::{check_inputs, Chooser};
 use ts_smr::{Leaky, Smr};
 use ts_structures::growable_dir::SEG_LEN;
 use ts_structures::{ConcurrentSet, GrowableDirectory, SplitOrderedSet};
@@ -21,112 +21,83 @@ fn val(x: usize) -> *mut u8 {
     (x * 8 + 8) as *mut u8
 }
 
-/// Indices clustered around segment-boundary powers so sequences keep
+/// An index clustered around segment-boundary powers, so sequences keep
 /// crossing grow thresholds.
-fn index_strategy() -> impl Strategy<Value = usize> {
-    prop_oneof![
-        0..(2 * SEG_LEN),
-        (SEG_LEN * SEG_LEN - 4)..(SEG_LEN * SEG_LEN + 4),
-        ((1usize << 20) - 4)..((1usize << 20) + 4),
-        0..(SEG_LEN * SEG_LEN * 4),
-    ]
+fn index(ch: &mut dyn Chooser) -> usize {
+    let (lo, hi) = [
+        (0, 2 * SEG_LEN),
+        (SEG_LEN * SEG_LEN - 4, SEG_LEN * SEG_LEN + 4),
+        ((1 << 20) - 4, (1 << 20) + 4),
+        (0, SEG_LEN * SEG_LEN * 4),
+    ][ch.choose("index region", 4)];
+    lo + ch.choose("index", hi - lo)
 }
 
-#[derive(Debug, Clone)]
-enum DirOp {
-    Store(usize, usize),
-    Load(usize),
-}
-
-fn dir_op_strategy() -> impl Strategy<Value = DirOp> {
-    prop_oneof![
-        (index_strategy(), 1usize..1000).prop_map(|(i, v)| DirOp::Store(i, v)),
-        index_strategy().prop_map(DirOp::Load),
-    ]
-}
-
-#[derive(Debug, Clone)]
-enum SetOp {
-    Insert(u64),
-    Remove(u64),
-    Contains(u64),
-}
-
-/// Insert-heavy (arms are chosen uniformly, so repeating the insert arm
-/// weights it 4:1:1) so the table actually grows past one root segment.
-fn set_op_strategy(key_space: u64) -> impl Strategy<Value = SetOp> {
-    prop_oneof![
-        (0..key_space).prop_map(SetOp::Insert),
-        (0..key_space).prop_map(SetOp::Insert),
-        (0..key_space).prop_map(SetOp::Insert),
-        (0..key_space).prop_map(SetOp::Insert),
-        (0..key_space).prop_map(SetOp::Remove),
-        (0..key_space).prop_map(SetOp::Contains),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn growable_directory_matches_hashmap_oracle(
-        ops in proptest::collection::vec(dir_op_strategy(), 1..300)
-    ) {
-        let dir = GrowableDirectory::new();
-        let mut oracle: HashMap<usize, usize> = HashMap::new();
-        for op in &ops {
-            match *op {
-                DirOp::Store(i, v) => {
+#[test]
+fn growable_directory_matches_hashmap_oracle() {
+    check_inputs(
+        "growable_directory_matches_hashmap_oracle",
+        4096,
+        48,
+        |ch| {
+            let dir = GrowableDirectory::new();
+            let mut oracle: HashMap<usize, usize> = HashMap::new();
+            for _ in 0..1 + ch.choose("ops", 299) {
+                if ch.choose("op", 2) == 0 {
+                    let (i, v) = (index(ch), 1 + ch.choose("value", 999));
                     dir.entry(i).store(val(v), Ordering::Release);
                     oracle.insert(i, v);
-                }
-                DirOp::Load(i) => {
+                } else {
+                    let i = index(ch);
                     let want = oracle.get(&i).map_or(core::ptr::null_mut(), |&v| val(v));
-                    prop_assert_eq!(dir.entry(i).load(Ordering::Acquire), want, "load({})", i);
+                    assert_eq!(dir.entry(i).load(Ordering::Acquire), want, "load({i})");
                 }
             }
-        }
-        // Final sweep: every written slot still resolves through the
-        // (possibly much taller) root to the same leaf.
-        for (&i, &v) in &oracle {
-            prop_assert_eq!(dir.entry(i).load(Ordering::Acquire), val(v), "final({})", i);
-        }
-        prop_assert!(dir.capacity() > oracle.keys().copied().max().unwrap_or(0));
-    }
+            // Final sweep: every written slot still resolves through the
+            // (possibly much taller) root to the same leaf.
+            for (&i, &v) in &oracle {
+                assert_eq!(dir.entry(i).load(Ordering::Acquire), val(v), "final({i})");
+            }
+            assert!(dir.capacity() > oracle.keys().copied().max().unwrap_or(0));
+        },
+    );
+}
 
-    #[test]
-    fn eager_split_table_matches_btreeset_across_segment_boundaries(
-        ops in proptest::collection::vec(set_op_strategy(2048), 1..1500)
-    ) {
-        let scheme = Leaky::new();
-        let handle = scheme.register();
-        let set = SplitOrderedSet::<Leaky>::with_buckets(2).with_load_factor(1);
-        let mut oracle = BTreeSet::new();
-        for op in &ops {
-            match *op {
-                SetOp::Insert(k) => {
-                    prop_assert_eq!(set.insert(&handle, k), oracle.insert(k), "insert({})", k);
-                }
-                SetOp::Remove(k) => {
-                    prop_assert_eq!(set.remove(&handle, k), oracle.remove(&k), "remove({})", k);
-                }
-                SetOp::Contains(k) => {
-                    prop_assert_eq!(
+#[test]
+fn eager_split_table_matches_btreeset_across_segment_boundaries() {
+    check_inputs(
+        "eager_split_table_matches_btreeset_across_segment_boundaries",
+        4096,
+        48,
+        |ch| {
+            let scheme = Leaky::new();
+            let handle = scheme.register();
+            let set = SplitOrderedSet::<Leaky>::with_buckets(2).with_load_factor(1);
+            let mut oracle = BTreeSet::new();
+            for _ in 0..1 + ch.choose("ops", 1499) {
+                // Insert-heavy, 4:1:1, so the table actually grows past
+                // one root segment; the first three alternatives are the
+                // three kinds, so small bounds see all of them.
+                let op = ch.choose("op", 6);
+                let k = ch.choose("key", 2048) as u64;
+                match op {
+                    1 => assert_eq!(set.remove(&handle, k), oracle.remove(&k), "remove({k})"),
+                    2 => assert_eq!(
                         set.contains(&handle, k),
                         oracle.contains(&k),
-                        "contains({})",
-                        k
-                    );
+                        "contains({k})"
+                    ),
+                    _ => assert_eq!(set.insert(&handle, k), oracle.insert(k), "insert({k})"),
                 }
             }
-        }
-        // `keys_sequential` walks the list in split (bit-reversed-hash)
-        // order; sort to compare membership.
-        let mut keys: Vec<u64> = set.keys_sequential();
-        keys.sort_unstable();
-        let want: Vec<u64> = oracle.iter().copied().collect();
-        prop_assert_eq!(keys, want, "final membership");
-    }
+            // `keys_sequential` walks the list in split (bit-reversed-hash)
+            // order; sort to compare membership.
+            let mut keys: Vec<u64> = set.keys_sequential();
+            keys.sort_unstable();
+            let want: Vec<u64> = oracle.iter().copied().collect();
+            assert_eq!(keys, want, "final membership");
+        },
+    );
 }
 
 /// Deterministic companion: enough eager inserts push the directory past

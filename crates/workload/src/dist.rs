@@ -7,8 +7,7 @@
 //! are much more likely to sit in some thread's stack at scan time, so
 //! skew directly exercises ThreadScan's survivor carry-over path).
 
-use rand::rngs::SmallRng;
-use rand::Rng;
+use ts_choose::Rng;
 
 /// How operation keys are drawn from `[0, key_range)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,8 +84,8 @@ impl ZipfSampler {
 
     /// Samples a rank; 0 is the hottest.
     #[inline]
-    pub fn sample(&self, rng: &mut SmallRng) -> u64 {
-        let u: f64 = rng.gen_range(0.0..1.0);
+    pub fn sample(&self, rng: &mut Rng) -> u64 {
+        let u = rng.unit();
         let uz = u * self.zetan;
         if uz < 1.0 {
             return 0;
@@ -118,11 +117,10 @@ pub fn scramble_rank(rank: u64, key_range: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     fn histogram(theta: f64, n: u64, samples: usize) -> Vec<usize> {
         let sampler = ZipfSampler::new(n, theta);
-        let mut rng = SmallRng::seed_from_u64(7);
+        let mut rng = Rng::seeded(7);
         let mut counts = vec![0usize; n as usize];
         for _ in 0..samples {
             counts[sampler.sample(&mut rng) as usize] += 1;
@@ -133,7 +131,7 @@ mod tests {
     #[test]
     fn ranks_stay_in_range() {
         let sampler = ZipfSampler::new(100, 0.99);
-        let mut rng = SmallRng::seed_from_u64(1);
+        let mut rng = Rng::seeded(1);
         for _ in 0..50_000 {
             assert!(sampler.sample(&mut rng) < 100);
         }
@@ -185,7 +183,7 @@ mod tests {
     #[test]
     fn single_element_range_always_yields_zero() {
         let sampler = ZipfSampler::new(1, 0.5);
-        let mut rng = SmallRng::seed_from_u64(3);
+        let mut rng = Rng::seeded(3);
         for _ in 0..100 {
             assert_eq!(sampler.sample(&mut rng), 0);
         }
@@ -199,7 +197,7 @@ mod tests {
     fn theta_near_one_stays_finite_and_skewed() {
         for theta in [0.999, 0.9999] {
             let sampler = ZipfSampler::new(1000, theta);
-            let mut rng = SmallRng::seed_from_u64(13);
+            let mut rng = Rng::seeded(13);
             let mut head = 0usize;
             const N: usize = 100_000;
             for _ in 0..N {
@@ -227,7 +225,7 @@ mod tests {
     fn two_element_range_never_produces_nan_ranks() {
         for theta in [0.01, 0.5, 0.99, 0.9999] {
             let sampler = ZipfSampler::new(2, theta);
-            let mut rng = SmallRng::seed_from_u64(17);
+            let mut rng = Rng::seeded(17);
             let mut counts = [0usize; 2];
             const N: usize = 50_000;
             for _ in 0..N {
@@ -251,8 +249,8 @@ mod tests {
     #[test]
     fn sampling_is_deterministic_per_seed() {
         let sampler = ZipfSampler::new(64, 0.7);
-        let mut a = SmallRng::seed_from_u64(9);
-        let mut b = SmallRng::seed_from_u64(9);
+        let mut a = Rng::seeded(9);
+        let mut b = Rng::seeded(9);
         for _ in 0..100 {
             assert_eq!(sampler.sample(&mut a), sampler.sample(&mut b));
         }

@@ -26,9 +26,8 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use threadscan::hist::Hist;
+use ts_choose::Rng;
 
 use crate::json::ObjectBuilder;
 
@@ -89,7 +88,7 @@ impl LoadModel {
 /// seed, worker, workers)` yield identical streams.
 #[derive(Debug, Clone)]
 pub struct ArrivalSchedule {
-    rng: SmallRng,
+    rng: Rng,
     /// Exponential inter-arrival rate, events per nanosecond.
     rate_per_ns: f64,
     /// Accumulated process time, ns.
@@ -112,7 +111,7 @@ impl ArrivalSchedule {
         let worker_seed = seed ^ (worker as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let qps = model.target_qps()?;
         Some(ArrivalSchedule {
-            rng: SmallRng::seed_from_u64(worker_seed),
+            rng: Rng::seeded(worker_seed),
             rate_per_ns: qps / workers as f64 / 1e9,
             t: 0.0,
         })
@@ -122,7 +121,7 @@ impl ArrivalSchedule {
     /// window start.
     pub fn next_ns(&mut self) -> u64 {
         // Exponential inter-arrival: -ln(U)/rate with U in (0, 1].
-        let u: f64 = 1.0 - self.rng.gen_range(0.0..1.0);
+        let u = 1.0 - self.rng.unit();
         self.t += -u.ln() / self.rate_per_ns;
         self.t as u64
     }

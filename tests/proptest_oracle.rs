@@ -5,46 +5,35 @@
 
 use std::collections::BTreeSet;
 
-use proptest::prelude::*;
+use ts_choose::{check_inputs, Chooser};
 use ts_smr::{EpochScheme, HazardPointers, Leaky, Smr};
 use ts_structures::{
     ConcurrentSet, HarrisList, LockFreeHashTable, PriorityQueue, SkipList, SplitOrderedSet,
     REQUIRED_SLOTS,
 };
 
-#[derive(Debug, Clone)]
-enum SetOp {
-    Insert(u64),
-    Remove(u64),
-    Contains(u64),
-}
-
-fn op_strategy(key_space: u64) -> impl Strategy<Value = SetOp> {
-    prop_oneof![
-        (0..key_space).prop_map(SetOp::Insert),
-        (0..key_space).prop_map(SetOp::Remove),
-        (0..key_space).prop_map(SetOp::Contains),
-    ]
-}
-
-fn check_against_oracle<S: Smr, T: ConcurrentSet<S>>(scheme: &S, set: &T, ops: &[SetOp]) {
+/// Runs one to `max_ops - 1` uniformly drawn insert/remove/contains
+/// operations on keys in `0..key_space` against `set` and a `BTreeSet`.
+fn check_against_oracle<S: Smr, T: ConcurrentSet<S>>(
+    ch: &mut dyn Chooser,
+    scheme: &S,
+    set: &T,
+    key_space: usize,
+    max_ops: usize,
+) {
     let handle = scheme.register();
     let mut oracle = BTreeSet::new();
-    for op in ops {
-        match *op {
-            SetOp::Insert(k) => {
-                assert_eq!(set.insert(&handle, k), oracle.insert(k), "insert({k})");
-            }
-            SetOp::Remove(k) => {
-                assert_eq!(set.remove(&handle, k), oracle.remove(&k), "remove({k})");
-            }
-            SetOp::Contains(k) => {
-                assert_eq!(
-                    set.contains(&handle, k),
-                    oracle.contains(&k),
-                    "contains({k})"
-                );
-            }
+    for _ in 0..1 + ch.choose("ops", max_ops - 1) {
+        let op = ch.choose("op", 3);
+        let k = ch.choose("key", key_space) as u64;
+        match op {
+            0 => assert_eq!(set.insert(&handle, k), oracle.insert(k), "insert({k})"),
+            1 => assert_eq!(set.remove(&handle, k), oracle.remove(&k), "remove({k})"),
+            _ => assert_eq!(
+                set.contains(&handle, k),
+                oracle.contains(&k),
+                "contains({k})"
+            ),
         }
     }
     // Final membership must agree everywhere.
@@ -53,88 +42,90 @@ fn check_against_oracle<S: Smr, T: ConcurrentSet<S>>(scheme: &S, set: &T, ops: &
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn harris_list_matches_btreeset(ops in proptest::collection::vec(op_strategy(64), 1..200)) {
+#[test]
+fn harris_list_matches_btreeset() {
+    check_inputs("harris_list_matches_btreeset", 4096, 48, |ch| {
         let scheme = Leaky::new();
         let set = HarrisList::<Leaky>::new();
-        check_against_oracle(&scheme, &set, &ops);
-    }
+        check_against_oracle(ch, &scheme, &set, 64, 200);
+    });
+}
 
-    #[test]
-    fn harris_list_matches_btreeset_with_live_reclamation(
-        ops in proptest::collection::vec(op_strategy(64), 1..200)
-    ) {
-        // Epoch threshold 2: frees happen mid-sequence, catching
-        // use-after-free of just-removed nodes.
-        let scheme = EpochScheme::with_threshold(2);
-        let set = HarrisList::<EpochScheme>::new();
-        check_against_oracle(&scheme, &set, &ops);
-    }
+#[test]
+fn harris_list_matches_btreeset_with_live_reclamation() {
+    check_inputs(
+        "harris_list_matches_btreeset_with_live_reclamation",
+        4096,
+        48,
+        |ch| {
+            // Epoch threshold 2: frees happen mid-sequence, catching
+            // use-after-free of just-removed nodes.
+            let scheme = EpochScheme::with_threshold(2);
+            let set = HarrisList::<EpochScheme>::new();
+            check_against_oracle(ch, &scheme, &set, 64, 200);
+        },
+    );
+}
 
-    #[test]
-    fn hash_table_matches_btreeset(ops in proptest::collection::vec(op_strategy(256), 1..200)) {
+#[test]
+fn hash_table_matches_btreeset() {
+    check_inputs("hash_table_matches_btreeset", 4096, 48, |ch| {
         let scheme = EpochScheme::with_threshold(2);
         let set = LockFreeHashTable::<EpochScheme>::new(8);
-        check_against_oracle(&scheme, &set, &ops);
-    }
+        check_against_oracle(ch, &scheme, &set, 256, 200);
+    });
+}
 
-    #[test]
-    fn skiplist_matches_btreeset(ops in proptest::collection::vec(op_strategy(64), 1..200)) {
+#[test]
+fn skiplist_matches_btreeset() {
+    check_inputs("skiplist_matches_btreeset", 4096, 48, |ch| {
         let scheme = EpochScheme::with_threshold(2);
         let set = SkipList::<EpochScheme>::new();
-        check_against_oracle(&scheme, &set, &ops);
-    }
+        check_against_oracle(ch, &scheme, &set, 64, 200);
+    });
+}
 
-    #[test]
-    fn skiplist_matches_btreeset_under_hazard_pointers(
-        ops in proptest::collection::vec(op_strategy(32), 1..120)
-    ) {
-        let scheme = HazardPointers::with_params(REQUIRED_SLOTS, 4);
-        let set = SkipList::<HazardPointers>::new();
-        check_against_oracle(&scheme, &set, &ops);
-    }
+#[test]
+fn skiplist_matches_btreeset_under_hazard_pointers() {
+    check_inputs(
+        "skiplist_matches_btreeset_under_hazard_pointers",
+        4096,
+        48,
+        |ch| {
+            let scheme = HazardPointers::with_params(REQUIRED_SLOTS, 4);
+            let set = SkipList::<HazardPointers>::new();
+            check_against_oracle(ch, &scheme, &set, 32, 120);
+        },
+    );
+}
 
-    #[test]
-    fn split_ordered_matches_btreeset(
-        ops in proptest::collection::vec(op_strategy(256), 1..200)
-    ) {
+#[test]
+fn split_ordered_matches_btreeset() {
+    check_inputs("split_ordered_matches_btreeset", 4096, 48, |ch| {
         // Tiny initial table + live reclamation: splits happen mid-sequence.
         let scheme = EpochScheme::with_threshold(2);
         let set = SplitOrderedSet::<EpochScheme>::with_buckets(2);
-        check_against_oracle(&scheme, &set, &ops);
-    }
+        check_against_oracle(ch, &scheme, &set, 256, 200);
+    });
+}
 
-    /// The priority queue must behave exactly like a `BTreeSet` drained
-    /// through `pop_first` over arbitrary insert/delete-min/peek streams.
-    #[test]
-    fn priority_queue_matches_btreeset_oracle(
-        ops in proptest::collection::vec(
-            prop_oneof![
-                (0u64..64).prop_map(PqOp::Insert),
-                Just(PqOp::DeleteMin),
-                Just(PqOp::PeekMin),
-            ],
-            1..200,
-        )
-    ) {
+/// The priority queue must behave exactly like a `BTreeSet` drained
+/// through `pop_first` over arbitrary insert/delete-min/peek streams.
+#[test]
+fn priority_queue_matches_btreeset_oracle() {
+    check_inputs("priority_queue_matches_btreeset_oracle", 4096, 48, |ch| {
         let scheme = EpochScheme::with_threshold(2);
         let pq = PriorityQueue::<EpochScheme>::new();
         let handle = scheme.register();
         let mut oracle = BTreeSet::new();
-        for op in &ops {
-            match *op {
-                PqOp::Insert(k) => {
-                    prop_assert_eq!(pq.insert(&handle, k), oracle.insert(k));
+        for _ in 0..1 + ch.choose("ops", 199) {
+            match ch.choose("op", 3) {
+                0 => {
+                    let k = ch.choose("key", 64) as u64;
+                    assert_eq!(pq.insert(&handle, k), oracle.insert(k));
                 }
-                PqOp::DeleteMin => {
-                    prop_assert_eq!(pq.delete_min(&handle), oracle.pop_first());
-                }
-                PqOp::PeekMin => {
-                    prop_assert_eq!(pq.peek_min(&handle), oracle.first().copied());
-                }
+                1 => assert_eq!(pq.delete_min(&handle), oracle.pop_first()),
+                _ => assert_eq!(pq.peek_min(&handle), oracle.first().copied()),
             }
         }
         let mut rest: Vec<u64> = Vec::new();
@@ -142,13 +133,6 @@ proptest! {
             rest.push(k);
         }
         let want: Vec<u64> = oracle.into_iter().collect();
-        prop_assert_eq!(rest, want, "final drain must be the sorted residue");
-    }
-}
-
-#[derive(Debug, Clone)]
-enum PqOp {
-    Insert(u64),
-    DeleteMin,
-    PeekMin,
+        assert_eq!(rest, want, "final drain must be the sorted residue");
+    });
 }
