@@ -1,294 +1,27 @@
-//! The three experiments that are not (structure × scheme × threads)
-//! sweeps, each with its own loop: directory growth watched at every
-//! doubling, outstanding garbage sampled over time, and the
-//! single-threaded probes.
+//! The one experiment that is not a (structure × scheme × threads)
+//! sweep: `probes`, the single-threaded ns/op of the fast paths no frozen
+//! benchmark probe covers, each with its spread over trials.
 
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 use std::sync::mpsc::{sync_channel, TrySendError};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use threadscan::buffer::LocalBuffer;
 use threadscan::retired::{noop_drop, Retired};
-use ts_sigscan::SignalPlatform;
-use ts_smr::{retire_box, EpochScheme, HazardPointers, Smr, SmrHandle, ThreadScanSmr};
-use ts_structures::{ConcurrentSet, HarrisList, SplitOrderedSet};
+use ts_smr::{retire_box, EpochScheme, HazardPointers, Smr, SmrHandle};
 use ts_workload::json::ObjectBuilder;
 
-use crate::cli::{machine_info, usage_error, CliArgs};
+use crate::cli::{machine_info, CliArgs};
 
-const START_BUCKETS: usize = 256; // 2^8
-const OLD_CAP: usize = 1 << 20;
-
-/// Raises its flag when dropped, so a scope's workers stop however the
-/// thread holding it leaves the scope — a panic included — and no join hangs.
+/// Raises its flag when dropped, so a scope's peer thread stops however
+/// the thread holding it leaves the scope — a panic included — and no
+/// join hangs.
 struct StopOnDrop<'a>(&'a AtomicBool);
 
 impl Drop for StopOnDrop<'_> {
     fn drop(&mut self) {
         self.0.store(true, Ordering::Relaxed);
     }
-}
-
-/// Directory-growth ablation: drive the split-ordered table from 2^8
-/// buckets to past the old 2^20 directory cap, and show that growth is
-/// incremental — no stop-the-world resize.
-///
-/// Worker threads insert distinct keys (with a slice of remove+reinsert
-/// traffic so the collector actually has retirements to process) while
-/// the main thread watches the bucket count. At every doubling it emits
-/// a checkpoint: buckets, resident keys, elapsed time, the collector's
-/// collect-latency percentiles so far, and the worst *single-op* latency
-/// any worker has seen — the number a stop-the-world resize would blow
-/// up and an incremental segment-tree grow keeps flat.
-///
-/// Flags: `--threads 4`, `--target-buckets 2097152`, `--load-factor 1`,
-/// `--timeout 120` (seconds), `--json out.jsonl`; `--quick` shrinks the
-/// target to 2^12 buckets. A directory that has not reached the target
-/// by the timeout ends the run with one `ts-bench: growth stalled …`
-/// line and status 1.
-pub fn growth(args: &CliArgs) {
-    let quick = args.get_flag("quick");
-    let threads = args.get_positive("threads", 4);
-    let target_buckets = args.get_usize("target-buckets", if quick { 1 << 12 } else { 1 << 21 });
-    let load_factor = args.get_usize("load-factor", 1);
-    let timeout_s = args.get_positive("timeout", 120) as u64;
-    args.reject_unread(&["json"]);
-
-    println!(
-        "# Directory growth: 2^8 -> {target_buckets} buckets ({})",
-        machine_info()
-    );
-    println!("# threads={threads} load_factor={load_factor} old_cap=2^20={OLD_CAP}");
-
-    let platform = SignalPlatform::new().expect("signal platform unavailable");
-    // Small delete buffers force collect phases during the sweep, so the
-    // latency histogram has data at every checkpoint.
-    let config = threadscan::CollectorConfig::default().with_buffer_capacity(256);
-    let scheme = Arc::new(ThreadScanSmr::with_config(platform, config));
-    let set: SplitOrderedSet<ThreadScanSmr<SignalPlatform>> =
-        SplitOrderedSet::with_buckets(START_BUCKETS).with_load_factor(load_factor);
-    let set = Arc::new(set);
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let inserted = Arc::new(AtomicUsize::new(0));
-    // Worst single-op wall time (ns) any worker observed, sampled on
-    // every op: a stop-the-world resize would spike this by orders of
-    // magnitude at each doubling.
-    let max_op_ns = Arc::new(AtomicU64::new(0));
-
-    let t0 = Instant::now();
-    let mut checkpoints: Vec<String> = Vec::new();
-    let reached = std::thread::scope(|s| {
-        let _stop = StopOnDrop(&stop);
-        for t in 0..threads {
-            let scheme = Arc::clone(&scheme);
-            let set = Arc::clone(&set);
-            let stop = Arc::clone(&stop);
-            let inserted = Arc::clone(&inserted);
-            let max_op_ns = Arc::clone(&max_op_ns);
-            s.spawn(move || {
-                let handle = scheme.register();
-                let mut local_max = 0u64;
-                // Distinct keys per thread: k = i * threads + t.
-                let mut i = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    let key = i * threads as u64 + t as u64;
-                    let op_start = Instant::now();
-                    if set.insert(&handle, key) {
-                        inserted.fetch_add(1, Ordering::Relaxed);
-                    }
-                    // Every 8th key: churn an older key so nodes retire
-                    // and the collector has real work during growth.
-                    if i % 8 == 7 && i >= 8 {
-                        let victim = (i - 8) * threads as u64 + t as u64;
-                        if set.remove(&handle, victim) {
-                            set.insert(&handle, victim);
-                        }
-                    }
-                    let ns = op_start.elapsed().as_nanos() as u64;
-                    if ns > local_max {
-                        local_max = ns;
-                        max_op_ns.fetch_max(ns, Ordering::Relaxed);
-                    }
-                    i += 1;
-                }
-            });
-        }
-
-        // Watcher: checkpoint at every doubling until the target.
-        let mut next_mark = START_BUCKETS * 2;
-        loop {
-            std::thread::sleep(Duration::from_millis(2));
-            let buckets = set.bucket_count();
-            while buckets >= next_mark {
-                checkpoints.push(checkpoint_json(
-                    next_mark,
-                    inserted.load(Ordering::Relaxed),
-                    t0.elapsed().as_secs_f64(),
-                    max_op_ns.load(Ordering::Relaxed),
-                    &scheme.stats(),
-                ));
-                let line = checkpoints.last().unwrap();
-                println!("{line}");
-                next_mark *= 2;
-            }
-            if buckets >= target_buckets {
-                return true;
-            }
-            if t0.elapsed().as_secs() >= timeout_s {
-                return false;
-            }
-        }
-    });
-    if !reached {
-        eprintln!(
-            "ts-bench: growth stalled: {}/{target_buckets} buckets after {timeout_s}s",
-            set.bucket_count()
-        );
-        std::process::exit(1);
-    }
-
-    let buckets = set.bucket_count();
-    let resident = inserted.load(Ordering::Relaxed);
-    println!(
-        "# final: {buckets} buckets, {resident} resident keys, {:.2}s",
-        t0.elapsed().as_secs_f64()
-    );
-    if buckets > OLD_CAP {
-        println!("# crossed the old 2^20 directory cap");
-    }
-
-    if let Some(path) = args.get("json") {
-        std::fs::write(path, checkpoints.join("\n") + "\n").expect("write json");
-        println!("# json written to {path}");
-    }
-}
-
-/// One checkpoint as a JSON line: directory size, residency, elapsed,
-/// sampled worst op latency, and the collector's latency percentiles.
-fn checkpoint_json(
-    buckets: usize,
-    resident: usize,
-    elapsed_s: f64,
-    max_op_ns: u64,
-    st: &threadscan::StatsSnapshot,
-) -> String {
-    ObjectBuilder::new()
-        .num("buckets", buckets as f64)
-        .num("resident_keys", resident as f64)
-        .num("elapsed_s", elapsed_s)
-        .num("max_op_us", max_op_ns as f64 / 1e3)
-        .bool("past_old_cap", buckets > OLD_CAP)
-        .num("collects", st.collects as f64)
-        .num("collect_us_p50", st.collect_us_percentile(0.50))
-        .num("collect_us_p95", st.collect_us_percentile(0.95))
-        .num("collect_us_p99", st.collect_us_percentile(0.99))
-        .build()
-}
-
-/// One scheme's row of [`garbage`]: churn a list and sample `outstanding`.
-fn sample_run<S: Smr + 'static>(
-    label: &str,
-    scheme: Arc<S>,
-    threads: usize,
-    duration: Duration,
-    samples: u32,
-) {
-    let list = Arc::new(HarrisList::<S>::new());
-    {
-        let h = scheme.register();
-        for k in 0..512u64 {
-            list.insert(&h, k * 2);
-        }
-    }
-    let stop = Arc::new(AtomicBool::new(false));
-    std::thread::scope(|s| {
-        let _stop = StopOnDrop(&stop);
-        for t in 0..threads {
-            let scheme = Arc::clone(&scheme);
-            let list = Arc::clone(&list);
-            let stop = Arc::clone(&stop);
-            s.spawn(move || {
-                let h = scheme.register();
-                let mut k = t as u64;
-                while !stop.load(Ordering::Relaxed) {
-                    let key = k % 1024;
-                    if list.remove(&h, key) {
-                        list.insert(&h, key);
-                    }
-                    k = k.wrapping_mul(6364136223846793005).wrapping_add(1);
-                }
-            });
-        }
-        let t0 = Instant::now();
-        let step = duration / samples;
-        print!("{label:>12}:");
-        for _ in 0..samples {
-            std::thread::sleep(step);
-            print!(" {:>8}", scheme.outstanding());
-        }
-        println!("   ({:.2?} elapsed)", t0.elapsed());
-    });
-}
-
-/// Ablation D: outstanding-garbage growth over time.
-///
-/// The paper's Slow Epoch discussion (§6): "a thread that wants to free
-/// its pointers cannot do so until the errant thread updates its epoch
-/// counter" — garbage grows without bound while throughput suffers.
-/// ThreadScan's signals cannot be stalled by application code, so its
-/// outstanding garbage stays bounded by the buffer sizing. This binary
-/// samples retired-but-unfreed counts over the run for
-/// {epoch, slow-epoch, threadscan}.
-///
-/// Flags: `--duration 3.0`, `--samples 8`, `--threads 4`, `--quick`.
-pub fn garbage(args: &CliArgs) {
-    let quick = args.get_flag("quick");
-    let duration = args.get_span("duration", if quick { 0.5 } else { 3.0 });
-    let samples = args.get_positive("samples", 8);
-    let samples = u32::try_from(samples).unwrap_or_else(|_| {
-        usage_error(format_args!("--samples must be below 2^32, got {samples}"))
-    });
-    let threads = args.get_positive("threads", 4);
-    args.reject_unread(&[]);
-
-    println!(
-        "# Ablation D: outstanding garbage over time ({})",
-        machine_info()
-    );
-    println!("# list workload, {threads} threads, {samples} samples over {duration:?}");
-    println!("# columns = retired-but-unfreed node counts at each sample instant");
-
-    sample_run(
-        "epoch",
-        Arc::new(EpochScheme::with_threshold(256)),
-        threads,
-        duration,
-        samples,
-    );
-    sample_run(
-        "slow-epoch",
-        Arc::new(EpochScheme::slow(256, Duration::from_millis(40), 2048)),
-        threads,
-        duration,
-        samples,
-    );
-    sample_run(
-        "threadscan",
-        Arc::new(ThreadScanSmr::with_config(
-            SignalPlatform::new().expect("signals"),
-            threadscan::CollectorConfig::default().with_buffer_capacity(256),
-        )),
-        threads,
-        duration,
-        samples,
-    );
-    println!(
-        "# expected shape: threadscan stays an order of magnitude below the \
-         epoch schemes (its buffers bound garbage directly); slow-epoch \
-         spikes while its errant thread stalls inside an operation"
-    );
 }
 
 /// One row of [`probes`]: how the per-trial ns/op samples spread.

@@ -3,7 +3,7 @@
 //! default thread ladders.
 
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::time::Duration;
 
 use ts_workload::{Report, SchemeKind, StructureKind};
@@ -15,6 +15,9 @@ pub struct CliArgs {
     map: HashMap<String, (String, Cell<bool>)>,
     /// Arguments that are neither a `--key` nor the value after one.
     stray: Vec<String>,
+    /// Keys given more than once: which value would win is no
+    /// measurement anyone asked for.
+    repeated: BTreeSet<String>,
 }
 
 impl CliArgs {
@@ -26,7 +29,7 @@ impl CliArgs {
     /// Parses an explicit argument list (tests).
     pub fn from_args(args: impl IntoIterator<Item = String>) -> Self {
         let mut map = HashMap::new();
-        let mut stray = Vec::new();
+        let (mut stray, mut repeated) = (Vec::new(), BTreeSet::new());
         let mut iter = args.into_iter().peekable();
         while let Some(arg) = iter.next() {
             if let Some(key) = arg.strip_prefix("--") {
@@ -34,12 +37,21 @@ impl CliArgs {
                     Some(next) if !next.starts_with("--") => iter.next().unwrap(),
                     _ => "true".to_string(),
                 };
-                map.insert(key.to_string(), (value, Cell::new(false)));
+                if map
+                    .insert(key.to_string(), (value, Cell::new(false)))
+                    .is_some()
+                {
+                    repeated.insert(key.to_string());
+                }
             } else {
                 stray.push(arg);
             }
         }
-        Self { map, stray }
+        Self {
+            map,
+            stray,
+            repeated,
+        }
     }
 
     /// String value for `key`.
@@ -63,9 +75,11 @@ impl CliArgs {
         unread
     }
 
-    /// Exits with status 2, naming them, if any flag is [`Self::unread`]
-    /// or any argument was no flag at all (`fig3 --threads 1 2` would
-    /// otherwise measure `--threads 1`, `fig3 quick` the full sweep).
+    /// Exits with status 2, naming them, if any flag is [`Self::unread`],
+    /// any argument was no flag at all (`fig3 --threads 1 2` would
+    /// otherwise measure `--threads 1`, `fig3 quick` the full sweep) or
+    /// any flag was given twice (`--threads 1 --threads 2` would measure
+    /// only 2).
     /// An experiment calls this once it has read its flags and before it
     /// measures anything; `later` names the flags it reads afterwards
     /// (the `--json` / `--trace-out` epilogues).
@@ -84,7 +98,11 @@ impl CliArgs {
                 flags.join(", ")
             );
         }
-        if !(self.stray.is_empty() && unread.is_empty()) {
+        if !self.repeated.is_empty() {
+            let flags: Vec<String> = self.repeated.iter().map(|k| format!("--{k}")).collect();
+            eprintln!("ts-bench: flag given twice: {}", flags.join(", "));
+        }
+        if !(self.stray.is_empty() && unread.is_empty() && self.repeated.is_empty()) {
             std::process::exit(2);
         }
     }

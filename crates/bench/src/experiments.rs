@@ -2,9 +2,9 @@
 //!
 //! A sweep experiment is a function from the command line to a [`Sweep`]
 //! plan — its cells and its extra columns — which the shared
-//! [`sweep`](crate::sweep::sweep) loop runs; the three experiments that
-//! are not (structure × scheme × threads) sweeps bring their own loop
-//! ([`crate::bespoke`]).
+//! [`sweep`](crate::sweep::sweep) loop runs; `probes`, which times
+//! single-threaded fast paths rather than (structure × scheme × threads)
+//! cells, brings its own loop ([`crate::bespoke`]).
 
 use ts_workload::SchemeKind::{Leaky, ThreadScan};
 use ts_workload::StructureKind::{Hash, Pq};
@@ -52,16 +52,6 @@ pub const TABLE: &[Experiment] = &[
         run: Run::Sweep(service_tail),
     },
     Experiment {
-        name: "growth",
-        about: "split-ordered directory growth 2^8 -> past the old 2^20 cap, op-latency checkpoints",
-        run: Run::Bespoke(bespoke::growth),
-    },
-    Experiment {
-        name: "garbage",
-        about: "outstanding garbage over time: epoch vs slow-epoch vs threadscan",
-        run: Run::Bespoke(bespoke::garbage),
-    },
-    Experiment {
         name: "probes",
         about: "single-thread ns/op (fastest, median, IQR): ordering-audit fast paths, own/foreign free",
         run: Run::Bespoke(bespoke::probes),
@@ -87,6 +77,12 @@ const PAPER_BUFFERS: &[usize] = &[WorkloadParams::PAPER_BUFFER];
 ///   "increasing the size of the delete buffer … is a useful way of
 ///   amortizing the cost of signals and of waiting. However, it also
 ///   increases the size of the list of pointers" (§6).
+///
+/// The `unfreed max` column is the most retired-but-unfreed nodes any of
+/// the cell's samples saw: the §6 Slow-Epoch argument, that one errant
+/// thread lets epoch garbage grow while ThreadScan's stays bounded by its
+/// delete buffers, is `--structures list --updates 100 --schemes
+/// epoch,slow-epoch,threadscan --buffers 256 --threads 4 --scale 1`.
 fn fig3(args: &CliArgs) -> Sweep {
     let mut s = Sweep::new("fig3", Common::parse(args, 2.0, 3));
     let ladder = if s.common.quick {
@@ -132,6 +128,10 @@ fn fig3(args: &CliArgs) -> Sweep {
     s.columns = vec![
         col("update%", |c, _| c.params.update_pct.to_string()),
         col("keys", |c, _| c.params.key_dist.label()),
+        col("unfreed max", |_, r| {
+            let max = r.outstanding_samples.iter().max();
+            max.copied().unwrap_or(0).to_string()
+        }),
         col("collects", |_, r| ts(r).collects.to_string()),
         col("freed", |_, r| ts(r).freed.to_string()),
         col("survivors", |_, r| ts(r).survivors.to_string()),
@@ -223,7 +223,7 @@ mod tests {
 
     use std::time::Duration;
 
-    use ts_workload::SchemeKind::{Epoch, Hazard};
+    use ts_workload::SchemeKind::{Epoch, Hazard, SlowEpoch};
     use ts_workload::StructureKind::List;
 
     use crate::cli::hw_threads;
@@ -264,11 +264,15 @@ mod tests {
         cells
     }
 
-    /// The cells a row deleted from the table planned under `--quick`,
-    /// in [`planned`]'s form: every combination of its axes at the quick
-    /// scale (1/64) and window (0.25 s), with the preset's 1024-entry
-    /// buffers wherever the row did not sweep them.
+    /// `--quick`'s scale (1/64) and window (0.25 s).
+    const QUICK: (usize, Duration) = (64, Duration::from_millis(250));
+
+    /// The cells a row deleted from the table planned, in [`planned`]'s
+    /// form: every combination of its axes at a (scale, window) such as
+    /// [`QUICK`], with the preset's 1024-entry buffers wherever the row
+    /// did not sweep them.
     fn deleted_row(
+        (scale, window): (usize, Duration),
         kinds: &[StructureKind],
         threads: &[usize],
         schemes: &[SchemeKind],
@@ -278,14 +282,13 @@ mod tests {
     ) -> Vec<String> {
         let mut cells = Vec::new();
         for &kind in kinds {
-            let key_range = WorkloadParams::fig3(kind, 1).scaled_down(64).key_range;
+            let key_range = WorkloadParams::fig3(kind, 1).scaled_down(scale).key_range;
             for &t in threads {
                 for &scheme in schemes {
                     for &pct in updates {
                         for &dist in skews {
                             for &cap in buffers {
                                 let knobs = (pct, dist, cap);
-                                let window = Duration::from_millis(250);
                                 let what = (kind, t, scheme, knobs, key_range, window);
                                 cells.push(format!("{what:?}"));
                             }
@@ -311,6 +314,7 @@ mod tests {
             ),
         );
         let want = deleted_row(
+            QUICK,
             &[List, Hash],
             &[busy],
             &SchemeKind::OVERSUB,
@@ -330,6 +334,7 @@ mod tests {
         let skewed = |theta| KeyDist::Zipf { theta };
         let skews = [KeyDist::Uniform, skewed(0.5), skewed(0.9), skewed(0.99)];
         let want = deleted_row(
+            QUICK,
             &[Hash, List],
             &[busy],
             &SchemeKind::OVERSUB,
@@ -346,7 +351,15 @@ mod tests {
             ),
         );
         let uniform = [KeyDist::Uniform];
-        let want = deleted_row(&[Hash], &[busy], &[ThreadScan], &[20], &uniform, &[64, 256]);
+        let want = deleted_row(
+            QUICK,
+            &[Hash],
+            &[busy],
+            &[ThreadScan],
+            &[20],
+            &uniform,
+            &[64, 256],
+        );
         assert_eq!(planned(&buffer_size), want);
         let labels: Vec<&str> = buffer_size.cells.iter().map(|c| c.label.as_str()).collect();
         assert_eq!(labels, ["threadscan-64", "threadscan-256"]);
@@ -364,11 +377,62 @@ mod tests {
         );
         let schemes = [Leaky, Hazard, Epoch, ThreadScan];
         let uniform = [KeyDist::Uniform];
-        let want = deleted_row(&[Pq], &[1, 2, 4, 8], &schemes, &[100], &uniform, &[1024]);
+        let want = deleted_row(
+            QUICK,
+            &[Pq],
+            &[1, 2, 4, 8],
+            &schemes,
+            &[100],
+            &uniform,
+            &[1024],
+        );
         assert_eq!(planned(&pq), want);
         let resident = WorkloadParams::fig3(Pq, 1).scaled_down(64).initial_size;
         assert_eq!(resident, 10_000 / 64);
         assert!(pq.cells.iter().all(|c| c.params.initial_size == resident));
+    }
+
+    /// `garbage` sampled unreclaimed nodes in a loop of its own; every
+    /// cell samples them now, so it is this `fig3` command. Its intended
+    /// differences: epoch runs at the registry's threshold of 1024 (was
+    /// 256), slow-epoch at 1024 / 40 ms / every 4096 ops (was 256 / 40 ms
+    /// / 2048), and the list holds 1024 of 2048 keys at 50/50
+    /// insert/remove (was 512 of 1024, each remove re-inserted).
+    #[test]
+    fn the_garbage_row_is_a_fig3_command_with_the_same_cells() {
+        let garbage = plan(
+            "fig3",
+            "--structures list --updates 100 --schemes epoch,slow-epoch,threadscan \
+             --buffers 256 --threads 4 --scale 1 --duration 3 --repeats 1",
+        );
+        let at = (1, Duration::from_secs(3));
+        let uniform = [KeyDist::Uniform];
+        let mut want = deleted_row(
+            at,
+            &[List],
+            &[4],
+            &[Epoch, SlowEpoch],
+            &[100],
+            &uniform,
+            &[1024],
+        );
+        want.extend(deleted_row(
+            at,
+            &[List],
+            &[4],
+            &[ThreadScan],
+            &[100],
+            &uniform,
+            &[256],
+        ));
+        want.sort();
+        assert_eq!(planned(&garbage), want);
+        let labels: Vec<&str> = garbage.cells.iter().map(|c| c.label.as_str()).collect();
+        assert_eq!(labels, ["epoch", "slow-epoch", "threadscan-256"]);
+        for c in &garbage.cells {
+            assert_eq!((c.params.initial_size, c.params.key_range), (1024, 2048));
+        }
+        assert_eq!(garbage.common.repeats, 1);
     }
 
     /// Without an axis flag the figures plan the cells and labels they
@@ -398,6 +462,7 @@ mod tests {
         assert_eq!(fig3.cells.len(), 30);
         let uniform = [KeyDist::Uniform];
         let all = deleted_row(
+            QUICK,
             &StructureKind::ALL,
             &[1, 2],
             &SchemeKind::ALL,

@@ -183,15 +183,18 @@ fn run_cell(cell: &Cell, repeats: usize) -> RunResult {
 /// Folds a cell's repeats into one row: the last run's, with the mean
 /// throughput of all runs and — so a noisy final repeat cannot skew a
 /// reported tail — the collect-latency histogram, the op-latency
-/// histogram with its worst op, and the worst scheduling lag of all of
-/// them (the other counters still describe the last run).
+/// histogram with its worst op, the worst scheduling lag and the
+/// unreclaimed-node samples of all of them (the other counters still
+/// describe the last run).
 fn merge_repeats(runs: Vec<RunResult>) -> RunResult {
     let repeats = runs.len();
     let mut ops_per_sec = 0.0;
     let (mut collect, mut latency) = (Hist::new(), Hist::new());
     let (mut max_ns, mut lag_max_ns) = (0, 0);
+    let mut samples = Vec::new();
     for r in &runs {
         ops_per_sec += r.ops_per_sec;
+        samples.extend_from_slice(&r.outstanding_samples);
         if let Some(st) = &r.threadscan {
             collect.add_counts(&st.collect_ns_hist);
         }
@@ -206,6 +209,7 @@ fn merge_repeats(runs: Vec<RunResult>) -> RunResult {
     let mut r = runs.into_iter().last().expect("at least one repeat ran");
     r.ops_per_sec = ops_per_sec / repeats as f64;
     r.total_ops = (r.ops_per_sec * r.duration_s) as u64;
+    r.outstanding_samples = samples;
     if let Some(st) = &mut r.threadscan {
         st.collect_ns_hist = collect.counts().map(|c| c as usize);
     }
@@ -296,6 +300,7 @@ mod tests {
             total_ops: latencies_ns.len() as u64,
             ops_per_sec: latencies_ns.len() as f64,
             outstanding_after: Some(0),
+            outstanding_samples: Vec::new(),
             leaked: None,
             protection_slots: None,
             threadscan: Some(collect),
@@ -311,12 +316,16 @@ mod tests {
     }
 
     /// Every tail a row reports covers all repeats, whichever repeat was
-    /// last: the worst op and the worst lag here come from the first.
+    /// last: the worst op and the worst lag here come from the first, and
+    /// the unreclaimed-node samples are both repeats', in run order.
     #[test]
     fn a_rows_tails_merge_over_its_repeats() {
-        let first = open_run(&[1_000, 2_000, 9_000_000], 700);
-        let last = open_run(&[1_500], 50);
+        let mut first = open_run(&[1_000, 2_000, 9_000_000], 700);
+        first.outstanding_samples = vec![40, 900];
+        let mut last = open_run(&[1_500], 50);
+        last.outstanding_samples = vec![60];
         let r = merge_repeats(vec![first, last]);
+        assert_eq!(r.outstanding_samples, [40, 900, 60]);
         let lat = r.latency.expect("both repeats measured latency");
         assert_eq!(lat.count, 4);
         assert_eq!(lat.hist.count(), 4);

@@ -52,11 +52,11 @@ fn probes_reports_six_rows_with_their_spread() {
     }
 }
 
-/// The closed-loop knob rows (`buffer_size`, `update_ratio`, `zipf`,
-/// `pq`) are `fig3` axes; `stacktrack`, `ordering`, `hetero` and
-/// `telemetry` are gone.
+/// The table is four rows. The closed-loop knob rows (`buffer_size`,
+/// `update_ratio`, `zipf`, `pq`) and `garbage` are `fig3` commands;
+/// `stacktrack`, `ordering`, `hetero`, `telemetry` and `growth` are gone.
 #[test]
-fn the_table_is_exactly_the_six_rows() {
+fn the_table_is_exactly_the_four_rows() {
     let listing = ts_bench(&["list"]);
     let names: Vec<&str> = listing
         .lines()
@@ -64,14 +64,7 @@ fn the_table_is_exactly_the_six_rows() {
         .collect();
     assert_eq!(
         names,
-        [
-            "fig3",
-            "fig4",
-            "service_tail",
-            "growth",
-            "garbage",
-            "probes"
-        ],
+        ["fig3", "fig4", "service_tail", "probes"],
         "{listing}"
     );
 }

@@ -51,19 +51,23 @@ impl Report {
                 "\n== {} : {structure}, {pct}% updates, {dist} keys (throughput, Mops/s) ==\n",
                 self.experiment
             ));
+            // A space before every column, however long its label
+            // (`threadscan-4096`).
+            let width = |s: &String| s.len().max(13);
             out.push_str(&format!("{:>8}", "threads"));
             for s in &schemes {
-                out.push_str(&format!("{s:>14}"));
+                out.push_str(&format!(" {s:>w$}", w = width(s)));
             }
             out.push('\n');
             for &t in &threads {
                 out.push_str(&format!("{t:>8}"));
                 for s in &schemes {
+                    let w = width(s);
                     let cell = rows
                         .iter()
                         .find(|r| r.threads == t && &r.scheme == s)
-                        .map(|r| format!("{:>14.3}", r.ops_per_sec / 1e6))
-                        .unwrap_or_else(|| format!("{:>14}", "-"));
+                        .map(|r| format!(" {:>w$.3}", r.ops_per_sec / 1e6))
+                        .unwrap_or_else(|| format!(" {:>w$}", "-"));
                     out.push_str(&cell);
                 }
                 out.push('\n');
@@ -116,6 +120,7 @@ mod tests {
             total_ops: (mops * 1e6) as u64,
             ops_per_sec: mops * 1e6,
             outstanding_after: Some(0),
+            outstanding_samples: Vec::new(),
             leaked: None,
             protection_slots: None,
             threadscan: None,
@@ -180,6 +185,25 @@ mod tests {
             "{s}"
         );
         assert!(s.contains("1.250") && s.contains("0.750"), "{s}");
+    }
+
+    /// A label as wide as its column used to run into its neighbour
+    /// (`slow-epochthreadscan-256`).
+    #[test]
+    fn long_scheme_labels_stay_apart() {
+        let mut rep = Report::new("fig3");
+        rep.push(result("list", "slow-epoch", 4, 0.4));
+        rep.push(result("list", "threadscan-256", 4, 0.5));
+        rep.push(result("list", "threadscan-4096", 4, 0.6));
+        let s = rep.render_series();
+        let header = s.lines().find(|l| l.contains("threads ")).expect("header");
+        let words: Vec<&str> = header.split_whitespace().collect();
+        assert_eq!(
+            words,
+            ["threads", "slow-epoch", "threadscan-256", "threadscan-4096"]
+        );
+        let row = s.lines().find(|l| l.trim_start().starts_with('4')).unwrap();
+        assert_eq!(row.len(), header.len(), "{s}");
     }
 
     #[test]

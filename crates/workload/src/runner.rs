@@ -53,7 +53,14 @@ pub struct RunResult {
     /// Retired-but-unfreed nodes at the end (after a quiesce); `None`
     /// for Leaky, where it would read as a leak count instead.
     pub outstanding_after: Option<usize>,
-    /// Nodes intentionally leaked (Leaky only).
+    /// Retired-but-unfreed nodes while the workers ran, read at the end of
+    /// each of the window's [`OUTSTANDING_SAMPLES`] equal steps — the
+    /// paper's §6 garbage-growth measure. A row merged over repeats
+    /// carries every repeat's samples in run order.
+    pub outstanding_samples: Vec<usize>,
+    /// Nodes intentionally leaked (Leaky only). Leaky's
+    /// `outstanding_samples` are this count as it grew, so they never
+    /// decrease.
     pub leaked: Option<usize>,
     /// The scheme's per-handle protection-slot budget; `None` for schemes
     /// with no per-reference state (epoch, ThreadScan, leaky).
@@ -121,6 +128,10 @@ impl RunResult {
                 "outstanding_after",
                 self.outstanding_after.map(|v| v as f64),
             )
+            .arr_num(
+                "outstanding_samples",
+                self.outstanding_samples.iter().map(|&n| n as f64),
+            )
             .opt_num("leaked", self.leaked.map(|v| v as f64))
             .opt_num("protection_slots", self.protection_slots.map(|v| v as f64))
             .opt_num("bucket_count", self.bucket_count.map(|v| v as f64))
@@ -134,9 +145,16 @@ impl RunResult {
     }
 }
 
+/// How many times a run reads its scheme's `outstanding()` while the
+/// workers run ([`RunResult::outstanding_samples`]).
+pub const OUTSTANDING_SAMPLES: usize = 8;
+
 /// The measurement loop: prefills `set`, then drives it for
 /// `params.duration` from `params.threads` workers and returns the merged
-/// worker reports with the measured window in seconds.
+/// worker reports, the measured window in seconds, and the scheme's
+/// `outstanding()` at the end of each of the window's
+/// [`OUTSTANDING_SAMPLES`] equal steps, read by the main thread while the
+/// workers run.
 ///
 /// Every worker's deterministic op stream is built here, on the calling
 /// thread, before the first spawn: a cell whose stream cannot be built
@@ -151,7 +169,7 @@ fn drive<S: Smr>(
     scheme: &S,
     set: &dyn ConcurrentSet<S>,
     params: &WorkloadParams,
-) -> (Aggregate, f64) {
+) -> (Aggregate, f64, Vec<usize>) {
     let stream = OpMix::with_dist(
         0x51ED_1E55,
         params.key_range,
@@ -172,7 +190,7 @@ fn drive<S: Smr>(
     let start_barrier = Barrier::new(params.threads + 1);
     let reports = Mutex::new(Vec::with_capacity(params.threads));
 
-    let secs = std::thread::scope(|s| {
+    let (secs, samples) = std::thread::scope(|s| {
         let (stop, start_barrier, reports) = (&stop, &start_barrier, &reports);
         for (t, mut ops) in streams.into_iter().enumerate() {
             s.spawn(move || {
@@ -194,15 +212,21 @@ fn drive<S: Smr>(
 
         start_barrier.wait();
         let t0 = Instant::now();
-        std::thread::sleep(params.duration);
+        let mut samples = Vec::with_capacity(OUTSTANDING_SAMPLES);
+        for step in 1..=OUTSTANDING_SAMPLES as u32 {
+            // Deadlines from `t0`, so the reads do not stretch the window.
+            let due = t0 + params.duration * step / OUTSTANDING_SAMPLES as u32;
+            std::thread::sleep(due.saturating_duration_since(Instant::now()));
+            samples.push(scheme.outstanding());
+        }
         stop.store(true, Ordering::Relaxed);
         // Taken the moment the flag flips: ops still in flight finish
         // outside the window and the per-op stop check keeps them few.
-        t0.elapsed().as_secs_f64()
+        (t0.elapsed().as_secs_f64(), samples)
     });
 
     let reports = reports.into_inner().expect("a worker panicked");
-    (Aggregate::from_reports(reports), secs)
+    (Aggregate::from_reports(reports), secs, samples)
 }
 
 /// Runs one experiment cell through the scheme and structure registries.
@@ -233,7 +257,7 @@ impl SchemeFn for Combo<'_> {
             params,
         } = self;
         let set = params.structure.build_set::<S>(params);
-        let (agg, secs) = drive(&scheme, &*set, params);
+        let (agg, secs, outstanding_samples) = drive(&scheme, &*set, params);
         let secs = secs.max(1e-9);
 
         // The collector's counters are read *before* the quiesce: its
@@ -258,6 +282,7 @@ impl SchemeFn for Combo<'_> {
             total_ops: agg.total_ops,
             ops_per_sec: agg.total_ops as f64 / secs,
             outstanding_after,
+            outstanding_samples,
             leaked,
             protection_slots: scheme.register().protection_slots(),
             threadscan,
@@ -293,7 +318,8 @@ mod tests {
 
     /// Drives one injected set through the measurement loop under Leaky.
     fn drive_injected(set: &dyn ConcurrentSet<Leaky>, params: &WorkloadParams) -> (Aggregate, f64) {
-        drive(&Leaky::new(), set, params)
+        let (agg, secs, _) = drive(&Leaky::new(), set, params);
+        (agg, secs)
     }
 
     /// A set whose every operation takes ~`OP_MS` ms: long enough that a
@@ -387,6 +413,7 @@ mod tests {
             assert_eq!(r.outstanding_after.is_none(), leaky, "{scheme:?}");
             let slots = hazard.then_some(HARNESS_HAZARD_SLOTS);
             assert_eq!(r.protection_slots, slots, "{scheme:?}");
+            assert_eq!(r.outstanding_samples.len(), OUTSTANDING_SAMPLES);
         }
     }
 
@@ -502,6 +529,7 @@ mod tests {
         assert!(lat.p50_ns > 0.0);
         assert!(lat.p50_ns <= lat.p99_ns && lat.p99_ns <= lat.p999_ns);
         assert!(lat.max_ns > 0);
+        assert_eq!(r.outstanding_samples.len(), OUTSTANDING_SAMPLES);
         let ol = r.open_loop.clone().expect("open model reports extras");
         assert_eq!(ol.model, "poisson(20000)");
         assert!(ol.sched_lag_mean_ns <= ol.sched_lag_max_ns as f64);
@@ -567,6 +595,7 @@ mod tests {
                 "total_ops",
                 "ops_per_sec",
                 "outstanding_after",
+                "outstanding_samples",
                 "leaked",
                 "protection_slots",
                 "bucket_count",
@@ -579,6 +608,10 @@ mod tests {
         assert_eq!(v.get("update_pct").as_f64(), Some(20.0));
         assert_eq!(v.get("key_dist").as_str(), Some("uniform"));
         assert_eq!(v.get("ts_buffer_capacity").as_f64(), Some(1024.0));
+        let crate::json::Value::Array(samples) = v.get("outstanding_samples") else {
+            panic!("outstanding_samples is not an array: {json}");
+        };
+        assert_eq!(samples.len(), OUTSTANDING_SAMPLES);
         assert_keys(
             v.get("threadscan"),
             [
@@ -660,10 +693,38 @@ mod tests {
         );
     }
 
+    /// Leaky's samples are its leak count as the window ran: they never
+    /// decrease, and none exceeds the count after it.
     #[test]
     fn leaky_leaks_every_delete_min() {
         let r = run_combo(SchemeKind::Leaky, &quick_pq());
-        assert!(r.leaked.unwrap() > 0, "delete_min must leak under Leaky");
+        let leaked = r.leaked.unwrap();
+        assert!(leaked > 0, "delete_min must leak under Leaky");
+        let samples = &r.outstanding_samples;
+        assert!(samples.windows(2).all(|w| w[0] <= w[1]), "{samples:?}");
+        assert!(samples.iter().all(|&n| n <= leaked), "{samples:?}");
+    }
+
+    /// The paper's §6 Slow-Epoch argument, in the samples of the list at
+    /// 100 % updates: ThreadScan's unreclaimed nodes stay bounded by its
+    /// delete buffers — at most two 256-entry buffers' worth per worker —
+    /// while an errant thread lets slow-epoch's grow past them.
+    #[test]
+    fn threadscan_garbage_stays_bounded_while_slow_epochs_grows() {
+        const THREADS: usize = 4;
+        const CAPACITY: usize = 256;
+        let p = WorkloadParams::fig3(StructureKind::List, THREADS)
+            .with_update_pct(100)
+            .with_ts_buffer(CAPACITY)
+            .with_duration(Duration::from_millis(400));
+        let max_sample = |scheme| {
+            let r = run_combo(scheme, &p);
+            r.outstanding_samples.into_iter().max().expect("samples")
+        };
+        let threadscan = max_sample(SchemeKind::ThreadScan);
+        assert!(threadscan <= 2 * THREADS * CAPACITY, "{threadscan}");
+        let slow_epoch = max_sample(SchemeKind::SlowEpoch);
+        assert!(slow_epoch > threadscan, "{slow_epoch} vs {threadscan}");
     }
 
     /// The queue adapter, counting the inserts it turns away.
