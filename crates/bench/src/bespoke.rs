@@ -42,20 +42,33 @@ fn sample(trials: usize, mut trial: impl FnMut() -> (Duration, usize)) -> Spread
         let (elapsed, ops) = trial();
         elapsed.as_nanos() as f64 / ops as f64
     });
-    let mut ns: Vec<f64> = per_op.collect();
-    ns.sort_by(f64::total_cmp);
-    // Linear interpolation between the two closest ranks.
+    let ns: Vec<f64> = per_op.collect();
+    let (q1, median, q3) = quartiles(&ns);
+    Spread {
+        fastest: ns.iter().copied().fold(f64::INFINITY, f64::min),
+        q1,
+        median,
+        q3,
+    }
+}
+
+/// `(q1, median, q3)` of `values`, each by linear interpolation between
+/// the two closest ranks: Python's `statistics.quantiles(n=4,
+/// method="inclusive")`.
+///
+/// # Panics
+///
+/// If `values` is empty.
+pub(crate) fn quartiles(values: &[f64]) -> (f64, f64, f64) {
+    assert!(!values.is_empty(), "quartiles of nothing");
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
     let quantile = |q: f64| {
-        let pos = q * (ns.len() - 1) as f64;
-        let (lo, hi) = (ns[pos.floor() as usize], ns[pos.ceil() as usize]);
+        let pos = q * (sorted.len() - 1) as f64;
+        let (lo, hi) = (sorted[pos.floor() as usize], sorted[pos.ceil() as usize]);
         lo + (hi - lo) * pos.fract()
     };
-    Spread {
-        fastest: ns[0],
-        q1: quantile(0.25),
-        median: quantile(0.5),
-        q3: quantile(0.75),
-    }
+    (quantile(0.25), quantile(0.5), quantile(0.75))
 }
 
 /// A trial that is `iters` back-to-back calls of `op`.

@@ -5,7 +5,8 @@
 //! throughput, Figure 4 oversubscription, the open-loop service tail and
 //! the ablations. Each is a list of cells for the
 //! one [`sweep`] loop; [`bespoke::probes`] times the single-thread fast
-//! paths the frozen `benchmark/` package has no probe for.
+//! paths the frozen `benchmark/` package has no probe for. [`pairs`] runs
+//! two builds of that package against each other.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -13,4 +14,5 @@
 pub mod bespoke;
 pub mod cli;
 pub mod experiments;
+pub mod pairs;
 pub mod sweep;

@@ -106,6 +106,34 @@ fn a_malformed_value_fails_before_the_first_cell() {
     }
 }
 
+/// `pairs` needs two benchmark binaries, and reads only its own flags.
+/// This test binary stands in for a benchmark binary: it is a file that
+/// exists, and none of these get as far as running it.
+#[test]
+fn pairs_fails_before_its_first_run() {
+    let bin = env!("CARGO_BIN_EXE_ts-bench");
+    let both = ["pairs", "--parent", bin, "--change", bin];
+    let with = |extra: &[&'static str]| [&both[..], extra].concat();
+    for (args, needle) in [
+        (vec!["pairs"], "--parent <benchmark binary> is required"),
+        (vec!["pairs", "--parent", bin], "--change"),
+        (
+            vec!["pairs", "--parent", "no/such/bin", "--change", bin],
+            "no such file",
+        ),
+        (with(&["--workloads", "hash_chrun"]), "--workloads"),
+        (with(&["--trace", "2"]), "--trace must be 0 or 1"),
+        (with(&["--pairs", "0"]), "--pairs"),
+        (with(&["--seconds", "0"]), "--seconds"),
+        (
+            with(&["--quick"]),
+            "no such flag for this experiment: --quick",
+        ),
+    ] {
+        assert_usage_error(&args, needle);
+    }
+}
+
 /// Each of these once reached a panic (exit 101) or, for `--theta`, a
 /// worker panic that left the main thread waiting at its start barrier; the
 /// `fig3` axes are range-checked the same way.

@@ -38,15 +38,28 @@ use crate::roots::{ThreadRoots, MAX_HEAP_BLOCKS};
 use crate::selfscan::{capture_context, SelfScanContext};
 use crate::stats::{CollectorStats, StatsSnapshot};
 
-/// State protected by the reclaimer lock.
+/// State protected by the reclaimer lock: the survivors, plus the
+/// buffers every phase works in. A phase refills and empties the buffers
+/// but keeps their capacity, so once they have grown to a phase's size,
+/// later phases allocate nothing. Between phases they hold no records.
+#[derive(Default)]
 struct ReclaimState {
     /// Marked nodes from the previous phase, re-examined next phase.
     survivors: Vec<Retired>,
+    /// The phase's aggregated, sorted entries and their key arrays.
+    master: MasterBuffer,
+    /// The phase's unmarked entries, on their way to a mailbox or a free;
+    /// on the forced path first the parked nodes taken back.
+    reclaimable: Vec<Retired>,
+    /// Each live thread's slot, with the number of records it put into
+    /// the phase: its hand-off quota.
+    slots: Vec<(Arc<ThreadSlot>, usize)>,
 }
 
 /// One registered thread's two-stage delete buffer and its counters. The
-/// two stages split `buffer_capacity` in half, so the thread never holds
-/// more than `buffer_capacity` unfreed nodes.
+/// two stages split `buffer_capacity` in half. A retire frees a parked
+/// node before it buffers a fresh one, so the thread holds at most half
+/// of `buffer_capacity` unfreed nodes across both stages.
 struct ThreadSlot {
     /// Stage 1: retires no scan has examined yet. Filling it makes the
     /// owner the reclaimer.
@@ -132,9 +145,7 @@ impl<P: Platform> Collector<P> {
         Arc::new(Self {
             platform: Arc::new(platform),
             config,
-            reclaim: Mutex::new(ReclaimState {
-                survivors: Vec::new(),
-            }),
+            reclaim: Mutex::new(ReclaimState::default()),
             slots: Mutex::new(Vec::new()),
             orphans: Mutex::new(Vec::new()),
             stats: CollectorStats::default(),
@@ -253,32 +264,39 @@ impl<P: Platform> Collector<P> {
 
     /// One reclamation phase. Caller holds the reclaimer lock.
     fn collect_locked(&self, state: &mut ReclaimState, ctx: &SelfScanContext, trigger: Trigger) {
+        state
+            .slots
+            .extend(self.slots.lock().iter().map(|s| (Arc::clone(s), 0)));
+        self.run_phase(state, ctx, trigger);
+        state.slots.clear();
+    }
+
+    /// The body of [`Self::collect_locked`], with `state.slots` filled.
+    fn run_phase(&self, state: &mut ReclaimState, ctx: &SelfScanContext, trigger: Trigger) {
         use crate::telemetry::PhaseKind;
 
-        // Each live thread's slot, with the number of records it puts
-        // into this phase: its hand-off quota below.
-        let mut slots: Vec<(Arc<ThreadSlot>, usize)> = self
-            .slots
-            .lock()
-            .iter()
-            .map(|s| (Arc::clone(s), 0))
-            .collect();
+        let ReclaimState {
+            survivors,
+            master,
+            reclaimable,
+            slots,
+        } = state;
         let mut freed = 0;
         if trigger == Trigger::Forced {
-            let mut parked = Vec::new();
-            for (slot, _) in &slots {
-                parked.append(&mut slot.mailbox.lock());
+            for (slot, _) in slots.iter() {
+                reclaimable.append(&mut slot.mailbox.lock());
             }
             // SAFETY: a record enters a mailbox only after the phase that
             // examined it found it unmarked (see the hand-off below).
-            freed = unsafe { self.reclaim_all(parked) };
+            freed = unsafe { self.reclaim_all(reclaimable.drain(..)) };
         }
-        let mut entries = std::mem::take(&mut state.survivors);
+        let entries = master.intake();
+        entries.append(survivors);
         entries.append(&mut self.orphans.lock());
-        for (slot, contributed) in &mut slots {
+        for (slot, contributed) in slots.iter_mut() {
             // SAFETY: the reclaimer lock makes this thread the single
             // reader of every registered buffer.
-            *contributed = unsafe { slot.fresh.drain_into(&mut entries) };
+            *contributed = unsafe { slot.fresh.drain_into(entries) };
         }
         if entries.is_empty() {
             return;
@@ -296,7 +314,7 @@ impl<P: Platform> Collector<P> {
             sink.event(PhaseKind::SortBegin, id, 0);
         }
 
-        let master = MasterBuffer::new(entries, &self.config);
+        master.build();
         self.stats.add(&self.stats.sort_ns_total, master.sort_ns());
         self.stats.raise(&self.stats.sort_ns_max, master.sort_ns());
         if let Some((sink, id)) = telemetry {
@@ -326,15 +344,14 @@ impl<P: Platform> Collector<P> {
             .add(&self.stats.words_scanned, session.words_scanned());
         self.stats.add(&self.stats.mark_hits, session.hits());
 
-        let (reclaimable, survivors) = master.partition();
+        master.split_into(reclaimable, survivors);
         let survivor_count = survivors.len();
         self.stats.add(&self.stats.survivors, survivor_count);
-        state.survivors = survivors;
 
         if let Some((sink, id)) = telemetry {
             sink.event(PhaseKind::FreeBegin, id, reclaimable.len() as u64);
         }
-        let mut reclaimable = reclaimable.into_iter();
+        let mut reclaimable = reclaimable.drain(..);
         if trigger != Trigger::Forced {
             // The hand-off. Every registered thread acknowledged this
             // phase's scan and none of them marked these records, so no
@@ -349,7 +366,7 @@ impl<P: Platform> Collector<P> {
             // Each thread gets back at most what it put in, so an owner
             // that frees one node per retire is never handed more than
             // its mailbox — half its buffer — holds.
-            for (slot, contributed) in &slots {
+            for (slot, contributed) in slots.iter() {
                 let mut mailbox = slot.mailbox.lock();
                 let room = slot.fresh.capacity() - mailbox.len();
                 mailbox.extend(reclaimable.by_ref().take((*contributed).min(room)));
@@ -404,6 +421,7 @@ impl<P: Platform> Drop for Collector<P> {
         // still reference any retired node: reclaim everything outstanding.
         let state = self.reclaim.get_mut();
         let mut leftovers = std::mem::take(&mut state.survivors);
+        leftovers.append(state.master.intake());
         leftovers.append(self.orphans.get_mut());
         for slot in self.slots.get_mut().drain(..) {
             debug_assert!(
@@ -515,7 +533,7 @@ impl<P: Platform> ThreadHandle<P> {
 
     /// Number of nodes parked in this thread's mailbox: proven
     /// reclaimable, freed one per `retire`. Together with
-    /// [`Self::buffered`] never more than `buffer_capacity`.
+    /// [`Self::buffered`] never more than half of `buffer_capacity`.
     pub fn mailbox_len(&self) -> usize {
         self.slot.mailbox.lock().len()
     }

@@ -18,8 +18,15 @@ use crate::session::ScanSession;
 /// Sorted, markable aggregation of retired nodes for one reclamation
 /// phase. The index-based API (`mark`, `is_marked`, `partition`) operates
 /// on the sorted order.
+///
+/// One buffer set serves every phase of a collector: [`Self::intake`]
+/// takes the phase's records, [`Self::build`] sorts them and rebuilds the
+/// key, end and mark arrays in place, and [`Self::split_into`] moves the
+/// records out again. Each vector keeps its capacity, so a phase no
+/// larger than an earlier one allocates nothing.
+#[derive(Default)]
 pub struct MasterBuffer {
-    /// Entries sorted ascending by address.
+    /// Entries sorted ascending by address (once built).
     entries: Vec<Retired>,
     /// Search keys, parallel to `entries`: `entries[i].addr()`.
     addrs: Vec<usize>,
@@ -38,33 +45,49 @@ pub(crate) fn elapsed_ns(start: std::time::Instant) -> usize {
 
 impl MasterBuffer {
     /// Sorts `entries` by address on the calling thread and builds the
-    /// parallel key, end and mark arrays.
-    ///
-    /// Duplicate addresses indicate a double `retire` in application code;
-    /// this is rejected in debug builds.
+    /// parallel key, end and mark arrays: [`Self::build`] on a fresh
+    /// buffer set.
     ///
     /// `_config` is unread — nothing about the buffer is configurable —
     /// and stays only because the frozen `benchmark/` calls this
     /// signature (ROADMAP carry-over: drop it at the next re-cut).
-    pub fn new(mut entries: Vec<Retired>, _config: &CollectorConfig) -> Self {
+    pub fn new(entries: Vec<Retired>, _config: &CollectorConfig) -> Self {
+        let mut master = Self {
+            entries,
+            ..Self::default()
+        };
+        master.build();
+        master
+    }
+
+    /// The records the next [`Self::build`] sorts: a reclaimer appends
+    /// the phase's records here. Empty after [`Self::split_into`].
+    pub fn intake(&mut self) -> &mut Vec<Retired> {
+        &mut self.entries
+    }
+
+    /// Sorts the intake by address and rebuilds the key, end and mark
+    /// arrays from it, every mark cleared. Nothing of an earlier phase
+    /// survives a build.
+    ///
+    /// Duplicate addresses indicate a double `retire` in application code;
+    /// this is rejected in debug builds.
+    pub fn build(&mut self) {
         let start = std::time::Instant::now();
-        entries.sort_unstable_by_key(Retired::addr);
-        let addrs: Vec<usize> = entries.iter().map(Retired::addr).collect();
-        let ends: Vec<usize> = entries.iter().map(Retired::end).collect();
-        let marks = (0..entries.len()).map(|_| AtomicU8::new(0)).collect();
+        self.entries.sort_unstable_by_key(Retired::addr);
+        self.addrs.clear();
+        self.addrs.extend(self.entries.iter().map(Retired::addr));
+        self.ends.clear();
+        self.ends.extend(self.entries.iter().map(Retired::end));
+        self.marks.clear();
+        self.marks
+            .resize_with(self.entries.len(), || AtomicU8::new(0));
 
         debug_assert!(
-            addrs.windows(2).all(|w| w[0] != w[1]),
+            self.addrs.windows(2).all(|w| w[0] != w[1]),
             "double-retire detected: duplicate address in the delete buffer"
         );
-
-        Self {
-            entries,
-            addrs,
-            ends,
-            marks,
-            sort_ns: elapsed_ns(start),
-        }
+        self.sort_ns = elapsed_ns(start);
     }
 
     /// Number of retired nodes in this phase.
@@ -77,7 +100,7 @@ impl MasterBuffer {
         self.entries.is_empty()
     }
 
-    /// Nanoseconds spent sorting and building in [`Self::new`].
+    /// Nanoseconds the last [`Self::build`] spent sorting and building.
     pub fn sort_ns(&self) -> usize {
         self.sort_ns
     }
@@ -105,17 +128,36 @@ impl MasterBuffer {
 
     /// Consumes the phase: returns `(reclaimable, survivors)` —
     /// Algorithm 1 lines 11-15 split into "free now" and "carry over".
-    pub fn partition(self) -> (Vec<Retired>, Vec<Retired>) {
-        let mut reclaimable = Vec::new();
-        let mut survivors = Vec::new();
-        for (entry, mark) in self.entries.into_iter().zip(self.marks.iter()) {
+    /// [`Self::split_into`] into two new vectors.
+    pub fn partition(mut self) -> (Vec<Retired>, Vec<Retired>) {
+        let (mut reclaimable, mut survivors) = (Vec::new(), Vec::new());
+        self.split_into(&mut reclaimable, &mut survivors);
+        (reclaimable, survivors)
+    }
+
+    /// Ends the phase: appends each unmarked entry to `reclaimable` and
+    /// each marked one to `survivors`, both in address order, and leaves
+    /// this buffer set empty, its capacity kept for the next phase.
+    ///
+    /// # Panics
+    ///
+    /// If the intake changed since the last [`Self::build`].
+    pub fn split_into(&mut self, reclaimable: &mut Vec<Retired>, survivors: &mut Vec<Retired>) {
+        assert_eq!(
+            self.entries.len(),
+            self.marks.len(),
+            "split_into needs a build after the last intake"
+        );
+        for (entry, mark) in self.entries.drain(..).zip(&self.marks) {
             if mark.load(Ordering::Acquire) == 0 {
                 reclaimable.push(entry);
             } else {
                 survivors.push(entry);
             }
         }
-        (reclaimable, survivors)
+        self.addrs.clear();
+        self.ends.clear();
+        self.marks.clear();
     }
 
     /// The entries in sorted order (diagnostics/tests).

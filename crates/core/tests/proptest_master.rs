@@ -4,7 +4,8 @@
 //! kernel from `threadscan::scan` (`find_range_linear`) for every entry
 //! set and probe word: same hit/miss per word, same
 //! `(reclaimable, survivors)` partition — from the empty buffer up to
-//! phases of several thousand entries.
+//! phases of several thousand entries. A buffer set recycled from phase
+//! to phase, as the collector runs it, must agree with a fresh one.
 
 use threadscan::master::MasterBuffer;
 use threadscan::retired::{noop_drop, Retired};
@@ -120,6 +121,40 @@ fn large_phase_scan_agrees_with_linear_oracle() {
         let (nodes, probes) = phase_input(ch, len);
         assert!(nodes.len() >= 4096);
         check_against_oracle(&nodes, &words_for(&nodes, probes));
+    });
+}
+
+/// One buffer set recycled through 2–4 phases of growing and shrinking
+/// size gives each phase what a fresh buffer gives on the same input: the
+/// same hit/miss per word and the same `(reclaimable, survivors)`. The
+/// words aim at some nodes and miss the rest, so both sides of the split
+/// are populated; a mark, key or end left over from an earlier phase would
+/// move a node to the wrong side or change a verdict.
+#[test]
+fn recycled_phases_equal_fresh_ones() {
+    check_inputs("recycled_phases_equal_fresh_ones", 4096, 48, |ch| {
+        let mut master = MasterBuffer::default();
+        let (mut reclaimable, mut survivors) = (Vec::new(), Vec::new());
+        let addrs = |records: &[Retired]| records.iter().map(Retired::addr).collect::<Vec<_>>();
+        for _ in 0..2 + ch.choose("phases", 3) {
+            let len = ch.choose("nodes", 48);
+            let (nodes, mut words) = phase_input(ch, len);
+            for &(a, s) in &nodes {
+                if ch.choose("aimed", 2) == 1 {
+                    words.push(a + ch.choose("offset", s));
+                }
+            }
+            master.intake().extend(entries_of(&nodes));
+            master.build();
+            let session = master.session();
+            let hits: Vec<bool> = words.iter().map(|&w| session.scan_word(w)).collect();
+            reclaimable.clear();
+            survivors.clear();
+            master.split_into(&mut reclaimable, &mut survivors);
+            let recycled = (addrs(&reclaimable), addrs(&survivors), hits);
+            assert_eq!(recycled, run_phase(&nodes, &words));
+            assert!(master.is_empty(), "a split leaves no records behind");
+        }
     });
 }
 

@@ -63,7 +63,10 @@ pub struct SignalPlatform {
 
 struct Inner {
     signo: libc::c_int,
-    registry: Mutex<Vec<Arc<ThreadRecord>>>,
+    /// Each distinct registered thread once, with its number of
+    /// registrations: the round's signal targets. Changed only under the
+    /// round lock, so a round reads it as it stood when the round began.
+    registry: Mutex<Vec<(libc::pthread_t, usize)>>,
     rounds: AtomicUsize,
     signals_sent: AtomicUsize,
 }
@@ -88,9 +91,10 @@ impl SignalPlatform {
         })
     }
 
-    /// Number of currently registered threads.
+    /// Number of current registrations (a thread registered with two
+    /// collectors counts twice).
     pub fn registered_threads(&self) -> usize {
-        self.inner.registry.lock().len()
+        self.inner.registry.lock().iter().map(|&(_, n)| n).sum()
     }
 
     /// Completed scan rounds.
@@ -124,10 +128,16 @@ impl Drop for RegistrationToken {
         // here — signals interrupt the futex wait and are handled).
         let _round = handler::round_lock();
         handler::detach_record(&self.rec);
-        self.inner
-            .registry
-            .lock()
-            .retain(|r| !Arc::ptr_eq(r, &self.rec));
+        let mut registry = self.inner.registry.lock();
+        let i = registry
+            .iter()
+            // SAFETY: `pthread_equal` only compares two ids.
+            .position(|&(t, _)| unsafe { libc::pthread_equal(t, self.rec.pthread) } != 0)
+            .expect("a registration token's thread is in the registry");
+        registry[i].1 -= 1;
+        if registry[i].1 == 0 {
+            registry.swap_remove(i);
+        }
     }
 }
 
@@ -146,7 +156,15 @@ unsafe impl Platform for SignalPlatform {
         {
             let _round = handler::round_lock();
             handler::attach_record(&rec);
-            self.inner.registry.lock().push(Arc::clone(&rec));
+            let mut registry = self.inner.registry.lock();
+            let me = registry
+                .iter_mut()
+                // SAFETY: `pthread_equal` only compares two ids.
+                .find(|(t, _)| unsafe { libc::pthread_equal(*t, rec.pthread) } != 0);
+            match me {
+                Some((_, registrations)) => *registrations += 1,
+                None => registry.push((rec.pthread, 1)),
+            }
         }
         RegistrationToken {
             inner: Arc::clone(&self.inner),
@@ -158,8 +176,10 @@ unsafe impl Platform for SignalPlatform {
         // Serialize rounds process-wide: there is a single global session
         // slot shared by every collector in the process.
         let _round = handler::round_lock();
-        let snapshot: Vec<Arc<ThreadRecord>> = self.inner.registry.lock().clone();
-        if snapshot.is_empty() {
+        // Registration changes wait for the round lock, so this lock only
+        // keeps `registered_threads` readers out; nothing else waits on it.
+        let registry = self.inner.registry.lock();
+        if registry.is_empty() {
             // No registered threads ⇒ no thread may hold references
             // (accessors are required to register) ⇒ nothing to scan.
             return ScanOutcome { threads_scanned: 0 };
@@ -170,20 +190,18 @@ unsafe impl Platform for SignalPlatform {
         unsafe { handler::begin_round(session) };
 
         // Signal every *other* registered thread, once per distinct thread
-        // (a thread may carry several registrations). The reclaimer itself
-        // scans directly from its boundary context below — signaling
-        // ourselves would scan the collect machinery's own dead frames,
-        // which hold copies of every aggregated node address.
+        // (the registry holds each thread once, however many registrations
+        // it carries). The reclaimer itself scans directly from its
+        // boundary context below — signaling ourselves would scan the
+        // collect machinery's own dead frames, which hold copies of every
+        // aggregated node address.
         let me = unsafe { libc::pthread_self() };
-        let mut targets: Vec<libc::pthread_t> = snapshot.iter().map(|r| r.pthread).collect();
-        targets.sort_unstable();
-        targets.dedup();
         let telemetry = session.telemetry();
         if let Some((sink, id)) = telemetry {
-            sink.event(threadscan::PhaseKind::Announce, id, targets.len() as u64);
+            sink.event(threadscan::PhaseKind::Announce, id, registry.len() as u64);
         }
         let mut expected = 0usize;
-        for t in targets {
+        for &(t, _) in registry.iter() {
             if unsafe { libc::pthread_equal(t, me) } != 0 {
                 continue;
             }
@@ -205,6 +223,7 @@ unsafe impl Platform for SignalPlatform {
                 }
             }
         }
+        drop(registry);
         self.inner
             .signals_sent
             .fetch_add(expected, Ordering::Relaxed);
