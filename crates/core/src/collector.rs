@@ -17,9 +17,13 @@
 //!
 //! Where the paper's reclaimer then calls `free` on every unmarked node,
 //! this one hands them back: the delete buffer has a second stage, a
-//! per-thread mailbox, and each thread frees one parked node per
-//! `retire`. Frees then happen at the rate the thread allocates, on the
-//! thread that allocates, instead of in one burst on the reclaimer.
+//! per-thread mailbox, and each thread frees its parked nodes itself —
+//! one right before each allocation it announces through
+//! [`ThreadHandle::before_alloc`], so the allocator hands the freed chunk
+//! straight back, and one per `retire` once its two stages together hold
+//! half its buffer. Frees then happen at the rate the thread allocates,
+//! on the thread that allocates, instead of in one burst on the
+//! reclaimer.
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -57,18 +61,19 @@ struct ReclaimState {
 }
 
 /// One registered thread's two-stage delete buffer and its counters. The
-/// two stages split `buffer_capacity` in half. A retire frees a parked
-/// node before it buffers a fresh one, so the thread holds at most half
-/// of `buffer_capacity` unfreed nodes across both stages.
+/// two stages split `buffer_capacity` in half. A retire that finds both
+/// stages together holding half of `buffer_capacity` frees a parked node
+/// before it buffers a fresh one, so the thread holds at most that many
+/// unfreed nodes across both stages.
 struct ThreadSlot {
     /// Stage 1: retires no scan has examined yet. Filling it makes the
     /// owner the reclaimer.
     fresh: LocalBuffer,
     /// Stage 2, the mailbox: nodes a scan proved unreferenced, awaiting
-    /// their free. The owner takes one per retire; the reclaimer-lock
-    /// holder adds a phase's share or, on the forced and teardown paths,
-    /// takes everything back. The lock covers the pop or the move only,
-    /// never a destructor.
+    /// their free. The owner takes one per announced allocation and one
+    /// per retire at the bound; the reclaimer-lock holder adds a phase's
+    /// share or, on the forced and teardown paths, takes everything back.
+    /// The lock covers the pop or the move only, never a destructor.
     mailbox: Mutex<Vec<Retired>>,
     /// Written by the owner only (plain load + store), on a line nothing
     /// else writes; summed by [`Collector::stats`].
@@ -79,6 +84,8 @@ struct ThreadSlot {
 struct OwnerCounters {
     retired: AtomicUsize,
     mailbox_frees: AtomicUsize,
+    alloc_frees: AtomicUsize,
+    alloc_misses: AtomicUsize,
 }
 
 impl OwnerCounters {
@@ -86,6 +93,19 @@ impl OwnerCounters {
     #[inline]
     fn bump(counter: &AtomicUsize) {
         counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+    }
+
+    /// This thread's counts, in the snapshot fields they add to.
+    fn snapshot(&self) -> StatsSnapshot {
+        let mailbox_frees = self.mailbox_frees.load(Ordering::Relaxed);
+        StatsSnapshot {
+            retired: self.retired.load(Ordering::Relaxed),
+            freed: mailbox_frees,
+            mailbox_frees,
+            alloc_frees: self.alloc_frees.load(Ordering::Relaxed),
+            alloc_misses: self.alloc_misses.load(Ordering::Relaxed),
+            ..StatsSnapshot::default()
+        }
     }
 }
 
@@ -179,7 +199,8 @@ impl<P: Platform> Collector<P> {
     }
 
     /// A snapshot of lifetime statistics: the collector-level counters
-    /// plus every live thread's own `retired` and `mailbox_frees`.
+    /// plus every live thread's own `retired`, `mailbox_frees`,
+    /// `alloc_frees` and `alloc_misses`.
     pub fn stats(&self) -> StatsSnapshot {
         // The registry lock is held across both reads so that a thread
         // unregistering (which folds its counters into the collector's
@@ -187,10 +208,12 @@ impl<P: Platform> Collector<P> {
         let slots = self.slots.lock();
         let mut snap = self.stats.snapshot();
         for slot in slots.iter() {
-            let own_frees = slot.counters.mailbox_frees.load(Ordering::Relaxed);
-            snap.retired += slot.counters.retired.load(Ordering::Relaxed);
-            snap.mailbox_frees += own_frees;
-            snap.freed += own_frees;
+            let own = slot.counters.snapshot();
+            snap.retired += own.retired;
+            snap.freed += own.freed;
+            snap.mailbox_frees += own.mailbox_frees;
+            snap.alloc_frees += own.alloc_frees;
+            snap.alloc_misses += own.alloc_misses;
         }
         snap
     }
@@ -364,8 +387,8 @@ impl<P: Platform> Collector<P> {
             // reclaims it: exactly once.
             //
             // Each thread gets back at most what it put in, so an owner
-            // that frees one node per retire is never handed more than
-            // its mailbox — half its buffer — holds.
+            // that frees one node per retire at the bound is never handed
+            // more than its mailbox — half its buffer — holds.
             for (slot, contributed) in slots.iter() {
                 let mut mailbox = slot.mailbox.lock();
                 let room = slot.fresh.capacity() - mailbox.len();
@@ -405,13 +428,12 @@ impl<P: Platform> Collector<P> {
         // registry lock: `stats` sees them in exactly one place.
         let mut slots = self.slots.lock();
         slots.retain(|s| !Arc::ptr_eq(s, slot));
-        let own_frees = slot.counters.mailbox_frees.load(Ordering::Relaxed);
-        self.stats.add(
-            &self.stats.retired,
-            slot.counters.retired.load(Ordering::Relaxed),
-        );
-        self.stats.add(&self.stats.mailbox_frees, own_frees);
-        self.stats.add(&self.stats.freed, own_frees);
+        let own = slot.counters.snapshot();
+        self.stats.add(&self.stats.retired, own.retired);
+        self.stats.add(&self.stats.freed, own.freed);
+        self.stats.add(&self.stats.mailbox_frees, own.mailbox_frees);
+        self.stats.add(&self.stats.alloc_frees, own.alloc_frees);
+        self.stats.add(&self.stats.alloc_misses, own.alloc_misses);
     }
 }
 
@@ -454,7 +476,11 @@ impl<P: Platform> ThreadHandle<P> {
     /// registered thread's private memory can reach it.
     ///
     /// This is the entire integration surface of ThreadScan: "the
-    /// programmer just needs to pass nodes to its interface".
+    /// programmer just needs to pass nodes to its interface". `retire` is
+    /// the only call a caller must make: once this thread's two stages
+    /// together hold half of `buffer_capacity`, each retire frees one
+    /// parked node itself. [`Self::before_alloc`] is optional and only
+    /// moves those frees next to the allocations that reuse their memory.
     ///
     /// # Safety
     ///
@@ -479,30 +505,70 @@ impl<P: Platform> ThreadHandle<P> {
 
     fn retire_record(&self, record: Retired) {
         OwnerCounters::bump(&self.slot.counters.retired);
-        if self.slot.fresh.is_full() {
+        let fresh = &self.slot.fresh;
+        if fresh.is_full() {
             // Our earlier retires filled the fresh half: we become the
             // reclaimer. Snapshot the application boundary before
             // entering the machinery.
             let ctx = capture_context();
-            self.collector.collect_for(&self.slot.fresh, &ctx);
+            self.collector.collect_for(fresh, &ctx);
         }
-        // Stage 2: free one node a phase handed back, so frees keep pace
-        // with this thread's retires. Freeing before buffering keeps this
-        // thread's fresh + parked count within half its capacity (a
-        // retire moves one node's worth from the parked side to the fresh
-        // side, a phase moves the fresh side back), so a phase finds room
-        // in the mailbox for everything this thread put in.
-        let parked = self.slot.mailbox.lock().pop();
+        // Stage 2: at the bound, free one node a phase handed back before
+        // buffering this one. That keeps this thread's fresh + parked
+        // count within half its capacity (a retire at the bound moves one
+        // node's worth from the parked side to the fresh side, a phase
+        // moves the fresh side back), so a phase finds room in the
+        // mailbox for everything this thread put in. Below the bound the
+        // parked nodes wait for `before_alloc`, or for later retires.
+        let parked = {
+            let mut mailbox = self.slot.mailbox.lock();
+            if fresh.len() + mailbox.len() >= fresh.capacity() {
+                mailbox.pop()
+            } else {
+                None
+            }
+        };
         if let Some(parked) = parked {
-            // SAFETY: the reclaimer parked it only after a completed scan
-            // found it unmarked (see the hand-off in `collect_locked`),
-            // and the pop above took it out of the mailbox for good.
-            unsafe { parked.reclaim() };
-            OwnerCounters::bump(&self.slot.counters.mailbox_frees);
+            self.free_parked(parked);
         }
         // SAFETY: this handle's thread is the buffer's only producer.
-        unsafe { self.slot.fresh.push(record) }
+        unsafe { fresh.push(record) }
             .expect("a phase drains every registered thread's fresh buffer, this one's included");
+    }
+
+    /// Frees one parked node, if this thread's mailbox holds any. Call it
+    /// right before allocating a node: the allocator then hands the chunk
+    /// just freed, on this thread, straight back to that allocation, so
+    /// deferred frees refill the heap the thread allocates from instead
+    /// of another thread's. Optional — [`Self::retire`] frees parked
+    /// nodes at its bound whether or not this is ever called.
+    pub fn before_alloc(&self) {
+        let parked = {
+            let mut mailbox = self.slot.mailbox.lock();
+            let parked = mailbox.pop();
+            if let Some(next) = mailbox.last() {
+                prefetch_for_free(next.addr());
+            }
+            parked
+        };
+        let counters = &self.slot.counters;
+        match parked {
+            Some(parked) => {
+                self.free_parked(parked);
+                OwnerCounters::bump(&counters.alloc_frees);
+            }
+            None => OwnerCounters::bump(&counters.alloc_misses),
+        }
+    }
+
+    /// Runs the destructor of a record just popped from this thread's
+    /// mailbox and counts it as an owner free.
+    fn free_parked(&self, parked: Retired) {
+        // SAFETY: the reclaimer parked it only after a completed scan found
+        // it unmarked (see the hand-off in `collect_locked`), and the
+        // caller's pop took it out of the mailbox for good.
+        unsafe { parked.reclaim() };
+        OwnerCounters::bump(&self.slot.counters.mailbox_frees);
     }
 
     /// Registers a heap block holding private references
@@ -532,8 +598,9 @@ impl<P: Platform> ThreadHandle<P> {
     }
 
     /// Number of nodes parked in this thread's mailbox: proven
-    /// reclaimable, freed one per `retire`. Together with
-    /// [`Self::buffered`] never more than half of `buffer_capacity`.
+    /// reclaimable, freed one per [`Self::before_alloc`] and one per
+    /// `retire` at the bound. Together with [`Self::buffered`] never more
+    /// than half of `buffer_capacity`.
     pub fn mailbox_len(&self) -> usize {
         self.slot.mailbox.lock().len()
     }
@@ -542,6 +609,24 @@ impl<P: Platform> ThreadHandle<P> {
     pub fn flush(&self) {
         self.collector.collect_now();
     }
+}
+
+/// Starts loading the memory `free` will write for the node at `addr`:
+/// its first line and, in common allocators, the chunk header right
+/// before it. A parked node has sat untouched since its retire, so
+/// without this the free of the next [`ThreadHandle::before_alloc`] stalls
+/// on a cache miss inside the caller's operation.
+#[inline]
+fn prefetch_for_free(addr: usize) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch is a hint and never faults, whatever the address.
+    unsafe {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(addr.wrapping_sub(8) as *const i8);
+        _mm_prefetch::<_MM_HINT_T0>(addr as *const i8);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = addr;
 }
 
 impl<P: Platform> Drop for ThreadHandle<P> {
@@ -853,17 +938,20 @@ mod tests {
             unsafe { idle.retire(node(&counter)) };
         }
         // Phase 1 at the idle thread's 5th retire: its 3 pinned nodes
-        // survived, 1 came back and was freed on the spot; two more are
+        // survived and 1 came back. With 1 parked and nothing fresh the
+        // thread is below the bound, so it stays parked; two more are
         // fresh.
-        assert_eq!((idle.buffered(), idle.mailbox_len()), (2, 0));
+        assert_eq!((idle.buffered(), idle.mailbox_len()), (2, 1));
+        assert_eq!(counter.load(Ordering::SeqCst), 0);
 
         // Phase 2, at the busy thread's 5th retire: the idle thread put
         // in 2, the busy one 4; all 6 are reclaimable and fit (and the
-        // busy thread has already freed one of its own).
+        // busy thread, at the bound, has already freed one of its own).
         for _ in 0..5 {
             unsafe { busy.retire(node(&counter)) };
         }
-        assert_eq!((idle.mailbox_len(), busy.mailbox_len()), (2, 3));
+        assert_eq!((idle.mailbox_len(), busy.mailbox_len()), (3, 3));
+        assert!(idle.buffered() + idle.mailbox_len() <= 8 / 2);
         assert_eq!(collector.stats().overflow_frees, 0);
 
         // From here the idle thread does nothing. Unpin its survivors:
@@ -880,7 +968,7 @@ mod tests {
         assert_eq!(snap.overflow_frees, 3, "the ex-survivors");
         // 4 frees out of the busy thread's mailbox + the 3 overflow frees.
         assert_eq!(counter.load(Ordering::SeqCst) - before, 4 + 3);
-        assert_eq!(idle.mailbox_len(), 2, "still parked, not grown");
+        assert_eq!(idle.mailbox_len(), 3, "still parked, not grown");
         assert!(idle.buffered() + idle.mailbox_len() <= 8 / 2);
         assert_eq!(collector.pending_estimate(), snap.outstanding());
         drop((idle, busy));
@@ -1005,35 +1093,104 @@ mod tests {
 
     #[test]
     fn forced_flush_racing_owner_frees_reclaims_each_node_once() {
-        // The mailbox's two consumers at once: an owner freeing one node
-        // per retire while another thread keeps forcing flushes that take
-        // whole mailboxes back. `Node::drop` counts, so a record handed to
-        // both would show as a surplus (or crash), one handed to neither
-        // as a deficit.
+        // The mailbox's two consumers at once: an owner freeing parked
+        // nodes — at the retire bound, and in the second leg also before
+        // every allocation — while another thread keeps forcing flushes
+        // that take whole mailboxes back. `Node::drop` counts, so a record
+        // handed to both would show as a surplus (or crash), one handed to
+        // neither as a deficit.
         const RETIRES: usize = 50_000;
-        let counter = Arc::new(AtomicUsize::new(0));
-        let collector = Collector::with_config(
-            NullPlatform,
-            CollectorConfig::default().with_buffer_capacity(8),
-        );
-        let done = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let handle = collector.register();
-                for _ in 0..RETIRES {
-                    unsafe { handle.retire(node(&counter)) };
+        for hook in [false, true] {
+            let counter = Arc::new(AtomicUsize::new(0));
+            let collector = Collector::with_config(
+                NullPlatform,
+                CollectorConfig::default().with_buffer_capacity(8),
+            );
+            let done = AtomicBool::new(false);
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let handle = collector.register();
+                    for _ in 0..RETIRES {
+                        if hook {
+                            handle.before_alloc();
+                        }
+                        unsafe { handle.retire(node(&counter)) };
+                    }
+                    drop(handle);
+                    done.store(true, Ordering::Release);
+                });
+                while !done.load(Ordering::Acquire) {
+                    collector.collect_now();
                 }
-                drop(handle);
-                done.store(true, Ordering::Release);
             });
-            while !done.load(Ordering::Acquire) {
-                collector.collect_now();
+            collector.collect_now();
+            assert_eq!(counter.load(Ordering::SeqCst), RETIRES, "hook: {hook}");
+            let snap = collector.stats();
+            assert_eq!((snap.retired, snap.freed), (RETIRES, RETIRES));
+            let hooks = if hook { RETIRES } else { 0 };
+            assert_eq!(snap.alloc_frees + snap.alloc_misses, hooks);
+            assert!(snap.alloc_frees <= snap.mailbox_frees);
+        }
+    }
+
+    #[test]
+    fn retire_frees_only_at_the_bound_and_allocations_free_the_rest() {
+        // Half of 8: the bound on one thread's fresh + parked nodes.
+        const HALF: usize = 4;
+        fn retire_side_frees(collector: &Collector<NullPlatform>) -> usize {
+            let snap = collector.stats();
+            snap.mailbox_frees - snap.alloc_frees
+        }
+        // Each leg is a string of ops on a thread of its own collector:
+        // `a` announces an allocation, `r` retires; the mixed leg has as
+        // many of one as of the other.
+        for ops in [
+            "r".repeat(40),
+            "ar".repeat(40),
+            "aarrarrarararraa".repeat(4),
+        ] {
+            let counter = Arc::new(AtomicUsize::new(0));
+            let collector = Collector::with_config(
+                NullPlatform,
+                CollectorConfig::default().with_buffer_capacity(2 * HALF),
+            );
+            let handle = collector.register();
+            let mut retires = 0;
+            for op in ops.chars() {
+                let held = handle.buffered() + handle.mailbox_len();
+                let before = retire_side_frees(&collector);
+                if op == 'a' {
+                    handle.before_alloc();
+                    assert_eq!(retire_side_frees(&collector), before);
+                } else {
+                    unsafe { handle.retire(node(&counter)) };
+                    retires += 1;
+                    // The first HALF retires fill the fresh stage; from
+                    // then on a retire frees exactly when the thread sat
+                    // at the bound (a triggering retire gets its whole
+                    // fresh stage back from the phase, so it does too).
+                    let frees = retire_side_frees(&collector) - before;
+                    assert_eq!(frees, usize::from(held == HALF && retires > HALF), "{ops}");
+                }
+                assert!(handle.buffered() + handle.mailbox_len() <= HALF, "{ops}");
             }
-        });
-        collector.collect_now();
-        assert_eq!(counter.load(Ordering::SeqCst), RETIRES);
-        let snap = collector.stats();
-        assert_eq!((snap.retired, snap.freed), (RETIRES, RETIRES));
+            let snap = collector.stats();
+            let allocs = ops.matches('a').count();
+            assert_eq!(snap.alloc_frees + snap.alloc_misses, allocs);
+            assert_eq!(snap.freed, counter.load(Ordering::SeqCst));
+            if allocs == 0 {
+                // Never announcing an allocation: one free per retire
+                // once the first phase has run.
+                assert_eq!(snap.mailbox_frees, retires - HALF);
+            } else if ops.starts_with("arar") {
+                // An allocation before every retire: only the retire
+                // that runs a phase reaches the bound, and the
+                // allocations free every other parked node.
+                assert_eq!(retire_side_frees(&collector), snap.collects);
+                assert_eq!(snap.alloc_frees, 3 * snap.collects);
+            }
+            drop(handle);
+        }
     }
 
     #[test]
@@ -1111,21 +1268,22 @@ mod tests {
         for _ in 0..4 {
             unsafe { handle.retire(node(&counter)) };
         }
-        // Phase ran: 1 survivor (pinned), 3 handed back of which one is
-        // already freed, 1 fresh.
+        // Phase ran: 1 survivor (pinned), 3 handed back — below the
+        // bound, so none freed yet — and 1 fresh.
         assert_eq!(collector.reclaim.lock().survivors.len(), 1);
-        assert_eq!((handle.buffered(), handle.mailbox_len()), (1, 2));
-        assert_eq!(collector.pending_estimate(), 4);
-        assert_eq!(collector.stats().outstanding(), 4);
+        assert_eq!((handle.buffered(), handle.mailbox_len()), (1, 3));
+        assert_eq!(counter.load(Ordering::SeqCst), 0);
+        assert_eq!(collector.pending_estimate(), 5);
+        assert_eq!(collector.stats().outstanding(), 5);
 
-        // One more retire: one more parked node freed, one more fresh one
-        // buffered — 1 + 1 + 2, no double counts.
+        // One more retire, at the bound: one parked node freed, one more
+        // fresh one buffered — 1 + 2 + 2, no double counts.
         unsafe { handle.retire(node(&counter)) };
-        assert_eq!((handle.buffered(), handle.mailbox_len()), (2, 1));
-        assert_eq!(collector.pending_estimate(), 4);
-        assert_eq!(collector.stats().outstanding(), 4);
+        assert_eq!((handle.buffered(), handle.mailbox_len()), (2, 2));
+        assert_eq!(collector.pending_estimate(), 5);
+        assert_eq!(collector.stats().outstanding(), 5);
 
-        // Unregistering frees the parked record and moves the 2 buffered
+        // Unregistering frees the parked records and moves the 2 buffered
         // ones to the orphan list — moved, not copied.
         drop(handle);
         assert_eq!(collector.orphans.lock().len(), 2);

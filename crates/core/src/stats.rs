@@ -9,11 +9,12 @@ use core::sync::atomic::{AtomicUsize, Ordering};
 
 /// Monotonic counters describing a collector's lifetime activity.
 ///
-/// `retired`, `freed` and `mailbox_frees` hold only the collector-level
-/// share here — what the reclaimer-lock holder counted, plus the totals of
-/// threads that have unregistered. Live threads count their own retires
-/// and mailbox frees in owner-written per-thread counters (so `retire`
-/// touches no line another thread writes), and
+/// `retired`, `freed`, `mailbox_frees`, `alloc_frees` and `alloc_misses`
+/// hold only the collector-level share here — what the reclaimer-lock
+/// holder counted, plus the totals of threads that have unregistered. Live
+/// threads count their own retires, mailbox frees and allocation hooks in
+/// owner-written per-thread counters (so neither `retire` nor the
+/// allocation hook touches a line another thread writes), and
 /// [`Collector::stats`](crate::Collector::stats) adds those in.
 #[derive(Default)]
 pub struct CollectorStats {
@@ -35,9 +36,16 @@ pub struct CollectorStats {
     /// Words that matched a retired node.
     pub mark_hits: AtomicUsize,
     /// Nodes freed by the thread that retired into the phase, one per
-    /// later `retire`, after the reclaimer parked them in its mailbox. A
-    /// subset of [`Self::freed`].
+    /// later `retire` or allocation, after the reclaimer parked them in its
+    /// mailbox. A subset of [`Self::freed`].
     pub mailbox_frees: AtomicUsize,
+    /// Mailbox frees paired with an allocation: the owner freed a parked
+    /// node right before allocating a new one (`ThreadHandle::before_alloc`).
+    /// A subset of [`Self::mailbox_frees`]; the rest are retire-side frees.
+    pub alloc_frees: AtomicUsize,
+    /// Allocation hooks that found the caller's mailbox empty and freed
+    /// nothing.
+    pub alloc_misses: AtomicUsize,
     /// Nodes a triggered phase's reclaimer freed itself because no mailbox
     /// would take them: the contributing thread's mailbox was full (an
     /// idle or slow owner), or nobody contributed them to this phase
@@ -82,6 +90,8 @@ pub struct StatsSnapshot {
     pub words_scanned: usize,
     pub mark_hits: usize,
     pub mailbox_frees: usize,
+    pub alloc_frees: usize,
+    pub alloc_misses: usize,
     pub overflow_frees: usize,
     pub collect_ns_total: usize,
     pub collect_ns_max: usize,
@@ -103,6 +113,8 @@ impl CollectorStats {
             words_scanned: self.words_scanned.load(Ordering::Relaxed),
             mark_hits: self.mark_hits.load(Ordering::Relaxed),
             mailbox_frees: self.mailbox_frees.load(Ordering::Relaxed),
+            alloc_frees: self.alloc_frees.load(Ordering::Relaxed),
+            alloc_misses: self.alloc_misses.load(Ordering::Relaxed),
             overflow_frees: self.overflow_frees.load(Ordering::Relaxed),
             collect_ns_total: self.collect_ns_total.load(Ordering::Relaxed),
             collect_ns_max: self.collect_ns_max.load(Ordering::Relaxed),

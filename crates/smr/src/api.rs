@@ -13,7 +13,9 @@
 //! * `Epoch` / `SlowEpoch` — [`SmrHandle::begin_op`] / [`SmrHandle::end_op`]
 //!   bracket operations with two relaxed counter writes.
 //! * `ThreadScan` — every per-read and per-op hook is a no-op (invisible
-//!   readers!); only `retire` does work.
+//!   readers!); only `retire` does work, and [`SmrHandle::before_alloc`]
+//!   frees a node an earlier scan proved unreferenced right before the
+//!   allocation that reuses its memory.
 
 use std::sync::atomic::AtomicPtr;
 
@@ -91,6 +93,14 @@ pub trait SmrHandle {
     fn load_protected(&self, _slot: usize, src: &AtomicPtr<u8>) -> *mut u8 {
         src.load(std::sync::atomic::Ordering::Acquire)
     }
+
+    /// Scheme hook: the caller is about to allocate a node. Called by
+    /// [`Guard::alloc`]; structures allocate through it. ThreadScan frees
+    /// one node a scan proved unreferenced here, so the allocation reuses
+    /// its memory on this thread; every other scheme keeps this default
+    /// no-op.
+    #[inline]
+    fn before_alloc(&self) {}
 
     /// Retires an unlinked allocation: `drop_fn(addr as *mut u8)` runs
     /// once the scheme can prove no thread still holds a reference.

@@ -6,9 +6,9 @@
 //! bracket un-forgettable: [`SmrHandle::pin`] opens the operation and the
 //! guard's `Drop` closes it, so every early `return`, `?`, `break`, or
 //! panic unwinds through `end_op` automatically. All per-reference work
-//! ([`Guard::load`]) and retirement ([`Guard::retire`],
-//! [`Guard::retire_box`]) goes through the guard, which proves by
-//! construction that it happens inside an open operation.
+//! ([`Guard::load`]), node allocation ([`Guard::alloc`]) and retirement
+//! ([`Guard::retire`], [`Guard::retire_box`]) goes through the guard,
+//! which proves by construction that it happens inside an open operation.
 //!
 //! The guard layer is zero-cost in release builds: [`Guard`] is a
 //! `&Handle` wrapper whose methods forward straight to the scheme hooks
@@ -134,6 +134,20 @@ impl<'h, H: SmrHandle + ?Sized> Guard<'h, H> {
         // dereferences.
         let erased = unsafe { &*(src as *const AtomicPtr<T>).cast::<AtomicPtr<u8>>() };
         self.handle.load_protected(slot, erased).cast::<T>()
+    }
+
+    /// Allocates `value` as a `Box<T>` and returns its raw pointer, after
+    /// the scheme's [`SmrHandle::before_alloc`] hook. Under ThreadScan the
+    /// hook frees one node a scan proved unreferenced, so the allocation
+    /// reuses that memory on this thread instead of growing its heap.
+    /// Optional: retiring is the only call a scheme requires, and a node
+    /// from `Box::into_raw(Box::new(..))` is retired the same way. Call it
+    /// once per node, once the operation knows it will publish the node;
+    /// an unpublished node is freed with `Box::from_raw`.
+    #[inline]
+    pub fn alloc<T>(&self, value: T) -> *mut T {
+        self.handle.before_alloc();
+        Box::into_raw(Box::new(value))
     }
 
     /// Retires an unlinked allocation through the scheme. Contract as in

@@ -4,7 +4,10 @@
 //! system: **every per-read and per-operation hook is the trait's default
 //! no-op**. Readers are invisible; the only instrumented call is `retire`,
 //! which hands the node to the collector. All scanning happens inside
-//! signal handlers, invisible to the data-structure code.
+//! signal handlers, invisible to the data-structure code. The one other
+//! hook it fills in, `before_alloc`, does no reclamation work of its own:
+//! it moves the free of a node a scan already proved unreferenced to
+//! right before the allocation that reuses its memory.
 
 use std::sync::Arc;
 
@@ -87,6 +90,10 @@ impl<P: Platform> SmrHandle for ThreadScanHandle<P> {
     // begin_op / end_op / load_protected: the trait defaults — no-ops and a
     // plain Acquire load. That IS the contribution of the paper.
 
+    fn before_alloc(&self) {
+        self.handle.before_alloc();
+    }
+
     unsafe fn retire(&self, addr: usize, size: usize, drop_fn: DropFn) {
         self.handle.retire_raw(addr, size, drop_fn);
     }
@@ -129,6 +136,35 @@ mod tests {
         assert_eq!(drops.load(Ordering::SeqCst), 4);
         assert_eq!(scheme.outstanding(), 0);
         assert_eq!(scheme.name(), "threadscan");
+    }
+
+    #[test]
+    fn guard_alloc_frees_a_parked_node_first() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let scheme = ThreadScanSmr::with_config(
+            NullPlatform,
+            CollectorConfig::default().with_buffer_capacity(4),
+        );
+        let handle = scheme.register();
+        let probe = || Probe(Arc::clone(&drops));
+        for _ in 0..3 {
+            unsafe { retire_box(&handle, Box::into_raw(Box::new(probe()))) };
+        }
+        // The third retire ran a phase and, at the bound, freed one of
+        // the two nodes it handed back; the other is parked.
+        assert_eq!(drops.load(Ordering::SeqCst), 1);
+        assert_eq!(handle.inner().mailbox_len(), 1);
+        let g = handle.pin();
+        let fresh = g.alloc(probe());
+        assert_eq!(drops.load(Ordering::SeqCst), 2, "freed before allocating");
+        // An empty mailbox: nothing to free.
+        let other = g.alloc(probe());
+        assert_eq!(drops.load(Ordering::SeqCst), 2);
+        unsafe { drop((Box::from_raw(fresh), Box::from_raw(other))) };
+        drop(g);
+        let stats = scheme.stats();
+        assert_eq!((stats.alloc_frees, stats.alloc_misses), (1, 1));
+        assert_eq!(stats.freed, 2);
     }
 
     #[test]

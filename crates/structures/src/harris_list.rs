@@ -198,13 +198,21 @@ impl<S: Smr> ConcurrentSet<S> for HarrisList<S> {
 
     fn insert(&self, h: &S::Handle, key: u64) -> bool {
         let g = h.pin();
-        let node = Box::into_raw(Box::new(Node::new(key, std::ptr::null_mut())));
+        // Allocated once a search shows the key absent, and kept across
+        // CAS retries: one allocation per insert that may publish.
+        let mut node: *mut Node = std::ptr::null_mut();
         loop {
             let (prev, curr) = self.search(&g, key);
             if !curr.is_null() && unsafe { (*curr).key } == key {
-                // SAFETY: `node` was never published.
-                drop(unsafe { Box::from_raw(node) });
+                if !node.is_null() {
+                    // A racing insert of `key` won after our first search.
+                    // SAFETY: `node` was never published.
+                    drop(unsafe { Box::from_raw(node) });
+                }
                 break false;
+            }
+            if node.is_null() {
+                node = g.alloc(Node::new(key, std::ptr::null_mut()));
             }
             // SAFETY: node is ours until the CAS publishes it.
             unsafe { (*node).next.store(curr as *mut u8, Ordering::Relaxed) };

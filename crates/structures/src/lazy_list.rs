@@ -223,7 +223,7 @@ impl<S: Smr> ConcurrentSet<S> for LazyList<S> {
             }
             self.lock_pred(pred);
             if self.validate(pred, curr) {
-                let node = Box::into_raw(Box::new(LazyNode::new(key, curr as *mut u8)));
+                let node = g.alloc(LazyNode::new(key, curr as *mut u8));
                 self.pred_field(pred)
                     .store(node as *mut u8, Ordering::Release);
                 self.unlock_pred(pred);

@@ -298,7 +298,7 @@ impl<S: Smr> PriorityQueue<S> {
                 Self::unlock_preds(&preds, locked);
                 continue 'retry;
             }
-            let node = Box::into_raw(Box::new(PqNode::new(key, top)));
+            let node = g.alloc(PqNode::new(key, top));
             // SAFETY: node is private until linked below.
             let node_ref = unsafe { &*node };
             for (level, &succ) in succs.iter().enumerate().take(top + 1) {

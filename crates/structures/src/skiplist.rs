@@ -346,7 +346,7 @@ impl<S: Smr> ConcurrentSet<S> for SkipList<S> {
                 Self::unlock_preds(&preds, locked);
                 continue 'retry;
             }
-            let node = Box::into_raw(Box::new(SkipNode::new(key, top)));
+            let node = g.alloc(SkipNode::new(key, top));
             // SAFETY: node is private until linked below.
             let node_ref = unsafe { &*node };
             for (level, &succ) in succs.iter().enumerate().take(top + 1) {

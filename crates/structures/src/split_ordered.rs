@@ -201,8 +201,11 @@ impl<S: Smr> SplitOrderedSet<S> {
         }
         let parent = self.bucket_dummy(g, Self::parent(bucket));
         let skey = so_dummy_key(bucket);
-        // Insert-if-absent of the dummy starting at the parent's chain.
-        let node = Box::into_raw(Box::new(SoNode::new(skey, 0, std::ptr::null_mut())));
+        // Insert-if-absent of the dummy starting at the parent's chain,
+        // allocated once a search shows it absent. Dummies are never
+        // retired, so they skip the scheme's allocation hook: an insert
+        // calls it once, for its own node.
+        let mut node: *mut SoNode = std::ptr::null_mut();
         let dummy = loop {
             // SAFETY: parent dummies are immortal.
             let start = unsafe { &(*parent).next };
@@ -212,10 +215,15 @@ impl<S: Smr> SplitOrderedSet<S> {
                 let c = unsafe { &*curr };
                 if c.skey == skey {
                     // Another thread threaded it first.
-                    // SAFETY: `node` never escaped.
-                    drop(unsafe { Box::from_raw(node) });
+                    if !node.is_null() {
+                        // SAFETY: `node` never escaped.
+                        drop(unsafe { Box::from_raw(node) });
+                    }
                     break curr;
                 }
+            }
+            if node.is_null() {
+                node = Box::into_raw(Box::new(SoNode::new(skey, 0, std::ptr::null_mut())));
             }
             // SAFETY: node is private until the CAS publishes it.
             unsafe { (*node).next.store(curr as *mut u8, Ordering::Relaxed) };
@@ -383,7 +391,9 @@ impl<S: Smr> ConcurrentSet<S> for SplitOrderedSet<S> {
         let skey = so_regular_key(hash);
         let size = self.size.load(Ordering::Acquire);
         let dummy = self.bucket_dummy(&g, (hash as usize) & (size - 1));
-        let node = Box::into_raw(Box::new(SoNode::new(skey, key, std::ptr::null_mut())));
+        // Allocated once a search shows the key absent, and kept across
+        // CAS retries: one allocation per insert that may publish.
+        let mut node: *mut SoNode = std::ptr::null_mut();
         loop {
             // SAFETY: dummies are immortal.
             let start = unsafe { &(*dummy).next };
@@ -392,10 +402,16 @@ impl<S: Smr> ConcurrentSet<S> for SplitOrderedSet<S> {
                 // SAFETY: protected by search_from's final state.
                 let c = unsafe { &*curr };
                 if c.skey == skey && c.key == key {
-                    // SAFETY: `node` never escaped.
-                    drop(unsafe { Box::from_raw(node) });
+                    if !node.is_null() {
+                        // A racing insert of `key` won after our first
+                        // search. SAFETY: `node` never escaped.
+                        drop(unsafe { Box::from_raw(node) });
+                    }
                     break false;
                 }
+            }
+            if node.is_null() {
+                node = g.alloc(SoNode::new(skey, key, std::ptr::null_mut()));
             }
             // SAFETY: node is private until the CAS publishes it.
             unsafe { (*node).next.store(curr as *mut u8, Ordering::Relaxed) };

@@ -79,8 +79,14 @@ impl Report {
             if let Some(ts) = r.threadscan.as_ref().filter(|ts| ts.overflow_frees > 0) {
                 out.push_str(&format!(
                     "note: {}/{} threads: reclaimers freed {} of {} nodes themselves \
-                     (no mailbox would take them); owners freed {}\n",
-                    r.structure, r.threads, ts.overflow_frees, ts.freed, ts.mailbox_frees
+                     (no mailbox would take them); owners freed {}, {} of them right \
+                     before an allocation\n",
+                    r.structure,
+                    r.threads,
+                    ts.overflow_frees,
+                    ts.freed,
+                    ts.mailbox_frees,
+                    ts.alloc_frees
                 ));
             }
         }
@@ -153,6 +159,7 @@ mod tests {
         degraded.threadscan = Some(threadscan::StatsSnapshot {
             freed: 1000,
             mailbox_frees: 900,
+            alloc_frees: 850,
             overflow_frees: 70,
             ..Default::default()
         });
@@ -162,7 +169,10 @@ mod tests {
             s.contains("note: hash/4 threads: reclaimers freed 70 of 1000 nodes themselves"),
             "{s}"
         );
-        assert!(s.contains("owners freed 900"), "{s}");
+        assert!(
+            s.contains("owners freed 900, 850 of them right before an allocation"),
+            "{s}"
+        );
     }
 
     /// A swept axis splits the grid: the same (threads, scheme) at two

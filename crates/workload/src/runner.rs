@@ -90,6 +90,8 @@ pub fn stats_json(st: &StatsSnapshot) -> String {
         .num("words_scanned", st.words_scanned as f64)
         .num("freed", st.freed as f64)
         .num("mailbox_frees", st.mailbox_frees as f64)
+        .num("alloc_frees", st.alloc_frees as f64)
+        .num("alloc_misses", st.alloc_misses as f64)
         .num("overflow_frees", st.overflow_frees as f64)
         .num("survivors", st.survivors as f64)
         .num("threads_scanned", st.threads_scanned as f64)
@@ -619,6 +621,8 @@ mod tests {
                 "words_scanned",
                 "freed",
                 "mailbox_frees",
+                "alloc_frees",
+                "alloc_misses",
                 "overflow_frees",
                 "survivors",
                 "threads_scanned",

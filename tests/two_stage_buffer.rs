@@ -17,13 +17,15 @@ impl Drop for Probe {
     }
 }
 
-/// `threads` real threads churn through rounds of retires. Every thread
+/// `threads` real threads churn through rounds of retires; with `hook`,
+/// each announces the allocation of every node it retires through
+/// `before_alloc`, the way a structure's `Guard::alloc` does. Every thread
 /// tracks its own two-stage occupancy after every retire; at the quiescent
 /// point after each round the main thread samples the collector's two
 /// views of "retired but not freed", and every other round forces a flush.
 /// Nothing asserts while a barrier is pending (a panic there would hang
 /// the others): observations are checked once every thread has finished.
-fn churn<P: Platform + Send + Sync>(platform: P, threads: usize) {
+fn churn<P: Platform + Send + Sync>(platform: P, threads: usize, hook: bool) {
     const ROUNDS: usize = 6;
     const CAPACITY: usize = 16;
     let collector = Collector::with_config(
@@ -45,6 +47,9 @@ fn churn<P: Platform + Send + Sync>(platform: P, threads: usize) {
                         // Uneven loads, so contributions and mailbox levels
                         // differ across threads and rounds.
                         for _ in 0..CAPACITY * (1 + (t + round) % 3) + t {
+                            if hook {
+                                handle.before_alloc();
+                            }
                             let node = Box::into_raw(Box::new(Probe {
                                 drops: Arc::clone(&drops),
                                 _pad: [0; 4],
@@ -101,6 +106,16 @@ fn churn<P: Platform + Send + Sync>(platform: P, threads: usize) {
     collector.collect_now();
     let snap = collector.stats();
     assert!(snap.mailbox_frees > 0, "owners must have freed their share");
+    assert!(snap.alloc_frees <= snap.mailbox_frees);
+    if hook {
+        assert!(
+            snap.alloc_frees > 0,
+            "allocations must have freed parked nodes"
+        );
+        assert_eq!(snap.alloc_frees + snap.alloc_misses, snap.retired);
+    } else {
+        assert_eq!((snap.alloc_frees, snap.alloc_misses), (0, 0));
+    }
     assert_eq!(snap.retired, snap.freed);
     assert_eq!(snap.freed, drops.load(Ordering::SeqCst));
 }
@@ -108,13 +123,21 @@ fn churn<P: Platform + Send + Sync>(platform: P, threads: usize) {
 #[test]
 fn two_stage_invariants_hold_on_null_platform() {
     for threads in [2, 4] {
-        churn(NullPlatform, threads);
+        churn(NullPlatform, threads, false);
+    }
+}
+
+#[test]
+fn two_stage_invariants_hold_when_allocations_free_parked_nodes() {
+    for threads in [2, 4] {
+        churn(NullPlatform, threads, true);
+        churn(SimPlatform::direct(4), threads, true);
     }
 }
 
 #[test]
 fn two_stage_invariants_hold_on_sim_platform() {
     for threads in [2, 4] {
-        churn(SimPlatform::direct(4), threads);
+        churn(SimPlatform::direct(4), threads, false);
     }
 }
