@@ -9,8 +9,10 @@
 //!
 //! A [`LocalBuffer`] is the first of a thread's two stages: its fresh
 //! retires, awaiting a scan. The second — the nodes a scan has proven
-//! reclaimable, which the thread frees one per retire — lives with the
-//! collector, which sizes each stage at half of `buffer_capacity`.
+//! reclaimable, which the thread frees one per announced allocation and
+//! one per retire once fresh + parked reach half of `buffer_capacity` —
+//! lives with the collector, which sizes each stage at half of
+//! `buffer_capacity`.
 
 use core::cell::UnsafeCell;
 use core::mem::MaybeUninit;

@@ -20,8 +20,10 @@ pub struct CollectorConfig {
     /// The budget covers both stages of the buffer: a thread becomes
     /// reclaimer when a retire finds its fresh retires at **half** of
     /// it, and the other half is its mailbox of nodes proven
-    /// reclaimable, which it frees one per retire. A thread therefore
-    /// never holds more than `buffer_capacity` unfreed nodes of its own.
+    /// reclaimable. It frees those one right before each allocation it
+    /// announces (`ThreadHandle::before_alloc`), and one per retire once
+    /// fresh + parked reach half of `buffer_capacity`, so it never holds
+    /// more than that half unfreed.
     pub buffer_capacity: usize,
     /// Phase-event sink (see [`crate::telemetry`]). `None` (default)
     /// means telemetry is off and the collect/scan hot paths execute no

@@ -21,19 +21,19 @@
 //! Beyond the evaluation's three structures, two more of the
 //! unsynchronized-traversal structures the introduction cites:
 //!
-//! * [`PriorityQueue`] — Shavit–Lotan skiplist priority queue (cite \[43\]);
+//! * [`PriorityQueue`] — Shavit–Lotan skiplist priority queue (cite
+//!   \[43\]): the [`SkipList`] plus a per-node claim flag, sharing its
+//!   search, locking and removal step;
 //! * [`SplitOrderedSet`] — Shalev–Shavit split-ordered-list hash table
 //!   with lock-free dynamic resizing over an unbounded
 //!   [`GrowableDirectory`] (cite \[42\]).
 //!
-//! The harness drives every structure as a `dyn ConcurrentSet<S>` object
-//! over one concrete scheme `S`; [`PqAsSet`] adapts the priority queue to
-//! that set-shaped interface.
+//! The harness drives every structure, the queue included, as a
+//! `dyn ConcurrentSet<S>` object over one concrete scheme `S`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod dyn_set;
 pub mod growable_dir;
 pub mod harris_list;
 pub mod hash_table;
@@ -44,12 +44,11 @@ pub mod skiplist;
 pub mod split_ordered;
 pub mod tagged;
 
-pub use dyn_set::PqAsSet;
 pub use growable_dir::GrowableDirectory;
 pub use harris_list::HarrisList;
 pub use hash_table::LockFreeHashTable;
 pub use lazy_list::LazyList;
-pub use priority_queue::{PriorityQueue, PQ_MAX_HEIGHT, PQ_REQUIRED_SLOTS};
+pub use priority_queue::PriorityQueue;
 pub use set_trait::ConcurrentSet;
 pub use skiplist::{SkipList, MAX_HEIGHT, REQUIRED_SLOTS};
 pub use split_ordered::{SplitOrderedSet, DEFAULT_LOAD_FACTOR};

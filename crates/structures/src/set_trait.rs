@@ -34,3 +34,23 @@ pub trait ConcurrentSet<S: Smr>: Send + Sync {
         None
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SplitOrderedSet;
+    use ts_smr::Leaky;
+
+    #[test]
+    fn erased_ops_agree_with_the_generic_trait() {
+        let scheme = Leaky::new();
+        let h = scheme.register();
+        let set = SplitOrderedSet::<Leaky>::new();
+        assert!(set.insert(&h, 1));
+        let dyn_set: &dyn ConcurrentSet<Leaky> = &set;
+        assert!(!dyn_set.insert(&h, 1), "duplicate visible through erasure");
+        assert!(dyn_set.contains(&h, 1));
+        assert!(dyn_set.remove(&h, 1));
+        assert!(!set.contains(&h, 1));
+    }
+}

@@ -1,6 +1,7 @@
 //! Lock-based optimistic skip list — the paper's third evaluation
 //! structure (§6: "Lock-based Skip List ... with 104 byte nodes
-//! (representing the maximum size due to height)").
+//! (representing the maximum size due to height)") and the engine under
+//! [`PriorityQueue`](crate::PriorityQueue).
 //!
 //! This is the lazy skip list of Herlihy, Lev, Luchangco and Shavit
 //! ("A Simple Optimistic Skiplist Algorithm", SIROCCO 2007):
@@ -13,16 +14,26 @@
 //! * Removal marks the victim (logical) before unlinking every level
 //!   (physical), then retires it through the reclamation scheme. Only the
 //!   marking thread retires, so the victim cannot be freed while a
-//!   concurrent remover still examines it.
-//! * The head is a **sentinel node with a real lock**, not a bare array
-//!   of pointers: two critical sections whose pred is the head (a remove
-//!   splicing out the first node and an insert at the front) must be
-//!   mutually exclusive, or their validate-then-store sequences race and
-//!   can resurrect a spliced-out node. The priority queue variant of this
-//!   structure hit exactly that race under `delete_min` pressure; see
-//!   `priority_queue`'s module docs.
+//!   concurrent remover still examines it. The set's `remove` and the
+//!   queue's `delete_min` share that step, `unlink_and_retire`; they
+//!   differ only in how they pick the victim (a key, or a claim CAS on
+//!   the first unclaimed node).
+//!
+//! # The sentinel head
+//!
+//! The head is a **sentinel node with a real lock**, not a bare array of
+//! head pointers. Two critical sections whose pred is the head — a
+//! removal splicing out the first node and an insert at the front — must
+//! be mutually exclusive: with lock-free head entries both validate
+//! `head.next == X` and then both store, un-serialized, a check-then-act
+//! race that resurrects the spliced-out node. The sentinel takes part in
+//! the same lock protocol as every other node and is never marked,
+//! claimed or removed. A uniform-keyed set rarely meets the race; a
+//! priority queue sends *all* its traffic through the head and met it
+//! within milliseconds (`head_contention_churn_stays_consistent` and
+//! `front_inserts_race_delete_min_without_resurrection` pin it).
 
-use core::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
+use core::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 use std::cell::Cell;
 use std::marker::PhantomData;
 
@@ -34,20 +45,31 @@ use crate::set_trait::ConcurrentSet;
 /// resident keys with headroom.
 pub const MAX_HEIGHT: usize = 12;
 
-/// Hazard-pointer slots required by one skip-list operation: a pred and a
-/// succ per level, plus two roving slots for `contains`.
+/// Hazard-pointer slots required by one skip-list or priority-queue
+/// operation: a pred and a succ per level, plus two roving slots for
+/// `contains` and the queue's bottom-level walk.
 pub const REQUIRED_SLOTS: usize = 2 * MAX_HEIGHT + 2;
 
 #[repr(C)]
-struct SkipNode {
+pub(crate) struct SkipNode {
     /// Tower of next pointers (level 0 = full list). First field so
     /// interior pointers resolve to the node under range matching.
-    next: [AtomicPtr<u8>; MAX_HEIGHT],
-    key: u64,
+    pub(crate) next: [AtomicPtr<u8>; MAX_HEIGHT],
+    pub(crate) key: u64,
     top_level: usize,
     lock: AtomicBool,
-    marked: AtomicBool,
-    fully_linked: AtomicBool,
+    /// Logical deletion: set under the node lock by the one thread that
+    /// will unlink and retire the node. Traversals treat a marked pred as
+    /// a broken protection chain and restart.
+    pub(crate) marked: AtomicBool,
+    pub(crate) fully_linked: AtomicBool,
+    /// The priority queue's `delete_min` claim, won by exactly one
+    /// consumer via CAS; the set never sets it. Sits in what would
+    /// otherwise be padding.
+    pub(crate) claimed: AtomicBool,
+    /// Debug tombstone, written only in debug builds after the full
+    /// unlink, so they can assert no thread ever re-links a removed node.
+    unlinked: AtomicBool,
 }
 
 impl SkipNode {
@@ -59,12 +81,14 @@ impl SkipNode {
             lock: AtomicBool::new(false),
             marked: AtomicBool::new(false),
             fully_linked: AtomicBool::new(false),
+            claimed: AtomicBool::new(false),
+            unlinked: AtomicBool::new(false),
         }
     }
 
     /// Spinlock acquire (per-node fine-grained lock, as in the paper's
     /// "fine-grained locks on the two nodes adjacent" description).
-    fn lock(&self) {
+    pub(crate) fn lock(&self) {
         while self
             .lock
             .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
@@ -79,12 +103,22 @@ impl SkipNode {
     }
 }
 
+/// Debug-build tripwire: panics if a retry loop spins absurdly long,
+/// turning silent livelocks into diagnosable failures.
+#[inline]
+pub(crate) fn watchdog(counter: &mut u64, what: &str) {
+    *counter += 1;
+    if cfg!(debug_assertions) && *counter > 200_000_000 {
+        panic!("skip list live-lock suspected in {what}");
+    }
+}
+
 /// The lock-based skip list.
 pub struct SkipList<S: Smr> {
-    /// Sentinel head node; its key is conceptually −∞ and never compared.
-    /// It locks like any node and is never marked or removed. It frees
-    /// with the list, never through a retire.
-    head: Box<SkipNode>,
+    /// Sentinel head node (see module docs); its key is conceptually −∞
+    /// and never compared. It frees with the list, never through a
+    /// retire.
+    pub(crate) head: Box<SkipNode>,
     _scheme: PhantomData<fn(&S)>,
 }
 
@@ -92,12 +126,28 @@ pub struct SkipList<S: Smr> {
 unsafe impl<S: Smr> Send for SkipList<S> {}
 unsafe impl<S: Smr> Sync for SkipList<S> {}
 
+/// Hands each thread's height generator a distinct seed.
+static NEXT_RNG_STREAM: AtomicU64 = AtomicU64::new(0);
+
 thread_local! {
-    /// Cheap per-thread xorshift state for geometric tower heights.
-    static HEIGHT_RNG: Cell<u64> = const { Cell::new(0x9E3779B97F4A7C15) };
+    /// Per-thread xorshift state for geometric tower heights, seeded on
+    /// first use from [`NEXT_RNG_STREAM`] through SplitMix64 so no two
+    /// threads draw the same sequence. `| 1`: xorshift's all-zero state
+    /// is a fixed point.
+    static HEIGHT_RNG: Cell<u64> =
+        Cell::new(splitmix64(NEXT_RNG_STREAM.fetch_add(1, Ordering::Relaxed)) | 1);
 }
 
-/// Geometric(1/2) tower height in `1..=MAX_HEIGHT`, from a thread-local
+/// SplitMix64's output function: spreads consecutive counter values over
+/// the whole 64-bit space.
+fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Geometric(1/2) top level in `0..MAX_HEIGHT`, from a thread-local
 /// xorshift64* generator (no allocation, no locking).
 fn random_top_level() -> usize {
     HEIGHT_RNG.with(|state| {
@@ -106,8 +156,7 @@ fn random_top_level() -> usize {
         x ^= x >> 7;
         x ^= x << 17;
         state.set(x);
-        // Mix in the thread so identically-seeded threads diverge.
-        let mixed = x.wrapping_mul(0x2545F4914F6CDD1D);
+        let mixed = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
         ((mixed.trailing_ones() as usize) % MAX_HEIGHT).min(MAX_HEIGHT - 1)
     })
 }
@@ -129,7 +178,7 @@ impl<S: Smr> SkipList<S> {
 
     /// Full find: fills `preds`/`succs` for every level and returns the
     /// level at which `key` was first found. Null pointers denote the
-    /// (virtual) +∞ tail; `preds[l]` null denotes the head tower.
+    /// (virtual) +∞ tail; preds start at the sentinel.
     ///
     /// Hazard protocol: each level owns the slot pair `{2l, 2l+1}`.
     /// Advancing transfers protection **by swapping slot roles** (the node
@@ -139,14 +188,16 @@ impl<S: Smr> SkipList<S> {
     /// pred/succ of every level remain protected in that level's pair (or
     /// a higher level's, when the pred was inherited), so the caller can
     /// lock and validate them safely.
-    fn find(
+    pub(crate) fn find(
         &self,
         g: &Guard<'_, S::Handle>,
         key: u64,
         preds: &mut [*mut SkipNode; MAX_HEIGHT],
         succs: &mut [*mut SkipNode; MAX_HEIGHT],
     ) -> Option<usize> {
+        let mut spins = 0u64;
         'retry: loop {
+            watchdog(&mut spins, "find");
             let mut lfound = None;
             let mut pred: *mut SkipNode = self.sentinel();
             for level in (0..MAX_HEIGHT).rev() {
@@ -254,6 +305,80 @@ impl<S: Smr> SkipList<S> {
         }
         (valid, locked_up_to)
     }
+
+    /// The removal step the set's `remove` and the queue's `delete_min`
+    /// share. `victim` is locked and marked by this thread, which makes
+    /// it the one thread that unlinks and retires it, so raw access to it
+    /// stays sound across retries; `preds`/`succs` hold a `find` of its
+    /// key. Re-finds until the preds validate, then unlinks every level,
+    /// unlocks and retires.
+    pub(crate) fn unlink_and_retire(
+        &self,
+        g: &Guard<'_, S::Handle>,
+        victim: *mut SkipNode,
+        preds: &mut [*mut SkipNode; MAX_HEIGHT],
+        succs: &mut [*mut SkipNode; MAX_HEIGHT],
+    ) {
+        // SAFETY: see above — only the marking thread retires the victim.
+        let victim_node = unsafe { &*victim };
+        let top = victim_node.top_level;
+        let mut spins = 0u64;
+        let locked = loop {
+            debug_assert!(
+                succs[top] == victim,
+                "a marked node must stay findable until its marker unlinks it"
+            );
+            let (valid, locked) = Self::lock_and_validate(preds, top, |_| victim);
+            if valid {
+                break locked;
+            }
+            Self::unlock_preds(preds, locked);
+            watchdog(&mut spins, "unlink");
+            self.find(g, victim_node.key, preds, succs);
+        };
+        for level in (0..=top).rev() {
+            let succ = victim_node.next[level].load(Ordering::Acquire);
+            debug_assert!(
+                // SAFETY: the victim's links are frozen while it is
+                // locked, so each succ is still linked and allocated.
+                succ.is_null()
+                    || !unsafe { (*succ.cast::<SkipNode>()).unlinked.load(Ordering::Acquire) },
+                "unlink splicing a fully-unlinked succ"
+            );
+            // SAFETY: preds locked + validated.
+            unsafe { &(*preds[level]).next[level] }.store(succ, Ordering::Release);
+        }
+        if cfg!(debug_assertions) {
+            victim_node.unlinked.store(true, Ordering::Release);
+        }
+        victim_node.unlock();
+        Self::unlock_preds(preds, locked);
+        // SAFETY: unlinked from every level; the mark ownership makes
+        // this the unique retire.
+        unsafe { g.retire_box(victim) };
+    }
+
+    /// Sequential bottom-level key dump (tests; nodes neither marked nor
+    /// claimed, i.e. the queue's resident priorities too).
+    pub fn keys_sequential(&self) -> Vec<u64> {
+        let mut keys = Vec::new();
+        let mut cur = self.head.next[0].load(Ordering::Acquire) as *const SkipNode;
+        while !cur.is_null() {
+            // SAFETY: tests call this with no concurrent removal, so every
+            // linked node is allocated.
+            let node = unsafe { &*cur };
+            if !node.marked.load(Ordering::Acquire) && !node.claimed.load(Ordering::Acquire) {
+                keys.push(node.key);
+            }
+            cur = node.next[0].load(Ordering::Acquire) as *const SkipNode;
+        }
+        keys
+    }
+
+    /// Sequential size (tests).
+    pub fn len_sequential(&self) -> usize {
+        self.keys_sequential().len()
+    }
 }
 
 impl<S: Smr> Default for SkipList<S> {
@@ -319,13 +444,17 @@ impl<S: Smr> ConcurrentSet<S> for SkipList<S> {
         }
     }
 
+    /// Inserts `key`; `false` while a node with that key is resident — a
+    /// found, unmarked node counts as present, claimed or not.
     fn insert(&self, h: &S::Handle, key: u64) -> bool {
         let g = h.pin();
         debug_assert!(g.protection_slots().is_none_or(|n| n >= REQUIRED_SLOTS));
         let top = random_top_level();
         let mut preds = [std::ptr::null_mut(); MAX_HEIGHT];
         let mut succs = [std::ptr::null_mut(); MAX_HEIGHT];
+        let mut spins = 0u64;
         'retry: loop {
+            watchdog(&mut spins, "insert");
             if let Some(lfound) = self.find(&g, key, &mut preds, &mut succs) {
                 let found = succs[lfound];
                 // SAFETY: protected by find.
@@ -333,7 +462,9 @@ impl<S: Smr> ConcurrentSet<S> for SkipList<S> {
                 if !found_node.marked.load(Ordering::Acquire) {
                     // Wait for the inserter to finish linking, then report
                     // "already present".
+                    let mut link_spins = 0u64;
                     while !found_node.fully_linked.load(Ordering::Acquire) {
+                        watchdog(&mut link_spins, "insert's fully_linked wait");
                         std::hint::spin_loop();
                     }
                     break 'retry false;
@@ -350,6 +481,11 @@ impl<S: Smr> ConcurrentSet<S> for SkipList<S> {
             // SAFETY: node is private until linked below.
             let node_ref = unsafe { &*node };
             for (level, &succ) in succs.iter().enumerate().take(top + 1) {
+                debug_assert!(
+                    // SAFETY: succ validated reachable under the pred lock.
+                    succ.is_null() || !unsafe { (*succ).unlinked.load(Ordering::Acquire) },
+                    "insert adopting a fully-unlinked succ"
+                );
                 node_ref.next[level].store(succ as *mut u8, Ordering::Relaxed);
             }
             for (level, &pred) in preds.iter().enumerate().take(top + 1) {
@@ -367,83 +503,30 @@ impl<S: Smr> ConcurrentSet<S> for SkipList<S> {
         debug_assert!(g.protection_slots().is_none_or(|n| n >= REQUIRED_SLOTS));
         let mut preds = [std::ptr::null_mut(); MAX_HEIGHT];
         let mut succs = [std::ptr::null_mut(); MAX_HEIGHT];
-        let mut victim: *mut SkipNode = std::ptr::null_mut();
-        let mut marked_by_us = false;
-        let mut top = 0usize;
-        'retry: loop {
-            let lfound = self.find(&g, key, &mut preds, &mut succs);
-            if !marked_by_us {
-                let Some(level) = lfound else {
-                    break 'retry false;
-                };
-                let candidate = succs[level];
-                // SAFETY: protected by find.
-                let cand = unsafe { &*candidate };
-                if !(cand.fully_linked.load(Ordering::Acquire)
-                    && cand.top_level == level
-                    && !cand.marked.load(Ordering::Acquire))
-                {
-                    break 'retry false;
-                }
-                top = cand.top_level;
-                cand.lock();
-                if cand.marked.load(Ordering::Acquire) {
-                    cand.unlock();
-                    break 'retry false;
-                }
-                cand.marked.store(true, Ordering::Release);
-                marked_by_us = true;
-                victim = candidate;
-                // From here the victim cannot be retired by anyone else
-                // (only the marking thread retires), so raw access to it
-                // stays sound across retries.
-            }
-            // SAFETY: see invariant above.
-            let victim_node = unsafe { &*victim };
-            let (valid, locked) = Self::lock_and_validate(&preds, top, |_| victim);
-            if !valid {
-                Self::unlock_preds(&preds, locked);
-                continue 'retry;
-            }
-            for level in (0..=top).rev() {
-                // SAFETY: preds locked + validated.
-                unsafe { &(*preds[level]).next[level] }.store(
-                    victim_node.next[level].load(Ordering::Acquire),
-                    Ordering::Release,
-                );
-            }
-            victim_node.unlock();
-            Self::unlock_preds(&preds, locked);
-            // SAFETY: unlinked from every level; the mark ownership makes
-            // this the unique retire.
-            unsafe { g.retire_box(victim) };
-            break 'retry true;
+        let Some(level) = self.find(&g, key, &mut preds, &mut succs) else {
+            return false;
+        };
+        let victim = succs[level];
+        // SAFETY: protected by find.
+        let cand = unsafe { &*victim };
+        if !(cand.fully_linked.load(Ordering::Acquire)
+            && cand.top_level == level
+            && !cand.marked.load(Ordering::Acquire))
+        {
+            return false;
         }
+        cand.lock();
+        if cand.marked.load(Ordering::Acquire) {
+            cand.unlock();
+            return false;
+        }
+        cand.marked.store(true, Ordering::Release);
+        self.unlink_and_retire(&g, victim, &mut preds, &mut succs);
+        true
     }
 
     fn kind(&self) -> &'static str {
         "skip-list"
-    }
-}
-
-impl<S: Smr> SkipList<S> {
-    /// Sequential bottom-level key dump (tests; unmarked nodes only).
-    pub fn keys_sequential(&self) -> Vec<u64> {
-        let mut keys = Vec::new();
-        let mut cur = self.head.next[0].load(Ordering::Acquire) as *const SkipNode;
-        while !cur.is_null() {
-            let node = unsafe { &*cur };
-            if !node.marked.load(Ordering::Acquire) {
-                keys.push(node.key);
-            }
-            cur = node.next[0].load(Ordering::Acquire) as *const SkipNode;
-        }
-        keys
-    }
-
-    /// Sequential size (tests).
-    pub fn len_sequential(&self) -> usize {
-        self.keys_sequential().len()
     }
 }
 
@@ -489,6 +572,16 @@ mod tests {
             "about half of towers should be height 1, got {}",
             counts[0]
         );
+    }
+
+    #[test]
+    fn threads_draw_distinct_tower_heights() {
+        let first_64 = || {
+            std::thread::spawn(|| (0..64).map(|_| random_top_level()).collect::<Vec<_>>())
+                .join()
+                .unwrap()
+        };
+        assert_ne!(first_64(), first_64());
     }
 
     macro_rules! skiplist_semantics {
@@ -655,6 +748,40 @@ mod tests {
         }
         scheme.quiesce();
         assert_eq!(scheme.outstanding(), 0);
+    }
+
+    /// Threads race to remove (and re-insert) the same few keys: every
+    /// successful remove must retire its node exactly once.
+    #[test]
+    fn each_successful_remove_retires_exactly_once() {
+        let scheme = Arc::new(Leaky::new());
+        let sl = Arc::new(SkipList::<Leaky>::new());
+        let removed = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let scheme = Arc::clone(&scheme);
+                let sl = Arc::clone(&sl);
+                let removed = Arc::clone(&removed);
+                s.spawn(move || {
+                    let h = scheme.register();
+                    let mut seed = 0x5EED_u64 ^ t;
+                    for _ in 0..5_000usize {
+                        seed = seed
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        let k = (seed >> 60) % 8;
+                        if seed & 1 == 0 {
+                            sl.insert(&h, k);
+                        } else if sl.remove(&h, k) {
+                            removed.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+        });
+        let removed = removed.load(Ordering::Relaxed);
+        assert!(removed > 0);
+        assert_eq!(scheme.leaked(), removed, "retires vs successful removes");
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use ts_smr::{EpochScheme, HazardPointers, Leaky, Smr};
 use ts_structures::{
     ConcurrentSet, HarrisList, LazyList, LockFreeHashTable, PriorityQueue, SkipList,
-    SplitOrderedSet, PQ_REQUIRED_SLOTS, REQUIRED_SLOTS,
+    SplitOrderedSet, REQUIRED_SLOTS,
 };
 
 /// One deterministic mixed workload, checked against its expected final
@@ -114,7 +114,7 @@ fn pq_churn<S: Smr>(scheme: &S) {
 fn priority_queue_agrees_under_every_scheme() {
     pq_churn(&Leaky::new());
     pq_churn(&EpochScheme::with_threshold(8));
-    pq_churn(&HazardPointers::with_params(PQ_REQUIRED_SLOTS, 16));
+    pq_churn(&HazardPointers::with_params(REQUIRED_SLOTS, 16));
 }
 
 #[test]

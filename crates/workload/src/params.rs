@@ -20,9 +20,10 @@ pub enum StructureKind {
     /// Split-ordered-list resizable hash table (intro cite \[42\];
     /// ablations only, not part of the figures).
     SplitOrdered,
-    /// Shavit–Lotan priority queue behind the set-shaped adapter
-    /// (`PqAsSet`); not part of the figures (`fig3 --structures pq
-    /// --updates 100` is its 50/50 insert/delete-min cell).
+    /// Shavit–Lotan priority queue, driven through its set-shaped
+    /// interface (`remove` pops the minimum); not part of the figures
+    /// (`fig3 --structures pq --updates 100` is its 50/50
+    /// insert/delete-min cell).
     Pq,
 }
 

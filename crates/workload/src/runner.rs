@@ -303,7 +303,7 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
     use ts_smr::{Leaky, LeakyHandle};
-    use ts_structures::PqAsSet;
+    use ts_structures::PriorityQueue;
 
     fn quick(structure: StructureKind, threads: usize) -> WorkloadParams {
         WorkloadParams::fig3(structure, threads)
@@ -731,8 +731,9 @@ mod tests {
         assert!(slow_epoch > threadscan, "{slow_epoch} vs {threadscan}");
     }
 
-    /// The queue adapter, counting the inserts it turns away.
-    struct CountingPq(PqAsSet<Leaky>, AtomicUsize);
+    /// The queue, counting the inserts it turns away and the pops that
+    /// find it empty.
+    struct CountingPq(PriorityQueue<Leaky>, AtomicUsize, AtomicUsize);
 
     impl ConcurrentSet<Leaky> for CountingPq {
         fn contains(&self, h: &LeakyHandle, k: u64) -> bool {
@@ -744,7 +745,9 @@ mod tests {
             fresh
         }
         fn remove(&self, h: &LeakyHandle, k: u64) -> bool {
-            self.0.remove(h, k)
+            let popped = self.0.remove(h, k);
+            self.2.fetch_add(usize::from(!popped), Ordering::Relaxed);
+            popped
         }
         fn kind(&self) -> &'static str {
             self.0.kind()
@@ -762,10 +765,19 @@ mod tests {
         let params = WorkloadParams::fig3(StructureKind::Pq, 2)
             .with_update_pct(100)
             .with_duration(Duration::from_millis(200));
-        let pq = CountingPq(PqAsSet::new(), AtomicUsize::new(0));
+        let pq = CountingPq(
+            PriorityQueue::new(),
+            AtomicUsize::new(0),
+            AtomicUsize::new(0),
+        );
         let (agg, _) = drive_injected(&pq, &params);
         assert!(agg.total_ops > 1_000);
         assert_eq!(pq.1.load(Ordering::Relaxed), 0, "duplicate priorities");
-        assert_eq!(pq.0.empty_pops(), 0, "after {} ops", agg.total_ops);
+        assert_eq!(
+            pq.2.load(Ordering::Relaxed),
+            0,
+            "after {} ops",
+            agg.total_ops
+        );
     }
 }

@@ -28,7 +28,7 @@ use std::time::Instant;
 use threadscan::{CollectorConfig, Hist};
 use ts_sigscan::SignalPlatform;
 use ts_smr::{Smr, ThreadScanSmr};
-use ts_structures::PriorityQueue;
+use ts_structures::{ConcurrentSet, PriorityQueue};
 use ts_workload::load::{ArrivalSchedule, LoadModel};
 
 type Ts = ThreadScanSmr<SignalPlatform>;

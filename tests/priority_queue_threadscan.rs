@@ -8,7 +8,7 @@ use std::sync::Arc;
 use threadscan::CollectorConfig;
 use ts_sigscan::SignalPlatform;
 use ts_smr::{Smr, ThreadScanSmr};
-use ts_structures::PriorityQueue;
+use ts_structures::{ConcurrentSet, PriorityQueue};
 
 type Ts = ThreadScanSmr<SignalPlatform>;
 
