@@ -121,7 +121,7 @@ fn every_scheme_agrees_with_leaky_on_the_skiplist() {
     assert_agreement(StructureKind::Skip);
 }
 
-/// The priority-queue adapter ignores the key of `contains`/`remove`;
+/// The priority queue ignores the key of `contains`/`remove`;
 /// tower heights do not affect op results single-threaded.
 #[test]
 fn every_scheme_agrees_with_leaky_on_the_pq_adapter() {
