@@ -182,21 +182,23 @@ fn run_cell(cell: &Cell, repeats: usize) -> RunResult {
 
 /// Folds a cell's repeats into one row: the last run's, with the mean
 /// throughput of all runs and — so a noisy final repeat cannot skew a
-/// reported tail — the collect-latency histogram, the op-latency
-/// histogram with its worst op, the worst scheduling lag and the
-/// unreclaimed-node samples of all of them (the other counters still
-/// describe the last run).
+/// reported tail — the op-latency histogram with its worst op, the worst
+/// scheduling lag and the unreclaimed-node samples of all of them. The
+/// `threadscan` block covers every repeat too: its counters are the
+/// repeats' snapshots merged ([`StatsSnapshot::merge`]), so its totals
+/// are sums over the repeats and its maxima the largest.
 fn merge_repeats(runs: Vec<RunResult>) -> RunResult {
     let repeats = runs.len();
     let mut ops_per_sec = 0.0;
-    let (mut collect, mut latency) = (Hist::new(), Hist::new());
+    let mut latency = Hist::new();
     let (mut max_ns, mut lag_max_ns) = (0, 0);
     let mut samples = Vec::new();
+    let mut threadscan: Option<StatsSnapshot> = None;
     for r in &runs {
         ops_per_sec += r.ops_per_sec;
         samples.extend_from_slice(&r.outstanding_samples);
         if let Some(st) = &r.threadscan {
-            collect.add_counts(&st.collect_ns_hist);
+            threadscan.get_or_insert_default().merge(st);
         }
         if let Some(lat) = &r.latency {
             latency.merge(&lat.hist);
@@ -210,9 +212,7 @@ fn merge_repeats(runs: Vec<RunResult>) -> RunResult {
     r.ops_per_sec = ops_per_sec / repeats as f64;
     r.total_ops = (r.ops_per_sec * r.duration_s) as u64;
     r.outstanding_samples = samples;
-    if let Some(st) = &mut r.threadscan {
-        st.collect_ns_hist = collect.counts().map(|c| c as usize);
-    }
+    r.threadscan = threadscan;
     r.latency = LatencySummary::from_hist(latency, max_ns);
     if let Some(ol) = &mut r.open_loop {
         ol.sched_lag_max_ns = lag_max_ns;
@@ -282,12 +282,17 @@ mod tests {
     use ts_workload::OpenLoopExtras;
 
     /// An open-loop ThreadScan row whose ops took `latencies_ns`, with
-    /// `lag_max_ns` as its worst scheduling lag.
+    /// `lag_max_ns` as its worst scheduling lag; its collector ran one
+    /// phase per op and freed ten nodes per phase.
     fn open_run(latencies_ns: &[u64], lag_max_ns: u64) -> RunResult {
         let mut hist = Hist::new();
         latencies_ns.iter().for_each(|&ns| hist.record(ns));
         let max_ns = latencies_ns.iter().copied().max().unwrap_or(0);
-        let mut collect = StatsSnapshot::default();
+        let mut collect = StatsSnapshot {
+            collects: latencies_ns.len(),
+            freed: 10 * latencies_ns.len(),
+            ..Default::default()
+        };
         collect.collect_ns_hist[3] = latencies_ns.len();
         RunResult {
             scheme: "threadscan".into(),
@@ -317,7 +322,8 @@ mod tests {
 
     /// Every tail a row reports covers all repeats, whichever repeat was
     /// last: the worst op and the worst lag here come from the first, and
-    /// the unreclaimed-node samples are both repeats', in run order.
+    /// the unreclaimed-node samples are both repeats', in run order. So
+    /// do the collector's counters, which agree with their histogram.
     #[test]
     fn a_rows_tails_merge_over_its_repeats() {
         let mut first = open_run(&[1_000, 2_000, 9_000_000], 700);
@@ -332,7 +338,10 @@ mod tests {
         assert_eq!(lat.max_ns, 9_000_000);
         assert!(lat.p999_ns >= 4_000_000.0, "{lat:?}");
         assert_eq!(r.open_loop.expect("open loop").sched_lag_max_ns, 700);
-        assert_eq!(r.threadscan.expect("threadscan").collect_ns_hist[3], 4);
+        let st = r.threadscan.expect("threadscan");
+        assert_eq!(st.collect_ns_hist[3], 4);
+        assert_eq!(st.collect_ns_hist.iter().sum::<usize>(), st.collects);
+        assert_eq!(st.freed, 30 + 10);
         assert_eq!(r.ops_per_sec, 2.0);
     }
 }

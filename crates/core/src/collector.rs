@@ -26,7 +26,6 @@
 //! reclaimer.
 
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crossbeam_utils::CachePadded;
@@ -75,38 +74,9 @@ struct ThreadSlot {
     /// share or, on the forced and teardown paths, takes everything back.
     /// The lock covers the pop or the move only, never a destructor.
     mailbox: Mutex<Vec<Retired>>,
-    /// Written by the owner only (plain load + store), on a line nothing
-    /// else writes; summed by [`Collector::stats`].
-    counters: CachePadded<OwnerCounters>,
-}
-
-#[derive(Default)]
-struct OwnerCounters {
-    retired: AtomicUsize,
-    mailbox_frees: AtomicUsize,
-    alloc_frees: AtomicUsize,
-    alloc_misses: AtomicUsize,
-}
-
-impl OwnerCounters {
-    /// Single-writer increment: no read-modify-write needed.
-    #[inline]
-    fn bump(counter: &AtomicUsize) {
-        counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-    }
-
-    /// This thread's counts, in the snapshot fields they add to.
-    fn snapshot(&self) -> StatsSnapshot {
-        let mailbox_frees = self.mailbox_frees.load(Ordering::Relaxed);
-        StatsSnapshot {
-            retired: self.retired.load(Ordering::Relaxed),
-            freed: mailbox_frees,
-            mailbox_frees,
-            alloc_frees: self.alloc_frees.load(Ordering::Relaxed),
-            alloc_misses: self.alloc_misses.load(Ordering::Relaxed),
-            ..StatsSnapshot::default()
-        }
-    }
+    /// Written by the owner only ([`CollectorStats::bump`]), on lines
+    /// nothing else writes; merged by [`Collector::stats`].
+    counters: CachePadded<CollectorStats>,
 }
 
 impl ThreadSlot {
@@ -115,7 +85,7 @@ impl ThreadSlot {
         Self {
             fresh: LocalBuffer::new(half),
             mailbox: Mutex::new(Vec::with_capacity(half)),
-            counters: CachePadded::new(OwnerCounters::default()),
+            counters: CachePadded::new(CollectorStats::default()),
         }
     }
 }
@@ -199,8 +169,7 @@ impl<P: Platform> Collector<P> {
     }
 
     /// A snapshot of lifetime statistics: the collector-level counters
-    /// plus every live thread's own `retired`, `mailbox_frees`,
-    /// `alloc_frees` and `alloc_misses`.
+    /// merged with every live thread's own.
     pub fn stats(&self) -> StatsSnapshot {
         // The registry lock is held across both reads so that a thread
         // unregistering (which folds its counters into the collector's
@@ -208,12 +177,7 @@ impl<P: Platform> Collector<P> {
         let slots = self.slots.lock();
         let mut snap = self.stats.snapshot();
         for slot in slots.iter() {
-            let own = slot.counters.snapshot();
-            snap.retired += own.retired;
-            snap.freed += own.freed;
-            snap.mailbox_frees += own.mailbox_frees;
-            snap.alloc_frees += own.alloc_frees;
-            snap.alloc_misses += own.alloc_misses;
+            snap.merge(&slot.counters.snapshot());
         }
         snap
     }
@@ -428,12 +392,7 @@ impl<P: Platform> Collector<P> {
         // registry lock: `stats` sees them in exactly one place.
         let mut slots = self.slots.lock();
         slots.retain(|s| !Arc::ptr_eq(s, slot));
-        let own = slot.counters.snapshot();
-        self.stats.add(&self.stats.retired, own.retired);
-        self.stats.add(&self.stats.freed, own.freed);
-        self.stats.add(&self.stats.mailbox_frees, own.mailbox_frees);
-        self.stats.add(&self.stats.alloc_frees, own.alloc_frees);
-        self.stats.add(&self.stats.alloc_misses, own.alloc_misses);
+        self.stats.absorb(&slot.counters.snapshot());
     }
 }
 
@@ -504,7 +463,7 @@ impl<P: Platform> ThreadHandle<P> {
     }
 
     fn retire_record(&self, record: Retired) {
-        OwnerCounters::bump(&self.slot.counters.retired);
+        CollectorStats::bump(&self.slot.counters.retired);
         let fresh = &self.slot.fresh;
         if fresh.is_full() {
             // Our earlier retires filled the fresh half: we become the
@@ -555,9 +514,9 @@ impl<P: Platform> ThreadHandle<P> {
         match parked {
             Some(parked) => {
                 self.free_parked(parked);
-                OwnerCounters::bump(&counters.alloc_frees);
+                CollectorStats::bump(&counters.alloc_frees);
             }
-            None => OwnerCounters::bump(&counters.alloc_misses),
+            None => CollectorStats::bump(&counters.alloc_misses),
         }
     }
 
@@ -568,7 +527,9 @@ impl<P: Platform> ThreadHandle<P> {
         // it unmarked (see the hand-off in `collect_locked`), and the
         // caller's pop took it out of the mailbox for good.
         unsafe { parked.reclaim() };
-        OwnerCounters::bump(&self.slot.counters.mailbox_frees);
+        let counters = &self.slot.counters;
+        CollectorStats::bump(&counters.freed);
+        CollectorStats::bump(&counters.mailbox_frees);
     }
 
     /// Registers a heap block holding private references

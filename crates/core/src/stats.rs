@@ -4,128 +4,162 @@
 //! stack scans and signal traffic, amortized "across threads and against
 //! reclaimed nodes". These counters expose exactly those quantities so the
 //! benchmark harness (and users) can verify the amortization claim.
+//!
+//! Every scalar counter is declared once, in the `counters!` list below,
+//! with its doc comment and its fold (`sum` or `max`). The list generates
+//! [`CollectorStats`], [`StatsSnapshot`] and every fold and report of them
+//! ([`CollectorStats::absorb`], [`StatsSnapshot::merge`],
+//! [`StatsSnapshot::counters`]). To add a counter, add its line to the
+//! list and its increment where it happens.
 
 use core::sync::atomic::{AtomicUsize, Ordering};
-
-/// Monotonic counters describing a collector's lifetime activity.
-///
-/// `retired`, `freed`, `mailbox_frees`, `alloc_frees` and `alloc_misses`
-/// hold only the collector-level share here — what the reclaimer-lock
-/// holder counted, plus the totals of threads that have unregistered. Live
-/// threads count their own retires, mailbox frees and allocation hooks in
-/// owner-written per-thread counters (so neither `retire` nor the
-/// allocation hook touches a line another thread writes), and
-/// [`Collector::stats`](crate::Collector::stats) adds those in.
-#[derive(Default)]
-pub struct CollectorStats {
-    /// Completed reclamation phases (`TS-Collect` calls that scanned).
-    pub collects: AtomicUsize,
-    /// Collect attempts that found an already-drained buffer and returned
-    /// to work without scanning (§4.2: "it can go back to work").
-    pub collects_skipped: AtomicUsize,
-    /// Nodes handed to `retire`.
-    pub retired: AtomicUsize,
-    /// Nodes whose destructor ran.
-    pub freed: AtomicUsize,
-    /// Marked nodes carried into a later phase (summed over phases).
-    pub survivors: AtomicUsize,
-    /// Threads that scanned, summed over phases (== signals sent + self-scans).
-    pub threads_scanned: AtomicUsize,
-    /// Words examined by all scans.
-    pub words_scanned: AtomicUsize,
-    /// Words that matched a retired node.
-    pub mark_hits: AtomicUsize,
-    /// Nodes freed by the thread that retired into the phase, one per
-    /// later `retire` or allocation, after the reclaimer parked them in its
-    /// mailbox. A subset of [`Self::freed`].
-    pub mailbox_frees: AtomicUsize,
-    /// Mailbox frees paired with an allocation: the owner freed a parked
-    /// node right before allocating a new one (`ThreadHandle::before_alloc`).
-    /// A subset of [`Self::mailbox_frees`]; the rest are retire-side frees.
-    pub alloc_frees: AtomicUsize,
-    /// Allocation hooks that found the caller's mailbox empty and freed
-    /// nothing.
-    pub alloc_misses: AtomicUsize,
-    /// Nodes a triggered phase's reclaimer freed itself because no mailbox
-    /// would take them: the contributing thread's mailbox was full (an
-    /// idle or slow owner), or nobody contributed them to this phase
-    /// (survivors of an earlier one, orphans). A subset of
-    /// [`Self::freed`]; forced and teardown frees are not counted here.
-    pub overflow_frees: AtomicUsize,
-    /// Nanoseconds the reclaimer spent inside collect phases, summed.
-    /// With `collects`, gives the mean reclaimer latency the paper's §7
-    /// "Future Work" worries about.
-    pub collect_ns_total: AtomicUsize,
-    /// Longest single collect phase, in nanoseconds.
-    pub collect_ns_max: AtomicUsize,
-    /// Nanoseconds spent sorting and building the master buffer, summed
-    /// over phases — the sort's share of reclaimer latency.
-    pub sort_ns_total: AtomicUsize,
-    /// Longest single master-buffer sort, in nanoseconds.
-    pub sort_ns_max: AtomicUsize,
-    /// Log2-bucketed histogram of per-phase collect latency:
-    /// `collect_ns_hist[i]` counts phases whose reclaimer-side latency
-    /// was in `[2^i, 2^(i+1))` nanoseconds (the last bucket saturates).
-    /// Coarse on purpose — one relaxed increment per phase keeps it off
-    /// any hot path while still supporting p50/p95/p99 estimates
-    /// ([`StatsSnapshot::collect_us_percentile`]).
-    pub collect_ns_hist: [AtomicUsize; HIST_BUCKETS],
-}
 
 /// Number of log2 latency-histogram buckets (re-exported from the shared
 /// histogram module — collector and workload histograms share one shape
 /// so they can be merged; see [`crate::hist`]).
 pub const HIST_BUCKETS: usize = crate::hist::BUCKETS;
 
-/// A point-in-time copy of [`CollectorStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[allow(missing_docs)] // field meanings documented on `CollectorStats`
-pub struct StatsSnapshot {
-    pub collects: usize,
-    pub collects_skipped: usize,
-    pub retired: usize,
-    pub freed: usize,
-    pub survivors: usize,
-    pub threads_scanned: usize,
-    pub words_scanned: usize,
-    pub mark_hits: usize,
-    pub mailbox_frees: usize,
-    pub alloc_frees: usize,
-    pub alloc_misses: usize,
-    pub overflow_frees: usize,
-    pub collect_ns_total: usize,
-    pub collect_ns_max: usize,
-    pub sort_ns_total: usize,
-    pub sort_ns_max: usize,
-    pub collect_ns_hist: [usize; HIST_BUCKETS],
+/// How a reading `b` folds into a reading `a` of the same counter, across
+/// threads and runs: a `sum` adds, a `max` keeps the larger.
+macro_rules! fold {
+    (sum, $a:expr, $b:expr) => {
+        $a += $b
+    };
+    (max, $a:expr, $b:expr) => {
+        $a = $a.max($b)
+    };
+}
+
+macro_rules! counters {
+    ($($(#[$doc:meta])+ $name:ident: $fold:ident,)+) => {
+        /// Monotonic counters describing a collector's lifetime activity.
+        ///
+        /// A collector keeps one instance for its reclaimer's counts, and
+        /// each registered thread one that only it writes (its retires,
+        /// mailbox frees and allocation hooks), so neither `retire` nor the
+        /// allocation hook touches a line another thread writes.
+        /// [`Collector::stats`](crate::Collector::stats) merges the live
+        /// threads' counters into the collector's; unregistering absorbs.
+        #[derive(Default)]
+        pub struct CollectorStats {
+            $($(#[$doc])+ pub $name: AtomicUsize,)+
+            /// Log2-bucketed histogram of per-phase collect latency:
+            /// `collect_ns_hist[i]` counts phases whose reclaimer-side latency
+            /// was in `[2^i, 2^(i+1))` nanoseconds (the last bucket saturates).
+            /// Coarse on purpose — one relaxed increment per phase keeps it off
+            /// any hot path while still supporting p50/p95/p99 estimates
+            /// ([`StatsSnapshot::collect_us_percentile`]).
+            pub collect_ns_hist: [AtomicUsize; HIST_BUCKETS],
+        }
+
+        /// A point-in-time copy of [`CollectorStats`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct StatsSnapshot {
+            $($(#[$doc])+ pub $name: usize,)+
+            /// Per-phase collect latency in log2 nanosecond buckets; see
+            /// [`CollectorStats::collect_ns_hist`].
+            pub collect_ns_hist: [usize; HIST_BUCKETS],
+        }
+
+        impl CollectorStats {
+            /// Takes a relaxed snapshot of all counters.
+            pub fn snapshot(&self) -> StatsSnapshot {
+                StatsSnapshot {
+                    $($name: self.$name.load(Ordering::Relaxed),)+
+                    collect_ns_hist: core::array::from_fn(|i| {
+                        self.collect_ns_hist[i].load(Ordering::Relaxed)
+                    }),
+                }
+            }
+
+            /// Folds a snapshot into these counters the way
+            /// [`StatsSnapshot::merge`] folds it into a snapshot.
+            pub fn absorb(&self, other: &StatsSnapshot) {
+                $(
+                    let theirs = other.$name;
+                    let fold = |mut mine: usize| {
+                        fold!($fold, mine, theirs);
+                        Some(mine)
+                    };
+                    let _ = self.$name.fetch_update(Ordering::Relaxed, Ordering::Relaxed, fold);
+                )+
+                for (mine, &theirs) in self.collect_ns_hist.iter().zip(&other.collect_ns_hist) {
+                    mine.fetch_add(theirs, Ordering::Relaxed);
+                }
+            }
+        }
+
+        impl StatsSnapshot {
+            /// Folds `other` into this snapshot, counter by counter: totals
+            /// and histogram buckets add, maxima (`collect_ns_max`,
+            /// `sort_ns_max`) keep the larger. Merging per-thread or
+            /// per-run snapshots gives the counters of them all.
+            pub fn merge(&mut self, other: &StatsSnapshot) {
+                $(fold!($fold, self.$name, other.$name);)+
+                for (mine, theirs) in self.collect_ns_hist.iter_mut().zip(&other.collect_ns_hist) {
+                    *mine += theirs;
+                }
+            }
+
+            /// Every scalar counter as `(name, value)`, in declaration
+            /// order; the name is the field's. The histogram is not
+            /// scalar and is left out.
+            pub fn counters(&self) -> impl Iterator<Item = (&'static str, usize)> {
+                [$((stringify!($name), self.$name)),+].into_iter()
+            }
+        }
+    };
+}
+
+counters! {
+    /// Completed reclamation phases (`TS-Collect` calls that scanned).
+    collects: sum,
+    /// Collect attempts that found an already-drained buffer and returned
+    /// to work without scanning (§4.2: "it can go back to work").
+    collects_skipped: sum,
+    /// Nodes handed to `retire`.
+    retired: sum,
+    /// Nodes whose destructor ran.
+    freed: sum,
+    /// Marked nodes carried into a later phase (summed over phases).
+    survivors: sum,
+    /// Threads that scanned, summed over phases (== signals sent + self-scans).
+    threads_scanned: sum,
+    /// Words examined by all scans.
+    words_scanned: sum,
+    /// Words that matched a retired node.
+    mark_hits: sum,
+    /// Nodes freed by the thread that retired into the phase, one per
+    /// later `retire` or allocation, after the reclaimer parked them in its
+    /// mailbox. A subset of [`Self::freed`].
+    mailbox_frees: sum,
+    /// Mailbox frees paired with an allocation: the owner freed a parked
+    /// node right before allocating a new one (`ThreadHandle::before_alloc`).
+    /// A subset of [`Self::mailbox_frees`]; the rest are retire-side frees.
+    alloc_frees: sum,
+    /// Allocation hooks that found the caller's mailbox empty and freed
+    /// nothing.
+    alloc_misses: sum,
+    /// Nodes a triggered phase's reclaimer freed itself because no mailbox
+    /// would take them: the contributing thread's mailbox was full (an
+    /// idle or slow owner), or nobody contributed them to this phase
+    /// (survivors of an earlier one, orphans). A subset of
+    /// [`Self::freed`]; forced and teardown frees are not counted here.
+    overflow_frees: sum,
+    /// Nanoseconds the reclaimer spent inside collect phases, summed.
+    /// With `collects`, gives the mean reclaimer latency the paper's §7
+    /// "Future Work" worries about.
+    collect_ns_total: sum,
+    /// Longest single collect phase, in nanoseconds.
+    collect_ns_max: max,
+    /// Nanoseconds spent sorting and building the master buffer, summed
+    /// over phases — the sort's share of reclaimer latency.
+    sort_ns_total: sum,
+    /// Longest single master-buffer sort, in nanoseconds.
+    sort_ns_max: max,
 }
 
 impl CollectorStats {
-    /// Takes a relaxed snapshot of all counters.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            collects: self.collects.load(Ordering::Relaxed),
-            collects_skipped: self.collects_skipped.load(Ordering::Relaxed),
-            retired: self.retired.load(Ordering::Relaxed),
-            freed: self.freed.load(Ordering::Relaxed),
-            survivors: self.survivors.load(Ordering::Relaxed),
-            threads_scanned: self.threads_scanned.load(Ordering::Relaxed),
-            words_scanned: self.words_scanned.load(Ordering::Relaxed),
-            mark_hits: self.mark_hits.load(Ordering::Relaxed),
-            mailbox_frees: self.mailbox_frees.load(Ordering::Relaxed),
-            alloc_frees: self.alloc_frees.load(Ordering::Relaxed),
-            alloc_misses: self.alloc_misses.load(Ordering::Relaxed),
-            overflow_frees: self.overflow_frees.load(Ordering::Relaxed),
-            collect_ns_total: self.collect_ns_total.load(Ordering::Relaxed),
-            collect_ns_max: self.collect_ns_max.load(Ordering::Relaxed),
-            sort_ns_total: self.sort_ns_total.load(Ordering::Relaxed),
-            sort_ns_max: self.sort_ns_max.load(Ordering::Relaxed),
-            collect_ns_hist: core::array::from_fn(|i| {
-                self.collect_ns_hist[i].load(Ordering::Relaxed)
-            }),
-        }
-    }
-
     /// Records one phase's reclaimer-side latency into the histogram.
     pub(crate) fn record_collect_ns(&self, ns: usize) {
         self.collect_ns_hist[crate::hist::bucket(ns as u64)].fetch_add(1, Ordering::Relaxed);
@@ -136,16 +170,17 @@ impl CollectorStats {
         field.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Raises `field` to at least `n` (for maxima; racy-but-monotonic).
+    /// Raises `field` to at least `n` (for maxima).
     #[inline]
     pub(crate) fn raise(&self, field: &AtomicUsize, n: usize) {
-        let mut cur = field.load(Ordering::Relaxed);
-        while cur < n {
-            match field.compare_exchange_weak(cur, n, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(now) => cur = now,
-            }
-        }
+        field.fetch_max(n, Ordering::Relaxed);
+    }
+
+    /// Single-writer increment of a thread's own counter: a plain load
+    /// and store, no read-modify-write.
+    #[inline]
+    pub(crate) fn bump(counter: &AtomicUsize) {
+        counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
     }
 }
 
@@ -161,24 +196,25 @@ impl StatsSnapshot {
         self.retired.saturating_sub(self.freed)
     }
 
-    /// Average words scanned per completed collect (the per-phase scan cost
-    /// the paper identifies as the main overhead).
-    pub fn words_per_collect(&self) -> f64 {
+    /// `total` per completed collect; zero before the first.
+    fn per_collect(&self, total: usize) -> f64 {
         if self.collects == 0 {
             0.0
         } else {
-            self.words_scanned as f64 / self.collects as f64
+            total as f64 / self.collects as f64
         }
+    }
+
+    /// Average words scanned per completed collect (the per-phase scan cost
+    /// the paper identifies as the main overhead).
+    pub fn words_per_collect(&self) -> f64 {
+        self.per_collect(self.words_scanned)
     }
 
     /// Mean reclaimer-side collect latency in microseconds (§7's
     /// responsiveness concern).
     pub fn mean_collect_us(&self) -> f64 {
-        if self.collects == 0 {
-            0.0
-        } else {
-            self.collect_ns_total as f64 / self.collects as f64 / 1e3
-        }
+        self.per_collect(self.collect_ns_total) / 1e3
     }
 
     /// Worst-case collect latency in microseconds.
@@ -189,11 +225,7 @@ impl StatsSnapshot {
     /// Mean per-phase master-buffer sort time in microseconds — the
     /// sort's share of [`Self::mean_collect_us`].
     pub fn mean_sort_us(&self) -> f64 {
-        if self.collects == 0 {
-            0.0
-        } else {
-            self.sort_ns_total as f64 / self.collects as f64 / 1e3
-        }
+        self.per_collect(self.sort_ns_total) / 1e3
     }
 
     /// Approximate collect-latency percentile in microseconds, from the
@@ -202,18 +234,9 @@ impl StatsSnapshot {
     /// phase has run. Coarse by design — buckets are powers of two, so
     /// the value is an upper bound within a factor of two.
     pub fn collect_us_percentile(&self, q: f64) -> f64 {
-        self.collect_hist().percentile_ns(q) / 1e3
-    }
-
-    /// The collect-latency histogram as a shared mergeable
-    /// [`Hist`](crate::hist::Hist) — fold several repeats' snapshots
-    /// together with [`Hist::merge`](crate::hist::Hist::merge) (or
-    /// [`Hist::add_counts`](crate::hist::Hist::add_counts)) before
-    /// computing percentiles.
-    pub fn collect_hist(&self) -> crate::hist::Hist {
-        let mut h = crate::hist::Hist::new();
-        h.add_counts(&self.collect_ns_hist);
-        h
+        let mut hist = crate::hist::Hist::new();
+        hist.add_counts(&self.collect_ns_hist);
+        hist.percentile_ns(q) / 1e3
     }
 }
 
@@ -320,6 +343,73 @@ mod tests {
         assert_eq!(p95, 1048.576, "p95 lands in the slow bucket");
         assert!(p50 <= p95 && p95 <= p99, "percentiles are monotone");
         assert_eq!(StatsSnapshot::default().collect_us_percentile(0.99), 0.0);
+    }
+
+    /// A snapshot whose counters read `base`, `base + 1`, … in
+    /// declaration order, and whose histogram holds `base` in bucket 2.
+    fn distinct(base: usize) -> StatsSnapshot {
+        let mut snap = StatsSnapshot {
+            collects: base,
+            collects_skipped: base + 1,
+            retired: base + 2,
+            freed: base + 3,
+            survivors: base + 4,
+            threads_scanned: base + 5,
+            words_scanned: base + 6,
+            mark_hits: base + 7,
+            mailbox_frees: base + 8,
+            alloc_frees: base + 9,
+            alloc_misses: base + 10,
+            overflow_frees: base + 11,
+            collect_ns_total: base + 12,
+            collect_ns_max: base + 13,
+            sort_ns_total: base + 14,
+            sort_ns_max: base + 15,
+            collect_ns_hist: [0; HIST_BUCKETS],
+        };
+        snap.collect_ns_hist[2] = base;
+        snap
+    }
+
+    #[test]
+    fn counters_yield_every_field_once_in_declaration_order() {
+        let counters: Vec<_> = distinct(100).counters().collect();
+        assert_eq!(counters.len(), 16);
+        for (i, &(name, value)) in counters.iter().enumerate() {
+            assert_eq!(value, 100 + i, "{name}");
+            assert_eq!(counters.iter().filter(|(n, _)| *n == name).count(), 1);
+        }
+        assert_eq!(counters[0], ("collects", 100));
+        assert_eq!(counters[15], ("sort_ns_max", 115));
+    }
+
+    #[test]
+    fn merge_sums_totals_and_keeps_maxima() {
+        let (a, b) = (distinct(1000), distinct(0));
+        let mut merged = a;
+        merged.merge(&b);
+        let folded = a.counters().zip(b.counters()).zip(merged.counters());
+        for (((name, x), (_, y)), (_, m)) in folded {
+            let want = if name.ends_with("_max") {
+                x.max(y)
+            } else {
+                x + y
+            };
+            assert_eq!(m, want, "{name}");
+        }
+        assert_eq!(merged.collect_ns_hist[2], 1000);
+        assert_eq!(merged.collect_ns_hist.iter().sum::<usize>(), 1000);
+    }
+
+    #[test]
+    fn absorb_folds_like_merge() {
+        let (a, b) = (distinct(7), distinct(500));
+        let stats = CollectorStats::default();
+        stats.absorb(&a);
+        stats.absorb(&b);
+        let mut merged = a;
+        merged.merge(&b);
+        assert_eq!(stats.snapshot(), merged);
     }
 
     #[test]

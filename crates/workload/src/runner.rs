@@ -82,19 +82,13 @@ pub struct RunResult {
 }
 
 /// Renders a collector snapshot as the `threadscan` block of a result
-/// row: the raw counters plus the latency figures derived from them (see
-/// [`crate::json`]).
+/// row: every counter [`StatsSnapshot::counters`] names, then the latency
+/// figures derived from them and the histogram (see [`crate::json`]).
 pub fn stats_json(st: &StatsSnapshot) -> String {
-    crate::json::ObjectBuilder::new()
-        .num("collects", st.collects as f64)
-        .num("words_scanned", st.words_scanned as f64)
-        .num("freed", st.freed as f64)
-        .num("mailbox_frees", st.mailbox_frees as f64)
-        .num("alloc_frees", st.alloc_frees as f64)
-        .num("alloc_misses", st.alloc_misses as f64)
-        .num("overflow_frees", st.overflow_frees as f64)
-        .num("survivors", st.survivors as f64)
-        .num("threads_scanned", st.threads_scanned as f64)
+    st.counters()
+        .fold(crate::json::ObjectBuilder::new(), |b, (name, v)| {
+            b.num(name, v as f64)
+        })
         .num("mean_collect_us", st.mean_collect_us())
         .num("max_collect_us", st.max_collect_us())
         .num("mean_sort_us", st.mean_sort_us())
@@ -582,7 +576,8 @@ mod tests {
         }
         let p = quick(StructureKind::Hash, 2)
             .with_load_model(crate::load::LoadModel::OpenPoisson { qps: 20_000.0 });
-        let json = run_combo(SchemeKind::ThreadScan, &p).to_json();
+        let r = run_combo(SchemeKind::ThreadScan, &p);
+        let json = r.to_json();
         let v = crate::json::parse(&json).expect("valid JSON");
         assert_keys(
             &v,
@@ -626,6 +621,13 @@ mod tests {
                 "overflow_frees",
                 "survivors",
                 "threads_scanned",
+                "retired",
+                "collects_skipped",
+                "mark_hits",
+                "collect_ns_total",
+                "collect_ns_max",
+                "sort_ns_total",
+                "sort_ns_max",
                 "mean_collect_us",
                 "max_collect_us",
                 "mean_sort_us",
@@ -635,6 +637,12 @@ mod tests {
                 "collect_ns_hist",
             ],
         );
+        // Every counter the collector declares is in the block, as read.
+        let st = r.threadscan.expect("a ThreadScan row");
+        for (name, value) in st.counters() {
+            let key = v.get("threadscan").get(name).as_f64();
+            assert_eq!(key, Some(value as f64), "{name}");
+        }
         assert_keys(
             v.get("latency"),
             ["count", "p50_ns", "p99_ns", "p999_ns", "max_ns", "hist"],
