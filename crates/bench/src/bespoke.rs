@@ -9,9 +9,9 @@ use std::time::{Duration, Instant};
 use threadscan::buffer::LocalBuffer;
 use threadscan::retired::{noop_drop, Retired};
 use ts_smr::{retire_box, EpochScheme, HazardPointers, Smr, SmrHandle};
-use ts_workload::json::ObjectBuilder;
+use ts_workload::json::{self, object};
 
-use crate::cli::{machine_info, CliArgs};
+use crate::cli::{machine_info, write_output, CliArgs};
 
 /// Raises its flag when dropped, so a scope's peer thread stops however
 /// the thread holding it leaves the scope — a panic included — and no
@@ -271,17 +271,15 @@ pub fn probes(args: &CliArgs) {
 
     if let Some(path) = args.get("json") {
         let rows = results.iter().map(|(name, ns)| {
-            ObjectBuilder::new()
-                .str("probe", name)
-                .num("trials", trials as f64)
-                .num("fastest_ns", ns.fastest)
-                .num("q1_ns", ns.q1)
-                .num("median_ns", ns.median)
-                .num("q3_ns", ns.q3)
-                .build()
+            object([
+                ("probe", (*name).into()),
+                ("trials", trials.into()),
+                ("fastest_ns", ns.fastest.into()),
+                ("q1_ns", ns.q1.into()),
+                ("median_ns", ns.median.into()),
+                ("q3_ns", ns.q3.into()),
+            ])
         });
-        let rows: Vec<String> = rows.collect();
-        std::fs::write(path, rows.join("\n") + "\n").expect("write json");
-        println!("# json written to {path}");
+        write_output(path, "json", "", |out| json::write_lines(out, rows));
     }
 }

@@ -1,12 +1,14 @@
 //! Tiny `--key value` argument parsing for the experiments (keeps the
-//! workspace free of CLI dependencies), plus the report epilogues and the
-//! default thread ladders.
+//! workspace free of CLI dependencies), the one writer of `--json` and
+//! `--trace-out` files, and the default thread ladders.
 
 use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::time::Duration;
 
-use ts_workload::{Report, SchemeKind, StructureKind};
+use ts_workload::{SchemeKind, StructureKind};
 
 /// Parsed `--key value` arguments.
 pub struct CliArgs {
@@ -227,56 +229,34 @@ impl CliArgs {
         self.get_list(key, default, "structure labels", StructureKind::parse)
     }
 
-    /// The `--json <path>` epilogue: writes the report's JSON lines if
-    /// the flag was given.
-    pub fn write_json_report(&self, report: &Report) {
-        if let Some(path) = self.get("json") {
-            report
-                .write_json(std::path::Path::new(path))
-                .expect("write json");
-            println!("# json written to {path}");
-        }
-    }
-
-    /// Whether this invocation asked for telemetry: an explicit
-    /// `--telemetry` flag, or implicitly via `--trace-out` (a trace
-    /// cannot be produced without the sink installed).
-    pub fn telemetry_requested(&self) -> bool {
-        self.get_flag("telemetry") || self.trace_out().is_some()
-    }
-
-    /// The `--trace-out <file.json>` destination, if given.
+    /// The `--trace-out <file.json>` destination, if given: the sweep
+    /// installs the telemetry sink on every cell and writes the trace
+    /// after the last one ([`crate::trace::write_trace`]).
     pub fn trace_out(&self) -> Option<&str> {
         self.get("trace-out")
     }
+}
 
-    /// The `--trace-out` epilogue: renders everything the event rings
-    /// captured as one chrome://tracing / Perfetto document and writes it
-    /// where `--trace-out` pointed, then reports how many events the
-    /// rings lost. No-op without the flag. Call once, after the measured
-    /// runs.
-    pub fn write_trace(&self) {
-        let Some(path) = self.trace_out() else {
-            return;
-        };
-        let json = ts_telemetry::render_chrome_trace();
-        std::fs::write(path, json).expect("write chrome trace");
-        // Read after the drain above: only drains count overwrites.
-        let dropped = ts_telemetry::dropped_events();
-        println!(
-            "# chrome trace written to {path} (load in chrome://tracing or ui.perfetto.dev); \
-             dropped events: {dropped}"
-        );
-        if dropped > 0 {
-            println!(
-                "# WARNING: the trace is incomplete: {dropped} events were overwritten in a \
-                 full ring ({} per thread) or recorded by a thread past the first {} to \
-                 record in this process",
-                ts_telemetry::ring::ring_capacity(),
-                ts_telemetry::ring::MAX_RINGS
-            );
-        }
-    }
+/// The one writer of `--json` and `--trace-out` files: `render` writes
+/// the document to `path`, then a `# <what> written to <path><note>` line
+/// says where it went.
+///
+/// # Panics
+///
+/// If the file cannot be created or written.
+pub fn write_output(
+    path: &str,
+    what: &str,
+    note: &str,
+    render: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+) {
+    let write = || {
+        let mut out = BufWriter::new(File::create(path)?);
+        render(&mut out)?;
+        out.flush()
+    };
+    write().unwrap_or_else(|e| panic!("write {what} to {path}: {e}"));
+    println!("# {what} written to {path}{note}");
 }
 
 /// Ends the process on a command line that cannot be measured as given:
@@ -336,14 +316,19 @@ mod tests {
         CliArgs::from_args(s.iter().map(|s| s.to_string()))
     }
 
+    /// `--trace-out` alone installs the sink; `--telemetry` is no flag,
+    /// so nothing reads it and the sweep rejects it as unread.
     #[test]
     fn telemetry_is_requested_by_flag_or_trace_out() {
-        assert!(!args(&["--quick"]).telemetry_requested());
-        assert!(args(&["--telemetry"]).telemetry_requested());
+        let common = |a: &CliArgs| crate::sweep::Common::parse(a, 1.0, 1).telemetry;
+        assert!(!common(&args(&["--quick"])));
         let a = args(&["--trace-out", "t.json"]);
-        assert!(a.telemetry_requested());
+        assert!(common(&a));
         assert_eq!(a.trace_out(), Some("t.json"));
         assert_eq!(args(&[]).trace_out(), None);
+        let a = args(&["--quick", "--telemetry"]);
+        assert!(!common(&a));
+        assert_eq!(a.unread(&[]), ["telemetry"]);
     }
 
     #[test]

@@ -519,7 +519,7 @@ mod tests {
     #[test]
     fn every_documented_flag_is_read_by_its_plan() {
         const SHARED: &str = "--quick --duration 0.1 --repeats 1 --threads 2 \
-                              --json out.jsonl --telemetry --trace-out trace.json";
+                              --json out.jsonl --trace-out trace.json";
         for e in TABLE {
             let Run::Sweep(plan) = e.run else { continue };
             // service_tail's table is sized by --keys.

@@ -6,7 +6,8 @@
 //! the ablations. Each is a list of cells for the
 //! one [`sweep`] loop; [`bespoke::probes`] times the single-thread fast
 //! paths the frozen `benchmark/` package has no probe for. [`pairs`] runs
-//! two builds of that package against each other.
+//! two builds of that package against each other. [`trace`] renders the
+//! `--trace-out` chrome trace.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -16,3 +17,4 @@ pub mod cli;
 pub mod experiments;
 pub mod pairs;
 pub mod sweep;
+pub mod trace;

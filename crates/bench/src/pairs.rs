@@ -23,10 +23,10 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::{Command, Stdio};
 
-use ts_workload::json::{self, Value};
+use ts_workload::json::{self, object, Value};
 
 use crate::bespoke::quartiles;
-use crate::cli::{hw_threads, machine_info, usage_error, CliArgs};
+use crate::cli::{hw_threads, machine_info, usage_error, write_output, CliArgs};
 
 /// The benchmark's declaration: its workloads and its metrics.
 const BENCHMARK_JSON: &str = include_str!("../../../BENCHMARK.json");
@@ -221,48 +221,6 @@ impl Compared {
     }
 }
 
-fn num(x: f64) -> Value {
-    Value::Number(x)
-}
-
-fn nums(xs: &[f64]) -> Value {
-    Value::Array(xs.iter().copied().map(Value::Number).collect())
-}
-
-fn text(s: &str) -> Value {
-    Value::String(s.to_string())
-}
-
-fn object<'a>(fields: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
-    Value::Object(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-/// `value` with one object member per line, arrays on one line.
-fn pretty(value: &Value, indent: usize, out: &mut String) {
-    let Value::Object(members) = value else {
-        out.push_str(&value.to_string());
-        return;
-    };
-    out.push('{');
-    for (i, (key, member)) in members.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str(&"  ".repeat(indent + 1));
-        out.push_str(&json::escape(key));
-        out.push_str(": ");
-        pretty(member, indent + 1, out);
-    }
-    if !members.is_empty() {
-        out.push('\n');
-        out.push_str(&"  ".repeat(indent));
-    }
-    out.push('}');
-}
-
 /// `x` to four significant digits.
 fn sig(x: f64) -> String {
     let digits = if x == 0.0 || !x.is_finite() {
@@ -411,34 +369,34 @@ pub fn pairs(args: &CliArgs) {
                 "lower"
             };
             let mut doc = vec![
-                ("unit", text(&metric.unit)),
-                ("better", text(better)),
-                ("parent", nums(&cmp.parent)),
-                ("change", nums(&cmp.change)),
-                ("parent_q1", num(cmp.parent_q.0)),
-                ("parent_median", num(cmp.parent_q.1)),
-                ("parent_q3", num(cmp.parent_q.2)),
-                ("change_q1", num(cmp.change_q.0)),
-                ("change_median", num(cmp.change_q.1)),
-                ("change_q3", num(cmp.change_q.2)),
-                ("parent_iqr_over_median", num(cmp.parent_spread())),
+                ("unit", metric.unit.as_str().into()),
+                ("better", better.into()),
+                ("parent", cmp.parent.iter().copied().collect()),
+                ("change", cmp.change.iter().copied().collect()),
+                ("parent_q1", cmp.parent_q.0.into()),
+                ("parent_median", cmp.parent_q.1.into()),
+                ("parent_q3", cmp.parent_q.2.into()),
+                ("change_q1", cmp.change_q.0.into()),
+                ("change_median", cmp.change_q.1.into()),
+                ("change_q3", cmp.change_q.2.into()),
+                ("parent_iqr_over_median", cmp.parent_spread().into()),
                 (
                     "change_vs_parent_median",
-                    num(relative(cmp.parent_q.1, cmp.change_q.1)),
+                    relative(cmp.parent_q.1, cmp.change_q.1).into(),
                 ),
-                ("pairs_change_better", num(cmp.change_better as f64)),
+                ("pairs_change_better", cmp.change_better.into()),
             ];
             if let (Some(bound), Some(unresolved)) = (metric.bound, unresolved) {
                 doc.extend([
-                    ("bound", num(bound)),
+                    ("bound", bound.into()),
                     ("unresolved", Value::Bool(unresolved)),
                 ]);
             }
             metric_docs.push((metric.name.as_str(), object(doc)));
         }
         let failed_share = object([
-            ("parent", nums(&shares(&sides.parent))),
-            ("change", nums(&shares(&sides.change))),
+            ("parent", shares(&sides.parent).into_iter().collect()),
+            ("change", shares(&sides.change).into_iter().collect()),
         ]);
         let workload_doc = object([
             // A run that is not correct has already ended the process.
@@ -450,52 +408,46 @@ pub fn pairs(args: &CliArgs) {
     }
 
     if let Some(path) = args.get("json") {
-        let seeds: Vec<f64> = (1..=n).map(|s| s as f64).collect();
         let doc = object([
             (
                 "what",
-                text("alternating parent/change pairs of the frozen benchmark, by ts-bench pairs"),
+                "alternating parent/change pairs of the frozen benchmark, by ts-bench pairs".into(),
             ),
-            ("parent_commit", text(&parent_commit)),
-            ("change_commit", text(&change_commit)),
-            ("nproc", num(hw_threads() as f64)),
-            ("host", text(&machine_info())),
-            ("pairs", num(n as f64)),
-            ("seconds", num(seconds)),
-            ("trace", num(trace as f64)),
-            ("seeds", nums(&seeds)),
+            ("parent_commit", parent_commit.as_str().into()),
+            ("change_commit", change_commit.as_str().into()),
+            ("nproc", hw_threads().into()),
+            ("host", machine_info().into()),
+            ("pairs", n.into()),
+            ("seconds", seconds.into()),
+            ("trace", trace.into()),
+            ("seeds", (1..=n).collect()),
             (
                 "order",
-                text(
-                    "seed-major over the workloads; odd seeds run the parent first, \
-                     even seeds the change first",
-                ),
+                "seed-major over the workloads; odd seeds run the parent first, \
+                 even seeds the change first"
+                    .into(),
             ),
             (
                 "command",
-                text(&format!(
+                format!(
                     "<binary> --workload <name> --seed <seed> --seconds {seconds} --trace {trace}"
-                )),
+                )
+                .into(),
             ),
             (
                 "quantiles",
-                text("python statistics.quantiles(n=4, method=\"inclusive\")"),
+                "python statistics.quantiles(n=4, method=\"inclusive\")".into(),
             ),
             (
                 "unresolved_rule",
-                text("parent (q3 - q1) / median exceeds the metric's BENCHMARK.json bound"),
+                "parent (q3 - q1) / median exceeds the metric's BENCHMARK.json bound".into(),
             ),
-            (
-                "breaches",
-                Value::Array(breaches.iter().map(|b| text(b)).collect()),
-            ),
+            ("breaches", breaches.iter().map(String::as_str).collect()),
             ("workloads", object(workload_docs)),
         ]);
         let mut rendered = String::new();
-        pretty(&doc, 0, &mut rendered);
-        rendered.push('\n');
-        std::fs::write(path, rendered).expect("write the pairs record");
-        println!("# json written to {path}");
+        json::pretty(&doc, 0, &mut rendered);
+        write_output(path, "json", "", |out| writeln!(out, "{rendered}"));
     }
 
     for breach in &breaches {
@@ -570,21 +522,6 @@ mod tests {
         assert_eq!(parse_run(&unknown).unwrap().commit, None);
         assert!(parse_run(&stdout.replace("true", "false")).is_err());
         assert!(parse_run("").is_err());
-    }
-
-    #[test]
-    fn pretty_output_parses_back() {
-        let doc = object([
-            ("a", nums(&[1.0, 2.5])),
-            ("b", object([("c", text("d")), ("e", object([]))])),
-        ]);
-        let mut out = String::new();
-        pretty(&doc, 0, &mut out);
-        assert_eq!(
-            out,
-            "{\n  \"a\": [1,2.5],\n  \"b\": {\n    \"c\": \"d\",\n    \"e\": {}\n  }\n}"
-        );
-        assert_eq!(json::parse(&out).unwrap(), doc);
     }
 
     #[test]

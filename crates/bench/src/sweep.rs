@@ -6,15 +6,15 @@ use std::time::Duration;
 use threadscan::{Hist, StatsSnapshot};
 use ts_workload::SchemeKind::ThreadScan;
 use ts_workload::{
-    run_combo, LatencySummary, Report, RunResult, SchemeKind, StructureKind, WorkloadParams,
+    json, run_combo, LatencySummary, Report, RunResult, SchemeKind, StructureKind, WorkloadParams,
 };
 
-use crate::cli::{machine_info, CliArgs};
+use crate::cli::{machine_info, write_output, CliArgs};
 
 /// The flags every sweep takes: `--quick` (a fast sanity shape),
-/// `--duration <s>` and `--repeats <n>` per cell, `--telemetry` /
-/// `--trace-out <file>`, and — unless the sweep sizes its structure from
-/// flags of its own — `--scale <n>` dividing the paper's structure sizes.
+/// `--duration <s>` and `--repeats <n>` per cell, `--trace-out <file>`,
+/// and — unless the sweep sizes its structure from flags of its own —
+/// `--scale <n>` dividing the paper's structure sizes.
 pub struct Common {
     /// `--quick` was given.
     pub quick: bool,
@@ -24,7 +24,8 @@ pub struct Common {
     pub repeats: usize,
     /// Structure sizes are divided by this.
     pub scale: usize,
-    /// Install the telemetry sink on every cell's collector.
+    /// Install the telemetry sink on every cell's collector: `--trace-out`
+    /// was given.
     pub telemetry: bool,
 }
 
@@ -46,7 +47,7 @@ impl Common {
             duration: args.get_span("duration", if quick { 0.25 } else { full_secs }),
             repeats: args.get_positive("repeats", if quick { 1 } else { full_repeats }),
             scale: 1,
-            telemetry: args.telemetry_requested(),
+            telemetry: args.trace_out().is_some(),
         }
     }
 
@@ -271,8 +272,12 @@ pub fn sweep(args: &CliArgs, plan: Sweep) {
     if plan.series {
         println!("{}", report.render_series());
     }
-    args.write_trace();
-    args.write_json_report(&report);
+    crate::trace::write_trace(args);
+    if let Some(path) = args.get("json") {
+        write_output(path, "json", "", |out| {
+            json::write_lines(out, report.rows())
+        });
+    }
 }
 
 #[cfg(test)]

@@ -7,8 +7,12 @@
 //!   overwrite-oldest record path safe to call from the sigscan signal
 //!   handler — no locks, no allocation, loss accounted in
 //!   [`ring::dropped_events`];
-//! * **the exporter** ([`export`]): chrome://tracing span trees with one
-//!   track per scanned thread.
+//! * **the sink** ([`sink`]): what a collector calls with each phase
+//!   event, one ring write.
+//!
+//! [`drain_events`] hands the recorded events to whoever renders them
+//! (`ts-bench --trace-out` writes a chrome://tracing document, one track
+//! per recording thread).
 //!
 //! This crate keeps no counters of its own. What a collect did is
 //! counted once, in `CollectorStats`, and read with `Collector::stats()`
@@ -25,8 +29,8 @@
 //! let config = CollectorConfig::default().with_telemetry(ts_telemetry::sink());
 //! let collector = Collector::with_config(NullPlatform, config);
 //! let counters = collector.stats();
-//! let trace_json = ts_telemetry::render_chrome_trace();
-//! # let _ = (counters, trace_json);
+//! let events = ts_telemetry::drain_events();
+//! # let _ = (counters, events);
 //! ```
 //!
 //! Telemetry is strictly opt-in: a collector without the sink executes
@@ -36,10 +40,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod export;
 pub mod ring;
 
-pub use export::{render_chrome_trace, render_chrome_trace_from};
 pub use ring::{drain_events, dropped_events, monotonic_ns, set_ring_capacity, EventRecord};
 
 use threadscan::TelemetrySink;
@@ -147,21 +149,5 @@ mod tests {
                 "phase {kind:?} must be stamped"
             );
         }
-        // All events of one collect share a collect id, and the trace
-        // renderer can reconstruct the span tree from them.
-        let id = events
-            .iter()
-            .find(|e| e.kind == CollectBegin)
-            .map(|e| e.collect_id)
-            .unwrap();
-        let of_collect: Vec<EventRecord> = events
-            .iter()
-            .copied()
-            .filter(|e| e.collect_id == id)
-            .collect();
-        let json = render_chrome_trace_from(&of_collect);
-        assert!(json.contains("\"name\":\"collect\""));
-        assert!(json.contains("\"name\":\"sort\""));
-        assert!(json.contains("\"name\":\"free\""));
     }
 }

@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use threadscan::hist::Hist;
 use ts_choose::Rng;
 
-use crate::json::ObjectBuilder;
+use crate::json::{object, Value};
 
 /// How operations arrive at the workers.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -270,16 +270,16 @@ impl LatencySummary {
         })
     }
 
-    /// Renders as one JSON object (see [`crate::json`]).
-    pub fn to_json(&self) -> String {
-        ObjectBuilder::new()
-            .num("count", self.count as f64)
-            .num("p50_ns", self.p50_ns)
-            .num("p99_ns", self.p99_ns)
-            .num("p999_ns", self.p999_ns)
-            .num("max_ns", self.max_ns as f64)
-            .arr_num("hist", self.hist.counts().iter().map(|&c| c as f64))
-            .build()
+    /// The `latency` block of a result row (see [`crate::json`]).
+    pub fn to_json(&self) -> Value {
+        object([
+            ("count", self.count.into()),
+            ("p50_ns", self.p50_ns.into()),
+            ("p99_ns", self.p99_ns.into()),
+            ("p999_ns", self.p999_ns.into()),
+            ("max_ns", self.max_ns.into()),
+            ("hist", self.hist.counts().iter().copied().collect()),
+        ])
     }
 }
 
@@ -299,14 +299,14 @@ pub struct OpenLoopExtras {
 }
 
 impl OpenLoopExtras {
-    /// Renders as one JSON object (see [`crate::json`]).
-    pub fn to_json(&self) -> String {
-        ObjectBuilder::new()
-            .str("model", &self.model)
-            .num("target_qps", self.target_qps)
-            .num("sched_lag_max_ns", self.sched_lag_max_ns as f64)
-            .num("sched_lag_mean_ns", self.sched_lag_mean_ns)
-            .build()
+    /// The `open_loop` block of a result row (see [`crate::json`]).
+    pub fn to_json(&self) -> Value {
+        object([
+            ("model", self.model.as_str().into()),
+            ("target_qps", self.target_qps.into()),
+            ("sched_lag_max_ns", self.sched_lag_max_ns.into()),
+            ("sched_lag_mean_ns", self.sched_lag_mean_ns.into()),
+        ])
     }
 }
 

@@ -1,8 +1,7 @@
-//! Result reporting: aligned text tables (the figure series) and JSON
-//! lines for downstream plotting.
+//! Result reporting: aligned text tables (the figure series) and the
+//! JSON rows for downstream plotting.
 
-use std::io::Write;
-
+use crate::json::Value;
 use crate::runner::RunResult;
 
 /// Collects results for one experiment and renders them.
@@ -93,19 +92,9 @@ impl Report {
         out
     }
 
-    /// Serializes every result as one JSON object per line.
-    pub fn to_json_lines(&self) -> String {
-        self.results
-            .iter()
-            .map(RunResult::to_json)
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
-
-    /// Writes the JSON lines to `path`.
-    pub fn write_json(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        writeln!(f, "{}", self.to_json_lines())
+    /// Every result as its JSON row, in the order pushed.
+    pub fn rows(&self) -> impl Iterator<Item = Value> + '_ {
+        self.results.iter().map(RunResult::to_value)
     }
 }
 
@@ -229,8 +218,10 @@ mod tests {
     fn json_lines_parse_back() {
         let mut rep = Report::new("fig4");
         rep.push(result("skiplist", "epoch", 100, 3.5));
-        let json = rep.to_json_lines();
-        let v: crate::json::Value = crate::json::parse(&json).unwrap();
+        let mut lines = Vec::new();
+        crate::json::write_lines(&mut lines, rep.rows()).unwrap();
+        let lines = String::from_utf8(lines).unwrap();
+        let v = crate::json::parse(lines.trim_end()).unwrap();
         assert_eq!(v["scheme"], "epoch");
         assert_eq!(v["threads"], 100);
     }

@@ -24,6 +24,7 @@ use threadscan::StatsSnapshot;
 use ts_smr::{Smr, SmrHandle};
 use ts_structures::ConcurrentSet;
 
+use crate::json::{object, Value};
 use crate::load::{self, Aggregate, LatencySummary, OpenLoopExtras};
 use crate::mix::{prefill_keys, Op, OpMix};
 use crate::params::{SchemeKind, WorkloadParams};
@@ -84,60 +85,65 @@ pub struct RunResult {
 /// Renders a collector snapshot as the `threadscan` block of a result
 /// row: every counter [`StatsSnapshot::counters`] names, then the latency
 /// figures derived from them and the histogram (see [`crate::json`]).
-pub fn stats_json(st: &StatsSnapshot) -> String {
-    st.counters()
-        .fold(crate::json::ObjectBuilder::new(), |b, (name, v)| {
-            b.num(name, v as f64)
-        })
-        .num("mean_collect_us", st.mean_collect_us())
-        .num("max_collect_us", st.max_collect_us())
-        .num("mean_sort_us", st.mean_sort_us())
-        .num("collect_us_p50", st.collect_us_percentile(0.50))
-        .num("collect_us_p95", st.collect_us_percentile(0.95))
-        .num("collect_us_p99", st.collect_us_percentile(0.99))
-        .arr_num(
+pub fn stats_json(st: &StatsSnapshot) -> Value {
+    let derived = [
+        ("mean_collect_us", st.mean_collect_us().into()),
+        ("max_collect_us", st.max_collect_us().into()),
+        ("mean_sort_us", st.mean_sort_us().into()),
+        ("collect_us_p50", st.collect_us_percentile(0.50).into()),
+        ("collect_us_p95", st.collect_us_percentile(0.95).into()),
+        ("collect_us_p99", st.collect_us_percentile(0.99).into()),
+        (
             "collect_ns_hist",
-            st.collect_ns_hist.iter().map(|&c| c as f64),
-        )
-        .build()
-}
-
-/// `null` for an absent block.
-fn opt_json<T>(block: &Option<T>, render: impl Fn(&T) -> String) -> String {
-    block.as_ref().map_or_else(|| "null".to_string(), render)
+            st.collect_ns_hist.iter().copied().collect(),
+        ),
+    ];
+    object(
+        st.counters()
+            .map(|(name, v)| (name, v.into()))
+            .chain(derived),
+    )
 }
 
 impl RunResult {
-    /// Renders as one JSON object line (see [`crate::json`]).
-    pub fn to_json(&self) -> String {
-        crate::json::ObjectBuilder::new()
-            .str("scheme", &self.scheme)
-            .str("structure", &self.structure)
-            .num("threads", self.threads as f64)
-            .num("update_pct", self.update_pct.into())
-            .str("key_dist", &self.key_dist)
-            .num("ts_buffer_capacity", self.ts_buffer_capacity as f64)
-            .num("duration_s", self.duration_s)
-            .num("total_ops", self.total_ops as f64)
-            .num("ops_per_sec", self.ops_per_sec)
-            .opt_num(
-                "outstanding_after",
-                self.outstanding_after.map(|v| v as f64),
-            )
-            .arr_num(
+    /// The row as a JSON document (see [`crate::json`]).
+    pub fn to_value(&self) -> Value {
+        object([
+            ("scheme", self.scheme.as_str().into()),
+            ("structure", self.structure.as_str().into()),
+            ("threads", self.threads.into()),
+            ("update_pct", self.update_pct.into()),
+            ("key_dist", self.key_dist.as_str().into()),
+            ("ts_buffer_capacity", self.ts_buffer_capacity.into()),
+            ("duration_s", self.duration_s.into()),
+            ("total_ops", self.total_ops.into()),
+            ("ops_per_sec", self.ops_per_sec.into()),
+            ("outstanding_after", self.outstanding_after.into()),
+            (
                 "outstanding_samples",
-                self.outstanding_samples.iter().map(|&n| n as f64),
-            )
-            .opt_num("leaked", self.leaked.map(|v| v as f64))
-            .opt_num("protection_slots", self.protection_slots.map(|v| v as f64))
-            .opt_num("bucket_count", self.bucket_count.map(|v| v as f64))
-            .raw("latency", &opt_json(&self.latency, LatencySummary::to_json))
-            .raw(
+                self.outstanding_samples.iter().copied().collect(),
+            ),
+            ("leaked", self.leaked.into()),
+            ("protection_slots", self.protection_slots.into()),
+            ("bucket_count", self.bucket_count.into()),
+            (
+                "latency",
+                self.latency.as_ref().map(LatencySummary::to_json).into(),
+            ),
+            (
                 "open_loop",
-                &opt_json(&self.open_loop, OpenLoopExtras::to_json),
-            )
-            .raw("threadscan", &opt_json(&self.threadscan, stats_json))
-            .build()
+                self.open_loop.as_ref().map(OpenLoopExtras::to_json).into(),
+            ),
+            (
+                "threadscan",
+                self.threadscan.as_ref().map(stats_json).into(),
+            ),
+        ])
+    }
+
+    /// [`Self::to_value`] as one line of JSON text.
+    pub fn to_json(&self) -> String {
+        self.to_value().to_string()
     }
 }
 
