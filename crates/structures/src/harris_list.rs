@@ -15,6 +15,13 @@
 //! Every operation opens an RAII [`Guard`] via `handle.pin()`; loads and
 //! retires go through the guard, so the begin/end bracket can never be
 //! mismatched.
+//!
+//! The algorithm's steps (search with helping unlink, the read-only
+//! `contains` walk, insert-if-absent and mark-then-unlink remove) are
+//! written once here, generic over the node and over the field a walk
+//! starts from. [`HarrisList`] starts them at its head; the
+//! [`SplitOrderedSet`](crate::SplitOrderedSet) starts them at a bucket
+//! dummy's `next`, since its whole table is one such list.
 
 use core::marker::PhantomData;
 use core::sync::atomic::{AtomicPtr, Ordering};
@@ -33,6 +40,24 @@ const SLOT_A: usize = 0;
 const SLOT_B: usize = 1;
 const SLOT_C: usize = 2;
 
+/// A node the Harris steps below walk.
+///
+/// The steps trust the `start` field they are given, so they stay
+/// crate-private and every caller passes one that keeps this contract:
+/// each node reachable from `start` is a `Self` made by `Box::new` and
+/// retired only by a step's unlink, and `start` outlives the guard (a
+/// list's head, or the `next` of a node that is never retired).
+pub(crate) trait HarrisNode {
+    /// The sort key: a list holds each key once, in ascending order.
+    type Key: Ord + Copy;
+
+    /// Tagged pointer to the next node (low bit = logically deleted).
+    fn next(&self) -> &AtomicPtr<u8>;
+
+    /// This node's key.
+    fn key(&self) -> Self::Key;
+}
+
 #[repr(C)]
 pub(crate) struct Node {
     /// Tagged pointer to the next node (low bit = logically deleted).
@@ -43,13 +68,229 @@ pub(crate) struct Node {
 }
 
 impl Node {
-    fn new(key: u64, next: *mut u8) -> Self {
+    fn new(key: u64) -> Self {
         Self {
-            next: AtomicPtr::new(next),
+            next: AtomicPtr::new(std::ptr::null_mut()),
             key,
             _pad: [0; NODE_PAD],
         }
     }
+}
+
+impl HarrisNode for Node {
+    type Key = u64;
+
+    #[inline]
+    fn next(&self) -> &AtomicPtr<u8> {
+        &self.next
+    }
+
+    #[inline]
+    fn key(&self) -> u64 {
+        self.key
+    }
+}
+
+/// Finds the first node from `start` with `node.key() >= key`.
+///
+/// Returns `(prev_field, curr)` where `*prev_field == curr` at
+/// observation time and `curr` (possibly null) is unmarked. Unlinks
+/// (and retires) marked nodes encountered on the way — Harris' helping
+/// rule; the unlinking thread owns the retire.
+#[inline]
+fn search<N: HarrisNode, H: SmrHandle>(
+    g: &Guard<'_, H>,
+    start: &AtomicPtr<u8>,
+    key: N::Key,
+) -> (*const AtomicPtr<u8>, *mut N) {
+    'retry: loop {
+        let mut prev: *const AtomicPtr<u8> = start;
+        // Slots: prev's node (none yet), curr, next — rotate as we walk.
+        let mut curr_slot = SLOT_A;
+        let mut prev_slot = SLOT_B; // unused until we advance once
+        let mut curr = g.load(curr_slot, start);
+        loop {
+            let curr_node_ptr = untagged(curr) as *mut N;
+            if curr_node_ptr.is_null() {
+                return (prev, std::ptr::null_mut());
+            }
+            // SAFETY: curr is protected (hazard) or the scheme
+            // guarantees grace (epoch/threadscan/leaky).
+            let curr_node = unsafe { &*curr_node_ptr };
+            let next_slot = SLOT_A + SLOT_B + SLOT_C - prev_slot - curr_slot;
+            let next = g.load(next_slot, curr_node.next());
+            if is_marked(next) {
+                // curr is logically deleted: attempt physical unlink.
+                // SAFETY: prev is `start` or the field of a protected node.
+                match unsafe { &*prev }.compare_exchange(
+                    curr,
+                    untagged(next),
+                    Ordering::AcqRel,
+                    Ordering::Acquire,
+                ) {
+                    Ok(_) => {
+                        // We unlinked it: we retire it.
+                        // SAFETY: the node is now unreachable from the
+                        // list and this is the only unlink (the CAS).
+                        unsafe { g.retire_box(curr_node_ptr) };
+                        curr = untagged(next);
+                        curr_slot = next_slot;
+                        continue;
+                    }
+                    Err(_) => continue 'retry,
+                }
+            }
+            if curr_node.key() >= key {
+                return (prev, curr_node_ptr);
+            }
+            prev = curr_node.next();
+            prev_slot = curr_slot;
+            curr_slot = next_slot;
+            curr = next;
+        }
+    }
+}
+
+/// Whether `key` is in the list from `start`: a read-only walk with two
+/// alternating protection slots that unlinks nothing.
+#[inline]
+pub(crate) fn contains<N: HarrisNode, H: SmrHandle>(
+    g: &Guard<'_, H>,
+    start: &AtomicPtr<u8>,
+    key: N::Key,
+) -> bool {
+    'retry: loop {
+        let mut slot = SLOT_A;
+        let mut curr = g.load(slot, start);
+        loop {
+            let node_ptr = untagged(curr) as *const N;
+            if node_ptr.is_null() {
+                break 'retry false;
+            }
+            // SAFETY: protected (hazard) or grace-protected node.
+            let node = unsafe { &*node_ptr };
+            let other = SLOT_A + SLOT_B - slot;
+            let next = g.load(other, node.next());
+            if node.key() >= key {
+                break 'retry node.key() == key && !is_marked(next);
+            }
+            if is_marked(next) {
+                // `node` was deleted under us. Its frozen next field
+                // is not a sound protection source (the successor may
+                // already be retired through its live predecessor):
+                // restart from `start`.
+                continue 'retry;
+            }
+            slot = other;
+            curr = next;
+        }
+    }
+}
+
+/// Inserts `key` into the list from `start` if it is absent. Returns the
+/// published node, or the node already holding `key`.
+///
+/// `alloc` makes the node, with a null `next`. It runs once a search shows
+/// `key` absent, and at most once: the node is kept across CAS retries,
+/// and freed with `Box::from_raw` if a racing insert of `key` wins.
+#[inline]
+pub(crate) fn insert<N: HarrisNode, H: SmrHandle>(
+    g: &Guard<'_, H>,
+    start: &AtomicPtr<u8>,
+    key: N::Key,
+    mut alloc: impl FnMut() -> *mut N,
+) -> Result<*mut N, *mut N> {
+    let mut node: *mut N = std::ptr::null_mut();
+    loop {
+        let (prev, curr) = search::<N, H>(g, start, key);
+        // SAFETY: curr is protected by search's final state.
+        if !curr.is_null() && unsafe { (*curr).key() } == key {
+            if !node.is_null() {
+                // A racing insert of `key` won after our first search.
+                // SAFETY: `node` was never published.
+                drop(unsafe { Box::from_raw(node) });
+            }
+            break Err(curr);
+        }
+        if node.is_null() {
+            node = alloc();
+        }
+        // SAFETY: node is ours until the CAS publishes it.
+        unsafe { (*node).next().store(curr as *mut u8, Ordering::Relaxed) };
+        // SAFETY: prev is `start` or the field of a protected node.
+        match unsafe { &*prev }.compare_exchange(
+            curr as *mut u8,
+            node as *mut u8,
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        ) {
+            Ok(_) => break Ok(node),
+            Err(_) => continue,
+        }
+    }
+}
+
+/// Removes `key` from the list from `start`: marks its node, then unlinks
+/// and retires it. Returns whether this call's mark deleted it.
+#[inline]
+pub(crate) fn remove<N: HarrisNode, H: SmrHandle>(
+    g: &Guard<'_, H>,
+    start: &AtomicPtr<u8>,
+    key: N::Key,
+) -> bool {
+    loop {
+        let (prev, curr) = search::<N, H>(g, start, key);
+        // SAFETY: curr is protected by search's final state.
+        let Some(curr_node) = (unsafe { curr.as_ref() }) else {
+            break false;
+        };
+        if curr_node.key() != key {
+            break false;
+        }
+        let next = curr_node.next().load(Ordering::Acquire);
+        if is_marked(next) {
+            continue; // concurrently deleted; re-search to help unlink
+        }
+        // Logical deletion: set the mark bit on curr's next pointer.
+        if curr_node
+            .next()
+            .compare_exchange(next, marked(next), Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+        {
+            // Physical unlink; on failure a helping search does it.
+            // SAFETY: prev is `start` or the field of a protected node.
+            if unsafe { &*prev }
+                .compare_exchange(
+                    curr as *mut u8,
+                    untagged(next),
+                    Ordering::AcqRel,
+                    Ordering::Acquire,
+                )
+                .is_ok()
+            {
+                // SAFETY: we performed the unlink; single retire.
+                unsafe { g.retire_box(curr) };
+            } else {
+                let _ = search::<N, H>(g, start, key); // helper unlinks + retires
+            }
+            break true;
+        }
+        // Mark CAS failed (insertion after curr, or a race): retry.
+    }
+}
+
+/// The unmarked nodes from `start` on, in list order. For tests and
+/// diagnostics on a quiescent list (not linearizable).
+pub(crate) fn live_sequential<'a, N: HarrisNode + 'a>(
+    start: &'a AtomicPtr<u8>,
+) -> impl Iterator<Item = &'a N> + 'a {
+    // SAFETY: callers walk a quiescent list, where no node reachable
+    // from `start` is retired while `start` is borrowed.
+    let node = |p: *mut u8| unsafe { (untagged(p) as *const N).as_ref() };
+    std::iter::successors(node(start.load(Ordering::Acquire)), move |n| {
+        node(n.next().load(Ordering::Acquire))
+    })
+    .filter(|n| !is_marked(n.next().load(Ordering::Acquire)))
 }
 
 /// The lock-free sorted linked list.
@@ -58,10 +299,6 @@ pub struct HarrisList<S: Smr> {
     head: AtomicPtr<u8>,
     _scheme: PhantomData<fn(&S)>,
 }
-
-// SAFETY: all shared state is atomics; nodes are managed through `S`.
-unsafe impl<S: Smr> Send for HarrisList<S> {}
-unsafe impl<S: Smr> Sync for HarrisList<S> {}
 
 impl<S: Smr> HarrisList<S> {
     /// An empty list.
@@ -72,88 +309,14 @@ impl<S: Smr> HarrisList<S> {
         }
     }
 
-    /// Finds the first node with `node.key >= key`.
-    ///
-    /// Returns `(prev_field, curr)` where `*prev_field == curr` at
-    /// observation time and `curr` (possibly null) is unmarked. Unlinks
-    /// (and retires) marked nodes encountered on the way — Harris' helping
-    /// rule; the unlinking thread owns the retire.
-    fn search(&self, g: &Guard<'_, S::Handle>, key: u64) -> (*const AtomicPtr<u8>, *mut Node) {
-        'retry: loop {
-            let mut prev: *const AtomicPtr<u8> = &self.head;
-            // Slots: prev's node (none yet), curr, next — rotate as we walk.
-            let mut curr_slot = SLOT_A;
-            let mut prev_slot = SLOT_B; // unused until we advance once
-                                        // SAFETY: `prev` points at self.head or a protected node's field.
-            let mut curr = g.load(curr_slot, unsafe { &*prev });
-            loop {
-                let curr_node_ptr = untagged(curr) as *mut Node;
-                if curr_node_ptr.is_null() {
-                    return (prev, std::ptr::null_mut());
-                }
-                // SAFETY: curr is protected (hazard) or the scheme
-                // guarantees grace (epoch/threadscan/leaky).
-                let curr_node = unsafe { &*curr_node_ptr };
-                let next_slot = SLOT_A + SLOT_B + SLOT_C - prev_slot - curr_slot;
-                let next = g.load(next_slot, &curr_node.next);
-                if is_marked(next) {
-                    // curr is logically deleted: attempt physical unlink.
-                    // SAFETY: prev field belongs to head or a protected node.
-                    match unsafe { &*prev }.compare_exchange(
-                        curr,
-                        untagged(next),
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    ) {
-                        Ok(_) => {
-                            // We unlinked it: we retire it.
-                            // SAFETY: the node is now unreachable from the
-                            // list and this is the only unlink (the CAS).
-                            unsafe { g.retire_box(curr_node_ptr) };
-                            curr = untagged(next);
-                            curr_slot = next_slot;
-                            continue;
-                        }
-                        Err(_) => continue 'retry,
-                    }
-                }
-                if curr_node.key >= key {
-                    return (prev, curr_node_ptr);
-                }
-                prev = &curr_node.next;
-                prev_slot = curr_slot;
-                curr_slot = next_slot;
-                curr = next;
-            }
-        }
-    }
-
     /// Sequential length (test/diagnostic; not linearizable).
     pub fn len_sequential(&self) -> usize {
-        let mut n = 0;
-        let mut cur = untagged(self.head.load(Ordering::Acquire)) as *const Node;
-        while !cur.is_null() {
-            let node = unsafe { &*cur };
-            if !is_marked(node.next.load(Ordering::Acquire)) {
-                n += 1;
-            }
-            cur = untagged(node.next.load(Ordering::Acquire)) as *const Node;
-        }
-        n
+        live_sequential::<Node>(&self.head).count()
     }
 
     /// Sequential key dump (test/diagnostic; unmarked nodes only).
     pub fn keys_sequential(&self) -> Vec<u64> {
-        let mut keys = Vec::new();
-        let mut cur = untagged(self.head.load(Ordering::Acquire)) as *const Node;
-        while !cur.is_null() {
-            let node = unsafe { &*cur };
-            if !is_marked(node.next.load(Ordering::Acquire)) {
-                keys.push(node.key);
-            }
-            cur = untagged(node.next.load(Ordering::Acquire)) as *const Node;
-        }
-        keys
+        live_sequential::<Node>(&self.head).map(|n| n.key).collect()
     }
 }
 
@@ -165,109 +328,16 @@ impl<S: Smr> Default for HarrisList<S> {
 
 impl<S: Smr> ConcurrentSet<S> for HarrisList<S> {
     fn contains(&self, h: &S::Handle, key: u64) -> bool {
-        let g = h.pin();
-        // Read-only traversal: two alternating protection slots.
-        'retry: loop {
-            let mut slot = SLOT_A;
-            let mut curr = g.load(slot, &self.head);
-            loop {
-                let node_ptr = untagged(curr) as *const Node;
-                if node_ptr.is_null() {
-                    break 'retry false;
-                }
-                // SAFETY: protected (hazard) or grace-protected node.
-                let node = unsafe { &*node_ptr };
-                let other = SLOT_A + SLOT_B - slot;
-                let next = g.load(other, &node.next);
-                if node.key >= key {
-                    break 'retry node.key == key && !is_marked(next);
-                }
-                if is_marked(next) {
-                    // `node` was deleted under us. Its frozen next field
-                    // is not a sound protection source (the successor may
-                    // already be retired through its live predecessor):
-                    // restart from the head.
-                    continue 'retry;
-                }
-                slot = other;
-                curr = next;
-            }
-        }
-        // guard drops here: end_op
+        contains::<Node, _>(&h.pin(), &self.head, key)
     }
 
     fn insert(&self, h: &S::Handle, key: u64) -> bool {
         let g = h.pin();
-        // Allocated once a search shows the key absent, and kept across
-        // CAS retries: one allocation per insert that may publish.
-        let mut node: *mut Node = std::ptr::null_mut();
-        loop {
-            let (prev, curr) = self.search(&g, key);
-            if !curr.is_null() && unsafe { (*curr).key } == key {
-                if !node.is_null() {
-                    // A racing insert of `key` won after our first search.
-                    // SAFETY: `node` was never published.
-                    drop(unsafe { Box::from_raw(node) });
-                }
-                break false;
-            }
-            if node.is_null() {
-                node = g.alloc(Node::new(key, std::ptr::null_mut()));
-            }
-            // SAFETY: node is ours until the CAS publishes it.
-            unsafe { (*node).next.store(curr as *mut u8, Ordering::Relaxed) };
-            // SAFETY: prev field is head or a field of a protected node.
-            match unsafe { &*prev }.compare_exchange(
-                curr as *mut u8,
-                node as *mut u8,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => break true,
-                Err(_) => continue,
-            }
-        }
+        insert(&g, &self.head, key, || g.alloc(Node::new(key))).is_ok()
     }
 
     fn remove(&self, h: &S::Handle, key: u64) -> bool {
-        let g = h.pin();
-        loop {
-            let (prev, curr) = self.search(&g, key);
-            if curr.is_null() || unsafe { (*curr).key } != key {
-                break false;
-            }
-            // SAFETY: curr is protected by search's final state.
-            let curr_node = unsafe { &*curr };
-            let next = curr_node.next.load(Ordering::Acquire);
-            if is_marked(next) {
-                continue; // concurrently deleted; re-search to help unlink
-            }
-            // Logical deletion: set the mark bit on curr's next pointer.
-            if curr_node
-                .next
-                .compare_exchange(next, marked(next), Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                // Physical unlink; on failure a helping search does it.
-                // SAFETY: prev field valid as in search.
-                if unsafe { &*prev }
-                    .compare_exchange(
-                        curr as *mut u8,
-                        untagged(next),
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    )
-                    .is_ok()
-                {
-                    // SAFETY: we performed the unlink; single retire.
-                    unsafe { g.retire_box(curr) };
-                } else {
-                    let _ = self.search(&g, key); // helper unlinks + retires
-                }
-                break true;
-            }
-            // Mark CAS failed (insertion after curr, or a race): retry.
-        }
+        remove::<Node, _>(&h.pin(), &self.head, key)
     }
 
     fn kind(&self) -> &'static str {

@@ -76,6 +76,7 @@ pub struct LazyList<S: Smr> {
 
 // SAFETY: shared state is atomics; node lifetime is managed through `S`.
 unsafe impl<S: Smr> Send for LazyList<S> {}
+// SAFETY: as for `Send`.
 unsafe impl<S: Smr> Sync for LazyList<S> {}
 
 impl<S: Smr> LazyList<S> {
@@ -130,6 +131,7 @@ impl<S: Smr> LazyList<S> {
             // SAFETY: locked + protected.
             !unsafe { (*pred).marked.load(Ordering::Acquire) }
         };
+        // SAFETY: as for `pred`: locked + protected.
         let curr_ok = curr.is_null() || !unsafe { (*curr).marked.load(Ordering::Acquire) };
         pred_ok && curr_ok && self.pred_field(pred).load(Ordering::Acquire) as *mut LazyNode == curr
     }
@@ -174,6 +176,8 @@ impl<S: Smr> LazyList<S> {
         let mut keys = Vec::new();
         let mut cur = self.head.load(Ordering::Acquire) as *const LazyNode;
         while !cur.is_null() {
+            // SAFETY: tests call this on a quiescent list, where every
+            // node reachable from the head is live.
             let node = unsafe { &*cur };
             if !node.marked.load(Ordering::Acquire) {
                 keys.push(node.key);
@@ -238,6 +242,7 @@ impl<S: Smr> ConcurrentSet<S> for LazyList<S> {
         let g = h.pin();
         loop {
             let (pred, curr) = self.search(&g, key);
+            // SAFETY: search returns `curr` protected.
             if curr.is_null() || unsafe { (*curr).key } != key {
                 break false;
             }

@@ -26,13 +26,16 @@
 //!   search, locking and removal step;
 //! * [`SplitOrderedSet`] — Shalev–Shavit split-ordered-list hash table
 //!   with lock-free dynamic resizing over an unbounded
-//!   [`GrowableDirectory`] (cite \[42\]).
+//!   [`GrowableDirectory`] (cite \[42\]): one Harris list with bucket
+//!   dummies threaded in, searched, inserted into and removed from by
+//!   [`HarrisList`]'s own code, started at a bucket dummy.
 //!
 //! The harness drives every structure, the queue included, as a
 //! `dyn ConcurrentSet<S>` object over one concrete scheme `S`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod growable_dir;
 pub mod harris_list;

@@ -257,6 +257,7 @@ mod tests {
             pq.insert(&h, k);
         }
         let first = pq.list.head.next[0].load(Ordering::Acquire) as *const SkipNode;
+        // SAFETY: one thread, nothing removed: `first` is the live node 10.
         unsafe { (*first).claimed.store(true, Ordering::Release) };
         assert_eq!(pq.peek_min(&h), Some(20));
         assert_eq!(pq.delete_min(&h), Some(20));

@@ -124,6 +124,7 @@ pub struct SkipList<S: Smr> {
 
 // SAFETY: shared state is atomics; node lifetime is managed through `S`.
 unsafe impl<S: Smr> Send for SkipList<S> {}
+// SAFETY: as for `Send`.
 unsafe impl<S: Smr> Sync for SkipList<S> {}
 
 /// Hands each thread's height generator a distinct seed.
@@ -338,11 +339,11 @@ impl<S: Smr> SkipList<S> {
         };
         for level in (0..=top).rev() {
             let succ = victim_node.next[level].load(Ordering::Acquire);
+            // SAFETY: the victim's links are frozen while it is locked, so
+            // each succ is still linked and allocated.
+            let succ_node = unsafe { succ.cast::<SkipNode>().as_ref() };
             debug_assert!(
-                // SAFETY: the victim's links are frozen while it is
-                // locked, so each succ is still linked and allocated.
-                succ.is_null()
-                    || !unsafe { (*succ.cast::<SkipNode>()).unlinked.load(Ordering::Acquire) },
+                succ_node.is_none_or(|s| !s.unlinked.load(Ordering::Acquire)),
                 "unlink splicing a fully-unlinked succ"
             );
             // SAFETY: preds locked + validated.
