@@ -1,4 +1,4 @@
-//! The `--trace-out` epilogue: the event rings of `ts-telemetry` as one
+//! The `--trace-out` epilogue: the event log of `ts-telemetry` as one
 //! chrome://tracing / Perfetto document, written through [`write_output`].
 
 use std::io::{self, Write};
@@ -9,15 +9,14 @@ use ts_workload::json::{self, object, Value};
 
 use crate::cli::{write_output, CliArgs};
 
-/// Drains everything the event rings captured into the file `--trace-out`
-/// names, then reports how many events the rings lost. No-op without the
-/// flag. Call once, after the measured runs.
+/// Drains everything the event log captured into the file `--trace-out`
+/// names, then reports how many events the full log dropped. No-op
+/// without the flag. Call once, after the measured runs.
 pub fn write_trace(args: &CliArgs) {
     let Some(path) = args.trace_out() else {
         return;
     };
     let events = ts_telemetry::drain_events();
-    // Read after the drain: only drains count overwrites.
     let dropped = ts_telemetry::dropped_events();
     let note = format!(" (load in chrome://tracing or ui.perfetto.dev); dropped events: {dropped}");
     write_output(path, "chrome trace", &note, |out| {
@@ -25,11 +24,9 @@ pub fn write_trace(args: &CliArgs) {
     });
     if dropped > 0 {
         println!(
-            "# WARNING: the trace is incomplete: {dropped} events were overwritten in a \
-             full ring ({} per thread) or recorded by a thread past the first {} to \
-             record in this process",
-            ts_telemetry::ring::ring_capacity(),
-            ts_telemetry::ring::MAX_RINGS
+            "# WARNING: the trace is incomplete: {dropped} events arrived after the \
+             log's {} cells were full",
+            ts_telemetry::ring::CAPACITY
         );
     }
 }
@@ -38,16 +35,16 @@ pub fn write_trace(args: &CliArgs) {
 /// `traceEvents` array, streamed one event at a time, plus `dropped`
 /// under `otherData.dropped_events`.
 ///
-/// Layout: one track (`tid`) per event ring — i.e. per recording thread.
-/// Paired begin/end kinds become complete (`"X"`) spans on the ring they
-/// were recorded on: the reclaimer's ring carries the `collect` span
-/// with `sort` and `free` nested inside, and every scanned thread's ring
+/// Layout: one track (`tid`) per recording thread. Paired begin/end
+/// kinds become complete (`"X"`) spans on the track of the thread that
+/// recorded them: the reclaimer's track carries the `collect` span with
+/// `sort` and `free` nested inside, and every scanned thread's track
 /// carries its own `scan` span, so a straggler's signal-delivery latency
 /// is visible as the gap between the reclaimer's `announce` instant and
 /// that thread's `scan` span. Unpaired kinds (`announce`, `signal_sent`,
 /// `all_acked`) render as instant (`"i"`) events. A begin without an end
-/// (ring overwrote the end, or the process stopped mid-collect) is
-/// dropped rather than inventing a duration.
+/// (the log filled before the end, or the process stopped mid-collect)
+/// is dropped rather than inventing a duration.
 pub fn render(out: &mut dyn Write, events: &[EventRecord], dropped: u64) -> io::Result<()> {
     let head = [
         ("displayTimeUnit", "ms".into()),
@@ -56,33 +53,36 @@ pub fn render(out: &mut dyn Write, events: &[EventRecord], dropped: u64) -> io::
     json::write_with_array(out, head, "traceEvents", trace_events(events))
 }
 
-/// The `traceEvents` of [`render`]: a thread name per ring that recorded
-/// anything, then the spans and instants in event order.
+/// The `traceEvents` of [`render`]: a thread name per thread that
+/// recorded anything, then the spans and instants in event order.
 fn trace_events(events: &[EventRecord]) -> impl Iterator<Item = Value> + '_ {
-    let mut rings: Vec<usize> = events.iter().map(|e| e.ring).collect();
-    rings.sort_unstable();
-    rings.dedup();
-    let names = rings.into_iter().map(|ring| {
+    let mut threads: Vec<u64> = events.iter().map(|e| e.thread).collect();
+    threads.sort_unstable();
+    threads.dedup();
+    let names = threads.into_iter().map(|thread| {
         object([
             ("ph", "M".into()),
             ("pid", 1u32.into()),
-            ("tid", ring.into()),
+            ("tid", thread.into()),
             ("name", "thread_name".into()),
-            ("args", object([("name", format!("ring-{ring}").into())])),
+            (
+                "args",
+                object([("name", format!("thread-{thread}").into())]),
+            ),
         ])
     });
 
-    // Pair spans per (ring, collect_id, kind-pair). Events arrive
-    // ring-major and sequence-ascending from the drain, so a linear scan
-    // with a small open-span table is enough.
-    let mut open: Vec<(usize, u64, PhaseKind, u64, u64)> = Vec::new(); // ring, collect, begin-kind, ts, arg
+    // Pair spans per (thread, collect_id, kind-pair). Events arrive in
+    // the order they were recorded, so a linear scan with a small
+    // open-span table is enough.
+    let mut open: Vec<(u64, u64, PhaseKind, u64, u64)> = Vec::new(); // thread, collect, begin-kind, ts, arg
     let phases = events.iter().filter_map(move |e| {
         let begin = match e.kind {
             PhaseKind::CollectBegin
             | PhaseKind::SortBegin
             | PhaseKind::FreeBegin
             | PhaseKind::ScanBegin => {
-                open.push((e.ring, e.collect_id, e.kind, e.ts_ns, e.arg));
+                open.push((e.thread, e.collect_id, e.kind, e.ts_ns, e.arg));
                 return None;
             }
             PhaseKind::Announce | PhaseKind::SignalSent | PhaseKind::AllAcked => {
@@ -91,7 +91,7 @@ fn trace_events(events: &[EventRecord]) -> impl Iterator<Item = Value> + '_ {
                     ("ph", "i".into()),
                     ("s", "t".into()),
                     ("pid", 1u32.into()),
-                    ("tid", e.ring.into()),
+                    ("tid", e.thread.into()),
                     ("ts", us(e.ts_ns)),
                     (
                         "args",
@@ -104,16 +104,16 @@ fn trace_events(events: &[EventRecord]) -> impl Iterator<Item = Value> + '_ {
             PhaseKind::FreeEnd => PhaseKind::FreeBegin,
             PhaseKind::ScanEnd => PhaseKind::ScanBegin,
         };
-        // An end with no surviving begin was overwritten: skip it.
+        // An end whose begin is not in the trace: skip it.
         let pos = open
             .iter()
-            .rposition(|&(r, c, k, _, _)| r == e.ring && c == e.collect_id && k == begin)?;
+            .rposition(|&(t, c, k, _, _)| t == e.thread && c == e.collect_id && k == begin)?;
         let (_, _, _, begin_ts, begin_arg) = open.remove(pos);
         Some(object([
             ("name", begin.label().into()),
             ("ph", "X".into()),
             ("pid", 1u32.into()),
-            ("tid", e.ring.into()),
+            ("tid", e.thread.into()),
             ("ts", us(begin_ts)),
             ("dur", us(e.ts_ns.saturating_sub(begin_ts))),
             (
@@ -165,15 +165,15 @@ mod tests {
 
     #[test]
     fn chrome_trace_pairs_spans_and_handles_empty() {
-        let ev = |ring, kind, collect_id, ts_ns, arg| EventRecord {
-            ring,
+        let ev = |thread, kind, collect_id, ts_ns, arg| EventRecord {
+            thread,
             seq: ts_ns, // unused by the renderer
             ts_ns,
             kind,
             collect_id,
             arg,
         };
-        // Reclaimer on ring 0; one scanned thread on ring 1.
+        // Reclaimer on thread 0; one scanned thread on thread 1.
         let events = [
             ev(0, PhaseKind::CollectBegin, 5, 1_000, 128),
             ev(0, PhaseKind::SortBegin, 5, 1_100, 0),
@@ -211,7 +211,7 @@ mod tests {
         assert_eq!(collect["args"]["end_arg"], 28);
         assert_eq!(doc["otherData"]["dropped_events"], 0);
 
-        // A begin whose end was overwritten renders no bogus span.
+        // A begin whose end never made the log renders no bogus span.
         let truncated = [ev(0, PhaseKind::CollectBegin, 6, 0, 1)];
         let doc = rendered(&truncated, 3);
         assert!(
@@ -226,11 +226,11 @@ mod tests {
         assert_eq!(doc["otherData"]["dropped_events"], 0);
     }
 
-    /// One real collect, through the sink and the rings, renders its span
+    /// One real collect, through the sink and the log, renders its span
     /// tree.
     #[test]
     fn a_real_collects_events_render_its_span_tree() {
-        ts_telemetry::ring::reset_rings_for_test();
+        ts_telemetry::ring::reset_for_test();
         let collector = Collector::with_config(
             NullPlatform,
             CollectorConfig::default()

@@ -143,7 +143,8 @@ counters! {
     /// Nodes a triggered phase's reclaimer freed itself because no mailbox
     /// would take them: the contributing thread's mailbox was full (an
     /// idle or slow owner), or nobody contributed them to this phase
-    /// (survivors of an earlier one, orphans). A subset of
+    /// (survivors of an earlier one, including the fresh records of a
+    /// thread that unregistered). A subset of
     /// [`Self::freed`]; forced and teardown frees are not counted here.
     overflow_frees: sum,
     /// Nanoseconds the reclaimer spent inside collect phases, summed.

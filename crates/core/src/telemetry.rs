@@ -2,9 +2,9 @@
 //!
 //! The protocol core stays dependency-free, so this module defines only
 //! the *shape* of telemetry — a [`TelemetrySink`] holding one plain
-//! function pointer — and leaves the implementation (per-thread ring
-//! buffers, the chrome-trace exporter) to the `ts-telemetry` crate, which
-//! hands a sink to [`CollectorConfig::with_telemetry`](crate::CollectorConfig::with_telemetry).
+//! function pointer — and leaves the implementation (the event log) to
+//! the `ts-telemetry` crate, which hands a sink to
+//! [`CollectorConfig::with_telemetry`](crate::CollectorConfig::with_telemetry).
 //! Counters are not telemetry: every per-collect total lives in
 //! [`CollectorStats`](crate::CollectorStats) and is read with
 //! `Collector::stats()`, sink or no sink.
@@ -22,103 +22,85 @@
 
 use core::sync::atomic::{AtomicU64, Ordering};
 
-/// What a [`PhaseEvent`] marks within a reclamation phase.
-///
-/// Paired `*Begin`/`*End` kinds bracket spans; the rest are instants.
-/// Discriminants are stable and public so sinks can pack a kind into a
-/// ring-buffer word via [`PhaseKind::code`] and recover it with
-/// [`PhaseKind::from_code`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(u8)]
-pub enum PhaseKind {
+macro_rules! phases {
+    ($($(#[$doc:meta])+ $kind:ident = $code:literal => $label:literal,)+) => {
+        /// What a [`PhaseEvent`] marks within a reclamation phase.
+        ///
+        /// Paired `*Begin`/`*End` kinds bracket spans; the rest are instants.
+        /// Discriminants are stable and public so sinks can pack a kind into
+        /// an event-log word via [`PhaseKind::code`] and recover it with
+        /// [`PhaseKind::from_code`].
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        #[repr(u8)]
+        pub enum PhaseKind {
+            $($(#[$doc])+ $kind = $code,)+
+        }
+
+        /// All kinds, in discriminant order (handy for exporters and tests).
+        pub const PHASE_KINDS: [PhaseKind; [$($code),+].len()] = [$(PhaseKind::$kind),+];
+
+        impl PhaseKind {
+            /// Inverse of [`PhaseKind::code`]; `None` for unknown codes.
+            pub const fn from_code(code: u64) -> Option<Self> {
+                match code {
+                    $($code => Some(Self::$kind),)+
+                    _ => None,
+                }
+            }
+
+            /// Human/trace-facing name (`snake_case`, stable).
+            pub const fn label(self) -> &'static str {
+                match self {
+                    $(Self::$kind => $label,)+
+                }
+            }
+        }
+    };
+}
+
+// Every kind is declared once here, with its doc comment, its stable
+// wire code (never 0) and its trace label. The list generates
+// `PhaseKind`, `PHASE_KINDS`, `PhaseKind::from_code` and
+// `PhaseKind::label`.
+phases! {
     /// Reclaimer entered `collect`: buffers drained, master build next.
     /// `arg` = number of retired entries aggregated this phase.
-    CollectBegin = 1,
+    CollectBegin = 1 => "collect",
     /// Master-buffer build (sort) started.
-    SortBegin = 2,
+    SortBegin = 2 => "sort",
     /// Master-buffer build finished. `arg` = entry count.
-    SortEnd = 3,
+    SortEnd = 3 => "sort_end",
     /// Scan round opened; signals are about to be broadcast.
     /// `arg` = number of threads expected to acknowledge.
-    Announce = 4,
+    Announce = 4 => "announce",
     /// One signal was delivered to a peer thread. `arg` = target ordinal
     /// within this round's broadcast (0-based).
-    SignalSent = 5,
+    SignalSent = 5 => "signal_sent",
     /// A thread (handler or self-scan) began scanning its roots.
     /// Recorded *inside the signal handler* — the sink must be
     /// async-signal-safe.
-    ScanBegin = 6,
+    ScanBegin = 6 => "scan",
     /// A thread finished scanning, immediately before its ACK.
     /// `arg` = words scanned so far session-wide (approximate attribution).
-    ScanEnd = 7,
+    ScanEnd = 7 => "scan_end",
     /// Every expected acknowledgment arrived. `arg` = acks counted.
-    AllAcked = 8,
+    AllAcked = 8 => "all_acked",
     /// Sweep started: unmarked nodes are about to be handed back to the
     /// threads' mailboxes (or, on a forced collect, freed). `arg` =
     /// candidate node count.
-    FreeBegin = 9,
+    FreeBegin = 9 => "free",
     /// Sweep finished. `arg` = nodes the reclaimer freed itself.
-    FreeEnd = 10,
+    FreeEnd = 10 => "free_end",
     /// Reclaimer left `collect`. `arg` = survivor count.
-    CollectEnd = 11,
+    CollectEnd = 11 => "collect_end",
 }
 
-/// All kinds, in discriminant order (handy for exporters and tests).
-pub const PHASE_KINDS: [PhaseKind; 11] = [
-    PhaseKind::CollectBegin,
-    PhaseKind::SortBegin,
-    PhaseKind::SortEnd,
-    PhaseKind::Announce,
-    PhaseKind::SignalSent,
-    PhaseKind::ScanBegin,
-    PhaseKind::ScanEnd,
-    PhaseKind::AllAcked,
-    PhaseKind::FreeBegin,
-    PhaseKind::FreeEnd,
-    PhaseKind::CollectEnd,
-];
-
 impl PhaseKind {
-    /// Stable wire code for ring-buffer packing. Never 0, so a zeroed
-    /// ring cell cannot alias a real event.
+    /// Stable wire code for event-log packing. Never 0, so an unpublished
+    /// log cell cannot alias a real event.
     #[inline]
     pub const fn code(self) -> u64 {
         self as u64
-    }
-
-    /// Inverse of [`PhaseKind::code`]; `None` for unknown codes.
-    pub const fn from_code(code: u64) -> Option<Self> {
-        match code {
-            1 => Some(Self::CollectBegin),
-            2 => Some(Self::SortBegin),
-            3 => Some(Self::SortEnd),
-            4 => Some(Self::Announce),
-            5 => Some(Self::SignalSent),
-            6 => Some(Self::ScanBegin),
-            7 => Some(Self::ScanEnd),
-            8 => Some(Self::AllAcked),
-            9 => Some(Self::FreeBegin),
-            10 => Some(Self::FreeEnd),
-            11 => Some(Self::CollectEnd),
-            _ => None,
-        }
-    }
-
-    /// Human/trace-facing name (`snake_case`, stable).
-    pub const fn label(self) -> &'static str {
-        match self {
-            Self::CollectBegin => "collect",
-            Self::SortBegin => "sort",
-            Self::SortEnd => "sort_end",
-            Self::Announce => "announce",
-            Self::SignalSent => "signal_sent",
-            Self::ScanBegin => "scan",
-            Self::ScanEnd => "scan_end",
-            Self::AllAcked => "all_acked",
-            Self::FreeBegin => "free",
-            Self::FreeEnd => "free_end",
-            Self::CollectEnd => "collect_end",
-        }
     }
 }
 
@@ -133,7 +115,7 @@ pub struct PhaseEvent {
     pub kind: PhaseKind,
     /// Which collect it belongs to. Monotonic per process (from
     /// [`next_collect_id`]); lets exporters group events from concurrent
-    /// collectors and interleaved rings into per-collect span trees.
+    /// collectors and interleaved threads into per-collect span trees.
     pub collect_id: u64,
     /// Kind-specific payload; see each [`PhaseKind`] variant.
     pub arg: u64,
@@ -173,7 +155,7 @@ impl std::fmt::Debug for TelemetrySink {
 
 /// Process-wide collect-id source. Only called when telemetry is
 /// enabled, so the disabled hot path never touches this atomic. Starts
-/// at 1: id 0 is reserved as "no collect" for ring cells.
+/// at 1: id 0 is reserved as "no collect".
 pub fn next_collect_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     NEXT.fetch_add(1, Ordering::Relaxed)

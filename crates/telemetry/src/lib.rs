@@ -3,20 +3,21 @@
 //! Per-collect timelines for the ThreadScan runtime (no external
 //! dependencies — std plus the shared [`threadscan::hist`] bucket math):
 //!
-//! * **per-thread event rings** ([`ring`]): a preallocated,
-//!   overwrite-oldest record path safe to call from the sigscan signal
-//!   handler — no locks, no allocation, loss accounted in
-//!   [`ring::dropped_events`];
+//! * **the event log** ([`ring`]): one process-wide, preallocated,
+//!   write-once log of [`ring::CAPACITY`] events whose record path is
+//!   safe to call from the sigscan signal handler — no locks, no
+//!   allocation; events past the end are dropped and counted in
+//!   [`ring::dropped_events`], never silently lost;
 //! * **the sink** ([`sink`]): what a collector calls with each phase
-//!   event, one ring write.
+//!   event, one log write.
 //!
-//! [`drain_events`] hands the recorded events to whoever renders them
-//! (`ts-bench --trace-out` writes a chrome://tracing document, one track
-//! per recording thread).
+//! [`drain_events`] hands the recorded events, in the order they were
+//! recorded, to whoever renders them (`ts-bench --trace-out` writes a
+//! chrome://tracing document, one track per recording thread).
 //!
 //! This crate keeps no counters of its own. What a collect did is
 //! counted once, in `CollectorStats`, and read with `Collector::stats()`
-//! whether or not a sink is installed; the rings carry the same
+//! whether or not a sink is installed; the log carries the same
 //! per-collect numbers as event payloads (`CollectBegin.arg` = entries,
 //! `FreeEnd.arg` = reclaimer frees, `AllAcked.arg` = acks,
 //! `CollectEnd.arg` = survivors) next to their timestamps.
@@ -42,13 +43,13 @@
 
 pub mod ring;
 
-pub use ring::{drain_events, dropped_events, monotonic_ns, set_ring_capacity, EventRecord};
+pub use ring::{drain_events, dropped_events, monotonic_ns, EventRecord};
 
 use threadscan::TelemetrySink;
 
 /// The telemetry sink to install via
 /// `CollectorConfig::with_telemetry`: every phase event becomes one
-/// async-signal-safe ring write ([`ring::record`]), nothing else. Also
+/// async-signal-safe log write ([`ring::record`]), nothing else. Also
 /// anchors the monotonic clock, so it is set before any event is stamped.
 pub fn sink() -> TelemetrySink {
     ring::init_clock();
@@ -57,7 +58,7 @@ pub fn sink() -> TelemetrySink {
     }
 }
 
-/// Serializes tests that touch the process-global rings.
+/// Serializes tests that touch the process-global log.
 #[cfg(test)]
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -72,8 +73,7 @@ mod tests {
     #[test]
     fn ring_carries_the_per_collect_totals_of_a_real_collector() {
         let _lock = test_lock();
-        ring::reset_rings_for_test();
-        ring::set_ring_capacity(ring::RING_CAP);
+        ring::reset_for_test();
         let collector = Collector::with_config(
             NullPlatform,
             CollectorConfig::default()
@@ -120,8 +120,7 @@ mod tests {
     #[test]
     fn phase_events_flow_to_rings_via_collector() {
         let _lock = test_lock();
-        ring::reset_rings_for_test();
-        ring::set_ring_capacity(ring::RING_CAP);
+        ring::reset_for_test();
         let collector = Collector::with_config(
             NullPlatform,
             CollectorConfig::default()
