@@ -250,7 +250,7 @@ pub(crate) extern "C" fn ts_signal_handler(
 
     // Telemetry stamps from handler context: `session.telemetry()` is a
     // plain field read, and the sink's `record` is contractually
-    // async-signal-safe (ring write, no locks/allocation). When telemetry
+    // async-signal-safe (one log write, no locks/allocation). When telemetry
     // is off this is one branch on a plain load — no atomics.
     if let Some((sink, id)) = session.telemetry() {
         sink.event(threadscan::PhaseKind::ScanBegin, id, 0);

@@ -153,7 +153,7 @@ pub struct WorkloadParams {
     pub load_model: LoadModel,
     /// Install the `ts-telemetry` sink on the scheme's collector
     /// (ThreadScan runs), so phase events are recorded into the event
-    /// rings; nothing else changes — the worker loops never see it. Off by
+    /// log; nothing else changes — the worker loops never see it. Off by
     /// default: a run without it executes zero additional atomics on any
     /// hot path.
     pub telemetry: bool,
@@ -246,7 +246,7 @@ impl WorkloadParams {
         self
     }
 
-    /// Builder: telemetry (phase-event rings) on/off.
+    /// Builder: telemetry (the phase-event log) on/off.
     pub fn with_telemetry(mut self, on: bool) -> Self {
         self.telemetry = on;
         self
