@@ -55,6 +55,7 @@ pub mod master;
 pub mod platform;
 pub mod retired;
 pub mod roots;
+pub mod round;
 pub mod scan;
 pub mod selfscan;
 pub mod session;
@@ -68,6 +69,7 @@ pub use hist::Hist;
 pub use platform::{NullPlatform, Platform, ScanOutcome};
 pub use retired::{DropFn, Retired};
 pub use roots::{ThreadRoots, MAX_HEAP_BLOCKS};
+pub use round::{Round, ScanClaim};
 pub use selfscan::{capture_context, SelfScanContext};
 pub use session::ScanSession;
 pub use stats::{CollectorStats, StatsSnapshot};

@@ -5,7 +5,10 @@
 //! behind [`Platform`]; the `ts-sigscan` crate implements it with real
 //! POSIX signals and raw stack/register scanning, and `ts-simthread`
 //! implements it with shadow stacks and a deterministic virtual-signal
-//! handshake for model testing.
+//! handshake for model testing. Both run the round itself — open, claim,
+//! scan and ack once per thread, wait — through one
+//! [`Round`](crate::Round); a platform supplies only how a thread is
+//! reached (a signal, a poll or a force-scan) and what it scans.
 
 use std::sync::Arc;
 
@@ -35,6 +38,11 @@ pub struct ScanOutcome {
 ///
 /// Violating this allows the collector to free memory that a thread still
 /// references (the protocol's Lemma 1 depends on it).
+/// [`Round`](crate::Round) is the shared way to meet (2):
+/// [`Round::scan_once`](crate::Round::scan_once) acks once per
+/// [`ScanClaim`](crate::ScanClaim) per round, and
+/// [`Round::wait`](crate::Round::wait) returns once every expected claim
+/// has. Its module doc says which claims a round may count on.
 pub unsafe trait Platform: Send + Sync + 'static {
     /// Per-thread registration guard. Dropping it unregisters the thread.
     type ThreadToken;

@@ -1,40 +1,34 @@
-//! The signal handler and the process-global round state.
+//! The signal handler and the process-global round.
 //!
-//! One round = one `TS-Collect` scan phase. The reclaimer publishes the
-//! active [`ScanSession`] through a global atomic pointer, bumps the round
-//! counter, and signals every registered thread. Each handler invocation:
+//! One round = one `TS-Collect` scan phase, run through
+//! [`threadscan::Round`]: the reclaimer opens [`ROUND`] on its session and
+//! signals every registered thread. Each handler invocation, like the
+//! reclaimer's self-scan, is one [`Round::scan_once`] on the thread's
+//! [`ScanClaim`] (`scan_in_round`), which
 //!
-//! 1. loads the session pointer (null ⇒ stray signal, return);
-//! 2. deduplicates by round id (a second same-round signal is a no-op);
-//! 3. scans the interrupted register file (from `ucontext_t`), the stack
+//! 1. finds the thread unregistered, no open round (a stray signal) or a
+//!    round this thread already scanned in (a duplicate) and returns; or
+//! 2. scans the interrupted register file (from `ucontext_t`), the stack
 //!    from the interrupted frame upward, and all registered heap blocks —
 //!    each word binary-searched against the session's sorted master
-//!    buffer;
-//! 4. acknowledges.
+//!    buffer — and acknowledges.
 //!
 //! Everything on this path is async-signal-safe: const-initialized TLS
 //! reads, raw memory walks, and atomics. No allocation, locks, or panics.
 
 use std::cell::Cell;
 use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
-use threadscan::ScanSession;
+use threadscan::{Round, ScanClaim};
 
 use crate::record::ThreadRecord;
 use crate::stackbounds::approx_sp;
 use crate::ucontext::{capture_registers, MAX_REGS};
 
-/// Session for the in-flight round (null between rounds). Type-erased; the
-/// reclaimer keeps the real session alive until every ack arrives, and the
-/// last thing a handler does with it is ack, so the pointer never dangles
-/// while a handler can observe it non-null... modulo the stray-signal
-/// caveat documented on [`crate::SignalPlatform`].
-static ACTIVE_SESSION: AtomicPtr<()> = AtomicPtr::new(ptr::null_mut());
-
-/// Monotonic round id; lets handlers drop duplicate signals in one round.
-static CURRENT_ROUND: AtomicUsize = AtomicUsize::new(0);
+/// The in-flight round, shared by every `SignalPlatform` in the process and
+/// opened and closed under [`ROUND_LOCK`].
+pub(crate) static ROUND: Round = Round::new();
 
 /// Serializes rounds *and* registration changes process-wide. Held by the
 /// reclaimer for the whole broadcast-scan-ack cycle, and by threads while
@@ -52,7 +46,7 @@ thread_local! {
         ThreadCtx {
             stack: Cell::new((0, 0)),
             head: Cell::new(ptr::null()),
-            last_round: Cell::new(0),
+            claim: ScanClaim::new(),
         }
     };
 }
@@ -62,8 +56,10 @@ struct ThreadCtx {
     stack: Cell<(usize, usize)>,
     /// Head of this thread's [`ThreadRecord`] list.
     head: Cell<*const ThreadRecord>,
-    /// Round id this thread last scanned in.
-    last_round: Cell<usize>,
+    /// The last round this thread scanned in. Registration happens only
+    /// between rounds, and every registered thread is signaled, so the
+    /// const-initialized claim is always one the open round expects.
+    claim: ScanClaim,
 }
 
 /// Acquires the process-global round/registration lock.
@@ -91,29 +87,6 @@ pub(crate) fn install(signo: libc::c_int) -> std::io::Result<()> {
     }
     installed.push(signo);
     Ok(())
-}
-
-/// Publishes `session` as the active round. Caller must hold the round
-/// lock. Returns the round id.
-///
-/// # Safety
-///
-/// `session` must stay alive (and its master buffer with it) until
-/// [`end_round`] is called, which must happen only after every signaled
-/// thread has acknowledged.
-pub(crate) unsafe fn begin_round(session: &ScanSession<'_>) -> usize {
-    let round = CURRENT_ROUND.fetch_add(1, Ordering::Relaxed) + 1;
-    ACTIVE_SESSION.store(
-        session as *const ScanSession<'_> as *mut (),
-        Ordering::Release,
-    );
-    round
-}
-
-/// Retracts the active session. Caller must hold the round lock and have
-/// collected all acknowledgments.
-pub(crate) fn end_round() {
-    ACTIVE_SESSION.store(ptr::null_mut(), Ordering::Release);
 }
 
 /// Links `rec` into the calling thread's record list and caches stack
@@ -150,8 +123,51 @@ pub(crate) fn detach_record(rec: &ThreadRecord) {
     });
 }
 
-/// Number of records attached to the calling thread (diagnostics/tests).
-#[allow(dead_code)] // exercised from unit tests; handy when debugging
+/// Scans the calling thread in the open round, unless it is not registered
+/// (not counted, so it must not ack) or has scanned in this round already:
+/// `regs` (register words the caller captured), the stack from `floor` to
+/// its top, and every registered heap block; then acks. Returns whether it
+/// scanned.
+pub(crate) fn scan_in_round(regs: &[usize], floor: usize) -> bool {
+    CTX.with(|ctx| {
+        !ctx.head.get().is_null()
+            && ROUND.scan_once(&ctx.claim, |session| {
+                session.scan_words(regs);
+                let (lo, hi) = ctx.stack.get();
+                let sp = floor.max(lo);
+                if hi != 0 && sp < hi {
+                    // SAFETY: [sp, hi) is the live portion of this thread's
+                    // own stack, mapped and readable by construction.
+                    unsafe { session.scan_region(sp as *const u8, hi as *const u8) };
+                }
+                let mut cur = ctx.head.get();
+                while !cur.is_null() {
+                    // SAFETY: list records stay alive for the duration of a
+                    // round (unregistration takes the round lock).
+                    let rec = unsafe { &*cur };
+                    rec.roots.scan(session);
+                    cur = rec.next.get();
+                }
+            })
+    })
+}
+
+/// The installed signal handler: `TS-Scan` (Algorithm 1, lines 18-26).
+pub(crate) extern "C" fn ts_signal_handler(
+    _signo: libc::c_int,
+    _info: *mut libc::siginfo_t,
+    uctx: *mut libc::c_void,
+) {
+    let mut regs = [0usize; MAX_REGS];
+    // SAFETY: `uctx` is the kernel-provided ucontext of this SA_SIGINFO
+    // handler invocation.
+    let n = unsafe { capture_registers(uctx, &mut regs) };
+    // The stack from this frame up holds the interrupted frames.
+    scan_in_round(&regs[..n], approx_sp());
+}
+
+/// Number of records attached to the calling thread.
+#[cfg(test)]
 pub(crate) fn attached_records() -> usize {
     CTX.with(|ctx| {
         let mut n = 0;
@@ -162,112 +178,4 @@ pub(crate) fn attached_records() -> usize {
         }
         n
     })
-}
-
-/// Scans the calling (reclaimer) thread using its boundary context: the
-/// stack from `floor` (the application/collector boundary captured on
-/// entry to the collect) to the stack top, the callee-saved registers
-/// captured with it, and every registered heap block. Acks on completion.
-///
-/// Returns `false` (no scan, no ack) when the caller is not registered.
-///
-/// Scanning from the *live* stack pointer instead would mark every node
-/// the collect machinery itself touched during aggregation — see
-/// `threadscan::selfscan` for the full argument.
-pub(crate) fn scan_self(session: &ScanSession<'_>, ctx: &threadscan::SelfScanContext) -> bool {
-    let participates = CTX.with(|c| !c.head.get().is_null());
-    if !participates {
-        return false;
-    }
-    if let Some((sink, id)) = session.telemetry() {
-        sink.event(threadscan::PhaseKind::ScanBegin, id, 0);
-    }
-    scan_thread(session, ctx.regs(), Some(ctx.floor));
-    if let Some((sink, id)) = session.telemetry() {
-        sink.event(
-            threadscan::PhaseKind::ScanEnd,
-            id,
-            session.words_scanned() as u64,
-        );
-    }
-    session.ack();
-    true
-}
-
-/// Shared scan body: `regs` are pre-captured register words; `floor`
-/// overrides the scan's lower stack bound (defaults to the current frame).
-#[inline]
-fn scan_thread(session: &ScanSession<'_>, regs: &[usize], floor: Option<usize>) {
-    session.scan_words(regs);
-    CTX.with(|ctx| {
-        let (lo, hi) = ctx.stack.get();
-        if hi != 0 {
-            let sp = floor.unwrap_or_else(approx_sp).max(lo);
-            if sp < hi {
-                // SAFETY: [sp, hi) is the live portion of this thread's own
-                // stack, mapped and readable by construction.
-                unsafe { session.scan_region(sp as *const u8, hi as *const u8) };
-            }
-        }
-        let mut cur = ctx.head.get();
-        while !cur.is_null() {
-            // SAFETY: list records stay alive for the duration of a round
-            // (unregistration takes the round lock).
-            let rec = unsafe { &*cur };
-            rec.roots.scan(session);
-            cur = rec.next.get();
-        }
-    });
-}
-
-/// The installed signal handler: `TS-Scan` (Algorithm 1, lines 18-26).
-pub(crate) extern "C" fn ts_signal_handler(
-    _signo: libc::c_int,
-    _info: *mut libc::siginfo_t,
-    uctx: *mut libc::c_void,
-) {
-    let p = ACTIVE_SESSION.load(Ordering::Acquire);
-    if p.is_null() {
-        return; // stray signal between rounds
-    }
-    // SAFETY: non-null implies a round is active, and the reclaimer keeps
-    // the session alive until every signaled thread (us included) acks.
-    let session: &ScanSession<'_> = unsafe { &*(p as *const ScanSession<'_>) };
-
-    let participate = CTX.with(|ctx| {
-        if ctx.head.get().is_null() {
-            return false; // not registered: not counted, must not ack
-        }
-        let round = CURRENT_ROUND.load(Ordering::Acquire);
-        if ctx.last_round.replace(round) == round {
-            return false; // duplicate signal within one round
-        }
-        true
-    });
-    if !participate {
-        return;
-    }
-
-    // Telemetry stamps from handler context: `session.telemetry()` is a
-    // plain field read, and the sink's `record` is contractually
-    // async-signal-safe (one log write, no locks/allocation). When telemetry
-    // is off this is one branch on a plain load — no atomics.
-    if let Some((sink, id)) = session.telemetry() {
-        sink.event(threadscan::PhaseKind::ScanBegin, id, 0);
-    }
-    let mut regs = [0usize; MAX_REGS];
-    // SAFETY: `uctx` is the kernel-provided ucontext of this SA_SIGINFO
-    // handler invocation.
-    let n = unsafe { capture_registers(uctx, &mut regs) };
-    scan_thread(session, &regs[..n], None);
-    if let Some((sink, id)) = session.telemetry() {
-        sink.event(
-            threadscan::PhaseKind::ScanEnd,
-            id,
-            session.words_scanned() as u64,
-        );
-    }
-    // The ack is the very last session access (the reclaimer may free the
-    // session as soon as the count is complete).
-    session.ack();
 }

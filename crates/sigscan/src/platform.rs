@@ -4,12 +4,12 @@
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 use threadscan::{Platform, ScanOutcome, ScanSession, SelfScanContext, ThreadRoots};
 
-use crate::handler;
+use crate::handler::{self, ROUND};
 use crate::record::ThreadRecord;
 use crate::stackbounds::current_stack_bounds;
 
@@ -143,9 +143,10 @@ impl Drop for RegistrationToken {
 
 // SAFETY: `scan_all` signals every registered thread; each handler scans
 // the full register file from `ucontext_t`, the stack from the interrupted
-// frame to its top, and all registered heap blocks, then acks — exactly the
-// contract `threadscan::Platform` requires. Registration changes are
-// serialized against rounds by the process-global round lock.
+// frame to its top, and all registered heap blocks, then acks once per
+// round (`ROUND`'s claim) — exactly the contract `threadscan::Platform`
+// requires. Registration changes are serialized against rounds by the
+// process-global round lock.
 unsafe impl Platform for SignalPlatform {
     type ThreadToken = RegistrationToken;
 
@@ -173,8 +174,7 @@ unsafe impl Platform for SignalPlatform {
     }
 
     fn scan_all(&self, session: &ScanSession<'_>, reclaimer: &SelfScanContext) -> ScanOutcome {
-        // Serialize rounds process-wide: there is a single global session
-        // slot shared by every collector in the process.
+        // Serialize rounds process-wide: every collector shares `ROUND`.
         let _round = handler::round_lock();
         // Registration changes wait for the round lock, so this lock only
         // keeps `registered_threads` readers out; nothing else waits on it.
@@ -185,9 +185,9 @@ unsafe impl Platform for SignalPlatform {
             return ScanOutcome { threads_scanned: 0 };
         }
 
-        // SAFETY: we hold the round lock and wait for all acks below
-        // before `end_round`; the session outlives the round.
-        unsafe { handler::begin_round(session) };
+        // SAFETY: the round lock serialises rounds; the round closes below
+        // after every expected ack (or early, on the way to a panic).
+        unsafe { ROUND.open(session) };
 
         // Signal every *other* registered thread, once per distinct thread
         // (the registry holds each thread once, however many registrations
@@ -215,7 +215,7 @@ unsafe impl Platform for SignalPlatform {
                 }
                 Delivery::Gone => {}
                 Delivery::Fatal => {
-                    handler::end_round();
+                    ROUND.close();
                     panic!(
                         "ThreadScan: pthread_kill failed with error {rc}; a live thread \
                          would go unscanned"
@@ -228,41 +228,22 @@ unsafe impl Platform for SignalPlatform {
             .signals_sent
             .fetch_add(expected, Ordering::Relaxed);
 
-        // The reclaimer's own scan: stack above the application boundary
-        // plus the callee-saved registers captured there (Algorithm 1
-        // line 7).
-        if handler::scan_self(session, reclaimer) {
-            expected += 1;
-        }
+        // The reclaimer's own scan (Algorithm 1 line 7): the stack above
+        // the application boundary plus the registers captured there. Its
+        // live stack would hold the collect machinery's copies of every
+        // aggregated address (`threadscan::selfscan` has the argument).
+        expected += usize::from(handler::scan_in_round(reclaimer.regs(), reclaimer.floor));
 
         // Wait for all acknowledgments (Algorithm 1, line 9).
-        let start = Instant::now();
-        let mut spins = 0u32;
-        while session.acks_received() < expected {
-            spins = spins.wrapping_add(1);
-            // Yield early and often: on low-core-count machines the
-            // signaled threads need CPU time to run their handlers.
-            if spins.is_multiple_of(32) {
-                std::thread::yield_now();
-                if start.elapsed() > ACK_TIMEOUT {
-                    handler::end_round();
-                    panic!(
-                        "ThreadScan: {}/{} acks after {:?}; a registered thread \
-                         is unresponsive or exited without unregistering",
-                        session.acks_received(),
-                        expected,
-                        ACK_TIMEOUT
-                    );
-                }
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-
-        if let Some((sink, id)) = telemetry {
-            sink.event(threadscan::PhaseKind::AllAcked, id, expected as u64);
-        }
-        handler::end_round();
+        ROUND.wait(session, expected, ACK_TIMEOUT, || {
+            ROUND.close();
+            panic!(
+                "ThreadScan: {}/{expected} acks after {ACK_TIMEOUT:?}; a registered \
+                 thread is unresponsive or exited without unregistering",
+                session.acks_received(),
+            );
+        });
+        ROUND.close();
         self.inner.rounds.fetch_add(1, Ordering::Relaxed);
         ScanOutcome {
             threads_scanned: expected,

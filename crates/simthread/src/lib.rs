@@ -3,15 +3,16 @@
 //! The real ThreadScan platform (`ts-sigscan`) interrupts threads with POSIX
 //! signals and conservatively scans raw stacks; correct, but inherently
 //! nondeterministic (dead stack slots, register spills, scheduling). This
-//! crate substitutes each piece with an explicit, deterministic equivalent
-//! so the *protocol* — buffering, aggregation, marking, sweeping, survivor
-//! carry-over, reclaimer handshake — can be tested exhaustively:
+//! crate substitutes each OS piece with an explicit, deterministic one and
+//! shares the rest, so the *protocol* — buffering, aggregation, marking,
+//! sweeping, survivor carry-over, the round — can be tested exhaustively:
 //!
 //! | paper / sigscan | here |
 //! |---|---|
 //! | thread stack + registers | [`ShadowStack`]: explicit root words |
-//! | POSIX signal delivery | [`SimPlatform::poll`] handshake, or direct scan |
-//! | OS guarantees delivery to stalled threads | reclaimer force-scan after a grace period |
+//! | the round: announce, scan and ack once, wait (`threadscan::Round`) | the same `Round`, one per platform |
+//! | POSIX signal delivery | [`SimPlatform::poll`] claims the round and scans |
+//! | OS guarantees delivery to stalled threads | reclaimer force-scan after a grace period (none for [`SimPlatform::direct`]) |
 //!
 //! [`model::run_model`] runs seeded random schedules of the protocol's
 //! abstract operations and checks the paper's Lemma 1 (no rooted node is
@@ -35,4 +36,4 @@ pub mod virtsig;
 
 pub use model::{run_model, run_model_with, ModelConfig, ModelMachine, ModelReport};
 pub use shadow::ShadowStack;
-pub use virtsig::{SimMode, SimPlatform, SimRecord, SimToken};
+pub use virtsig::{SimPlatform, SimRecord, SimToken};

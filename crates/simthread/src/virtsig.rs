@@ -1,42 +1,26 @@
 //! Virtual signals: a deterministic [`threadscan::Platform`].
 //!
 //! Substitutes the OS mechanism with an in-process handshake over
-//! [`ShadowStack`] root regions:
-//!
-//! * **Direct mode** — the reclaimer scans every registered record's
-//!   shadow stack and heap blocks itself, synchronously. Fully
-//!   deterministic; the workhorse for protocol model tests.
-//! * **Handshake mode** — the reclaimer publishes the session and waits for
-//!   threads to notice it at their next [`SimPlatform::poll`]; after a
-//!   grace period it force-scans the laggards. The force-scan models the
-//!   paper's central progress property: the OS delivers a signal to a
-//!   thread no matter what its application code is doing, so a stalled
-//!   thread cannot stall reclamation.
-//!
-//! Per-record round CAS guarantees exactly one scan + ack per record per
-//! round even when a poll races the force-scan.
+//! [`ShadowStack`] root regions, run through [`threadscan::Round`] as the
+//! signal platform's rounds are. The reclaimer opens a round and waits for
+//! threads to notice it at their next [`SimPlatform::poll`]; after a grace
+//! period it force-scans the laggards. The force-scan models the paper's
+//! central progress property: the OS delivers a signal to a thread no
+//! matter what its application code is doing, so a stalled thread cannot
+//! stall reclamation. With no grace ([`SimPlatform::direct`]) the
+//! reclaimer force-scans every record at once: deterministic, the
+//! workhorse for protocol model tests.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use parking_lot::{Mutex, RwLock};
-use threadscan::{Platform, ScanOutcome, ScanSession, SelfScanContext, ThreadRoots};
+use parking_lot::Mutex;
+use threadscan::{
+    Platform, Round, ScanClaim, ScanOutcome, ScanSession, SelfScanContext, ThreadRoots,
+};
 
 use crate::shadow::ShadowStack;
-
-/// Delivery behaviour for virtual signals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimMode {
-    /// The reclaimer scans everyone synchronously. Deterministic.
-    Direct,
-    /// Wait for cooperative [`SimPlatform::poll`]s for `grace`; then
-    /// force-scan non-responders (models guaranteed OS delivery).
-    Handshake {
-        /// How long to wait for polls before force-scanning.
-        grace: Duration,
-    },
-}
 
 /// One registered simulated thread.
 pub struct SimRecord {
@@ -45,8 +29,9 @@ pub struct SimRecord {
     /// Real thread that created the registration: the reclaimer self-scans
     /// its own records instead of waiting for a poll it could never make.
     tid: std::thread::ThreadId,
-    /// Round id this record last scanned in (CAS-guarded).
-    scanned_round: AtomicUsize,
+    /// The last round this record scanned in: a poll and a force-scan
+    /// ack a round exactly once between them.
+    claim: ScanClaim,
 }
 
 impl SimRecord {
@@ -55,75 +40,50 @@ impl SimRecord {
         &self.shadow
     }
 
-    /// Scans this record against `session` if it has not yet scanned in
-    /// `round`; returns whether this call performed the scan.
-    fn try_scan(&self, session: &ScanSession<'_>, round: usize) -> bool {
-        let prev = self.scanned_round.load(Ordering::Acquire);
-        if prev >= round {
-            return false;
-        }
-        if self
-            .scanned_round
-            .compare_exchange(prev, round, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            return false; // someone else claimed this round
-        }
-        self.shadow.scan(session);
-        self.roots.scan(session);
-        session.ack();
-        true
+    /// Scans this record in `round`'s open round unless it already has;
+    /// returns whether this call scanned.
+    fn scan_in(&self, round: &Round) -> bool {
+        round.scan_once(&self.claim, |session| {
+            self.shadow.scan(session);
+            self.roots.scan(session);
+        })
     }
 }
 
-/// What a poll needs to take part in a round.
-#[derive(Clone, Copy)]
-struct ActiveRound {
-    /// Address of the reclaimer's `ScanSession` (kept as an integer so
-    /// the lock stays `Sync`).
-    session: usize,
-    round: usize,
-}
-
 struct Inner {
-    mode: SimMode,
+    grace: Duration,
     shadow_slots: usize,
     records: Mutex<Vec<Arc<SimRecord>>>,
-    /// The in-flight handshake round, if any. Polls hold the read lock
-    /// while they scan; the reclaimer takes the write lock to open and to
-    /// close a round, so a poll never pairs one round's session with
-    /// another round's number, nor outlives the session it scans.
-    active: RwLock<Option<ActiveRound>>,
-    round: AtomicUsize,
+    /// Opened under the `records` lock, which registrations take their
+    /// claims under: a record registered mid-round cannot ack that round.
+    round: Round,
     rounds_completed: AtomicUsize,
     force_scans: AtomicUsize,
 }
 
 /// The simulated platform. Clone-able handle (shared interior).
+#[derive(Clone)]
 pub struct SimPlatform {
     inner: Arc<Inner>,
 }
 
 impl SimPlatform {
-    /// Direct-mode platform whose shadow stacks have `shadow_slots` slots.
+    /// A platform whose reclaimer force-scans every record at once
+    /// ([`SimPlatform::handshake`] with no grace), with shadow stacks of
+    /// `shadow_slots` slots.
     pub fn direct(shadow_slots: usize) -> Self {
-        Self::with_mode(SimMode::Direct, shadow_slots)
+        Self::handshake(shadow_slots, Duration::ZERO)
     }
 
-    /// Handshake-mode platform.
+    /// A platform whose reclaimer waits `grace` for polls, then
+    /// force-scans the records that have not scanned.
     pub fn handshake(shadow_slots: usize, grace: Duration) -> Self {
-        Self::with_mode(SimMode::Handshake { grace }, shadow_slots)
-    }
-
-    /// Platform with an explicit mode.
-    pub fn with_mode(mode: SimMode, shadow_slots: usize) -> Self {
         Self {
             inner: Arc::new(Inner {
-                mode,
+                grace,
                 shadow_slots,
                 records: Mutex::new(Vec::new()),
-                active: RwLock::new(None),
-                round: AtomicUsize::new(0),
+                round: Round::new(),
                 rounds_completed: AtomicUsize::new(0),
                 force_scans: AtomicUsize::new(0),
             }),
@@ -151,30 +111,14 @@ impl SimPlatform {
         self.inner.force_scans.load(Ordering::Relaxed)
     }
 
-    /// Cooperative scan point for handshake mode: if a round is in flight
-    /// and this record has not scanned yet, scan now. Returns whether a
-    /// scan was performed.
+    /// Cooperative scan point: if a round that counts on `record` is in
+    /// flight and `record` has not scanned in it yet, scan now. Returns
+    /// whether a scan was performed.
     ///
     /// Call it from simulated application code at its "safe points" — the
     /// analogue of the OS delivering a signal at an arbitrary instruction.
     pub fn poll(&self, record: &SimRecord) -> bool {
-        let active = self.inner.active.read();
-        let Some(ActiveRound { session, round }) = *active else {
-            return false;
-        };
-        // SAFETY: `active` (the read guard) lives until this function
-        // returns, and the reclaimer cannot close the round (after which
-        // its session dies) without the write lock.
-        let session: &ScanSession<'_> = unsafe { &*(session as *const ScanSession<'_>) };
-        record.try_scan(session, round)
-    }
-}
-
-impl Clone for SimPlatform {
-    fn clone(&self) -> Self {
-        Self {
-            inner: Arc::clone(&self.inner),
-        }
+        record.scan_in(&self.inner.round)
     }
 }
 
@@ -200,21 +144,24 @@ impl Drop for SimToken {
     }
 }
 
-// SAFETY: `scan_all` scans every registered record's shadow stack and heap
-// blocks (directly or via poll/force-scan) before returning, and each
-// record acks exactly once per round (round CAS). Shadow stacks *are* the
-// simulated threads' entire private memory, fulfilling the contract.
+// SAFETY: `scan_all` opens the round on a snapshot of the records, taken
+// under the lock that registrations take their claims under, and returns
+// only once every snapshot record has acked: by poll, self-scan or
+// force-scan, exactly once each (`ScanClaim`). Shadow stacks *are* the
+// simulated threads' entire private memory, fulfilling the contract. One
+// collector per platform, whose reclaimer lock keeps rounds apart.
 unsafe impl Platform for SimPlatform {
     type ThreadToken = SimToken;
 
     fn register_current(&self, roots: Arc<ThreadRoots>) -> SimToken {
+        let mut records = self.inner.records.lock();
         let rec = Arc::new(SimRecord {
             shadow: Arc::new(ShadowStack::new(self.inner.shadow_slots)),
             roots,
             tid: std::thread::current().id(),
-            scanned_round: AtomicUsize::new(0),
+            claim: ScanClaim::at(&self.inner.round),
         });
-        self.inner.records.lock().push(Arc::clone(&rec));
+        records.push(Arc::clone(&rec));
         SimToken {
             inner: Arc::clone(&self.inner),
             rec,
@@ -224,54 +171,36 @@ unsafe impl Platform for SimPlatform {
     fn scan_all(&self, session: &ScanSession<'_>, _reclaimer: &SelfScanContext) -> ScanOutcome {
         // The reclaimer's private memory is its shadow stack (a record like
         // any other), so the boundary context is not needed here.
-        let snapshot: Vec<Arc<SimRecord>> = self.inner.records.lock().clone();
-        if snapshot.is_empty() {
-            return ScanOutcome { threads_scanned: 0 };
+        let round = &self.inner.round;
+        let snapshot: Vec<Arc<SimRecord>> = {
+            let records = self.inner.records.lock();
+            if records.is_empty() {
+                return ScanOutcome { threads_scanned: 0 };
+            }
+            // SAFETY: one collector's reclaimer lock serialises rounds, and
+            // the round closes below after all `records` have acked.
+            unsafe { round.open(session) };
+            records.clone()
+        };
+        // The reclaimer scans its own records up front — it is busy waiting
+        // below and could never reach a poll point (this is the analogue of
+        // the reclaimer executing TS-Scan itself, Algorithm 1 line 7).
+        let me = std::thread::current().id();
+        for rec in snapshot.iter().filter(|r| r.tid == me) {
+            rec.scan_in(round);
         }
-        let round = self.inner.round.fetch_add(1, Ordering::AcqRel) + 1;
-        let expected = snapshot.len();
-
-        match self.inner.mode {
-            SimMode::Direct => {
-                for rec in &snapshot {
-                    rec.try_scan(session, round);
+        round.wait(session, snapshot.len(), self.inner.grace, || {
+            // Grace expired: deliver the "signal" ourselves.
+            for rec in &snapshot {
+                if rec.scan_in(round) {
+                    self.inner.force_scans.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            SimMode::Handshake { grace } => {
-                *self.inner.active.write() = Some(ActiveRound {
-                    session: session as *const ScanSession<'_> as usize,
-                    round,
-                });
-                // The reclaimer scans its own records up front — it is busy
-                // waiting below and could never reach a poll point (this is
-                // the analogue of the reclaimer executing TS-Scan itself,
-                // Algorithm 1 line 7).
-                let me = std::thread::current().id();
-                for rec in snapshot.iter().filter(|r| r.tid == me) {
-                    rec.try_scan(session, round);
-                }
-                let start = Instant::now();
-                while session.acks_received() < expected {
-                    if start.elapsed() >= grace {
-                        // Grace expired: deliver the "signal" ourselves.
-                        for rec in &snapshot {
-                            if rec.try_scan(session, round) {
-                                self.inner.force_scans.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-                *self.inner.active.write() = None;
-            }
-        }
-
-        // In either mode every snapshot record has scanned exactly once.
-        debug_assert!(session.acks_received() >= expected);
+        });
+        round.close();
         self.inner.rounds_completed.fetch_add(1, Ordering::Relaxed);
         ScanOutcome {
-            threads_scanned: expected,
+            threads_scanned: snapshot.len(),
         }
     }
 }
@@ -423,5 +352,60 @@ mod tests {
         });
         drop(collector);
         assert_eq!(drops.load(Ordering::SeqCst), 2, "drop reclaims survivor");
+    }
+
+    /// Events of the kinds a round stamps, counted by code.
+    static ROUND_EVENTS: [Counter; 16] = [const { Counter::new(0) }; 16];
+
+    fn count_round_event(event: threadscan::PhaseEvent) {
+        use threadscan::PhaseKind::{AllAcked, ScanBegin, ScanEnd};
+        if matches!(event.kind, ScanBegin | ScanEnd | AllAcked) {
+            ROUND_EVENTS[event.kind.code() as usize].fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn a_round_stamps_one_scan_span_per_record_and_one_all_acked() {
+        use threadscan::PhaseKind::{AllAcked, ScanBegin, ScanEnd};
+        let platform = SimPlatform::direct(8);
+        let collector = Collector::with_config(
+            platform.clone(),
+            CollectorConfig::default().with_telemetry(threadscan::TelemetrySink {
+                record: count_round_event,
+            }),
+        );
+        let drops = Arc::new(Counter::new(0));
+        let handle = collector.register();
+        // A second record on this thread (self-scanned) and one on a thread
+        // that never polls (force-scanned).
+        let mine = platform.register_current(Arc::new(ThreadRoots::new(4)));
+        let registered = std::sync::Barrier::new(2);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let token = platform.register_current(Arc::new(ThreadRoots::new(4)));
+                registered.wait();
+                while !done.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                drop(token);
+            });
+            registered.wait();
+            unsafe { handle.retire(node(&drops)) };
+            collector.collect_now();
+            done.store(true, Ordering::SeqCst);
+        });
+        let count =
+            |k: threadscan::PhaseKind| ROUND_EVENTS[k.code() as usize].load(Ordering::SeqCst);
+        assert_eq!(platform.rounds_completed(), 1);
+        assert_eq!(
+            (count(ScanBegin), count(ScanEnd)),
+            (3, 3),
+            "one pair per record"
+        );
+        assert_eq!(count(AllAcked), 1);
+        assert_eq!(drops.load(Ordering::SeqCst), 1);
+        drop(mine);
+        drop(handle);
     }
 }

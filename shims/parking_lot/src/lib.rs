@@ -1,8 +1,8 @@
 //! Offline stand-in for `parking_lot`.
 //!
-//! Provides the subset this workspace uses — `Mutex`/`MutexGuard` and
-//! `RwLock` with `parking_lot` semantics (const constructors, no lock
-//! poisoning) — implemented over `std::sync`. Poison from a panicking
+//! Provides the subset this workspace uses — `Mutex`/`MutexGuard` with
+//! `parking_lot` semantics (a const constructor, no lock poisoning) —
+//! implemented over `std::sync`. Poison from a panicking
 //! holder is swallowed, matching `parking_lot`'s behaviour of simply
 //! releasing the lock.
 //!
@@ -90,72 +90,6 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
 impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(&**self, f)
-    }
-}
-
-/// A non-poisoning reader-writer lock with a `const` constructor.
-pub struct RwLock<T: ?Sized>(sync::RwLock<T>);
-
-/// Shared-read RAII guard for [`RwLock`].
-pub struct RwLockReadGuard<'a, T: ?Sized>(sync::RwLockReadGuard<'a, T>);
-
-/// Exclusive-write RAII guard for [`RwLock`].
-pub struct RwLockWriteGuard<'a, T: ?Sized>(sync::RwLockWriteGuard<'a, T>);
-
-impl<T> RwLock<T> {
-    /// Creates a new unlocked lock (usable in `static` initializers).
-    #[inline]
-    pub const fn new(value: T) -> Self {
-        Self(sync::RwLock::new(value))
-    }
-
-    /// Consumes the lock, returning the inner value.
-    #[inline]
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access, blocking until available.
-    #[inline]
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard(self.0.read().unwrap_or_else(PoisonError::into_inner))
-    }
-
-    /// Acquires exclusive write access, blocking until available.
-    #[inline]
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard(self.0.write().unwrap_or_else(PoisonError::into_inner))
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> Self {
-        Self::new(T::default())
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    #[inline]
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.0
     }
 }
 

@@ -156,3 +156,87 @@ fn force_scan_keeps_reclaimer_live_despite_stalled_pollers() {
     );
     assert!(collector.stats().collects > 0);
 }
+
+/// Set by [`note_sort_end`] once a collect has sorted its master buffer,
+/// i.e. right before its scan round opens.
+static SORTED: AtomicBool = AtomicBool::new(false);
+
+fn note_sort_end(event: threadscan::PhaseEvent) {
+    if event.kind == threadscan::PhaseKind::SortEnd {
+        SORTED.store(true, Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn a_thread_registered_mid_round_cannot_ack_it() {
+    // Lemma 1 with a late registrant: the round waits for the records
+    // registered when it opened. A record registered after that must not
+    // be able to ack in their place, or the round would end before the
+    // stalled record Y (the only root of `n`) has scanned.
+    use threadscan::Platform as _;
+    let platform = SimPlatform::handshake(4, Duration::from_millis(1500));
+    let collector = Collector::with_config(
+        platform.clone(),
+        CollectorConfig::default().with_telemetry(threadscan::TelemetrySink {
+            record: note_sort_end,
+        }),
+    );
+    let drops = Arc::new(AtomicUsize::new(0));
+    let n = Box::into_raw(Box::new(Probe {
+        drops: Arc::clone(&drops),
+        _pad: [0; 4],
+    }));
+    let n_addr = n as usize;
+    let published = std::sync::Barrier::new(2);
+    let flushed = AtomicBool::new(false);
+
+    let late_acked = std::thread::scope(|s| {
+        // Y: registers, roots `n` in its shadow stack, never polls.
+        s.spawn(|| {
+            let token = platform.register_current(Arc::new(threadscan::ThreadRoots::new(4)));
+            token.record().shadow().publish(n_addr).unwrap();
+            published.wait();
+            while !flushed.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+        });
+        // X: registers once the round is under way, then polls.
+        let late = s.spawn(|| {
+            while !SORTED.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(Duration::from_millis(100));
+            let token = platform.register_current(Arc::new(threadscan::ThreadRoots::new(4)));
+            let start = std::time::Instant::now();
+            let mut acked = false;
+            while start.elapsed() < Duration::from_millis(300) {
+                acked |= platform.poll(token.record());
+                std::thread::yield_now();
+            }
+            acked
+        });
+
+        let handle = collector.register();
+        published.wait();
+        // SAFETY: `n` is unreachable from shared memory; only Y roots it.
+        unsafe { handle.retire(n) };
+        handle.flush();
+        let late_acked = late.join().unwrap();
+        flushed.store(true, Ordering::SeqCst);
+        drop(handle);
+        late_acked
+    });
+
+    assert!(!late_acked, "a record registered mid-round acked the round");
+    assert_eq!(
+        drops.load(Ordering::SeqCst),
+        0,
+        "a node rooted in a registered shadow stack was freed"
+    );
+    drop(collector);
+    assert_eq!(
+        drops.load(Ordering::SeqCst),
+        1,
+        "drop reclaims the survivor"
+    );
+}
