@@ -9,7 +9,7 @@
 use ts_workload::SchemeKind::{Leaky, ThreadScan};
 use ts_workload::StructureKind::{Hash, Pq};
 use ts_workload::{
-    KeyDist, LatencySummary, LoadModel, RunResult, SchemeKind, StructureKind, WorkloadParams,
+    KeyDist, LoadModel, Report, RunResult, SchemeKind, StructureKind, WorkloadParams,
 };
 
 use crate::bespoke;
@@ -126,16 +126,16 @@ fn fig3(args: &CliArgs) -> Sweep {
         }
     }
     s.columns = vec![
-        col("update%", |c, _| c.params.update_pct.to_string()),
-        col("keys", |c, _| c.params.key_dist.label()),
-        col("unfreed max", |_, r| {
+        col("update%", |c, _, _| c.params.update_pct.to_string()),
+        col("keys", |c, _, _| c.params.key_dist.label()),
+        col("unfreed max", |_, r, _| {
             let max = r.outstanding_samples.iter().max();
             max.copied().unwrap_or(0).to_string()
         }),
-        col("collects", |_, r| ts(r).collects.to_string()),
-        col("freed", |_, r| ts(r).freed.to_string()),
-        col("survivors", |_, r| ts(r).survivors.to_string()),
-        col("words/collect", |_, r| {
+        col("collects", |_, r, _| ts(r).collects.to_string()),
+        col("freed", |_, r, _| ts(r).freed.to_string()),
+        col("survivors", |_, r, _| ts(r).survivors.to_string()),
+        col("words/collect", |_, r, _| {
             format!("{:.0}", ts(r).words_per_collect())
         }),
     ];
@@ -186,7 +186,9 @@ fn service_tail(args: &CliArgs) -> Sweep {
     } else {
         &SchemeKind::OVERSUB
     };
-    let schemes = args.get_schemes("schemes", schemes);
+    let mut schemes = args.get_schemes("schemes", schemes);
+    // Leaky first on each cell, so the rows after it can be divided by it.
+    schemes.sort_by_key(|&scheme| scheme != Leaky);
     for qps in args.get_positive_f64_list("qps", levels) {
         s.grid(&[Hash], &threads, &schemes, PAPER_BUFFERS, |mut p| {
             (p.key_range, p.initial_size) = (keys as u64, keys / 2);
@@ -194,22 +196,26 @@ fn service_tail(args: &CliArgs) -> Sweep {
                 .with_load_model(LoadModel::OpenPoisson { qps })
         });
     }
-    /// `-` for a cell no arrival fell in: a low `--qps` over a short
-    /// window can schedule its first arrival past the window's end.
-    fn us(r: &RunResult, pick: fn(&LatencySummary) -> f64) -> String {
-        r.latency
-            .as_ref()
-            .map_or("-".to_string(), |l| format!("{:.1}", pick(l) / 1e3))
+    /// Tail `i` (p50, p99, p999) over Leaky's on the same cell. `-` for
+    /// a cell no arrival fell in (a low `--qps` over a short window can
+    /// schedule its first arrival past the window's end) or one with no
+    /// Leaky row.
+    fn vs_leaky(r: &RunResult, report: &Report, i: usize) -> String {
+        let ratio = report.tail_vs_leaky(r);
+        ratio.map_or("-".to_string(), |tail| format!("{:.2}", tail[i]))
     }
     s.columns = vec![
-        col("qps", |c, _| {
+        col("qps", |c, _, _| {
             format!("{:.0}", c.params.load_model.target_qps().unwrap_or(0.0))
         }),
-        col("p50_us", |_, r| us(r, |l| l.p50_ns)),
-        col("p99_us", |_, r| us(r, |l| l.p99_ns)),
-        col("p999_us", |_, r| us(r, |l| l.p999_ns)),
-        col("max_us", |_, r| us(r, |l| l.max_ns as f64)),
-        col("lag_max_us", |_, r| {
+        col("p50/leaky", |_, r, report| vs_leaky(r, report, 0)),
+        col("p99/leaky", |_, r, report| vs_leaky(r, report, 1)),
+        col("p999/leaky", |_, r, report| vs_leaky(r, report, 2)),
+        col("max_us", |_, r, _| {
+            let max = r.latency.as_ref().map(|l| l.max_ns as f64 / 1e3);
+            max.map_or("-".to_string(), |us| format!("{us:.1}"))
+        }),
+        col("lag_max_us", |_, r, _| {
             let lag = r.open_loop.as_ref().map_or(0, |o| o.sched_lag_max_ns);
             format!("{:.1}", lag as f64 / 1e3)
         }),

@@ -6,7 +6,8 @@ use std::time::Duration;
 use threadscan::{Hist, StatsSnapshot};
 use ts_workload::SchemeKind::ThreadScan;
 use ts_workload::{
-    json, run_combo, LatencySummary, Report, RunResult, SchemeKind, StructureKind, WorkloadParams,
+    json, run_combo, CollectorReport, LatencySummary, Report, RunResult, SchemeKind, StructureKind,
+    WorkloadParams,
 };
 
 use crate::cli::{machine_info, write_output, CliArgs};
@@ -94,26 +95,29 @@ impl Cell {
 pub struct Column {
     /// Header.
     pub head: &'static str,
-    /// Cell text for one finished row.
-    pub value: fn(&Cell, &RunResult) -> String,
+    /// Cell text for one finished row, given the report it is the last
+    /// row of.
+    pub value: fn(&Cell, &RunResult, &Report) -> String,
 }
 
 /// A column.
-pub const fn col(head: &'static str, value: fn(&Cell, &RunResult) -> String) -> Column {
+pub const fn col(head: &'static str, value: fn(&Cell, &RunResult, &Report) -> String) -> Column {
     Column { head, value }
 }
 
 /// The collector's counters for a row (zeros under other schemes).
 pub fn ts(r: &RunResult) -> StatsSnapshot {
-    r.threadscan.unwrap_or_default()
+    r.threadscan.as_ref().map(|t| t.stats).unwrap_or_default()
 }
 
 /// Reclaimer collect-latency p50/p95/p99 in µs, from the row's histogram
-/// (merged over the cell's repeats).
-pub const COLLECT_TAIL: Column = col("collect-µs p50/95/99", |_, r| {
-    let st = ts(r);
-    let [a, b, c] = [0.50, 0.95, 0.99].map(|q| st.collect_us_percentile(q));
-    format!("{a:.0}/{b:.0}/{c:.0}")
+/// (merged over the cell's repeats); `-` where no phase ran.
+pub const COLLECT_TAIL: Column = col("collect-µs p50/95/99", |_, r, _| {
+    let tail = |t: &CollectorReport| {
+        let [a, b, c] = [0.50, 0.95, 0.99].map(|q| t.collect_us(q));
+        Some(format!("{:.0}/{:.0}/{:.0}", a?, b?, c?))
+    };
+    r.threadscan.as_ref().and_then(tail).unwrap_or("-".into())
 });
 
 /// A planned experiment: what to run and what to show.
@@ -185,21 +189,21 @@ fn run_cell(cell: &Cell, repeats: usize) -> RunResult {
 /// throughput of all runs and — so a noisy final repeat cannot skew a
 /// reported tail — the op-latency histogram with its worst op, the worst
 /// scheduling lag and the unreclaimed-node samples of all of them. The
-/// `threadscan` block covers every repeat too: its counters are the
-/// repeats' snapshots merged ([`StatsSnapshot::merge`]), so its totals
-/// are sums over the repeats and its maxima the largest.
+/// `threadscan` block covers every repeat too: its counters and latency
+/// histogram are the repeats' merged ([`CollectorReport::merge`]), so its
+/// totals are sums over the repeats and its maxima the largest.
 fn merge_repeats(runs: Vec<RunResult>) -> RunResult {
     let repeats = runs.len();
     let mut ops_per_sec = 0.0;
     let mut latency = Hist::new();
     let (mut max_ns, mut lag_max_ns) = (0, 0);
     let mut samples = Vec::new();
-    let mut threadscan: Option<StatsSnapshot> = None;
+    let mut threadscan: Option<CollectorReport> = None;
     for r in &runs {
         ops_per_sec += r.ops_per_sec;
         samples.extend_from_slice(&r.outstanding_samples);
-        if let Some(st) = &r.threadscan {
-            threadscan.get_or_insert_default().merge(st);
+        if let Some(ts) = &r.threadscan {
+            threadscan.get_or_insert_default().merge(ts);
         }
         if let Some(lat) = &r.latency {
             latency.merge(&lat.hist);
@@ -255,7 +259,8 @@ pub fn sweep(args: &CliArgs, plan: Sweep) {
             cell.label,
             cell.params.threads
         );
-        let r = run_cell(cell, c.repeats);
+        report.push(run_cell(cell, c.repeats));
+        let r = report.results().last().expect("just pushed");
         let mut row = format!(
             "{:<13} {:<26} {:>7} {:>10.3}",
             r.structure,
@@ -264,10 +269,9 @@ pub fn sweep(args: &CliArgs, plan: Sweep) {
             r.ops_per_sec / 1e6
         );
         for (col, w) in plan.columns.iter().zip(&widths) {
-            row.push_str(&format!(" {:>w$}", (col.value)(cell, &r)));
+            row.push_str(&format!(" {:>w$}", (col.value)(cell, r, &report)));
         }
         println!("{row}");
-        report.push(r);
     }
     if plan.series {
         println!("{}", report.render_series());
@@ -288,17 +292,22 @@ mod tests {
 
     /// An open-loop ThreadScan row whose ops took `latencies_ns`, with
     /// `lag_max_ns` as its worst scheduling lag; its collector ran one
-    /// phase per op and freed ten nodes per phase.
+    /// 8 ns phase per op and freed ten nodes per phase.
     fn open_run(latencies_ns: &[u64], lag_max_ns: u64) -> RunResult {
         let mut hist = Hist::new();
         latencies_ns.iter().for_each(|&ns| hist.record(ns));
         let max_ns = latencies_ns.iter().copied().max().unwrap_or(0);
-        let mut collect = StatsSnapshot {
-            collects: latencies_ns.len(),
-            freed: 10 * latencies_ns.len(),
-            ..Default::default()
+        let mut collect = CollectorReport {
+            stats: StatsSnapshot {
+                collects: latencies_ns.len(),
+                freed: 10 * latencies_ns.len(),
+                ..Default::default()
+            },
+            collect_ns: Hist::new(),
         };
-        collect.collect_ns_hist[3] = latencies_ns.len();
+        latencies_ns
+            .iter()
+            .for_each(|_| collect.collect_ns.record(8));
         RunResult {
             scheme: "threadscan".into(),
             structure: "hash".into(),
@@ -343,10 +352,10 @@ mod tests {
         assert_eq!(lat.max_ns, 9_000_000);
         assert!(lat.p999_ns >= 4_000_000.0, "{lat:?}");
         assert_eq!(r.open_loop.expect("open loop").sched_lag_max_ns, 700);
-        let st = r.threadscan.expect("threadscan");
-        assert_eq!(st.collect_ns_hist[3], 4);
-        assert_eq!(st.collect_ns_hist.iter().sum::<usize>(), st.collects);
-        assert_eq!(st.freed, 30 + 10);
+        let ts = r.threadscan.expect("threadscan");
+        assert_eq!(ts.collect_ns.buckets().collect::<Vec<_>>(), [(8, 4)]);
+        assert_eq!(ts.collect_ns.count(), ts.stats.collects as u64);
+        assert_eq!(ts.stats.freed, 30 + 10);
         assert_eq!(r.ops_per_sec, 2.0);
     }
 }

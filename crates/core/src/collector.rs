@@ -34,6 +34,7 @@ use parking_lot::Mutex;
 use crate::buffer::LocalBuffer;
 use crate::config::{check_buffer_capacity, CollectorConfig};
 use crate::errors::HeapBlockError;
+use crate::hist::Hist;
 use crate::master::MasterBuffer;
 use crate::platform::Platform;
 use crate::retired::{DropFn, Retired};
@@ -41,10 +42,11 @@ use crate::roots::{ThreadRoots, MAX_HEAP_BLOCKS};
 use crate::selfscan::{capture_context, SelfScanContext};
 use crate::stats::{CollectorStats, StatsSnapshot};
 
-/// State protected by the reclaimer lock: the survivors, plus the
-/// buffers every phase works in. A phase refills and empties the buffers
-/// but keeps their capacity, so once they have grown to a phase's size,
-/// later phases allocate nothing. Between phases they hold no records.
+/// State protected by the reclaimer lock: the survivors, the buffers every
+/// phase works in and the phases' latency. A phase refills and empties the
+/// buffers but keeps their capacity, so once they have grown to a phase's
+/// size, later phases allocate nothing. Between phases they hold no
+/// records.
 #[derive(Default)]
 struct ReclaimState {
     /// Marked nodes from the previous phase, and the fresh records of
@@ -58,6 +60,9 @@ struct ReclaimState {
     /// Each live thread's slot, with the number of records it put into
     /// the phase: its hand-off quota.
     slots: Vec<(Arc<ThreadSlot>, usize)>,
+    /// Every phase's reclaimer-side latency; see
+    /// [`Collector::collect_latency`].
+    collect_ns: Hist,
 }
 
 /// One registered thread's two-stage delete buffer and its counters. The
@@ -166,7 +171,7 @@ impl<P: Platform> Collector<P> {
     }
 
     /// A snapshot of lifetime statistics: the collector-level counters
-    /// merged with every live thread's own.
+    /// merged with every live thread's own. Never waits for a phase.
     pub fn stats(&self) -> StatsSnapshot {
         // The registry lock is held across both reads so that a thread
         // unregistering (which folds its counters into the collector's
@@ -177,6 +182,14 @@ impl<P: Platform> Collector<P> {
             snap.merge(&slot.counters.snapshot());
         }
         snap
+    }
+
+    /// The latency of every completed phase, one record per
+    /// [`StatsSnapshot::collects`]: the reclaimer-side nanoseconds from
+    /// sort to hand-off, the §7 responsiveness number. Takes the reclaimer
+    /// lock, so it waits for a phase in progress to end.
+    pub fn collect_latency(&self) -> Hist {
+        self.reclaim.lock().collect_ns.clone()
     }
 
     /// Nodes currently awaiting a later phase (marked survivors and the
@@ -263,6 +276,7 @@ impl<P: Platform> Collector<P> {
             master,
             reclaimable,
             slots,
+            collect_ns,
         } = state;
         let mut freed = 0;
         if trigger == Trigger::Forced {
@@ -368,7 +382,7 @@ impl<P: Platform> Collector<P> {
         let ns = crate::master::elapsed_ns(phase_start);
         self.stats.add(&self.stats.collect_ns_total, ns);
         self.stats.raise(&self.stats.collect_ns_max, ns);
-        self.stats.record_collect_ns(ns);
+        collect_ns.record(ns as u64);
         if let Some((sink, id)) = telemetry {
             sink.event(PhaseKind::CollectEnd, id, survivor_count as u64);
         }
@@ -944,13 +958,37 @@ mod tests {
         }
         let snap = collector.stats();
         assert!(snap.collects >= 4);
+        let latency = collector.collect_latency();
         assert_eq!(
-            snap.collect_ns_hist.iter().sum::<usize>(),
-            snap.collects,
+            latency.count(),
+            snap.collects as u64,
             "each phase lands in exactly one latency bucket"
         );
-        assert!(snap.collect_us_percentile(0.5) > 0.0);
+        assert!(latency.quantile(0.5).unwrap() > 0.0);
         drop(handle);
+    }
+
+    #[test]
+    fn unregistered_threads_phases_stay_in_the_latency_histogram() {
+        let counter = Arc::new(AtomicUsize::new(0));
+        let collector = Collector::with_config(
+            NullPlatform,
+            CollectorConfig::default().with_buffer_capacity(8),
+        );
+        std::thread::scope(|s| {
+            for _ in 0..3 {
+                s.spawn(|| {
+                    let handle = collector.register();
+                    for _ in 0..40 {
+                        unsafe { handle.retire(node(&counter)) };
+                    }
+                });
+            }
+        });
+        // Every thread that ran a phase has unregistered.
+        let collects = collector.stats().collects;
+        assert!(collects > 0);
+        assert_eq!(collector.collect_latency().count(), collects as u64);
     }
 
     #[test]

@@ -1,46 +1,59 @@
-//! Shared log2 latency histogram.
+//! Shared log-linear latency histogram.
 //!
 //! One histogram shape serves every latency surface in the workspace:
-//! the collector's per-phase reclaim latency ([`crate::stats`]) and the
-//! workload harness's per-operation service latency both bucket
-//! nanosecond durations by `floor(log2(ns))`. Keeping the bucket math,
-//! merge, and percentile walk here means a histogram recorded anywhere
-//! (a worker thread, a collector, a bench repeat) can be merged with any
-//! other and summarized with identical semantics.
+//! the collector's per-phase reclaim latency
+//! ([`Collector::collect_latency`](crate::Collector::collect_latency))
+//! and the workload harness's per-operation service latency. Keeping the
+//! bucket math, merge and quantile walk here means a histogram recorded
+//! anywhere (a worker thread, a collector, a bench repeat) can be merged
+//! with any other and summarized with identical semantics.
 //!
-//! Buckets are coarse on purpose: recording is one array increment, so
-//! it is cheap enough for per-operation hot paths, and a percentile read
-//! is an upper bound within a factor of two — adequate for the
-//! p50/p99/p999 tail claims the harness makes, where the interesting
-//! signals are order-of-magnitude excursions, not single nanoseconds.
+//! Each power of two is split into 32 linear sub-buckets, so a bucket is
+//! at most 1/32 ≈ 3.1 % as wide as the values in it, and a quantile is
+//! interpolated by rank inside its bucket: a 10 % change shows as one.
+//! Values below 64 ns have a bucket each; from 2^40 ns (~18 min) on, all
+//! share the last. Recording computes one index and does one increment,
+//! cheap enough for per-operation hot paths.
 
-/// Number of log2 buckets. 32 buckets span 1 ns to ~4.3 s; anything
-/// slower saturates into the last bucket.
-pub const BUCKETS: usize = 32;
+const SUB_BITS: u32 = 5;
+/// Linear sub-buckets per power of two.
+const SUB: usize = 1 << SUB_BITS;
+/// Values below this have a bucket each.
+const LINEAR: usize = 2 * SUB;
+/// Values saturate at 2^40 ns.
+const MAX_EXP: u32 = 40;
+/// 1152 buckets, ~9 KB of counts.
+const BUCKETS: usize = LINEAR + (MAX_EXP - SUB_BITS - 1) as usize * SUB;
 
-/// Bucket index for a duration of `ns` nanoseconds: `floor(log2(ns))`,
-/// with 0 ns clamped into bucket 0 and the last bucket saturating.
-#[inline]
-pub fn bucket(ns: u64) -> usize {
-    (u64::BITS - 1 - ns.max(1).leading_zeros()).min(BUCKETS as u32 - 1) as usize
+/// The bucket `ns` falls in.
+fn index(ns: u64) -> usize {
+    let v = ns.min((1 << MAX_EXP) - 1);
+    if v < LINEAR as u64 {
+        return v as usize;
+    }
+    let exp = u64::BITS - 1 - v.leading_zeros();
+    let sub = (v >> (exp - SUB_BITS)) as usize & (SUB - 1);
+    LINEAR + (exp - SUB_BITS - 1) as usize * SUB + sub
 }
 
-/// Upper bound of bucket `i`, in nanoseconds (`2^(i+1)`). Percentile
-/// reads report this bound: the true value lies within a factor of two
-/// below it.
-#[inline]
-pub fn bucket_bound_ns(i: usize) -> f64 {
-    2f64.powi(i as i32 + 1)
+/// `(lo, width)`: bucket `i` covers `[lo, lo + width)` nanoseconds.
+fn bounds(i: usize) -> (u64, u64) {
+    if i < LINEAR {
+        return (i as u64, 1);
+    }
+    let exp = ((i - LINEAR) / SUB) as u32 + SUB_BITS + 1;
+    let sub = ((i - LINEAR) % SUB) as u64;
+    let shift = exp - SUB_BITS;
+    ((SUB as u64 + sub) << shift, 1 << shift)
 }
 
-/// A plain (non-atomic) log2 histogram of nanosecond durations.
+/// A plain (non-atomic) histogram of nanosecond durations.
 ///
-/// Cheap to record into from a single thread; merge per-thread instances
-/// after the fact with [`Hist::merge`] (or fold foreign count arrays in
-/// with [`Hist::add_counts`]).
+/// Cheap to record into from one thread; merge per-thread instances after
+/// the fact with [`Hist::merge`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hist {
-    counts: [u64; BUCKETS],
+    counts: Box<[u64; BUCKETS]>,
 }
 
 impl Default for Hist {
@@ -51,33 +64,22 @@ impl Default for Hist {
 
 impl Hist {
     /// An empty histogram.
-    pub const fn new() -> Self {
+    pub fn new() -> Self {
         Self {
-            counts: [0; BUCKETS],
+            counts: Box::new([0; BUCKETS]),
         }
     }
 
     /// Records one duration.
     #[inline]
     pub fn record(&mut self, ns: u64) {
-        self.counts[bucket(ns)] += 1;
+        self.counts[index(ns)] += 1;
     }
 
     /// Folds `other`'s counts into this histogram.
     pub fn merge(&mut self, other: &Hist) {
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+        for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
             *mine += theirs;
-        }
-    }
-
-    /// Folds a foreign bucket-count slice (e.g. a
-    /// [`StatsSnapshot::collect_ns_hist`](crate::stats::StatsSnapshot)
-    /// array) into this histogram. Slices longer than [`BUCKETS`] are
-    /// rejected by debug assertion; shorter ones fold into the prefix.
-    pub fn add_counts(&mut self, counts: &[usize]) {
-        debug_assert!(counts.len() <= BUCKETS, "foreign histogram too wide");
-        for (mine, &theirs) in self.counts.iter_mut().zip(counts) {
-            *mine += theirs as u64;
         }
     }
 
@@ -91,54 +93,63 @@ impl Hist {
         self.counts.iter().all(|&c| c == 0)
     }
 
-    /// The raw bucket counts (`[i]` counts durations in
-    /// `[2^i, 2^(i+1))` ns; the last bucket saturates).
-    pub fn counts(&self) -> &[u64; BUCKETS] {
-        &self.counts
+    /// Every non-empty bucket as `(lowest ns it covers, count)`, in
+    /// ascending order.
+    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let nonzero = self.counts.iter().enumerate().filter(|(_, &c)| c > 0);
+        nonzero.map(|(i, &c)| (bounds(i).0, c))
     }
 
-    /// Approximate percentile in nanoseconds: the smallest bucket upper
-    /// bound below which at least `q` (in `0.0..=1.0`) of recorded
-    /// durations fall. Zero when empty; an upper bound within a factor
-    /// of two otherwise (the last bucket's bound when it saturated).
-    pub fn percentile_ns(&self, q: f64) -> f64 {
+    /// The `q`-quantile (`q` in `0.0..=1.0`) in nanoseconds, interpolated
+    /// linearly by rank inside its bucket. `None` when empty.
+    pub fn quantile(&self, q: f64) -> Option<f64> {
         let total = self.count();
         if total == 0 {
-            return 0.0;
+            return None;
         }
-        let rank = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
+        let rank = q.clamp(0.0, 1.0) * total as f64;
         let mut seen = 0u64;
-        for (i, &count) in self.counts.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                return bucket_bound_ns(i);
+        for (i, &c) in self.counts.iter().enumerate() {
+            if c > 0 && (seen + c) as f64 >= rank {
+                let (lo, width) = bounds(i);
+                let inside = ((rank - seen as f64) / c as f64).clamp(0.0, 1.0);
+                return Some(lo as f64 + width as f64 * inside);
             }
+            seen += c;
         }
-        // Unreachable while `rank <= total`, but stated as what it is:
-        // the last bucket's bound.
-        bucket_bound_ns(BUCKETS - 1)
+        unreachable!("rank {rank} beyond total {total}")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ts_choose::Rng;
 
     #[test]
-    fn bucket_math_is_log2_with_clamps() {
-        assert_eq!(bucket(0), 0);
-        assert_eq!(bucket(1), 0);
-        assert_eq!(bucket(2), 1);
-        assert_eq!(bucket(1023), 9);
-        assert_eq!(bucket(1024), 10);
-        assert_eq!(bucket(u64::MAX), BUCKETS - 1);
+    fn every_value_falls_inside_its_bucket() {
+        for v in (0..5000u64).chain([1 << 20, (1 << 20) + 12345, u64::MAX]) {
+            let (lo, width) = bounds(index(v));
+            let clamped = v.min((1 << MAX_EXP) - 1);
+            assert!(
+                lo <= clamped && clamped < lo + width,
+                "{v}: [{lo}, +{width})"
+            );
+            assert!(lo < LINEAR as u64 || width as f64 / lo as f64 <= 1.0 / 32.0);
+        }
+        assert_eq!(index(u64::MAX), BUCKETS - 1);
+        assert_eq!(BUCKETS, 1152);
     }
 
     #[test]
     fn bucket_bounds_double() {
-        assert_eq!(bucket_bound_ns(0), 2.0);
-        assert_eq!(bucket_bound_ns(9), 1024.0);
-        assert_eq!(bucket_bound_ns(10), 2048.0);
+        // The first bucket of each power of two starts at it, and each
+        // power of two's buckets are twice as wide as the last one's.
+        for k in 0..(MAX_EXP - SUB_BITS - 1) as usize {
+            assert_eq!(bounds(LINEAR + k * SUB), ((LINEAR as u64) << k, 2 << k));
+        }
+        assert_eq!(bounds(LINEAR - 1), (63, 1));
+        assert_eq!(bounds(LINEAR + SUB - 1), (126, 2));
     }
 
     #[test]
@@ -146,13 +157,12 @@ mod tests {
         let mut h = Hist::new();
         assert!(h.is_empty());
         h.record(1);
-        h.record(1000);
-        h.record(u64::MAX);
+        h.record(1000); // 2^9 split in 32: [992, 1008)
+        h.record(u64::MAX); // the last bucket, [2^40 - 2^34, 2^40)
         assert_eq!(h.count(), 3);
         assert!(!h.is_empty());
-        assert_eq!(h.counts()[0], 1);
-        assert_eq!(h.counts()[9], 1);
-        assert_eq!(h.counts()[BUCKETS - 1], 1);
+        let all: Vec<_> = h.buckets().collect();
+        assert_eq!(all, [(1, 1), (992, 1), ((1 << 40) - (1 << 34), 1)]);
     }
 
     #[test]
@@ -164,44 +174,77 @@ mod tests {
         b.record(1_000_000);
         a.merge(&b);
         assert_eq!(a.count(), 3);
-        assert_eq!(a.counts()[3], 2, "both 10 ns records share bucket 3");
+        let all: Vec<_> = a.buckets().collect();
+        assert_eq!(
+            all,
+            [(10, 2), (999_424, 1)],
+            "both 10 ns records share a bucket"
+        );
     }
 
     #[test]
-    fn add_counts_folds_foreign_arrays() {
-        let mut h = Hist::new();
-        let mut foreign = [0usize; BUCKETS];
-        foreign[5] = 7;
-        foreign[BUCKETS - 1] = 2;
-        h.add_counts(&foreign);
-        h.record(40); // bucket 5
-        assert_eq!(h.counts()[5], 8);
-        assert_eq!(h.counts()[BUCKETS - 1], 2);
+    fn quantiles_stay_within_three_percent_of_a_sorted_vector() {
+        let mut rng = Rng::seeded(7);
+        // Log-uniform over 50 ns .. 5 ms with a stall cluster, like op latency.
+        let mut values: Vec<u64> = (0..200_000)
+            .map(|i| {
+                if i % 40 == 0 {
+                    250_000 + rng.below(50_000)
+                } else {
+                    (50.0 * (rng.unit() * 11.5).exp()) as u64
+                }
+            })
+            .collect();
+        let mut hist = Hist::new();
+        values.iter().for_each(|&v| hist.record(v));
+        values.sort_unstable();
+        for q in [0.01, 0.25, 0.5, 0.9, 0.99, 0.999] {
+            let oracle = values[((q * values.len() as f64).ceil() as usize).max(1) - 1] as f64;
+            let got = hist.quantile(q).unwrap();
+            assert!(
+                (got - oracle).abs() <= 0.03 * oracle,
+                "q={q}: hist {got} vs sorted {oracle}"
+            );
+        }
+    }
+
+    #[test]
+    fn merge_adds_counts_and_empty_has_no_quantile() {
+        let mut a = Hist::new();
+        assert!(a.quantile(0.5).is_none());
+        let mut b = Hist::new();
+        a.record(100);
+        b.record(300);
+        b.record(300);
+        a.merge(&b);
+        assert_eq!(a.count(), 3);
+        let p = a.quantile(0.9).unwrap();
+        assert!((290.0..=310.0).contains(&p), "{p}");
     }
 
     #[test]
     fn percentiles_walk_the_buckets() {
         let mut h = Hist::new();
-        for _ in 0..90 {
-            h.record(1_000); // bucket 9, bound 1024
+        for _ in 0..96 {
+            h.record(1_000); // [992, 1008)
         }
-        for _ in 0..10 {
-            h.record(1_000_000); // bucket 19
+        for _ in 0..32 {
+            h.record(1_000_000); // [999424, 1015808)
         }
-        assert_eq!(h.percentile_ns(0.50), 1024.0);
-        assert_eq!(h.percentile_ns(0.95), bucket_bound_ns(19));
-        let p50 = h.percentile_ns(0.50);
-        let p99 = h.percentile_ns(0.99);
-        let p999 = h.percentile_ns(0.999);
-        assert!(p50 <= p99 && p99 <= p999, "percentiles are monotone");
+        assert_eq!(h.quantile(0.0), Some(992.0));
+        assert_eq!(h.quantile(0.375), Some(1000.0), "half-way through 96");
+        assert_eq!(h.quantile(0.75), Some(1008.0), "the fast bucket's top");
+        assert_eq!(h.quantile(0.875), Some(999_424.0 + 16_384.0 / 2.0));
+        assert_eq!(h.quantile(1.0), Some(1_015_808.0));
     }
 
     #[test]
-    fn empty_percentile_is_zero_and_saturated_is_last_bound() {
-        assert_eq!(Hist::new().percentile_ns(0.99), 0.0);
+    fn saturated_values_read_inside_the_last_bucket() {
         let mut h = Hist::new();
         h.record(u64::MAX);
-        assert_eq!(h.percentile_ns(0.5), bucket_bound_ns(BUCKETS - 1));
-        assert_eq!(h.percentile_ns(1.0), bucket_bound_ns(BUCKETS - 1));
+        h.record(1 << 50);
+        let (lo, hi) = (((1u64 << 40) - (1 << 34)) as f64, (1u64 << 40) as f64);
+        assert_eq!(h.quantile(0.5), Some((lo + hi) / 2.0));
+        assert_eq!(h.quantile(1.0), Some(hi));
     }
 }

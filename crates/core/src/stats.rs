@@ -5,19 +5,16 @@
 //! reclaimed nodes". These counters expose exactly those quantities so the
 //! benchmark harness (and users) can verify the amortization claim.
 //!
-//! Every scalar counter is declared once, in the `counters!` list below,
-//! with its doc comment and its fold (`sum` or `max`). The list generates
+//! Every counter is declared once, in the `counters!` list below, with
+//! its doc comment and its fold (`sum` or `max`). The list generates
 //! [`CollectorStats`], [`StatsSnapshot`] and every fold and report of them
 //! ([`CollectorStats::absorb`], [`StatsSnapshot::merge`],
 //! [`StatsSnapshot::counters`]). To add a counter, add its line to the
-//! list and its increment where it happens.
+//! list and its increment where it happens. The distribution of per-phase
+//! latency is no counter: the collector keeps one histogram of it,
+//! [`Collector::collect_latency`](crate::Collector::collect_latency).
 
 use core::sync::atomic::{AtomicUsize, Ordering};
-
-/// Number of log2 latency-histogram buckets (re-exported from the shared
-/// histogram module — collector and workload histograms share one shape
-/// so they can be merged; see [`crate::hist`]).
-pub const HIST_BUCKETS: usize = crate::hist::BUCKETS;
 
 /// How a reading `b` folds into a reading `a` of the same counter, across
 /// threads and runs: a `sum` adds, a `max` keeps the larger.
@@ -43,22 +40,12 @@ macro_rules! counters {
         #[derive(Default)]
         pub struct CollectorStats {
             $($(#[$doc])+ pub $name: AtomicUsize,)+
-            /// Log2-bucketed histogram of per-phase collect latency:
-            /// `collect_ns_hist[i]` counts phases whose reclaimer-side latency
-            /// was in `[2^i, 2^(i+1))` nanoseconds (the last bucket saturates).
-            /// Coarse on purpose — one relaxed increment per phase keeps it off
-            /// any hot path while still supporting p50/p95/p99 estimates
-            /// ([`StatsSnapshot::collect_us_percentile`]).
-            pub collect_ns_hist: [AtomicUsize; HIST_BUCKETS],
         }
 
         /// A point-in-time copy of [`CollectorStats`].
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
         pub struct StatsSnapshot {
             $($(#[$doc])+ pub $name: usize,)+
-            /// Per-phase collect latency in log2 nanosecond buckets; see
-            /// [`CollectorStats::collect_ns_hist`].
-            pub collect_ns_hist: [usize; HIST_BUCKETS],
         }
 
         impl CollectorStats {
@@ -66,9 +53,6 @@ macro_rules! counters {
             pub fn snapshot(&self) -> StatsSnapshot {
                 StatsSnapshot {
                     $($name: self.$name.load(Ordering::Relaxed),)+
-                    collect_ns_hist: core::array::from_fn(|i| {
-                        self.collect_ns_hist[i].load(Ordering::Relaxed)
-                    }),
                 }
             }
 
@@ -83,27 +67,20 @@ macro_rules! counters {
                     };
                     let _ = self.$name.fetch_update(Ordering::Relaxed, Ordering::Relaxed, fold);
                 )+
-                for (mine, &theirs) in self.collect_ns_hist.iter().zip(&other.collect_ns_hist) {
-                    mine.fetch_add(theirs, Ordering::Relaxed);
-                }
             }
         }
 
         impl StatsSnapshot {
             /// Folds `other` into this snapshot, counter by counter: totals
-            /// and histogram buckets add, maxima (`collect_ns_max`,
-            /// `sort_ns_max`) keep the larger. Merging per-thread or
-            /// per-run snapshots gives the counters of them all.
+            /// add, maxima (`collect_ns_max`, `sort_ns_max`) keep the
+            /// larger. Merging per-thread or per-run snapshots gives the
+            /// counters of them all.
             pub fn merge(&mut self, other: &StatsSnapshot) {
                 $(fold!($fold, self.$name, other.$name);)+
-                for (mine, theirs) in self.collect_ns_hist.iter_mut().zip(&other.collect_ns_hist) {
-                    *mine += theirs;
-                }
             }
 
-            /// Every scalar counter as `(name, value)`, in declaration
-            /// order; the name is the field's. The histogram is not
-            /// scalar and is left out.
+            /// Every counter as `(name, value)`, in declaration order; the
+            /// name is the field's.
             pub fn counters(&self) -> impl Iterator<Item = (&'static str, usize)> {
                 [$((stringify!($name), self.$name)),+].into_iter()
             }
@@ -161,11 +138,6 @@ counters! {
 }
 
 impl CollectorStats {
-    /// Records one phase's reclaimer-side latency into the histogram.
-    pub(crate) fn record_collect_ns(&self, ns: usize) {
-        self.collect_ns_hist[crate::hist::bucket(ns as u64)].fetch_add(1, Ordering::Relaxed);
-    }
-
     #[inline]
     pub(crate) fn add(&self, field: &AtomicUsize, n: usize) {
         field.fetch_add(n, Ordering::Relaxed);
@@ -228,17 +200,6 @@ impl StatsSnapshot {
     pub fn mean_sort_us(&self) -> f64 {
         self.per_collect(self.sort_ns_total) / 1e3
     }
-
-    /// Approximate collect-latency percentile in microseconds, from the
-    /// log2 histogram: the smallest bucket upper bound below which at
-    /// least `q` (in `0.0..=1.0`) of all phases completed. Zero when no
-    /// phase has run. Coarse by design — buckets are powers of two, so
-    /// the value is an upper bound within a factor of two.
-    pub fn collect_us_percentile(&self, q: f64) -> f64 {
-        let mut hist = crate::hist::Hist::new();
-        hist.add_counts(&self.collect_ns_hist);
-        hist.percentile_ns(q) / 1e3
-    }
 }
 
 #[cfg(test)]
@@ -294,62 +255,10 @@ mod tests {
         assert_eq!(StatsSnapshot::default().mean_sort_us(), 0.0);
     }
 
-    #[test]
-    fn latency_histogram_buckets_by_log2() {
-        let stats = CollectorStats::default();
-        stats.record_collect_ns(0); // clamps to bucket 0
-        stats.record_collect_ns(1);
-        stats.record_collect_ns(1023); // [512, 1024) -> bucket 9
-        stats.record_collect_ns(1024); // bucket 10
-        stats.record_collect_ns(usize::MAX); // saturates into the last bucket
-        let snap = stats.snapshot();
-        assert_eq!(snap.collect_ns_hist[0], 2);
-        assert_eq!(snap.collect_ns_hist[9], 1);
-        assert_eq!(snap.collect_ns_hist[10], 1);
-        assert_eq!(snap.collect_ns_hist[HIST_BUCKETS - 1], 1);
-        assert_eq!(snap.collect_ns_hist.iter().sum::<usize>(), 5);
-    }
-
-    #[test]
-    fn percentile_of_saturated_last_bucket_is_its_bound() {
-        // Regression (satellite of the explorer PR): with only the
-        // saturation bucket populated, q=1.0 must return the last
-        // bucket's upper bound — 2^HIST_BUCKETS ns in µs — and keep
-        // doing so if HIST_BUCKETS ever changes. The old fallback
-        // expressed this as `2^len`, which equals the last bucket's
-        // bound only by coincidence of the current bound formula.
-        let stats = CollectorStats::default();
-        stats.record_collect_ns(usize::MAX); // saturates into bucket 31
-        let snap = stats.snapshot();
-        let expect = 2f64.powi(HIST_BUCKETS as i32) / 1e3;
-        assert_eq!(snap.collect_us_percentile(1.0), expect);
-        assert_eq!(snap.collect_us_percentile(0.5), expect);
-    }
-
-    #[test]
-    fn percentiles_walk_the_histogram() {
-        let stats = CollectorStats::default();
-        // 90 fast phases (~1 µs), 10 slow ones (~1 ms).
-        for _ in 0..90 {
-            stats.record_collect_ns(1_000); // bucket 9, upper bound 1024 ns
-        }
-        for _ in 0..10 {
-            stats.record_collect_ns(1_000_000); // bucket 19
-        }
-        let snap = stats.snapshot();
-        let p50 = snap.collect_us_percentile(0.50);
-        let p95 = snap.collect_us_percentile(0.95);
-        let p99 = snap.collect_us_percentile(0.99);
-        assert_eq!(p50, 1.024, "p50 lands in the fast bucket");
-        assert_eq!(p95, 1048.576, "p95 lands in the slow bucket");
-        assert!(p50 <= p95 && p95 <= p99, "percentiles are monotone");
-        assert_eq!(StatsSnapshot::default().collect_us_percentile(0.99), 0.0);
-    }
-
     /// A snapshot whose counters read `base`, `base + 1`, … in
-    /// declaration order, and whose histogram holds `base` in bucket 2.
+    /// declaration order.
     fn distinct(base: usize) -> StatsSnapshot {
-        let mut snap = StatsSnapshot {
+        StatsSnapshot {
             collects: base,
             collects_skipped: base + 1,
             retired: base + 2,
@@ -366,10 +275,7 @@ mod tests {
             collect_ns_max: base + 13,
             sort_ns_total: base + 14,
             sort_ns_max: base + 15,
-            collect_ns_hist: [0; HIST_BUCKETS],
-        };
-        snap.collect_ns_hist[2] = base;
-        snap
+        }
     }
 
     #[test]
@@ -398,8 +304,6 @@ mod tests {
             };
             assert_eq!(m, want, "{name}");
         }
-        assert_eq!(merged.collect_ns_hist[2], 1000);
-        assert_eq!(merged.collect_ns_hist.iter().sum::<usize>(), 1000);
     }
 
     #[test]

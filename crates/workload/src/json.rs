@@ -17,6 +17,8 @@ use std::fmt;
 use std::io::{self, Write};
 use std::ops::Index;
 
+use threadscan::Hist;
+
 /// A JSON document.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -123,6 +125,16 @@ impl From<&str> for Value {
 impl From<String> for Value {
     fn from(s: String) -> Self {
         Value::String(s)
+    }
+}
+
+/// A latency histogram is its non-empty buckets, ascending:
+/// `[[lowest ns the bucket covers, count], …]`.
+impl From<&Hist> for Value {
+    fn from(hist: &Hist) -> Self {
+        hist.buckets()
+            .map(|(lo, n)| Value::from_iter([lo, n]))
+            .collect()
     }
 }
 

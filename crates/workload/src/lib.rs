@@ -37,4 +37,4 @@ pub use load::{ArrivalSchedule, LatencySummary, LoadModel, OpenLoopExtras};
 pub use mix::{prefill_keys, Op, OpMix};
 pub use params::{SchemeKind, StructureKind, WorkloadParams};
 pub use report::Report;
-pub use runner::{run_combo, stats_json, RunResult};
+pub use runner::{run_combo, stats_json, CollectorReport, RunResult};

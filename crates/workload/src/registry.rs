@@ -12,7 +12,6 @@
 
 use std::sync::Arc;
 
-use threadscan::StatsSnapshot;
 use ts_sigscan::SignalPlatform;
 use ts_smr::{EpochScheme, HazardPointers, Leaky, Smr, ThreadScanSmr};
 use ts_structures::{
@@ -21,6 +20,7 @@ use ts_structures::{
 };
 
 use crate::params::{SchemeKind, StructureKind, WorkloadParams};
+use crate::runner::CollectorReport;
 
 /// Hazard-pointer slots the harness provisions: enough for every
 /// registered structure (the skip list and the priority queue built on it
@@ -30,8 +30,8 @@ pub const HARNESS_HAZARD_SLOTS: usize = REQUIRED_SLOTS;
 /// A scheme the harness runs, with the report fields only some schemes
 /// have. Both default to `None`.
 pub trait HarnessScheme: Smr {
-    /// The collector's counters (ThreadScan only).
-    fn collector_stats(&self) -> Option<StatsSnapshot> {
+    /// The collector's counters and phase latency (ThreadScan only).
+    fn collector_report(&self) -> Option<CollectorReport> {
         None
     }
 
@@ -52,8 +52,11 @@ impl HarnessScheme for HazardPointers {}
 impl HarnessScheme for EpochScheme {}
 
 impl HarnessScheme for ThreadScanSmr<SignalPlatform> {
-    fn collector_stats(&self) -> Option<StatsSnapshot> {
-        Some(self.stats())
+    fn collector_report(&self) -> Option<CollectorReport> {
+        Some(CollectorReport {
+            stats: self.stats(),
+            collect_ns: self.collector().collect_latency(),
+        })
     }
 }
 

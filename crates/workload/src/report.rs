@@ -1,7 +1,8 @@
 //! Result reporting: aligned text tables (the figure series) and the
 //! JSON rows for downstream plotting.
 
-use crate::json::Value;
+use crate::json::{object, Value};
+use crate::params::SchemeKind;
 use crate::runner::RunResult;
 
 /// Collects results for one experiment and renders them.
@@ -24,6 +25,33 @@ impl Report {
     /// Adds one measured cell.
     pub fn push(&mut self, result: RunResult) {
         self.results.push(result);
+    }
+
+    /// The measured cells, in the order pushed.
+    pub fn results(&self) -> &[RunResult] {
+        &self.results
+    }
+
+    /// `r`'s p50, p99 and p999 latency, each over the Leaky row's of the
+    /// same cell (structure, threads, mix, keys and offered rate) in this
+    /// report. Scheduling lag that every scheme pays then cancels. `None`
+    /// unless both rows measured latency.
+    pub fn tail_vs_leaky(&self, r: &RunResult) -> Option<[f64; 3]> {
+        fn cell(x: &RunResult) -> (&str, usize, u32, &str, Option<f64>) {
+            let qps = x.open_loop.as_ref().map(|o| o.target_qps);
+            (&x.structure, x.threads, x.update_pct, &x.key_dist, qps)
+        }
+        let leaky = SchemeKind::Leaky.label();
+        let base = self
+            .results
+            .iter()
+            .find(|b| b.scheme == leaky && cell(b) == cell(r))?;
+        let (mine, theirs) = (r.latency.as_ref()?, base.latency.as_ref()?);
+        Some([
+            mine.p50_ns / theirs.p50_ns,
+            mine.p99_ns / theirs.p99_ns,
+            mine.p999_ns / theirs.p999_ns,
+        ])
     }
 
     /// Renders the figure as the paper presents it: one block per
@@ -75,7 +103,8 @@ impl Report {
         // Never silent: frees the reclaimer had to do itself are the
         // paced-free path degrading, so a run that had any says so.
         for r in &self.results {
-            if let Some(ts) = r.threadscan.as_ref().filter(|ts| ts.overflow_frees > 0) {
+            let stats = r.threadscan.as_ref().map(|ts| &ts.stats);
+            if let Some(ts) = stats.filter(|ts| ts.overflow_frees > 0) {
                 out.push_str(&format!(
                     "note: {}/{} threads: reclaimers freed {} of {} nodes themselves \
                      (no mailbox would take them); owners freed {}, {} of them right \
@@ -92,9 +121,21 @@ impl Report {
         out
     }
 
-    /// Every result as its JSON row, in the order pushed.
+    /// Every result as its JSON row, in the order pushed. A row with a
+    /// [`Self::tail_vs_leaky`] also carries it, as `latency_vs_leaky`:
+    /// `{"p50": …, "p99": …, "p999": …}`.
     pub fn rows(&self) -> impl Iterator<Item = Value> + '_ {
-        self.results.iter().map(RunResult::to_value)
+        self.results.iter().map(|r| {
+            let mut row = r.to_value();
+            if let (Some([p50, p99, p999]), Value::Object(members)) =
+                (self.tail_vs_leaky(r), &mut row)
+            {
+                let ratios = [("p50", p50), ("p99", p99), ("p999", p999)];
+                let ratios = object(ratios.map(|(k, v)| (k, v.into())));
+                members.insert("latency_vs_leaky".into(), ratios);
+            }
+            row
+        })
     }
 }
 
@@ -145,11 +186,14 @@ mod tests {
         rep.push(result("list", "threadscan", 2, 1.8));
         assert!(!rep.render_series().contains("note:"));
         let mut degraded = result("hash", "threadscan", 4, 2.5);
-        degraded.threadscan = Some(threadscan::StatsSnapshot {
-            freed: 1000,
-            mailbox_frees: 900,
-            alloc_frees: 850,
-            overflow_frees: 70,
+        degraded.threadscan = Some(crate::CollectorReport {
+            stats: threadscan::StatsSnapshot {
+                freed: 1000,
+                mailbox_frees: 900,
+                alloc_frees: 850,
+                overflow_frees: 70,
+                ..Default::default()
+            },
             ..Default::default()
         });
         rep.push(degraded);
@@ -224,5 +268,36 @@ mod tests {
         let v = crate::json::parse(lines.trim_end()).unwrap();
         assert_eq!(v["scheme"], "epoch");
         assert_eq!(v["threads"], 100);
+    }
+
+    /// A row whose ops took `ns` each, at `threads` threads.
+    fn open_row(scheme: &str, threads: usize, ns: u64) -> RunResult {
+        let mut hist = threadscan::Hist::new();
+        (0..100).for_each(|_| hist.record(ns));
+        let mut r = result("hash", scheme, threads, 1.0);
+        r.latency = crate::LatencySummary::from_hist(hist, ns);
+        r
+    }
+
+    #[test]
+    fn tails_divide_by_leakys_on_the_same_cell_only() {
+        let mut rep = Report::new("service_tail");
+        rep.push(open_row("leaky", 2, 1_000));
+        rep.push(open_row("threadscan", 2, 2_000));
+        rep.push(open_row("threadscan", 8, 2_000));
+        let rows: Vec<Value> = rep.rows().collect();
+        let ratio = |i: usize, q: &str| rows[i].get("latency_vs_leaky").get(q).as_f64();
+        assert_eq!(ratio(0, "p99"), Some(1.0));
+        for q in ["p50", "p99", "p999"] {
+            let r = ratio(1, q).expect("a Leaky row on its cell");
+            assert!((r - 2.0).abs() < 0.07, "{q}: {r}");
+        }
+        assert_eq!(
+            rows[2].get("latency_vs_leaky"),
+            &Value::Null,
+            "no Leaky row at 8"
+        );
+        let p99_ns = rows[1].get("latency").get("p99_ns").as_f64();
+        assert!(p99_ns.is_some_and(|ns| ns > 1e3), "the absolute µs stay");
     }
 }

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Barrier, Mutex};
 use std::time::Instant;
 
-use threadscan::StatsSnapshot;
+use threadscan::{Hist, StatsSnapshot};
 use ts_smr::{Smr, SmrHandle};
 use ts_structures::ConcurrentSet;
 
@@ -66,9 +66,9 @@ pub struct RunResult {
     /// The scheme's per-handle protection-slot budget; `None` for schemes
     /// with no per-reference state (epoch, ThreadScan, leaky).
     pub protection_slots: Option<usize>,
-    /// The collector's counters over the measured window (ThreadScan
-    /// only), rendered by [`stats_json`].
-    pub threadscan: Option<StatsSnapshot>,
+    /// The collector's counters and phase latency over the measured
+    /// window (ThreadScan only), rendered by [`stats_json`].
+    pub threadscan: Option<CollectorReport>,
     /// Final bucket count, for structures with a bucket directory (the
     /// split-ordered table); `None` otherwise.
     pub bucket_count: Option<usize>,
@@ -82,21 +82,44 @@ pub struct RunResult {
     pub open_loop: Option<OpenLoopExtras>,
 }
 
-/// Renders a collector snapshot as the `threadscan` block of a result
-/// row: every counter [`StatsSnapshot::counters`] names, then the latency
+/// What a ThreadScan cell reports of its collector.
+#[derive(Debug, Clone, Default)]
+pub struct CollectorReport {
+    /// The counters ([`threadscan::Collector::stats`]).
+    pub stats: StatsSnapshot,
+    /// Every phase's latency, one record per `stats.collects`
+    /// ([`threadscan::Collector::collect_latency`]).
+    pub collect_ns: Hist,
+}
+
+impl CollectorReport {
+    /// Folds another run's report in: the counters as
+    /// [`StatsSnapshot::merge`] does, the histograms bucket by bucket.
+    pub fn merge(&mut self, other: &CollectorReport) {
+        self.stats.merge(&other.stats);
+        self.collect_ns.merge(&other.collect_ns);
+    }
+
+    /// The `q`-quantile of phase latency in µs; `None` before the first
+    /// phase.
+    pub fn collect_us(&self, q: f64) -> Option<f64> {
+        Some(self.collect_ns.quantile(q)? / 1e3)
+    }
+}
+
+/// Renders a collector report as the `threadscan` block of a result row:
+/// every counter [`StatsSnapshot::counters`] names, then the latency
 /// figures derived from them and the histogram (see [`crate::json`]).
-pub fn stats_json(st: &StatsSnapshot) -> Value {
+pub fn stats_json(report: &CollectorReport) -> Value {
+    let st = &report.stats;
     let derived = [
         ("mean_collect_us", st.mean_collect_us().into()),
         ("max_collect_us", st.max_collect_us().into()),
         ("mean_sort_us", st.mean_sort_us().into()),
-        ("collect_us_p50", st.collect_us_percentile(0.50).into()),
-        ("collect_us_p95", st.collect_us_percentile(0.95).into()),
-        ("collect_us_p99", st.collect_us_percentile(0.99).into()),
-        (
-            "collect_ns_hist",
-            st.collect_ns_hist.iter().copied().collect(),
-        ),
+        ("collect_us_p50", report.collect_us(0.50).into()),
+        ("collect_us_p95", report.collect_us(0.95).into()),
+        ("collect_us_p99", report.collect_us(0.99).into()),
+        ("collect_ns_hist", (&report.collect_ns).into()),
     ];
     object(
         st.counters()
@@ -268,7 +291,7 @@ impl SchemeFn for Combo<'_> {
         // After it, Leaky's count is intentional leakage and must not read
         // as a deficit, so it is reported as `leaked`, not
         // `outstanding_after`.
-        let threadscan = scheme.collector_stats();
+        let threadscan = scheme.collector_report();
         scheme.quiesce();
         let leaked = scheme.leaked();
         let outstanding_after = leaked.is_none().then(|| scheme.outstanding());
@@ -392,8 +415,11 @@ mod tests {
         let r = run_combo(SchemeKind::ThreadScan, &p);
         assert!(r.total_ops > 0);
         let ts = r.threadscan.expect("threadscan stats present");
-        assert!(ts.collects > 0, "phases must run under oversubscription");
-        let [p50, p95, p99] = [0.50, 0.95, 0.99].map(|q| ts.collect_us_percentile(q));
+        assert!(
+            ts.stats.collects > 0,
+            "phases must run under oversubscription"
+        );
+        let [p50, p95, p99] = [0.50, 0.95, 0.99].map(|q| ts.collect_us(q).unwrap());
         assert!(p50 > 0.0, "histogram must populate percentiles");
         assert!(p50 <= p95 && p95 <= p99);
     }
@@ -424,7 +450,7 @@ mod tests {
         for structure in StructureKind::ALL {
             let r = run_combo(SchemeKind::ThreadScan, &quick(structure, 3));
             assert!(r.total_ops > 0, "{:?} produced no ops", structure);
-            let ts = r.threadscan.expect("threadscan stats present");
+            let ts = r.threadscan.expect("threadscan stats present").stats;
             // With 20% updates and a scaled-down buffer the run may or may
             // not trigger a phase; the books must balance regardless.
             assert!(ts.freed <= ts.retired);
@@ -437,7 +463,7 @@ mod tests {
         p.ts_buffer_capacity = 64; // force frequent collects
         p.duration = Duration::from_millis(300);
         let r = run_combo(SchemeKind::ThreadScan, &p);
-        let ts = r.threadscan.unwrap();
+        let ts = r.threadscan.unwrap().stats;
         assert!(ts.collects > 0, "no reclamation phases ran");
         assert!(ts.freed > 0, "nothing was reclaimed");
         // After quiesce, outstanding should be small relative to total
@@ -644,7 +670,7 @@ mod tests {
             ],
         );
         // Every counter the collector declares is in the block, as read.
-        let st = r.threadscan.expect("a ThreadScan row");
+        let st = r.threadscan.expect("a ThreadScan row").stats;
         for (name, value) in st.counters() {
             let key = v.get("threadscan").get(name).as_f64();
             assert_eq!(key, Some(value as f64), "{name}");
@@ -703,7 +729,7 @@ mod tests {
         p.ts_buffer_capacity = 64;
         p.initial_size = 2_000;
         let r = run_combo(SchemeKind::ThreadScan, &p);
-        assert!(r.threadscan.unwrap().collects > 0);
+        assert!(r.threadscan.unwrap().stats.collects > 0);
         let outstanding = r.outstanding_after.unwrap();
         assert!(
             outstanding < 5_000,

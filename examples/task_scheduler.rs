@@ -19,7 +19,7 @@
 //! submission time* to execution — the coordinated-omission-correct
 //! number a job submitter would experience, including any time the job
 //! waited behind a reclamation phase. The demo prints p50/p99/p999 from
-//! the shared log2 histogram ([`threadscan::Hist`]).
+//! the shared log-linear histogram ([`threadscan::Hist`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -167,11 +167,9 @@ fn main() {
         let hist = hist.lock().unwrap();
         assert_eq!(hist.count(), total_jobs, "every job's latency recorded");
         println!("offered load:    poisson {qps} jobs/s");
+        let [p50, p99, p999] = [0.50, 0.99, 0.999].map(|q| hist.quantile(q).unwrap() / 1e3);
         println!(
-            "job latency:     p50 {:.1} us, p99 {:.1} us, p999 {:.1} us, max {:.1} us",
-            hist.percentile_ns(0.50) / 1e3,
-            hist.percentile_ns(0.99) / 1e3,
-            hist.percentile_ns(0.999) / 1e3,
+            "job latency:     p50 {p50:.1} us, p99 {p99:.1} us, p999 {p999:.1} us, max {:.1} us",
             max_lat_ns.load(Ordering::Relaxed) as f64 / 1e3,
         );
         println!("OK: submit-to-execute latency measured from intended arrivals");

@@ -132,7 +132,10 @@ fn tuned_buffer_reduces_collect_frequency() {
     // sibling tests retires less *and* collects less, but a phase still
     // needs a half-full buffer of either size to start.
     let batch = |p: &WorkloadParams| {
-        let ts = run_combo(SchemeKind::ThreadScan, p).threadscan.unwrap();
+        let ts = run_combo(SchemeKind::ThreadScan, p)
+            .threadscan
+            .unwrap()
+            .stats;
         assert!(
             ts.collects > 0,
             "no phase ran at capacity {}",
