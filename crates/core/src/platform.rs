@@ -19,7 +19,8 @@ use crate::session::ScanSession;
 /// Outcome of one scan round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScanOutcome {
-    /// Threads that scanned (including the reclaimer itself).
+    /// Registrations that scanned and acked, the reclaimer's own included
+    /// (a thread registered twice with the platform counts twice).
     pub threads_scanned: usize,
 }
 
@@ -54,7 +55,7 @@ pub unsafe trait Platform: Send + Sync + 'static {
 
     /// Runs one scan round on behalf of the calling (reclaimer) thread:
     /// every registered thread — including the caller — scans and acks.
-    /// Returns how many threads participated.
+    /// Returns how many registrations scanned.
     ///
     /// `reclaimer` is the caller's application/collector boundary snapshot
     /// (see [`SelfScanContext`]): platforms that scan real stacks must

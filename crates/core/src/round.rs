@@ -2,16 +2,18 @@
 //! for every platform.
 //!
 //! A [`Round`] publishes the in-flight [`ScanSession`] under a monotonic
-//! id. Each registered thread owns a [`ScanClaim`], the id of the last
-//! round it scanned in. [`Round::scan_once`] claims the open round with
+//! id. Each registration owns a [`ScanClaim`], the id of the last round
+//! it scanned in. [`Round::scan_once`] claims the open round with
 //! one CAS on that word, so of a poll, a signal handler interrupting it
 //! and a reclaimer force-scan, exactly one scans and acks; it takes no
 //! lock, allocates nothing and cannot panic. [`Round::wait`] counts acks.
 //!
 //! **Who may claim.** Every claim that can win a round must be one the
 //! reclaimer waits for, or the round may close under its scan. So a
-//! platform makes claims with [`ScanClaim::at`] under the lock that opens
-//! rounds, or registers threads only between rounds and signals them all.
+//! platform makes each registration's claim with [`ScanClaim::at`] under
+//! the lock that opens its rounds (`ts-simthread`'s record-list lock,
+//! `ts-sigscan`'s process-wide round lock), and a round counts on every
+//! record registered when it opened.
 
 use core::ptr;
 use core::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
@@ -35,17 +37,11 @@ pub struct Round {
     id: AtomicUsize,
 }
 
-/// One registered thread's claim word: the id of the last round it
-/// scanned in.
-#[derive(Default)]
+/// One registration's claim word: the id of the last round it scanned
+/// in.
 pub struct ScanClaim(AtomicUsize);
 
 impl ScanClaim {
-    /// A claim that can win the next round opened on any [`Round`].
-    pub const fn new() -> Self {
-        Self(AtomicUsize::new(0))
-    }
-
     /// A claim that cannot win the round open on `round` now, if any, but
     /// can win every later one.
     pub fn at(round: &Round) -> Self {
@@ -188,7 +184,7 @@ mod tests {
         for _ in 0..200 {
             let session = mb.session();
             let round = Round::new();
-            let claim = ScanClaim::new();
+            let claim = ScanClaim::at(&round);
             let scans = AtomicUsize::new(0);
             let barrier = std::sync::Barrier::new(2);
             unsafe { round.open(&session) };
@@ -237,7 +233,7 @@ mod tests {
         let mb = master();
         let session = mb.session();
         let round = Round::new();
-        let fresh = ScanClaim::new();
+        let fresh = ScanClaim::at(&round);
         assert!(!round.scan_once(&fresh, |_| panic!("scanned before any round")));
         unsafe { round.open(&session) };
         round.close();
@@ -252,7 +248,7 @@ mod tests {
         let mb = master();
         let session = mb.session();
         let round = Round::new();
-        let claim = ScanClaim::new();
+        let claim = ScanClaim::at(&round);
         unsafe { round.open(&session) };
         let patience = Duration::from_millis(30);
         let start = Instant::now();

@@ -100,7 +100,8 @@ counters! {
     freed: sum,
     /// Marked nodes carried into a later phase (summed over phases).
     survivors: sum,
-    /// Threads that scanned, summed over phases (== signals sent + self-scans).
+    /// Registrations that scanned and acked, summed over phases (the
+    /// reclaimer's own included; a thread registered twice counts twice).
     threads_scanned: sum,
     /// Words examined by all scans.
     words_scanned: sum,

@@ -7,9 +7,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use threadscan::{Platform, ScanOutcome, ScanSession, SelfScanContext, ThreadRoots};
+use threadscan::{Platform, Round, ScanOutcome, ScanSession, SelfScanContext, ThreadRoots};
 
-use crate::handler::{self, ROUND};
+use crate::handler;
 use crate::record::ThreadRecord;
 use crate::stackbounds::current_stack_bounds;
 
@@ -48,26 +48,28 @@ fn classify_kill(rc: libc::c_int) -> Delivery {
 ///
 /// The configured signal (default `SIGUSR1`) must be reserved for
 /// ThreadScan: application code must neither install a handler for it nor
-/// send it to threads of this process. A stray in-round signal to a
-/// registered thread would be double-counted as an acknowledgment.
+/// send it to threads of this process. A stray signal costs a handler run
+/// and, in a round, at most an early scan: each record acks a round once.
 ///
 /// # Thread discipline
 ///
 /// Every thread that accesses protected data must hold a registration
 /// (collector handle) while doing so, and must drop it before exiting.
-/// A thread that exits while registered leaves a dangling pthread id in
-/// the registry; signaling it is undefined behaviour at the OS level.
+/// A thread that exits while registered leaves a record with a dangling
+/// pthread id; signaling it is undefined behaviour at the OS level.
 pub struct SignalPlatform {
     inner: Arc<Inner>,
 }
 
 struct Inner {
     signo: libc::c_int,
-    /// Each distinct registered thread once, with its number of
-    /// registrations: the round's signal targets. Changed only under the
-    /// round lock, so a round reads it as it stood when the round began.
-    registry: Mutex<Vec<(libc::pthread_t, usize)>>,
-    rounds: AtomicUsize,
+    /// Opened under the round lock, which registrations take their claims
+    /// under: a record registered mid-round cannot ack that round.
+    round: Arc<Round>,
+    /// One record per registration: the round's signal targets. Changed
+    /// only under the round lock, so a round reads it as it stood when the
+    /// round began.
+    records: Mutex<Vec<Arc<ThreadRecord>>>,
     signals_sent: AtomicUsize,
 }
 
@@ -84,8 +86,8 @@ impl SignalPlatform {
         Ok(Self {
             inner: Arc::new(Inner {
                 signo,
-                registry: Mutex::new(Vec::new()),
-                rounds: AtomicUsize::new(0),
+                round: Arc::new(Round::new()),
+                records: Mutex::new(Vec::new()),
                 signals_sent: AtomicUsize::new(0),
             }),
         })
@@ -94,12 +96,13 @@ impl SignalPlatform {
     /// Number of current registrations (a thread registered with two
     /// collectors counts twice).
     pub fn registered_threads(&self) -> usize {
-        self.inner.registry.lock().iter().map(|&(_, n)| n).sum()
+        self.inner.records.lock().len()
     }
 
-    /// Completed scan rounds.
+    /// Scan rounds opened on this platform (each runs to completion or
+    /// panics).
     pub fn rounds(&self) -> usize {
-        self.inner.rounds.load(Ordering::Relaxed)
+        self.inner.round.id()
     }
 
     /// Total signals sent across all rounds.
@@ -128,45 +131,30 @@ impl Drop for RegistrationToken {
         // here — signals interrupt the futex wait and are handled).
         let _round = handler::round_lock();
         handler::detach_record(&self.rec);
-        let mut registry = self.inner.registry.lock();
-        let i = registry
-            .iter()
-            // SAFETY: `pthread_equal` only compares two ids.
-            .position(|&(t, _)| unsafe { libc::pthread_equal(t, self.rec.pthread) } != 0)
-            .expect("a registration token's thread is in the registry");
-        registry[i].1 -= 1;
-        if registry[i].1 == 0 {
-            registry.swap_remove(i);
-        }
+        self.inner
+            .records
+            .lock()
+            .retain(|r| !Arc::ptr_eq(r, &self.rec));
     }
 }
 
-// SAFETY: `scan_all` signals every registered thread; each handler scans
-// the full register file from `ucontext_t`, the stack from the interrupted
-// frame to its top, and all registered heap blocks, then acks once per
-// round (`ROUND`'s claim) — exactly the contract `threadscan::Platform`
-// requires. Registration changes are serialized against rounds by the
-// process-global round lock.
+// SAFETY: `scan_all` signals the thread of every registered record; each
+// handler scans, for each of its thread's records, the full register file
+// from `ucontext_t`, the stack from the interrupted frame to its top, and
+// the record's heap blocks, then acks once per record per round (the
+// record's claim) — exactly the contract `threadscan::Platform` requires.
+// Registration changes, and with them claims, are serialized against
+// rounds by the process-wide round lock.
 unsafe impl Platform for SignalPlatform {
     type ThreadToken = RegistrationToken;
 
     fn register_current(&self, roots: Arc<ThreadRoots>) -> RegistrationToken {
         let stack = current_stack_bounds()
             .expect("ThreadScan: cannot determine stack bounds for this thread");
-        let rec = Arc::new(ThreadRecord::new(stack, roots));
-        {
-            let _round = handler::round_lock();
-            handler::attach_record(&rec);
-            let mut registry = self.inner.registry.lock();
-            let me = registry
-                .iter_mut()
-                // SAFETY: `pthread_equal` only compares two ids.
-                .find(|(t, _)| unsafe { libc::pthread_equal(*t, rec.pthread) } != 0);
-            match me {
-                Some((_, registrations)) => *registrations += 1,
-                None => registry.push((rec.pthread, 1)),
-            }
-        }
+        let _round = handler::round_lock();
+        let rec = Arc::new(ThreadRecord::new(stack, roots, &self.inner.round));
+        handler::attach_record(&rec);
+        self.inner.records.lock().push(Arc::clone(&rec));
         RegistrationToken {
             inner: Arc::clone(&self.inner),
             rec,
@@ -174,38 +162,38 @@ unsafe impl Platform for SignalPlatform {
     }
 
     fn scan_all(&self, session: &ScanSession<'_>, reclaimer: &SelfScanContext) -> ScanOutcome {
-        // Serialize rounds process-wide: every collector shares `ROUND`.
+        // Serialize rounds process-wide, and against registration changes.
         let _round = handler::round_lock();
         // Registration changes wait for the round lock, so this lock only
         // keeps `registered_threads` readers out; nothing else waits on it.
-        let registry = self.inner.registry.lock();
-        if registry.is_empty() {
+        let records = self.inner.records.lock();
+        if records.is_empty() {
             // No registered threads ⇒ no thread may hold references
             // (accessors are required to register) ⇒ nothing to scan.
             return ScanOutcome { threads_scanned: 0 };
         }
-
+        let round = &self.inner.round;
         // SAFETY: the round lock serialises rounds; the round closes below
         // after every expected ack (or early, on the way to a panic).
-        unsafe { ROUND.open(session) };
+        unsafe { round.open(session) };
 
-        // Signal every *other* registered thread, once per distinct thread
-        // (the registry holds each thread once, however many registrations
-        // it carries). The reclaimer itself scans directly from its
-        // boundary context below — signaling ourselves would scan the
-        // collect machinery's own dead frames, which hold copies of every
-        // aggregated node address.
+        // Signal the thread of every record registered on *another* thread:
+        // one handler run scans all of its thread's records, and acks once
+        // for each record of this round. The reclaimer itself scans
+        // directly from its boundary context below — signaling ourselves
+        // would scan the collect machinery's own dead frames, which hold
+        // copies of every aggregated node address.
         let me = unsafe { libc::pthread_self() };
         let telemetry = session.telemetry();
         if let Some((sink, id)) = telemetry {
-            sink.event(threadscan::PhaseKind::Announce, id, registry.len() as u64);
+            sink.event(threadscan::PhaseKind::Announce, id, records.len() as u64);
         }
         let mut expected = 0usize;
-        for &(t, _) in registry.iter() {
-            if unsafe { libc::pthread_equal(t, me) } != 0 {
+        for rec in records.iter() {
+            if unsafe { libc::pthread_equal(rec.pthread, me) } != 0 {
                 continue;
             }
-            let rc = unsafe { libc::pthread_kill(t, self.inner.signo) };
+            let rc = unsafe { libc::pthread_kill(rec.pthread, self.inner.signo) };
             match classify_kill(rc) {
                 Delivery::Sent => {
                     if let Some((sink, id)) = telemetry {
@@ -215,7 +203,7 @@ unsafe impl Platform for SignalPlatform {
                 }
                 Delivery::Gone => {}
                 Delivery::Fatal => {
-                    ROUND.close();
+                    round.close();
                     panic!(
                         "ThreadScan: pthread_kill failed with error {rc}; a live thread \
                          would go unscanned"
@@ -223,28 +211,28 @@ unsafe impl Platform for SignalPlatform {
                 }
             }
         }
-        drop(registry);
+        drop(records);
         self.inner
             .signals_sent
             .fetch_add(expected, Ordering::Relaxed);
 
-        // The reclaimer's own scan (Algorithm 1 line 7): the stack above
-        // the application boundary plus the registers captured there. Its
-        // live stack would hold the collect machinery's copies of every
-        // aggregated address (`threadscan::selfscan` has the argument).
-        expected += usize::from(handler::scan_in_round(reclaimer.regs(), reclaimer.floor));
+        // The reclaimer's own scan (Algorithm 1 line 7), once per record it
+        // holds: the stack above the application boundary plus the
+        // registers captured there. Its live stack would hold the collect
+        // machinery's copies of every aggregated address
+        // (`threadscan::selfscan` has the argument).
+        expected += handler::scan_in_round(reclaimer.regs(), reclaimer.floor);
 
         // Wait for all acknowledgments (Algorithm 1, line 9).
-        ROUND.wait(session, expected, ACK_TIMEOUT, || {
-            ROUND.close();
+        round.wait(session, expected, ACK_TIMEOUT, || {
+            round.close();
             panic!(
                 "ThreadScan: {}/{expected} acks after {ACK_TIMEOUT:?}; a registered \
                  thread is unresponsive or exited without unregistering",
                 session.acks_received(),
             );
         });
-        ROUND.close();
-        self.inner.rounds.fetch_add(1, Ordering::Relaxed);
+        round.close();
         ScanOutcome {
             threads_scanned: expected,
         }
@@ -254,6 +242,7 @@ unsafe impl Platform for SignalPlatform {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stackbounds::approx_sp;
     use threadscan::{Collector, CollectorConfig};
 
     #[test]
@@ -264,6 +253,12 @@ mod tests {
         assert_eq!(classify_kill(libc::EINVAL), Delivery::Fatal);
     }
 
+    /// Whether `token`'s record is in `platform`'s record list.
+    fn listed(platform: &SignalPlatform, token: &RegistrationToken) -> bool {
+        let records = platform.inner.records.lock();
+        records.iter().any(|r| Arc::ptr_eq(r, &token.rec))
+    }
+
     #[test]
     fn register_and_unregister_maintain_registry() {
         let platform = SignalPlatform::new().unwrap();
@@ -271,6 +266,8 @@ mod tests {
         let roots = Arc::new(ThreadRoots::new(4));
         let token = platform.register_current(roots);
         assert_eq!(platform.registered_threads(), 1);
+        assert!(listed(&platform, &token));
+        assert!(Arc::ptr_eq(&token.rec.round, &platform.inner.round));
         assert_eq!(handler::attached_records(), 1);
         drop(token);
         assert_eq!(platform.registered_threads(), 0);
@@ -283,11 +280,50 @@ mod tests {
         let t1 = platform.register_current(Arc::new(ThreadRoots::new(4)));
         let t2 = platform.register_current(Arc::new(ThreadRoots::new(4)));
         assert_eq!(platform.registered_threads(), 2);
+        assert!(listed(&platform, &t1) && listed(&platform, &t2));
         assert_eq!(handler::attached_records(), 2);
         drop(t1); // out-of-order drop exercises mid-list detach
+        assert_eq!(platform.registered_threads(), 1);
+        assert!(listed(&platform, &t2));
         assert_eq!(handler::attached_records(), 1);
         drop(t2);
+        assert_eq!(platform.registered_threads(), 0);
         assert_eq!(handler::attached_records(), 0);
+    }
+
+    /// A thread acks only the rounds of platforms it holds a record of: its
+    /// handler, run in platform A's round, finds only its platform-B
+    /// record, which A's round cannot claim. B's own next round it does
+    /// scan and ack.
+    #[test]
+    fn a_round_is_acked_only_by_its_own_platforms_records() {
+        use threadscan::master::MasterBuffer;
+        use threadscan::retired::{noop_drop, Retired};
+
+        let a = SignalPlatform::new().unwrap();
+        let b = SignalPlatform::new().unwrap();
+        let _in_b = b.register_current(Arc::new(ThreadRoots::new(4)));
+        // SAFETY: a made-up address, never dereferenced or reclaimed.
+        let entries = vec![unsafe { Retired::from_raw_parts(0x10_0000, 64, noop_drop) }];
+        let master = MasterBuffer::new(entries, &CollectorConfig::default());
+        let (in_a, in_b) = (master.session(), master.session());
+        let regs = [0usize; 2];
+
+        let lock = handler::round_lock();
+        // SAFETY: the round lock keeps every other round out, and each
+        // round closes before its session is read.
+        unsafe { a.inner.round.open(&in_a) };
+        let scanned_in_a = handler::scan_in_round(&regs, approx_sp());
+        a.inner.round.close();
+        unsafe { b.inner.round.open(&in_b) };
+        let scanned_in_b = handler::scan_in_round(&regs, approx_sp());
+        b.inner.round.close();
+        drop(lock);
+
+        assert_eq!(scanned_in_a, 0, "a platform-B record scanned in A's round");
+        assert_eq!(in_a.acks_received(), 0);
+        assert_eq!(scanned_in_b, 1);
+        assert_eq!(in_b.acks_received(), 1);
     }
 
     /// Deep stack churn: overwrites the region of the stack that dead

@@ -1,7 +1,6 @@
 //! A signal round allocates nothing: `SignalPlatform::scan_all` signals
-//! straight from its registry, which registration and unregistration keep
-//! at one entry per distinct thread, instead of copying and deduplicating
-//! it every round.
+//! straight from its record list, which registration and unregistration
+//! keep, instead of copying it every round.
 //!
 //! The counting allocator counts the calling thread's allocations only,
 //! so neither the test harness nor the signalled peer shows up in the

@@ -39,8 +39,8 @@ fn retire_unheld(
 #[test]
 fn two_collectors_share_the_process_amicably() {
     // Two independent collectors (e.g. two libraries in one process) with
-    // separate registries must both reclaim; rounds serialize internally
-    // on the global session slot.
+    // separate registries must both reclaim; rounds serialize on the
+    // process-wide round lock.
     let c1 = Collector::with_config(
         SignalPlatform::new().unwrap(),
         CollectorConfig::default().with_buffer_capacity(16),
@@ -140,6 +140,53 @@ fn rounds_count_signals_accurately() {
         stop.store(true, Ordering::Relaxed);
         drop(handle);
     });
+}
+
+#[test]
+fn a_round_scans_each_of_its_registrations_and_no_other() {
+    let collector = || {
+        Collector::with_config(
+            SignalPlatform::new().unwrap(),
+            CollectorConfig::default().with_buffer_capacity(1 << 10),
+        )
+    };
+    let (a, b) = (collector(), collector());
+    let drops = Arc::new(AtomicUsize::new(0));
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    let registered = std::sync::Barrier::new(2);
+
+    // Outcomes are read inside the scope and checked after it, so a
+    // failed assertion cannot strand the spinning peer.
+    let (a_scanned, a_registrations, b_rounds, b_scanned) = std::thread::scope(|s| {
+        s.spawn(|| {
+            // Twice with A, once with B; B's buffer gets nodes for its round.
+            let _a1 = a.register();
+            let _a2 = a.register();
+            let in_b = b.register();
+            retire_unheld(&in_b, &drops, 4);
+            registered.wait();
+            while !stop.load(Ordering::Relaxed) {
+                std::hint::spin_loop();
+            }
+        });
+        let me = a.register();
+        registered.wait();
+        let (a_before, b_rounds_before) = (a.stats().threads_scanned, b.platform().rounds());
+        retire_unheld(&me, &drops, 4);
+        me.flush(); // A's round: the peer's two A records and ours
+        let a_scanned = a.stats().threads_scanned - a_before;
+        let b_rounds = b.platform().rounds() - b_rounds_before;
+        let b_before = b.stats().threads_scanned;
+        b.collect_now(); // B's round: the peer's one B record
+        let b_scanned = b.stats().threads_scanned - b_before;
+        let a_registrations = a.platform().registered_threads();
+        stop.store(true, Ordering::Relaxed);
+        (a_scanned, a_registrations, b_rounds, b_scanned)
+    });
+    assert_eq!(a_registrations, 3);
+    assert_eq!(a_scanned, a_registrations, "one scan per A registration");
+    assert_eq!(b_rounds, 0, "A's round ran no round of B");
+    assert_eq!(b_scanned, 1, "A's round consumed the peer's claim on B");
 }
 
 #[test]
