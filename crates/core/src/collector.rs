@@ -47,8 +47,7 @@ use crate::stats::{CollectorStats, StatsSnapshot};
 /// buffers but keeps their capacity, so once they have grown to a phase's
 /// size, later phases allocate nothing. Between phases they hold no
 /// records.
-#[derive(Default)]
-struct ReclaimState {
+struct ReclaimState<P: Platform> {
     /// Marked nodes from the previous phase, and the fresh records of
     /// threads that unregistered since: the next phase re-examines them.
     survivors: Vec<Retired>,
@@ -58,19 +57,22 @@ struct ReclaimState {
     /// on the forced path first the parked nodes taken back.
     reclaimable: Vec<Retired>,
     /// Each live thread's slot, with the number of records it put into
-    /// the phase: its hand-off quota.
-    slots: Vec<(Arc<ThreadSlot>, usize)>,
+    /// the phase: its hand-off quota. The slots' platform records are the
+    /// phase's scan round.
+    slots: Vec<(Arc<ThreadSlot<P>>, usize)>,
     /// Every phase's reclaimer-side latency; see
     /// [`Collector::collect_latency`].
     collect_ns: Hist,
 }
 
-/// One registered thread's two-stage delete buffer and its counters. The
-/// two stages split `buffer_capacity` in half. A retire that finds both
-/// stages together holding half of `buffer_capacity` frees a parked node
-/// before it buffers a fresh one, so the thread holds at most that many
-/// unfreed nodes across both stages.
-struct ThreadSlot {
+/// One registered thread's platform record, its two-stage delete buffer
+/// and its counters. The two stages split `buffer_capacity` in half. A
+/// retire that finds both stages together holding half of
+/// `buffer_capacity` frees a parked node before it buffers a fresh one, so
+/// the thread holds at most that many unfreed nodes across both stages.
+struct ThreadSlot<P: Platform> {
+    /// What the platform's rounds reach this thread through.
+    record: P::Record,
     /// Stage 1: retires no scan has examined yet. Filling it makes the
     /// owner the reclaimer.
     fresh: LocalBuffer,
@@ -85,10 +87,11 @@ struct ThreadSlot {
     counters: CachePadded<CollectorStats>,
 }
 
-impl ThreadSlot {
-    fn new(buffer_capacity: usize) -> Self {
+impl<P: Platform> ThreadSlot<P> {
+    fn new(buffer_capacity: usize, record: P::Record) -> Self {
         let half = buffer_capacity.next_power_of_two() / 2;
         Self {
+            record,
             fresh: LocalBuffer::new(half),
             mailbox: Mutex::new(Vec::with_capacity(half)),
             counters: CachePadded::new(CollectorStats::default()),
@@ -113,11 +116,12 @@ enum Trigger {
 pub struct Collector<P: Platform> {
     platform: Arc<P>,
     config: CollectorConfig,
-    reclaim: Mutex<ReclaimState>,
-    /// All live per-thread buffers. The fresh stages are drained and the
-    /// mailboxes filled by the reclaimer under the reclaimer lock, which
+    reclaim: Mutex<ReclaimState<P>>,
+    /// The registry: one slot per live registration, added and removed
+    /// under the reclaimer lock. The fresh stages are drained and the
+    /// mailboxes filled by the reclaimer under that lock too, which
     /// serializes those accesses.
-    slots: Mutex<Vec<Arc<ThreadSlot>>>,
+    slots: Mutex<Vec<Arc<ThreadSlot<P>>>>,
     stats: CollectorStats,
 }
 
@@ -138,7 +142,13 @@ impl<P: Platform> Collector<P> {
         Arc::new(Self {
             platform: Arc::new(platform),
             config,
-            reclaim: Mutex::new(ReclaimState::default()),
+            reclaim: Mutex::new(ReclaimState {
+                survivors: Vec::new(),
+                master: MasterBuffer::default(),
+                reclaimable: Vec::new(),
+                slots: Vec::new(),
+                collect_ns: Hist::default(),
+            }),
             slots: Mutex::new(Vec::new()),
             stats: CollectorStats::default(),
         })
@@ -146,16 +156,20 @@ impl<P: Platform> Collector<P> {
 
     /// Registers the calling thread. All threads that read or mutate the
     /// protected data structure must hold a handle while doing so.
+    ///
+    /// Waits for a phase in progress to end: the record is made and the
+    /// slot joins the registry under the reclaimer lock, so the thread is
+    /// in every later phase's round and can claim no earlier one.
     pub fn register(self: &Arc<Self>) -> ThreadHandle<P> {
-        let slot = Arc::new(ThreadSlot::new(self.config.buffer_capacity));
         let roots = Arc::new(ThreadRoots::new(MAX_HEAP_BLOCKS));
+        let _state = self.reclaim.lock();
+        let record = self.platform.register_current(Arc::clone(&roots));
+        let slot = Arc::new(ThreadSlot::new(self.config.buffer_capacity, record));
         self.slots.lock().push(Arc::clone(&slot));
-        let token = self.platform.register_current(Arc::clone(&roots));
         ThreadHandle {
             collector: Arc::clone(self),
             slot,
             roots,
-            token: Some(token),
             _not_send: PhantomData,
         }
     }
@@ -259,7 +273,7 @@ impl<P: Platform> Collector<P> {
     }
 
     /// One reclamation phase. Caller holds the reclaimer lock.
-    fn collect_locked(&self, state: &mut ReclaimState, ctx: &SelfScanContext, trigger: Trigger) {
+    fn collect_locked(&self, state: &mut ReclaimState<P>, ctx: &SelfScanContext, trigger: Trigger) {
         state
             .slots
             .extend(self.slots.lock().iter().map(|s| (Arc::clone(s), 0)));
@@ -268,7 +282,7 @@ impl<P: Platform> Collector<P> {
     }
 
     /// The body of [`Self::collect_locked`], with `state.slots` filled.
-    fn run_phase(&self, state: &mut ReclaimState, ctx: &SelfScanContext, trigger: Trigger) {
+    fn run_phase(&self, state: &mut ReclaimState<P>, ctx: &SelfScanContext, trigger: Trigger) {
         use crate::telemetry::PhaseKind;
 
         let ReclaimState {
@@ -320,7 +334,9 @@ impl<P: Platform> Collector<P> {
         session.set_telemetry(telemetry);
         let session = session;
         #[cfg(not(ts_mutate_ordering))]
-        let outcome = self.platform.scan_all(&session, ctx);
+        let outcome =
+            self.platform
+                .scan_all(&session, ctx, slots.iter().map(|(slot, _)| &slot.record));
         // Mutation check (`RUSTFLAGS="--cfg ts_mutate_ordering"`, CI's
         // explorer job): sever the scan→free ordering edge — the phase
         // frees without waiting for any thread to scan and mark, exactly
@@ -388,11 +404,13 @@ impl<P: Platform> Collector<P> {
         }
     }
 
-    fn unregister(&self, slot: &Arc<ThreadSlot>) {
+    fn unregister(&self, slot: &Arc<ThreadSlot<P>>) {
         // Serialize with any in-flight collect so that draining our buffer
-        // has a single reader. No scan has examined the fresh records, so
-        // they join the survivors the next phase re-examines.
+        // has a single reader, and so that the record leaves the platform
+        // and the registry between rounds. No scan has examined the fresh
+        // records, so they join the survivors the next phase re-examines.
         let mut state = self.reclaim.lock();
+        self.platform.unregister_current(&slot.record);
         // SAFETY: holding the reclaimer lock makes us the sole reader.
         unsafe { slot.fresh.drain_into(&mut state.survivors) };
         let parked = std::mem::take(&mut *slot.mailbox.lock());
@@ -432,9 +450,8 @@ impl<P: Platform> Drop for Collector<P> {
 /// scanned on this thread's behalf).
 pub struct ThreadHandle<P: Platform> {
     collector: Arc<Collector<P>>,
-    slot: Arc<ThreadSlot>,
+    slot: Arc<ThreadSlot<P>>,
     roots: Arc<ThreadRoots>,
-    token: Option<P::ThreadToken>,
     _not_send: PhantomData<*mut ()>,
 }
 
@@ -561,6 +578,11 @@ impl<P: Platform> ThreadHandle<P> {
         &self.collector
     }
 
+    /// This registration's platform record.
+    pub fn record(&self) -> &P::Record {
+        &self.slot.record
+    }
+
     /// Number of nodes currently waiting for a scan in the fresh stage of
     /// this thread's delete buffer.
     pub fn buffered(&self) -> usize {
@@ -602,12 +624,6 @@ fn prefetch_for_free(addr: usize) {
 impl<P: Platform> Drop for ThreadHandle<P> {
     fn drop(&mut self) {
         self.collector.unregister(&self.slot);
-        // Unregister from the platform only after the buffer is out of the
-        // registry; the reclaimer lock acquired above has been released, but
-        // any *new* collect will simply no longer signal us — and we no
-        // longer contribute roots, which is sound because this thread can
-        // only lose references by returning from the code that held them.
-        drop(self.token.take());
     }
 }
 
@@ -645,9 +661,15 @@ mod tests {
     // SAFETY (test double): the only "registered thread" root set is
     // `rooted`, which scan_all scans in full before acking.
     unsafe impl Platform for PinPlatform {
-        type ThreadToken = ();
-        fn register_current(&self, _roots: Arc<ThreadRoots>) -> Self::ThreadToken {}
-        fn scan_all(&self, session: &ScanSession<'_>, _ctx: &SelfScanContext) -> ScanOutcome {
+        type Record = ();
+        fn register_current(&self, _roots: Arc<ThreadRoots>) {}
+        fn unregister_current(&self, _record: &()) {}
+        fn scan_all<'r>(
+            &self,
+            session: &ScanSession<'_>,
+            _ctx: &SelfScanContext,
+            _records: impl ExactSizeIterator<Item = &'r ()>,
+        ) -> ScanOutcome {
             self.rounds.fetch_add(1, Ordering::SeqCst);
             session.scan_words(&self.rooted.lock());
             session.ack();
@@ -969,7 +991,7 @@ mod tests {
     }
 
     #[test]
-    fn unregistered_threads_phases_stay_in_the_latency_histogram() {
+    fn phases_of_departed_threads_stay_in_the_latency_histogram() {
         let counter = Arc::new(AtomicUsize::new(0));
         let collector = Collector::with_config(
             NullPlatform,

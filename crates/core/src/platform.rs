@@ -6,9 +6,11 @@
 //! POSIX signals and raw stack/register scanning, and `ts-simthread`
 //! implements it with shadow stacks and a deterministic virtual-signal
 //! handshake for model testing. Both run the round itself — open, claim,
-//! scan and ack once per thread, wait — through one
+//! scan and ack once per record, wait — through one
 //! [`Round`](crate::Round); a platform supplies only how a thread is
-//! reached (a signal, a poll or a force-scan) and what it scans.
+//! reached (a signal, a poll or a force-scan) and what it scans. Which
+//! threads a round reaches is the collector's to say: it keeps the one
+//! registry, and passes a round the records of its registered threads.
 
 use std::sync::Arc;
 
@@ -26,15 +28,22 @@ pub struct ScanOutcome {
 
 /// A mechanism for making every registered thread scan its private roots.
 ///
+/// The collector drives it: it calls [`Platform::register_current`] and
+/// [`Platform::unregister_current`] on the registering thread, and
+/// [`Platform::scan_all`] with the record of every thread registered with
+/// it, all three under its reclaimer lock. So a platform's rounds never
+/// overlap one another or a registration change, and every record that
+/// can claim a round is one the round is given.
+///
 /// # Safety
 ///
 /// Implementations must guarantee that when [`Platform::scan_all`] returns:
 ///
-/// 1. every thread registered with this platform at the start of the call
-///    has scanned **all** of its private root locations — its stack and
-///    register state as of some point during the call, plus every heap
-///    block in its [`ThreadRoots`] — against `session`, and
-/// 2. each such thread has called [`ScanSession::ack`] *after* finishing
+/// 1. the thread of each record passed to the call has scanned **all** of
+///    its private root locations — its stack and register state as of
+///    some point during the call, plus every heap block in the record's
+///    [`ThreadRoots`] — against `session`, and
+/// 2. has called [`ScanSession::ack`] for that record *after* finishing
 ///    its scan.
 ///
 /// Violating this allows the collector to free memory that a thread still
@@ -45,17 +54,23 @@ pub struct ScanOutcome {
 /// [`Round::wait`](crate::Round::wait) returns once every expected claim
 /// has. Its module doc says which claims a round may count on.
 pub unsafe trait Platform: Send + Sync + 'static {
-    /// Per-thread registration guard. Dropping it unregisters the thread.
-    type ThreadToken;
+    /// One registration: whatever a round needs to reach the registering
+    /// thread and what that thread scans.
+    type Record: Send + Sync;
 
-    /// Registers the calling thread for future scan rounds. `roots` carries
-    /// the thread's extra scan roots (§4.3 heap blocks); the platform adds
-    /// the stack and registers itself.
-    fn register_current(&self, roots: Arc<ThreadRoots>) -> Self::ThreadToken;
+    /// Registers the calling thread and returns its record, which can
+    /// claim every round opened after this call and none before. `roots`
+    /// carries the thread's extra scan roots (§4.3 heap blocks); the
+    /// platform adds the stack and registers itself.
+    fn register_current(&self, roots: Arc<ThreadRoots>) -> Self::Record;
+
+    /// Ends `record`'s registration, on the thread that made it and before
+    /// the record is dropped: it claims no later round.
+    fn unregister_current(&self, record: &Self::Record);
 
     /// Runs one scan round on behalf of the calling (reclaimer) thread:
-    /// every registered thread — including the caller — scans and acks.
-    /// Returns how many registrations scanned.
+    /// the thread of each of `records` — the caller among them — scans
+    /// and acks once per record. Returns how many records scanned.
     ///
     /// `reclaimer` is the caller's application/collector boundary snapshot
     /// (see [`SelfScanContext`]): platforms that scan real stacks must
@@ -63,12 +78,12 @@ pub unsafe trait Platform: Send + Sync + 'static {
     /// `reclaimer.regs()`, **not** the caller's live stack at scan time —
     /// the collect machinery's dead frames below the floor contain copies
     /// of every aggregated node address and would pin everything.
-    ///
-    /// The collector calls this while holding its reclaimer lock, so
-    /// implementations may assume rounds do not overlap *for one
-    /// collector*; rounds from different collectors sharing process-global
-    /// state (e.g. a signal handler) must be serialized internally.
-    fn scan_all(&self, session: &ScanSession<'_>, reclaimer: &SelfScanContext) -> ScanOutcome;
+    fn scan_all<'r>(
+        &self,
+        session: &ScanSession<'_>,
+        reclaimer: &SelfScanContext,
+        records: impl ExactSizeIterator<Item = &'r Self::Record>,
+    ) -> ScanOutcome;
 }
 
 /// A platform with no threads to scan: only the reclaimer itself scans
@@ -86,11 +101,18 @@ pub struct NullPlatform;
 // safety for real programs comes from not using this platform with shared
 // data structures.)
 unsafe impl Platform for NullPlatform {
-    type ThreadToken = ();
+    type Record = ();
 
-    fn register_current(&self, _roots: Arc<ThreadRoots>) -> Self::ThreadToken {}
+    fn register_current(&self, _roots: Arc<ThreadRoots>) {}
 
-    fn scan_all(&self, session: &ScanSession<'_>, _reclaimer: &SelfScanContext) -> ScanOutcome {
+    fn unregister_current(&self, _record: &()) {}
+
+    fn scan_all<'r>(
+        &self,
+        session: &ScanSession<'_>,
+        _reclaimer: &SelfScanContext,
+        _records: impl ExactSizeIterator<Item = &'r ()>,
+    ) -> ScanOutcome {
         session.ack(); // the reclaimer "scans" (nothing) and acks
         ScanOutcome { threads_scanned: 1 }
     }
@@ -110,7 +132,7 @@ mod tests {
             &CollectorConfig::default(),
         );
         let session = mb.session();
-        let outcome = NullPlatform.scan_all(&session, &SelfScanContext::empty());
+        let outcome = NullPlatform.scan_all(&session, &SelfScanContext::empty(), [&()].into_iter());
         assert_eq!(outcome.threads_scanned, 1);
         assert_eq!(session.acks_received(), 1);
         assert!(!mb.is_marked(0));

@@ -10,10 +10,11 @@
 //!
 //! **Who may claim.** Every claim that can win a round must be one the
 //! reclaimer waits for, or the round may close under its scan. So a
-//! platform makes each registration's claim with [`ScanClaim::at`] under
-//! the lock that opens its rounds (`ts-simthread`'s record-list lock,
-//! `ts-sigscan`'s process-wide round lock), and a round counts on every
-//! record registered when it opened.
+//! platform makes each registration's claim with [`ScanClaim::at`], and
+//! ends it, under the collector's reclaimer lock, which every round of
+//! that platform runs under too; and a round counts on every record the
+//! collector passes it, the records of the thread slots its phase
+//! snapshots under that lock.
 
 use core::ptr;
 use core::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};

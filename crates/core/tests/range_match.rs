@@ -21,9 +21,15 @@ struct WordPlatform {
 // SAFETY (test double): the full simulated root set is `words`, which is
 // scanned in its entirety before the ack.
 unsafe impl Platform for WordPlatform {
-    type ThreadToken = ();
-    fn register_current(&self, _roots: Arc<ThreadRoots>) -> Self::ThreadToken {}
-    fn scan_all(&self, session: &ScanSession<'_>, _ctx: &SelfScanContext) -> ScanOutcome {
+    type Record = ();
+    fn register_current(&self, _roots: Arc<ThreadRoots>) {}
+    fn unregister_current(&self, _record: &()) {}
+    fn scan_all<'r>(
+        &self,
+        session: &ScanSession<'_>,
+        _ctx: &SelfScanContext,
+        _records: impl ExactSizeIterator<Item = &'r ()>,
+    ) -> ScanOutcome {
         session.scan_words(&self.words.lock());
         session.ack();
         ScanOutcome { threads_scanned: 1 }

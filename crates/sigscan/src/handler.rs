@@ -1,10 +1,10 @@
-//! The signal handler and the process-wide round lock.
+//! The signal handler and each thread's record list.
 //!
 //! One round = one `TS-Collect` scan phase, run through
 //! [`threadscan::Round`]: the reclaimer opens its platform's round on its
-//! session and signals the thread of every record registered with that
-//! platform. Each handler invocation, like the reclaimer's self-scan, walks
-//! the calling thread's record list (`scan_in_round`) and runs one
+//! session and signals the thread of every record its collector passes
+//! in. Each handler invocation, like the reclaimer's self-scan, walks the
+//! calling thread's record list (`scan_in_round`) and runs one
 //! [`Round::scan_once`](threadscan::Round::scan_once) per record on the
 //! record's own round and claim, which
 //!
@@ -18,21 +18,26 @@
 //!
 //! Everything on this path is async-signal-safe: const-initialized TLS
 //! reads, raw memory walks, and atomics. No allocation, locks, or panics.
+//!
+//! Rounds of different platforms may overlap; nothing serialises them
+//! process-wide. A handler run for one platform's signal scans the
+//! thread's records of every platform whose round is open and unclaimed,
+//! so a reclaimer interrupted by another collector's signal between
+//! opening its own round and scanning itself scans its own record from
+//! the handler's frame: the collect machinery's dead frames below it hold
+//! copies of its aggregated addresses. That only adds false pins: the
+//! nodes stay for a later phase. Only its own thread changes a list, one
+//! store at a time, so a handler walks it as it stood before or after.
 
 use std::cell::Cell;
 use std::ptr;
+use std::sync::atomic::{compiler_fence, Ordering};
 
 use parking_lot::Mutex;
 
 use crate::record::ThreadRecord;
 use crate::stackbounds::approx_sp;
 use crate::ucontext::{capture_registers, MAX_REGS};
-
-/// Serializes rounds *and* registration changes process-wide. Held by the
-/// reclaimer for the whole broadcast-scan-ack cycle, and by threads while
-/// they register/unregister — so a record can never disappear mid-round,
-/// and every claim is made between rounds.
-static ROUND_LOCK: Mutex<()> = Mutex::new(());
 
 /// Signal numbers that already have the ThreadScan handler installed.
 static INSTALLED: Mutex<Vec<libc::c_int>> = Mutex::new(Vec::new());
@@ -42,11 +47,6 @@ thread_local! {
     /// `Drop`-free, so access never allocates and works at any point in
     /// the thread's lifetime — including inside signal handlers.
     static HEAD: Cell<*const ThreadRecord> = const { Cell::new(ptr::null()) };
-}
-
-/// Acquires the process-wide round/registration lock.
-pub(crate) fn round_lock() -> parking_lot::MutexGuard<'static, ()> {
-    ROUND_LOCK.lock()
 }
 
 /// Installs the ThreadScan handler for `signo` (idempotent).
@@ -71,30 +71,32 @@ pub(crate) fn install(signo: libc::c_int) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Links `rec` into the calling thread's record list. Caller must hold
-/// the round lock.
+/// Links `rec`, a record of the calling thread, into its record list.
 pub(crate) fn attach_record(rec: &ThreadRecord) {
     HEAD.with(|head| {
         rec.next.set(head.get());
+        // A handler may run between the two stores: it must see `rec`
+        // whole once the head points at it.
+        compiler_fence(Ordering::SeqCst);
         head.set(rec as *const ThreadRecord);
     });
 }
 
-/// Unlinks `rec` from the calling thread's record list. Caller must hold
-/// the round lock (so no round is mid-flight while the list changes).
+/// Unlinks `rec` from the calling thread's record list, if it is there.
 pub(crate) fn detach_record(rec: &ThreadRecord) {
     HEAD.with(|head| {
         let mut link = head;
-        // SAFETY: records in the list are kept alive by their tokens,
-        // which detach before dropping.
+        // SAFETY: a record is detached, on its own thread, before it is
+        // freed, so every record in the list is alive.
         while let Some(cur) = unsafe { link.get().as_ref() } {
             if ptr::eq(cur, rec) {
                 link.set(rec.next.get());
+                // No handler run after this point reaches `rec`.
+                compiler_fence(Ordering::SeqCst);
                 return;
             }
             link = &cur.next;
         }
-        debug_assert!(false, "detach_record: record not found in TLS list");
     });
 }
 
@@ -106,8 +108,8 @@ pub(crate) fn scan_in_round(regs: &[usize], floor: usize) -> usize {
     HEAD.with(|head| {
         let mut scanned = 0;
         let mut cur = head.get();
-        // SAFETY: list records stay alive for the duration of a round
-        // (unregistration takes the round lock).
+        // SAFETY: a record is detached, on this thread, before it is freed,
+        // and this handler run ends before the code it interrupted resumes.
         while let Some(rec) = unsafe { cur.as_ref() } {
             scanned += usize::from(rec.round.scan_once(&rec.claim, |session| {
                 session.scan_words(regs);
@@ -139,11 +141,17 @@ pub(crate) extern "C" fn ts_signal_handler(
     scan_in_round(&regs[..n], approx_sp());
 }
 
+/// The head of the calling thread's record list.
+#[cfg(test)]
+pub(crate) fn first_record() -> *const ThreadRecord {
+    HEAD.with(Cell::get)
+}
+
 /// Number of records attached to the calling thread.
 #[cfg(test)]
 pub(crate) fn attached_records() -> usize {
     let mut n = 0;
-    let mut cur = HEAD.with(Cell::get);
+    let mut cur = first_record();
     while let Some(rec) = unsafe { cur.as_ref() } {
         n += 1;
         cur = rec.next.get();

@@ -36,5 +36,5 @@ pub mod ucontext;
 
 mod platform;
 
-pub use platform::{RegistrationToken, SignalPlatform};
+pub use platform::SignalPlatform;
 pub use stackbounds::{current_stack_bounds, StackBounds};

@@ -6,7 +6,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use threadscan::{Platform, Round, ScanOutcome, ScanSession, SelfScanContext, ThreadRoots};
 
 use crate::handler;
@@ -49,7 +48,8 @@ fn classify_kill(rc: libc::c_int) -> Delivery {
 /// The configured signal (default `SIGUSR1`) must be reserved for
 /// ThreadScan: application code must neither install a handler for it nor
 /// send it to threads of this process. A stray signal costs a handler run
-/// and, in a round, at most an early scan: each record acks a round once.
+/// and, in a round, at most an early scan: each record acks a round once,
+/// and the round waits for each of its records whoever scans it.
 ///
 /// # Thread discipline
 ///
@@ -58,18 +58,11 @@ fn classify_kill(rc: libc::c_int) -> Delivery {
 /// A thread that exits while registered leaves a record with a dangling
 /// pthread id; signaling it is undefined behaviour at the OS level.
 pub struct SignalPlatform {
-    inner: Arc<Inner>,
-}
-
-struct Inner {
     signo: libc::c_int,
-    /// Opened under the round lock, which registrations take their claims
-    /// under: a record registered mid-round cannot ack that round.
+    /// Opened under the collector's reclaimer lock, which registrations
+    /// take their claims under: a record registered mid-round cannot ack
+    /// that round.
     round: Arc<Round>,
-    /// One record per registration: the round's signal targets. Changed
-    /// only under the round lock, so a round reads it as it stood when the
-    /// round began.
-    records: Mutex<Vec<Arc<ThreadRecord>>>,
     signals_sent: AtomicUsize,
 }
 
@@ -84,97 +77,68 @@ impl SignalPlatform {
     pub fn with_signal(signo: libc::c_int) -> io::Result<Self> {
         handler::install(signo)?;
         Ok(Self {
-            inner: Arc::new(Inner {
-                signo,
-                round: Arc::new(Round::new()),
-                records: Mutex::new(Vec::new()),
-                signals_sent: AtomicUsize::new(0),
-            }),
+            signo,
+            round: Arc::new(Round::new()),
+            signals_sent: AtomicUsize::new(0),
         })
-    }
-
-    /// Number of current registrations (a thread registered with two
-    /// collectors counts twice).
-    pub fn registered_threads(&self) -> usize {
-        self.inner.records.lock().len()
     }
 
     /// Scan rounds opened on this platform (each runs to completion or
     /// panics).
     pub fn rounds(&self) -> usize {
-        self.inner.round.id()
+        self.round.id()
     }
 
     /// Total signals sent across all rounds.
     pub fn signals_sent(&self) -> usize {
-        self.inner.signals_sent.load(Ordering::Relaxed)
+        self.signals_sent.load(Ordering::Relaxed)
     }
 
     /// The signal number in use.
     pub fn signal(&self) -> libc::c_int {
-        self.inner.signo
+        self.signo
     }
 }
 
-/// RAII registration; dropping it unregisters the thread. Produced by
-/// `Collector::register` via [`Platform::register_current`].
-pub struct RegistrationToken {
-    inner: Arc<Inner>,
-    rec: Arc<ThreadRecord>,
-}
-
-impl Drop for RegistrationToken {
-    fn drop(&mut self) {
-        // The round lock guarantees no scan is mid-flight while this
-        // thread's record disappears (an in-flight round has either
-        // already received our handler's ack or will get it while we block
-        // here — signals interrupt the futex wait and are handled).
-        let _round = handler::round_lock();
-        handler::detach_record(&self.rec);
-        self.inner
-            .records
-            .lock()
-            .retain(|r| !Arc::ptr_eq(r, &self.rec));
-    }
-}
-
-// SAFETY: `scan_all` signals the thread of every registered record; each
-// handler scans, for each of its thread's records, the full register file
-// from `ucontext_t`, the stack from the interrupted frame to its top, and
-// the record's heap blocks, then acks once per record per round (the
-// record's claim) — exactly the contract `threadscan::Platform` requires.
-// Registration changes, and with them claims, are serialized against
-// rounds by the process-wide round lock.
+// SAFETY: `scan_all` signals the thread of every record it is given on
+// another thread and self-scans the caller's; each handler scans, for each
+// of its thread's records, the full register file from `ucontext_t`, the
+// stack from the interrupted frame to its top, and the record's heap
+// blocks, then acks once per record per round (the record's claim). The
+// round waits for one ack per record it was given — exactly the contract
+// `threadscan::Platform` requires. The collector's reclaimer lock orders
+// registration changes, and with them claims, against this platform's
+// rounds; rounds of other platforms touch only their own claims.
 unsafe impl Platform for SignalPlatform {
-    type ThreadToken = RegistrationToken;
+    type Record = Box<ThreadRecord>;
 
-    fn register_current(&self, roots: Arc<ThreadRoots>) -> RegistrationToken {
+    fn register_current(&self, roots: Arc<ThreadRoots>) -> Box<ThreadRecord> {
         let stack = current_stack_bounds()
             .expect("ThreadScan: cannot determine stack bounds for this thread");
-        let _round = handler::round_lock();
-        let rec = Arc::new(ThreadRecord::new(stack, roots, &self.inner.round));
+        let rec = Box::new(ThreadRecord::new(stack, roots, &self.round));
         handler::attach_record(&rec);
-        self.inner.records.lock().push(Arc::clone(&rec));
-        RegistrationToken {
-            inner: Arc::clone(&self.inner),
-            rec,
-        }
+        rec
     }
 
-    fn scan_all(&self, session: &ScanSession<'_>, reclaimer: &SelfScanContext) -> ScanOutcome {
-        // Serialize rounds process-wide, and against registration changes.
-        let _round = handler::round_lock();
-        // Registration changes wait for the round lock, so this lock only
-        // keeps `registered_threads` readers out; nothing else waits on it.
-        let records = self.inner.records.lock();
-        if records.is_empty() {
+    fn unregister_current(&self, record: &Box<ThreadRecord>) {
+        handler::detach_record(record);
+    }
+
+    fn scan_all<'r>(
+        &self,
+        session: &ScanSession<'_>,
+        reclaimer: &SelfScanContext,
+        records: impl ExactSizeIterator<Item = &'r Box<ThreadRecord>>,
+    ) -> ScanOutcome {
+        if records.len() == 0 {
             // No registered threads ⇒ no thread may hold references
             // (accessors are required to register) ⇒ nothing to scan.
             return ScanOutcome { threads_scanned: 0 };
         }
-        let round = &self.inner.round;
-        // SAFETY: the round lock serialises rounds; the round closes below
-        // after every expected ack (or early, on the way to a panic).
+        let round = &self.round;
+        // SAFETY: the collector's reclaimer lock serialises this
+        // platform's rounds; the round closes below after every expected
+        // ack (or early, on the way to a panic).
         unsafe { round.open(session) };
 
         // Signal the thread of every record registered on *another* thread:
@@ -188,18 +152,19 @@ unsafe impl Platform for SignalPlatform {
         if let Some((sink, id)) = telemetry {
             sink.event(threadscan::PhaseKind::Announce, id, records.len() as u64);
         }
-        let mut expected = 0usize;
-        for rec in records.iter() {
+        let (mut sent, mut mine) = (0usize, 0usize);
+        for rec in records {
             if unsafe { libc::pthread_equal(rec.pthread, me) } != 0 {
+                mine += 1;
                 continue;
             }
-            let rc = unsafe { libc::pthread_kill(rec.pthread, self.inner.signo) };
+            let rc = unsafe { libc::pthread_kill(rec.pthread, self.signo) };
             match classify_kill(rc) {
                 Delivery::Sent => {
                     if let Some((sink, id)) = telemetry {
-                        sink.event(threadscan::PhaseKind::SignalSent, id, expected as u64);
+                        sink.event(threadscan::PhaseKind::SignalSent, id, sent as u64);
                     }
-                    expected += 1;
+                    sent += 1;
                 }
                 Delivery::Gone => {}
                 Delivery::Fatal => {
@@ -211,17 +176,17 @@ unsafe impl Platform for SignalPlatform {
                 }
             }
         }
-        drop(records);
-        self.inner
-            .signals_sent
-            .fetch_add(expected, Ordering::Relaxed);
+        self.signals_sent.fetch_add(sent, Ordering::Relaxed);
 
         // The reclaimer's own scan (Algorithm 1 line 7), once per record it
         // holds: the stack above the application boundary plus the
         // registers captured there. Its live stack would hold the collect
         // machinery's copies of every aggregated address
-        // (`threadscan::selfscan` has the argument).
-        expected += handler::scan_in_round(reclaimer.regs(), reclaimer.floor);
+        // (`threadscan::selfscan` has the argument). A handler run on this
+        // thread since the round opened may have scanned some of them
+        // already; each acks once either way, so the round counts them all.
+        handler::scan_in_round(reclaimer.regs(), reclaimer.floor);
+        let expected = sent + mine;
 
         // Wait for all acknowledgments (Algorithm 1, line 9).
         round.wait(session, expected, ACK_TIMEOUT, || {
@@ -253,41 +218,47 @@ mod tests {
         assert_eq!(classify_kill(libc::EINVAL), Delivery::Fatal);
     }
 
-    /// Whether `token`'s record is in `platform`'s record list.
-    fn listed(platform: &SignalPlatform, token: &RegistrationToken) -> bool {
-        let records = platform.inner.records.lock();
-        records.iter().any(|r| Arc::ptr_eq(r, &token.rec))
+    /// Whether `rec` is in the calling thread's record list.
+    fn listed(rec: &ThreadRecord) -> bool {
+        let mut cur = handler::first_record();
+        while let Some(r) = unsafe { cur.as_ref() } {
+            if std::ptr::eq(r, rec) {
+                return true;
+            }
+            cur = r.next.get();
+        }
+        false
     }
 
     #[test]
     fn register_and_unregister_maintain_registry() {
         let platform = SignalPlatform::new().unwrap();
-        assert_eq!(platform.registered_threads(), 0);
+        assert_eq!(handler::attached_records(), 0);
         let roots = Arc::new(ThreadRoots::new(4));
-        let token = platform.register_current(roots);
-        assert_eq!(platform.registered_threads(), 1);
-        assert!(listed(&platform, &token));
-        assert!(Arc::ptr_eq(&token.rec.round, &platform.inner.round));
+        let rec = platform.register_current(roots);
         assert_eq!(handler::attached_records(), 1);
-        drop(token);
-        assert_eq!(platform.registered_threads(), 0);
+        assert!(listed(&rec));
+        assert!(Arc::ptr_eq(&rec.round, &platform.round));
+        platform.unregister_current(&rec);
+        assert!(!listed(&rec));
+        assert_eq!(handler::attached_records(), 0);
+        drop(rec);
         assert_eq!(handler::attached_records(), 0);
     }
 
     #[test]
     fn multiple_registrations_per_thread_stack() {
         let platform = SignalPlatform::new().unwrap();
-        let t1 = platform.register_current(Arc::new(ThreadRoots::new(4)));
-        let t2 = platform.register_current(Arc::new(ThreadRoots::new(4)));
-        assert_eq!(platform.registered_threads(), 2);
-        assert!(listed(&platform, &t1) && listed(&platform, &t2));
+        let r1 = platform.register_current(Arc::new(ThreadRoots::new(4)));
+        let r2 = platform.register_current(Arc::new(ThreadRoots::new(4)));
         assert_eq!(handler::attached_records(), 2);
-        drop(t1); // out-of-order drop exercises mid-list detach
-        assert_eq!(platform.registered_threads(), 1);
-        assert!(listed(&platform, &t2));
+        assert!(listed(&r1) && listed(&r2));
+        platform.unregister_current(&r1); // out of order: mid-list detach
         assert_eq!(handler::attached_records(), 1);
-        drop(t2);
-        assert_eq!(platform.registered_threads(), 0);
+        assert!(!listed(&r1) && listed(&r2));
+        drop(r1);
+        // A record dropped without unregistering leaves the list as well.
+        drop(r2);
         assert_eq!(handler::attached_records(), 0);
     }
 
@@ -302,28 +273,132 @@ mod tests {
 
         let a = SignalPlatform::new().unwrap();
         let b = SignalPlatform::new().unwrap();
-        let _in_b = b.register_current(Arc::new(ThreadRoots::new(4)));
+        let b_record = b.register_current(Arc::new(ThreadRoots::new(4)));
         // SAFETY: a made-up address, never dereferenced or reclaimed.
         let entries = vec![unsafe { Retired::from_raw_parts(0x10_0000, 64, noop_drop) }];
         let master = MasterBuffer::new(entries, &CollectorConfig::default());
         let (in_a, in_b) = (master.session(), master.session());
         let regs = [0usize; 2];
 
-        let lock = handler::round_lock();
-        // SAFETY: the round lock keeps every other round out, and each
+        // SAFETY: nothing else opens these two platforms' rounds, and each
         // round closes before its session is read.
-        unsafe { a.inner.round.open(&in_a) };
+        unsafe { a.round.open(&in_a) };
         let scanned_in_a = handler::scan_in_round(&regs, approx_sp());
-        a.inner.round.close();
-        unsafe { b.inner.round.open(&in_b) };
+        a.round.close();
+        unsafe { b.round.open(&in_b) };
         let scanned_in_b = handler::scan_in_round(&regs, approx_sp());
-        b.inner.round.close();
-        drop(lock);
+        b.round.close();
+        b.unregister_current(&b_record);
 
         assert_eq!(scanned_in_a, 0, "a platform-B record scanned in A's round");
         assert_eq!(in_a.acks_received(), 0);
         assert_eq!(scanned_in_b, 1);
         assert_eq!(in_b.acks_received(), 1);
+    }
+
+    /// Blocks (`block`) or unblocks `signo` on the calling thread.
+    fn mask_signal(signo: libc::c_int, block: bool) {
+        extern "C" {
+            fn sigaddset(set: *mut libc::sigset_t, signo: libc::c_int) -> libc::c_int;
+            fn pthread_sigmask(
+                how: libc::c_int,
+                set: *const libc::sigset_t,
+                old: *mut libc::sigset_t,
+            ) -> libc::c_int;
+        }
+        // glibc's SIG_BLOCK and SIG_UNBLOCK.
+        let how = if block { 0 } else { 1 };
+        // SAFETY: `set` is a local sigset the two calls initialise and
+        // read; changing the mask affects only the calling thread.
+        unsafe {
+            let mut set: libc::sigset_t = std::mem::zeroed();
+            libc::sigemptyset(&mut set);
+            sigaddset(&mut set, signo);
+            assert_eq!(pthread_sigmask(how, &set, std::ptr::null_mut()), 0);
+        }
+    }
+
+    /// Raises its flag when dropped, so the flooder stops however the
+    /// scope is left.
+    struct StopOnDrop<'a>(&'a std::sync::atomic::AtomicBool);
+
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+
+    /// A handler run on the reclaimer between the round's opening and its
+    /// self-scan wins the reclaimer's own claim and acks. The round must
+    /// still count that record and wait for its peer, here one whose
+    /// signal stays blocked for `HOLD`, while a third thread keeps
+    /// signalling the reclaimer. A round that counted only the records its
+    /// self-scan won would return with one ack, before the peer scanned.
+    #[test]
+    fn a_round_waits_for_its_peers_when_a_handler_wins_the_reclaimers_claim() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::{Barrier, OnceLock};
+        use threadscan::master::MasterBuffer;
+        use threadscan::retired::{noop_drop, Retired};
+
+        const ROUNDS: usize = 16;
+        const HOLD: Duration = Duration::from_millis(20);
+        let platform = SignalPlatform::new().unwrap();
+        let mine = platform.register_current(Arc::new(ThreadRoots::new(4)));
+        // SAFETY: a made-up address, never dereferenced or reclaimed.
+        let entries = vec![unsafe { Retired::from_raw_parts(0x10_0000, 64, noop_drop) }];
+        let master = MasterBuffer::new(entries, &CollectorConfig::default());
+        let sessions: Vec<_> = (0..ROUNDS).map(|_| master.session()).collect();
+        let ctx = SelfScanContext::empty();
+        let me = unsafe { libc::pthread_self() };
+        let peer = OnceLock::new();
+        let (released, stop) = (AtomicBool::new(false), AtomicBool::new(false));
+        let barrier = Barrier::new(2);
+
+        // Per round: (threads_scanned, acks at return, peer released).
+        let outcomes: Vec<(usize, usize, bool)> = std::thread::scope(|s| {
+            let _stop = StopOnDrop(&stop);
+            s.spawn(|| {
+                mask_signal(platform.signal(), true);
+                let _ = peer.set(platform.register_current(Arc::new(ThreadRoots::new(4))));
+                for _ in 0..ROUNDS {
+                    barrier.wait(); // the round is about to open
+                    std::thread::sleep(HOLD);
+                    released.store(true, Ordering::SeqCst);
+                    mask_signal(platform.signal(), false); // scans and acks here
+                    barrier.wait(); // the round has returned
+                    mask_signal(platform.signal(), true);
+                    released.store(false, Ordering::SeqCst);
+                }
+                platform.unregister_current(peer.get().unwrap());
+            });
+            s.spawn(|| {
+                while !stop.load(Ordering::SeqCst) {
+                    unsafe { libc::pthread_kill(me, platform.signal()) };
+                }
+            });
+            sessions
+                .iter()
+                .map(|session| {
+                    barrier.wait();
+                    let records = [&mine, peer.get().unwrap()];
+                    let scanned = platform.scan_all(session, &ctx, records.into_iter());
+                    let outcome = (
+                        scanned.threads_scanned,
+                        session.acks_received(),
+                        released.load(Ordering::SeqCst),
+                    );
+                    barrier.wait();
+                    outcome
+                })
+                .collect()
+        });
+        platform.unregister_current(&mine);
+        assert_eq!(
+            outcomes,
+            vec![(2, 2, true); ROUNDS],
+            "a round returned before its peer scanned"
+        );
     }
 
     /// Deep stack churn: overwrites the region of the stack that dead

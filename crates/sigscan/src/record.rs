@@ -3,9 +3,11 @@
 //! Each `Collector::register` call on a thread produces one
 //! [`ThreadRecord`]: the thread's pthread id, its stack bounds, the
 //! collector-specific extra roots (§4.3 heap blocks) and its claim on its
-//! platform's round. Records are linked into a thread-local list that the
-//! signal handler walks; each record scans the stack, the registers and
-//! its own heap blocks and acks once per round of its own platform.
+//! platform's round. The collector's registry holds the record, boxed:
+//! the thread-local list that the signal handler walks points at it, so
+//! its address must not change. Each record scans the stack, the
+//! registers and its own heap blocks and acks once per round of its own
+//! platform.
 
 use std::cell::Cell;
 use std::sync::Arc;
@@ -41,9 +43,9 @@ unsafe impl Send for ThreadRecord {}
 unsafe impl Sync for ThreadRecord {}
 
 impl ThreadRecord {
-    /// A record of the calling thread. The caller holds the lock that
-    /// opens `round`, so the claim can win every later round and no open
-    /// one.
+    /// A record of the calling thread. The caller holds the collector's
+    /// reclaimer lock, which orders `round`'s openings against this call,
+    /// so the claim can win every later round and no open one.
     pub(crate) fn new(stack: StackBounds, roots: Arc<ThreadRoots>, round: &Arc<Round>) -> Self {
         Self {
             pthread: unsafe { libc::pthread_self() },
@@ -53,6 +55,14 @@ impl ThreadRecord {
             round: Arc::clone(round),
             next: Cell::new(std::ptr::null()),
         }
+    }
+}
+
+impl Drop for ThreadRecord {
+    fn drop(&mut self) {
+        // Unregistration detached it already; this keeps a record dropped
+        // on its own thread without one from dangling in the list.
+        crate::handler::detach_record(self);
     }
 }
 

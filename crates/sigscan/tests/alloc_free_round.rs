@@ -1,6 +1,6 @@
 //! A signal round allocates nothing: `SignalPlatform::scan_all` signals
-//! straight from its record list, which registration and unregistration
-//! keep, instead of copying it every round.
+//! straight from the records its caller passes in, instead of copying
+//! them every round.
 //!
 //! The counting allocator counts the calling thread's allocations only,
 //! so neither the test harness nor the signalled peer shows up in the
@@ -9,7 +9,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, OnceLock};
 
 use threadscan::master::MasterBuffer;
 use threadscan::retired::{noop_drop, Retired};
@@ -76,7 +76,7 @@ impl Drop for StopOnDrop<'_> {
 fn scan_all_rounds_allocate_nothing() {
     const ROUNDS: usize = 20;
     let platform = SignalPlatform::new().unwrap();
-    let _me = platform.register_current(Arc::new(ThreadRoots::new(MAX_HEAP_BLOCKS)));
+    let me = platform.register_current(Arc::new(ThreadRoots::new(MAX_HEAP_BLOCKS)));
     let entries = (1..=8)
         // SAFETY: made-up addresses, never dereferenced or reclaimed.
         .map(|i| unsafe { Retired::from_raw_parts(0x10_0000 * i, 64, noop_drop) })
@@ -88,24 +88,31 @@ fn scan_all_rounds_allocate_nothing() {
     let ctx = capture_context();
     let mut scanned = [0usize; ROUNDS];
     let (stop, registered) = (AtomicBool::new(false), Barrier::new(2));
+    let peer = OnceLock::new();
 
     let allocations = std::thread::scope(|s| {
         let _stop = StopOnDrop(&stop);
         s.spawn(|| {
-            let _peer = platform.register_current(Arc::new(ThreadRoots::new(MAX_HEAP_BLOCKS)));
+            let _ =
+                peer.set(platform.register_current(Arc::new(ThreadRoots::new(MAX_HEAP_BLOCKS))));
             registered.wait();
             // Busy: every round interrupts a running thread.
             while !stop.load(Ordering::Relaxed) {
                 std::hint::spin_loop();
             }
+            platform.unregister_current(peer.get().unwrap());
         });
         registered.wait();
+        let records = [&me, peer.get().unwrap()];
         allocations_during(|| {
             for (session, scanned) in sessions.iter().zip(&mut scanned) {
-                *scanned = platform.scan_all(session, &ctx).threads_scanned;
+                *scanned = platform
+                    .scan_all(session, &ctx, records.into_iter())
+                    .threads_scanned;
             }
         })
     });
+    platform.unregister_current(&me);
     assert_eq!(scanned, [2; ROUNDS], "the peer and the reclaimer itself");
     assert_eq!(platform.rounds(), ROUNDS);
     assert_eq!(allocations, 0, "{ROUNDS} signal rounds allocated");

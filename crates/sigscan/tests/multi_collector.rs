@@ -1,8 +1,9 @@
 //! Process-global concerns of the signal platform: multiple collectors,
-//! custom signals, and round serialization.
+//! custom signals, and rounds of different collectors overlapping.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
+use std::time::Duration;
 
 use threadscan::{Collector, CollectorConfig};
 use ts_sigscan::SignalPlatform;
@@ -39,8 +40,8 @@ fn retire_unheld(
 #[test]
 fn two_collectors_share_the_process_amicably() {
     // Two independent collectors (e.g. two libraries in one process) with
-    // separate registries must both reclaim; rounds serialize on the
-    // process-wide round lock.
+    // separate registries must both reclaim. Their rounds may overlap:
+    // each waits only for its own registrations' acks.
     let c1 = Collector::with_config(
         SignalPlatform::new().unwrap(),
         CollectorConfig::default().with_buffer_capacity(16),
@@ -78,6 +79,107 @@ fn two_collectors_share_the_process_amicably() {
     assert_eq!(d2.load(Ordering::SeqCst), 2 * 40 * 8);
 }
 
+/// Publishes a fresh probe's address in `slot` from a frame that dies on
+/// return, so the caller's frames never hold it.
+#[inline(never)]
+fn publish_probe(slot: &AtomicUsize, drops: &Arc<AtomicUsize>) {
+    slot.store(probe(drops) as usize, Ordering::SeqCst);
+}
+
+/// Retires the probe published in `slot`, again from a dying frame.
+#[inline(never)]
+fn retire_published(handle: &threadscan::ThreadHandle<SignalPlatform>, slot: &AtomicUsize) {
+    // SAFETY: the probe is unlinked from `slot` here and retired once;
+    // only the peer's stack still holds it.
+    unsafe { handle.retire(slot.swap(0, Ordering::SeqCst) as *mut Probe) };
+}
+
+/// Holds the probe published in `slot` on this stack while `work` runs,
+/// then reads through it.
+#[inline(never)]
+fn hold_while(slot: &AtomicUsize, barrier: &Barrier, work: impl FnOnce()) -> u64 {
+    let held = std::hint::black_box(slot.load(Ordering::SeqCst) as *const Probe);
+    barrier.wait(); // both hold the other's probe
+    work();
+    barrier.wait(); // both flush loops are done
+                    // SAFETY: a probe held on a registered thread's stack is never freed.
+    unsafe { (*std::hint::black_box(held))._pad[0] }
+}
+
+#[test]
+fn overlapping_rounds_of_two_collectors_wait_only_for_their_own() {
+    // Two collectors and two threads, each registered with both. Thread i
+    // flushes collector i in a loop while thread 1 − i holds one of
+    // collector i's probes on its stack, so each reclaimer takes the other
+    // collector's signal while it waits for its own round's acks.
+    const FLUSHES: usize = 200;
+    const BOUND: Duration = Duration::from_secs(60);
+    let (done, outcome) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let collectors: [_; 2] = std::array::from_fn(|_| {
+            Collector::with_config(
+                SignalPlatform::new().unwrap(),
+                CollectorConfig::default().with_buffer_capacity(1 << 10),
+            )
+        });
+        let drops: [_; 2] = std::array::from_fn(|_| Arc::new(AtomicUsize::new(0)));
+        let slots: [_; 2] = std::array::from_fn(|_| AtomicUsize::new(0));
+        let barrier = Barrier::new(2);
+        // Per collector: (rounds, registrations scanned, probe freed while
+        // held, value read through the held probe).
+        let outcomes: Vec<(usize, usize, bool, u64)> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..2)
+                .map(|i| {
+                    let (collectors, drops, slots, barrier) =
+                        (&collectors, &drops, &slots, &barrier);
+                    s.spawn(move || {
+                        let handles = [collectors[0].register(), collectors[1].register()];
+                        publish_probe(&slots[i], &drops[i]);
+                        barrier.wait(); // both published
+                        let before = collectors[i].stats();
+                        let mut freed_while_held = false;
+                        let read = hold_while(&slots[1 - i], barrier, || {
+                            retire_published(&handles[i], &slots[i]);
+                            for _ in 0..FLUSHES {
+                                handles[i].flush();
+                                freed_while_held |= drops[i].load(Ordering::SeqCst) > 0;
+                            }
+                        });
+                        let after = collectors[i].stats();
+                        (
+                            after.collects - before.collects,
+                            after.threads_scanned - before.threads_scanned,
+                            freed_while_held,
+                            read,
+                        )
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        let _ = done.send(outcomes);
+    });
+    let outcomes = outcome
+        .recv_timeout(BOUND)
+        .expect("the overlapping rounds did not finish within the bound");
+    for (i, &(rounds, scanned, freed_while_held, read)) in outcomes.iter().enumerate() {
+        assert!(
+            !freed_while_held,
+            "collector {i} freed a probe its peer held"
+        );
+        assert_eq!(read, 0, "the held probe of collector {i} was readable");
+        // The held probe survives every phase, so every flush ran a round,
+        // and each round scanned no more than the collector's two
+        // registrations: all of them, every time.
+        assert_eq!(rounds, FLUSHES, "collector {i}");
+        assert_eq!(
+            scanned,
+            2 * rounds,
+            "collector {i}: one scan per registration"
+        );
+    }
+}
+
 #[test]
 fn custom_realtime_signal_works() {
     // Using SIGRTMIN+3 keeps SIGUSR1 free for the application.
@@ -110,23 +212,24 @@ fn rounds_count_signals_accurately() {
     );
     let drops = Arc::new(AtomicUsize::new(0));
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let registered = Arc::new(std::sync::Barrier::new(3));
 
     std::thread::scope(|s| {
         // Two peer threads that stay registered during the rounds.
         for _ in 0..2 {
             let collector = Arc::clone(&collector);
             let stop = Arc::clone(&stop);
+            let registered = Arc::clone(&registered);
             s.spawn(move || {
                 let _handle = collector.register();
+                registered.wait();
                 while !stop.load(Ordering::Relaxed) {
                     std::hint::spin_loop();
                 }
             });
         }
         let handle = collector.register();
-        while collector.platform().registered_threads() < 3 {
-            std::thread::yield_now();
-        }
+        registered.wait();
         let rounds_before = collector.platform().rounds();
         let signals_before = collector.platform().signals_sent();
         retire_unheld(&handle, &drops, 4);
@@ -155,9 +258,12 @@ fn a_round_scans_each_of_its_registrations_and_no_other() {
     let stop = std::sync::atomic::AtomicBool::new(false);
     let registered = std::sync::Barrier::new(2);
 
+    // The peer's two A registrations and the main thread's one.
+    const A_REGISTRATIONS: usize = 3;
+
     // Outcomes are read inside the scope and checked after it, so a
     // failed assertion cannot strand the spinning peer.
-    let (a_scanned, a_registrations, b_rounds, b_scanned) = std::thread::scope(|s| {
+    let (a_scanned, b_rounds, b_scanned) = std::thread::scope(|s| {
         s.spawn(|| {
             // Twice with A, once with B; B's buffer gets nodes for its round.
             let _a1 = a.register();
@@ -179,12 +285,10 @@ fn a_round_scans_each_of_its_registrations_and_no_other() {
         let b_before = b.stats().threads_scanned;
         b.collect_now(); // B's round: the peer's one B record
         let b_scanned = b.stats().threads_scanned - b_before;
-        let a_registrations = a.platform().registered_threads();
         stop.store(true, Ordering::Relaxed);
-        (a_scanned, a_registrations, b_rounds, b_scanned)
+        (a_scanned, b_rounds, b_scanned)
     });
-    assert_eq!(a_registrations, 3);
-    assert_eq!(a_scanned, a_registrations, "one scan per A registration");
+    assert_eq!(a_scanned, A_REGISTRATIONS, "one scan per A registration");
     assert_eq!(b_rounds, 0, "A's round ran no round of B");
     assert_eq!(b_scanned, 1, "A's round consumed the peer's claim on B");
 }

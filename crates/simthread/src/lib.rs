@@ -36,4 +36,4 @@ pub mod virtsig;
 
 pub use model::{run_model, run_model_with, ModelConfig, ModelMachine, ModelReport};
 pub use shadow::ShadowStack;
-pub use virtsig::{SimPlatform, SimRecord, SimToken};
+pub use virtsig::{SimPlatform, SimRecord};

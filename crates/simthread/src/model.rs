@@ -177,8 +177,9 @@ impl ModelMachine {
         let handles: Vec<_> = (0..config.sim_threads)
             .map(|_| collector.register())
             .collect();
-        let shadows: Vec<_> = (0..config.sim_threads)
-            .map(|i| platform.shadow(i))
+        let shadows: Vec<_> = handles
+            .iter()
+            .map(|h| Arc::clone(h.record().shadow()))
             .collect();
 
         // §4.3 heap blocks: one registered block of `heap_block_cells`

@@ -2,7 +2,10 @@
 //!
 //! Substitutes the OS mechanism with an in-process handshake over
 //! [`ShadowStack`] root regions, run through [`threadscan::Round`] as the
-//! signal platform's rounds are. The reclaimer opens a round and waits for
+//! signal platform's rounds are. The collector keeps the records, one
+//! [`SimRecord`] per registration (reach it with
+//! `ThreadHandle::record`), and passes a round those of its registered
+//! threads. The reclaimer opens the round and waits for
 //! threads to notice it at their next [`SimPlatform::poll`]; after a grace
 //! period it force-scans the laggards. The force-scan models the paper's
 //! central progress property: the OS delivers a signal to a thread no
@@ -15,7 +18,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use threadscan::{
     Platform, Round, ScanClaim, ScanOutcome, ScanSession, SelfScanContext, ThreadRoots,
 };
@@ -53,9 +55,9 @@ impl SimRecord {
 struct Inner {
     grace: Duration,
     shadow_slots: usize,
-    records: Mutex<Vec<Arc<SimRecord>>>,
-    /// Opened under the `records` lock, which registrations take their
-    /// claims under: a record registered mid-round cannot ack that round.
+    /// Opened under the collector's reclaimer lock, which registrations
+    /// take their claims under: a record registered mid-round cannot ack
+    /// that round.
     round: Round,
     rounds_completed: AtomicUsize,
     force_scans: AtomicUsize,
@@ -82,23 +84,11 @@ impl SimPlatform {
             inner: Arc::new(Inner {
                 grace,
                 shadow_slots,
-                records: Mutex::new(Vec::new()),
                 round: Round::new(),
                 rounds_completed: AtomicUsize::new(0),
                 force_scans: AtomicUsize::new(0),
             }),
         }
-    }
-
-    /// Records registered so far, in registration order. Records of dropped
-    /// registrations are removed.
-    pub fn records(&self) -> Vec<Arc<SimRecord>> {
-        self.inner.records.lock().clone()
-    }
-
-    /// The `i`-th live record's shadow stack (registration order).
-    pub fn shadow(&self, i: usize) -> Arc<ShadowStack> {
-        Arc::clone(self.inner.records.lock()[i].shadow())
     }
 
     /// Completed scan rounds.
@@ -122,66 +112,42 @@ impl SimPlatform {
     }
 }
 
-/// RAII registration for the simulated platform.
-pub struct SimToken {
-    inner: Arc<Inner>,
-    rec: Arc<SimRecord>,
-}
-
-impl SimToken {
-    /// The record created by this registration.
-    pub fn record(&self) -> &Arc<SimRecord> {
-        &self.rec
-    }
-}
-
-impl Drop for SimToken {
-    fn drop(&mut self) {
-        self.inner
-            .records
-            .lock()
-            .retain(|r| !Arc::ptr_eq(r, &self.rec));
-    }
-}
-
-// SAFETY: `scan_all` opens the round on a snapshot of the records, taken
-// under the lock that registrations take their claims under, and returns
-// only once every snapshot record has acked: by poll, self-scan or
-// force-scan, exactly once each (`ScanClaim`). Shadow stacks *are* the
-// simulated threads' entire private memory, fulfilling the contract. One
-// collector per platform, whose reclaimer lock keeps rounds apart.
+// SAFETY: `scan_all` opens the round for the records it is given, which
+// the collector's reclaimer lock keeps apart from registrations (and their
+// claims) and from the platform's other rounds, and returns only once each
+// of them has acked: by poll, self-scan or force-scan, exactly once each
+// (`ScanClaim`). Shadow stacks *are* the simulated threads' entire private
+// memory, fulfilling the contract. One collector per platform.
 unsafe impl Platform for SimPlatform {
-    type ThreadToken = SimToken;
+    type Record = SimRecord;
 
-    fn register_current(&self, roots: Arc<ThreadRoots>) -> SimToken {
-        let mut records = self.inner.records.lock();
-        let rec = Arc::new(SimRecord {
+    fn register_current(&self, roots: Arc<ThreadRoots>) -> SimRecord {
+        SimRecord {
             shadow: Arc::new(ShadowStack::new(self.inner.shadow_slots)),
             roots,
             tid: std::thread::current().id(),
             claim: ScanClaim::at(&self.inner.round),
-        });
-        records.push(Arc::clone(&rec));
-        SimToken {
-            inner: Arc::clone(&self.inner),
-            rec,
         }
     }
 
-    fn scan_all(&self, session: &ScanSession<'_>, _reclaimer: &SelfScanContext) -> ScanOutcome {
+    fn unregister_current(&self, _record: &SimRecord) {}
+
+    fn scan_all<'r>(
+        &self,
+        session: &ScanSession<'_>,
+        _reclaimer: &SelfScanContext,
+        records: impl ExactSizeIterator<Item = &'r SimRecord>,
+    ) -> ScanOutcome {
         // The reclaimer's private memory is its shadow stack (a record like
         // any other), so the boundary context is not needed here.
         let round = &self.inner.round;
-        let snapshot: Vec<Arc<SimRecord>> = {
-            let records = self.inner.records.lock();
-            if records.is_empty() {
-                return ScanOutcome { threads_scanned: 0 };
-            }
-            // SAFETY: one collector's reclaimer lock serialises rounds, and
-            // the round closes below after all `records` have acked.
-            unsafe { round.open(session) };
-            records.clone()
-        };
+        let snapshot: Vec<&SimRecord> = records.collect();
+        if snapshot.is_empty() {
+            return ScanOutcome { threads_scanned: 0 };
+        }
+        // SAFETY: one collector's reclaimer lock serialises rounds, and the
+        // round closes below after all of `snapshot` have acked.
+        unsafe { round.open(session) };
         // The reclaimer scans its own records up front — it is busy waiting
         // below and could never reach a poll point (this is the analogue of
         // the reclaimer executing TS-Scan itself, Algorithm 1 line 7).
@@ -238,7 +204,7 @@ mod tests {
         let drops = Arc::new(Counter::new(0));
 
         let pinned = node(&drops);
-        let shadow = platform.shadow(0);
+        let shadow = handle.record().shadow();
         let slot = shadow.publish(pinned as usize).unwrap();
 
         unsafe { handle.retire(pinned) };
@@ -265,16 +231,18 @@ mod tests {
 
         // Simulated peer thread that cooperatively polls.
         let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let registered = std::sync::Barrier::new(2);
         std::thread::scope(|s| {
             let peer_collector = Arc::clone(&collector);
             let peer_platform = platform.clone();
             let peer_done = Arc::clone(&done);
+            let registered = &registered;
             let peer = s.spawn(move || {
                 let handle = peer_collector.register();
-                let rec = Arc::clone(&peer_platform.records()[0]);
+                registered.wait();
                 let mut polled = 0usize;
                 while !peer_done.load(Ordering::SeqCst) {
-                    if peer_platform.poll(&rec) {
+                    if peer_platform.poll(handle.record()) {
                         polled += 1;
                     }
                     std::hint::spin_loop();
@@ -283,10 +251,8 @@ mod tests {
                 polled
             });
 
-            // Give the peer time to register.
-            while platform.records().is_empty() {
-                std::thread::yield_now();
-            }
+            // Let the peer register first.
+            registered.wait();
 
             let handle = collector.register();
             unsafe { handle.retire(node(&drops)) };
@@ -319,22 +285,22 @@ mod tests {
         let pinned = node(&drops);
         let pinned_addr = pinned as usize;
         let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let published = std::sync::Barrier::new(2);
         std::thread::scope(|s| {
-            let stall_platform = platform.clone();
+            let stall_collector = Arc::clone(&collector);
             let stall_done = Arc::clone(&done);
+            let published = &published;
             s.spawn(move || {
-                use threadscan::Platform as _;
-                let token = stall_platform.register_current(Arc::new(ThreadRoots::new(4)));
-                token.record().shadow().publish(pinned_addr).unwrap();
+                let handle = stall_collector.register();
+                handle.record().shadow().publish(pinned_addr).unwrap();
+                published.wait();
                 // "Infinite loop": never polls.
                 while !stall_done.load(Ordering::SeqCst) {
                     std::hint::spin_loop();
                 }
-                drop(token);
+                drop(handle);
             });
-            while platform.records().is_empty() {
-                std::thread::yield_now();
-            }
+            published.wait();
 
             let handle = collector.register();
             unsafe { handle.retire(pinned) };
@@ -378,17 +344,17 @@ mod tests {
         let handle = collector.register();
         // A second record on this thread (self-scanned) and one on a thread
         // that never polls (force-scanned).
-        let mine = platform.register_current(Arc::new(ThreadRoots::new(4)));
+        let mine = collector.register();
         let registered = std::sync::Barrier::new(2);
         let done = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|s| {
             s.spawn(|| {
-                let token = platform.register_current(Arc::new(ThreadRoots::new(4)));
+                let peer = collector.register();
                 registered.wait();
                 while !done.load(Ordering::SeqCst) {
                     std::thread::yield_now();
                 }
-                drop(token);
+                drop(peer);
             });
             registered.wait();
             unsafe { handle.retire(node(&drops)) };

@@ -2,23 +2,32 @@
 //! free(B) while thread T2 holds a private reference to B and reads
 //! through it. ThreadScan must (a) not free B while T2 can still read it,
 //! and (b) free B afterwards.
+//!
+//! The figure runs `ROUNDS` times, each with a fresh B. (a) is exact and
+//! must hold in every round. (b) is only *usually* true of one address
+//! under conservative scanning: a stale word in a scanned frame or in the
+//! thread's TLS block is indistinguishable from a live reference and can
+//! pin whichever B the heap's layout puts at the address it holds. A
+//! round whose B stays pinned leaves it outstanding, so the next round's B
+//! lands elsewhere, and all rounds but one must free theirs.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
 use threadscan::{Collector, CollectorConfig, ThreadHandle};
 use ts_sigscan::SignalPlatform;
 
-static B_DROPPED: AtomicUsize = AtomicUsize::new(0);
+const ROUNDS: usize = 4;
 
-/// Node "B" from the figure; drop is instrumented.
+/// Node "B" from the figure; its drop is counted per round.
 struct NodeB {
     value: u64,
-    _pad: [u64; 8],
+    drops: Arc<AtomicUsize>,
+    _pad: [u64; 7],
 }
 impl Drop for NodeB {
     fn drop(&mut self) {
-        B_DROPPED.fetch_add(1, Ordering::SeqCst);
+        self.drops.fetch_add(1, Ordering::SeqCst);
     }
 }
 
@@ -32,87 +41,81 @@ fn churn(depth: usize) -> usize {
     }
 }
 
-/// T2's body: grab the reference (step 1 in the figure), announce, wait,
-/// then read through it (step 4: `val = B.value`) and return the value.
+/// Publishes a fresh B from a dying frame, so the raw pointer never lives
+/// in the (always-scanned) test frames.
 #[inline(never)]
-fn t2_access(shared_b: &std::sync::atomic::AtomicPtr<NodeB>, barrier: &Barrier) -> u64 {
+fn publish_b(shared: &AtomicPtr<NodeB>, drops: &Arc<AtomicUsize>) {
+    let b = Box::into_raw(Box::new(NodeB {
+        value: 40,
+        drops: Arc::clone(drops),
+        _pad: [0; 7],
+    }));
+    shared.store(b, Ordering::Release);
+}
+
+/// T2's body: grab the reference (step 1 in the figure), announce, wait,
+/// then read through it (step 4: `val = B.value`) and return the value —
+/// unless T1 found B freed, when the read would be a use after free.
+#[inline(never)]
+fn t2_access(shared_b: &AtomicPtr<NodeB>, barrier: &Barrier, b_alive: &AtomicBool) -> u64 {
     // 1. B = A.next — T2 takes its private reference.
     let b = std::hint::black_box(shared_b.load(Ordering::Acquire));
     barrier.wait(); // T2 holds the reference
     barrier.wait(); // T1 has disconnected and called free(B)
-                    // 4-5. val = B.value; return val + 2 — the dangerous read.
+    if !b_alive.load(Ordering::SeqCst) {
+        return 0;
+    }
+    // 4-5. val = B.value; return val + 2 — the dangerous read.
     let val = unsafe { (*std::hint::black_box(b)).value };
     val + 2
 }
 
-#[test]
-fn figure1_disconnect_free_race_is_safe() {
-    let collector = Collector::with_config(
-        SignalPlatform::new().unwrap(),
-        CollectorConfig::default().with_buffer_capacity(8),
-    );
-    // "A.next" — the shared reference leading to B.
-    let shared_b = Arc::new(std::sync::atomic::AtomicPtr::new(std::ptr::null_mut()));
-    let barrier = Arc::new(Barrier::new(2));
-    let t2_result = Arc::new(AtomicUsize::new(0));
-    let done = Arc::new(AtomicBool::new(false));
+/// T1's steps 2-3, in a dying frame.
+#[inline(never)]
+fn disconnect_and_free(shared_b: &AtomicPtr<NodeB>, handle: &ThreadHandle<SignalPlatform>) {
+    // 2. A.next = C — disconnect B (here: clear the shared pointer).
+    let b = shared_b.swap(std::ptr::null_mut(), Ordering::AcqRel);
+    // 3. Free(B) — ThreadScan's free, not libc's.
+    unsafe { handle.retire(b) };
+}
 
-    // Publish B from a dying frame so the raw pointer never lives in this
-    // (always-scanned) test frame.
-    #[inline(never)]
-    fn publish_b(shared: &std::sync::atomic::AtomicPtr<NodeB>) {
-        let b = Box::into_raw(Box::new(NodeB {
-            value: 40,
-            _pad: [0; 8],
-        }));
-        shared.store(b, Ordering::Release);
-    }
-    publish_b(&shared_b);
+/// One run of the figure with a fresh B. Returns whether B survived while
+/// T2 held it, whether it was freed afterwards, and what T2 read.
+fn run_figure(
+    collector: &Arc<Collector<SignalPlatform>>,
+    handle: &ThreadHandle<SignalPlatform>,
+) -> (bool, bool, u64) {
+    // "A.next" — the shared reference leading to B.
+    let shared_b = AtomicPtr::new(std::ptr::null_mut());
+    let drops = Arc::new(AtomicUsize::new(0));
+    let barrier = Barrier::new(2);
+    let (b_alive, done) = (AtomicBool::new(false), AtomicBool::new(false));
+    publish_b(&shared_b, &drops);
     std::hint::black_box(churn(64));
 
+    // Outcomes are read inside the scope and checked by the caller, so a
+    // failed check cannot strand T2 at a barrier.
     std::thread::scope(|s| {
         // T2: concurrent reader.
-        {
-            let collector = Arc::clone(&collector);
-            let shared_b = Arc::clone(&shared_b);
-            let barrier = Arc::clone(&barrier);
-            let t2_result = Arc::clone(&t2_result);
-            let done = Arc::clone(&done);
-            s.spawn(move || {
-                let _handle = collector.register();
-                let val = t2_access(&shared_b, &barrier);
-                t2_result.store(val as usize, Ordering::SeqCst);
-                std::hint::black_box(churn(64));
-                done.store(true, Ordering::SeqCst);
-                barrier.wait(); // let T1 finish
-            });
-        }
+        let t2 = s.spawn(|| {
+            let _handle = collector.register();
+            let val = t2_access(&shared_b, &barrier, &b_alive);
+            std::hint::black_box(churn(64));
+            done.store(true, Ordering::SeqCst);
+            barrier.wait(); // let T1 finish
+            val
+        });
 
         // T1: the deleter.
-        let handle: ThreadHandle<SignalPlatform> = collector.register();
         barrier.wait(); // T2 holds its reference
-
-        // 2. A.next = C — disconnect B (here: clear the shared pointer).
-        #[inline(never)]
-        fn disconnect_and_free(
-            shared_b: &std::sync::atomic::AtomicPtr<NodeB>,
-            handle: &ThreadHandle<SignalPlatform>,
-        ) {
-            let b = shared_b.swap(std::ptr::null_mut(), Ordering::AcqRel);
-            // 3. Free(B) — ThreadScan's free, not libc's.
-            unsafe { handle.retire(b) };
-        }
-        disconnect_and_free(&shared_b, &handle);
+        disconnect_and_free(&shared_b, handle);
         std::hint::black_box(churn(64));
 
         // Force reclamation *while T2 still holds the reference*.
         handle.flush();
         handle.flush();
-        assert_eq!(
-            B_DROPPED.load(Ordering::SeqCst),
-            0,
-            "B freed while T2 still held a private reference!"
-        );
+        let held_survived = drops.load(Ordering::SeqCst) == 0;
+        b_alive.store(held_survived, Ordering::SeqCst);
 
         barrier.wait(); // let T2 perform its read
         while !done.load(Ordering::SeqCst) {
@@ -124,15 +127,41 @@ fn figure1_disconnect_free_race_is_safe() {
         for _ in 0..128 {
             std::hint::black_box(churn(64));
             handle.flush();
-            if B_DROPPED.load(Ordering::SeqCst) == 1 {
+            if drops.load(Ordering::SeqCst) == 1 {
                 freed = true;
                 break;
             }
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         barrier.wait();
-        assert!(freed, "B must eventually be reclaimed");
-        assert_eq!(t2_result.load(Ordering::SeqCst), 42, "T2 read valid data");
-        drop(handle);
-    });
+        (held_survived, freed, t2.join().unwrap())
+    })
+}
+
+#[test]
+fn figure1_disconnect_free_race_is_safe() {
+    // One collector across rounds: a B that stays pinned by a stale word
+    // stays outstanding, so no later B can reuse its address.
+    let collector = Collector::with_config(
+        SignalPlatform::new().unwrap(),
+        CollectorConfig::default().with_buffer_capacity(8),
+    );
+    let handle = collector.register();
+    let outcomes: Vec<_> = (0..ROUNDS)
+        .map(|_| run_figure(&collector, &handle))
+        .collect();
+    drop(handle);
+
+    for &(held_survived, _, t2_read) in &outcomes {
+        assert!(
+            held_survived,
+            "B freed while T2 still held a private reference!"
+        );
+        assert_eq!(t2_read, 42, "T2 read valid data");
+    }
+    let freed = outcomes.iter().filter(|&&(_, freed, _)| freed).count();
+    assert!(
+        freed >= ROUNDS - 1,
+        "B must eventually be reclaimed ({freed}/{ROUNDS} rounds freed theirs)"
+    );
 }

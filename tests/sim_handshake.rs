@@ -41,38 +41,30 @@ fn concurrent_polling_threads_reclaim_safely() {
             let drops = Arc::clone(&drops);
             s.spawn(move || {
                 let handle = collector.register();
-                // Our record is the most recently registered one on this
-                // platform created by *this* thread; find it by pointer
-                // identity of its shadow via records() — registration
-                // order is racy, so pick the record whose shadow we can
-                // publish to and remember it.
-                let records = platform.records();
-                let my_rec = records.last().cloned();
+                let rec = handle.record();
                 let mut published: Option<(usize, usize)> = None;
                 for i in 0..PER_THREAD {
                     let node = Box::into_raw(Box::new(Probe {
                         drops: Arc::clone(&drops),
                         _pad: [0; 4],
                     }));
-                    if let Some(rec) = &my_rec {
-                        // Occasionally hold a node via the shadow stack
-                        // and retire it while "held".
-                        if i % 7 == 0 {
-                            if let Some(slot) = rec.shadow().publish(node as usize) {
-                                // Retract the previous one, if any.
-                                if let Some((old_slot, _)) = published.take() {
-                                    rec.shadow().retract(old_slot);
-                                }
-                                published = Some((slot, node as usize));
+                    // Occasionally hold a node via the shadow stack and
+                    // retire it while "held".
+                    if i % 7 == 0 {
+                        if let Some(slot) = rec.shadow().publish(node as usize) {
+                            // Retract the previous one, if any.
+                            if let Some((old_slot, _)) = published.take() {
+                                rec.shadow().retract(old_slot);
                             }
+                            published = Some((slot, node as usize));
                         }
-                        platform.poll(rec);
                     }
+                    platform.poll(rec);
                     // SAFETY: node is unreachable from shared memory; at
                     // most our own shadow stack roots it.
                     unsafe { handle.retire(node) };
                 }
-                if let (Some(rec), Some((slot, _))) = (&my_rec, published) {
+                if let Some((slot, _)) = published {
                     rec.shadow().retract(slot);
                 }
                 drop(handle);
@@ -116,12 +108,11 @@ fn force_scan_keeps_reclaimer_live_despite_stalled_pollers() {
     std::thread::scope(|s| {
         // A stalled registered thread (never polls).
         {
-            let platform = platform.clone();
+            let collector = Arc::clone(&collector);
             let stop = Arc::clone(&stop);
             let registered = &registered;
             s.spawn(move || {
-                use threadscan::Platform as _;
-                let _token = platform.register_current(Arc::new(threadscan::ThreadRoots::new(4)));
+                let _handle = collector.register();
                 registered.wait();
                 while !stop.load(Ordering::Relaxed) {
                     std::hint::spin_loop();
@@ -172,8 +163,8 @@ fn a_thread_registered_mid_round_cannot_ack_it() {
     // Lemma 1 with a late registrant: the round waits for the records
     // registered when it opened. A record registered after that must not
     // be able to ack in their place, or the round would end before the
-    // stalled record Y (the only root of `n`) has scanned.
-    use threadscan::Platform as _;
+    // stalled record Y (the only root of `n`) has scanned. Registration
+    // waits out the round, so X's record exists only once it has ended.
     let platform = SimPlatform::handshake(4, Duration::from_millis(1500));
     let collector = Collector::with_config(
         platform.clone(),
@@ -193,8 +184,8 @@ fn a_thread_registered_mid_round_cannot_ack_it() {
     let late_acked = std::thread::scope(|s| {
         // Y: registers, roots `n` in its shadow stack, never polls.
         s.spawn(|| {
-            let token = platform.register_current(Arc::new(threadscan::ThreadRoots::new(4)));
-            token.record().shadow().publish(n_addr).unwrap();
+            let handle = collector.register();
+            handle.record().shadow().publish(n_addr).unwrap();
             published.wait();
             while !flushed.load(Ordering::SeqCst) {
                 std::thread::yield_now();
@@ -206,11 +197,11 @@ fn a_thread_registered_mid_round_cannot_ack_it() {
                 std::thread::yield_now();
             }
             std::thread::sleep(Duration::from_millis(100));
-            let token = platform.register_current(Arc::new(threadscan::ThreadRoots::new(4)));
+            let handle = collector.register();
             let start = std::time::Instant::now();
             let mut acked = false;
             while start.elapsed() < Duration::from_millis(300) {
-                acked |= platform.poll(token.record());
+                acked |= platform.poll(handle.record());
                 std::thread::yield_now();
             }
             acked
