@@ -33,7 +33,8 @@ pub struct ScanOutcome {
 /// [`Platform::scan_all`] with the record of every thread registered with
 /// it, all three under its reclaimer lock. So a platform's rounds never
 /// overlap one another or a registration change, and every record that
-/// can claim a round is one the round is given.
+/// can claim a round is one the round is given. Implementations rely on
+/// that; any other caller must keep the same discipline.
 ///
 /// # Safety
 ///
