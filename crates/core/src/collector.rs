@@ -36,11 +36,14 @@ use crate::config::{check_buffer_capacity, CollectorConfig};
 use crate::errors::HeapBlockError;
 use crate::hist::Hist;
 use crate::master::MasterBuffer;
-use crate::platform::Platform;
+use crate::platform::{Platform, RegistryKey};
 use crate::retired::{DropFn, Retired};
 use crate::roots::{ThreadRoots, MAX_HEAP_BLOCKS};
 use crate::selfscan::{capture_context, SelfScanContext};
 use crate::stats::{CollectorStats, StatsSnapshot};
+
+/// What every platform call passes: a collector is its platform's one registry.
+const KEY: &RegistryKey = &RegistryKey(());
 
 /// State protected by the reclaimer lock: the survivors, the buffers every
 /// phase works in and the phases' latency. A phase refills and empties the
@@ -163,7 +166,7 @@ impl<P: Platform> Collector<P> {
     pub fn register(self: &Arc<Self>) -> ThreadHandle<P> {
         let roots = Arc::new(ThreadRoots::new(MAX_HEAP_BLOCKS));
         let _state = self.reclaim.lock();
-        let record = self.platform.register_current(Arc::clone(&roots));
+        let record = self.platform.register_current(KEY, Arc::clone(&roots));
         let slot = Arc::new(ThreadSlot::new(self.config.buffer_capacity, record));
         self.slots.lock().push(Arc::clone(&slot));
         ThreadHandle {
@@ -334,9 +337,10 @@ impl<P: Platform> Collector<P> {
         session.set_telemetry(telemetry);
         let session = session;
         #[cfg(not(ts_mutate_ordering))]
-        let outcome =
-            self.platform
-                .scan_all(&session, ctx, slots.iter().map(|(slot, _)| &slot.record));
+        let outcome = {
+            let records = slots.iter().map(|(slot, _)| &slot.record);
+            self.platform.scan_all(KEY, &session, ctx, records)
+        };
         // Mutation check (`RUSTFLAGS="--cfg ts_mutate_ordering"`, CI's
         // explorer job): sever the scan→free ordering edge — the phase
         // frees without waiting for any thread to scan and mark, exactly
@@ -410,7 +414,7 @@ impl<P: Platform> Collector<P> {
         // and the registry between rounds. No scan has examined the fresh
         // records, so they join the survivors the next phase re-examines.
         let mut state = self.reclaim.lock();
-        self.platform.unregister_current(&slot.record);
+        self.platform.unregister_current(KEY, &slot.record);
         // SAFETY: holding the reclaimer lock makes us the sole reader.
         unsafe { slot.fresh.drain_into(&mut state.survivors) };
         let parked = std::mem::take(&mut *slot.mailbox.lock());
@@ -662,10 +666,11 @@ mod tests {
     // `rooted`, which scan_all scans in full before acking.
     unsafe impl Platform for PinPlatform {
         type Record = ();
-        fn register_current(&self, _roots: Arc<ThreadRoots>) {}
-        fn unregister_current(&self, _record: &()) {}
+        fn register_current(&self, _: &RegistryKey, _roots: Arc<ThreadRoots>) {}
+        fn unregister_current(&self, _: &RegistryKey, _record: &()) {}
         fn scan_all<'r>(
             &self,
+            _: &RegistryKey,
             session: &ScanSession<'_>,
             _ctx: &SelfScanContext,
             _records: impl ExactSizeIterator<Item = &'r ()>,

@@ -26,15 +26,43 @@ pub struct ScanOutcome {
     pub threads_scanned: usize,
 }
 
+/// The right to call a [`Platform`]'s methods. A round counts only the
+/// records it is given, so a platform's one registry alone may register
+/// with it: [`Collector`](crate::Collector) holds a key, and safe code can
+/// make no other.
+///
+/// ```compile_fail
+/// # use threadscan::*;
+/// let collector = Collector::new(NullPlatform);
+/// let roots = std::sync::Arc::new(ThreadRoots::new(4));
+/// collector.platform().register_current(&RegistryKey(()), roots);
+/// ```
+pub struct RegistryKey(pub(crate) ());
+
+impl RegistryKey {
+    /// A key for a caller that drives a platform itself, such as a test.
+    ///
+    /// # Safety
+    ///
+    /// The caller keeps the collector's discipline on each platform it
+    /// uses the key with: it makes all of the platform's calls, one at a
+    /// time, passes each [`Platform::scan_all`] every record registered
+    /// and not yet unregistered, and unregisters each record on its own
+    /// thread before dropping it.
+    pub unsafe fn new() -> Self {
+        Self(())
+    }
+}
+
 /// A mechanism for making every registered thread scan its private roots.
 ///
 /// The collector drives it: it calls [`Platform::register_current`] and
 /// [`Platform::unregister_current`] on the registering thread, and
 /// [`Platform::scan_all`] with the record of every thread registered with
-/// it, all three under its reclaimer lock. So a platform's rounds never
-/// overlap one another or a registration change, and every record that
-/// can claim a round is one the round is given. Implementations rely on
-/// that; any other caller must keep the same discipline.
+/// it, all three under its reclaimer lock and each with a [`RegistryKey`].
+/// So a platform's rounds never overlap one another or a registration
+/// change, and every record that can claim a round is one the round is
+/// given. Implementations rely on that.
 ///
 /// # Safety
 ///
@@ -63,11 +91,11 @@ pub unsafe trait Platform: Send + Sync + 'static {
     /// claim every round opened after this call and none before. `roots`
     /// carries the thread's extra scan roots (§4.3 heap blocks); the
     /// platform adds the stack and registers itself.
-    fn register_current(&self, roots: Arc<ThreadRoots>) -> Self::Record;
+    fn register_current(&self, key: &RegistryKey, roots: Arc<ThreadRoots>) -> Self::Record;
 
     /// Ends `record`'s registration, on the thread that made it and before
     /// the record is dropped: it claims no later round.
-    fn unregister_current(&self, record: &Self::Record);
+    fn unregister_current(&self, key: &RegistryKey, record: &Self::Record);
 
     /// Runs one scan round on behalf of the calling (reclaimer) thread:
     /// the thread of each of `records` — the caller among them — scans
@@ -81,6 +109,7 @@ pub unsafe trait Platform: Send + Sync + 'static {
     /// of every aggregated node address and would pin everything.
     fn scan_all<'r>(
         &self,
+        key: &RegistryKey,
         session: &ScanSession<'_>,
         reclaimer: &SelfScanContext,
         records: impl ExactSizeIterator<Item = &'r Self::Record>,
@@ -104,12 +133,13 @@ pub struct NullPlatform;
 unsafe impl Platform for NullPlatform {
     type Record = ();
 
-    fn register_current(&self, _roots: Arc<ThreadRoots>) {}
+    fn register_current(&self, _: &RegistryKey, _roots: Arc<ThreadRoots>) {}
 
-    fn unregister_current(&self, _record: &()) {}
+    fn unregister_current(&self, _: &RegistryKey, _record: &()) {}
 
     fn scan_all<'r>(
         &self,
+        _: &RegistryKey,
         session: &ScanSession<'_>,
         _reclaimer: &SelfScanContext,
         _records: impl ExactSizeIterator<Item = &'r ()>,
@@ -133,7 +163,12 @@ mod tests {
             &CollectorConfig::default(),
         );
         let session = mb.session();
-        let outcome = NullPlatform.scan_all(&session, &SelfScanContext::empty(), [&()].into_iter());
+        let outcome = NullPlatform.scan_all(
+            &RegistryKey(()),
+            &session,
+            &SelfScanContext::empty(),
+            [&()].into_iter(),
+        );
         assert_eq!(outcome.threads_scanned, 1);
         assert_eq!(session.acks_received(), 1);
         assert!(!mb.is_marked(0));

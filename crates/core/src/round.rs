@@ -14,7 +14,9 @@
 //! ends it, under the collector's reclaimer lock, which every round of
 //! that platform runs under too; and a round counts on every record the
 //! collector passes it, the records of the thread slots its phase
-//! snapshots under that lock.
+//! snapshots under that lock. A platform's methods take a
+//! [`RegistryKey`](crate::RegistryKey), which safe code gets only inside
+//! a collector, so no other caller can make a claim.
 
 use core::ptr;
 use core::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};

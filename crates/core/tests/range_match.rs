@@ -8,7 +8,8 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use threadscan::{
-    Collector, CollectorConfig, Platform, ScanOutcome, ScanSession, SelfScanContext, ThreadRoots,
+    Collector, CollectorConfig, Platform, RegistryKey, ScanOutcome, ScanSession, SelfScanContext,
+    ThreadRoots,
 };
 
 /// A platform whose single simulated thread "holds" a configurable word
@@ -22,10 +23,11 @@ struct WordPlatform {
 // scanned in its entirety before the ack.
 unsafe impl Platform for WordPlatform {
     type Record = ();
-    fn register_current(&self, _roots: Arc<ThreadRoots>) {}
-    fn unregister_current(&self, _record: &()) {}
+    fn register_current(&self, _: &RegistryKey, _roots: Arc<ThreadRoots>) {}
+    fn unregister_current(&self, _: &RegistryKey, _record: &()) {}
     fn scan_all<'r>(
         &self,
+        _: &RegistryKey,
         session: &ScanSession<'_>,
         _ctx: &SelfScanContext,
         _records: impl ExactSizeIterator<Item = &'r ()>,

@@ -29,9 +29,8 @@
 //! nodes stay for a later phase. Only its own thread changes a list, one
 //! store at a time, so a handler walks it as it stood before or after.
 
-use std::cell::Cell;
 use std::ptr;
-use std::sync::atomic::{compiler_fence, Ordering};
+use std::sync::atomic::{compiler_fence, AtomicPtr, Ordering::Relaxed, Ordering::SeqCst};
 
 use parking_lot::Mutex;
 
@@ -46,7 +45,7 @@ thread_local! {
     /// Head of this thread's [`ThreadRecord`] list. Const-initialized and
     /// `Drop`-free, so access never allocates and works at any point in
     /// the thread's lifetime — including inside signal handlers.
-    static HEAD: Cell<*const ThreadRecord> = const { Cell::new(ptr::null()) };
+    static HEAD: AtomicPtr<ThreadRecord> = const { AtomicPtr::new(ptr::null_mut()) };
 }
 
 /// Installs the ThreadScan handler for `signo` (idempotent).
@@ -74,28 +73,36 @@ pub(crate) fn install(signo: libc::c_int) -> std::io::Result<()> {
 /// Links `rec`, a record of the calling thread, into its record list.
 pub(crate) fn attach_record(rec: &ThreadRecord) {
     HEAD.with(|head| {
-        rec.next.set(head.get());
+        rec.linked.store(true, Relaxed);
+        rec.next.store(head.load(Relaxed), Relaxed);
         // A handler may run between the two stores: it must see `rec`
         // whole once the head points at it.
-        compiler_fence(Ordering::SeqCst);
-        head.set(rec as *const ThreadRecord);
+        compiler_fence(SeqCst);
+        head.store(ptr::from_ref(rec).cast_mut(), Relaxed);
     });
 }
 
-/// Unlinks `rec` from the calling thread's record list, if it is there.
+/// Unlinks `rec` from the calling thread's record list, if it is linked.
+/// Aborts if it is linked into another thread's: freed, it would leave
+/// that list dangling, and that thread's handler walks the list.
 pub(crate) fn detach_record(rec: &ThreadRecord) {
     HEAD.with(|head| {
         let mut link = head;
         // SAFETY: a record is detached, on its own thread, before it is
         // freed, so every record in the list is alive.
-        while let Some(cur) = unsafe { link.get().as_ref() } {
+        while let Some(cur) = unsafe { link.load(Relaxed).as_ref() } {
             if ptr::eq(cur, rec) {
-                link.set(rec.next.get());
+                link.store(rec.next.load(Relaxed), Relaxed);
+                rec.linked.store(false, Relaxed);
                 // No handler run after this point reaches `rec`.
-                compiler_fence(Ordering::SeqCst);
+                compiler_fence(SeqCst);
                 return;
             }
             link = &cur.next;
+        }
+        if rec.linked.load(Relaxed) {
+            eprintln!("ThreadScan: a registration ended on a thread other than its own");
+            std::process::abort();
         }
     });
 }
@@ -107,7 +114,7 @@ pub(crate) fn detach_record(rec: &ThreadRecord) {
 pub(crate) fn scan_in_round(regs: &[usize], floor: usize) -> usize {
     HEAD.with(|head| {
         let mut scanned = 0;
-        let mut cur = head.get();
+        let mut cur = head.load(Relaxed);
         // SAFETY: a record is detached, on this thread, before it is freed,
         // and this handler run ends before the code it interrupted resumes.
         while let Some(rec) = unsafe { cur.as_ref() } {
@@ -121,7 +128,7 @@ pub(crate) fn scan_in_round(regs: &[usize], floor: usize) -> usize {
                 }
                 rec.roots.scan(session);
             }));
-            cur = rec.next.get();
+            cur = rec.next.load(Relaxed);
         }
         scanned
     })
@@ -141,20 +148,16 @@ pub(crate) extern "C" fn ts_signal_handler(
     scan_in_round(&regs[..n], approx_sp());
 }
 
-/// The head of the calling thread's record list.
+/// The calling thread's records, newest first.
 #[cfg(test)]
-pub(crate) fn first_record() -> *const ThreadRecord {
-    HEAD.with(Cell::get)
-}
-
-/// Number of records attached to the calling thread.
-#[cfg(test)]
-pub(crate) fn attached_records() -> usize {
-    let mut n = 0;
-    let mut cur = first_record();
+pub(crate) fn attached() -> Vec<*const ThreadRecord> {
+    let mut records = Vec::new();
+    let mut cur = HEAD.with(|head| head.load(Relaxed));
+    // SAFETY: as in `scan_in_round`; no record of this thread is freed
+    // during the walk.
     while let Some(rec) = unsafe { cur.as_ref() } {
-        n += 1;
-        cur = rec.next.get();
+        records.push(ptr::from_ref(rec));
+        cur = rec.next.load(Relaxed);
     }
-    n
+    records
 }

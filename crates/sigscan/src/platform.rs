@@ -6,7 +6,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use threadscan::{Platform, Round, ScanOutcome, ScanSession, SelfScanContext, ThreadRoots};
+use threadscan::{
+    Platform, RegistryKey, Round, ScanOutcome, ScanSession, SelfScanContext, ThreadRoots,
+};
 
 use crate::handler;
 use crate::record::ThreadRecord;
@@ -112,7 +114,7 @@ impl SignalPlatform {
 unsafe impl Platform for SignalPlatform {
     type Record = Box<ThreadRecord>;
 
-    fn register_current(&self, roots: Arc<ThreadRoots>) -> Box<ThreadRecord> {
+    fn register_current(&self, _: &RegistryKey, roots: Arc<ThreadRoots>) -> Box<ThreadRecord> {
         let stack = current_stack_bounds()
             .expect("ThreadScan: cannot determine stack bounds for this thread");
         let rec = Box::new(ThreadRecord::new(stack, roots, &self.round));
@@ -120,12 +122,13 @@ unsafe impl Platform for SignalPlatform {
         rec
     }
 
-    fn unregister_current(&self, record: &Box<ThreadRecord>) {
+    fn unregister_current(&self, _: &RegistryKey, record: &Box<ThreadRecord>) {
         handler::detach_record(record);
     }
 
     fn scan_all<'r>(
         &self,
+        _: &RegistryKey,
         session: &ScanSession<'_>,
         reclaimer: &SelfScanContext,
         records: impl ExactSizeIterator<Item = &'r Box<ThreadRecord>>,
@@ -218,48 +221,51 @@ mod tests {
         assert_eq!(classify_kill(libc::EINVAL), Delivery::Fatal);
     }
 
+    /// A key for tests that register and run rounds themselves.
+    fn key() -> RegistryKey {
+        // SAFETY: each test makes all of its platforms' registrations and
+        // rounds, one at a time, passes each round every record registered
+        // at the time, and unregisters each record on its own thread before
+        // dropping it, but for the one `multiple_registrations_per_thread_stack`
+        // drops registered to show that its `Drop` detaches it.
+        unsafe { RegistryKey::new() }
+    }
+
     /// Whether `rec` is in the calling thread's record list.
     fn listed(rec: &ThreadRecord) -> bool {
-        let mut cur = handler::first_record();
-        while let Some(r) = unsafe { cur.as_ref() } {
-            if std::ptr::eq(r, rec) {
-                return true;
-            }
-            cur = r.next.get();
-        }
-        false
+        handler::attached().contains(&std::ptr::from_ref(rec))
     }
 
     #[test]
     fn register_and_unregister_maintain_registry() {
         let platform = SignalPlatform::new().unwrap();
-        assert_eq!(handler::attached_records(), 0);
+        assert_eq!(handler::attached().len(), 0);
         let roots = Arc::new(ThreadRoots::new(4));
-        let rec = platform.register_current(roots);
-        assert_eq!(handler::attached_records(), 1);
+        let rec = platform.register_current(&key(), roots);
+        assert_eq!(handler::attached().len(), 1);
         assert!(listed(&rec));
         assert!(Arc::ptr_eq(&rec.round, &platform.round));
-        platform.unregister_current(&rec);
+        platform.unregister_current(&key(), &rec);
         assert!(!listed(&rec));
-        assert_eq!(handler::attached_records(), 0);
+        assert_eq!(handler::attached().len(), 0);
         drop(rec);
-        assert_eq!(handler::attached_records(), 0);
+        assert_eq!(handler::attached().len(), 0);
     }
 
     #[test]
     fn multiple_registrations_per_thread_stack() {
         let platform = SignalPlatform::new().unwrap();
-        let r1 = platform.register_current(Arc::new(ThreadRoots::new(4)));
-        let r2 = platform.register_current(Arc::new(ThreadRoots::new(4)));
-        assert_eq!(handler::attached_records(), 2);
+        let r1 = platform.register_current(&key(), Arc::new(ThreadRoots::new(4)));
+        let r2 = platform.register_current(&key(), Arc::new(ThreadRoots::new(4)));
+        assert_eq!(handler::attached().len(), 2);
         assert!(listed(&r1) && listed(&r2));
-        platform.unregister_current(&r1); // out of order: mid-list detach
-        assert_eq!(handler::attached_records(), 1);
+        platform.unregister_current(&key(), &r1); // out of order: mid-list detach
+        assert_eq!(handler::attached().len(), 1);
         assert!(!listed(&r1) && listed(&r2));
         drop(r1);
         // A record dropped without unregistering leaves the list as well.
         drop(r2);
-        assert_eq!(handler::attached_records(), 0);
+        assert_eq!(handler::attached().len(), 0);
     }
 
     /// A thread acks only the rounds of platforms it holds a record of: its
@@ -273,7 +279,7 @@ mod tests {
 
         let a = SignalPlatform::new().unwrap();
         let b = SignalPlatform::new().unwrap();
-        let b_record = b.register_current(Arc::new(ThreadRoots::new(4)));
+        let b_record = b.register_current(&key(), Arc::new(ThreadRoots::new(4)));
         // SAFETY: a made-up address, never dereferenced or reclaimed.
         let entries = vec![unsafe { Retired::from_raw_parts(0x10_0000, 64, noop_drop) }];
         let master = MasterBuffer::new(entries, &CollectorConfig::default());
@@ -288,7 +294,7 @@ mod tests {
         unsafe { b.round.open(&in_b) };
         let scanned_in_b = handler::scan_in_round(&regs, approx_sp());
         b.round.close();
-        b.unregister_current(&b_record);
+        b.unregister_current(&key(), &b_record);
 
         assert_eq!(scanned_in_a, 0, "a platform-B record scanned in A's round");
         assert_eq!(in_a.acks_received(), 0);
@@ -344,7 +350,7 @@ mod tests {
         const ROUNDS: usize = 16;
         const HOLD: Duration = Duration::from_millis(20);
         let platform = SignalPlatform::new().unwrap();
-        let mine = platform.register_current(Arc::new(ThreadRoots::new(4)));
+        let mine = platform.register_current(&key(), Arc::new(ThreadRoots::new(4)));
         // SAFETY: a made-up address, never dereferenced or reclaimed.
         let entries = vec![unsafe { Retired::from_raw_parts(0x10_0000, 64, noop_drop) }];
         let master = MasterBuffer::new(entries, &CollectorConfig::default());
@@ -360,7 +366,7 @@ mod tests {
             let _stop = StopOnDrop(&stop);
             s.spawn(|| {
                 mask_signal(platform.signal(), true);
-                let _ = peer.set(platform.register_current(Arc::new(ThreadRoots::new(4))));
+                let _ = peer.set(platform.register_current(&key(), Arc::new(ThreadRoots::new(4))));
                 for _ in 0..ROUNDS {
                     barrier.wait(); // the round is about to open
                     std::thread::sleep(HOLD);
@@ -370,7 +376,7 @@ mod tests {
                     mask_signal(platform.signal(), true);
                     released.store(false, Ordering::SeqCst);
                 }
-                platform.unregister_current(peer.get().unwrap());
+                platform.unregister_current(&key(), peer.get().unwrap());
             });
             s.spawn(|| {
                 while !stop.load(Ordering::SeqCst) {
@@ -382,7 +388,7 @@ mod tests {
                 .map(|session| {
                     barrier.wait();
                     let records = [&mine, peer.get().unwrap()];
-                    let scanned = platform.scan_all(session, &ctx, records.into_iter());
+                    let scanned = platform.scan_all(&key(), session, &ctx, records.into_iter());
                     let outcome = (
                         scanned.threads_scanned,
                         session.acks_received(),
@@ -393,7 +399,7 @@ mod tests {
                 })
                 .collect()
         });
-        platform.unregister_current(&mine);
+        platform.unregister_current(&key(), &mine);
         assert_eq!(
             outcomes,
             vec![(2, 2, true); ROUNDS],

@@ -13,7 +13,9 @@ use std::sync::{Arc, Barrier, OnceLock};
 
 use threadscan::master::MasterBuffer;
 use threadscan::retired::{noop_drop, Retired};
-use threadscan::{capture_context, CollectorConfig, Platform, ThreadRoots, MAX_HEAP_BLOCKS};
+use threadscan::{
+    capture_context, CollectorConfig, Platform, RegistryKey, ThreadRoots, MAX_HEAP_BLOCKS,
+};
 use ts_sigscan::SignalPlatform;
 
 struct CountingAlloc;
@@ -76,7 +78,11 @@ impl Drop for StopOnDrop<'_> {
 fn scan_all_rounds_allocate_nothing() {
     const ROUNDS: usize = 20;
     let platform = SignalPlatform::new().unwrap();
-    let me = platform.register_current(Arc::new(ThreadRoots::new(MAX_HEAP_BLOCKS)));
+    // SAFETY: this test makes all of the platform's registrations and runs
+    // all of its rounds, one at a time; each round gets both records, and
+    // each record is unregistered on its own thread before it is dropped.
+    let key = unsafe { RegistryKey::new() };
+    let me = platform.register_current(&key, Arc::new(ThreadRoots::new(MAX_HEAP_BLOCKS)));
     let entries = (1..=8)
         // SAFETY: made-up addresses, never dereferenced or reclaimed.
         .map(|i| unsafe { Retired::from_raw_parts(0x10_0000 * i, 64, noop_drop) })
@@ -93,26 +99,26 @@ fn scan_all_rounds_allocate_nothing() {
     let allocations = std::thread::scope(|s| {
         let _stop = StopOnDrop(&stop);
         s.spawn(|| {
-            let _ =
-                peer.set(platform.register_current(Arc::new(ThreadRoots::new(MAX_HEAP_BLOCKS))));
+            let _ = peer
+                .set(platform.register_current(&key, Arc::new(ThreadRoots::new(MAX_HEAP_BLOCKS))));
             registered.wait();
             // Busy: every round interrupts a running thread.
             while !stop.load(Ordering::Relaxed) {
                 std::hint::spin_loop();
             }
-            platform.unregister_current(peer.get().unwrap());
+            platform.unregister_current(&key, peer.get().unwrap());
         });
         registered.wait();
         let records = [&me, peer.get().unwrap()];
         allocations_during(|| {
             for (session, scanned) in sessions.iter().zip(&mut scanned) {
                 *scanned = platform
-                    .scan_all(session, &ctx, records.into_iter())
+                    .scan_all(&key, session, &ctx, records.into_iter())
                     .threads_scanned;
             }
         })
     });
-    platform.unregister_current(&me);
+    platform.unregister_current(&key, &me);
     assert_eq!(scanned, [2; ROUNDS], "the peer and the reclaimer itself");
     assert_eq!(platform.rounds(), ROUNDS);
     assert_eq!(allocations, 0, "{ROUNDS} signal rounds allocated");

@@ -162,9 +162,8 @@ impl ModelMachine {
     /// (the `steps`/`seed` fields are driver concerns and ignored here).
     pub fn new(config: &ModelConfig) -> Self {
         assert!(config.sim_threads >= 1);
-        let platform = SimPlatform::direct(config.shadow_slots);
         let collector = Collector::with_config(
-            platform.clone(),
+            SimPlatform::direct(config.shadow_slots),
             CollectorConfig::default().with_buffer_capacity(config.buffer_capacity),
         );
         let census = Arc::new(Census {

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use threadscan::{
-    Platform, Round, ScanClaim, ScanOutcome, ScanSession, SelfScanContext, ThreadRoots,
+    Platform, RegistryKey, Round, ScanClaim, ScanOutcome, ScanSession, SelfScanContext, ThreadRoots,
 };
 
 use crate::shadow::ShadowStack;
@@ -52,7 +52,9 @@ impl SimRecord {
     }
 }
 
-struct Inner {
+/// The simulated platform. Not `Clone`: its collector is its one
+/// registry, and reaches it as [`threadscan::Collector::platform`].
+pub struct SimPlatform {
     grace: Duration,
     shadow_slots: usize,
     /// Opened under the collector's reclaimer lock, which registrations
@@ -61,12 +63,6 @@ struct Inner {
     round: Round,
     rounds_completed: AtomicUsize,
     force_scans: AtomicUsize,
-}
-
-/// The simulated platform. Clone-able handle (shared interior).
-#[derive(Clone)]
-pub struct SimPlatform {
-    inner: Arc<Inner>,
 }
 
 impl SimPlatform {
@@ -81,24 +77,22 @@ impl SimPlatform {
     /// force-scans the records that have not scanned.
     pub fn handshake(shadow_slots: usize, grace: Duration) -> Self {
         Self {
-            inner: Arc::new(Inner {
-                grace,
-                shadow_slots,
-                round: Round::new(),
-                rounds_completed: AtomicUsize::new(0),
-                force_scans: AtomicUsize::new(0),
-            }),
+            grace,
+            shadow_slots,
+            round: Round::new(),
+            rounds_completed: AtomicUsize::new(0),
+            force_scans: AtomicUsize::new(0),
         }
     }
 
     /// Completed scan rounds.
     pub fn rounds_completed(&self) -> usize {
-        self.inner.rounds_completed.load(Ordering::Relaxed)
+        self.rounds_completed.load(Ordering::Relaxed)
     }
 
     /// Records scanned by the reclaimer on behalf of a non-polling thread.
     pub fn force_scans(&self) -> usize {
-        self.inner.force_scans.load(Ordering::Relaxed)
+        self.force_scans.load(Ordering::Relaxed)
     }
 
     /// Cooperative scan point: if a round that counts on `record` is in
@@ -108,7 +102,7 @@ impl SimPlatform {
     /// Call it from simulated application code at its "safe points" — the
     /// analogue of the OS delivering a signal at an arbitrary instruction.
     pub fn poll(&self, record: &SimRecord) -> bool {
-        record.scan_in(&self.inner.round)
+        record.scan_in(&self.round)
     }
 }
 
@@ -116,31 +110,33 @@ impl SimPlatform {
 // the collector's reclaimer lock keeps apart from registrations (and their
 // claims) and from the platform's other rounds, and returns only once each
 // of them has acked: by poll, self-scan or force-scan, exactly once each
-// (`ScanClaim`). Shadow stacks *are* the simulated threads' entire private
-// memory, fulfilling the contract. One collector per platform.
+// (`ScanClaim`). The platform is not `Clone`, so the collector that owns it
+// makes all of its registrations and rounds. Shadow stacks *are* the
+// simulated threads' entire private memory, fulfilling the contract.
 unsafe impl Platform for SimPlatform {
     type Record = SimRecord;
 
-    fn register_current(&self, roots: Arc<ThreadRoots>) -> SimRecord {
+    fn register_current(&self, _: &RegistryKey, roots: Arc<ThreadRoots>) -> SimRecord {
         SimRecord {
-            shadow: Arc::new(ShadowStack::new(self.inner.shadow_slots)),
+            shadow: Arc::new(ShadowStack::new(self.shadow_slots)),
             roots,
             tid: std::thread::current().id(),
-            claim: ScanClaim::at(&self.inner.round),
+            claim: ScanClaim::at(&self.round),
         }
     }
 
-    fn unregister_current(&self, _record: &SimRecord) {}
+    fn unregister_current(&self, _: &RegistryKey, _record: &SimRecord) {}
 
     fn scan_all<'r>(
         &self,
+        _: &RegistryKey,
         session: &ScanSession<'_>,
         _reclaimer: &SelfScanContext,
         records: impl ExactSizeIterator<Item = &'r SimRecord>,
     ) -> ScanOutcome {
         // The reclaimer's private memory is its shadow stack (a record like
         // any other), so the boundary context is not needed here.
-        let round = &self.inner.round;
+        let round = &self.round;
         let snapshot: Vec<&SimRecord> = records.collect();
         if snapshot.is_empty() {
             return ScanOutcome { threads_scanned: 0 };
@@ -155,16 +151,16 @@ unsafe impl Platform for SimPlatform {
         for rec in snapshot.iter().filter(|r| r.tid == me) {
             rec.scan_in(round);
         }
-        round.wait(session, snapshot.len(), self.inner.grace, || {
+        round.wait(session, snapshot.len(), self.grace, || {
             // Grace expired: deliver the "signal" ourselves.
             for rec in &snapshot {
                 if rec.scan_in(round) {
-                    self.inner.force_scans.fetch_add(1, Ordering::Relaxed);
+                    self.force_scans.fetch_add(1, Ordering::Relaxed);
                 }
             }
         });
         round.close();
-        self.inner.rounds_completed.fetch_add(1, Ordering::Relaxed);
+        self.rounds_completed.fetch_add(1, Ordering::Relaxed);
         ScanOutcome {
             threads_scanned: snapshot.len(),
         }
@@ -195,9 +191,8 @@ mod tests {
 
     #[test]
     fn direct_mode_respects_shadow_roots() {
-        let platform = SimPlatform::direct(8);
         let collector = Collector::with_config(
-            platform.clone(),
+            SimPlatform::direct(8),
             CollectorConfig::default().with_buffer_capacity(4),
         );
         let handle = collector.register();
@@ -222,11 +217,11 @@ mod tests {
 
     #[test]
     fn handshake_mode_polling_thread_scans_itself() {
-        let platform = SimPlatform::handshake(8, Duration::from_secs(5));
         let collector = Collector::with_config(
-            platform.clone(),
+            SimPlatform::handshake(8, Duration::from_secs(5)),
             CollectorConfig::default().with_buffer_capacity(2),
         );
+        let platform = collector.platform();
         let drops = Arc::new(Counter::new(0));
 
         // Simulated peer thread that cooperatively polls.
@@ -234,7 +229,6 @@ mod tests {
         let registered = std::sync::Barrier::new(2);
         std::thread::scope(|s| {
             let peer_collector = Arc::clone(&collector);
-            let peer_platform = platform.clone();
             let peer_done = Arc::clone(&done);
             let registered = &registered;
             let peer = s.spawn(move || {
@@ -242,7 +236,7 @@ mod tests {
                 registered.wait();
                 let mut polled = 0usize;
                 while !peer_done.load(Ordering::SeqCst) {
-                    if peer_platform.poll(handle.record()) {
+                    if peer_collector.platform().poll(handle.record()) {
                         polled += 1;
                     }
                     std::hint::spin_loop();
@@ -273,11 +267,11 @@ mod tests {
         // Peer never polls; the reclaimer must make progress anyway —
         // the paper's key liveness property (§1.2: errors in data
         // structure code "will not prevent the protocol from progressing").
-        let platform = SimPlatform::handshake(8, Duration::from_millis(5));
         let collector = Collector::with_config(
-            platform.clone(),
+            SimPlatform::handshake(8, Duration::from_millis(5)),
             CollectorConfig::default().with_buffer_capacity(2),
         );
+        let platform = collector.platform();
         let drops = Arc::new(Counter::new(0));
 
         // A "stalled" peer registered on another thread that never polls
@@ -333,13 +327,13 @@ mod tests {
     #[test]
     fn a_round_stamps_one_scan_span_per_record_and_one_all_acked() {
         use threadscan::PhaseKind::{AllAcked, ScanBegin, ScanEnd};
-        let platform = SimPlatform::direct(8);
         let collector = Collector::with_config(
-            platform.clone(),
+            SimPlatform::direct(8),
             CollectorConfig::default().with_telemetry(threadscan::TelemetrySink {
                 record: count_round_event,
             }),
         );
+        let platform = collector.platform();
         let drops = Arc::new(Counter::new(0));
         let handle = collector.register();
         // A second record on this thread (self-scanned) and one on a thread

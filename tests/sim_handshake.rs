@@ -22,9 +22,8 @@ impl Drop for Probe {
 
 #[test]
 fn concurrent_polling_threads_reclaim_safely() {
-    let platform = SimPlatform::handshake(16, Duration::from_millis(20));
     let collector = Collector::with_config(
-        platform.clone(),
+        SimPlatform::handshake(16, Duration::from_millis(20)),
         CollectorConfig::default().with_buffer_capacity(32),
     );
     let drops = Arc::new(AtomicUsize::new(0));
@@ -36,7 +35,6 @@ fn concurrent_polling_threads_reclaim_safely() {
         // Poller threads: simulated application threads that periodically
         // publish/retract roots and poll for scan requests.
         for _ in 0..THREADS {
-            let platform = platform.clone();
             let collector = Arc::clone(&collector);
             let drops = Arc::clone(&drops);
             s.spawn(move || {
@@ -59,7 +57,7 @@ fn concurrent_polling_threads_reclaim_safely() {
                             published = Some((slot, node as usize));
                         }
                     }
-                    platform.poll(rec);
+                    collector.platform().poll(rec);
                     // SAFETY: node is unreachable from shared memory; at
                     // most our own shadow stack roots it.
                     unsafe { handle.retire(node) };
@@ -93,11 +91,11 @@ fn concurrent_polling_threads_reclaim_safely() {
 fn force_scan_keeps_reclaimer_live_despite_stalled_pollers() {
     // Threads that never poll: every phase must be completed by
     // force-scans, and throughput of phases must not be zero.
-    let platform = SimPlatform::handshake(4, Duration::from_millis(1));
     let collector = Collector::with_config(
-        platform.clone(),
+        SimPlatform::handshake(4, Duration::from_millis(1)),
         CollectorConfig::default().with_buffer_capacity(16),
     );
+    let platform = collector.platform();
     let drops = Arc::new(AtomicUsize::new(0));
     let stop = Arc::new(AtomicBool::new(false));
     // The worker must not start retiring until the stalled thread is
@@ -164,14 +162,15 @@ fn a_thread_registered_mid_round_cannot_ack_it() {
     // registered when it opened. A record registered after that must not
     // be able to ack in their place, or the round would end before the
     // stalled record Y (the only root of `n`) has scanned. Registration
-    // waits out the round, so X's record exists only once it has ended.
-    let platform = SimPlatform::handshake(4, Duration::from_millis(1500));
+    // waits out the round, so X's record exists only once it has ended:
+    // X's `register` returns only after the round has completed.
     let collector = Collector::with_config(
-        platform.clone(),
+        SimPlatform::handshake(4, Duration::from_millis(1500)),
         CollectorConfig::default().with_telemetry(threadscan::TelemetrySink {
             record: note_sort_end,
         }),
     );
+    let platform = collector.platform();
     let drops = Arc::new(AtomicUsize::new(0));
     let n = Box::into_raw(Box::new(Probe {
         drops: Arc::clone(&drops),
@@ -181,7 +180,7 @@ fn a_thread_registered_mid_round_cannot_ack_it() {
     let published = std::sync::Barrier::new(2);
     let flushed = AtomicBool::new(false);
 
-    let late_acked = std::thread::scope(|s| {
+    let (rounds_at_register, late_acked) = std::thread::scope(|s| {
         // Y: registers, roots `n` in its shadow stack, never polls.
         s.spawn(|| {
             let handle = collector.register();
@@ -197,14 +196,16 @@ fn a_thread_registered_mid_round_cannot_ack_it() {
                 std::thread::yield_now();
             }
             std::thread::sleep(Duration::from_millis(100));
+            let before = platform.rounds_completed();
             let handle = collector.register();
+            let rounds = (before, platform.rounds_completed());
             let start = std::time::Instant::now();
             let mut acked = false;
             while start.elapsed() < Duration::from_millis(300) {
                 acked |= platform.poll(handle.record());
                 std::thread::yield_now();
             }
-            acked
+            (rounds, acked)
         });
 
         let handle = collector.register();
@@ -212,12 +213,17 @@ fn a_thread_registered_mid_round_cannot_ack_it() {
         // SAFETY: `n` is unreachable from shared memory; only Y roots it.
         unsafe { handle.retire(n) };
         handle.flush();
-        let late_acked = late.join().unwrap();
+        let late = late.join().unwrap();
         flushed.store(true, Ordering::SeqCst);
         drop(handle);
-        late_acked
+        late
     });
 
+    assert_eq!(
+        rounds_at_register,
+        (0, 1),
+        "the late registrant did not wait out the round under way"
+    );
     assert!(!late_acked, "a record registered mid-round acked the round");
     assert_eq!(
         drops.load(Ordering::SeqCst),
