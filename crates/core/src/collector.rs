@@ -8,9 +8,9 @@
 //!   by a lock ("we ensure that there is always at most a single active
 //!   reclaimer in the system via a lock");
 //! * the reclaimer aggregates every thread's buffer into one master buffer
-//!   and sorts it on its own thread (under the reclaimer lock), has every
-//!   thread scan (via the [`Platform`]), then carries marked survivors
-//!   into the next phase;
+//!   and sorts it on its own thread (under the reclaimer lock), runs the
+//!   scan round ([`Round::run`]) in which every thread scans through the
+//!   [`Platform`], then carries marked survivors into the next phase;
 //! * a thread that blocked on the reclaimer lock re-checks its buffer and
 //!   "will probably discover that its buffer has been drained ... and that
 //!   it can go back to work".
@@ -27,6 +27,7 @@
 
 use std::marker::PhantomData;
 use std::sync::Arc;
+use std::thread::ThreadId;
 
 use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
@@ -39,6 +40,7 @@ use crate::master::MasterBuffer;
 use crate::platform::{Platform, RegistryKey};
 use crate::retired::{DropFn, Retired};
 use crate::roots::{ThreadRoots, MAX_HEAP_BLOCKS};
+use crate::round::{Round, ScanClaim};
 use crate::selfscan::{capture_context, SelfScanContext};
 use crate::stats::{CollectorStats, StatsSnapshot};
 
@@ -60,8 +62,8 @@ struct ReclaimState<P: Platform> {
     /// on the forced path first the parked nodes taken back.
     reclaimable: Vec<Retired>,
     /// Each live thread's slot, with the number of records it put into
-    /// the phase: its hand-off quota. The slots' platform records are the
-    /// phase's scan round.
+    /// the phase: its hand-off quota. The slots' platform records are
+    /// what the phase's scan round runs over.
     slots: Vec<(Arc<ThreadSlot<P>>, usize)>,
     /// Every phase's reclaimer-side latency; see
     /// [`Collector::collect_latency`].
@@ -74,7 +76,10 @@ struct ReclaimState<P: Platform> {
 /// `buffer_capacity` frees a parked node before it buffers a fresh one, so
 /// the thread holds at most that many unfreed nodes across both stages.
 struct ThreadSlot<P: Platform> {
-    /// What the platform's rounds reach this thread through.
+    /// The registering thread: a round self-scans its own slots and
+    /// reaches every other thread.
+    owner: ThreadId,
+    /// What a round reaches this thread through, holding its claim.
     record: P::Record,
     /// Stage 1: retires no scan has examined yet. Filling it makes the
     /// owner the reclaimer.
@@ -94,6 +99,7 @@ impl<P: Platform> ThreadSlot<P> {
     fn new(buffer_capacity: usize, record: P::Record) -> Self {
         let half = buffer_capacity.next_power_of_two() / 2;
         Self {
+            owner: std::thread::current().id(),
             record,
             fresh: LocalBuffer::new(half),
             mailbox: Mutex::new(Vec::with_capacity(half)),
@@ -119,11 +125,14 @@ enum Trigger {
 pub struct Collector<P: Platform> {
     platform: Arc<P>,
     config: CollectorConfig,
+    /// Opened by each phase under the reclaimer lock, which registrations
+    /// make their claims on it under.
+    round: Arc<Round>,
     reclaim: Mutex<ReclaimState<P>>,
     /// The registry: one slot per live registration, added and removed
-    /// under the reclaimer lock. The fresh stages are drained and the
-    /// mailboxes filled by the reclaimer under that lock too, which
-    /// serializes those accesses.
+    /// under the reclaimer lock, a thread's slots next to each other. The
+    /// fresh stages are drained and the mailboxes filled by the reclaimer
+    /// under that lock too, which serializes those accesses.
     slots: Mutex<Vec<Arc<ThreadSlot<P>>>>,
     stats: CollectorStats,
 }
@@ -145,6 +154,7 @@ impl<P: Platform> Collector<P> {
         Arc::new(Self {
             platform: Arc::new(platform),
             config,
+            round: Arc::new(Round::new()),
             reclaim: Mutex::new(ReclaimState {
                 survivors: Vec::new(),
                 master: MasterBuffer::default(),
@@ -160,15 +170,24 @@ impl<P: Platform> Collector<P> {
     /// Registers the calling thread. All threads that read or mutate the
     /// protected data structure must hold a handle while doing so.
     ///
-    /// Waits for a phase in progress to end: the record is made and the
+    /// Waits for a phase in progress to end: the claim is made and the
     /// slot joins the registry under the reclaimer lock, so the thread is
     /// in every later phase's round and can claim no earlier one.
     pub fn register(self: &Arc<Self>) -> ThreadHandle<P> {
         let roots = Arc::new(ThreadRoots::new(MAX_HEAP_BLOCKS));
         let _state = self.reclaim.lock();
-        let record = self.platform.register_current(KEY, Arc::clone(&roots));
+        let claim = ScanClaim::at(&self.round);
+        let record = self
+            .platform
+            .register_current(KEY, Arc::clone(&roots), claim);
         let slot = Arc::new(ThreadSlot::new(self.config.buffer_capacity, record));
-        self.slots.lock().push(Arc::clone(&slot));
+        let mut slots = self.slots.lock();
+        // After this thread's other slots: a round reaches a thread once.
+        let at = slots
+            .iter()
+            .rposition(|s| s.owner == slot.owner)
+            .map_or(slots.len(), |i| i + 1);
+        slots.insert(at, Arc::clone(&slot));
         ThreadHandle {
             collector: Arc::clone(self),
             slot,
@@ -337,9 +356,9 @@ impl<P: Platform> Collector<P> {
         session.set_telemetry(telemetry);
         let session = session;
         #[cfg(not(ts_mutate_ordering))]
-        let outcome = {
-            let records = slots.iter().map(|(slot, _)| &slot.record);
-            self.platform.scan_all(KEY, &session, ctx, records)
+        let scanned = {
+            let records = slots.iter().map(|(slot, _)| (slot.owner, &slot.record));
+            self.round.run(&*self.platform, KEY, &session, ctx, records)
         };
         // Mutation check (`RUSTFLAGS="--cfg ts_mutate_ordering"`, CI's
         // explorer job): sever the scan→free ordering edge — the phase
@@ -348,14 +367,13 @@ impl<P: Platform> Collector<P> {
         // The exhaustive Lemma 1 scenarios must catch this; if they stop
         // doing so, the explorer has lost its teeth.
         #[cfg(ts_mutate_ordering)]
-        let outcome = {
+        let scanned = {
             let _ = ctx;
-            crate::platform::ScanOutcome { threads_scanned: 0 }
+            0
         };
 
         self.stats.add(&self.stats.collects, 1);
-        self.stats
-            .add(&self.stats.threads_scanned, outcome.threads_scanned);
+        self.stats.add(&self.stats.threads_scanned, scanned);
         self.stats
             .add(&self.stats.words_scanned, session.words_scanned());
         self.stats.add(&self.stats.mark_hits, session.hits());
@@ -634,8 +652,7 @@ impl<P: Platform> Drop for ThreadHandle<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::platform::{NullPlatform, ScanOutcome};
-    use crate::session::ScanSession;
+    use crate::platform::NullPlatform;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     /// Counts drops so tests can observe reclamation.
@@ -660,25 +677,24 @@ mod tests {
     #[derive(Default)]
     struct PinPlatform {
         rooted: Mutex<Vec<usize>>,
-        rounds: AtomicUsize,
     }
-    // SAFETY (test double): the only "registered thread" root set is
-    // `rooted`, which scan_all scans in full before acking.
+    // SAFETY (test double): every registered thread's root set is
+    // `rooted`, which a record scans in full before acking.
     unsafe impl Platform for PinPlatform {
-        type Record = ();
-        fn register_current(&self, _: &RegistryKey, _roots: Arc<ThreadRoots>) {}
-        fn unregister_current(&self, _: &RegistryKey, _record: &()) {}
-        fn scan_all<'r>(
+        type Record = ScanClaim;
+        fn register_current(
             &self,
             _: &RegistryKey,
-            session: &ScanSession<'_>,
-            _ctx: &SelfScanContext,
-            _records: impl ExactSizeIterator<Item = &'r ()>,
-        ) -> ScanOutcome {
-            self.rounds.fetch_add(1, Ordering::SeqCst);
-            session.scan_words(&self.rooted.lock());
-            session.ack();
-            ScanOutcome { threads_scanned: 1 }
+            _: Arc<ThreadRoots>,
+            c: ScanClaim,
+        ) -> ScanClaim {
+            c
+        }
+        fn scan_own(&self, key: &RegistryKey, claim: &ScanClaim, _: &SelfScanContext) {
+            self.overdue(key, claim);
+        }
+        fn overdue(&self, _: &RegistryKey, claim: &ScanClaim) {
+            claim.scan_once(|session| session.scan_words(&self.rooted.lock()));
         }
     }
 
@@ -1286,6 +1302,9 @@ mod tests {
         let collector =
             Collector::with_config(platform, CollectorConfig::default().with_buffer_capacity(8));
         let handle = collector.register();
+        // Holds `rooted` once `handle` has left: a round scans registered
+        // threads only.
+        let _rooted_holder = collector.register();
         unsafe { handle.retire(pinned) };
         for _ in 0..4 {
             unsafe { handle.retire(node(&counter)) };

@@ -66,7 +66,7 @@ pub use collector::{Collector, ThreadHandle};
 pub use config::CollectorConfig;
 pub use errors::HeapBlockError;
 pub use hist::Hist;
-pub use platform::{NullPlatform, Platform, RegistryKey, ScanOutcome};
+pub use platform::{NullPlatform, Platform, RegistryKey};
 pub use retired::{DropFn, Retired};
 pub use roots::{ThreadRoots, MAX_HEAP_BLOCKS};
 pub use round::{Round, ScanClaim};

@@ -1,41 +1,45 @@
-//! The platform abstraction: how scans reach every thread.
+//! The platform abstraction: how a scan round reaches every thread.
 //!
-//! The paper's mechanism is OS signaling (§4.2). This crate keeps the
-//! collect protocol (buffers, sorting, marking, sweeping) platform-neutral
-//! behind [`Platform`]; the `ts-sigscan` crate implements it with real
-//! POSIX signals and raw stack/register scanning, and `ts-simthread`
-//! implements it with shadow stacks and a deterministic virtual-signal
-//! handshake for model testing. Both run the round itself — open, claim,
-//! scan and ack once per record, wait — through one
-//! [`Round`](crate::Round); a platform supplies only how a thread is
-//! reached (a signal, a poll or a force-scan) and what it scans. Which
-//! threads a round reaches is the collector's to say: it keeps the one
-//! registry, and passes a round the records of its registered threads.
+//! The paper's mechanism is OS signaling (§4.2). The collect protocol and
+//! the scan round itself ([`Round::run`](crate::Round::run)) are
+//! platform-neutral; a [`Platform`] supplies what a record scans, how
+//! another thread is reached, how long a round waits for it and what
+//! then. `ts-sigscan` implements it with POSIX signals and raw
+//! stack/register scans, `ts-simthread` with shadow stacks and virtual
+//! signals for model testing. Who may claim a round, and why: the
+//! [`round`](crate::round) module doc.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use crate::roots::ThreadRoots;
+use crate::round::ScanClaim;
 use crate::selfscan::SelfScanContext;
-use crate::session::ScanSession;
 
-/// Outcome of one scan round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScanOutcome {
-    /// Registrations that scanned and acked, the reclaimer's own included
-    /// (a thread registered twice with the platform counts twice).
-    pub threads_scanned: usize,
-}
-
-/// The right to call a [`Platform`]'s methods. A round counts only the
-/// records it is given, so a platform's one registry alone may register
-/// with it: [`Collector`](crate::Collector) holds a key, and safe code can
-/// make no other.
+/// The right to call a [`Platform`]'s methods and
+/// [`Round::run`](crate::Round::run). A round counts only the records it
+/// is given, so a collector alone may register with its platform and run
+/// its rounds: [`Collector`](crate::Collector) holds a key, and safe code
+/// can make no other. The two examples differ only in the line that makes
+/// the key; the second keeps the key's contract, as its record's round
+/// never opens and it is unregistered on its own thread.
 ///
 /// ```compile_fail
+/// # use std::sync::Arc;
 /// # use threadscan::*;
-/// let collector = Collector::new(NullPlatform);
-/// let roots = std::sync::Arc::new(ThreadRoots::new(4));
-/// collector.platform().register_current(&RegistryKey(()), roots);
+/// let key = RegistryKey(());
+/// let claim = ScanClaim::at(&Arc::new(Round::new()));
+/// let record = NullPlatform.register_current(&key, Arc::new(ThreadRoots::new(4)), claim);
+/// NullPlatform.unregister_current(&key, &record);
+/// ```
+///
+/// ```
+/// # use std::sync::Arc;
+/// # use threadscan::*;
+/// let key = unsafe { RegistryKey::new() };
+/// let claim = ScanClaim::at(&Arc::new(Round::new()));
+/// let record = NullPlatform.register_current(&key, Arc::new(ThreadRoots::new(4)), claim);
+/// NullPlatform.unregister_current(&key, &record);
 /// ```
 pub struct RegistryKey(pub(crate) ());
 
@@ -44,80 +48,82 @@ impl RegistryKey {
     ///
     /// # Safety
     ///
-    /// The caller keeps the collector's discipline on each platform it
-    /// uses the key with: it makes all of the platform's calls, one at a
-    /// time, passes each [`Platform::scan_all`] every record registered
-    /// and not yet unregistered, and unregisters each record on its own
-    /// thread before dropping it.
+    /// The caller keeps the collector's discipline with the key: it makes
+    /// each platform's calls, and runs each [`Round`](crate::Round)'s
+    /// rounds, one at a time; gives each [`Round::run`](crate::Round::run)
+    /// every record registered with a claim on that round and not yet
+    /// unregistered, each with the thread that registered it; and
+    /// unregisters each record on its own thread before dropping it.
     pub unsafe fn new() -> Self {
         Self(())
     }
 }
 
-/// A mechanism for making every registered thread scan its private roots.
-///
-/// The collector drives it: it calls [`Platform::register_current`] and
-/// [`Platform::unregister_current`] on the registering thread, and
-/// [`Platform::scan_all`] with the record of every thread registered with
-/// it, all three under its reclaimer lock and each with a [`RegistryKey`].
-/// So a platform's rounds never overlap one another or a registration
-/// change, and every record that can claim a round is one the round is
-/// given. Implementations rely on that.
+/// What a scan round needs from a platform: each record's scan, and how
+/// a round reaches another thread's. [`Round::run`](crate::Round::run)
+/// drives it, with a [`RegistryKey`].
 ///
 /// # Safety
 ///
-/// Implementations must guarantee that when [`Platform::scan_all`] returns:
-///
-/// 1. the thread of each record passed to the call has scanned **all** of
-///    its private root locations — its stack and register state as of
-///    some point during the call, plus every heap block in the record's
-///    [`ThreadRoots`] — against `session`, and
-/// 2. has called [`ScanSession::ack`] for that record *after* finishing
-///    its scan.
+/// Implementations must guarantee that a record acks a round only
+/// through the [`ScanClaim`] it was registered with, and only after its
+/// thread's private roots have been scanned against the round's session:
+/// its stack and registers as of some point during the round, plus every
+/// heap block in the record's [`ThreadRoots`]. A caller's own record, in
+/// [`Platform::scan_own`], scans its stack from `reclaimer.floor` upward
+/// and `reclaimer.regs()` instead of its live stack: the collect
+/// machinery's dead frames below the floor hold copies of every
+/// aggregated node address and would pin everything. [`Platform::reach`]
+/// returns `false` only for a thread that has exited.
 ///
 /// Violating this allows the collector to free memory that a thread still
 /// references (the protocol's Lemma 1 depends on it).
-/// [`Round`](crate::Round) is the shared way to meet (2):
-/// [`Round::scan_once`](crate::Round::scan_once) acks once per
-/// [`ScanClaim`](crate::ScanClaim) per round, and
-/// [`Round::wait`](crate::Round::wait) returns once every expected claim
-/// has. Its module doc says which claims a round may count on.
 pub unsafe trait Platform: Send + Sync + 'static {
     /// One registration: whatever a round needs to reach the registering
     /// thread and what that thread scans.
     type Record: Send + Sync;
 
-    /// Registers the calling thread and returns its record, which can
-    /// claim every round opened after this call and none before. `roots`
-    /// carries the thread's extra scan roots (§4.3 heap blocks); the
-    /// platform adds the stack and registers itself.
-    fn register_current(&self, key: &RegistryKey, roots: Arc<ThreadRoots>) -> Self::Record;
-
-    /// Ends `record`'s registration, on the thread that made it and before
-    /// the record is dropped: it claims no later round.
-    fn unregister_current(&self, key: &RegistryKey, record: &Self::Record);
-
-    /// Runs one scan round on behalf of the calling (reclaimer) thread:
-    /// the thread of each of `records` — the caller among them — scans
-    /// and acks once per record. Returns how many records scanned.
-    ///
-    /// `reclaimer` is the caller's application/collector boundary snapshot
-    /// (see [`SelfScanContext`]): platforms that scan real stacks must
-    /// scan the caller's stack from `reclaimer.floor` upward plus
-    /// `reclaimer.regs()`, **not** the caller's live stack at scan time —
-    /// the collect machinery's dead frames below the floor contain copies
-    /// of every aggregated node address and would pin everything.
-    fn scan_all<'r>(
+    /// Registers the calling thread and returns its record, which acks
+    /// through `claim`. `roots` carries the thread's extra scan roots
+    /// (§4.3 heap blocks); the platform adds the stack and registers
+    /// itself.
+    fn register_current(
         &self,
         key: &RegistryKey,
-        session: &ScanSession<'_>,
-        reclaimer: &SelfScanContext,
-        records: impl ExactSizeIterator<Item = &'r Self::Record>,
-    ) -> ScanOutcome;
+        roots: Arc<ThreadRoots>,
+        claim: ScanClaim,
+    ) -> Self::Record;
+
+    /// Ends `record`'s registration, on the thread that made it and before
+    /// the record is dropped; by default there is nothing to end.
+    fn unregister_current(&self, _key: &RegistryKey, _record: &Self::Record) {}
+
+    /// Scans and acks `record`, one of the calling reclaimer's own, in the
+    /// open round, unless it has already; `reclaimer` is the caller's
+    /// application/collector boundary (see [`SelfScanContext`]).
+    fn scan_own(&self, key: &RegistryKey, record: &Self::Record, reclaimer: &SelfScanContext);
+
+    /// Asks the thread of `record`, another thread than the caller, to
+    /// scan and ack each of its records in the open round. Returns whether
+    /// it will: `false` if the thread has exited. By default the thread
+    /// finds the open round on its own.
+    fn reach(&self, _key: &RegistryKey, _record: &Self::Record) -> bool {
+        true
+    }
+
+    /// How long a round waits for its acks before it calls
+    /// [`Platform::overdue`]; by default not at all.
+    fn patience(&self) -> Duration {
+        Duration::ZERO
+    }
+
+    /// Runs on each of the round's records, repeatedly, once the patience
+    /// has passed and until the round has all its acks.
+    fn overdue(&self, key: &RegistryKey, record: &Self::Record);
 }
 
-/// A platform with no threads to scan: only the reclaimer itself scans
-/// nothing and every unmarked node is freed immediately.
+/// A platform whose threads have no private roots: a round acks each
+/// record at once and every unmarked node is freed immediately.
 ///
 /// Useful as a baseline ("what if scans were free and found nothing") and
 /// for tests of the buffering/sweeping machinery in isolation. **Not safe
@@ -127,25 +133,21 @@ pub unsafe trait Platform: Send + Sync + 'static {
 pub struct NullPlatform;
 
 // SAFETY: trivially satisfies the contract because no thread is ever
-// considered registered; there are no roots to miss. (The *collector-level*
-// safety for real programs comes from not using this platform with shared
-// data structures.)
+// considered to hold roots. (The *collector-level* safety for real
+// programs comes from not using this platform with shared data.)
 unsafe impl Platform for NullPlatform {
-    type Record = ();
+    type Record = ScanClaim;
 
-    fn register_current(&self, _: &RegistryKey, _roots: Arc<ThreadRoots>) {}
+    fn register_current(&self, _: &RegistryKey, _: Arc<ThreadRoots>, c: ScanClaim) -> ScanClaim {
+        c
+    }
 
-    fn unregister_current(&self, _: &RegistryKey, _record: &()) {}
+    fn scan_own(&self, key: &RegistryKey, claim: &ScanClaim, _: &SelfScanContext) {
+        self.overdue(key, claim);
+    }
 
-    fn scan_all<'r>(
-        &self,
-        _: &RegistryKey,
-        session: &ScanSession<'_>,
-        _reclaimer: &SelfScanContext,
-        _records: impl ExactSizeIterator<Item = &'r ()>,
-    ) -> ScanOutcome {
-        session.ack(); // the reclaimer "scans" (nothing) and acks
-        ScanOutcome { threads_scanned: 1 }
+    fn overdue(&self, _: &RegistryKey, claim: &ScanClaim) {
+        claim.scan_once(|_| {}); // "scans" nothing and acks
     }
 }
 
@@ -155,6 +157,7 @@ mod tests {
     use crate::config::CollectorConfig;
     use crate::master::MasterBuffer;
     use crate::retired::{noop_drop, Retired};
+    use crate::round::Round;
 
     #[test]
     fn null_platform_acks_once_and_marks_nothing() {
@@ -163,13 +166,22 @@ mod tests {
             &CollectorConfig::default(),
         );
         let session = mb.session();
-        let outcome = NullPlatform.scan_all(
-            &RegistryKey(()),
+        let round = Arc::new(Round::new());
+        let key = RegistryKey(());
+        let claim = NullPlatform.register_current(
+            &key,
+            Arc::new(ThreadRoots::new(1)),
+            ScanClaim::at(&round),
+        );
+        let me = std::thread::current().id();
+        let scanned = round.run(
+            &NullPlatform,
+            &key,
             &session,
             &SelfScanContext::empty(),
-            [&()].into_iter(),
+            [(me, &claim)].into_iter(),
         );
-        assert_eq!(outcome.threads_scanned, 1);
+        assert_eq!(scanned, 1);
         assert_eq!(session.acks_received(), 1);
         assert!(!mb.is_marked(0));
     }

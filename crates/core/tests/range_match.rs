@@ -8,8 +8,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use threadscan::{
-    Collector, CollectorConfig, Platform, RegistryKey, ScanOutcome, ScanSession, SelfScanContext,
-    ThreadRoots,
+    Collector, CollectorConfig, Platform, RegistryKey, ScanClaim, SelfScanContext, ThreadRoots,
 };
 
 /// A platform whose single simulated thread "holds" a configurable word
@@ -22,19 +21,15 @@ struct WordPlatform {
 // SAFETY (test double): the full simulated root set is `words`, which is
 // scanned in its entirety before the ack.
 unsafe impl Platform for WordPlatform {
-    type Record = ();
-    fn register_current(&self, _: &RegistryKey, _roots: Arc<ThreadRoots>) {}
-    fn unregister_current(&self, _: &RegistryKey, _record: &()) {}
-    fn scan_all<'r>(
-        &self,
-        _: &RegistryKey,
-        session: &ScanSession<'_>,
-        _ctx: &SelfScanContext,
-        _records: impl ExactSizeIterator<Item = &'r ()>,
-    ) -> ScanOutcome {
-        session.scan_words(&self.words.lock());
-        session.ack();
-        ScanOutcome { threads_scanned: 1 }
+    type Record = ScanClaim;
+    fn register_current(&self, _: &RegistryKey, _: Arc<ThreadRoots>, c: ScanClaim) -> ScanClaim {
+        c
+    }
+    fn scan_own(&self, key: &RegistryKey, claim: &ScanClaim, _: &SelfScanContext) {
+        self.overdue(key, claim);
+    }
+    fn overdue(&self, _: &RegistryKey, claim: &ScanClaim) {
+        claim.scan_once(|session| session.scan_words(&self.words.lock()));
     }
 }
 

@@ -1,33 +1,28 @@
 //! The signal handler and each thread's record list.
 //!
-//! One round = one `TS-Collect` scan phase, run through
-//! [`threadscan::Round`]: the reclaimer opens its platform's round on its
-//! session and signals the thread of every record its collector passes
-//! in. Each handler invocation, like the reclaimer's self-scan, walks the
-//! calling thread's record list (`scan_in_round`) and runs one
-//! [`Round::scan_once`](threadscan::Round::scan_once) per record on the
-//! record's own round and claim, which
+//! A collector's round (`threadscan::Round::run`) signals each other
+//! thread it runs over once. The handler walks the calling thread's
+//! record list (`scan_in_round`) and runs `scan_record` on each record:
+//! one [`ScanClaim::scan_once`](threadscan::ScanClaim::scan_once) on the
+//! record's claim, which
 //!
-//! 1. finds no open round (a stray signal, or a record of another
-//!    platform) or a round this record already scanned in (a duplicate)
-//!    and does nothing; or
+//! 1. finds no open round of the record's collector (a stray signal, or
+//!    another collector's round) or one it already scanned in (a
+//!    duplicate) and does nothing; or
 //! 2. scans the interrupted register file (from `ucontext_t`), the stack
 //!    from the interrupted frame upward, and the record's heap blocks —
 //!    each word binary-searched against the session's sorted master
 //!    buffer — and acknowledges.
 //!
+//! The reclaimer's own records go through `scan_record` from its boundary
+//! context. A handler run on the reclaimer first (another collector's
+//! signal, or a stray one) scans them from the handler's frame up, across
+//! the collect machinery's address copies: false pins, nothing worse.
+//!
 //! Everything on this path is async-signal-safe: const-initialized TLS
 //! reads, raw memory walks, and atomics. No allocation, locks, or panics.
-//!
-//! Rounds of different platforms may overlap; nothing serialises them
-//! process-wide. A handler run for one platform's signal scans the
-//! thread's records of every platform whose round is open and unclaimed,
-//! so a reclaimer interrupted by another collector's signal between
-//! opening its own round and scanning itself scans its own record from
-//! the handler's frame: the collect machinery's dead frames below it hold
-//! copies of its aggregated addresses. That only adds false pins: the
-//! nodes stay for a later phase. Only its own thread changes a list, one
-//! store at a time, so a handler walks it as it stood before or after.
+//! Only its own thread changes a list, one store at a time, so a handler
+//! walks it as it stood before or after.
 
 use std::ptr;
 use std::sync::atomic::{compiler_fence, AtomicPtr, Ordering::Relaxed, Ordering::SeqCst};
@@ -107,10 +102,25 @@ pub(crate) fn detach_record(rec: &ThreadRecord) {
     });
 }
 
-/// Scans each of the calling thread's records in its platform's open
-/// round, unless that record has scanned in it already: `regs` (register
-/// words the caller captured), the stack from `floor` to its top, and the
-/// record's heap blocks; then acks. Returns how many records scanned.
+/// Scans `rec`, a record of the calling thread, in its collector's open
+/// round, unless it has scanned in it already: `regs` (register words the
+/// caller captured), the stack from `floor` to its top, and the record's
+/// heap blocks; then acks. Returns whether it scanned.
+pub(crate) fn scan_record(rec: &ThreadRecord, regs: &[usize], floor: usize) -> bool {
+    rec.claim.scan_once(|session| {
+        session.scan_words(regs);
+        let (sp, hi) = (floor.max(rec.stack.lo), rec.stack.hi);
+        if sp < hi {
+            // SAFETY: [sp, hi) is the live portion of this thread's own
+            // stack, mapped and readable by construction.
+            unsafe { session.scan_region(sp as *const u8, hi as *const u8) };
+        }
+        rec.roots.scan(session);
+    })
+}
+
+/// Runs [`scan_record`] on each of the calling thread's records. Returns
+/// how many scanned.
 pub(crate) fn scan_in_round(regs: &[usize], floor: usize) -> usize {
     HEAD.with(|head| {
         let mut scanned = 0;
@@ -118,16 +128,7 @@ pub(crate) fn scan_in_round(regs: &[usize], floor: usize) -> usize {
         // SAFETY: a record is detached, on this thread, before it is freed,
         // and this handler run ends before the code it interrupted resumes.
         while let Some(rec) = unsafe { cur.as_ref() } {
-            scanned += usize::from(rec.round.scan_once(&rec.claim, |session| {
-                session.scan_words(regs);
-                let (sp, hi) = (floor.max(rec.stack.lo), rec.stack.hi);
-                if sp < hi {
-                    // SAFETY: [sp, hi) is the live portion of this thread's
-                    // own stack, mapped and readable by construction.
-                    unsafe { session.scan_region(sp as *const u8, hi as *const u8) };
-                }
-                rec.roots.scan(session);
-            }));
+            scanned += usize::from(scan_record(rec, regs, floor));
             cur = rec.next.load(Relaxed);
         }
         scanned

@@ -6,15 +6,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use threadscan::{
-    Platform, RegistryKey, Round, ScanOutcome, ScanSession, SelfScanContext, ThreadRoots,
-};
+use threadscan::{Platform, RegistryKey, ScanClaim, SelfScanContext, ThreadRoots};
 
 use crate::handler;
 use crate::record::ThreadRecord;
 use crate::stackbounds::current_stack_bounds;
 
-/// How long `scan_all` waits for acknowledgments before concluding that a
+/// How long a round waits for acknowledgments before concluding that a
 /// registered thread leaked (exited without dropping its handle) and
 /// panicking with a diagnostic instead of hanging the process forever.
 const ACK_TIMEOUT: Duration = Duration::from_secs(30);
@@ -61,10 +59,6 @@ fn classify_kill(rc: libc::c_int) -> Delivery {
 /// pthread id; signaling it is undefined behaviour at the OS level.
 pub struct SignalPlatform {
     signo: libc::c_int,
-    /// Opened under the collector's reclaimer lock, which registrations
-    /// take their claims under: a record registered mid-round cannot ack
-    /// that round.
-    round: Arc<Round>,
     signals_sent: AtomicUsize,
 }
 
@@ -80,15 +74,8 @@ impl SignalPlatform {
         handler::install(signo)?;
         Ok(Self {
             signo,
-            round: Arc::new(Round::new()),
             signals_sent: AtomicUsize::new(0),
         })
-    }
-
-    /// Scan rounds opened on this platform (each runs to completion or
-    /// panics).
-    pub fn rounds(&self) -> usize {
-        self.round.id()
     }
 
     /// Total signals sent across all rounds.
@@ -102,22 +89,23 @@ impl SignalPlatform {
     }
 }
 
-// SAFETY: `scan_all` signals the thread of every record it is given on
-// another thread and self-scans the caller's; each handler scans, for each
-// of its thread's records, the full register file from `ucontext_t`, the
-// stack from the interrupted frame to its top, and the record's heap
-// blocks, then acks once per record per round (the record's claim). The
-// round waits for one ack per record it was given — exactly the contract
-// `threadscan::Platform` requires. The collector's reclaimer lock orders
-// registration changes, and with them claims, against this platform's
-// rounds; rounds of other platforms touch only their own claims.
+// SAFETY: a record acks only through its claim (`handler::scan_record`),
+// after scanning its heap blocks and the full register file and the stack
+// from the interrupted frame up, or, for the reclaimer's own, the registers
+// and the stack above the boundary it captured. `reach` reports only an
+// exited thread (`ESRCH`) as not scanning.
 unsafe impl Platform for SignalPlatform {
     type Record = Box<ThreadRecord>;
 
-    fn register_current(&self, _: &RegistryKey, roots: Arc<ThreadRoots>) -> Box<ThreadRecord> {
+    fn register_current(
+        &self,
+        _: &RegistryKey,
+        roots: Arc<ThreadRoots>,
+        claim: ScanClaim,
+    ) -> Box<ThreadRecord> {
         let stack = current_stack_bounds()
             .expect("ThreadScan: cannot determine stack bounds for this thread");
-        let rec = Box::new(ThreadRecord::new(stack, roots, &self.round));
+        let rec = Box::new(ThreadRecord::new(stack, roots, claim));
         handler::attach_record(&rec);
         rec
     }
@@ -126,92 +114,49 @@ unsafe impl Platform for SignalPlatform {
         handler::detach_record(record);
     }
 
-    fn scan_all<'r>(
-        &self,
-        _: &RegistryKey,
-        session: &ScanSession<'_>,
-        reclaimer: &SelfScanContext,
-        records: impl ExactSizeIterator<Item = &'r Box<ThreadRecord>>,
-    ) -> ScanOutcome {
-        if records.len() == 0 {
-            // No registered threads ⇒ no thread may hold references
-            // (accessors are required to register) ⇒ nothing to scan.
-            return ScanOutcome { threads_scanned: 0 };
-        }
-        let round = &self.round;
-        // SAFETY: the collector's reclaimer lock serialises this
-        // platform's rounds; the round closes below after every expected
-        // ack (or early, on the way to a panic).
-        unsafe { round.open(session) };
+    /// The stack above the application boundary plus the registers
+    /// captured there; signalling itself would scan the collect
+    /// machinery's dead frames (`threadscan::selfscan` has the argument).
+    fn scan_own(&self, _: &RegistryKey, record: &Box<ThreadRecord>, reclaimer: &SelfScanContext) {
+        handler::scan_record(record, reclaimer.regs(), reclaimer.floor);
+    }
 
-        // Signal the thread of every record registered on *another* thread:
-        // one handler run scans all of its thread's records, and acks once
-        // for each record of this round. The reclaimer itself scans
-        // directly from its boundary context below — signaling ourselves
-        // would scan the collect machinery's own dead frames, which hold
-        // copies of every aggregated node address.
-        let me = unsafe { libc::pthread_self() };
-        let telemetry = session.telemetry();
-        if let Some((sink, id)) = telemetry {
-            sink.event(threadscan::PhaseKind::Announce, id, records.len() as u64);
-        }
-        let (mut sent, mut mine) = (0usize, 0usize);
-        for rec in records {
-            if unsafe { libc::pthread_equal(rec.pthread, me) } != 0 {
-                mine += 1;
-                continue;
+    /// One signal, whose handler run scans all of the thread's records.
+    fn reach(&self, _: &RegistryKey, record: &Box<ThreadRecord>) -> bool {
+        // SAFETY: a registered thread has not exited (thread discipline).
+        let rc = unsafe { libc::pthread_kill(record.pthread, self.signo) };
+        match classify_kill(rc) {
+            Delivery::Sent => {
+                self.signals_sent.fetch_add(1, Ordering::Relaxed);
+                true
             }
-            let rc = unsafe { libc::pthread_kill(rec.pthread, self.signo) };
-            match classify_kill(rc) {
-                Delivery::Sent => {
-                    if let Some((sink, id)) = telemetry {
-                        sink.event(threadscan::PhaseKind::SignalSent, id, sent as u64);
-                    }
-                    sent += 1;
-                }
-                Delivery::Gone => {}
-                Delivery::Fatal => {
-                    round.close();
-                    panic!(
-                        "ThreadScan: pthread_kill failed with error {rc}; a live thread \
-                         would go unscanned"
-                    );
-                }
-            }
+            Delivery::Gone => false,
+            Delivery::Fatal => panic!(
+                "ThreadScan: pthread_kill failed with error {rc}; a live thread would go unscanned"
+            ),
         }
-        self.signals_sent.fetch_add(sent, Ordering::Relaxed);
+    }
 
-        // The reclaimer's own scan (Algorithm 1 line 7), once per record it
-        // holds: the stack above the application boundary plus the
-        // registers captured there. Its live stack would hold the collect
-        // machinery's copies of every aggregated address
-        // (`threadscan::selfscan` has the argument). A handler run on this
-        // thread since the round opened may have scanned some of them
-        // already; each acks once either way, so the round counts them all.
-        handler::scan_in_round(reclaimer.regs(), reclaimer.floor);
-        let expected = sent + mine;
+    fn patience(&self) -> Duration {
+        ACK_TIMEOUT
+    }
 
-        // Wait for all acknowledgments (Algorithm 1, line 9).
-        round.wait(session, expected, ACK_TIMEOUT, || {
-            round.close();
-            panic!(
-                "ThreadScan: {}/{expected} acks after {ACK_TIMEOUT:?}; a registered \
-                 thread is unresponsive or exited without unregistering",
-                session.acks_received(),
-            );
-        });
-        round.close();
-        ScanOutcome {
-            threads_scanned: expected,
-        }
+    fn overdue(&self, _: &RegistryKey, _: &Box<ThreadRecord>) {
+        panic!(
+            "ThreadScan: a round had not all its acks after {ACK_TIMEOUT:?}; a registered \
+             thread is unresponsive or exited without unregistering"
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::tests::idle_claim;
     use crate::stackbounds::approx_sp;
-    use threadscan::{Collector, CollectorConfig};
+    use threadscan::master::MasterBuffer;
+    use threadscan::retired::{noop_drop, Retired};
+    use threadscan::{Collector, CollectorConfig, Round};
 
     #[test]
     fn only_esrch_lets_a_round_skip_a_thread() {
@@ -224,11 +169,33 @@ mod tests {
     /// A key for tests that register and run rounds themselves.
     fn key() -> RegistryKey {
         // SAFETY: each test makes all of its platforms' registrations and
-        // rounds, one at a time, passes each round every record registered
-        // at the time, and unregisters each record on its own thread before
-        // dropping it, but for the one `multiple_registrations_per_thread_stack`
-        // drops registered to show that its `Drop` detaches it.
+        // rounds, one at a time, runs each round over every record with a
+        // claim on it, each with its thread, and unregisters each record on
+        // its own thread before dropping it, but for the one
+        // `multiple_registrations_per_thread_stack` drops registered to show
+        // that its `Drop` detaches it.
         unsafe { RegistryKey::new() }
+    }
+
+    /// A master buffer of one made-up address, never dereferenced or
+    /// reclaimed.
+    fn master() -> MasterBuffer {
+        // SAFETY: as above.
+        let entries = vec![unsafe { Retired::from_raw_parts(0x10_0000, 64, noop_drop) }];
+        MasterBuffer::new(entries, &CollectorConfig::default())
+    }
+
+    /// Opens `round` on a session of its own and runs the calling thread's
+    /// handler scan in it: (records scanned, acks the session received).
+    fn handler_scan_in(round: &Round) -> (usize, usize) {
+        let master = master();
+        let session = master.session();
+        // SAFETY: nothing else opens `round`, and it closes before the
+        // session is read.
+        unsafe { round.open(&session) };
+        let scanned = handler::scan_in_round(&[0usize; 2], approx_sp());
+        round.close();
+        (scanned, session.acks_received())
     }
 
     /// Whether `rec` is in the calling thread's record list.
@@ -241,10 +208,11 @@ mod tests {
         let platform = SignalPlatform::new().unwrap();
         assert_eq!(handler::attached().len(), 0);
         let roots = Arc::new(ThreadRoots::new(4));
-        let rec = platform.register_current(&key(), roots);
+        let round = Arc::new(Round::new());
+        let rec = platform.register_current(&key(), roots, ScanClaim::at(&round));
         assert_eq!(handler::attached().len(), 1);
         assert!(listed(&rec));
-        assert!(Arc::ptr_eq(&rec.round, &platform.round));
+        assert_eq!(handler_scan_in(&round), (1, 1), "acks through its claim");
         platform.unregister_current(&key(), &rec);
         assert!(!listed(&rec));
         assert_eq!(handler::attached().len(), 0);
@@ -255,8 +223,8 @@ mod tests {
     #[test]
     fn multiple_registrations_per_thread_stack() {
         let platform = SignalPlatform::new().unwrap();
-        let r1 = platform.register_current(&key(), Arc::new(ThreadRoots::new(4)));
-        let r2 = platform.register_current(&key(), Arc::new(ThreadRoots::new(4)));
+        let r1 = platform.register_current(&key(), Arc::new(ThreadRoots::new(4)), idle_claim());
+        let r2 = platform.register_current(&key(), Arc::new(ThreadRoots::new(4)), idle_claim());
         assert_eq!(handler::attached().len(), 2);
         assert!(listed(&r1) && listed(&r2));
         platform.unregister_current(&key(), &r1); // out of order: mid-list detach
@@ -268,38 +236,23 @@ mod tests {
         assert_eq!(handler::attached().len(), 0);
     }
 
-    /// A thread acks only the rounds of platforms it holds a record of: its
-    /// handler, run in platform A's round, finds only its platform-B
-    /// record, which A's round cannot claim. B's own next round it does
-    /// scan and ack.
+    /// A thread acks only the rounds it holds a claim on: its handler, run
+    /// in collector A's round, finds only its record of collector B, whose
+    /// claim is on B's round. B's own next round it does scan and ack.
     #[test]
     fn a_round_is_acked_only_by_its_own_platforms_records() {
-        use threadscan::master::MasterBuffer;
-        use threadscan::retired::{noop_drop, Retired};
+        let (a, b) = (Arc::new(Round::new()), Arc::new(Round::new()));
+        let platform = SignalPlatform::new().unwrap();
+        let b_record =
+            platform.register_current(&key(), Arc::new(ThreadRoots::new(4)), ScanClaim::at(&b));
+        let (scanned_in_a, acks_in_a) = handler_scan_in(&a);
+        let (scanned_in_b, acks_in_b) = handler_scan_in(&b);
+        platform.unregister_current(&key(), &b_record);
 
-        let a = SignalPlatform::new().unwrap();
-        let b = SignalPlatform::new().unwrap();
-        let b_record = b.register_current(&key(), Arc::new(ThreadRoots::new(4)));
-        // SAFETY: a made-up address, never dereferenced or reclaimed.
-        let entries = vec![unsafe { Retired::from_raw_parts(0x10_0000, 64, noop_drop) }];
-        let master = MasterBuffer::new(entries, &CollectorConfig::default());
-        let (in_a, in_b) = (master.session(), master.session());
-        let regs = [0usize; 2];
-
-        // SAFETY: nothing else opens these two platforms' rounds, and each
-        // round closes before its session is read.
-        unsafe { a.round.open(&in_a) };
-        let scanned_in_a = handler::scan_in_round(&regs, approx_sp());
-        a.round.close();
-        unsafe { b.round.open(&in_b) };
-        let scanned_in_b = handler::scan_in_round(&regs, approx_sp());
-        b.round.close();
-        b.unregister_current(&key(), &b_record);
-
-        assert_eq!(scanned_in_a, 0, "a platform-B record scanned in A's round");
-        assert_eq!(in_a.acks_received(), 0);
+        assert_eq!(scanned_in_a, 0, "a collector-B record scanned in A's round");
+        assert_eq!(acks_in_a, 0);
         assert_eq!(scanned_in_b, 1);
-        assert_eq!(in_b.acks_received(), 1);
+        assert_eq!(acks_in_b, 1);
     }
 
     /// Blocks (`block`) or unblocks `signo` on the calling thread.
@@ -344,16 +297,14 @@ mod tests {
     fn a_round_waits_for_its_peers_when_a_handler_wins_the_reclaimers_claim() {
         use std::sync::atomic::AtomicBool;
         use std::sync::{Barrier, OnceLock};
-        use threadscan::master::MasterBuffer;
-        use threadscan::retired::{noop_drop, Retired};
 
         const ROUNDS: usize = 16;
         const HOLD: Duration = Duration::from_millis(20);
         let platform = SignalPlatform::new().unwrap();
-        let mine = platform.register_current(&key(), Arc::new(ThreadRoots::new(4)));
-        // SAFETY: a made-up address, never dereferenced or reclaimed.
-        let entries = vec![unsafe { Retired::from_raw_parts(0x10_0000, 64, noop_drop) }];
-        let master = MasterBuffer::new(entries, &CollectorConfig::default());
+        let round = Arc::new(Round::new());
+        let roots = || Arc::new(ThreadRoots::new(4));
+        let mine = platform.register_current(&key(), roots(), ScanClaim::at(&round));
+        let master = master();
         let sessions: Vec<_> = (0..ROUNDS).map(|_| master.session()).collect();
         let ctx = SelfScanContext::empty();
         let me = unsafe { libc::pthread_self() };
@@ -366,7 +317,8 @@ mod tests {
             let _stop = StopOnDrop(&stop);
             s.spawn(|| {
                 mask_signal(platform.signal(), true);
-                let _ = peer.set(platform.register_current(&key(), Arc::new(ThreadRoots::new(4))));
+                let record = platform.register_current(&key(), roots(), ScanClaim::at(&round));
+                let _ = peer.set((std::thread::current().id(), record));
                 for _ in 0..ROUNDS {
                     barrier.wait(); // the round is about to open
                     std::thread::sleep(HOLD);
@@ -376,7 +328,7 @@ mod tests {
                     mask_signal(platform.signal(), true);
                     released.store(false, Ordering::SeqCst);
                 }
-                platform.unregister_current(&key(), peer.get().unwrap());
+                platform.unregister_current(&key(), &peer.get().unwrap().1);
             });
             s.spawn(|| {
                 while !stop.load(Ordering::SeqCst) {
@@ -387,10 +339,14 @@ mod tests {
                 .iter()
                 .map(|session| {
                     barrier.wait();
-                    let records = [&mine, peer.get().unwrap()];
-                    let scanned = platform.scan_all(&key(), session, &ctx, records.into_iter());
+                    let (peer_id, peer_record) = peer.get().unwrap();
+                    let records = [
+                        (std::thread::current().id(), &mine),
+                        (*peer_id, peer_record),
+                    ];
+                    let scanned = round.run(&platform, &key(), session, &ctx, records.into_iter());
                     let outcome = (
-                        scanned.threads_scanned,
+                        scanned,
                         session.acks_received(),
                         released.load(Ordering::SeqCst),
                     );

@@ -2,18 +2,18 @@
 //!
 //! Each `Collector::register` call on a thread produces one
 //! [`ThreadRecord`]: the thread's pthread id, its stack bounds, the
-//! collector-specific extra roots (§4.3 heap blocks) and its claim on its
-//! platform's round. The collector's registry holds the record, boxed:
-//! the thread-local list that the signal handler walks points at it, so
-//! its address must not change, and it leaves that list on its own
-//! thread: ending it on another aborts the process. Each record scans the
-//! stack, the registers and its own heap blocks and acks once per round
-//! of its own platform.
+//! collector-specific extra roots (§4.3 heap blocks) and the claim on its
+//! collector's round that the collector made. The collector's registry
+//! holds the record, boxed: the thread-local list that the signal handler
+//! walks points at it, so its address must not change, and it leaves that
+//! list on its own thread: ending it on another aborts the process. Each
+//! record scans the stack, the registers and its own heap blocks and acks
+//! once per round of its own collector.
 
 use std::sync::atomic::{AtomicBool, AtomicPtr};
 use std::sync::Arc;
 
-use threadscan::{Round, ScanClaim, ThreadRoots};
+use threadscan::{ScanClaim, ThreadRoots};
 
 use crate::stackbounds::StackBounds;
 
@@ -25,9 +25,7 @@ pub struct ThreadRecord {
     pub(crate) stack: StackBounds,
     /// Extra roots contributed by this registration.
     pub(crate) roots: Arc<ThreadRoots>,
-    /// The round of the platform this record is registered with.
-    pub(crate) round: Arc<Round>,
-    /// The last round of `round` this record scanned in.
+    /// The record's claim on its collector's round.
     pub(crate) claim: ScanClaim,
     /// Next record of the same thread (thread-local intrusive list). Only
     /// the owning thread writes this, and its signal handler reads it, so
@@ -39,16 +37,13 @@ pub struct ThreadRecord {
 }
 
 impl ThreadRecord {
-    /// A record of the calling thread. The caller holds the collector's
-    /// reclaimer lock, which orders `round`'s openings against this call,
-    /// so the claim can win every later round and no open one.
-    pub(crate) fn new(stack: StackBounds, roots: Arc<ThreadRoots>, round: &Arc<Round>) -> Self {
+    /// A record of the calling thread.
+    pub(crate) fn new(stack: StackBounds, roots: Arc<ThreadRoots>, claim: ScanClaim) -> Self {
         Self {
             pthread: unsafe { libc::pthread_self() },
             stack,
             roots,
-            claim: ScanClaim::at(round),
-            round: Arc::clone(round),
+            claim,
             next: AtomicPtr::default(),
             linked: AtomicBool::new(false),
         }
@@ -65,15 +60,20 @@ impl Drop for ThreadRecord {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::stackbounds::current_stack_bounds;
+    use threadscan::Round;
+
+    /// A claim on a round that never opens.
+    pub(crate) fn idle_claim() -> ScanClaim {
+        ScanClaim::at(&Arc::new(Round::new()))
+    }
 
     #[test]
     fn record_captures_calling_thread_identity() {
         let roots = Arc::new(ThreadRoots::new(4));
-        let round = Arc::new(Round::new());
-        let rec = ThreadRecord::new(current_stack_bounds().unwrap(), roots, &round);
+        let rec = ThreadRecord::new(current_stack_bounds().unwrap(), roots, idle_claim());
         assert_eq!(rec.pthread, unsafe { libc::pthread_self() });
         let local = 0u8;
         assert!(rec.stack.contains(&local as *const u8 as usize));
@@ -87,7 +87,7 @@ mod tests {
         let rec = Box::new(ThreadRecord::new(
             current_stack_bounds().unwrap(),
             roots,
-            &Arc::new(Round::new()),
+            idle_claim(),
         ));
         crate::handler::attach_record(&rec);
         rec

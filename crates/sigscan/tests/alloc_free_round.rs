@@ -1,6 +1,5 @@
-//! A signal round allocates nothing: `SignalPlatform::scan_all` signals
-//! straight from the records its caller passes in, instead of copying
-//! them every round.
+//! A signal round allocates nothing: `Round::run` signals straight from
+//! the records its caller passes in, instead of copying them every round.
 //!
 //! The counting allocator counts the calling thread's allocations only,
 //! so neither the test harness nor the signalled peer shows up in the
@@ -14,7 +13,8 @@ use std::sync::{Arc, Barrier, OnceLock};
 use threadscan::master::MasterBuffer;
 use threadscan::retired::{noop_drop, Retired};
 use threadscan::{
-    capture_context, CollectorConfig, Platform, RegistryKey, ThreadRoots, MAX_HEAP_BLOCKS,
+    capture_context, CollectorConfig, Platform, RegistryKey, Round, ScanClaim, ThreadRoots,
+    MAX_HEAP_BLOCKS,
 };
 use ts_sigscan::SignalPlatform;
 
@@ -75,14 +75,21 @@ impl Drop for StopOnDrop<'_> {
 }
 
 #[test]
-fn scan_all_rounds_allocate_nothing() {
+fn signal_rounds_allocate_nothing() {
     const ROUNDS: usize = 20;
     let platform = SignalPlatform::new().unwrap();
+    let round = Arc::new(Round::new());
     // SAFETY: this test makes all of the platform's registrations and runs
-    // all of its rounds, one at a time; each round gets both records, and
-    // each record is unregistered on its own thread before it is dropped.
+    // all of its rounds, one at a time; each round gets both records, each
+    // with its thread, and each record is unregistered on its own thread
+    // before it is dropped.
     let key = unsafe { RegistryKey::new() };
-    let me = platform.register_current(&key, Arc::new(ThreadRoots::new(MAX_HEAP_BLOCKS)));
+    let register = || {
+        let roots = Arc::new(ThreadRoots::new(MAX_HEAP_BLOCKS));
+        let record = platform.register_current(&key, roots, ScanClaim::at(&round));
+        (std::thread::current().id(), record)
+    };
+    let me = register();
     let entries = (1..=8)
         // SAFETY: made-up addresses, never dereferenced or reclaimed.
         .map(|i| unsafe { Retired::from_raw_parts(0x10_0000 * i, 64, noop_drop) })
@@ -99,27 +106,25 @@ fn scan_all_rounds_allocate_nothing() {
     let allocations = std::thread::scope(|s| {
         let _stop = StopOnDrop(&stop);
         s.spawn(|| {
-            let _ = peer
-                .set(platform.register_current(&key, Arc::new(ThreadRoots::new(MAX_HEAP_BLOCKS))));
+            let _ = peer.set(register());
             registered.wait();
             // Busy: every round interrupts a running thread.
             while !stop.load(Ordering::Relaxed) {
                 std::hint::spin_loop();
             }
-            platform.unregister_current(&key, peer.get().unwrap());
+            platform.unregister_current(&key, &peer.get().unwrap().1);
         });
         registered.wait();
-        let records = [&me, peer.get().unwrap()];
+        let (peer_id, peer_record) = peer.get().unwrap();
+        let records = [(me.0, &me.1), (*peer_id, peer_record)];
         allocations_during(|| {
             for (session, scanned) in sessions.iter().zip(&mut scanned) {
-                *scanned = platform
-                    .scan_all(&key, session, &ctx, records.into_iter())
-                    .threads_scanned;
+                *scanned = round.run(&platform, &key, session, &ctx, records.into_iter());
             }
         })
     });
-    platform.unregister_current(&key, &me);
+    platform.unregister_current(&key, &me.1);
     assert_eq!(scanned, [2; ROUNDS], "the peer and the reclaimer itself");
-    assert_eq!(platform.rounds(), ROUNDS);
+    assert_eq!(round.id(), ROUNDS);
     assert_eq!(allocations, 0, "{ROUNDS} signal rounds allocated");
 }

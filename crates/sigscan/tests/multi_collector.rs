@@ -201,7 +201,7 @@ fn custom_realtime_signal_works() {
     });
     collector.collect_now();
     assert_eq!(drops.load(Ordering::SeqCst), 64);
-    assert!(collector.platform().rounds() > 0);
+    assert!(collector.stats().collects > 0);
 }
 
 #[test]
@@ -230,11 +230,11 @@ fn rounds_count_signals_accurately() {
         }
         let handle = collector.register();
         registered.wait();
-        let rounds_before = collector.platform().rounds();
+        let rounds_before = collector.stats().collects;
         let signals_before = collector.platform().signals_sent();
         retire_unheld(&handle, &drops, 4);
         handle.flush(); // one round: 2 peers signaled + self-scan
-        assert_eq!(collector.platform().rounds(), rounds_before + 1);
+        assert_eq!(collector.stats().collects, rounds_before + 1);
         assert_eq!(
             collector.platform().signals_sent(),
             signals_before + 2,
@@ -263,7 +263,7 @@ fn a_round_scans_each_of_its_registrations_and_no_other() {
 
     // Outcomes are read inside the scope and checked after it, so a
     // failed assertion cannot strand the spinning peer.
-    let (a_scanned, b_rounds, b_scanned) = std::thread::scope(|s| {
+    let (a_scanned, a_signals, b_rounds, b_scanned) = std::thread::scope(|s| {
         s.spawn(|| {
             // Twice with A, once with B; B's buffer gets nodes for its round.
             let _a1 = a.register();
@@ -277,18 +277,21 @@ fn a_round_scans_each_of_its_registrations_and_no_other() {
         });
         let me = a.register();
         registered.wait();
-        let (a_before, b_rounds_before) = (a.stats().threads_scanned, b.platform().rounds());
+        let (a_before, b_rounds_before) = (a.stats().threads_scanned, b.stats().collects);
+        let a_signals_before = a.platform().signals_sent();
         retire_unheld(&me, &drops, 4);
         me.flush(); // A's round: the peer's two A records and ours
         let a_scanned = a.stats().threads_scanned - a_before;
-        let b_rounds = b.platform().rounds() - b_rounds_before;
+        let a_signals = a.platform().signals_sent() - a_signals_before;
+        let b_rounds = b.stats().collects - b_rounds_before;
         let b_before = b.stats().threads_scanned;
         b.collect_now(); // B's round: the peer's one B record
         let b_scanned = b.stats().threads_scanned - b_before;
         stop.store(true, Ordering::Relaxed);
-        (a_scanned, b_rounds, b_scanned)
+        (a_scanned, a_signals, b_rounds, b_scanned)
     });
     assert_eq!(a_scanned, A_REGISTRATIONS, "one scan per A registration");
+    assert_eq!(a_signals, 1, "one signal for the peer's two A records");
     assert_eq!(b_rounds, 0, "A's round ran no round of B");
     assert_eq!(b_scanned, 1, "A's round consumed the peer's claim on B");
 }

@@ -10,7 +10,7 @@
 //! | paper / sigscan | here |
 //! |---|---|
 //! | thread stack + registers | [`ShadowStack`]: explicit root words |
-//! | the round: announce, scan and ack once, wait (`threadscan::Round`) | the same `Round`, one per platform |
+//! | the round: announce, scan and ack once, wait (`threadscan::Round::run`) | the same `Round::run`, one `Round` per collector |
 //! | POSIX signal delivery | [`SimPlatform::poll`] claims the round and scans |
 //! | OS guarantees delivery to stalled threads | reclaimer force-scan after a grace period (none for [`SimPlatform::direct`]) |
 //!

@@ -1,26 +1,23 @@
 //! Virtual signals: a deterministic [`threadscan::Platform`].
 //!
 //! Substitutes the OS mechanism with an in-process handshake over
-//! [`ShadowStack`] root regions, run through [`threadscan::Round`] as the
-//! signal platform's rounds are. The collector keeps the records, one
-//! [`SimRecord`] per registration (reach it with
-//! `ThreadHandle::record`), and passes a round those of its registered
-//! threads. The reclaimer opens the round and waits for
-//! threads to notice it at their next [`SimPlatform::poll`]; after a grace
-//! period it force-scans the laggards. The force-scan models the paper's
-//! central progress property: the OS delivers a signal to a thread no
-//! matter what its application code is doing, so a stalled thread cannot
-//! stall reclamation. With no grace ([`SimPlatform::direct`]) the
-//! reclaimer force-scans every record at once: deterministic, the
-//! workhorse for protocol model tests.
+//! [`ShadowStack`] root regions. The collector keeps the records, one
+//! [`SimRecord`] per registration (reach it with `ThreadHandle::record`),
+//! and runs each round over them (`threadscan::Round::run`). The open
+//! round is the virtual signal: a thread notices it at its next
+//! [`SimPlatform::poll`], and after a grace period the reclaimer
+//! force-scans the laggards. The force-scan models the paper's central
+//! progress property: the OS delivers a signal to a thread no matter what
+//! its application code is doing, so a stalled thread cannot stall
+//! reclamation. With no grace ([`SimPlatform::direct`]) the reclaimer
+//! force-scans every record at once: deterministic, the workhorse for
+//! protocol model tests.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use threadscan::{
-    Platform, RegistryKey, Round, ScanClaim, ScanOutcome, ScanSession, SelfScanContext, ThreadRoots,
-};
+use threadscan::{Platform, RegistryKey, ScanClaim, SelfScanContext, ThreadRoots};
 
 use crate::shadow::ShadowStack;
 
@@ -28,11 +25,8 @@ use crate::shadow::ShadowStack;
 pub struct SimRecord {
     shadow: Arc<ShadowStack>,
     roots: Arc<ThreadRoots>,
-    /// Real thread that created the registration: the reclaimer self-scans
-    /// its own records instead of waiting for a poll it could never make.
-    tid: std::thread::ThreadId,
-    /// The last round this record scanned in: a poll and a force-scan
-    /// ack a round exactly once between them.
+    /// A poll, a self-scan and a force-scan ack a round exactly once
+    /// between them.
     claim: ScanClaim,
 }
 
@@ -42,26 +36,20 @@ impl SimRecord {
         &self.shadow
     }
 
-    /// Scans this record in `round`'s open round unless it already has;
-    /// returns whether this call scanned.
-    fn scan_in(&self, round: &Round) -> bool {
-        round.scan_once(&self.claim, |session| {
+    /// Scans this record in its collector's open round unless it already
+    /// has; returns whether this call scanned.
+    fn scan(&self) -> bool {
+        self.claim.scan_once(|session| {
             self.shadow.scan(session);
             self.roots.scan(session);
         })
     }
 }
 
-/// The simulated platform. Not `Clone`: its collector is its one
-/// registry, and reaches it as [`threadscan::Collector::platform`].
+/// The simulated platform.
 pub struct SimPlatform {
     grace: Duration,
     shadow_slots: usize,
-    /// Opened under the collector's reclaimer lock, which registrations
-    /// take their claims under: a record registered mid-round cannot ack
-    /// that round.
-    round: Round,
-    rounds_completed: AtomicUsize,
     force_scans: AtomicUsize,
 }
 
@@ -79,15 +67,8 @@ impl SimPlatform {
         Self {
             grace,
             shadow_slots,
-            round: Round::new(),
-            rounds_completed: AtomicUsize::new(0),
             force_scans: AtomicUsize::new(0),
         }
-    }
-
-    /// Completed scan rounds.
-    pub fn rounds_completed(&self) -> usize {
-        self.rounds_completed.load(Ordering::Relaxed)
     }
 
     /// Records scanned by the reclaimer on behalf of a non-polling thread.
@@ -102,67 +83,44 @@ impl SimPlatform {
     /// Call it from simulated application code at its "safe points" — the
     /// analogue of the OS delivering a signal at an arbitrary instruction.
     pub fn poll(&self, record: &SimRecord) -> bool {
-        record.scan_in(&self.round)
+        record.scan()
     }
 }
 
-// SAFETY: `scan_all` opens the round for the records it is given, which
-// the collector's reclaimer lock keeps apart from registrations (and their
-// claims) and from the platform's other rounds, and returns only once each
-// of them has acked: by poll, self-scan or force-scan, exactly once each
-// (`ScanClaim`). The platform is not `Clone`, so the collector that owns it
-// makes all of its registrations and rounds. Shadow stacks *are* the
-// simulated threads' entire private memory, fulfilling the contract.
+// SAFETY: a record acks only through its claim, after scanning its shadow
+// stack and heap blocks, which *are* a simulated thread's entire private
+// memory; `reach` keeps its default, so no thread counts as exited.
 unsafe impl Platform for SimPlatform {
     type Record = SimRecord;
 
-    fn register_current(&self, _: &RegistryKey, roots: Arc<ThreadRoots>) -> SimRecord {
+    fn register_current(
+        &self,
+        _: &RegistryKey,
+        roots: Arc<ThreadRoots>,
+        claim: ScanClaim,
+    ) -> SimRecord {
         SimRecord {
             shadow: Arc::new(ShadowStack::new(self.shadow_slots)),
             roots,
-            tid: std::thread::current().id(),
-            claim: ScanClaim::at(&self.round),
+            claim,
         }
     }
 
-    fn unregister_current(&self, _: &RegistryKey, _record: &SimRecord) {}
+    /// The reclaimer's private memory is its shadow stack, so the boundary
+    /// context is not needed; it could never reach a poll point while it
+    /// waits (Algorithm 1 line 7).
+    fn scan_own(&self, _: &RegistryKey, record: &SimRecord, _: &SelfScanContext) {
+        record.scan();
+    }
 
-    fn scan_all<'r>(
-        &self,
-        _: &RegistryKey,
-        session: &ScanSession<'_>,
-        _reclaimer: &SelfScanContext,
-        records: impl ExactSizeIterator<Item = &'r SimRecord>,
-    ) -> ScanOutcome {
-        // The reclaimer's private memory is its shadow stack (a record like
-        // any other), so the boundary context is not needed here.
-        let round = &self.round;
-        let snapshot: Vec<&SimRecord> = records.collect();
-        if snapshot.is_empty() {
-            return ScanOutcome { threads_scanned: 0 };
-        }
-        // SAFETY: one collector's reclaimer lock serialises rounds, and the
-        // round closes below after all of `snapshot` have acked.
-        unsafe { round.open(session) };
-        // The reclaimer scans its own records up front — it is busy waiting
-        // below and could never reach a poll point (this is the analogue of
-        // the reclaimer executing TS-Scan itself, Algorithm 1 line 7).
-        let me = std::thread::current().id();
-        for rec in snapshot.iter().filter(|r| r.tid == me) {
-            rec.scan_in(round);
-        }
-        round.wait(session, snapshot.len(), self.grace, || {
-            // Grace expired: deliver the "signal" ourselves.
-            for rec in &snapshot {
-                if rec.scan_in(round) {
-                    self.force_scans.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        });
-        round.close();
-        self.rounds_completed.fetch_add(1, Ordering::Relaxed);
-        ScanOutcome {
-            threads_scanned: snapshot.len(),
+    fn patience(&self) -> Duration {
+        self.grace
+    }
+
+    /// Grace expired: deliver the "signal" ourselves.
+    fn overdue(&self, _: &RegistryKey, record: &SimRecord) {
+        if record.scan() {
+            self.force_scans.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -318,22 +276,21 @@ mod tests {
     static ROUND_EVENTS: [Counter; 16] = [const { Counter::new(0) }; 16];
 
     fn count_round_event(event: threadscan::PhaseEvent) {
-        use threadscan::PhaseKind::{AllAcked, ScanBegin, ScanEnd};
-        if matches!(event.kind, ScanBegin | ScanEnd | AllAcked) {
+        use threadscan::PhaseKind::{AllAcked, Announce, ScanBegin, ScanEnd};
+        if matches!(event.kind, Announce | ScanBegin | ScanEnd | AllAcked) {
             ROUND_EVENTS[event.kind.code() as usize].fetch_add(1, Ordering::SeqCst);
         }
     }
 
     #[test]
     fn a_round_stamps_one_scan_span_per_record_and_one_all_acked() {
-        use threadscan::PhaseKind::{AllAcked, ScanBegin, ScanEnd};
+        use threadscan::PhaseKind::{AllAcked, Announce, ScanBegin, ScanEnd};
         let collector = Collector::with_config(
             SimPlatform::direct(8),
             CollectorConfig::default().with_telemetry(threadscan::TelemetrySink {
                 record: count_round_event,
             }),
         );
-        let platform = collector.platform();
         let drops = Arc::new(Counter::new(0));
         let handle = collector.register();
         // A second record on this thread (self-scanned) and one on a thread
@@ -357,13 +314,18 @@ mod tests {
         });
         let count =
             |k: threadscan::PhaseKind| ROUND_EVENTS[k.code() as usize].load(Ordering::SeqCst);
-        assert_eq!(platform.rounds_completed(), 1);
+        assert_eq!(collector.stats().collects, 1);
         assert_eq!(
             (count(ScanBegin), count(ScanEnd)),
             (3, 3),
             "one pair per record"
         );
         assert_eq!(count(AllAcked), 1);
+        assert_eq!(
+            count(Announce),
+            count(AllAcked),
+            "one announce per all_acked"
+        );
         assert_eq!(drops.load(Ordering::SeqCst), 1);
         drop(mine);
         drop(handle);

@@ -196,9 +196,9 @@ fn a_thread_registered_mid_round_cannot_ack_it() {
                 std::thread::yield_now();
             }
             std::thread::sleep(Duration::from_millis(100));
-            let before = platform.rounds_completed();
+            let before = collector.stats().collects;
             let handle = collector.register();
-            let rounds = (before, platform.rounds_completed());
+            let rounds = (before, collector.stats().collects);
             let start = std::time::Instant::now();
             let mut acked = false;
             while start.elapsed() < Duration::from_millis(300) {
