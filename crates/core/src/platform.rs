@@ -61,7 +61,8 @@ impl RegistryKey {
 
 /// What a scan round needs from a platform: each record's scan, and how
 /// a round reaches another thread's. [`Round::run`](crate::Round::run)
-/// drives it, with a [`RegistryKey`].
+/// drives it, with a [`RegistryKey`]; a method that panics inside a round
+/// aborts the process there.
 ///
 /// # Safety
 ///

@@ -110,11 +110,17 @@ impl ScanClaim {
     }
 }
 
-/// Closes its round however [`Round::run`] is left, a panic included.
+/// Closes its round when [`Round::run`] returns, and aborts the process
+/// if a panic unwinds it instead: a peer reached earlier may still be
+/// scanning the session the unwind would pop.
 struct Opened<'a>(&'a Round);
 
 impl Drop for Opened<'_> {
     fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("ThreadScan: a scan round panicked while open; aborting");
+            std::process::abort();
+        }
         self.0.close();
     }
 }
@@ -164,8 +170,9 @@ impl Round {
     /// thread's records adjacent), then scans the caller's own from
     /// `reclaimer`, so peers scan meanwhile, and waits for every record of
     /// the caller and of each thread reached, calling [`Platform::overdue`]
-    /// on each once [`Platform::patience`] has passed. The round closes on
-    /// every exit, a panic included.
+    /// on each once [`Platform::patience`] has passed. The round closes
+    /// when it returns; a panic inside it aborts the process, as a peer
+    /// may still be scanning the session.
     pub fn run<'r, P: Platform>(
         &self,
         platform: &P,
@@ -466,5 +473,87 @@ mod tests {
         assert!(overdue >= PATIENCE, "overdue ran after {overdue:?}");
         assert_eq!(round.id(), 1);
         assert!(!records[0].1.claim.scan_once(|_| {}), "the round is closed");
+    }
+
+    /// A platform whose `reach` lets the peer's claim win the round and
+    /// start its scan, then panics while that scan still holds the session.
+    struct PanicsInReach;
+
+    // SAFETY (test double): as for `Script`.
+    unsafe impl Platform for PanicsInReach {
+        type Record = Arc<Scripted>;
+        fn register_current(
+            &self,
+            _: &RegistryKey,
+            _: Arc<ThreadRoots>,
+            _: ScanClaim,
+        ) -> Self::Record {
+            unreachable!("the test makes its records itself")
+        }
+        fn scan_own(&self, _: &RegistryKey, _: &Self::Record, _: &SelfScanContext) {}
+        fn reach(&self, _: &RegistryKey, record: &Self::Record) -> bool {
+            let (scanning, started) = std::sync::mpsc::channel();
+            let record = Arc::clone(record);
+            std::thread::spawn(move || {
+                record.claim.scan_once(|_| {
+                    scanning.send(()).unwrap();
+                    loop {
+                        std::thread::park();
+                    }
+                })
+            });
+            started.recv().unwrap();
+            panic!("the peer could not be reached");
+        }
+        fn overdue(&self, _: &RegistryKey, _: &Self::Record) {}
+    }
+
+    /// Set in the child process that
+    /// `a_round_that_panics_while_a_peer_scans_aborts` starts, which runs
+    /// only that test.
+    const ABORT_CHILD: &str = "TS_ROUND_ABORT_CHILD";
+
+    /// A panic that unwound `run` would pop the session a peer is still
+    /// scanning: the round aborts the process instead. The test runs the
+    /// round in a child process.
+    #[test]
+    fn a_round_that_panics_while_a_peer_scans_aborts() {
+        use std::os::unix::process::ExitStatusExt;
+
+        const NAME: &str = "round::tests::a_round_that_panics_while_a_peer_scans_aborts";
+        if std::env::var_os(ABORT_CHILD).is_some() {
+            let mb = master();
+            let session = mb.session();
+            let round = Arc::new(Round::new());
+            let peer = std::thread::spawn(|| std::thread::current().id())
+                .join()
+                .unwrap();
+            let record = Arc::new(Scripted {
+                thread: 1,
+                claim: ScanClaim::at(&round),
+            });
+            round.run(
+                &PanicsInReach,
+                &RegistryKey(()),
+                &session,
+                &SelfScanContext::empty(),
+                [(peer, &record)].into_iter(),
+            );
+            return; // not reached
+        }
+        let child = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([NAME, "--exact", "--nocapture"])
+            .env(ABORT_CHILD, "1")
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&child.stderr);
+        const SIGABRT: i32 = 6; // Linux
+        assert_eq!(child.status.signal(), Some(SIGABRT), "{stderr}");
+        assert!(
+            stderr.contains("a scan round panicked while open"),
+            "{stderr}"
+        );
     }
 }

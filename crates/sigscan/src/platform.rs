@@ -14,7 +14,7 @@ use crate::stackbounds::current_stack_bounds;
 
 /// How long a round waits for acknowledgments before concluding that a
 /// registered thread leaked (exited without dropping its handle) and
-/// panicking with a diagnostic instead of hanging the process forever.
+/// aborting with a diagnostic instead of hanging the process forever.
 const ACK_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// What a `pthread_kill` return code means for the round.
@@ -131,9 +131,9 @@ unsafe impl Platform for SignalPlatform {
                 true
             }
             Delivery::Gone => false,
-            Delivery::Fatal => panic!(
-                "ThreadScan: pthread_kill failed with error {rc}; a live thread would go unscanned"
-            ),
+            Delivery::Fatal => fatal(format_args!(
+                "pthread_kill failed with error {rc}; a live thread would go unscanned"
+            )),
         }
     }
 
@@ -142,11 +142,19 @@ unsafe impl Platform for SignalPlatform {
     }
 
     fn overdue(&self, _: &RegistryKey, _: &Box<ThreadRecord>) {
-        panic!(
-            "ThreadScan: a round had not all its acks after {ACK_TIMEOUT:?}; a registered \
-             thread is unresponsive or exited without unregistering"
-        );
+        fatal(format_args!(
+            "a round had not all its acks after {ACK_TIMEOUT:?}; a registered thread is \
+             unresponsive or exited without unregistering"
+        ));
     }
+}
+
+/// Prints `why` and aborts. A round cannot go on without a live thread's
+/// scan, and must not unwind either: a peer signalled earlier may still
+/// be scanning its session.
+fn fatal(why: std::fmt::Arguments<'_>) -> ! {
+    eprintln!("ThreadScan: {why}");
+    std::process::abort()
 }
 
 #[cfg(test)]

@@ -339,10 +339,6 @@ impl<S: Smr> ConcurrentSet<S> for HarrisList<S> {
     fn remove(&self, h: &S::Handle, key: u64) -> bool {
         remove::<Node, _>(&h.pin(), &self.head, key)
     }
-
-    fn kind(&self) -> &'static str {
-        "harris-list"
-    }
 }
 
 impl<S: Smr> Drop for HarrisList<S> {

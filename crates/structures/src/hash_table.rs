@@ -65,10 +65,6 @@ impl<S: Smr> ConcurrentSet<S> for LockFreeHashTable<S> {
     fn remove(&self, handle: &S::Handle, key: u64) -> bool {
         self.bucket(key).remove(handle, key)
     }
-
-    fn kind(&self) -> &'static str {
-        "hash-table"
-    }
 }
 
 #[cfg(test)]

@@ -1,304 +1,32 @@
 //! The lazy list (Heller, Herlihy, Luchangco, Moir, Scherer, Shavit,
-//! OPODIS 2005) — the algorithm the paper's *introduction* uses to motivate
-//! unsynchronized traversals:
-//!
-//! > "modifications to the list are done by acquiring fine-grained locks on
-//! > the two nodes adjacent to where an insert or remove of a node is to
-//! > take place ... the frequent search operations ... are executed by
-//! > reading along the sequence of pointers from the list head, ignoring
-//! > the locks, and thus incurring no synchronization overhead."
-//!
-//! `contains` is wait-free and write-free; `insert`/`remove` lock `pred`
-//! and `curr`, validate, and retry on conflict. Removal marks the victim
-//! before unlinking, and the remover retires it through the scheme.
+//! OPODIS 2005): the lock-based skip list's engine at tower height 1.
 
-use core::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
-use std::marker::PhantomData;
+use crate::skiplist::LazySkipList;
 
-use ts_smr::{Guard, Smr, SmrHandle};
-
-use crate::set_trait::ConcurrentSet;
-
-/// Padding to the paper's 172-byte node size, matching the Harris list so
-/// the two lists differ only in algorithm.
-const NODE_PAD: usize = 128;
-
-const SLOT_A: usize = 0;
-const SLOT_B: usize = 1;
-
-#[repr(C)]
-struct LazyNode {
-    /// Plain (untagged) pointer to the next node; first field.
-    next: AtomicPtr<u8>,
-    key: u64,
-    lock: AtomicBool,
-    marked: AtomicBool,
-    _pad: [u8; NODE_PAD],
-}
-
-impl LazyNode {
-    fn new(key: u64, next: *mut u8) -> LazyNode {
-        LazyNode {
-            next: AtomicPtr::new(next),
-            key,
-            lock: AtomicBool::new(false),
-            marked: AtomicBool::new(false),
-            _pad: [0; NODE_PAD],
-        }
-    }
-
-    fn lock(&self) {
-        while self
-            .lock
-            .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            std::hint::spin_loop();
-        }
-    }
-
-    fn unlock(&self) {
-        self.lock.store(false, Ordering::Release);
-    }
-}
-
-/// The lazy list: fine-grained locking for updates, invisible traversals
-/// for everything.
-pub struct LazyList<S: Smr> {
-    /// Sentinel-free head: acts as the predecessor pointer of the first
-    /// node. Conceptually an immortal, unmarked pred.
-    head: AtomicPtr<u8>,
-    /// Lock guarding head-position updates (plays the role of the head
-    /// sentinel's node lock).
-    head_lock: AtomicBool,
-    _scheme: PhantomData<fn(&S)>,
-}
-
-// SAFETY: shared state is atomics; node lifetime is managed through `S`.
-unsafe impl<S: Smr> Send for LazyList<S> {}
-// SAFETY: as for `Send`.
-unsafe impl<S: Smr> Sync for LazyList<S> {}
-
-impl<S: Smr> LazyList<S> {
-    /// An empty lazy list.
-    pub fn new() -> Self {
-        Self {
-            head: AtomicPtr::new(std::ptr::null_mut()),
-            head_lock: AtomicBool::new(false),
-            _scheme: PhantomData,
-        }
-    }
-
-    fn lock_pred(&self, pred: *mut LazyNode) {
-        if pred.is_null() {
-            while self
-                .head_lock
-                .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
-                .is_err()
-            {
-                std::hint::spin_loop();
-            }
-        } else {
-            // SAFETY: caller protects pred.
-            unsafe { (*pred).lock() };
-        }
-    }
-
-    fn unlock_pred(&self, pred: *mut LazyNode) {
-        if pred.is_null() {
-            self.head_lock.store(false, Ordering::Release);
-        } else {
-            // SAFETY: locked above.
-            unsafe { (*pred).unlock() };
-        }
-    }
-
-    fn pred_field(&self, pred: *mut LazyNode) -> &AtomicPtr<u8> {
-        if pred.is_null() {
-            &self.head
-        } else {
-            // SAFETY: caller protects pred.
-            unsafe { &(*pred).next }
-        }
-    }
-
-    /// Lazy-list validation: pred unmarked, curr unmarked, pred.next ==
-    /// curr. Caller holds both locks and protections.
-    fn validate(&self, pred: *mut LazyNode, curr: *mut LazyNode) -> bool {
-        let pred_ok = if pred.is_null() {
-            true
-        } else {
-            // SAFETY: locked + protected.
-            !unsafe { (*pred).marked.load(Ordering::Acquire) }
-        };
-        // SAFETY: as for `pred`: locked + protected.
-        let curr_ok = curr.is_null() || !unsafe { (*curr).marked.load(Ordering::Acquire) };
-        pred_ok && curr_ok && self.pred_field(pred).load(Ordering::Acquire) as *mut LazyNode == curr
-    }
-
-    /// Unsynchronized search: returns protected `(pred, curr)` with
-    /// `curr.key >= key` (curr possibly null). Never writes shared memory.
-    ///
-    /// Restarts when the node it just advanced past turns out deleted: a
-    /// deleted node's (frozen) next field is not a sound protection
-    /// source for hazard schemes — the successor may already be retired
-    /// through its live predecessor.
-    fn search(&self, g: &Guard<'_, S::Handle>, key: u64) -> (*mut LazyNode, *mut LazyNode) {
-        'retry: loop {
-            let mut pred: *mut LazyNode = std::ptr::null_mut();
-            let mut pred_slot = SLOT_A;
-            let mut curr_slot = SLOT_B;
-            let mut curr = g.load(curr_slot, self.pred_field(pred)) as *mut LazyNode;
-            while !curr.is_null() {
-                // SAFETY: curr protected in curr_slot.
-                let node = unsafe { &*curr };
-                if node.key >= key {
-                    break;
-                }
-                pred = curr;
-                std::mem::swap(&mut pred_slot, &mut curr_slot);
-                // pred is now protected in pred_slot (it was curr's slot);
-                // protect the successor in the freed slot.
-                curr = g.load(curr_slot, &node.next) as *mut LazyNode;
-                // The chain is sound only if pred was still live when its
-                // next field was read (marking is monotonic, so checking
-                // afterwards suffices).
-                if node.marked.load(Ordering::Acquire) {
-                    continue 'retry;
-                }
-            }
-            return (pred, curr);
-        }
-    }
-
-    /// Sequential key dump (tests; unmarked nodes only).
-    pub fn keys_sequential(&self) -> Vec<u64> {
-        let mut keys = Vec::new();
-        let mut cur = self.head.load(Ordering::Acquire) as *const LazyNode;
-        while !cur.is_null() {
-            // SAFETY: tests call this on a quiescent list, where every
-            // node reachable from the head is live.
-            let node = unsafe { &*cur };
-            if !node.marked.load(Ordering::Acquire) {
-                keys.push(node.key);
-            }
-            cur = node.next.load(Ordering::Acquire) as *const LazyNode;
-        }
-        keys
-    }
-
-    /// Sequential length (tests).
-    pub fn len_sequential(&self) -> usize {
-        self.keys_sequential().len()
-    }
-}
-
-impl<S: Smr> Default for LazyList<S> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<S: Smr> ConcurrentSet<S> for LazyList<S> {
-    /// The introduction's unsynchronized traversal: reads along the chain,
-    /// ignoring all locks; wait-free.
-    fn contains(&self, h: &S::Handle, key: u64) -> bool {
-        let g = h.pin();
-        let (_, curr) = self.search(&g, key);
-        if curr.is_null() {
-            false
-        } else {
-            // SAFETY: protected by search.
-            let node = unsafe { &*curr };
-            node.key == key && !node.marked.load(Ordering::Acquire)
-        }
-    }
-
-    fn insert(&self, h: &S::Handle, key: u64) -> bool {
-        let g = h.pin();
-        loop {
-            let (pred, curr) = self.search(&g, key);
-            if !curr.is_null() {
-                // SAFETY: protected.
-                let node = unsafe { &*curr };
-                if node.key == key && !node.marked.load(Ordering::Acquire) {
-                    break false;
-                }
-            }
-            self.lock_pred(pred);
-            if self.validate(pred, curr) {
-                let node = g.alloc(LazyNode::new(key, curr as *mut u8));
-                self.pred_field(pred)
-                    .store(node as *mut u8, Ordering::Release);
-                self.unlock_pred(pred);
-                break true;
-            }
-            self.unlock_pred(pred);
-            // Validation failed: retry from a fresh search.
-        }
-    }
-
-    fn remove(&self, h: &S::Handle, key: u64) -> bool {
-        let g = h.pin();
-        loop {
-            let (pred, curr) = self.search(&g, key);
-            // SAFETY: search returns `curr` protected.
-            if curr.is_null() || unsafe { (*curr).key } != key {
-                break false;
-            }
-            // SAFETY: protected.
-            let curr_node = unsafe { &*curr };
-            if curr_node.marked.load(Ordering::Acquire) {
-                break false; // already logically deleted
-            }
-            self.lock_pred(pred);
-            curr_node.lock();
-            if self.validate(pred, curr) {
-                // Logical deletion first (readers see it immediately) ...
-                curr_node.marked.store(true, Ordering::Release);
-                // ... then physical unlink.
-                self.pred_field(pred)
-                    .store(curr_node.next.load(Ordering::Acquire), Ordering::Release);
-                curr_node.unlock();
-                self.unlock_pred(pred);
-                // SAFETY: we unlinked it under both locks: unique retire.
-                unsafe { g.retire_box(curr) };
-                break true;
-            }
-            curr_node.unlock();
-            self.unlock_pred(pred);
-        }
-    }
-
-    fn kind(&self) -> &'static str {
-        "lazy-list"
-    }
-}
-
-impl<S: Smr> Drop for LazyList<S> {
-    fn drop(&mut self) {
-        let mut cur = self.head.load(Ordering::Relaxed);
-        while !cur.is_null() {
-            // SAFETY: &mut self; chain links each node once (next read
-            // before the node is freed).
-            unsafe {
-                let node = Box::from_raw(cur.cast::<LazyNode>());
-                cur = node.next.load(Ordering::Relaxed);
-            }
-        }
-    }
-}
+/// The lazy list — the algorithm the paper's *introduction* uses to
+/// motivate unsynchronized traversals:
+///
+/// > "modifications to the list are done by acquiring fine-grained locks on
+/// > the two nodes adjacent to where an insert or remove of a node is to
+/// > take place ... the frequent search operations ... are executed by
+/// > reading along the sequence of pointers from the list head, ignoring
+/// > the locks, and thus incurring no synchronization overhead."
+///
+/// `contains` is wait-free and write-free; `insert`/`remove` lock the
+/// pred (a remove its victim too), validate, and retry on conflict.
+/// Removal marks the victim before unlinking, and the remover retires it
+/// through the scheme. It runs the [`SkipList`](crate::SkipList)'s own
+/// code with one-level towers, so its nodes carry one next pointer and
+/// one operation uses 4 hazard slots.
+pub type LazyList<S> = LazySkipList<S, 1>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ConcurrentSet;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
-    use ts_smr::{EpochScheme, HazardPointers, Leaky};
-
-    #[test]
-    fn node_padded_to_paper_size() {
-        assert_eq!(core::mem::size_of::<LazyNode>(), 152);
-    }
+    use ts_smr::{EpochScheme, HazardPointers, Leaky, Smr};
 
     macro_rules! lazy_semantics {
         ($modname:ident, $ty:ty, $scheme:expr) => {

@@ -13,10 +13,10 @@
 //!
 //! Plus [`LazyList`], the introduction's motivating structure (§1:
 //! fine-grained locks on the two adjacent nodes for updates, lock-ignoring
-//! traversals). Its Figure-1 pattern — a traversal racing a disconnect +
-//! free — is exactly the `remove`/`contains` race all four structures
-//! exhibit; the integration tests drive it under real signal-based
-//! reclamation.
+//! traversals): the [`SkipList`]'s own code at tower height 1. Its
+//! Figure-1 pattern — a traversal racing a disconnect + free — is exactly
+//! the `remove`/`contains` race all four structures exhibit; the
+//! integration tests drive it under real signal-based reclamation.
 //!
 //! Beyond the evaluation's three structures, two more of the
 //! unsynchronized-traversal structures the introduction cites:
@@ -30,6 +30,9 @@
 //!   dummies threaded in, searched, inserted into and removed from by
 //!   [`HarrisList`]'s own code, started at a bucket dummy.
 //!
+//! So the six kinds run on two algorithms: Harris' lock-free list under
+//! the list, the hash table and the split-ordered table, and the lazy
+//! lock-based skip list under the skip list, the lazy list and the queue.
 //! The harness drives every structure, the queue included, as a
 //! `dyn ConcurrentSet<S>` object over one concrete scheme `S`.
 
@@ -43,7 +46,7 @@ pub mod hash_table;
 pub mod lazy_list;
 pub mod priority_queue;
 pub mod set_trait;
-pub mod skiplist;
+mod skiplist;
 pub mod split_ordered;
 pub mod tagged;
 

@@ -29,6 +29,9 @@ use ts_smr::{Guard, Smr, SmrHandle};
 use crate::set_trait::ConcurrentSet;
 use crate::skiplist::{watchdog, SkipList, SkipNode, MAX_HEIGHT, REQUIRED_SLOTS};
 
+/// The full-height node the queue's walks read.
+type Node = SkipNode<MAX_HEIGHT>;
+
 /// Shavit–Lotan priority queue: smallest-priority-first `delete_min`,
 /// lock-free logical deletion, lazy physical removal, reclamation via `S`.
 ///
@@ -52,14 +55,14 @@ impl<S: Smr> PriorityQueue<S> {
     /// The first bottom-level node that is linked, unmarked and
     /// unclaimed — with `claim`, the first one this thread then wins the
     /// claim CAS on. It stays protected in `g`'s roving curr slot.
-    fn first_unclaimed(&self, g: &Guard<'_, S::Handle>, claim: bool) -> Option<*mut SkipNode> {
+    fn first_unclaimed(&self, g: &Guard<'_, S::Handle>, claim: bool) -> Option<*mut Node> {
         let mut spins = 0u64;
         'retry: loop {
             watchdog(&mut spins, "priority queue walk");
             // Two roving slots, swapped as in the set's `contains`.
             let mut pred_slot = 2 * MAX_HEIGHT;
             let mut curr_slot = 2 * MAX_HEIGHT + 1;
-            let mut curr = g.load(curr_slot, &self.list.head.next[0]) as *mut SkipNode;
+            let mut curr = g.load(curr_slot, &self.list.head.next[0]) as *mut Node;
             while !curr.is_null() {
                 // SAFETY: curr protected in curr_slot.
                 let node = unsafe { &*curr };
@@ -78,7 +81,7 @@ impl<S: Smr> PriorityQueue<S> {
                 // over it (the claimer unlinks it). `node` becomes the
                 // pred, still protected in what is now pred_slot.
                 std::mem::swap(&mut pred_slot, &mut curr_slot);
-                curr = g.load(curr_slot, &node.next[0]) as *mut SkipNode;
+                curr = g.load(curr_slot, &node.next[0]) as *mut Node;
                 if node.marked.load(Ordering::Acquire) {
                     continue 'retry;
                 }
@@ -150,10 +153,6 @@ impl<S: Smr> ConcurrentSet<S> for PriorityQueue<S> {
     fn remove(&self, h: &S::Handle, _key: u64) -> bool {
         self.delete_min(h).is_some()
     }
-
-    fn kind(&self) -> &'static str {
-        "priority-queue"
-    }
 }
 
 #[cfg(test)]
@@ -164,10 +163,10 @@ mod tests {
 
     #[test]
     fn node_layout_keeps_tower_first() {
-        assert_eq!(core::mem::offset_of!(SkipNode, next), 0);
+        assert_eq!(core::mem::offset_of!(Node, next), 0);
         assert_eq!(REQUIRED_SLOTS, 26);
         // The claim flag rides in the set node's padding.
-        assert_eq!(core::mem::size_of::<SkipNode>(), 120);
+        assert_eq!(core::mem::size_of::<Node>(), 120);
     }
 
     #[test]
@@ -186,7 +185,6 @@ mod tests {
         assert_eq!(pq.peek_min(&h), Some(9), "3 popped first");
         assert!(pq.remove(&h, 0));
         assert!(!pq.contains(&h, 0));
-        assert_eq!(pq.kind(), "priority-queue");
     }
 
     #[test]
@@ -256,7 +254,7 @@ mod tests {
         for k in [10u64, 20, 30] {
             pq.insert(&h, k);
         }
-        let first = pq.list.head.next[0].load(Ordering::Acquire) as *const SkipNode;
+        let first = pq.list.head.next[0].load(Ordering::Acquire) as *const Node;
         // SAFETY: one thread, nothing removed: `first` is the live node 10.
         unsafe { (*first).claimed.store(true, Ordering::Release) };
         assert_eq!(pq.peek_min(&h), Some(20));

@@ -25,9 +25,6 @@ pub trait ConcurrentSet<S: Smr>: Send + Sync {
     /// is unlinked and retired through the scheme.
     fn remove(&self, handle: &S::Handle, key: u64) -> bool;
 
-    /// Short structure name for benchmark output.
-    fn kind(&self) -> &'static str;
-
     /// For bucketed tables, the current bucket count (exported as a bench
     /// extra); `None` for structures without a bucket directory.
     fn bucket_count(&self) -> Option<usize> {

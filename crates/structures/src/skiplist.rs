@@ -1,10 +1,17 @@
 //! Lock-based optimistic skip list — the paper's third evaluation
 //! structure (§6: "Lock-based Skip List ... with 104 byte nodes
-//! (representing the maximum size due to height)") and the engine under
-//! [`PriorityQueue`](crate::PriorityQueue).
+//! (representing the maximum size due to height)"), the engine under
+//! [`PriorityQueue`](crate::PriorityQueue), and, at tower height 1, the
+//! introduction's [`LazyList`](crate::LazyList).
 //!
 //! This is the lazy skip list of Herlihy, Lev, Luchangco and Shavit
-//! ("A Simple Optimistic Skiplist Algorithm", SIROCCO 2007):
+//! ("A Simple Optimistic Skiplist Algorithm", SIROCCO 2007), which is the
+//! lazy list of Heller et al. grown into towers. [`LazySkipList`] takes
+//! its tower height `L` as a const generic; [`SkipList`] is the engine at
+//! [`MAX_HEIGHT`] and `LazyList` the engine at height 1, where each step
+//! below is the lazy list's own (an unlocked search that restarts at a
+//! marked pred; lock the pred, validate it unmarked and still linked to
+//! the succ; mark, then unlink under the locks):
 //!
 //! * **Traversals take no locks** — `contains` is wait-free and invisible,
 //!   which is exactly what makes reclamation hard and this structure a
@@ -47,14 +54,15 @@ pub const MAX_HEIGHT: usize = 12;
 
 /// Hazard-pointer slots required by one skip-list or priority-queue
 /// operation: a pred and a succ per level, plus two roving slots for
-/// `contains` and the queue's bottom-level walk.
+/// `contains` and the queue's bottom-level walk. A lazy list, one level,
+/// needs 4.
 pub const REQUIRED_SLOTS: usize = 2 * MAX_HEIGHT + 2;
 
 #[repr(C)]
-pub(crate) struct SkipNode {
+pub(crate) struct SkipNode<const L: usize> {
     /// Tower of next pointers (level 0 = full list). First field so
     /// interior pointers resolve to the node under range matching.
-    pub(crate) next: [AtomicPtr<u8>; MAX_HEIGHT],
+    pub(crate) next: [AtomicPtr<u8>; L],
     pub(crate) key: u64,
     top_level: usize,
     lock: AtomicBool,
@@ -72,10 +80,10 @@ pub(crate) struct SkipNode {
     unlinked: AtomicBool,
 }
 
-impl SkipNode {
+impl<const L: usize> SkipNode<L> {
     fn new(key: u64, top_level: usize) -> Self {
         Self {
-            next: [(); MAX_HEIGHT].map(|_| AtomicPtr::new(std::ptr::null_mut())),
+            next: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
             key,
             top_level,
             lock: AtomicBool::new(false),
@@ -113,19 +121,23 @@ pub(crate) fn watchdog(counter: &mut u64, what: &str) {
     }
 }
 
-/// The lock-based skip list.
-pub struct SkipList<S: Smr> {
+/// The lock-based skip list with towers of at most `L` levels, reached
+/// only through [`SkipList`] and [`LazyList`](crate::LazyList).
+pub struct LazySkipList<S: Smr, const L: usize> {
     /// Sentinel head node (see module docs); its key is conceptually −∞
     /// and never compared. It frees with the list, never through a
     /// retire.
-    pub(crate) head: Box<SkipNode>,
+    pub(crate) head: Box<SkipNode<L>>,
     _scheme: PhantomData<fn(&S)>,
 }
 
+/// The lock-based skip list: the engine at full tower height.
+pub type SkipList<S> = LazySkipList<S, MAX_HEIGHT>;
+
 // SAFETY: shared state is atomics; node lifetime is managed through `S`.
-unsafe impl<S: Smr> Send for SkipList<S> {}
+unsafe impl<S: Smr, const L: usize> Send for LazySkipList<S, L> {}
 // SAFETY: as for `Send`.
-unsafe impl<S: Smr> Sync for SkipList<S> {}
+unsafe impl<S: Smr, const L: usize> Sync for LazySkipList<S, L> {}
 
 /// Hands each thread's height generator a distinct seed.
 static NEXT_RNG_STREAM: AtomicU64 = AtomicU64::new(0);
@@ -148,9 +160,9 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Geometric(1/2) top level in `0..MAX_HEIGHT`, from a thread-local
-/// xorshift64* generator (no allocation, no locking).
-fn random_top_level() -> usize {
+/// Geometric(1/2) top level in `0..L`, from a thread-local xorshift64*
+/// generator (no allocation, no locking).
+fn random_top_level<const L: usize>() -> usize {
     HEIGHT_RNG.with(|state| {
         let mut x = state.get();
         x ^= x << 13;
@@ -158,23 +170,27 @@ fn random_top_level() -> usize {
         x ^= x << 17;
         state.set(x);
         let mixed = x.wrapping_mul(0x2545_F491_4F6C_DD1D);
-        ((mixed.trailing_ones() as usize) % MAX_HEIGHT).min(MAX_HEIGHT - 1)
+        (mixed.trailing_ones() as usize) % L
     })
 }
 
-impl<S: Smr> SkipList<S> {
-    /// An empty skip list.
+impl<S: Smr, const L: usize> LazySkipList<S, L> {
+    /// Hazard-pointer slots one operation uses: the pair `{2l, 2l + 1}`
+    /// per level for `find`, then the roving pair `{2L, 2L + 1}`.
+    const SLOTS: usize = 2 * L + 2;
+
+    /// An empty list.
     pub fn new() -> Self {
         Self {
-            head: Box::new(SkipNode::new(0, MAX_HEIGHT - 1)),
+            head: Box::new(SkipNode::new(0, L - 1)),
             _scheme: PhantomData,
         }
     }
 
     /// The sentinel as a node pointer (for pred arrays).
     #[inline]
-    fn sentinel(&self) -> *mut SkipNode {
-        &*self.head as *const SkipNode as *mut SkipNode
+    fn sentinel(&self) -> *mut SkipNode<L> {
+        &*self.head as *const SkipNode<L> as *mut SkipNode<L>
     }
 
     /// Full find: fills `preds`/`succs` for every level and returns the
@@ -193,15 +209,15 @@ impl<S: Smr> SkipList<S> {
         &self,
         g: &Guard<'_, S::Handle>,
         key: u64,
-        preds: &mut [*mut SkipNode; MAX_HEIGHT],
-        succs: &mut [*mut SkipNode; MAX_HEIGHT],
+        preds: &mut [*mut SkipNode<L>; L],
+        succs: &mut [*mut SkipNode<L>; L],
     ) -> Option<usize> {
         let mut spins = 0u64;
         'retry: loop {
             watchdog(&mut spins, "find");
             let mut lfound = None;
-            let mut pred: *mut SkipNode = self.sentinel();
-            for level in (0..MAX_HEIGHT).rev() {
+            let mut pred: *mut SkipNode<L> = self.sentinel();
+            for level in (0..L).rev() {
                 // curr/pred protection alternates between this level's two
                 // slots; `pred` enters protected by a higher level's slot
                 // (or is the immortal sentinel).
@@ -210,7 +226,7 @@ impl<S: Smr> SkipList<S> {
                 // SAFETY: pred is the sentinel or protected
                 // (higher-level slot).
                 let mut pred_field: &AtomicPtr<u8> = unsafe { &(*pred).next[level] };
-                let mut curr = g.load(curr_slot, pred_field) as *mut SkipNode;
+                let mut curr = g.load(curr_slot, pred_field) as *mut SkipNode<L>;
                 // The protection chain requires that pred was live when
                 // its field was read; marking is monotonic, so a
                 // post-load check suffices. A marked pred's (stale) next
@@ -234,7 +250,7 @@ impl<S: Smr> SkipList<S> {
                     std::mem::swap(&mut pred_slot, &mut curr_slot);
                     // SAFETY: pred protected in pred_slot.
                     pred_field = unsafe { &(*pred).next[level] };
-                    curr = g.load(curr_slot, pred_field) as *mut SkipNode;
+                    curr = g.load(curr_slot, pred_field) as *mut SkipNode<L>;
                     if Self::pred_died(pred) {
                         continue 'retry;
                     }
@@ -256,15 +272,15 @@ impl<S: Smr> SkipList<S> {
     /// breaking the traversal's protection chain. The sentinel is never
     /// marked.
     #[inline]
-    fn pred_died(pred: *mut SkipNode) -> bool {
+    fn pred_died(pred: *mut SkipNode<L>) -> bool {
         // SAFETY: pred is the sentinel or protected by the caller.
         unsafe { (*pred).marked.load(Ordering::Acquire) }
     }
 
     /// Unlocks `preds[0..=locked_levels]`, skipping duplicates (a pred —
     /// including the sentinel — may repeat across levels under one lock).
-    fn unlock_preds(preds: &[*mut SkipNode; MAX_HEIGHT], locked_levels: usize) {
-        let mut prev: *mut SkipNode = std::ptr::null_mut();
+    fn unlock_preds(preds: &[*mut SkipNode<L>; L], locked_levels: usize) {
+        let mut prev: *mut SkipNode<L> = std::ptr::null_mut();
         for &p in preds.iter().take(locked_levels + 1) {
             if p != prev {
                 // SAFETY: locked by us; locked nodes are never retired by
@@ -280,11 +296,11 @@ impl<S: Smr> SkipList<S> {
     /// critical sections mutually exclusive (see module docs). On `false`
     /// the caller must `unlock_preds` up to the returned level.
     fn lock_and_validate(
-        preds: &[*mut SkipNode; MAX_HEIGHT],
+        preds: &[*mut SkipNode<L>; L],
         top: usize,
-        expect_succ: impl Fn(usize) -> *mut SkipNode,
+        expect_succ: impl Fn(usize) -> *mut SkipNode<L>,
     ) -> (bool, usize) {
-        let mut prev: *mut SkipNode = std::ptr::null_mut();
+        let mut prev: *mut SkipNode<L> = std::ptr::null_mut();
         let mut locked_up_to = 0usize;
         let mut valid = true;
         for (level, &pred) in preds.iter().enumerate().take(top + 1) {
@@ -297,7 +313,7 @@ impl<S: Smr> SkipList<S> {
             // SAFETY: locked above. The sentinel is never marked.
             let pred_node = unsafe { &*pred };
             let pred_ok = !pred_node.marked.load(Ordering::Acquire);
-            let link_ok = pred_node.next[level].load(Ordering::Acquire) as *mut SkipNode
+            let link_ok = pred_node.next[level].load(Ordering::Acquire) as *mut SkipNode<L>
                 == expect_succ(level);
             valid = pred_ok && link_ok;
             if !valid {
@@ -316,9 +332,9 @@ impl<S: Smr> SkipList<S> {
     pub(crate) fn unlink_and_retire(
         &self,
         g: &Guard<'_, S::Handle>,
-        victim: *mut SkipNode,
-        preds: &mut [*mut SkipNode; MAX_HEIGHT],
-        succs: &mut [*mut SkipNode; MAX_HEIGHT],
+        victim: *mut SkipNode<L>,
+        preds: &mut [*mut SkipNode<L>; L],
+        succs: &mut [*mut SkipNode<L>; L],
     ) {
         // SAFETY: see above — only the marking thread retires the victim.
         let victim_node = unsafe { &*victim };
@@ -341,7 +357,7 @@ impl<S: Smr> SkipList<S> {
             let succ = victim_node.next[level].load(Ordering::Acquire);
             // SAFETY: the victim's links are frozen while it is locked, so
             // each succ is still linked and allocated.
-            let succ_node = unsafe { succ.cast::<SkipNode>().as_ref() };
+            let succ_node = unsafe { succ.cast::<SkipNode<L>>().as_ref() };
             debug_assert!(
                 succ_node.is_none_or(|s| !s.unlinked.load(Ordering::Acquire)),
                 "unlink splicing a fully-unlinked succ"
@@ -363,7 +379,7 @@ impl<S: Smr> SkipList<S> {
     /// claimed, i.e. the queue's resident priorities too).
     pub fn keys_sequential(&self) -> Vec<u64> {
         let mut keys = Vec::new();
-        let mut cur = self.head.next[0].load(Ordering::Acquire) as *const SkipNode;
+        let mut cur = self.head.next[0].load(Ordering::Acquire) as *const SkipNode<L>;
         while !cur.is_null() {
             // SAFETY: tests call this with no concurrent removal, so every
             // linked node is allocated.
@@ -371,7 +387,7 @@ impl<S: Smr> SkipList<S> {
             if !node.marked.load(Ordering::Acquire) && !node.claimed.load(Ordering::Acquire) {
                 keys.push(node.key);
             }
-            cur = node.next[0].load(Ordering::Acquire) as *const SkipNode;
+            cur = node.next[0].load(Ordering::Acquire) as *const SkipNode<L>;
         }
         keys
     }
@@ -382,13 +398,13 @@ impl<S: Smr> SkipList<S> {
     }
 }
 
-impl<S: Smr> Default for SkipList<S> {
+impl<S: Smr, const L: usize> Default for LazySkipList<S, L> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<S: Smr> ConcurrentSet<S> for SkipList<S> {
+impl<S: Smr, const L: usize> ConcurrentSet<S> for LazySkipList<S, L> {
     /// Wait-free, lock-free, write-free membership test — the
     /// "unsynchronized traversal" of the paper's introduction.
     fn contains(&self, h: &S::Handle, key: u64) -> bool {
@@ -396,14 +412,14 @@ impl<S: Smr> ConcurrentSet<S> for SkipList<S> {
         // Two roving slots; protection moves by swapping roles, and the
         // traversal restarts if a pred turns out deleted (see `find`).
         'retry: loop {
-            let mut pred_slot = 2 * MAX_HEIGHT;
-            let mut curr_slot = 2 * MAX_HEIGHT + 1;
-            let mut pred: *mut SkipNode = self.sentinel();
-            let mut found: *mut SkipNode = std::ptr::null_mut();
-            for level in (0..MAX_HEIGHT).rev() {
+            let mut pred_slot = 2 * L;
+            let mut curr_slot = 2 * L + 1;
+            let mut pred: *mut SkipNode<L> = self.sentinel();
+            let mut found: *mut SkipNode<L> = std::ptr::null_mut();
+            for level in (0..L).rev() {
                 // SAFETY: pred protected in pred_slot (or the sentinel).
                 let mut pred_field: &AtomicPtr<u8> = unsafe { &(*pred).next[level] };
-                let mut curr = g.load(curr_slot, pred_field) as *mut SkipNode;
+                let mut curr = g.load(curr_slot, pred_field) as *mut SkipNode<L>;
                 if Self::pred_died(pred) {
                     continue 'retry;
                 }
@@ -426,7 +442,7 @@ impl<S: Smr> ConcurrentSet<S> for SkipList<S> {
                     std::mem::swap(&mut pred_slot, &mut curr_slot);
                     // SAFETY: pred protected in pred_slot.
                     pred_field = unsafe { &(*pred).next[level] };
-                    curr = g.load(curr_slot, pred_field) as *mut SkipNode;
+                    curr = g.load(curr_slot, pred_field) as *mut SkipNode<L>;
                     if Self::pred_died(pred) {
                         continue 'retry;
                     }
@@ -449,10 +465,10 @@ impl<S: Smr> ConcurrentSet<S> for SkipList<S> {
     /// found, unmarked node counts as present, claimed or not.
     fn insert(&self, h: &S::Handle, key: u64) -> bool {
         let g = h.pin();
-        debug_assert!(g.protection_slots().is_none_or(|n| n >= REQUIRED_SLOTS));
-        let top = random_top_level();
-        let mut preds = [std::ptr::null_mut(); MAX_HEIGHT];
-        let mut succs = [std::ptr::null_mut(); MAX_HEIGHT];
+        debug_assert!(g.protection_slots().is_none_or(|n| n >= Self::SLOTS));
+        let top = random_top_level::<L>();
+        let mut preds = [std::ptr::null_mut(); L];
+        let mut succs = [std::ptr::null_mut(); L];
         let mut spins = 0u64;
         'retry: loop {
             watchdog(&mut spins, "insert");
@@ -478,7 +494,7 @@ impl<S: Smr> ConcurrentSet<S> for SkipList<S> {
                 Self::unlock_preds(&preds, locked);
                 continue 'retry;
             }
-            let node = g.alloc(SkipNode::new(key, top));
+            let node = g.alloc(SkipNode::<L>::new(key, top));
             // SAFETY: node is private until linked below.
             let node_ref = unsafe { &*node };
             for (level, &succ) in succs.iter().enumerate().take(top + 1) {
@@ -501,9 +517,9 @@ impl<S: Smr> ConcurrentSet<S> for SkipList<S> {
 
     fn remove(&self, h: &S::Handle, key: u64) -> bool {
         let g = h.pin();
-        debug_assert!(g.protection_slots().is_none_or(|n| n >= REQUIRED_SLOTS));
-        let mut preds = [std::ptr::null_mut(); MAX_HEIGHT];
-        let mut succs = [std::ptr::null_mut(); MAX_HEIGHT];
+        debug_assert!(g.protection_slots().is_none_or(|n| n >= Self::SLOTS));
+        let mut preds = [std::ptr::null_mut(); L];
+        let mut succs = [std::ptr::null_mut(); L];
         let Some(level) = self.find(&g, key, &mut preds, &mut succs) else {
             return false;
         };
@@ -525,13 +541,9 @@ impl<S: Smr> ConcurrentSet<S> for SkipList<S> {
         self.unlink_and_retire(&g, victim, &mut preds, &mut succs);
         true
     }
-
-    fn kind(&self) -> &'static str {
-        "skip-list"
-    }
 }
 
-impl<S: Smr> Drop for SkipList<S> {
+impl<S: Smr, const L: usize> Drop for LazySkipList<S, L> {
     fn drop(&mut self) {
         // Exclusive access: free the bottom-level chain (it contains every
         // node exactly once); the sentinel frees with the Box.
@@ -540,7 +552,7 @@ impl<S: Smr> Drop for SkipList<S> {
             // SAFETY: &mut self; bottom level links every node once (next
             // read before the node is freed).
             unsafe {
-                let node = Box::from_raw(cur.cast::<SkipNode>());
+                let node = Box::from_raw(cur.cast::<SkipNode<L>>());
                 cur = node.next[0].load(Ordering::Relaxed);
             }
         }
@@ -557,15 +569,19 @@ mod tests {
     fn node_layout_is_reasonable() {
         // Paper: ≤104-byte nodes (variable height). Ours are fixed-height
         // towers; assert we stay cache-friendly rather than exact.
-        assert!(core::mem::size_of::<SkipNode>() <= 136);
+        assert!(core::mem::size_of::<SkipNode<MAX_HEIGHT>>() <= 136);
         assert_eq!(REQUIRED_SLOTS, 26);
+        // The lazy list's node is the one-level tower.
+        assert_eq!(core::mem::size_of::<SkipNode<1>>(), 32);
+        assert_eq!(SkipList::<Leaky>::SLOTS, REQUIRED_SLOTS);
+        assert_eq!(crate::LazyList::<Leaky>::SLOTS, 4);
     }
 
     #[test]
     fn random_levels_are_geometricish() {
         let mut counts = [0usize; MAX_HEIGHT];
         for _ in 0..20_000 {
-            counts[random_top_level()] += 1;
+            counts[random_top_level::<MAX_HEIGHT>()] += 1;
         }
         assert!(counts[0] > counts[2], "level 0 must dominate level 2");
         assert!(
@@ -578,9 +594,13 @@ mod tests {
     #[test]
     fn threads_draw_distinct_tower_heights() {
         let first_64 = || {
-            std::thread::spawn(|| (0..64).map(|_| random_top_level()).collect::<Vec<_>>())
-                .join()
-                .unwrap()
+            std::thread::spawn(|| {
+                (0..64)
+                    .map(|_| random_top_level::<MAX_HEIGHT>())
+                    .collect::<Vec<_>>()
+            })
+            .join()
+            .unwrap()
         };
         assert_ne!(first_64(), first_64());
     }

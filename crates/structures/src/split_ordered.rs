@@ -278,10 +278,6 @@ impl<S: Smr> ConcurrentSet<S> for SplitOrderedSet<S> {
         removed
     }
 
-    fn kind(&self) -> &'static str {
-        "split-ordered"
-    }
-
     fn bucket_count(&self) -> Option<usize> {
         Some(SplitOrderedSet::bucket_count(self))
     }

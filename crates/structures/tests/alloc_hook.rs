@@ -14,7 +14,7 @@ use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
 use ts_smr::{DropFn, Smr, SmrHandle};
-use ts_structures::{ConcurrentSet, HarrisList, SplitOrderedSet};
+use ts_structures::{ConcurrentSet, HarrisList, LazyList, SkipList, SplitOrderedSet};
 
 struct CountingAlloc;
 
@@ -128,6 +128,11 @@ where
     }));
 }
 
+/// The structure's type, for failure messages.
+fn name<T>() -> &'static str {
+    std::any::type_name::<T>()
+}
+
 fn present_key_insert_calls_no_hook_and_allocates_nothing<T>(set: T)
 where
     T: ConcurrentSet<Counting>,
@@ -136,8 +141,8 @@ where
     assert!(set.insert(&handle, KEY));
     assert_eq!(handle.hooks.get(), 1);
     let traffic = heap_traffic(|| assert!(!set.insert(&handle, KEY)));
-    assert_eq!(traffic, (0, 0), "{}", set.kind());
-    assert_eq!(handle.hooks.get(), 1, "{}", set.kind());
+    assert_eq!(traffic, (0, 0), "{}", name::<T>());
+    assert_eq!(handle.hooks.get(), 1, "{}", name::<T>());
 }
 
 fn successful_insert_calls_the_hook_once_across_cas_retries<T>(set: T)
@@ -147,11 +152,11 @@ where
     let set = Arc::new(set);
     let handle = Counting.register();
     interfere(&set, &handle, &INTERFERING_KEYS);
-    assert!(set.insert(&handle, KEY), "{}", set.kind());
+    assert!(set.insert(&handle, KEY), "{}", name::<T>());
     assert!(handle.interfere.borrow().is_none(), "the interference ran");
-    assert_eq!(handle.hooks.get(), 1, "{}", set.kind());
+    assert_eq!(handle.hooks.get(), 1, "{}", name::<T>());
     for key in INTERFERING_KEYS.into_iter().chain([KEY]) {
-        assert!(set.contains(&handle, key), "{} lost {key}", set.kind());
+        assert!(set.contains(&handle, key), "{} lost {key}", name::<T>());
     }
 }
 
@@ -165,12 +170,12 @@ where
     assert!(set.insert(&handle, KEY));
     interfere(&set, &handle, &[KEY + 1]);
     let (allocations, frees) = heap_traffic(|| {
-        assert!(!set.insert(&handle, KEY + 1), "{}", set.kind());
+        assert!(!set.insert(&handle, KEY + 1), "{}", name::<T>());
     });
-    assert_eq!(handle.hooks.get(), 2, "{}", set.kind());
+    assert_eq!(handle.hooks.get(), 2, "{}", name::<T>());
     // Allocated: our node and the winner's. Freed: our node, and the
     // interfering closure once it has run. The winner's stays published.
-    assert_eq!((allocations, frees), (2, 2), "{}", set.kind());
+    assert_eq!((allocations, frees), (2, 2), "{}", name::<T>());
     assert!(set.contains(&handle, KEY + 1));
 }
 
@@ -191,6 +196,19 @@ fn harris_present_key_insert_calls_no_hook_and_allocates_nothing() {
 #[test]
 fn split_ordered_present_key_insert_calls_no_hook_and_allocates_nothing() {
     present_key_insert_calls_no_hook_and_allocates_nothing(split_ordered());
+}
+
+/// The lock-based engine at both tower heights. Only this test applies:
+/// an insert calls the hook holding its pred locks, where the other tests'
+/// interfering inserts would wait for them forever.
+#[test]
+fn skiplist_present_key_insert_calls_no_hook_and_allocates_nothing() {
+    present_key_insert_calls_no_hook_and_allocates_nothing(SkipList::<Counting>::new());
+}
+
+#[test]
+fn lazy_list_present_key_insert_calls_no_hook_and_allocates_nothing() {
+    present_key_insert_calls_no_hook_and_allocates_nothing(LazyList::<Counting>::new());
 }
 
 #[test]

@@ -209,7 +209,12 @@ mod tests {
         assert!(pq.contains(&handle, 0));
         assert!(pq.remove(&handle, 0));
         assert!(!pq.contains(&handle, 7));
-        assert_eq!(pq.kind(), "priority-queue");
+        assert!(pq.insert(&handle, 3));
+        assert!(pq.insert(&handle, 5));
+        assert!(
+            pq.remove(&handle, 99),
+            "only a queue removes a key it never held"
+        );
         assert_eq!(pq.bucket_count(), None);
         // Only the split-ordered table reports a directory size.
         assert!(StructureKind::SplitOrdered

@@ -366,9 +366,6 @@ mod tests {
             std::thread::sleep(Duration::from_millis(OP_MS));
             false
         }
-        fn kind(&self) -> &'static str {
-            "stalling"
-        }
     }
 
     /// Regression for the throughput-accounting bug: workers used to run
@@ -499,9 +496,6 @@ mod tests {
         fn remove(&self, _h: &LeakyHandle, k: u64) -> bool {
             self.0.lock().unwrap().push(Op::Remove(k));
             false
-        }
-        fn kind(&self) -> &'static str {
-            "recording"
         }
     }
 
@@ -788,9 +782,6 @@ mod tests {
             let popped = self.0.remove(h, k);
             self.2.fetch_add(usize::from(!popped), Ordering::Relaxed);
             popped
-        }
-        fn kind(&self) -> &'static str {
-            self.0.kind()
         }
     }
 

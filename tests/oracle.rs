@@ -8,8 +8,8 @@ use std::collections::BTreeSet;
 use ts_choose::{check_inputs, Chooser};
 use ts_smr::{EpochScheme, HazardPointers, Leaky, Smr};
 use ts_structures::{
-    ConcurrentSet, HarrisList, LockFreeHashTable, PriorityQueue, SkipList, SplitOrderedSet,
-    REQUIRED_SLOTS,
+    ConcurrentSet, HarrisList, LazyList, LockFreeHashTable, PriorityQueue, SkipList,
+    SplitOrderedSet, REQUIRED_SLOTS,
 };
 
 /// Runs one to `max_ops - 1` uniformly drawn insert/remove/contains
@@ -94,6 +94,28 @@ fn skiplist_matches_btreeset_under_hazard_pointers() {
         |ch| {
             let scheme = HazardPointers::with_params(REQUIRED_SLOTS, 4);
             let set = SkipList::<HazardPointers>::new();
+            check_against_oracle(ch, &scheme, &set, 32, 120);
+        },
+    );
+}
+
+/// The skip list's engine at tower height 1. Four hazard slots are
+/// exactly its budget: a pred and a succ for its one level, and the
+/// roving pair of `contains`.
+#[test]
+fn lazy_list_matches_btreeset() {
+    check_inputs("lazy_list_matches_btreeset", 4096, 48, |ch| {
+        let scheme = Leaky::new();
+        let set = LazyList::<Leaky>::new();
+        check_against_oracle(ch, &scheme, &set, 64, 200);
+    });
+    check_inputs(
+        "lazy_list_matches_btreeset_under_hazard_pointers",
+        4096,
+        48,
+        |ch| {
+            let scheme = HazardPointers::with_params(4, 4);
+            let set = LazyList::<HazardPointers>::new();
             check_against_oracle(ch, &scheme, &set, 32, 120);
         },
     );
