@@ -6,8 +6,6 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 use std::sync::mpsc::{sync_channel, TrySendError};
 use std::time::{Duration, Instant};
 
-use threadscan::buffer::LocalBuffer;
-use threadscan::retired::{noop_drop, Retired};
 use ts_smr::{retire_box, EpochScheme, HazardPointers, Smr, SmrHandle};
 use ts_workload::json::{self, object};
 
@@ -72,10 +70,10 @@ pub(crate) fn quartiles(values: &[f64]) -> (f64, f64, f64) {
 }
 
 /// A trial that is `iters` back-to-back calls of `op`.
-fn repeat(iters: usize, mut op: impl FnMut(usize)) -> (Duration, usize) {
+fn repeat(iters: usize, mut op: impl FnMut()) -> (Duration, usize) {
     let t0 = Instant::now();
-    for i in 0..iters {
-        op(i);
+    for _ in 0..iters {
+        op();
     }
     (t0.elapsed(), iters)
 }
@@ -112,10 +110,9 @@ fn free_trial(nodes: usize, mut next_batch: impl FnMut() -> NodeBatch) -> (Durat
 
 /// Single-threaded ns/op of the layers no frozen benchmark probe covers.
 ///
-/// The first four rows time exactly the sites the ordering-relaxation
-/// pass touched — the epoch `begin_op`/`end_op` bracket, the epoch retire
-/// stamp path, the `LocalBuffer` push + occupancy probe, and the
-/// hazard-pointer protect/release cycle — so each relaxation lands with a
+/// The first three rows time sites the ordering-relaxation pass touched —
+/// the epoch `begin_op`/`end_op` bracket, the epoch retire stamp path and
+/// the hazard-pointer protect/release cycle — so each relaxation lands with a
 /// measured before/after delta (run this at the parent commit and at the
 /// relaxation commit; the README ordering-policy table records the
 /// numbers). Uncontended on purpose: there an x86 `SeqCst` store
@@ -150,7 +147,7 @@ pub fn probes(args: &CliArgs) {
         let scheme = EpochScheme::new();
         let handle = scheme.register();
         let ns = sample(trials, || {
-            repeat(iters, |_| {
+            repeat(iters, || {
                 handle.begin_op();
                 handle.end_op();
             })
@@ -182,33 +179,6 @@ pub fn probes(args: &CliArgs) {
         results.push(("epoch_retire", ns));
     }
 
-    // LocalBuffer fast path: the SPSC push plus the occupancy probe the
-    // retire path uses to decide whether to trigger a phase.
-    {
-        let buf = LocalBuffer::new(4096);
-        let mut out = Vec::new();
-        let ns = sample(trials, || {
-            repeat(iters, |i| {
-                // SAFETY: single-threaded — sole producer and consumer.
-                unsafe {
-                    if buf
-                        .push(Retired::from_raw_parts(
-                            0x1000 + (i % 4096) * 8,
-                            8,
-                            noop_drop,
-                        ))
-                        .is_err()
-                    {
-                        buf.drain_into(&mut out);
-                        out.clear();
-                    }
-                }
-                std::hint::black_box(buf.len());
-            })
-        });
-        results.push(("buffer_push_len", ns));
-    }
-
     // Hazard fast path: publish + SeqCst fence + validate, then the
     // end_op slot clear — the per-reference cost the paper charges hazard
     // pointers.
@@ -218,7 +188,7 @@ pub fn probes(args: &CliArgs) {
         let target = Box::into_raw(Box::new(0u64)).cast::<u8>();
         let shared = AtomicPtr::new(target);
         let ns = sample(trials, || {
-            repeat(iters, |_| {
+            repeat(iters, || {
                 std::hint::black_box(handle.load_protected(0, &shared));
                 handle.end_op();
             })

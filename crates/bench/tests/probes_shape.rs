@@ -1,5 +1,5 @@
 //! The shape of the one per-layer path outside the frozen benchmark:
-//! `ts-bench probes` reports six rows, each with its spread, and the
+//! `ts-bench probes` reports five rows, each with its spread, and the
 //! experiment table and the scheme registry hold what the paper's
 //! evaluation has and nothing else.
 
@@ -17,7 +17,7 @@ fn ts_bench(args: &[&str]) -> String {
 }
 
 #[test]
-fn probes_reports_six_rows_with_their_spread() {
+fn probes_reports_five_rows_with_their_spread() {
     let path = std::env::temp_dir().join(format!("ts-bench-probes-{}.jsonl", std::process::id()));
     ts_bench(&[
         "probes",
@@ -38,7 +38,6 @@ fn probes_reports_six_rows_with_their_spread() {
         [
             "epoch_begin_end_pair",
             "epoch_retire",
-            "buffer_push_len",
             "hazard_protect_release",
             "free_own_176B",
             "free_foreign_176B",

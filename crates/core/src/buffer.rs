@@ -1,18 +1,13 @@
-//! Per-thread delete buffers.
+//! A single-producer, single-consumer ring of retired records.
 //!
 //! The paper (§4.2, "Reclamation") replaces the single shared delete buffer
 //! of the pseudocode with one circular buffer per thread, "guaranteed to be
 //! single-reader, single-writer, so concurrent accesses are simple and
-//! inexpensive". The owning thread is the single writer; the single reader
-//! at any moment is whichever thread currently holds the reclaimer lock and
-//! drains all buffers into the master buffer.
-//!
-//! A [`LocalBuffer`] is the first of a thread's two stages: its fresh
-//! retires, awaiting a scan. The second — the nodes a scan has proven
-//! reclaimable, which the thread frees one per announced allocation and
-//! one per retire once fresh + parked reach half of `buffer_capacity` —
-//! lives with the collector, which sizes each stage at half of
-//! `buffer_capacity`.
+//! inexpensive". [`LocalBuffer`] is that ring. No collector uses it: a
+//! thread's delete buffer has two stages, and both sit behind one lock
+//! that every retire takes anyway, so a lock-free first stage saved no
+//! lock. Only the frozen benchmark's `core.buffer_push_ns` probe still
+//! times this type.
 
 use core::cell::UnsafeCell;
 use core::mem::MaybeUninit;

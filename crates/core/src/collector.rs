@@ -2,8 +2,8 @@
 //!
 //! Mirrors §4 of the paper:
 //!
-//! * each registered thread owns a circular delete buffer
-//!   ([`crate::buffer::LocalBuffer`]);
+//! * each registered thread owns a delete buffer, behind one lock of its
+//!   own that the thread takes once per retire;
 //! * the thread that fills its buffer becomes the **reclaimer**, serialized
 //!   by a lock ("we ensure that there is always at most a single active
 //!   reclaimer in the system via a lock");
@@ -32,7 +32,6 @@ use std::thread::ThreadId;
 use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
 
-use crate::buffer::LocalBuffer;
 use crate::config::{check_buffer_capacity, CollectorConfig};
 use crate::errors::HeapBlockError;
 use crate::hist::Hist;
@@ -70,41 +69,45 @@ struct ReclaimState<P: Platform> {
     collect_ns: Hist,
 }
 
-/// One registered thread's platform record, its two-stage delete buffer
-/// and its counters. The two stages split `buffer_capacity` in half. A
-/// retire that finds both stages together holding half of
-/// `buffer_capacity` frees a parked node before it buffers a fresh one, so
-/// the thread holds at most that many unfreed nodes across both stages.
+/// One registered thread's platform record and its two-stage delete
+/// buffer, whose stages split `buffer_capacity` (rounded up to a power of
+/// two) in half. A retire that finds both stages together holding `half`
+/// frees a parked node before it buffers a fresh one, so the thread holds
+/// at most that many unfreed nodes across both stages.
 struct ThreadSlot<P: Platform> {
     /// The registering thread: a round self-scans its own slots and
     /// reaches every other thread.
     owner: ThreadId,
     /// What a round reaches this thread through, holding its claim.
     record: P::Record,
-    /// Stage 1: retires no scan has examined yet. Filling it makes the
-    /// owner the reclaimer.
-    fresh: LocalBuffer,
+    half: usize,
+    /// The one lock on this thread's buffer, taken once per retire or
+    /// announced allocation, and by the reclaimer to drain, to fill the
+    /// mailbox and to read the counts. It covers a push, a pop or a move,
+    /// never a destructor. Padded: two threads' locks share no line.
+    stages: CachePadded<Mutex<Stages>>,
+}
+
+struct Stages {
+    /// Stage 1: retires no scan has examined yet. The retire that finds it
+    /// full makes its owner the reclaimer.
+    fresh: Vec<Retired>,
     /// Stage 2, the mailbox: nodes a scan proved unreferenced, awaiting
     /// their free. The owner takes one per announced allocation and one
     /// per retire at the bound; the reclaimer-lock holder adds a phase's
     /// share or, on the forced and teardown paths, takes everything back.
-    /// The lock covers the pop or the move only, never a destructor.
-    mailbox: Mutex<Vec<Retired>>,
-    /// Written by the owner only ([`CollectorStats::bump`]), on lines
-    /// nothing else writes; merged by [`Collector::stats`].
-    counters: CachePadded<CollectorStats>,
+    parked: Vec<Retired>,
+    /// The owner's retires, mailbox frees and allocation hooks.
+    counts: StatsSnapshot,
 }
 
-impl<P: Platform> ThreadSlot<P> {
-    fn new(buffer_capacity: usize, record: P::Record) -> Self {
-        let half = buffer_capacity.next_power_of_two() / 2;
-        Self {
-            owner: std::thread::current().id(),
-            record,
-            fresh: LocalBuffer::new(half),
-            mailbox: Mutex::new(Vec::with_capacity(half)),
-            counters: CachePadded::new(CollectorStats::default()),
-        }
+impl Stages {
+    /// Takes the next parked node out for a free outside the lock, counted.
+    fn take_parked(&mut self) -> Option<Retired> {
+        let parked = self.parked.pop()?;
+        self.counts.freed += 1;
+        self.counts.mailbox_frees += 1;
+        Some(parked)
     }
 }
 
@@ -123,16 +126,14 @@ enum Trigger {
 /// structure or one per process), register every thread that accesses the
 /// data, and hand unlinked nodes to [`ThreadHandle::retire`].
 pub struct Collector<P: Platform> {
-    platform: Arc<P>,
+    platform: P,
     config: CollectorConfig,
     /// Opened by each phase under the reclaimer lock, which registrations
     /// make their claims on it under.
     round: Arc<Round>,
     reclaim: Mutex<ReclaimState<P>>,
     /// The registry: one slot per live registration, added and removed
-    /// under the reclaimer lock, a thread's slots next to each other. The
-    /// fresh stages are drained and the mailboxes filled by the reclaimer
-    /// under that lock too, which serializes those accesses.
+    /// under the reclaimer lock, a thread's slots next to each other.
     slots: Mutex<Vec<Arc<ThreadSlot<P>>>>,
     stats: CollectorStats,
 }
@@ -152,7 +153,7 @@ impl<P: Platform> Collector<P> {
     pub fn with_config(platform: P, config: CollectorConfig) -> Arc<Self> {
         check_buffer_capacity(config.buffer_capacity);
         Arc::new(Self {
-            platform: Arc::new(platform),
+            platform,
             config,
             round: Arc::new(Round::new()),
             reclaim: Mutex::new(ReclaimState {
@@ -180,7 +181,17 @@ impl<P: Platform> Collector<P> {
         let record = self
             .platform
             .register_current(KEY, Arc::clone(&roots), claim);
-        let slot = Arc::new(ThreadSlot::new(self.config.buffer_capacity, record));
+        let half = self.config.buffer_capacity.next_power_of_two() / 2;
+        let slot = Arc::new(ThreadSlot {
+            owner: std::thread::current().id(),
+            record,
+            half,
+            stages: CachePadded::new(Mutex::new(Stages {
+                fresh: Vec::with_capacity(half),
+                parked: Vec::with_capacity(half),
+                counts: StatsSnapshot::default(),
+            })),
+        });
         let mut slots = self.slots.lock();
         // After this thread's other slots: a round reaches a thread once.
         let at = slots
@@ -207,15 +218,16 @@ impl<P: Platform> Collector<P> {
     }
 
     /// A snapshot of lifetime statistics: the collector-level counters
-    /// merged with every live thread's own. Never waits for a phase.
+    /// merged with every live thread's own. Never waits for a phase, which
+    /// holds a thread's stages lock only to move records, not for a round.
     pub fn stats(&self) -> StatsSnapshot {
         // The registry lock is held across both reads so that a thread
-        // unregistering (which folds its counters into the collector's
+        // unregistering (which folds its counts into the collector's
         // under this lock) is counted exactly once.
         let slots = self.slots.lock();
         let mut snap = self.stats.snapshot();
         for slot in slots.iter() {
-            snap.merge(&slot.counters.snapshot());
+            snap.merge(&slot.stages.lock().counts);
         }
         snap
     }
@@ -247,7 +259,10 @@ impl<P: Platform> Collector<P> {
                 .slots
                 .lock()
                 .iter()
-                .map(|s| s.fresh.len() + s.mailbox.lock().len())
+                .map(|s| {
+                    let stages = s.stages.lock();
+                    stages.fresh.len() + stages.parked.len()
+                })
                 .sum::<usize>()
     }
 
@@ -263,11 +278,11 @@ impl<P: Platform> Collector<P> {
         self.collect_locked(&mut state, &ctx, Trigger::Forced);
     }
 
-    /// Triggered collect: called when `trigger`'s owner found it full.
-    /// `ctx` was captured at the retire boundary.
-    fn collect_for(&self, trigger: &LocalBuffer, ctx: &SelfScanContext) {
+    /// Triggered collect: called when `trigger`'s owner found its fresh
+    /// stage full. `ctx` was captured at the retire boundary.
+    fn collect_for(&self, trigger: &ThreadSlot<P>, ctx: &SelfScanContext) {
         let mut state = self.reclaim.lock();
-        if !trigger.is_full() {
+        if trigger.stages.lock().fresh.len() < trigger.half {
             // Another reclaimer drained us while we waited for the lock —
             // back to work (paper §4.2, "Reclamation").
             self.stats.add(&self.stats.collects_skipped, 1);
@@ -317,7 +332,7 @@ impl<P: Platform> Collector<P> {
         let mut freed = 0;
         if trigger == Trigger::Forced {
             for (slot, _) in slots.iter() {
-                reclaimable.append(&mut slot.mailbox.lock());
+                reclaimable.append(&mut slot.stages.lock().parked);
             }
             // SAFETY: a record enters a mailbox only after the phase that
             // examined it found it unmarked (see the hand-off below).
@@ -326,9 +341,9 @@ impl<P: Platform> Collector<P> {
         let entries = master.intake();
         entries.append(survivors);
         for (slot, contributed) in slots.iter_mut() {
-            // SAFETY: the reclaimer lock makes this thread the single
-            // reader of every registered buffer.
-            *contributed = unsafe { slot.fresh.drain_into(entries) };
+            let fresh = &mut slot.stages.lock().fresh;
+            *contributed = fresh.len();
+            entries.append(fresh);
         }
         if entries.is_empty() {
             return;
@@ -358,7 +373,7 @@ impl<P: Platform> Collector<P> {
         #[cfg(not(ts_mutate_ordering))]
         let scanned = {
             let records = slots.iter().map(|(slot, _)| (slot.owner, &slot.record));
-            self.round.run(&*self.platform, KEY, &session, ctx, records)
+            self.round.run(&self.platform, KEY, &session, ctx, records)
         };
         // Mutation check (`RUSTFLAGS="--cfg ts_mutate_ordering"`, CI's
         // explorer job): sever the scan→free ordering edge — the phase
@@ -393,17 +408,17 @@ impl<P: Platform> Collector<P> {
             // (Lemma 1; Assumption 1.1): running their destructors is
             // sound now and stays sound however long it is put off. A
             // mailbox is reachable only through its owner's handle and
-            // through the registry, which only the reclaimer-lock holder
-            // walks, and whoever takes a record out of it under its lock
-            // reclaims it: exactly once.
+            // through the registry, in which only the reclaimer-lock holder
+            // moves records, and whoever takes a record out of it under
+            // its lock reclaims it: exactly once.
             //
             // Each thread gets back at most what it put in, so an owner
             // that frees one node per retire at the bound is never handed
             // more than its mailbox — half its buffer — holds.
             for (slot, contributed) in slots.iter() {
-                let mut mailbox = slot.mailbox.lock();
-                let room = slot.fresh.capacity() - mailbox.len();
-                mailbox.extend(reclaimable.by_ref().take((*contributed).min(room)));
+                let parked = &mut slot.stages.lock().parked;
+                let room = slot.half - parked.len();
+                parked.extend(reclaimable.by_ref().take((*contributed).min(room)));
             }
         }
         // SAFETY: unmarked after a completed scan, as above.
@@ -427,22 +442,24 @@ impl<P: Platform> Collector<P> {
     }
 
     fn unregister(&self, slot: &Arc<ThreadSlot<P>>) {
-        // Serialize with any in-flight collect so that draining our buffer
-        // has a single reader, and so that the record leaves the platform
-        // and the registry between rounds. No scan has examined the fresh
-        // records, so they join the survivors the next phase re-examines.
+        // Serialize with any in-flight collect so that the record leaves
+        // the platform and the registry between rounds. No scan has
+        // examined the fresh records, so they join the survivors the next
+        // phase re-examines.
         let mut state = self.reclaim.lock();
         self.platform.unregister_current(KEY, &slot.record);
-        // SAFETY: holding the reclaimer lock makes us the sole reader.
-        unsafe { slot.fresh.drain_into(&mut state.survivors) };
-        let parked = std::mem::take(&mut *slot.mailbox.lock());
+        let (parked, counts) = {
+            let mut stages = slot.stages.lock();
+            state.survivors.append(&mut stages.fresh);
+            (std::mem::take(&mut stages.parked), stages.counts)
+        };
         // SAFETY: mailbox records were found unmarked by a completed scan.
         unsafe { self.reclaim_all(parked) };
-        // Leave the registry and hand the thread's counters over under one
+        // Leave the registry and hand the thread's counts over under one
         // registry lock: `stats` sees them in exactly one place.
         let mut slots = self.slots.lock();
         slots.retain(|s| !Arc::ptr_eq(s, slot));
-        self.stats.absorb(&slot.counters.snapshot());
+        self.stats.absorb(&counts);
     }
 }
 
@@ -454,13 +471,13 @@ impl<P: Platform> Drop for Collector<P> {
         let mut leftovers = std::mem::take(&mut state.survivors);
         leftovers.append(state.master.intake());
         for slot in self.slots.get_mut().drain(..) {
+            let mut stages = slot.stages.lock();
             debug_assert!(
-                slot.fresh.is_empty() && slot.mailbox.lock().is_empty(),
+                stages.fresh.is_empty() && stages.parked.is_empty(),
                 "live buffer at collector drop: a ThreadHandle outlived its Collector Arc?"
             );
-            // SAFETY: exclusive access via &mut self.
-            unsafe { slot.fresh.drain_into(&mut leftovers) };
-            leftovers.append(&mut slot.mailbox.lock());
+            leftovers.append(&mut stages.fresh);
+            leftovers.append(&mut stages.parked);
         }
         // SAFETY: see above — no handle, hence no referencing thread.
         unsafe { self.reclaim_all(leftovers) };
@@ -511,36 +528,31 @@ impl<P: Platform> ThreadHandle<P> {
     }
 
     fn retire_record(&self, record: Retired) {
-        CollectorStats::bump(&self.slot.counters.retired);
-        let fresh = &self.slot.fresh;
-        if fresh.is_full() {
+        let slot = &*self.slot;
+        let mut stages = slot.stages.lock();
+        if stages.fresh.len() == slot.half {
             // Our earlier retires filled the fresh half: we become the
-            // reclaimer. Snapshot the application boundary before
+            // reclaimer. The phase drains this stage under its lock, so we
+            // let go of it first. Snapshot the application boundary before
             // entering the machinery.
+            drop(stages);
             let ctx = capture_context();
-            self.collector.collect_for(fresh, &ctx);
+            self.collector.collect_for(slot, &ctx);
+            // Only a phase takes fresh records, so the stage now has room.
+            stages = slot.stages.lock();
         }
-        // Stage 2: at the bound, free one node a phase handed back before
-        // buffering this one. That keeps this thread's fresh + parked
-        // count within half its capacity (a retire at the bound moves one
-        // node's worth from the parked side to the fresh side, a phase
-        // moves the fresh side back), so a phase finds room in the
-        // mailbox for everything this thread put in. Below the bound the
-        // parked nodes wait for `before_alloc`, or for later retires.
-        let parked = {
-            let mut mailbox = self.slot.mailbox.lock();
-            if fresh.len() + mailbox.len() >= fresh.capacity() {
-                mailbox.pop()
-            } else {
-                None
-            }
-        };
-        if let Some(parked) = parked {
-            self.free_parked(parked);
-        }
-        // SAFETY: this handle's thread is the buffer's only producer.
-        unsafe { fresh.push(record) }
-            .expect("a phase drains every registered thread's fresh buffer, this one's included");
+        // Stage 2: at the bound, free one parked node before buffering this
+        // one. That keeps fresh + parked within `half` (a retire at the
+        // bound moves one node from the parked side to the fresh side, a
+        // phase moves the fresh side back), so a phase finds room in the
+        // mailbox for all this thread put in. Below the bound parked nodes
+        // wait for `before_alloc`, or for later retires.
+        let at_bound = stages.fresh.len() + stages.parked.len() >= slot.half;
+        let parked = if at_bound { stages.take_parked() } else { None };
+        stages.fresh.push(record);
+        stages.counts.retired += 1;
+        drop(stages);
+        free_parked(parked);
     }
 
     /// Frees one parked node, if this thread's mailbox holds any. Call it
@@ -550,34 +562,17 @@ impl<P: Platform> ThreadHandle<P> {
     /// of another thread's. Optional — [`Self::retire`] frees parked
     /// nodes at its bound whether or not this is ever called.
     pub fn before_alloc(&self) {
-        let parked = {
-            let mut mailbox = self.slot.mailbox.lock();
-            let parked = mailbox.pop();
-            if let Some(next) = mailbox.last() {
-                prefetch_for_free(next.addr());
-            }
-            parked
-        };
-        let counters = &self.slot.counters;
-        match parked {
-            Some(parked) => {
-                self.free_parked(parked);
-                CollectorStats::bump(&counters.alloc_frees);
-            }
-            None => CollectorStats::bump(&counters.alloc_misses),
+        let mut stages = self.slot.stages.lock();
+        let parked = stages.take_parked();
+        if let Some(next) = stages.parked.last() {
+            prefetch_for_free(next.addr());
         }
-    }
-
-    /// Runs the destructor of a record just popped from this thread's
-    /// mailbox and counts it as an owner free.
-    fn free_parked(&self, parked: Retired) {
-        // SAFETY: the reclaimer parked it only after a completed scan found
-        // it unmarked (see the hand-off in `collect_locked`), and the
-        // caller's pop took it out of the mailbox for good.
-        unsafe { parked.reclaim() };
-        let counters = &self.slot.counters;
-        CollectorStats::bump(&counters.freed);
-        CollectorStats::bump(&counters.mailbox_frees);
+        match parked {
+            Some(_) => stages.counts.alloc_frees += 1,
+            None => stages.counts.alloc_misses += 1,
+        }
+        drop(stages);
+        free_parked(parked);
     }
 
     /// Registers a heap block holding private references
@@ -608,7 +603,7 @@ impl<P: Platform> ThreadHandle<P> {
     /// Number of nodes currently waiting for a scan in the fresh stage of
     /// this thread's delete buffer.
     pub fn buffered(&self) -> usize {
-        self.slot.fresh.len()
+        self.slot.stages.lock().fresh.len()
     }
 
     /// Number of nodes parked in this thread's mailbox: proven
@@ -616,12 +611,23 @@ impl<P: Platform> ThreadHandle<P> {
     /// `retire` at the bound. Together with [`Self::buffered`] never more
     /// than half of `buffer_capacity`.
     pub fn mailbox_len(&self) -> usize {
-        self.slot.mailbox.lock().len()
+        self.slot.stages.lock().parked.len()
     }
 
     /// Forces a reclamation phase (including this thread's buffered nodes).
     pub fn flush(&self) {
         self.collector.collect_now();
+    }
+}
+
+/// Runs the destructor of the record, if any, that its owner just took out
+/// of its mailbox ([`Stages::take_parked`]).
+fn free_parked(parked: Option<Retired>) {
+    if let Some(parked) = parked {
+        // SAFETY: the reclaimer parked it only after a completed scan found
+        // it unmarked (see the hand-off in `run_phase`), and the owner's
+        // take removed it from the mailbox for good.
+        unsafe { parked.reclaim() };
     }
 }
 
@@ -1281,7 +1287,7 @@ mod tests {
     fn struct_literal_config_is_validated_at_construction() {
         // `buffer_capacity` is a `pub` field: a literal bypasses the
         // builder's assert, and used to panic only at the first
-        // `register()`, inside `LocalBuffer::new(0)`.
+        // `register()`, inside the buffer's constructor.
         let config = CollectorConfig {
             buffer_capacity: 1,
             ..Default::default()

@@ -10,9 +10,8 @@ use crate::telemetry::TelemetrySink;
 #[derive(Clone, Debug)]
 pub struct CollectorConfig {
     /// Capacity of each per-thread delete buffer, in retired nodes, at
-    /// least 2, rounded **up** to the next power of two at buffer creation
-    /// (the rings' index arithmetic requires it; see
-    /// [`LocalBuffer::new`](crate::buffer::LocalBuffer::new)). Paper
+    /// least 2, rounded **up** to the next power of two when a thread
+    /// registers, so that it splits into two equal stages. Paper
     /// default (§6): 1024 ("configured to store up to 1024 pointers per
     /// thread"); Figure 4's tuned hash-table line uses 4096 ("increasing
     /// the length of the per-thread delete buffer length to 4096").

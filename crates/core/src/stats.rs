@@ -31,12 +31,12 @@ macro_rules! counters {
     ($($(#[$doc:meta])+ $name:ident: $fold:ident,)+) => {
         /// Monotonic counters describing a collector's lifetime activity.
         ///
-        /// A collector keeps one instance for its reclaimer's counts, and
-        /// each registered thread one that only it writes (its retires,
-        /// mailbox frees and allocation hooks), so neither `retire` nor the
-        /// allocation hook touches a line another thread writes.
-        /// [`Collector::stats`](crate::Collector::stats) merges the live
-        /// threads' counters into the collector's; unregistering absorbs.
+        /// A collector keeps one for its reclaimer's counts and departed
+        /// threads'. A registered thread counts its retires, mailbox frees
+        /// and allocation hooks under the lock on its delete buffer, which
+        /// `retire` and the allocation hook take anyway, and
+        /// [`Collector::stats`](crate::Collector::stats) merges them into
+        /// the collector's; unregistering absorbs them.
         #[derive(Default)]
         pub struct CollectorStats {
             $($(#[$doc])+ pub $name: AtomicUsize,)+
@@ -96,7 +96,7 @@ counters! {
     collects_skipped: sum,
     /// Nodes handed to `retire`.
     retired: sum,
-    /// Nodes whose destructor ran.
+    /// Nodes whose destructor ran (an owner counts its own right before).
     freed: sum,
     /// Marked nodes carried into a later phase (summed over phases).
     survivors: sum,
@@ -149,21 +149,14 @@ impl CollectorStats {
     pub(crate) fn raise(&self, field: &AtomicUsize, n: usize) {
         field.fetch_max(n, Ordering::Relaxed);
     }
-
-    /// Single-writer increment of a thread's own counter: a plain load
-    /// and store, no read-modify-write.
-    #[inline]
-    pub(crate) fn bump(counter: &AtomicUsize) {
-        counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-    }
 }
 
 impl StatsSnapshot {
     /// Nodes still tracked: retired but not yet freed. This *includes*
     /// nodes parked in a thread's mailbox (proven reclaimable but whose
-    /// destructor has not run) — `freed` only counts completed
-    /// destructors, so `retired - freed` counts the mailboxes as
-    /// outstanding, exactly like
+    /// destructor has not run) — `freed` counts a node only once it has
+    /// left the mailbox for its destructor, so `retired - freed` counts
+    /// the mailboxes as outstanding, exactly like
     /// [`Collector::pending_estimate`](crate::Collector::pending_estimate)
     /// does.
     pub fn outstanding(&self) -> usize {

@@ -12,8 +12,9 @@ use crate::skiplist::LazySkipList;
 /// > reading along the sequence of pointers from the list head, ignoring
 /// > the locks, and thus incurring no synchronization overhead."
 ///
-/// `contains` is wait-free and write-free; `insert`/`remove` lock the
-/// pred (a remove its victim too), validate, and retry on conflict.
+/// `contains` is lock-free and write-free, not wait-free: it restarts
+/// from the head when its pred turns out marked. `insert`/`remove` lock
+/// the pred (a remove its victim too), validate, and retry on conflict.
 /// Removal marks the victim before unlinking, and the remover retires it
 /// through the scheme. It runs the [`SkipList`](crate::SkipList)'s own
 /// code with one-level towers, so its nodes carry one next pointer and

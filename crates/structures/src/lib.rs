@@ -8,8 +8,8 @@
 //!    nodes (paper Figure 3, left).
 //! 2. [`LockFreeHashTable`] — Synchrobench-style fixed bucket array of
 //!    Harris lists, expected bucket length 32 (Figure 3, middle).
-//! 3. [`SkipList`] — lock-based optimistic (lazy) skip list with wait-free
-//!    unsynchronized `contains` (Figure 3, right).
+//! 3. [`SkipList`] — lock-based optimistic (lazy) skip list with a
+//!    lock-free, unsynchronized `contains` (Figure 3, right).
 //!
 //! Plus [`LazyList`], the introduction's motivating structure (§1:
 //! fine-grained locks on the two adjacent nodes for updates, lock-ignoring

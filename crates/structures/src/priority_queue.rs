@@ -113,8 +113,9 @@ impl<S: Smr> PriorityQueue<S> {
         Some(key)
     }
 
-    /// The smallest resident (unclaimed) priority, if any. Wait-free,
-    /// write-free bottom-level walk — an invisible reader.
+    /// The smallest resident (unclaimed) priority, if any. Lock-free,
+    /// write-free bottom-level walk — an invisible reader. Not wait-free:
+    /// the walk restarts from the head when its pred turns out marked.
     pub fn peek_min(&self, h: &S::Handle) -> Option<u64> {
         let g = h.pin();
         // SAFETY: the node is still protected by `g`.

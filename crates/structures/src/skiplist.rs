@@ -13,9 +13,10 @@
 //! marked pred; lock the pred, validate it unmarked and still linked to
 //! the succ; mark, then unlink under the locks):
 //!
-//! * **Traversals take no locks** — `contains` is wait-free and invisible,
-//!   which is exactly what makes reclamation hard and this structure a
-//!   good ThreadScan testcase.
+//! * **Traversals take no locks** — `contains` is lock-free and invisible
+//!   (it writes nothing shared, and restarts from the head when its pred
+//!   turns out marked, so it is not wait-free), which is exactly what
+//!   makes reclamation hard and this structure a good ThreadScan testcase.
 //! * `insert`/`remove` lock only the affected predecessors per level,
 //!   validate optimistically, and retry on conflict.
 //! * Removal marks the victim (logical) before unlinking every level
@@ -405,8 +406,9 @@ impl<S: Smr, const L: usize> Default for LazySkipList<S, L> {
 }
 
 impl<S: Smr, const L: usize> ConcurrentSet<S> for LazySkipList<S, L> {
-    /// Wait-free, lock-free, write-free membership test — the
-    /// "unsynchronized traversal" of the paper's introduction.
+    /// Lock-free, write-free membership test — the "unsynchronized
+    /// traversal" of the paper's introduction. Not wait-free: a walk
+    /// whose pred turns out marked restarts from the head.
     fn contains(&self, h: &S::Handle, key: u64) -> bool {
         let g = h.pin();
         // Two roving slots; protection moves by swapping roles, and the

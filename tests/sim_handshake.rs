@@ -237,3 +237,75 @@ fn a_thread_registered_mid_round_cannot_ack_it() {
         "drop reclaims the survivor"
     );
 }
+
+/// Set by [`note_announce`] once a collect has opened its scan round.
+static ANNOUNCED: AtomicBool = AtomicBool::new(false);
+
+fn note_announce(event: threadscan::PhaseEvent) {
+    if event.kind == threadscan::PhaseKind::Announce {
+        ANNOUNCED.store(true, Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn stats_never_waits_for_a_phase() {
+    // `stats()` takes the registry lock and each thread's stages lock,
+    // never the reclaimer lock. While a round waits out its grace period
+    // on a registered thread that never polls, another thread's `stats()`
+    // returns at once, with the retires made before the round opened.
+    const GRACE: Duration = Duration::from_secs(2);
+    const RETIRES: usize = 3;
+    let collector = Collector::with_config(
+        SimPlatform::handshake(4, GRACE),
+        CollectorConfig::default()
+            .with_buffer_capacity(8)
+            .with_telemetry(threadscan::TelemetrySink {
+                record: note_announce,
+            }),
+    );
+    let drops = Arc::new(AtomicUsize::new(0));
+    let registered = std::sync::Barrier::new(2);
+    let flushed = AtomicBool::new(false);
+
+    let (waited, snap) = std::thread::scope(|s| {
+        // Y: registered, never polls, so the round waits the whole grace
+        // period for it.
+        s.spawn(|| {
+            let _handle = collector.register();
+            registered.wait();
+            while !flushed.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+        });
+        // The reclaimer: retires below its trigger, then forces a phase.
+        s.spawn(|| {
+            let handle = collector.register();
+            registered.wait();
+            for _ in 0..RETIRES {
+                let node = Box::into_raw(Box::new(Probe {
+                    drops: Arc::clone(&drops),
+                    _pad: [0; 4],
+                }));
+                // SAFETY: `node` was never shared.
+                unsafe { handle.retire(node) };
+            }
+            handle.flush();
+            flushed.store(true, Ordering::SeqCst);
+        });
+        while !ANNOUNCED.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        let start = std::time::Instant::now();
+        let snap = collector.stats();
+        (start.elapsed(), snap)
+    });
+
+    assert!(waited < GRACE / 4, "stats() took {waited:?} during a round");
+    assert_eq!(snap.collects, 0, "stats() returned only after the phase");
+    assert_eq!(snap.retired, RETIRES);
+    assert_eq!(
+        drops.load(Ordering::SeqCst),
+        RETIRES,
+        "the phase freed them"
+    );
+}
