@@ -78,17 +78,17 @@ fn repeat(iters: usize, mut op: impl FnMut()) -> (Duration, usize) {
     (t0.elapsed(), iters)
 }
 
-/// The hash table's node size: above glibc's 128-byte fastbin limit, so a
-/// `free` that misses the 7-entry thread cache takes an arena lock.
-type Node176 = [u8; 176];
+/// The Harris list's (and so the hash table's) node: 16 bytes, a 32-byte
+/// glibc chunk, inside the thread cache's and the fastbins' size classes.
+type Node16 = [u64; 2];
 
 /// A phase's worth of separately allocated nodes: the boxes are the
 /// workload of the `free_*` rows.
 #[allow(clippy::vec_box)]
-type NodeBatch = Vec<Box<Node176>>;
+type NodeBatch = Vec<Box<Node16>>;
 
 fn node_batch() -> NodeBatch {
-    (0..512).map(|_| Box::new([0u8; 176])).collect()
+    (0..512).map(|_| Box::new([0; 2])).collect()
 }
 
 /// A trial of the `free_*` rows: frees `nodes` nodes, one batch from
@@ -119,9 +119,9 @@ fn free_trial(nodes: usize, mut next_batch: impl FnMut() -> NodeBatch) -> (Durat
 /// (`xchg`/`mfence`) versus a plain store is the entire story.
 ///
 /// The two `free_*` rows are what one `free()` costs the thread that runs
-/// a phase's sweep, by where the node came from. `free_own_176B` frees
+/// a phase's sweep, by where the node came from. `free_own_16B` frees
 /// nodes the measuring thread just allocated (hot, its own arena) — all
-/// the benchmark's `core.free_ns_per_node` ever sees. `free_foreign_176B`
+/// the benchmark's `core.free_ns_per_node` ever sees. `free_foreign_16B`
 /// frees nodes a peer allocated, while the peer keeps allocating out of
 /// the same arena: what a reclaimer sweeping a shared structure's nodes
 /// pays, and what freeing one node per retire on the retiring thread
@@ -199,7 +199,7 @@ pub fn probes(args: &CliArgs) {
     }
 
     results.push((
-        "free_own_176B",
+        "free_own_16B",
         sample(trials, || free_trial(iters, node_batch)),
     ));
     {
@@ -224,7 +224,7 @@ pub fn probes(args: &CliArgs) {
                 })
             })
         });
-        results.push(("free_foreign_176B", ns));
+        results.push(("free_foreign_16B", ns));
     }
 
     println!(

@@ -39,8 +39,8 @@ fn probes_reports_five_rows_with_their_spread() {
             "epoch_begin_end_pair",
             "epoch_retire",
             "hazard_protect_release",
-            "free_own_176B",
-            "free_foreign_176B",
+            "free_own_16B",
+            "free_foreign_16B",
         ]
     );
     for row in &rows {

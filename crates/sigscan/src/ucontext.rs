@@ -35,7 +35,7 @@ mod imp {
     /// x86_64 Linux: `uc_mcontext.gregs` holds 23 entries (NGREG), of which
     /// the 16 architectural GPRs plus RIP can carry pointers; we scan all
     /// entries — the extras (flags, segment/err words) are just noise words
-    /// that almost never alias a 172-byte heap node.
+    /// that almost never alias a heap node's address range.
     pub unsafe fn capture(uctx: *mut libc::c_void, out: &mut [usize; MAX_REGS]) -> usize {
         let ctx = &*(uctx as *const libc::ucontext_t);
         let gregs = &ctx.uc_mcontext.gregs;

@@ -2,6 +2,10 @@
 //! structure (§6: "Code was adapted for C from the Java provided in \[25\].
 //! Each node was padded to 172 bytes to avoid false sharing.").
 //!
+//! * A node here is one link and one key, 16 bytes, not the paper's 172:
+//!   unpadded, a 1 024-node list walks in L1 and the 131 072-node hash
+//!   table fits in L2, and the padding bought no measured gain against
+//!   false sharing (README, "Unpadded Harris nodes").
 //! * Sorted singly-linked list of `u64` keys.
 //! * Deletion is two-phase: CAS the victim's own `next` pointer to set the
 //!   mark bit (logical), then CAS the predecessor's `next` to unlink it
@@ -30,10 +34,6 @@ use ts_smr::{Guard, Smr, SmrHandle};
 
 use crate::set_trait::ConcurrentSet;
 use crate::tagged::{is_marked, marked, untagged};
-
-/// Padding that brings a node to the paper's 172 bytes
-/// (8 next + 8 key + 156 pad = 172, rounded to 176 by alignment).
-const NODE_PAD: usize = 156;
 
 /// Protection-slot roles during traversal.
 const SLOT_A: usize = 0;
@@ -64,7 +64,6 @@ pub(crate) struct Node {
     /// First field, so an interior pointer to it equals the node address.
     next: AtomicPtr<u8>,
     key: u64,
-    _pad: [u8; NODE_PAD],
 }
 
 impl Node {
@@ -72,7 +71,6 @@ impl Node {
         Self {
             next: AtomicPtr::new(std::ptr::null_mut()),
             key,
-            _pad: [0; NODE_PAD],
         }
     }
 }
@@ -422,9 +420,11 @@ mod tests {
     );
 
     #[test]
-    fn node_size_matches_paper_padding() {
-        // §6: nodes padded to 172 bytes (176 after 8-byte alignment).
-        assert_eq!(core::mem::size_of::<Node>(), 176);
+    fn node_is_one_link_and_one_key() {
+        // Unpadded (the paper's §6 pads to 172 bytes): 16 bytes, so
+        // glibc hands each node a 32-byte chunk, two to a cache line.
+        assert_eq!(core::mem::size_of::<Node>(), 16);
+        assert_eq!(core::mem::align_of::<Node>(), 8);
     }
 
     #[test]

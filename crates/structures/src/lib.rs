@@ -4,8 +4,8 @@
 //! reclamation trait and therefore runnable under all five schemes the
 //! paper compares (§6 "Data Structures"):
 //!
-//! 1. [`HarrisList`] — Harris' lock-free linked list, 172-byte padded
-//!    nodes (paper Figure 3, left).
+//! 1. [`HarrisList`] — Harris' lock-free linked list, 16-byte nodes
+//!    (the paper pads them to 172; Figure 3, left).
 //! 2. [`LockFreeHashTable`] — Synchrobench-style fixed bucket array of
 //!    Harris lists, expected bucket length 32 (Figure 3, middle).
 //! 3. [`SkipList`] — lock-based optimistic (lazy) skip list with a
