@@ -6,8 +6,8 @@
 //! panic-free and allocation-free: it runs inside POSIX signal handlers.
 //!
 //! The paper (§4.2) compares each word, low-order bits masked off, for
-//! equality with a node address. This port's one deviation is to match the
-//! node's whole extent instead. A tagged pointer `base | tag` lies inside
+//! equality with a node address. This port matches the node's whole
+//! extent instead. A tagged pointer `base | tag` lies inside
 //! `[base, base + size)` whenever `tag < size` — and a node that can be
 //! linked at all holds at least a pointer, so low-bit tags on it always
 //! are — which means tags need no mask and retire addresses no alignment
