@@ -9,9 +9,11 @@
 //! every workload and every metric `BENCHMARK.json` declares for that pass
 //! (end-to-end under `--trace 0`, per-layer under `--trace 1`), it reports
 //! both sides' median and quartiles, the change's median against the
-//! parent's, and in how many pairs the change read better. A metric is
-//! **unresolved** when the parent's own spread, `(q3 - q1) / median`, is
-//! wider than its bound: a move that size cannot be told from noise.
+//! parent's, and in how many pairs the change read better. An end-to-end
+//! metric is **unresolved** when the parent's own spread, `(q3 - q1) /
+//! median`, is wider than its bound: a move that size cannot be told from
+//! noise. A per-layer metric, which has no bound, is **unresolved** when
+//! the two sides' q1–q3 ranges overlap, and **moved** when they do not.
 //!
 //! An end-to-end metric whose change median reads worse than the parent's
 //! by more than its bound, or a workload whose failed-op share rose, is a
@@ -219,6 +221,17 @@ impl Compared {
         let (q1, median, q3) = self.parent_q;
         (q3 - q1) / median
     }
+
+    /// Whether the move cannot be told from noise: with a `bound`, the
+    /// parent's spread is wider than it; without one, the two sides' q1–q3
+    /// ranges overlap.
+    fn unresolved(&self, bound: Option<f64>) -> bool {
+        let ((p1, _, p3), (c1, _, c3)) = (self.parent_q, self.change_q);
+        match bound {
+            Some(bound) => self.parent_spread() > bound,
+            None => p1 <= c3 && c1 <= p3,
+        }
+    }
 }
 
 /// `x` to four significant digits.
@@ -335,7 +348,7 @@ pub fn pairs(args: &CliArgs) {
                 runs.iter().map(value).collect()
             };
             let cmp = Compared::new(metric, column(&sides.parent), column(&sides.change));
-            let unresolved = metric.bound.map(|bound| cmp.parent_spread() > bound);
+            let unresolved = cmp.unresolved(metric.bound);
             let breach = metric.bound.filter(|&bound| cmp.worse_by > bound);
             if let Some(bound) = breach {
                 breaches.push(format!(
@@ -345,11 +358,11 @@ pub fn pairs(args: &CliArgs) {
                     100.0 * bound
                 ));
             }
-            let verdict = match (breach, unresolved) {
-                (Some(_), _) => "BREACH",
-                (None, Some(true)) => "unresolved",
-                (None, Some(false)) => "ok",
-                (None, None) => "-",
+            let verdict = match (breach, unresolved, metric.bound) {
+                (Some(_), _, _) => "BREACH",
+                (None, true, _) => "unresolved",
+                (None, false, Some(_)) => "ok",
+                (None, false, None) => "moved",
             };
             let quoted = |(q1, median, q3): (f64, f64, f64)| {
                 format!("{} ({}–{})", sig(median), sig(q1), sig(q3))
@@ -385,12 +398,10 @@ pub fn pairs(args: &CliArgs) {
                     relative(cmp.parent_q.1, cmp.change_q.1).into(),
                 ),
                 ("pairs_change_better", cmp.change_better.into()),
+                ("unresolved", Value::Bool(unresolved)),
             ];
-            if let (Some(bound), Some(unresolved)) = (metric.bound, unresolved) {
-                doc.extend([
-                    ("bound", bound.into()),
-                    ("unresolved", Value::Bool(unresolved)),
-                ]);
+            if let Some(bound) = metric.bound {
+                doc.push(("bound", bound.into()));
             }
             metric_docs.push((metric.name.as_str(), object(doc)));
         }
@@ -440,7 +451,10 @@ pub fn pairs(args: &CliArgs) {
             ),
             (
                 "unresolved_rule",
-                "parent (q3 - q1) / median exceeds the metric's BENCHMARK.json bound".into(),
+                "with a BENCHMARK.json bound (end to end): the parent's (q3 - q1) / median \
+                 exceeds it; without one (per layer): the parent's and the change's q1-q3 \
+                 ranges overlap, and the verdict is \"moved\" when they do not"
+                    .into(),
             ),
             ("breaches", breaches.iter().map(String::as_str).collect()),
             ("workloads", object(workload_docs)),
@@ -505,6 +519,26 @@ mod tests {
         assert_eq!(cmp.change_better, 1, "a tie is not better");
         assert_eq!(cmp.worse_by, 0.0);
         assert_eq!(cmp.parent_spread(), 1.0 / 5.0);
+    }
+
+    #[test]
+    fn a_metric_without_a_bound_is_unresolved_while_the_quartile_ranges_overlap() {
+        let metric = Metric {
+            name: "m".into(),
+            unit: "ns".into(),
+            higher_is_better: false,
+            bound: None,
+        };
+        let parent = vec![10.0, 11.0, 12.0, 13.0, 14.0];
+        let overlapping = Compared::new(&metric, parent.clone(), vec![12.5, 13.0, 14.0, 15.0]);
+        assert!(overlapping.unresolved(None));
+        let faster = Compared::new(&metric, parent.clone(), vec![5.0, 6.0, 7.0, 8.0]);
+        let slower = Compared::new(&metric, parent, vec![20.0, 21.0, 22.0]);
+        assert!(!faster.unresolved(None) && !slower.unresolved(None));
+        assert!(faster.worse_by < 0.0 && slower.worse_by > 0.0);
+        // A bound judges by the parent's own spread instead: 2 / 12.
+        assert!(overlapping.unresolved(Some(0.1)));
+        assert!(!slower.unresolved(Some(0.2)));
     }
 
     #[test]

@@ -28,6 +28,21 @@ pub use explore::{
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+/// SplitMix64's state increment.
+const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// SplitMix64's output from state `x`: the state steps by its increment
+/// and is finalized. Spreads consecutive or clustered inputs (seeds,
+/// ranks) over the whole 64-bit space; output `i` of the stream seeded
+/// with `s` is `splitmix64(s + i * GAMMA)`, wrapping.
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// xoshiro256** seeded through SplitMix64 (Blackman & Vigna's
 /// recommendation): small, fast, and a pure function of its seed. Not a
 /// cryptographic generator.
@@ -39,16 +54,8 @@ pub struct Rng {
 impl Rng {
     /// The generator whose stream is a pure function of `seed`.
     pub fn seeded(seed: u64) -> Self {
-        let mut sm = seed;
-        let mut next = || {
-            sm = sm.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = sm;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
         Self {
-            s: [next(), next(), next(), next()],
+            s: std::array::from_fn(|i| splitmix64(seed.wrapping_add(GAMMA.wrapping_mul(i as u64)))),
         }
     }
 
@@ -167,6 +174,15 @@ mod tests {
     fn first8<T>(seed: u64, mut draw: impl FnMut(&mut Rng) -> T) -> [T; 8] {
         let mut r = Rng::seeded(seed);
         std::array::from_fn(|_| draw(&mut r))
+    }
+
+    /// SplitMix64's published first outputs, and two more inputs.
+    #[test]
+    fn splitmix64_is_the_reference_finalizer() {
+        assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(splitmix64(GAMMA), 0x6e78_9e6a_a1b9_65f4);
+        assert_eq!(splitmix64(12_345), 0x2211_8258_a9d1_11a0);
+        assert_eq!(splitmix64(u64::MAX), 0xe4d9_7177_1b65_2c20);
     }
 
     /// The streams the vendored `rand` stand-in produced for these seeds

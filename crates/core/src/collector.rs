@@ -41,16 +41,15 @@ use crate::retired::{DropFn, Retired};
 use crate::roots::{ThreadRoots, MAX_HEAP_BLOCKS};
 use crate::round::{Round, ScanClaim};
 use crate::selfscan::{capture_context, SelfScanContext};
-use crate::stats::{CollectorStats, StatsSnapshot};
+use crate::stats::StatsSnapshot;
 
 /// What every platform call passes: a collector is its platform's one registry.
 const KEY: &RegistryKey = &RegistryKey(());
 
-/// State protected by the reclaimer lock: the survivors, the buffers every
-/// phase works in and the phases' latency. A phase refills and empties the
-/// buffers but keeps their capacity, so once they have grown to a phase's
-/// size, later phases allocate nothing. Between phases they hold no
-/// records.
+/// State protected by the reclaimer lock: the survivors and the buffers
+/// every phase works in. A phase refills and empties the buffers but keeps
+/// their capacity, so once they have grown to a phase's size, later phases
+/// allocate nothing. Between phases they hold no records.
 struct ReclaimState<P: Platform> {
     /// Marked nodes from the previous phase, and the fresh records of
     /// threads that unregistered since: the next phase re-examines them.
@@ -64,7 +63,19 @@ struct ReclaimState<P: Platform> {
     /// the phase: its hand-off quota. The slots' platform records are
     /// what the phase's scan round runs over.
     slots: Vec<(Arc<ThreadSlot<P>>, usize)>,
-    /// Every phase's reclaimer-side latency; see
+}
+
+/// The registry and the collector's books, behind one lock that a phase
+/// holds only to copy or to merge, so readers never wait for a phase.
+/// Taken after the reclaimer lock and before any thread's stages lock.
+struct Registry<P: Platform> {
+    /// One slot per live registration, added and removed under the
+    /// reclaimer lock, a thread's slots next to each other.
+    slots: Vec<Arc<ThreadSlot<P>>>,
+    /// Every count but a live thread's own: completed phases', skipped
+    /// collects and departed threads'.
+    counts: StatsSnapshot,
+    /// Every completed phase's reclaimer-side latency; see
     /// [`Collector::collect_latency`].
     collect_ns: Hist,
 }
@@ -132,10 +143,7 @@ pub struct Collector<P: Platform> {
     /// make their claims on it under.
     round: Arc<Round>,
     reclaim: Mutex<ReclaimState<P>>,
-    /// The registry: one slot per live registration, added and removed
-    /// under the reclaimer lock, a thread's slots next to each other.
-    slots: Mutex<Vec<Arc<ThreadSlot<P>>>>,
-    stats: CollectorStats,
+    registry: Mutex<Registry<P>>,
 }
 
 impl<P: Platform> Collector<P> {
@@ -161,10 +169,12 @@ impl<P: Platform> Collector<P> {
                 master: MasterBuffer::default(),
                 reclaimable: Vec::new(),
                 slots: Vec::new(),
+            }),
+            registry: Mutex::new(Registry {
+                slots: Vec::new(),
+                counts: StatsSnapshot::default(),
                 collect_ns: Hist::default(),
             }),
-            slots: Mutex::new(Vec::new()),
-            stats: CollectorStats::default(),
         })
     }
 
@@ -177,10 +187,8 @@ impl<P: Platform> Collector<P> {
     pub fn register(self: &Arc<Self>) -> ThreadHandle<P> {
         let roots = Arc::new(ThreadRoots::new(MAX_HEAP_BLOCKS));
         let _state = self.reclaim.lock();
-        let claim = ScanClaim::at(&self.round);
-        let record = self
-            .platform
-            .register_current(KEY, Arc::clone(&roots), claim);
+        let claim = ScanClaim::at(&self.round, Arc::clone(&roots));
+        let record = self.platform.register_current(KEY, claim);
         let half = self.config.buffer_capacity.next_power_of_two() / 2;
         let slot = Arc::new(ThreadSlot {
             owner: std::thread::current().id(),
@@ -192,7 +200,7 @@ impl<P: Platform> Collector<P> {
                 counts: StatsSnapshot::default(),
             })),
         });
-        let mut slots = self.slots.lock();
+        let slots = &mut self.registry.lock().slots;
         // After this thread's other slots: a round reaches a thread once.
         let at = slots
             .iter()
@@ -217,16 +225,16 @@ impl<P: Platform> Collector<P> {
         &self.platform
     }
 
-    /// A snapshot of lifetime statistics: the collector-level counters
-    /// merged with every live thread's own. Never waits for a phase, which
-    /// holds a thread's stages lock only to move records, not for a round.
+    /// A snapshot of lifetime statistics: the registry's counts merged with
+    /// every live thread's own. Never waits for a phase, which holds the
+    /// registry lock only briefly and a thread's stages lock only to move
+    /// records.
     pub fn stats(&self) -> StatsSnapshot {
-        // The registry lock is held across both reads so that a thread
-        // unregistering (which folds its counts into the collector's
-        // under this lock) is counted exactly once.
-        let slots = self.slots.lock();
-        let mut snap = self.stats.snapshot();
-        for slot in slots.iter() {
+        // One registry lock across both reads: a thread unregistering,
+        // which hands its counts over under this lock, counts once.
+        let registry = self.registry.lock();
+        let mut snap = registry.counts;
+        for slot in &registry.slots {
             snap.merge(&slot.stages.lock().counts);
         }
         snap
@@ -234,10 +242,10 @@ impl<P: Platform> Collector<P> {
 
     /// The latency of every completed phase, one record per
     /// [`StatsSnapshot::collects`]: the reclaimer-side nanoseconds from
-    /// sort to hand-off, the §7 responsiveness number. Takes the reclaimer
-    /// lock, so it waits for a phase in progress to end.
+    /// sort to hand-off, the §7 responsiveness number. Like
+    /// [`Self::stats`], never waits for a phase in progress.
     pub fn collect_latency(&self) -> Hist {
-        self.reclaim.lock().collect_ns.clone()
+        self.registry.lock().collect_ns.clone()
     }
 
     /// Nodes currently awaiting a later phase (marked survivors and the
@@ -256,8 +264,9 @@ impl<P: Platform> Collector<P> {
     pub fn pending_estimate(&self) -> usize {
         self.reclaim.lock().survivors.len()
             + self
-                .slots
+                .registry
                 .lock()
+                .slots
                 .iter()
                 .map(|s| {
                     let stages = s.stages.lock();
@@ -285,41 +294,53 @@ impl<P: Platform> Collector<P> {
         if trigger.stages.lock().fresh.len() < trigger.half {
             // Another reclaimer drained us while we waited for the lock —
             // back to work (paper §4.2, "Reclamation").
-            self.stats.add(&self.stats.collects_skipped, 1);
+            self.registry.lock().counts.collects_skipped += 1;
             return;
         }
         self.collect_locked(&mut state, ctx, Trigger::BufferFull);
     }
 
-    /// Runs the destructors of `records` and counts them as freed by the
-    /// reclaimer-lock holder.
+    /// Runs the destructors of `records`; returns how many ran.
     ///
     /// # Safety
     ///
     /// A completed scan phase proved every record unreferenced (Lemma 1),
     /// or no registered thread is left to hold a reference.
-    unsafe fn reclaim_all(&self, records: impl IntoIterator<Item = Retired>) -> usize {
+    unsafe fn reclaim_all(records: impl IntoIterator<Item = Retired>) -> usize {
         let mut n = 0;
         for r in records {
             // SAFETY: the caller's contract, record by record.
             unsafe { r.reclaim() };
             n += 1;
         }
-        self.stats.add(&self.stats.freed, n);
         n
     }
 
-    /// One reclamation phase. Caller holds the reclaimer lock.
+    /// One reclamation phase. Caller holds the reclaimer lock. Takes the
+    /// registry lock twice, briefly: to copy the slots, and to enter the
+    /// phase's counts and latency in the books.
     fn collect_locked(&self, state: &mut ReclaimState<P>, ctx: &SelfScanContext, trigger: Trigger) {
+        let copy = |s: &Arc<ThreadSlot<P>>| (Arc::clone(s), 0);
         state
             .slots
-            .extend(self.slots.lock().iter().map(|s| (Arc::clone(s), 0)));
-        self.run_phase(state, ctx, trigger);
+            .extend(self.registry.lock().slots.iter().map(copy));
+        let counts = self.run_phase(state, ctx, trigger);
         state.slots.clear();
+        let mut registry = self.registry.lock();
+        registry.counts.merge(&counts);
+        if counts.collects > 0 {
+            registry.collect_ns.record(counts.collect_ns_total as u64);
+        }
     }
 
-    /// The body of [`Self::collect_locked`], with `state.slots` filled.
-    fn run_phase(&self, state: &mut ReclaimState<P>, ctx: &SelfScanContext, trigger: Trigger) {
+    /// The body of [`Self::collect_locked`], with `state.slots` filled;
+    /// returns what the phase counted.
+    fn run_phase(
+        &self,
+        state: &mut ReclaimState<P>,
+        ctx: &SelfScanContext,
+        trigger: Trigger,
+    ) -> StatsSnapshot {
         use crate::telemetry::PhaseKind;
 
         let ReclaimState {
@@ -327,16 +348,15 @@ impl<P: Platform> Collector<P> {
             master,
             reclaimable,
             slots,
-            collect_ns,
         } = state;
-        let mut freed = 0;
+        let mut counts = StatsSnapshot::default();
         if trigger == Trigger::Forced {
             for (slot, _) in slots.iter() {
                 reclaimable.append(&mut slot.stages.lock().parked);
             }
             // SAFETY: a record enters a mailbox only after the phase that
             // examined it found it unmarked (see the hand-off below).
-            freed = unsafe { self.reclaim_all(reclaimable.drain(..)) };
+            counts.freed = unsafe { Self::reclaim_all(reclaimable.drain(..)) };
         }
         let entries = master.intake();
         entries.append(survivors);
@@ -346,7 +366,7 @@ impl<P: Platform> Collector<P> {
             entries.append(fresh);
         }
         if entries.is_empty() {
-            return;
+            return counts;
         }
         let phase_start = std::time::Instant::now();
         // Telemetry off (`None`) costs exactly this one plain-field
@@ -362,8 +382,8 @@ impl<P: Platform> Collector<P> {
         }
 
         master.build();
-        self.stats.add(&self.stats.sort_ns_total, master.sort_ns());
-        self.stats.raise(&self.stats.sort_ns_max, master.sort_ns());
+        counts.sort_ns_total = master.sort_ns();
+        counts.sort_ns_max = master.sort_ns();
         if let Some((sink, id)) = telemetry {
             sink.event(PhaseKind::SortEnd, id, entry_count as u64);
         }
@@ -387,15 +407,13 @@ impl<P: Platform> Collector<P> {
             0
         };
 
-        self.stats.add(&self.stats.collects, 1);
-        self.stats.add(&self.stats.threads_scanned, scanned);
-        self.stats
-            .add(&self.stats.words_scanned, session.words_scanned());
-        self.stats.add(&self.stats.mark_hits, session.hits());
+        counts.collects = 1;
+        counts.threads_scanned = scanned;
+        counts.words_scanned = session.words_scanned();
+        counts.mark_hits = session.hits();
 
         master.split_into(reclaimable, survivors);
-        let survivor_count = survivors.len();
-        self.stats.add(&self.stats.survivors, survivor_count);
+        counts.survivors = survivors.len();
 
         if let Some((sink, id)) = telemetry {
             sink.event(PhaseKind::FreeBegin, id, reclaimable.len() as u64);
@@ -422,23 +440,24 @@ impl<P: Platform> Collector<P> {
             }
         }
         // SAFETY: unmarked after a completed scan, as above.
-        freed += unsafe { self.reclaim_all(reclaimable) };
-        let overflow_frees = if trigger == Trigger::Forced { 0 } else { freed };
-        self.stats.add(&self.stats.overflow_frees, overflow_frees);
+        counts.freed += unsafe { Self::reclaim_all(reclaimable) };
+        if trigger != Trigger::Forced {
+            counts.overflow_frees = counts.freed;
+        }
         if let Some((sink, id)) = telemetry {
-            sink.event(PhaseKind::FreeEnd, id, freed as u64);
+            sink.event(PhaseKind::FreeEnd, id, counts.freed as u64);
         }
 
         // Reclaimer-side latency (sort + broadcast + ack wait + hand-off):
         // the §7 responsiveness number, measured where the paper's future
         // work proposes to attack it.
         let ns = crate::master::elapsed_ns(phase_start);
-        self.stats.add(&self.stats.collect_ns_total, ns);
-        self.stats.raise(&self.stats.collect_ns_max, ns);
-        collect_ns.record(ns as u64);
+        counts.collect_ns_total = ns;
+        counts.collect_ns_max = ns;
         if let Some((sink, id)) = telemetry {
-            sink.event(PhaseKind::CollectEnd, id, survivor_count as u64);
+            sink.event(PhaseKind::CollectEnd, id, counts.survivors as u64);
         }
+        counts
     }
 
     fn unregister(&self, slot: &Arc<ThreadSlot<P>>) {
@@ -448,18 +467,18 @@ impl<P: Platform> Collector<P> {
         // phase re-examines.
         let mut state = self.reclaim.lock();
         self.platform.unregister_current(KEY, &slot.record);
-        let (parked, counts) = {
+        let (parked, mut counts) = {
             let mut stages = slot.stages.lock();
             state.survivors.append(&mut stages.fresh);
             (std::mem::take(&mut stages.parked), stages.counts)
         };
         // SAFETY: mailbox records were found unmarked by a completed scan.
-        unsafe { self.reclaim_all(parked) };
+        counts.freed += unsafe { Self::reclaim_all(parked) };
         // Leave the registry and hand the thread's counts over under one
         // registry lock: `stats` sees them in exactly one place.
-        let mut slots = self.slots.lock();
-        slots.retain(|s| !Arc::ptr_eq(s, slot));
-        self.stats.absorb(&counts);
+        let mut registry = self.registry.lock();
+        registry.slots.retain(|s| !Arc::ptr_eq(s, slot));
+        registry.counts.merge(&counts);
     }
 }
 
@@ -470,7 +489,7 @@ impl<P: Platform> Drop for Collector<P> {
         let state = self.reclaim.get_mut();
         let mut leftovers = std::mem::take(&mut state.survivors);
         leftovers.append(state.master.intake());
-        for slot in self.slots.get_mut().drain(..) {
+        for slot in self.registry.get_mut().slots.drain(..) {
             let mut stages = slot.stages.lock();
             debug_assert!(
                 stages.fresh.is_empty() && stages.parked.is_empty(),
@@ -480,7 +499,7 @@ impl<P: Platform> Drop for Collector<P> {
             leftovers.append(&mut stages.parked);
         }
         // SAFETY: see above — no handle, hence no referencing thread.
-        unsafe { self.reclaim_all(leftovers) };
+        unsafe { Self::reclaim_all(leftovers) };
     }
 }
 
@@ -688,12 +707,7 @@ mod tests {
     // `rooted`, which a record scans in full before acking.
     unsafe impl Platform for PinPlatform {
         type Record = ScanClaim;
-        fn register_current(
-            &self,
-            _: &RegistryKey,
-            _: Arc<ThreadRoots>,
-            c: ScanClaim,
-        ) -> ScanClaim {
+        fn register_current(&self, _: &RegistryKey, c: ScanClaim) -> ScanClaim {
             c
         }
         fn scan_own(&self, key: &RegistryKey, claim: &ScanClaim, _: &SelfScanContext) {

@@ -72,5 +72,5 @@ pub use roots::{ThreadRoots, MAX_HEAP_BLOCKS};
 pub use round::{Round, ScanClaim};
 pub use selfscan::{capture_context, SelfScanContext};
 pub use session::ScanSession;
-pub use stats::{CollectorStats, StatsSnapshot};
+pub use stats::StatsSnapshot;
 pub use telemetry::{PhaseEvent, PhaseKind, TelemetrySink};

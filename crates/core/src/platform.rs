@@ -9,10 +9,8 @@
 //! signals for model testing. Who may claim a round, and why: the
 //! [`round`](crate::round) module doc.
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use crate::roots::ThreadRoots;
 use crate::round::ScanClaim;
 use crate::selfscan::SelfScanContext;
 
@@ -28,8 +26,8 @@ use crate::selfscan::SelfScanContext;
 /// # use std::sync::Arc;
 /// # use threadscan::*;
 /// let key = RegistryKey(());
-/// let claim = ScanClaim::at(&Arc::new(Round::new()));
-/// let record = NullPlatform.register_current(&key, Arc::new(ThreadRoots::new(4)), claim);
+/// let claim = ScanClaim::at(&Arc::new(Round::new()), Arc::new(ThreadRoots::new(4)));
+/// let record = NullPlatform.register_current(&key, claim);
 /// NullPlatform.unregister_current(&key, &record);
 /// ```
 ///
@@ -37,8 +35,8 @@ use crate::selfscan::SelfScanContext;
 /// # use std::sync::Arc;
 /// # use threadscan::*;
 /// let key = unsafe { RegistryKey::new() };
-/// let claim = ScanClaim::at(&Arc::new(Round::new()));
-/// let record = NullPlatform.register_current(&key, Arc::new(ThreadRoots::new(4)), claim);
+/// let claim = ScanClaim::at(&Arc::new(Round::new()), Arc::new(ThreadRoots::new(4)));
+/// let record = NullPlatform.register_current(&key, claim);
 /// NullPlatform.unregister_current(&key, &record);
 /// ```
 pub struct RegistryKey(pub(crate) ());
@@ -69,8 +67,8 @@ impl RegistryKey {
 /// Implementations must guarantee that a record acks a round only
 /// through the [`ScanClaim`] it was registered with, and only after its
 /// thread's private roots have been scanned against the round's session:
-/// its stack and registers as of some point during the round, plus every
-/// heap block in the record's [`ThreadRoots`]. A caller's own record, in
+/// its stack and registers as of some point during the round (the claim
+/// scans the heap blocks). A caller's own record, in
 /// [`Platform::scan_own`], scans its stack from `reclaimer.floor` upward
 /// and `reclaimer.regs()` instead of its live stack: the collect
 /// machinery's dead frames below the floor hold copies of every
@@ -85,15 +83,9 @@ pub unsafe trait Platform: Send + Sync + 'static {
     type Record: Send + Sync;
 
     /// Registers the calling thread and returns its record, which acks
-    /// through `claim`. `roots` carries the thread's extra scan roots
-    /// (§4.3 heap blocks); the platform adds the stack and registers
-    /// itself.
-    fn register_current(
-        &self,
-        key: &RegistryKey,
-        roots: Arc<ThreadRoots>,
-        claim: ScanClaim,
-    ) -> Self::Record;
+    /// through `claim`; the claim scans the thread's heap blocks (§4.3)
+    /// and the record its stack and registers.
+    fn register_current(&self, key: &RegistryKey, claim: ScanClaim) -> Self::Record;
 
     /// Ends `record`'s registration, on the thread that made it and before
     /// the record is dropped; by default there is nothing to end.
@@ -123,23 +115,25 @@ pub unsafe trait Platform: Send + Sync + 'static {
     fn overdue(&self, key: &RegistryKey, record: &Self::Record);
 }
 
-/// A platform whose threads have no private roots: a round acks each
-/// record at once and every unmarked node is freed immediately.
+/// A platform whose threads have no stack or registers: a round acks each
+/// record at once, having scanned only its heap blocks, and every node no
+/// heap block references is freed immediately.
 ///
 /// Useful as a baseline ("what if scans were free and found nothing") and
 /// for tests of the buffering/sweeping machinery in isolation. **Not safe
 /// for real concurrent use**: it never looks at anyone's stack, so it
-/// reclaims everything unconditionally.
+/// reclaims everything a heap block does not pin.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullPlatform;
 
 // SAFETY: trivially satisfies the contract because no thread is ever
-// considered to hold roots. (The *collector-level* safety for real
-// programs comes from not using this platform with shared data.)
+// considered to hold roots beyond the heap blocks its claim scans. (The
+// *collector-level* safety for real programs comes from not using this
+// platform with shared data.)
 unsafe impl Platform for NullPlatform {
     type Record = ScanClaim;
 
-    fn register_current(&self, _: &RegistryKey, _: Arc<ThreadRoots>, c: ScanClaim) -> ScanClaim {
+    fn register_current(&self, _: &RegistryKey, c: ScanClaim) -> ScanClaim {
         c
     }
 
@@ -148,7 +142,7 @@ unsafe impl Platform for NullPlatform {
     }
 
     fn overdue(&self, _: &RegistryKey, claim: &ScanClaim) {
-        claim.scan_once(|_| {}); // "scans" nothing and acks
+        claim.scan_once(|_| {}); // the claim scans the heap blocks and acks
     }
 }
 
@@ -158,7 +152,11 @@ mod tests {
     use crate::config::CollectorConfig;
     use crate::master::MasterBuffer;
     use crate::retired::{noop_drop, Retired};
+    use crate::roots::ThreadRoots;
     use crate::round::Round;
+    use crate::Collector;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn null_platform_acks_once_and_marks_nothing() {
@@ -169,11 +167,8 @@ mod tests {
         let session = mb.session();
         let round = Arc::new(Round::new());
         let key = RegistryKey(());
-        let claim = NullPlatform.register_current(
-            &key,
-            Arc::new(ThreadRoots::new(1)),
-            ScanClaim::at(&round),
-        );
+        let claim = ScanClaim::at(&round, Arc::new(ThreadRoots::new(1)));
+        let claim = NullPlatform.register_current(&key, claim);
         let me = std::thread::current().id();
         let scanned = round.run(
             &NullPlatform,
@@ -185,5 +180,34 @@ mod tests {
         assert_eq!(scanned, 1);
         assert_eq!(session.acks_received(), 1);
         assert!(!mb.is_marked(0));
+    }
+
+    #[test]
+    fn null_platform_records_honour_heap_blocks() {
+        static DROPS: AtomicUsize = AtomicUsize::new(0);
+        struct Node(#[allow(dead_code)] [u64; 4]);
+        impl Drop for Node {
+            fn drop(&mut self) {
+                DROPS.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let collector = Collector::new(NullPlatform);
+        let handle = collector.register();
+        let pinned = Box::into_raw(Box::new(Node([0; 4])));
+        // The block holds the node's address and nothing else does.
+        let block = Box::new([pinned as usize]);
+        let start = block.as_ptr().cast::<u8>();
+        handle
+            .add_heap_block(start, std::mem::size_of_val(&*block))
+            .unwrap();
+        unsafe { handle.retire(pinned) };
+        handle.flush();
+        assert_eq!(DROPS.load(Ordering::SeqCst), 0, "the heap block pins it");
+        assert_eq!(collector.stats().survivors, 1);
+
+        handle.remove_heap_block(start).unwrap();
+        handle.flush();
+        assert_eq!(DROPS.load(Ordering::SeqCst), 1, "freed once unpinned");
+        assert_eq!(collector.stats().outstanding(), 0);
     }
 }

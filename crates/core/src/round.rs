@@ -3,14 +3,15 @@
 //!
 //! A [`Round`] publishes the in-flight [`ScanSession`] under a monotonic
 //! id. Each registration owns a [`ScanClaim`] on its collector's round,
-//! the id of the last round it scanned in. [`ScanClaim::scan_once`]
-//! claims the open round with one CAS on that word, so of a poll, a
-//! signal handler interrupting it and a reclaimer force-scan, exactly one
-//! scans and acks; it takes no lock, allocates nothing and cannot panic.
-//! [`Round::run`] is the reclaimer's side (TS-Collect): it opens the
-//! round, has every record scan through its [`Platform`], counts the acks
-//! and closes it. A platform supplies only how a thread is reached and
-//! what its record scans.
+//! the id of the last round it scanned in, and the registration's heap
+//! blocks. [`ScanClaim::scan_once`] claims the open round with one CAS on
+//! that word, so of a poll, a signal handler interrupting it and a
+//! reclaimer force-scan, exactly one scans and acks; it takes no lock,
+//! allocates nothing and cannot panic. [`Round::run`] is the reclaimer's
+//! side (TS-Collect): it opens the round, has every record scan through
+//! its [`Platform`], counts the acks and closes it. A platform supplies
+//! only how a thread is reached and what its record scans besides the
+//! heap blocks, which the claim scans itself.
 //!
 //! **Who may claim.** Every claim that can win a round must be one the
 //! round waits for, or the round may close under its scan and free a node
@@ -30,6 +31,7 @@ use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use crate::platform::{Platform, RegistryKey};
+use crate::roots::ThreadRoots;
 use crate::selfscan::SelfScanContext;
 use crate::session::ScanSession;
 use crate::telemetry::PhaseKind;
@@ -50,25 +52,29 @@ pub struct Round {
 }
 
 /// One registration's claim on its collector's round: the id of the last
-/// round it scanned in.
+/// round it scanned in, and the registration's heap blocks (§4.3).
 pub struct ScanClaim {
     round: Arc<Round>,
+    roots: Arc<ThreadRoots>,
     last: AtomicUsize,
 }
 
 impl ScanClaim {
     /// A claim on `round` that cannot win the round open on it now, if
-    /// any, but can win every later one.
-    pub fn at(round: &Arc<Round>) -> Self {
+    /// any, but can win every later one, and scans the heap blocks in
+    /// `roots` in each round it wins.
+    pub fn at(round: &Arc<Round>, roots: Arc<ThreadRoots>) -> Self {
         Self {
             last: AtomicUsize::new(round.id()),
             round: Arc::clone(round),
+            roots,
         }
     }
 
     /// Claims the open round and, if this call won it, stamps
-    /// [`PhaseKind::ScanBegin`], runs `scan` on the round's session, stamps
-    /// [`PhaseKind::ScanEnd`] and acks. Returns whether it scanned.
+    /// [`PhaseKind::ScanBegin`], runs `scan` on the round's session, scans
+    /// the claim's heap blocks, stamps [`PhaseKind::ScanEnd`] and acks.
+    /// Returns whether it scanned.
     ///
     /// Between rounds, or once this claim has scanned in the open round, it
     /// does nothing and returns `false`.
@@ -101,6 +107,7 @@ impl ScanClaim {
             sink.event(PhaseKind::ScanBegin, cid, 0);
         }
         scan(session);
+        self.roots.scan(session);
         if let Some((sink, cid)) = session.telemetry() {
             sink.event(PhaseKind::ScanEnd, cid, session.words_scanned() as u64);
         }
@@ -261,11 +268,15 @@ mod tests {
     use crate::config::CollectorConfig;
     use crate::master::MasterBuffer;
     use crate::retired::{noop_drop, Retired};
-    use crate::roots::ThreadRoots;
 
     fn master() -> MasterBuffer {
         let entries = vec![unsafe { Retired::from_raw_parts(0x1000, 64, noop_drop) }];
         MasterBuffer::new(entries, &CollectorConfig::default())
+    }
+
+    /// A claim on `round` with no heap blocks.
+    fn claim_on(round: &Arc<Round>) -> ScanClaim {
+        ScanClaim::at(round, Arc::new(ThreadRoots::new(1)))
     }
 
     #[test]
@@ -274,7 +285,7 @@ mod tests {
         for _ in 0..200 {
             let session = mb.session();
             let round = Arc::new(Round::new());
-            let claim = ScanClaim::at(&round);
+            let claim = claim_on(&round);
             let scans = AtomicUsize::new(0);
             let barrier = std::sync::Barrier::new(2);
             unsafe { round.open(&session) };
@@ -305,7 +316,7 @@ mod tests {
         let round = Arc::new(Round::new());
         unsafe { round.open(&first) };
         assert_eq!(round.id(), 1);
-        let late = ScanClaim::at(&round);
+        let late = claim_on(&round);
         assert!(!late.scan_once(|_| panic!("claimed the open round")));
         round.close();
         assert_eq!(first.acks_received(), 0);
@@ -323,11 +334,11 @@ mod tests {
         let mb = master();
         let session = mb.session();
         let round = Arc::new(Round::new());
-        let fresh = ScanClaim::at(&round);
+        let fresh = claim_on(&round);
         assert!(!fresh.scan_once(|_| panic!("scanned before any round")));
         unsafe { round.open(&session) };
         round.close();
-        let between = ScanClaim::at(&round);
+        let between = claim_on(&round);
         assert!(!between.scan_once(|_| panic!("scanned a closed round")));
         assert!(!fresh.scan_once(|_| panic!("scanned a closed round")));
         assert_eq!(session.acks_received(), 0);
@@ -338,7 +349,7 @@ mod tests {
         let mb = master();
         let session = mb.session();
         let round = Arc::new(Round::new());
-        let claim = ScanClaim::at(&round);
+        let claim = claim_on(&round);
         unsafe { round.open(&session) };
         let patience = Duration::from_millis(30);
         let start = Instant::now();
@@ -380,12 +391,7 @@ mod tests {
     // through its claim.
     unsafe impl Platform for Script {
         type Record = Arc<Scripted>;
-        fn register_current(
-            &self,
-            _: &RegistryKey,
-            _: Arc<ThreadRoots>,
-            _: ScanClaim,
-        ) -> Self::Record {
+        fn register_current(&self, _: &RegistryKey, _: ScanClaim) -> Self::Record {
             unreachable!("the test makes its records itself")
         }
         fn unregister_current(&self, _: &RegistryKey, _: &Self::Record) {}
@@ -439,7 +445,7 @@ mod tests {
                         tid,
                         Arc::new(Scripted {
                             thread,
-                            claim: ScanClaim::at(&round),
+                            claim: claim_on(&round),
                         }),
                     )
                 })
@@ -482,12 +488,7 @@ mod tests {
     // SAFETY (test double): as for `Script`.
     unsafe impl Platform for PanicsInReach {
         type Record = Arc<Scripted>;
-        fn register_current(
-            &self,
-            _: &RegistryKey,
-            _: Arc<ThreadRoots>,
-            _: ScanClaim,
-        ) -> Self::Record {
+        fn register_current(&self, _: &RegistryKey, _: ScanClaim) -> Self::Record {
             unreachable!("the test makes its records itself")
         }
         fn scan_own(&self, _: &RegistryKey, _: &Self::Record, _: &SelfScanContext) {}
@@ -530,7 +531,7 @@ mod tests {
                 .unwrap();
             let record = Arc::new(Scripted {
                 thread: 1,
-                claim: ScanClaim::at(&round),
+                claim: claim_on(&round),
             });
             round.run(
                 &PanicsInReach,

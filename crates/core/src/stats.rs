@@ -7,14 +7,12 @@
 //!
 //! Every counter is declared once, in the `counters!` list below, with
 //! its doc comment and its fold (`sum` or `max`). The list generates
-//! [`CollectorStats`], [`StatsSnapshot`] and every fold and report of them
-//! ([`CollectorStats::absorb`], [`StatsSnapshot::merge`],
-//! [`StatsSnapshot::counters`]). To add a counter, add its line to the
-//! list and its increment where it happens. The distribution of per-phase
-//! latency is no counter: the collector keeps one histogram of it,
+//! [`StatsSnapshot`], the one form a count takes, and its fold and report
+//! ([`StatsSnapshot::merge`], [`StatsSnapshot::counters`]). To add a
+//! counter, add its line to the list and its increment where it happens.
+//! The distribution of per-phase latency is no counter: the collector
+//! keeps one histogram of it,
 //! [`Collector::collect_latency`](crate::Collector::collect_latency).
-
-use core::sync::atomic::{AtomicUsize, Ordering};
 
 /// How a reading `b` folds into a reading `a` of the same counter, across
 /// threads and runs: a `sum` adds, a `max` keeps the larger.
@@ -31,43 +29,17 @@ macro_rules! counters {
     ($($(#[$doc:meta])+ $name:ident: $fold:ident,)+) => {
         /// Monotonic counters describing a collector's lifetime activity.
         ///
-        /// A collector keeps one for its reclaimer's counts and departed
-        /// threads'. A registered thread counts its retires, mailbox frees
-        /// and allocation hooks under the lock on its delete buffer, which
-        /// `retire` and the allocation hook take anyway, and
+        /// A collector's registry keeps one, under its lock, for completed
+        /// phases, skipped collects and departed threads: a phase counts
+        /// into one of its own and merges it when it ends. A registered
+        /// thread counts its retires, mailbox frees and allocation hooks
+        /// under the lock on its delete buffer, which `retire` and the
+        /// allocation hook take anyway, and
         /// [`Collector::stats`](crate::Collector::stats) merges them into
-        /// the collector's; unregistering absorbs them.
-        #[derive(Default)]
-        pub struct CollectorStats {
-            $($(#[$doc])+ pub $name: AtomicUsize,)+
-        }
-
-        /// A point-in-time copy of [`CollectorStats`].
+        /// the registry's; unregistering merges them for good.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
         pub struct StatsSnapshot {
             $($(#[$doc])+ pub $name: usize,)+
-        }
-
-        impl CollectorStats {
-            /// Takes a relaxed snapshot of all counters.
-            pub fn snapshot(&self) -> StatsSnapshot {
-                StatsSnapshot {
-                    $($name: self.$name.load(Ordering::Relaxed),)+
-                }
-            }
-
-            /// Folds a snapshot into these counters the way
-            /// [`StatsSnapshot::merge`] folds it into a snapshot.
-            pub fn absorb(&self, other: &StatsSnapshot) {
-                $(
-                    let theirs = other.$name;
-                    let fold = |mut mine: usize| {
-                        fold!($fold, mine, theirs);
-                        Some(mine)
-                    };
-                    let _ = self.$name.fetch_update(Ordering::Relaxed, Ordering::Relaxed, fold);
-                )+
-            }
         }
 
         impl StatsSnapshot {
@@ -138,19 +110,6 @@ counters! {
     sort_ns_max: max,
 }
 
-impl CollectorStats {
-    #[inline]
-    pub(crate) fn add(&self, field: &AtomicUsize, n: usize) {
-        field.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Raises `field` to at least `n` (for maxima).
-    #[inline]
-    pub(crate) fn raise(&self, field: &AtomicUsize, n: usize) {
-        field.fetch_max(n, Ordering::Relaxed);
-    }
-}
-
 impl StatsSnapshot {
     /// Nodes still tracked: retired but not yet freed. This *includes*
     /// nodes parked in a thread's mailbox (proven reclaimable but whose
@@ -202,14 +161,13 @@ mod tests {
 
     #[test]
     fn snapshot_reflects_counters() {
-        let stats = CollectorStats::default();
-        stats.add(&stats.retired, 10);
-        stats.add(&stats.freed, 4);
-        stats.add(&stats.collects, 2);
-        stats.add(&stats.words_scanned, 1000);
-        let snap = stats.snapshot();
-        assert_eq!(snap.retired, 10);
-        assert_eq!(snap.freed, 4);
+        let snap = StatsSnapshot {
+            retired: 10,
+            freed: 4,
+            collects: 2,
+            words_scanned: 1000,
+            ..Default::default()
+        };
         assert_eq!(snap.outstanding(), 6);
         assert_eq!(snap.words_per_collect(), 500.0);
     }
@@ -221,31 +179,25 @@ mod tests {
     }
 
     #[test]
-    fn raise_is_monotonic_max() {
-        let stats = CollectorStats::default();
-        stats.raise(&stats.collect_ns_max, 500);
-        stats.raise(&stats.collect_ns_max, 200); // lower: no effect
-        stats.raise(&stats.collect_ns_max, 900);
-        assert_eq!(stats.snapshot().collect_ns_max, 900);
-    }
-
-    #[test]
     fn collect_latency_snapshot_and_means() {
-        let stats = CollectorStats::default();
-        stats.add(&stats.collects, 4);
-        stats.add(&stats.collect_ns_total, 8_000);
-        stats.raise(&stats.collect_ns_max, 3_000);
-        let snap = stats.snapshot();
+        let snap = StatsSnapshot {
+            collects: 4,
+            collect_ns_total: 8_000,
+            collect_ns_max: 3_000,
+            ..Default::default()
+        };
         assert_eq!(snap.mean_collect_us(), 2.0);
         assert_eq!(snap.max_collect_us(), 3.0);
     }
 
     #[test]
     fn mean_sort_us_amortizes_over_collects() {
-        let stats = CollectorStats::default();
-        stats.add(&stats.collects, 2);
-        stats.add(&stats.sort_ns_total, 6_000);
-        assert_eq!(stats.snapshot().mean_sort_us(), 3.0);
+        let snap = StatsSnapshot {
+            collects: 2,
+            sort_ns_total: 6_000,
+            ..Default::default()
+        };
+        assert_eq!(snap.mean_sort_us(), 3.0);
         assert_eq!(StatsSnapshot::default().mean_sort_us(), 0.0);
     }
 
@@ -298,17 +250,6 @@ mod tests {
             };
             assert_eq!(m, want, "{name}");
         }
-    }
-
-    #[test]
-    fn absorb_folds_like_merge() {
-        let (a, b) = (distinct(7), distinct(500));
-        let stats = CollectorStats::default();
-        stats.absorb(&a);
-        stats.absorb(&b);
-        let mut merged = a;
-        merged.merge(&b);
-        assert_eq!(stats.snapshot(), merged);
     }
 
     #[test]

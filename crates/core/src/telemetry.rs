@@ -5,8 +5,8 @@
 //! function pointer — and leaves the implementation (the event log) to
 //! the `ts-telemetry` crate, which hands a sink to
 //! [`CollectorConfig::with_telemetry`](crate::CollectorConfig::with_telemetry).
-//! Counters are not telemetry: every per-collect total lives in
-//! [`CollectorStats`](crate::CollectorStats) and is read with
+//! Counters are not telemetry: every per-collect total is a
+//! [`StatsSnapshot`](crate::StatsSnapshot) field, read with
 //! `Collector::stats()`, sink or no sink.
 //!
 //! Two contracts matter:

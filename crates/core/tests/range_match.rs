@@ -8,9 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use threadscan::{
-    Collector, CollectorConfig, Platform, RegistryKey, ScanClaim, SelfScanContext, ThreadRoots,
-};
+use threadscan::{Collector, CollectorConfig, Platform, RegistryKey, ScanClaim, SelfScanContext};
 
 /// A platform whose single simulated thread "holds" a configurable word
 /// list.
@@ -23,7 +21,7 @@ struct WordPlatform {
 // scanned in its entirety before the ack.
 unsafe impl Platform for WordPlatform {
     type Record = ScanClaim;
-    fn register_current(&self, _: &RegistryKey, _: Arc<ThreadRoots>, c: ScanClaim) -> ScanClaim {
+    fn register_current(&self, _: &RegistryKey, c: ScanClaim) -> ScanClaim {
         c
     }
     fn scan_own(&self, key: &RegistryKey, claim: &ScanClaim, _: &SelfScanContext) {

@@ -9,10 +9,10 @@
 //! 1. finds no open round of the record's collector (a stray signal, or
 //!    another collector's round) or one it already scanned in (a
 //!    duplicate) and does nothing; or
-//! 2. scans the interrupted register file (from `ucontext_t`), the stack
-//!    from the interrupted frame upward, and the record's heap blocks —
-//!    each word binary-searched against the session's sorted master
-//!    buffer — and acknowledges.
+//! 2. scans the interrupted register file (from `ucontext_t`) and the
+//!    stack from the interrupted frame upward, and the claim its heap
+//!    blocks — each word binary-searched against the session's sorted
+//!    master buffer — and acknowledges.
 //!
 //! The reclaimer's own records go through `scan_record` from its boundary
 //! context. A handler run on the reclaimer first (another collector's
@@ -104,8 +104,8 @@ pub(crate) fn detach_record(rec: &ThreadRecord) {
 
 /// Scans `rec`, a record of the calling thread, in its collector's open
 /// round, unless it has scanned in it already: `regs` (register words the
-/// caller captured), the stack from `floor` to its top, and the record's
-/// heap blocks; then acks. Returns whether it scanned.
+/// caller captured) and the stack from `floor` to its top; its claim then
+/// scans the heap blocks and acks. Returns whether it scanned.
 pub(crate) fn scan_record(rec: &ThreadRecord, regs: &[usize], floor: usize) -> bool {
     rec.claim.scan_once(|session| {
         session.scan_words(regs);
@@ -115,7 +115,6 @@ pub(crate) fn scan_record(rec: &ThreadRecord, regs: &[usize], floor: usize) -> b
             // stack, mapped and readable by construction.
             unsafe { session.scan_region(sp as *const u8, hi as *const u8) };
         }
-        rec.roots.scan(session);
     })
 }
 

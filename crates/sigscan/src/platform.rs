@@ -3,10 +3,9 @@
 
 use std::io;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
-use threadscan::{Platform, RegistryKey, ScanClaim, SelfScanContext, ThreadRoots};
+use threadscan::{Platform, RegistryKey, ScanClaim, SelfScanContext};
 
 use crate::handler;
 use crate::record::ThreadRecord;
@@ -90,22 +89,17 @@ impl SignalPlatform {
 }
 
 // SAFETY: a record acks only through its claim (`handler::scan_record`),
-// after scanning its heap blocks and the full register file and the stack
-// from the interrupted frame up, or, for the reclaimer's own, the registers
-// and the stack above the boundary it captured. `reach` reports only an
+// after scanning the full register file and the stack from the interrupted
+// frame up, or, for the reclaimer's own, the registers and the stack above
+// the boundary it captured. `reach` reports only an
 // exited thread (`ESRCH`) as not scanning.
 unsafe impl Platform for SignalPlatform {
     type Record = Box<ThreadRecord>;
 
-    fn register_current(
-        &self,
-        _: &RegistryKey,
-        roots: Arc<ThreadRoots>,
-        claim: ScanClaim,
-    ) -> Box<ThreadRecord> {
+    fn register_current(&self, _: &RegistryKey, claim: ScanClaim) -> Box<ThreadRecord> {
         let stack = current_stack_bounds()
             .expect("ThreadScan: cannot determine stack bounds for this thread");
-        let rec = Box::new(ThreadRecord::new(stack, roots, claim));
+        let rec = Box::new(ThreadRecord::new(stack, claim));
         handler::attach_record(&rec);
         rec
     }
@@ -160,8 +154,9 @@ fn fatal(why: std::fmt::Arguments<'_>) -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::tests::idle_claim;
+    use crate::record::tests::{claim_on, idle_claim};
     use crate::stackbounds::approx_sp;
+    use std::sync::Arc;
     use threadscan::master::MasterBuffer;
     use threadscan::retired::{noop_drop, Retired};
     use threadscan::{Collector, CollectorConfig, Round};
@@ -215,9 +210,8 @@ mod tests {
     fn register_and_unregister_maintain_registry() {
         let platform = SignalPlatform::new().unwrap();
         assert_eq!(handler::attached().len(), 0);
-        let roots = Arc::new(ThreadRoots::new(4));
         let round = Arc::new(Round::new());
-        let rec = platform.register_current(&key(), roots, ScanClaim::at(&round));
+        let rec = platform.register_current(&key(), claim_on(&round));
         assert_eq!(handler::attached().len(), 1);
         assert!(listed(&rec));
         assert_eq!(handler_scan_in(&round), (1, 1), "acks through its claim");
@@ -231,8 +225,8 @@ mod tests {
     #[test]
     fn multiple_registrations_per_thread_stack() {
         let platform = SignalPlatform::new().unwrap();
-        let r1 = platform.register_current(&key(), Arc::new(ThreadRoots::new(4)), idle_claim());
-        let r2 = platform.register_current(&key(), Arc::new(ThreadRoots::new(4)), idle_claim());
+        let r1 = platform.register_current(&key(), idle_claim());
+        let r2 = platform.register_current(&key(), idle_claim());
         assert_eq!(handler::attached().len(), 2);
         assert!(listed(&r1) && listed(&r2));
         platform.unregister_current(&key(), &r1); // out of order: mid-list detach
@@ -251,8 +245,7 @@ mod tests {
     fn a_round_is_acked_only_by_its_own_platforms_records() {
         let (a, b) = (Arc::new(Round::new()), Arc::new(Round::new()));
         let platform = SignalPlatform::new().unwrap();
-        let b_record =
-            platform.register_current(&key(), Arc::new(ThreadRoots::new(4)), ScanClaim::at(&b));
+        let b_record = platform.register_current(&key(), claim_on(&b));
         let (scanned_in_a, acks_in_a) = handler_scan_in(&a);
         let (scanned_in_b, acks_in_b) = handler_scan_in(&b);
         platform.unregister_current(&key(), &b_record);
@@ -310,8 +303,7 @@ mod tests {
         const HOLD: Duration = Duration::from_millis(20);
         let platform = SignalPlatform::new().unwrap();
         let round = Arc::new(Round::new());
-        let roots = || Arc::new(ThreadRoots::new(4));
-        let mine = platform.register_current(&key(), roots(), ScanClaim::at(&round));
+        let mine = platform.register_current(&key(), claim_on(&round));
         let master = master();
         let sessions: Vec<_> = (0..ROUNDS).map(|_| master.session()).collect();
         let ctx = SelfScanContext::empty();
@@ -325,7 +317,7 @@ mod tests {
             let _stop = StopOnDrop(&stop);
             s.spawn(|| {
                 mask_signal(platform.signal(), true);
-                let record = platform.register_current(&key(), roots(), ScanClaim::at(&round));
+                let record = platform.register_current(&key(), claim_on(&round));
                 let _ = peer.set((std::thread::current().id(), record));
                 for _ in 0..ROUNDS {
                     barrier.wait(); // the round is about to open

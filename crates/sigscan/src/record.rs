@@ -1,19 +1,18 @@
 //! Per-registration records.
 //!
 //! Each `Collector::register` call on a thread produces one
-//! [`ThreadRecord`]: the thread's pthread id, its stack bounds, the
-//! collector-specific extra roots (§4.3 heap blocks) and the claim on its
-//! collector's round that the collector made. The collector's registry
+//! [`ThreadRecord`]: the thread's pthread id, its stack bounds and the
+//! claim on its collector's round that the collector made, which holds
+//! the registration's heap blocks (§4.3). The collector's registry
 //! holds the record, boxed: the thread-local list that the signal handler
 //! walks points at it, so its address must not change, and it leaves that
 //! list on its own thread: ending it on another aborts the process. Each
-//! record scans the stack, the registers and its own heap blocks and acks
-//! once per round of its own collector.
+//! record scans the stack and the registers, its claim the heap blocks,
+//! and it acks once per round of its own collector.
 
 use std::sync::atomic::{AtomicBool, AtomicPtr};
-use std::sync::Arc;
 
-use threadscan::{ScanClaim, ThreadRoots};
+use threadscan::ScanClaim;
 
 use crate::stackbounds::StackBounds;
 
@@ -23,9 +22,7 @@ pub struct ThreadRecord {
     pub(crate) pthread: libc::pthread_t,
     /// The registering thread's stack bounds.
     pub(crate) stack: StackBounds,
-    /// Extra roots contributed by this registration.
-    pub(crate) roots: Arc<ThreadRoots>,
-    /// The record's claim on its collector's round.
+    /// The record's claim on its collector's round, with its heap blocks.
     pub(crate) claim: ScanClaim,
     /// Next record of the same thread (thread-local intrusive list). Only
     /// the owning thread writes this, and its signal handler reads it, so
@@ -38,11 +35,10 @@ pub struct ThreadRecord {
 
 impl ThreadRecord {
     /// A record of the calling thread.
-    pub(crate) fn new(stack: StackBounds, roots: Arc<ThreadRoots>, claim: ScanClaim) -> Self {
+    pub(crate) fn new(stack: StackBounds, claim: ScanClaim) -> Self {
         Self {
             pthread: unsafe { libc::pthread_self() },
             stack,
-            roots,
             claim,
             next: AtomicPtr::default(),
             linked: AtomicBool::new(false),
@@ -63,17 +59,22 @@ impl Drop for ThreadRecord {
 pub(crate) mod tests {
     use super::*;
     use crate::stackbounds::current_stack_bounds;
-    use threadscan::Round;
+    use std::sync::Arc;
+    use threadscan::{Round, ThreadRoots};
+
+    /// A claim on `round` with no heap blocks.
+    pub(crate) fn claim_on(round: &Arc<Round>) -> ScanClaim {
+        ScanClaim::at(round, Arc::new(ThreadRoots::new(4)))
+    }
 
     /// A claim on a round that never opens.
     pub(crate) fn idle_claim() -> ScanClaim {
-        ScanClaim::at(&Arc::new(Round::new()))
+        claim_on(&Arc::new(Round::new()))
     }
 
     #[test]
     fn record_captures_calling_thread_identity() {
-        let roots = Arc::new(ThreadRoots::new(4));
-        let rec = ThreadRecord::new(current_stack_bounds().unwrap(), roots, idle_claim());
+        let rec = ThreadRecord::new(current_stack_bounds().unwrap(), idle_claim());
         assert_eq!(rec.pthread, unsafe { libc::pthread_self() });
         let local = 0u8;
         assert!(rec.stack.contains(&local as *const u8 as usize));
@@ -83,10 +84,8 @@ pub(crate) mod tests {
 
     /// A record of the calling thread, linked into its list.
     fn attached_record() -> Box<ThreadRecord> {
-        let roots = Arc::new(ThreadRoots::new(4));
         let rec = Box::new(ThreadRecord::new(
             current_stack_bounds().unwrap(),
-            roots,
             idle_claim(),
         ));
         crate::handler::attach_record(&rec);

@@ -86,7 +86,7 @@ fn signal_rounds_allocate_nothing() {
     let key = unsafe { RegistryKey::new() };
     let register = || {
         let roots = Arc::new(ThreadRoots::new(MAX_HEAP_BLOCKS));
-        let record = platform.register_current(&key, roots, ScanClaim::at(&round));
+        let record = platform.register_current(&key, ScanClaim::at(&round, roots));
         (std::thread::current().id(), record)
     };
     let me = register();

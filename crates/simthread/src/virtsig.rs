@@ -1,7 +1,8 @@
 //! Virtual signals: a deterministic [`threadscan::Platform`].
 //!
 //! Substitutes the OS mechanism with an in-process handshake over
-//! [`ShadowStack`] root regions. The collector keeps the records, one
+//! [`ShadowStack`] root regions (each record's claim scans its heap
+//! blocks, as on every platform). The collector keeps the records, one
 //! [`SimRecord`] per registration (reach it with `ThreadHandle::record`),
 //! and runs each round over them (`threadscan::Round::run`). The open
 //! round is the virtual signal: a thread notices it at its next
@@ -17,16 +18,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use threadscan::{Platform, RegistryKey, ScanClaim, SelfScanContext, ThreadRoots};
+use threadscan::{Platform, RegistryKey, ScanClaim, SelfScanContext};
 
 use crate::shadow::ShadowStack;
 
 /// One registered simulated thread.
 pub struct SimRecord {
     shadow: Arc<ShadowStack>,
-    roots: Arc<ThreadRoots>,
     /// A poll, a self-scan and a force-scan ack a round exactly once
-    /// between them.
+    /// between them; it scans the heap blocks.
     claim: ScanClaim,
 }
 
@@ -39,10 +39,7 @@ impl SimRecord {
     /// Scans this record in its collector's open round unless it already
     /// has; returns whether this call scanned.
     fn scan(&self) -> bool {
-        self.claim.scan_once(|session| {
-            self.shadow.scan(session);
-            self.roots.scan(session);
-        })
+        self.claim.scan_once(|session| self.shadow.scan(session))
     }
 }
 
@@ -88,20 +85,15 @@ impl SimPlatform {
 }
 
 // SAFETY: a record acks only through its claim, after scanning its shadow
-// stack and heap blocks, which *are* a simulated thread's entire private
-// memory; `reach` keeps its default, so no thread counts as exited.
+// stack, which with the heap blocks the claim scans *is* a simulated
+// thread's entire private memory; `reach` keeps its default, so no thread
+// counts as exited.
 unsafe impl Platform for SimPlatform {
     type Record = SimRecord;
 
-    fn register_current(
-        &self,
-        _: &RegistryKey,
-        roots: Arc<ThreadRoots>,
-        claim: ScanClaim,
-    ) -> SimRecord {
+    fn register_current(&self, _: &RegistryKey, claim: ScanClaim) -> SimRecord {
         SimRecord {
             shadow: Arc::new(ShadowStack::new(self.shadow_slots)),
-            roots,
             claim,
         }
     }

@@ -74,8 +74,7 @@ impl<P: Platform> Smr for ThreadScanSmr<P> {
     }
 
     fn outstanding(&self) -> usize {
-        let s = self.collector.stats();
-        s.retired.saturating_sub(s.freed)
+        self.collector.stats().outstanding()
     }
 
     fn quiesce(&self) {

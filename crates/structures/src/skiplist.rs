@@ -152,9 +152,11 @@ thread_local! {
         Cell::new(splitmix64(NEXT_RNG_STREAM.fetch_add(1, Ordering::Relaxed)) | 1);
 }
 
-/// SplitMix64's output function: spreads consecutive counter values over
-/// the whole 64-bit space.
-fn splitmix64(x: u64) -> u64 {
+/// SplitMix64's output function: spreads consecutive counter values (the
+/// skip list's height seeds) and application keys (the split-ordered
+/// set's hash) over the whole 64-bit space. The crate's one copy.
+#[inline]
+pub(crate) fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -36,6 +36,7 @@ use ts_smr::{Guard, Smr, SmrHandle};
 use crate::growable_dir::{GrowableDirectory, MAX_CAPACITY};
 use crate::harris_list::{self, live_sequential, HarrisNode};
 use crate::set_trait::ConcurrentSet;
+use crate::skiplist::splitmix64;
 use crate::tagged::untagged;
 
 /// Default items per bucket that trigger a size doubling (the classic
@@ -86,16 +87,6 @@ impl HarrisNode for SoNode {
     fn key(&self) -> (u64, u64) {
         (self.skey, self.key)
     }
-}
-
-/// 64-bit finalizer (splitmix64): spreads application keys over the full
-/// hash space so bucket selection and split order are uniform.
-#[inline]
-fn hash64(key: u64) -> u64 {
-    let mut z = key.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Split-order key of a regular item: set the top bit (so regulars sort
@@ -210,7 +201,9 @@ impl<S: Smr> SplitOrderedSet<S> {
     /// and `key`'s split-order key.
     #[inline]
     fn locate(&self, g: &Guard<'_, S::Handle>, key: u64) -> (&AtomicPtr<u8>, (u64, u64)) {
-        let hash = hash64(key);
+        // Spread application keys over the whole hash space, so bucket
+        // selection and split order are uniform.
+        let hash = splitmix64(key);
         let size = self.size.load(Ordering::Acquire);
         let dummy = self.bucket_dummy(g, (hash as usize) & (size - 1));
         (&dummy.next, (so_regular_key(hash), key))
@@ -311,7 +304,7 @@ mod tests {
     fn split_order_keys_sort_dummies_before_their_items() {
         // A bucket's dummy must precede every regular key hashing there.
         for key in [0u64, 1, 7, 42, 1 << 40, u64::MAX] {
-            let h = hash64(key);
+            let h = splitmix64(key);
             let bucket = (h as usize) & (crate::growable_dir::SEG_LEN - 1);
             assert!(
                 so_dummy_key(bucket) < so_regular_key(h),
@@ -326,10 +319,10 @@ mod tests {
         // overwrites: one split-order key, so one bucket at every size,
         // and only the `(skey, key)` tie-break tells the keys apart.
         const TIED: [u64; 2] = [7, 0x2a4f_72a4_a438_b0f1];
-        assert_eq!(hash64(TIED[0]) ^ hash64(TIED[1]), 1 << 63);
+        assert_eq!(splitmix64(TIED[0]) ^ splitmix64(TIED[1]), 1 << 63);
         assert_eq!(
-            so_regular_key(hash64(TIED[0])),
-            so_regular_key(hash64(TIED[1]))
+            so_regular_key(splitmix64(TIED[0])),
+            so_regular_key(splitmix64(TIED[1]))
         );
         let scheme = Leaky::new();
         let h = scheme.register();

@@ -16,7 +16,7 @@
 //! chrome://tracing document, one track per recording thread).
 //!
 //! This crate keeps no counters of its own. What a collect did is
-//! counted once, in `CollectorStats`, and read with `Collector::stats()`
+//! counted once, in a `StatsSnapshot`, and read with `Collector::stats()`
 //! whether or not a sink is installed; the log carries the same
 //! per-collect numbers as event payloads (`CollectBegin.arg` = entries,
 //! `FreeEnd.arg` = reclaimer frees, `AllAcked.arg` = acks,

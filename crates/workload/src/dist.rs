@@ -7,7 +7,7 @@
 //! are much more likely to sit in some thread's stack at scan time, so
 //! skew directly exercises ThreadScan's survivor carry-over path).
 
-use ts_choose::Rng;
+use ts_choose::{splitmix64, Rng};
 
 /// How operation keys are drawn from `[0, key_range)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,10 +108,7 @@ impl ZipfSampler {
 /// otherwise put every hot node at the front of a sorted list).
 #[inline]
 pub fn scramble_rank(rank: u64, key_range: u64) -> u64 {
-    let mut z = rank.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    (z ^ (z >> 31)) % key_range
+    splitmix64(rank) % key_range
 }
 
 #[cfg(test)]
@@ -264,6 +261,14 @@ mod tests {
             assert_eq!(k1, k2);
             assert!(k1 < 2048);
         }
+    }
+
+    #[test]
+    fn scramble_is_splitmix64_mod_the_range() {
+        let keys: Vec<u64> = (0..5).map(|r| scramble_rank(r, 100_000)).collect();
+        assert_eq!(keys, [7535, 22465, 48110, 39053, 3978]);
+        assert_eq!(scramble_rank(12_345, u64::MAX), 0x2211_8258_a9d1_11a0);
+        assert_eq!(scramble_rank(12_345, 1000), 944);
     }
 
     #[test]

@@ -143,9 +143,8 @@ pub struct WorkloadParams {
     /// ThreadScan per-thread delete-buffer capacity (1024 stock; 4096 for
     /// the tuned Figure 4 hash-table line).
     pub ts_buffer_capacity: usize,
-    /// Slow-epoch injected delay.
-    pub slow_epoch_delay: Duration,
-    /// Slow-epoch delay cadence in operations.
+    /// Slow-epoch delay cadence in operations: one
+    /// [`Self::SLOW_EPOCH_DELAY`] stall every this many.
     pub slow_epoch_period_ops: usize,
     /// How operations arrive at the workers ([`LoadModel`]): the paper's
     /// closed loop by default, or an open-loop arrival schedule for
@@ -163,6 +162,10 @@ impl WorkloadParams {
     /// The paper's delete-buffer capacity, every preset's
     /// `ts_buffer_capacity`: "configured to store up to 1024 pointers" (§6).
     pub const PAPER_BUFFER: usize = 1024;
+
+    /// The stall the Slow-Epoch scheme injects into one thread, §6's
+    /// 40 ms; its cadence is `slow_epoch_period_ops`.
+    pub const SLOW_EPOCH_DELAY: Duration = Duration::from_millis(40);
 
     /// The paper's §6 sizing for `structure`, driven alone by `threads`
     /// workers at the methodology's 20% updates over uniform keys.
@@ -197,7 +200,6 @@ impl WorkloadParams {
             duration: Duration::from_secs(2),
             threads,
             ts_buffer_capacity: Self::PAPER_BUFFER,
-            slow_epoch_delay: Duration::from_millis(40),
             slow_epoch_period_ops: 4096,
             load_model: LoadModel::Closed,
             telemetry: false,
@@ -270,7 +272,6 @@ mod tests {
             duration,
             threads,
             ts_buffer_capacity,
-            slow_epoch_delay,
             slow_epoch_period_ops,
             load_model,
             telemetry,
@@ -280,7 +281,7 @@ mod tests {
         assert_eq!(key_dist, KeyDist::Uniform);
         assert_eq!((duration, threads), (Duration::from_secs(2), 8));
         assert_eq!(ts_buffer_capacity, 1024);
-        assert_eq!(slow_epoch_delay, Duration::from_millis(40));
+        assert_eq!(WorkloadParams::SLOW_EPOCH_DELAY, Duration::from_millis(40));
         assert_eq!(slow_epoch_period_ops, 4096);
         assert_eq!(load_model, LoadModel::Closed);
         assert!(!telemetry);

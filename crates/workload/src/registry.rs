@@ -123,7 +123,7 @@ impl SchemeKind {
             SchemeKind::Epoch => f.call(EpochScheme::with_threshold(1024)),
             SchemeKind::SlowEpoch => f.call(EpochScheme::slow(
                 1024,
-                params.slow_epoch_delay,
+                WorkloadParams::SLOW_EPOCH_DELAY,
                 params.slow_epoch_period_ops,
             )),
             SchemeKind::ThreadScan => f.call(threadscan(params)),

@@ -80,7 +80,7 @@ fn slow_epoch_throughput_collapses_vs_epoch() {
     p.duration = Duration::from_millis(400);
     p.slow_epoch_period_ops = 512; // stall often enough to be visible
     let slow = run_combo(SchemeKind::SlowEpoch, &p);
-    let stalls = slow.duration_s / p.slow_epoch_delay.as_secs_f64() + 2.0;
+    let stalls = slow.duration_s / WorkloadParams::SLOW_EPOCH_DELAY.as_secs_f64() + 2.0;
     let bound = (p.slow_epoch_period_ops as f64 * stalls) as u64;
     assert!(
         slow.total_ops <= bound,

@@ -249,10 +249,11 @@ fn note_announce(event: threadscan::PhaseEvent) {
 
 #[test]
 fn stats_never_waits_for_a_phase() {
-    // `stats()` takes the registry lock and each thread's stages lock,
-    // never the reclaimer lock. While a round waits out its grace period
-    // on a registered thread that never polls, another thread's `stats()`
-    // returns at once, with the retires made before the round opened.
+    // `stats()` and `collect_latency()` take the registry lock and each
+    // thread's stages lock, never the reclaimer lock. While a round waits
+    // out its grace period on a registered thread that never polls,
+    // another thread's reads return at once, with the retires made before
+    // the round opened and no phase yet in the books.
     const GRACE: Duration = Duration::from_secs(2);
     const RETIRES: usize = 3;
     let collector = Collector::with_config(
@@ -267,7 +268,7 @@ fn stats_never_waits_for_a_phase() {
     let registered = std::sync::Barrier::new(2);
     let flushed = AtomicBool::new(false);
 
-    let (waited, snap) = std::thread::scope(|s| {
+    let (waited, snap, latency) = std::thread::scope(|s| {
         // Y: registered, never polls, so the round waits the whole grace
         // period for it.
         s.spawn(|| {
@@ -297,11 +298,20 @@ fn stats_never_waits_for_a_phase() {
         }
         let start = std::time::Instant::now();
         let snap = collector.stats();
-        (start.elapsed(), snap)
+        let latency = collector.collect_latency();
+        (start.elapsed(), snap, latency)
     });
 
-    assert!(waited < GRACE / 4, "stats() took {waited:?} during a round");
+    assert!(
+        waited < GRACE / 4,
+        "the reads took {waited:?} during a round"
+    );
     assert_eq!(snap.collects, 0, "stats() returned only after the phase");
+    assert_eq!(
+        latency.count(),
+        0,
+        "collect_latency() returned only after the phase"
+    );
     assert_eq!(snap.retired, RETIRES);
     assert_eq!(
         drops.load(Ordering::SeqCst),
